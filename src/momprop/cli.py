@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import Any, Callable
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import datagen, diagnostics
 from .diagnostics import DensityGrid, ToyGaussianSpec, toy_gaussian_mp
@@ -26,22 +26,15 @@ from .linear import (LinearData, LinearPrior, linear_exact_posterior,
                      linear_mfvb_fit, linear_moment_summary, linear_mp1_fit,
                      linear_mp2_fit)
 from .moments import (GaussianApprox, InverseGammaApprox,
-                      InverseWishartApprox, StudentTApprox, ig_mean_var)
+                      InverseWishartApprox, StudentTApprox)
 from .mvn import (MVNData, MVNPrior, iw_diag_marginal, mvn_exact_posterior,
                   mvn_mfvb_fit, mvn_moment_summary, mvn_mp_fit)
 from .probit import (ProbitData, ProbitPrior, probit_dmvb_fit,
                      probit_gibbs_oracle, probit_laplace_fit,
                      probit_mfvb_fit, probit_moment_summary, probit_mp_fit)
-from .reports import MomentSummary
+from .reports import FitReport, MomentSummary
 
 SCHEMA_VERSION = 1
-
-VALID_METHODS = {
-    "linear": ("exact", "mfvb", "mp1", "mp2"),
-    "mvn": ("exact", "mfvb", "mp"),
-    "probit": ("laplace", "mfvb", "mp-dm", "mp-quad", "dmvb", "gibbs"),
-    "toy": ("mp", "mfvb"),
-}
 
 
 class UsageError(Exception):
@@ -106,22 +99,23 @@ def _load_xy(path: str, intercept: bool) -> tuple[np.ndarray, np.ndarray]:
     return y, X
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, keys: tuple[str, ...] = ()) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    for key in keys:
+        if key not in doc:
+            raise InputError(f"{path}: missing key {key!r}")
+    return doc
 
 
 def _load_mvn(data_path: str | None, summary_path: str | None) -> MVNData:
     if summary_path:
-        doc = _load_json(summary_path)
-        for key in ("n", "xbar", "S"):
-            if key not in doc:
-                raise InputError(f"{summary_path}: missing key {key!r}")
+        doc = _load_json(summary_path, ("n", "xbar", "S"))
         return MVNData(n=doc["n"], xbar=doc["xbar"], S=doc["S"])
     if data_path:
         _, data = _read_csv(data_path)
@@ -132,10 +126,7 @@ def _load_mvn(data_path: str | None, summary_path: str | None) -> MVNData:
 def _load_toy(summary_path: str | None) -> ToyGaussianSpec:
     if not summary_path:
         raise UsageError("toy needs --summary (JSON with mu, Sigma, split)")
-    doc = _load_json(summary_path)
-    for key in ("mu", "Sigma", "split"):
-        if key not in doc:
-            raise InputError(f"{summary_path}: missing key {key!r}")
+    doc = _load_json(summary_path, ("mu", "Sigma", "split"))
     return ToyGaussianSpec(mu=doc["mu"], Sigma=doc["Sigma"],
                            split=int(doc["split"]))
 
@@ -192,9 +183,7 @@ def _q_to_json(q: dict) -> dict:
     return out
 
 
-def _summary_to_json(s: MomentSummary | None) -> dict | None:
-    if s is None:
-        return None
+def _summary_to_json(s: MomentSummary) -> dict:
     doc = {"mean": s.mean, "cov": s.cov}
     if s.scalar_mean is not None:
         doc["scalar_mean"] = s.scalar_mean
@@ -211,7 +200,7 @@ def _summary_to_json(s: MomentSummary | None) -> dict | None:
 @dataclass
 class RunConfig:
     model: str
-    method: str
+    method: str = ""
     eps: float = 1e-6
     max_iter: int = 500
     g: float = 1e4
@@ -228,208 +217,271 @@ class RunConfig:
     data: str | None = None
     summary: str | None = None
     init_from: str | None = None
-    extra: dict = field(default_factory=dict)
-
-    def validate(self):
-        if self.model not in VALID_METHODS:
-            raise UsageError(f"unknown model {self.model!r}")
-        if self.method not in VALID_METHODS[self.model]:
-            raise UsageError(
-                f"method {self.method!r} is not valid for model "
-                f"{self.model!r}; choose from "
-                f"{', '.join(VALID_METHODS[self.model])}")
 
 
 @dataclass
 class FitOutcome:
+    """One method's fit as reported. Closed forms keep the defaults;
+    iterative fits copy their FitReport; wall_time_s covers the fit alone."""
+
     q: dict
-    summary: MomentSummary | None
-    iterations: int
-    converged: bool
-    termination: str
-    wall_time_s: float
+    iterations: int = 0
+    converged: bool = True
+    termination: str = "closed_form"
     trace: list | None = None
     wrong_basin: bool | None = None
+    summary: MomentSummary | None = None
+    wall_time_s: float = 0.0
 
 
-def _init_params(cfg: RunConfig, model: str, method: str):
-    if not cfg.init_from:
-        return None
-    doc = _load_json(cfg.init_from)
-    q = doc.get("q", {})
-    if model == "linear":
-        s2 = q.get("sigma2")
-        if s2 is None:
-            raise InputError("--init-from report lacks q.sigma2")
-        return (s2["shape"], s2["scale"])
-    if model == "mvn":
-        sig = q.get("Sigma")
-        if sig is None:
-            raise InputError("--init-from report lacks q.Sigma")
-        return (sig["dof"], np.array(sig["scale_matrix"]))
-    if model == "probit":
-        beta = q.get("beta")
-        if beta is None:
-            raise InputError("--init-from report lacks q.beta")
-        mu = np.array(beta["mean"])
-        cov = np.array(beta["cov"]) if "cov" in beta else None
-        return (mu, cov)
-    return None
+def _load_regression(cfg: RunConfig, data_type):
+    if not cfg.data:
+        raise UsageError(f"{cfg.model} needs --data CSV")
+    return data_type(*_load_xy(cfg.data, cfg.intercept))
+
+
+def _gibbs(cfg: RunConfig, data: ProbitData, prior: ProbitPrior) -> FitOutcome:
+    summ = probit_gibbs_oracle(data, prior, n_samples=cfg.n_samples,
+                               n_warmup=cfg.n_warmup, seed=cfg.seed)
+    return FitOutcome({"beta": summ}, cfg.n_samples, termination="sampling",
+                      summary=summ)
+
+
+def _toy(cfg: RunConfig, spec: ToyGaussianSpec, method: str) -> FitOutcome:
+    q1, q2, m1, m2 = toy_gaussian_mp(spec, eps=min(cfg.eps, 1e-10),
+                                     max_iter=max(cfg.max_iter, 10_000))
+    block1, block2 = (q1, q2) if method == "mp" else (m1, m2)
+    cov = block_diag(block1.cov, block2.cov)
+    return FitOutcome({"block1": block1, "block2": block2},
+                      summary=MomentSummary(method=method, mean=spec.mu,
+                                            cov=cov))
+
+
+def _vector_marginals(prefix: str, approx) -> list[tuple[str, str, tuple]]:
+    if isinstance(approx, StudentTApprox):
+        return [(f"{prefix}{j}", "t",
+                 (approx.loc[j], approx.scale[j, j], approx.dof))
+                for j in range(approx.dim)]
+    # a Gaussian q or a Gibbs summary: both carry mean and cov
+    return [(f"{prefix}{j}", "normal", (approx.mean[j], approx.cov[j, j]))
+            for j in range(approx.mean.shape[0])]
+
+
+def _linear_marginals(q: dict) -> list[tuple[str, str, tuple]]:
+    ig = q["sigma2"]
+    return (_vector_marginals("beta", q["beta"])
+            + [("sigma2", "ig", (ig.shape, ig.scale))])
+
+
+def _mvn_marginals(q: dict) -> list[tuple[str, str, tuple]]:
+    out = _vector_marginals("mu", q["mu"])
+    for j in range(q["Sigma"].dim):
+        ig = iw_diag_marginal(q["Sigma"], j)
+        out.append((f"Sigma{j}{j}", "ig", (ig.shape, ig.scale)))
+    return out
+
+
+def _xy_table(y: np.ndarray, X: np.ndarray, y_cell: Callable):
+    header = ["y"] + [f"x{j + 1}" for j in range(X.shape[1])]
+    return header, ([y_cell(yi)] + [repr(float(v)) for v in xi]
+                    for yi, xi in zip(y, X))
+
+
+def _generate_linear(args):
+    if args.fixed:
+        y, X = datagen.fixed_linear_dataset()
+    else:
+        y, X = datagen.generate_linear(args.n, args.p, args.seed,
+                                       beta=_parse_vector(args.beta),
+                                       sigma=args.sigma)
+    return _xy_table(y, X, lambda v: repr(float(v)))
+
+
+def _generate_probit(args):
+    y, X = datagen.generate_probit(args.n, args.p, args.seed,
+                                   beta=_parse_vector(args.beta),
+                                   intercept=not args.no_intercept)
+    return _xy_table(y, X, int)
+
+
+def _generate_mvn(args):
+    X = datagen.generate_mvn(args.n, args.p, args.seed)
+    return ([f"x{j + 1}" for j in range(X.shape[1])],
+            ([repr(float(v)) for v in xi] for xi in X))
+
+
+@dataclass(frozen=True)
+class Model:
+    """What the CLI knows about one model.
+
+    fits maps each method to fit(cfg, data, prior, init), which returns a
+    FitReport, or a FitOutcome for closed forms and sampling. The entries
+    name the library fitters of this module, looked up at call time, so a
+    wrapper installed under such a name sees every CLI fit. init_from names
+    the q block --init-from reads and turns it into starting-value keywords.
+    """
+
+    load: Callable[[RunConfig], Any]
+    prior: Callable[[RunConfig, Any], Any]
+    fits: dict[str, Callable[..., FitReport | FitOutcome]]
+    summary: Callable[[dict, str], MomentSummary] | None = None
+    init_from: tuple[str, Callable[[dict], dict]] | None = None
+    reference: str | None = None  # compare's default reference method
+    marginals: Callable[[dict], list[tuple[str, str, tuple]]] | None = None
+    generate: Callable[[argparse.Namespace], tuple[list, Any]] | None = None
+    wrong_basin: bool = False  # whether fit reports carry wrong_basin
+
+
+MODELS = {
+    "linear": Model(
+        load=lambda cfg: _load_regression(cfg, LinearData),
+        prior=lambda cfg, data: LinearPrior(g=cfg.g, A=cfg.A, B=cfg.B),
+        fits={
+            "exact": lambda cfg, data, prior, init: FitOutcome(dict(zip(
+                ("beta", "sigma2"), linear_exact_posterior(data, prior)))),
+            "mfvb": lambda cfg, data, prior, init: linear_mfvb_fit(
+                data, prior, cfg.eps, cfg.max_iter, **init),
+            "mp1": lambda cfg, data, prior, init: linear_mp1_fit(
+                data, prior, cfg.eps, cfg.max_iter, **init),
+            "mp2": lambda cfg, data, prior, init: linear_mp2_fit(
+                data, prior, cfg.eps, cfg.max_iter, **init),
+        },
+        summary=lambda q, method: linear_moment_summary(
+            q["beta"], q["sigma2"], method),
+        init_from=("sigma2", lambda b: {"init": (b["shape"], b["scale"])}),
+        reference="exact",
+        marginals=_linear_marginals,
+        generate=_generate_linear),
+    "mvn": Model(
+        load=lambda cfg: _load_mvn(cfg.data, cfg.summary),
+        prior=lambda cfg, data: MVNPrior(
+            lambda0=cfg.lambda0, nu0=cfg.nu0,
+            Psi0=cfg.psi0_scale * np.eye(data.p)),
+        fits={
+            "exact": lambda cfg, data, prior, init: FitOutcome(dict(zip(
+                ("mu", "Sigma"), mvn_exact_posterior(data, prior)))),
+            "mfvb": lambda cfg, data, prior, init: mvn_mfvb_fit(
+                data, prior, cfg.eps, cfg.max_iter, **init),
+            "mp": lambda cfg, data, prior, init: mvn_mp_fit(
+                data, prior, cfg.eps, cfg.max_iter, **init),
+        },
+        summary=lambda q, method: mvn_moment_summary(q["mu"], method),
+        init_from=("Sigma", lambda b: {
+            "init": (b["dof"], np.array(b["scale_matrix"]))}),
+        reference="exact",
+        marginals=_mvn_marginals,
+        generate=_generate_mvn,
+        wrong_basin=True),
+    "probit": Model(
+        load=lambda cfg: _load_regression(cfg, ProbitData),
+        prior=lambda cfg, data: ProbitPrior.ridge(cfg.lam, data.p),
+        fits={
+            "laplace": lambda cfg, data, prior, init: probit_laplace_fit(
+                data, prior, cfg.eps, cfg.max_iter, init=init.get("init_mu")),
+            "mfvb": lambda cfg, data, prior, init: probit_mfvb_fit(
+                data, prior, cfg.eps, cfg.max_iter, init.get("init_mu")),
+            "mp-dm": lambda cfg, data, prior, init: probit_mp_fit(
+                data, prior, "dm", cfg.eps, cfg.max_iter, **init),
+            "mp-quad": lambda cfg, data, prior, init: probit_mp_fit(
+                data, prior, "quad", cfg.eps, cfg.max_iter, **init),
+            "dmvb": lambda cfg, data, prior, init: probit_dmvb_fit(
+                data, prior, cfg.eps, cfg.max_iter, init.get("init_mu")),
+            "gibbs": lambda cfg, data, prior, init: _gibbs(cfg, data, prior),
+        },
+        summary=lambda q, method: probit_moment_summary(q["beta"], method),
+        init_from=("beta", lambda b: {
+            "init_mu": np.array(b["mean"]),
+            "init_Sigma": np.array(b["cov"]) if "cov" in b else None}),
+        reference="gibbs",
+        marginals=lambda q: _vector_marginals("beta", q["beta"]),
+        generate=_generate_probit),
+    "toy": Model(
+        load=lambda cfg: _load_toy(cfg.summary),
+        prior=lambda cfg, spec: None,
+        fits={"mp": lambda cfg, spec, prior, init: _toy(cfg, spec, "mp"),
+              "mfvb": lambda cfg, spec, prior, init: _toy(cfg, spec, "mfvb")}),
+}
+
+
+def _model(name: str, method: str) -> Model:
+    """The table entry of a model, once the method is known to be its own."""
+    if name not in MODELS:
+        raise UsageError(f"unknown model {name!r}")
+    model = MODELS[name]
+    if method not in model.fits:
+        raise UsageError(
+            f"method {method!r} is not valid for model {name!r}; "
+            f"choose from {', '.join(model.fits)}")
+    return model
+
+
+def _load(cfg: RunConfig, model: Model) -> tuple[Any, Any, dict]:
+    """Data, prior and --init-from starting values, each read once."""
+    init: dict = {}
+    if cfg.init_from:
+        q = _load_json(cfg.init_from).get("q", {})
+        if model.init_from is not None:
+            key, parse = model.init_from
+            if q.get(key) is None:
+                raise InputError(f"--init-from report lacks q.{key}")
+            init = parse(q[key])
+    data = model.load(cfg)
+    return data, model.prior(cfg, data), init
+
+
+def _fit(cfg: RunConfig, model: Model, method: str, data, prior,
+         init: dict) -> FitOutcome:
+    t0 = time.perf_counter()
+    out = model.fits[method](cfg, data, prior, init)
+    wall_time_s = time.perf_counter() - t0
+    if isinstance(out, FitReport):
+        out = FitOutcome(out.params, out.iterations, out.converged,
+                         out.termination, out.trace,
+                         out.wrong_basin if model.wrong_basin else None)
+    if out.summary is None:
+        out.summary = model.summary(out.q, method)
+    out.wall_time_s = wall_time_s
+    return out
 
 
 def run_fit(cfg: RunConfig) -> FitOutcome:
-    cfg.validate()
-    t0 = time.perf_counter()
-    init = _init_params(cfg, cfg.model, cfg.method)
-
-    if cfg.model == "linear":
-        if not cfg.data:
-            raise UsageError("linear needs --data CSV")
-        y, X = _load_xy(cfg.data, cfg.intercept)
-        data = LinearData(y, X)
-        prior = LinearPrior(g=cfg.g, A=cfg.A, B=cfg.B)
-        if cfg.method == "exact":
-            beta, s2 = linear_exact_posterior(data, prior)
-            summ = linear_moment_summary(beta, s2, "exact")
-            return FitOutcome({"beta": beta, "sigma2": s2}, summ, 0, True,
-                              "closed_form", time.perf_counter() - t0)
-        fitter = {"mfvb": linear_mfvb_fit, "mp1": linear_mp1_fit,
-                  "mp2": linear_mp2_fit}[cfg.method]
-        rep = fitter(data, prior, eps=cfg.eps, max_iter=cfg.max_iter,
-                     init=init)
-        summ = linear_moment_summary(rep.params["beta"],
-                                     rep.params["sigma2"], cfg.method)
-        return FitOutcome(rep.params, summ, rep.iterations, rep.converged,
-                          rep.termination, time.perf_counter() - t0,
-                          trace=[t.tolist() for t in rep.trace])
-
-    if cfg.model == "mvn":
-        data = _load_mvn(cfg.data, cfg.summary)
-        prior = MVNPrior(lambda0=cfg.lambda0, nu0=cfg.nu0,
-                         Psi0=cfg.psi0_scale * np.eye(data.p))
-        if cfg.method == "exact":
-            mu_t, Sig_iw = mvn_exact_posterior(data, prior)
-            summ = mvn_moment_summary(mu_t, "exact")
-            return FitOutcome({"mu": mu_t, "Sigma": Sig_iw}, summ, 0, True,
-                              "closed_form", time.perf_counter() - t0)
-        fitter = {"mfvb": mvn_mfvb_fit, "mp": mvn_mp_fit}[cfg.method]
-        rep = fitter(data, prior, eps=cfg.eps, max_iter=cfg.max_iter,
-                     init=init)
-        summ = mvn_moment_summary(rep.params["mu"], cfg.method)
-        return FitOutcome(rep.params, summ, rep.iterations, rep.converged,
-                          rep.termination, time.perf_counter() - t0,
-                          trace=[t.tolist() for t in rep.trace],
-                          wrong_basin=rep.wrong_basin)
-
-    if cfg.model == "probit":
-        if not cfg.data:
-            raise UsageError("probit needs --data CSV")
-        y, X = _load_xy(cfg.data, cfg.intercept)
-        data = ProbitData(y, X)
-        prior = ProbitPrior.ridge(cfg.lam, data.p)
-        if cfg.method == "gibbs":
-            summ = probit_gibbs_oracle(data, prior, n_samples=cfg.n_samples,
-                                       n_warmup=cfg.n_warmup, seed=cfg.seed)
-            return FitOutcome({"beta": summ}, summ, cfg.n_samples, True,
-                              "sampling", time.perf_counter() - t0)
-        init_mu = init[0] if init else None
-        init_Sigma = init[1] if init else None
-        if cfg.method == "laplace":
-            rep = probit_laplace_fit(data, prior, eps=cfg.eps,
-                                     max_iter=cfg.max_iter, init=init_mu)
-        elif cfg.method == "mfvb":
-            rep = probit_mfvb_fit(data, prior, eps=cfg.eps,
-                                  max_iter=cfg.max_iter, init_mu=init_mu)
-        elif cfg.method == "dmvb":
-            rep = probit_dmvb_fit(data, prior, eps=cfg.eps,
-                                  max_iter=cfg.max_iter, init_mu=init_mu)
-        else:
-            variant = cfg.method.split("-", 1)[1]
-            rep = probit_mp_fit(data, prior, variant=variant, eps=cfg.eps,
-                                max_iter=cfg.max_iter, init_mu=init_mu,
-                                init_Sigma=init_Sigma)
-        summ = probit_moment_summary(rep.params["beta"], cfg.method)
-        return FitOutcome(rep.params, summ, rep.iterations, rep.converged,
-                          rep.termination, time.perf_counter() - t0,
-                          trace=[t.tolist() for t in rep.trace])
-
-    # toy conditioned Gaussian
-    spec = _load_toy(cfg.summary)
-    q1, q2, m1, m2 = toy_gaussian_mp(spec, eps=min(cfg.eps, 1e-10),
-                                     max_iter=max(cfg.max_iter, 10_000))
-    if cfg.method == "mp":
-        blocks = {"block1": q1, "block2": q2}
-    else:
-        blocks = {"block1": m1, "block2": m2}
-    d1 = spec.split
-    cov = np.zeros((spec.mu.shape[0], spec.mu.shape[0]))
-    cov[:d1, :d1] = blocks["block1"].cov
-    cov[d1:, d1:] = blocks["block2"].cov
-    summ = MomentSummary(method=cfg.method, mean=spec.mu, cov=cov)
-    return FitOutcome(blocks, summ, 0, True, "closed_form",
-                      time.perf_counter() - t0)
+    model = _model(cfg.model, cfg.method)
+    return _fit(cfg, model, cfg.method, *_load(cfg, model))
 
 
 # ---------------------------------------------------------------------------
 # marginal densities for accuracy comparisons
 
 
-def _marginals(model: str, q: dict, summary: MomentSummary
-               ) -> list[tuple[str, str, tuple]]:
+def _marginals(model: str, q: dict) -> list[tuple[str, str, tuple]]:
     """(name, family, params) for each scalar marginal of a fitted q."""
-    out: list[tuple[str, str, tuple]] = []
-
-    def vector_block(name_prefix: str, approx):
-        if isinstance(approx, StudentTApprox):
-            for j in range(approx.dim):
-                out.append((f"{name_prefix}{j}", "t",
-                            (approx.loc[j], approx.scale[j, j], approx.dof)))
-        elif isinstance(approx, GaussianApprox):
-            for j in range(approx.dim):
-                out.append((f"{name_prefix}{j}", "normal",
-                            (approx.mean[j], approx.cov[j, j])))
-        elif isinstance(approx, MomentSummary):
-            for j in range(approx.mean.shape[0]):
-                out.append((f"{name_prefix}{j}", "normal",
-                            (approx.mean[j], approx.cov[j, j])))
-
-    if model == "linear":
-        vector_block("beta", q["beta"])
-        ig = q["sigma2"]
-        out.append(("sigma2", "ig", (ig.shape, ig.scale)))
-    elif model == "mvn":
-        vector_block("mu", q["mu"])
-        iw = q["Sigma"]
-        for j in range(iw.dim):
-            ig = iw_diag_marginal(iw, j)
-            out.append((f"Sigma{j}{j}", "ig", (ig.shape, ig.scale)))
-    elif model == "probit":
-        vector_block("beta", q["beta"])
-    else:
-        raise UsageError("compare does not support the toy model")
-    return out
+    marginals = MODELS[model].marginals
+    if marginals is None:
+        raise UsageError(f"compare and --emit-density do not support the "
+                         f"{model} model")
+    return marginals(q)
 
 
-def _density_on(points: np.ndarray, family: str, params: tuple) -> DensityGrid:
-    if family == "normal":
-        return diagnostics.gaussian_density(points, *params)
-    if family == "t":
-        return diagnostics.t_density(points, *params)
-    if family == "ig":
-        return diagnostics.ig_density(points, *params)
-    raise UsageError(f"unknown density family {family}")
+def _t_grid_range(loc: float, scale: float, dof: float) -> tuple[float, float]:
+    var = dof / (dof - 2.0) * scale if dof > 2 else 4.0 * scale
+    return diagnostics.gaussian_grid_range(loc, var)
 
 
-def _range_of(family: str, params: tuple) -> tuple[float, float]:
-    if family == "normal":
-        return diagnostics.gaussian_grid_range(*params)
-    if family == "t":
-        loc, scale, dof = params
-        var = dof / (dof - 2.0) * scale if dof > 2 else 4.0 * scale
-        return diagnostics.gaussian_grid_range(loc, var)
-    if family == "ig":
-        return diagnostics.ig_grid_range(*params)
-    raise UsageError(f"unknown density family {family}")
+# marginal family -> (density on given points, default grid range)
+_FAMILIES = {
+    "normal": (diagnostics.gaussian_density, diagnostics.gaussian_grid_range),
+    "t": (diagnostics.t_density, _t_grid_range),
+    "ig": (diagnostics.ig_density, diagnostics.ig_grid_range),
+}
+
+
+def _density_grid(family: str, params: tuple,
+                  points: np.ndarray | None = None) -> DensityGrid:
+    """A marginal density on the given points, or on its own default grid."""
+    density, grid_range = _FAMILIES[family]
+    if points is None:
+        points = diagnostics.make_points(*grid_range(*params))
+    return density(points, *params)
 
 
 def run_compare(cfg: RunConfig, methods: list[str], reference: str) -> dict:
@@ -437,41 +489,24 @@ def run_compare(cfg: RunConfig, methods: list[str], reference: str) -> dict:
         raise UsageError("compare needs at least two methods")
     all_methods = list(dict.fromkeys(methods + [reference]))
     for m in all_methods:
-        probe = RunConfig(**{**vars(cfg), "method": m,
-                             "extra": dict(cfg.extra)})
-        probe.validate()
-
-    threads = max(1, int(os.environ.get("MOMPROP_THREADS", "1")))
-
-    def one(method: str) -> tuple[str, FitOutcome]:
-        sub = RunConfig(**{**vars(cfg), "method": method,
-                           "extra": dict(cfg.extra)})
-        return method, run_fit(sub)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = dict(pool.map(one, all_methods))
-    else:
-        outcomes = dict(one(m) for m in all_methods)
+        model = _model(cfg.model, m)
+    data, prior, init = _load(cfg, model)
+    outcomes = {m: _fit(cfg, model, m, data, prior, init)
+                for m in all_methods}
 
     ref = outcomes[reference]
-    ref_marg = _marginals(cfg.model, ref.q, ref.summary)
-    grids = {}
-    for name, family, params in ref_marg:
-        lo, hi = _range_of(family, params)
-        points = diagnostics.make_points(lo, hi)
-        grids[name] = (points, _density_on(points, family, params))
+    ref_marg = _marginals(cfg.model, ref.q)
+    grids = {name: _density_grid(family, params)
+             for name, family, params in ref_marg}
 
     table = {}
     for method in methods:
         out = outcomes[method]
         accs = {}
-        for name, family, params in _marginals(cfg.model, out.q, out.summary):
-            if name not in grids:
-                continue
-            points, ref_grid = grids[name]
-            accs[name] = diagnostics.accuracy(
-                ref_grid, _density_on(points, family, params))
+        for name, family, params in _marginals(cfg.model, out.q):
+            if name in grids:
+                accs[name] = diagnostics.accuracy(grids[name], _density_grid(
+                    family, params, grids[name].points))
         mean_err, sd_err = diagnostics.moment_errors(out.summary, ref.summary)
         table[method] = {
             "accuracy": accs,
@@ -490,39 +525,15 @@ def run_compare(cfg: RunConfig, methods: list[str], reference: str) -> dict:
 
 
 def run_generate(args) -> None:
-    model = args.model
-    path = args.out
+    header, rows = MODELS[args.model].generate(args)
     try:
-        fh = open(path, "w", newline="")
+        fh = open(args.out, "w", newline="")
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise InputError(f"cannot write {args.out}: {exc}") from exc
     with fh:
         writer = csv.writer(fh)
-        if model == "linear":
-            if args.fixed:
-                y, X = datagen.fixed_linear_dataset()
-            else:
-                beta = _parse_vector(args.beta)
-                y, X = datagen.generate_linear(args.n, args.p, args.seed,
-                                               beta=beta, sigma=args.sigma)
-            writer.writerow(["y"] + [f"x{j + 1}" for j in range(X.shape[1])])
-            for yi, xi in zip(y, X):
-                writer.writerow([repr(float(yi))] + [repr(float(v)) for v in xi])
-        elif model == "probit":
-            beta = _parse_vector(args.beta)
-            y, X = datagen.generate_probit(args.n, args.p, args.seed,
-                                           beta=beta,
-                                           intercept=not args.no_intercept)
-            writer.writerow(["y"] + [f"x{j + 1}" for j in range(X.shape[1])])
-            for yi, xi in zip(y, X):
-                writer.writerow([int(yi)] + [repr(float(v)) for v in xi])
-        elif model == "mvn":
-            X = datagen.generate_mvn(args.n, args.p, args.seed)
-            writer.writerow([f"x{j + 1}" for j in range(X.shape[1])])
-            for xi in X:
-                writer.writerow([repr(float(v)) for v in xi])
-        else:
-            raise UsageError(f"generate does not support model {model!r}")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _parse_vector(text: str | None) -> np.ndarray | None:
@@ -565,11 +576,10 @@ def _pretty_fit(doc: dict) -> str:
 
 def _emit_density(outcome: FitOutcome, model: str, name: str,
                   path: str | None) -> None:
-    for mname, family, params in _marginals(model, outcome.q, outcome.summary):
+    marginals = _marginals(model, outcome.q)
+    for mname, family, params in marginals:
         if mname == name:
-            lo, hi = _range_of(family, params)
-            points = diagnostics.make_points(lo, hi)
-            grid = _density_on(points, family, params)
+            grid = _density_grid(family, params)
             fh = open(path, "w", newline="") if path else sys.stdout
             try:
                 writer = csv.writer(fh)
@@ -581,7 +591,7 @@ def _emit_density(outcome: FitOutcome, model: str, name: str,
                     fh.close()
             return
     raise UsageError(f"no marginal named {name!r}; available: "
-                     f"{', '.join(m[0] for m in _marginals(model, outcome.q, outcome.summary))}")
+                     f"{', '.join(m[0] for m in marginals)}")
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit one method and emit a JSON report")
-    fit.add_argument("--model", required=True,
-                     choices=("linear", "mvn", "probit", "toy"))
+    fit.add_argument("--model", required=True, choices=tuple(MODELS))
     fit.add_argument("--method", required=True)
     _add_common(fit)
     fit.add_argument("--trace", action="store_true",
@@ -631,7 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare", help="fit several methods and score "
                                            "them against a reference")
     cmp_p.add_argument("--model", required=True,
-                       choices=("linear", "mvn", "probit"))
+                       choices=[m for m, spec in MODELS.items()
+                                if spec.reference])
     cmp_p.add_argument("--methods", required=True,
                        help="comma-separated method list")
     cmp_p.add_argument("--reference", default=None,
@@ -641,7 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic dataset CSV")
     gen.add_argument("--model", required=True,
-                     choices=("linear", "mvn", "probit"))
+                     choices=[m for m, spec in MODELS.items()
+                              if spec.generate])
     gen.add_argument("--n", type=int, default=100)
     gen.add_argument("--p", type=int, default=2)
     gen.add_argument("--seed", type=int, default=0)
@@ -656,13 +667,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cfg_from_args(args) -> RunConfig:
-    return RunConfig(
-        model=args.model, method=getattr(args, "method", ""),
-        eps=args.eps, max_iter=args.max_iter, g=args.g, A=args.A, B=args.B,
-        lambda0=args.lambda0, nu0=args.nu0, psi0_scale=args.psi0_scale,
-        lam=args.lam, seed=args.seed, n_samples=args.n_samples,
-        n_warmup=args.n_warmup, intercept=args.intercept, data=args.data,
-        summary=args.summary, init_from=getattr(args, "init_from", None))
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in fields(RunConfig) if hasattr(args, f.name)})
+
+
+def _encode(doc: dict) -> dict:
+    warnings: list[str] = []
+    doc = _jsonify(doc, warnings)
+    if warnings:
+        doc["warnings"] = warnings
+    return doc
 
 
 def _write_report(doc: dict, out: str | None, pretty: bool) -> None:
@@ -689,7 +703,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _cfg_from_args(args)
         if args.command == "fit":
             outcome = run_fit(cfg)
-            warnings: list[str] = []
             doc = {
                 "schema": SCHEMA_VERSION,
                 "model": cfg.model,
@@ -705,9 +718,7 @@ def main(argv: list[str] | None = None) -> int:
                 doc["wrong_basin"] = outcome.wrong_basin
             if args.trace and outcome.trace is not None:
                 doc["trace"] = outcome.trace
-            doc = _jsonify(doc, warnings)
-            if warnings:
-                doc["warnings"] = warnings
+            doc = _encode(doc)
             if args.emit_density:
                 _emit_density(outcome, cfg.model, args.emit_density,
                               args.density_out)
@@ -715,16 +726,11 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         # compare
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-        reference = args.reference or ("gibbs" if args.model == "probit"
-                                       else "exact")
-        doc = run_compare(cfg, methods, reference)
-        warnings = []
-        doc = _jsonify(doc, warnings)
-        if warnings:
-            doc["warnings"] = warnings
-        _write_report(doc, args.out, pretty=False)
+        reference = args.reference or MODELS[args.model].reference
+        _write_report(_encode(run_compare(cfg, methods, reference)),
+                      args.out, pretty=False)
         return 0
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
@@ -733,9 +739,6 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ import numpy as np
 
 from .exceptions import DomainError
 from .moments import (GaussianApprox, InverseGammaApprox, StudentTApprox,
-                      ig_mean_var, ig_moment_match, symmetrize)
-from .reports import (FitReport, MomentSummary, converged_report,
-                      max_iter_report)
+                      _gauss_quadform, _t_quadform, ig_mean_var,
+                      ig_moment_match, symmetrize)
+from .reports import FitReport, MomentSummary, fixed_point
 
 
 @dataclass
@@ -101,11 +101,35 @@ def linear_exact_posterior(data: LinearData, prior: LinearPrior
     return beta, sigma2
 
 
-def _eqb_terms(data: LinearData, c: LinearConstants, prior: LinearPrior,
-               mu: np.ndarray) -> float:
+def _sweep_setup(data: LinearData, prior: LinearPrior,
+                 init: tuple[float, float] | None):
+    """Loop invariants of every sweep and the starting q(sigma2).
+
+    q(beta) is centred at u beta_hat in every fitter, so B(beta) = B +
+    ||y - X beta||^2 / 2 + beta' X'X beta / (2 g) equals its value at that
+    centre plus Q / 2, with Q = (beta - u beta_hat)' (X'X / u) (beta - u
+    beta_hat). Returns the constants, the centre, B at the centre, c1 = A +
+    (n + p)/2 and the starting (shape, scale) of q(sigma2).
+    """
+    c = linear_constants(data, prior)
+    mu = c.u * c.beta_hat
     resid = data.y - data.X @ mu
-    return (prior.B + 0.5 * resid @ resid
+    b_mu = (prior.B + 0.5 * resid @ resid
             + mu @ c.XtX @ mu / (2.0 * prior.g))
+    c1 = prior.A + (data.n + data.p) / 2.0
+    start = ((c1, prior.B + 0.5 * data.y @ data.y) if init is None
+             else (float(init[0]), float(init[1])))
+    return c, mu, b_mu, c1, start
+
+
+def _match_sigma2(EqB: float, VqB: float, c1: float) -> tuple[float, float]:
+    """q(sigma2) = IG matching the mean and variance of sigma2 obtained by
+    averaging its IG(c1, B(beta)) full conditional over q(beta)."""
+    Es2 = EqB / (c1 - 1.0)
+    Vs2 = (EqB**2 / ((c1 - 1.0) ** 2 * (c1 - 2.0))
+           + VqB / ((c1 - 1.0) * (c1 - 2.0)))
+    ig = ig_moment_match(Es2, Vs2)
+    return ig.shape, ig.scale
 
 
 def _check_sigma2_matching_exists(data: LinearData, prior: LinearPrior):
@@ -119,32 +143,19 @@ def linear_mfvb_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
                     max_iter: int = 500, init: tuple[float, float] | None = None
                     ) -> FitReport:
     """Coordinate-ascent mean-field fit with q(beta) Gaussian, q(sigma2) IG."""
-    if not eps > 0:
-        raise DomainError("eps must be positive")
-    c = linear_constants(data, prior)
-    n, p = data.n, data.p
-    At = prior.A + (n + p) / 2.0
-    Bt = prior.B + 0.5 * data.y @ data.y
-    if init is not None:
-        At, Bt = float(init[0]), float(init[1])
-    trace: list[np.ndarray] = []
-    prev = None
-    mu = Sig = None
-    for it in range(1, max_iter + 1):
-        mu = c.u * c.beta_hat
+    c, mu, b_mu, c1, start = _sweep_setup(data, prior, init)
+
+    def step(state):
+        At, Bt, _ = state
         Sig = symmetrize((Bt / At) * c.u * c.XtX_inv)
-        At = prior.A + (n + p) / 2.0
-        Bt = _eqb_terms(data, c, prior, mu) + np.trace(c.XtX @ Sig) / (2.0 * c.u)
-        xi = np.concatenate([mu, Sig.ravel(), [At, Bt]])
-        trace.append(xi)
-        if prev is not None and np.max(np.abs(xi - prev)) < eps:
-            params = {"beta": GaussianApprox(mu, Sig),
-                      "sigma2": InverseGammaApprox(At, Bt)}
-            return converged_report("mfvb", params, it, trace)
-        prev = xi
-    params = {"beta": GaussianApprox(mu, Sig),
-              "sigma2": InverseGammaApprox(At, Bt)}
-    return max_iter_report("mfvb", params, max_iter, trace)
+        Bt = b_mu + np.trace(c.XtX @ Sig) / (2.0 * c.u)
+        return (c1, Bt, Sig), np.concatenate([mu, Sig.ravel(), [c1, Bt]])
+
+    return fixed_point(
+        "mfvb", step, (*start, None),
+        lambda s: {"beta": GaussianApprox(mu, s[2]),
+                   "sigma2": InverseGammaApprox(s[0], s[1])},
+        eps, max_iter)
 
 
 def linear_mp1_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
@@ -157,40 +168,23 @@ def linear_mp1_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
     the mean/variance of sigma2 obtained by averaging its inverse-gamma
     full conditional over q(beta) (laws of total expectation/variance).
     """
-    if not eps > 0:
-        raise DomainError("eps must be positive")
     _check_sigma2_matching_exists(data, prior)
-    c = linear_constants(data, prior)
-    n, p = data.n, data.p
-    c1 = prior.A + (n + p) / 2.0
-    At = c1
-    Bt = prior.B + 0.5 * data.y @ data.y
-    if init is not None:
-        At, Bt = float(init[0]), float(init[1])
-    trace: list[np.ndarray] = []
-    prev = None
-    mu = Sig = None
-    for it in range(1, max_iter + 1):
-        mu = c.u * c.beta_hat
+    c, mu, b_mu, c1, start = _sweep_setup(data, prior, init)
+
+    def step(state):
+        At, Bt, _ = state
         Sig = symmetrize((Bt / (At - 1.0)) * c.u * c.XtX_inv)
         XS = c.XtX @ Sig
-        EqB = _eqb_terms(data, c, prior, mu) + np.trace(XS) / (2.0 * c.u)
-        VqB = np.trace(XS @ XS) / (2.0 * c.u**2)
-        Es2 = EqB / (c1 - 1.0)
-        Vs2 = (EqB**2 / ((c1 - 1.0) ** 2 * (c1 - 2.0))
-               + VqB / ((c1 - 1.0) * (c1 - 2.0)))
-        ig = ig_moment_match(Es2, Vs2)
-        At, Bt = ig.shape, ig.scale
-        xi = np.concatenate([mu, Sig.ravel(), [At, Bt]])
-        trace.append(xi)
-        if prev is not None and np.max(np.abs(xi - prev)) < eps:
-            params = {"beta": GaussianApprox(mu, Sig),
-                      "sigma2": InverseGammaApprox(At, Bt)}
-            return converged_report("mp1", params, it, trace)
-        prev = xi
-    params = {"beta": GaussianApprox(mu, Sig),
-              "sigma2": InverseGammaApprox(At, Bt)}
-    return max_iter_report("mp1", params, max_iter, trace)
+        EQ, VQ = _gauss_quadform(np.trace(XS) / c.u,
+                                 np.trace(XS @ XS) / c.u**2, 0.0, 0.0)
+        At, Bt = _match_sigma2(b_mu + EQ / 2.0, VQ / 4.0, c1)
+        return (At, Bt, Sig), np.concatenate([mu, Sig.ravel(), [At, Bt]])
+
+    return fixed_point(
+        "mp1", step, (*start, None),
+        lambda s: {"beta": GaussianApprox(mu, s[2]),
+                   "sigma2": InverseGammaApprox(s[0], s[1])},
+        eps, max_iter)
 
 
 def linear_mp2_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
@@ -203,56 +197,30 @@ def linear_mp2_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
     degrees of freedom; at the fixed point the q-densities coincide with
     the exact posterior.
     """
-    if not eps > 0:
-        raise DomainError("eps must be positive")
     _check_sigma2_matching_exists(data, prior)
-    c = linear_constants(data, prior)
-    n, p = data.n, data.p
-    c1 = prior.A + (n + p) / 2.0
-    At = c1
-    Bt = prior.B + 0.5 * data.y @ data.y
-    if init is not None:
-        At, Bt = float(init[0]), float(init[1])
-    trace: list[np.ndarray] = []
-    prev = None
-    mu = Sig = None
-    nu = None
-    for it in range(1, max_iter + 1):
-        mu = c.u * c.beta_hat
+    c, mu, b_mu, c1, start = _sweep_setup(data, prior, init)
+
+    def step(state):
+        At, Bt, _, _ = state
         Sig = symmetrize((Bt / At) * c.u * c.XtX_inv)
         nu = 2.0 * At
         XS = c.XtX @ Sig
-        tr1 = np.trace(XS)
-        tr2 = np.trace(XS @ XS)
-        EqB = (_eqb_terms(data, c, prior, mu)
-               + nu * tr1 / (2.0 * c.u * (nu - 2.0)))
-        VqB = (nu**2 * tr2 / ((nu - 2.0) * (nu - 4.0))
-               + nu**2 * tr1**2 / ((nu - 2.0) ** 2 * (nu - 4.0))
-               ) / (2.0 * c.u**2)
-        Es2 = EqB / (c1 - 1.0)
-        Vs2 = (EqB**2 / ((c1 - 1.0) ** 2 * (c1 - 2.0))
-               + VqB / ((c1 - 1.0) * (c1 - 2.0)))
-        ig = ig_moment_match(Es2, Vs2)
-        At, Bt = ig.shape, ig.scale
-        xi = np.concatenate([mu, Sig.ravel(), [nu, At, Bt]])
-        trace.append(xi)
-        if prev is not None and np.max(np.abs(xi - prev)) < eps:
-            params = {"beta": StudentTApprox(mu, Sig, nu),
-                      "sigma2": InverseGammaApprox(At, Bt)}
-            return converged_report("mp2", params, it, trace)
-        prev = xi
-    params = {"beta": StudentTApprox(mu, Sig, nu),
-              "sigma2": InverseGammaApprox(At, Bt)}
-    return max_iter_report("mp2", params, max_iter, trace)
+        EQ, VQ = _t_quadform(np.trace(XS) / c.u, np.trace(XS @ XS) / c.u**2,
+                             0.0, 0.0, 1.0, nu)
+        At, Bt = _match_sigma2(b_mu + EQ / 2.0, VQ / 4.0, c1)
+        return (At, Bt, Sig, nu), np.concatenate([mu, Sig.ravel(),
+                                                  [nu, At, Bt]])
+
+    return fixed_point(
+        "mp2", step, (*start, None, None),
+        lambda s: {"beta": StudentTApprox(mu, s[2], s[3]),
+                   "sigma2": InverseGammaApprox(s[0], s[1])},
+        eps, max_iter)
 
 
 def linear_moment_summary(beta, sigma2: InverseGammaApprox,
                           method: str) -> MomentSummary:
     """Posterior mean/covariance of beta and mean/variance of sigma2."""
-    if isinstance(beta, StudentTApprox):
-        mean, cov = beta.loc, beta.cov
-    else:
-        mean, cov = beta.mean, beta.cov
     s_mean, s_var = ig_mean_var(sigma2)
-    return MomentSummary(method=method, mean=mean, cov=cov,
+    return MomentSummary(method=method, mean=beta.mean, cov=beta.cov,
                          scalar_mean=s_mean, scalar_var=s_var)

@@ -69,6 +69,12 @@ class StudentTApprox:
         return self.loc.shape[0]
 
     @property
+    def mean(self) -> np.ndarray:
+        if self.dof <= 1:
+            raise UndefinedMomentError("t mean needs dof > 1")
+        return self.loc
+
+    @property
     def cov(self) -> np.ndarray:
         if self.dof <= 2:
             raise UndefinedMomentError("t covariance needs dof > 2")
@@ -113,12 +119,6 @@ def ig_mean_var(a: InverseGammaApprox) -> tuple[float, float]:
     return mean, var
 
 
-def ig_mean(a: InverseGammaApprox) -> float:
-    if a.shape <= 1:
-        raise UndefinedMomentError("inverse-gamma mean needs shape > 1")
-    return a.scale / (a.shape - 1.0)
-
-
 def ig_moment_match(mean: float, variance: float) -> InverseGammaApprox:
     """Inverse-gamma with the given mean and variance (exact inverse of ig_mean_var)."""
     if not (mean > 0 and variance > 0):
@@ -154,11 +154,17 @@ def iw_moment_match(mean_matrix: np.ndarray,
     mean_matrix = require_spd(mean_matrix, "mean_matrix")
     if not trace_elementwise_var > 0:
         raise DomainError("trace_elementwise_var must be positive")
+    dof, scale_matrix = _iw_match(mean_matrix, trace_elementwise_var)
+    return InverseWishartApprox(scale_matrix=scale_matrix, dof=dof)
+
+
+def _iw_match(mean_matrix: np.ndarray, trace_elementwise_var: float
+              ) -> tuple[float, np.ndarray]:
+    """(dof, scale matrix) of iw_moment_match, without its input checks."""
     p = mean_matrix.shape[0]
-    dg = np.diag(mean_matrix)
-    dof = 2.0 * np.sum(dg**2) / trace_elementwise_var + p + 3.0
-    return InverseWishartApprox(scale_matrix=(dof - p - 1.0) * mean_matrix,
-                                dof=dof)
+    dof = (2.0 * np.sum(np.diag(mean_matrix) ** 2) / trace_elementwise_var
+           + p + 3.0)
+    return dof, (dof - p - 1.0) * mean_matrix
 
 
 def _quadform_pieces(mu, Sigma, A, b_shift):
@@ -176,17 +182,36 @@ def _quadform_pieces(mu, Sigma, A, b_shift):
     return m, A, AS
 
 
+def _quadform_scalars(mu, Sigma, A, b_shift):
+    """tr(A Sigma), tr((A Sigma)^2), m^T A m and m^T A Sigma A m, m = mu - b."""
+    m, A, AS = _quadform_pieces(mu, Sigma, A, b_shift)
+    return np.trace(AS), np.trace(AS @ AS), m @ A @ m, m @ AS @ A @ m
+
+
+def _gauss_quadform(tr_AS, tr_ASAS, mAm, mASAm):
+    """Mean and variance of (x-b)^T A (x-b) for x ~ N(mu, Sigma), from the
+    scalars of _quadform_scalars."""
+    return mAm + tr_AS, 2.0 * tr_ASAS + 4.0 * mASAm
+
+
+def _t_quadform(tr_AS, tr_ASAS, mAm, mASAm, a, b):
+    """Mean and variance of (x-b)^T A (x-b) for x ~ t(mu, a Sigma, b), from
+    the scalars of _quadform_scalars of (mu, Sigma, A, b_shift)."""
+    if b <= 2:
+        raise UndefinedMomentError("t quadratic-form mean needs dof > 2")
+    if b <= 4:
+        raise UndefinedMomentError("t quadratic-form variance needs dof > 4")
+    mean = mAm + a * b / (b - 2.0) * tr_AS
+    var = (2.0 * a**2 * b**2 * tr_ASAS / ((b - 2.0) * (b - 4.0))
+           + 2.0 * a**2 * b**2 * tr_AS**2 / ((b - 2.0) ** 2 * (b - 4.0))
+           + 4.0 * a * b / (b - 2.0) * mASAm)
+    return mean, var
+
+
 def gauss_quadform_moments(mu, Sigma, A, b_shift=None):
     """Mean, variance and second moment of (x-b)^T A (x-b), x ~ N(mu, Sigma)."""
-    m, A, AS = _quadform_pieces(mu, Sigma, A, b_shift)
-    tr_AS = np.trace(AS)
-    tr_ASAS = np.trace(AS @ AS)
-    mAm = m @ A @ m
-    mASAm = m @ AS @ A @ m
-    mean = mAm + tr_AS
-    var = 2.0 * tr_ASAS + 4.0 * mASAm
-    second = var + mean**2
-    return float(mean), float(var), float(second)
+    mean, var = _gauss_quadform(*_quadform_scalars(mu, Sigma, A, b_shift))
+    return float(mean), float(var), float(var + mean**2)
 
 
 def gauss_quadform_cumulant_moment(h: int, mu, Sigma, A) -> float:
@@ -221,23 +246,6 @@ def t_quadform_moments(loc, scale, dof: float, a_mult: float, A, b_shift=None):
 
     Mean needs dof > 2; variance and second moment need dof > 4.
     """
-    m, A, AS = _quadform_pieces(loc, scale, A, b_shift)
-    a, b = float(a_mult), float(dof)
-    if b <= 2:
-        raise UndefinedMomentError("t quadratic-form mean needs dof > 2")
-    tr_AS = np.trace(AS)
-    tr_ASAS = np.trace(AS @ AS)
-    mAm = m @ A @ m
-    mASAm = m @ AS @ A @ m
-    mean = mAm + a * b / (b - 2.0) * tr_AS
-    if b <= 4:
-        raise UndefinedMomentError("t quadratic-form variance needs dof > 4")
-    var = (2.0 * a**2 * b**2 * tr_ASAS / ((b - 2.0) * (b - 4.0))
-           + 2.0 * a**2 * b**2 * tr_AS**2 / ((b - 2.0) ** 2 * (b - 4.0))
-           + 4.0 * a * b / (b - 2.0) * mASAm)
-    second = (a**2 * b**2 / ((b - 2.0) * (b - 4.0))
-              * (2.0 * tr_ASAS + tr_AS**2)
-              + 4.0 * a * b / (b - 2.0) * mASAm
-              + mAm**2
-              + 2.0 * a * b / (b - 2.0) * mAm * tr_AS)
-    return float(mean), float(var), float(second)
+    mean, var = _t_quadform(*_quadform_scalars(loc, scale, A, b_shift),
+                            float(a_mult), float(dof))
+    return float(mean), float(var), float(var + mean**2)

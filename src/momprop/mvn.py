@@ -23,10 +23,9 @@ import numpy as np
 
 from .exceptions import DomainError
 from .moments import (GaussianApprox, InverseGammaApprox,
-                      InverseWishartApprox, StudentTApprox, require_spd,
-                      symmetrize)
-from .reports import (FitReport, MomentSummary, converged_report,
-                      max_iter_report)
+                      InverseWishartApprox, StudentTApprox, _iw_match,
+                      require_spd, symmetrize)
+from .reports import FitReport, MomentSummary, fixed_point
 
 
 @dataclass
@@ -112,35 +111,34 @@ def mvn_exact_posterior(data: MVNData, prior: MVNPrior
     return mu, Sigma
 
 
+def _start(default_dof: float, c: MVNConstants,
+           init: tuple[float, np.ndarray] | None) -> tuple[float, np.ndarray]:
+    """Starting (dof, scale matrix) of q(Sigma)."""
+    if init is None:
+        return default_dof, c.Psi_n
+    return float(init[0]), require_spd(init[1], "init Psi")
+
+
 def mvn_mfvb_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
                  max_iter: int = 500,
                  init: tuple[float, np.ndarray] | None = None) -> FitReport:
     """Coordinate-ascent mean-field fit with q(mu) Gaussian, q(Sigma) IW."""
-    if not eps > 0:
-        raise DomainError("eps must be positive")
     c = mvn_constants(data, prior)
-    dt = c.nu_n + 1.0
-    Psit = c.Psi_n.copy()
-    if init is not None:
-        dt, Psit = float(init[0]), require_spd(init[1], "init Psi")
-    trace: list[np.ndarray] = []
-    prev = None
-    mu = Sig = None
-    for it in range(1, max_iter + 1):
-        mu = c.mu_n
+    mu = c.mu_n
+    dof = c.nu_n + 1.0
+
+    def step(state):
+        dt, Psit, _ = state
         Sig = Psit / (c.lambda_n * dt)
-        dt = c.nu_n + 1.0
         Psit = symmetrize(c.Psi_n + c.lambda_n * Sig)
-        xi = np.concatenate([mu, Sig.ravel(), Psit.ravel(), [dt]])
-        trace.append(xi)
-        if prev is not None and np.max(np.abs(xi - prev)) < eps:
-            params = {"mu": GaussianApprox(mu, Sig),
-                      "Sigma": InverseWishartApprox(Psit, dt)}
-            return converged_report("mfvb", params, it, trace)
-        prev = xi
-    params = {"mu": GaussianApprox(mu, Sig),
-              "Sigma": InverseWishartApprox(Psit, dt)}
-    return max_iter_report("mfvb", params, max_iter, trace)
+        return (dof, Psit, Sig), np.concatenate([mu, Sig.ravel(),
+                                                 Psit.ravel(), [dof]])
+
+    return fixed_point(
+        "mfvb", step, (*_start(dof, c, init), None),
+        lambda s: {"mu": GaussianApprox(mu, s[2]),
+                   "Sigma": InverseWishartApprox(s[1], s[0])},
+        eps, max_iter)
 
 
 def mvn_mp_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
@@ -152,22 +150,14 @@ def mvn_mp_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
     solution of the moment equations; other starts may land on the second,
     inexact solution near dof = p + 3, which is reported via wrong_basin.
     """
-    if not eps > 0:
-        raise DomainError("eps must be positive")
     c = mvn_constants(data, prior)
     p = data.p
     if not c.nu_n - p - 2.0 > 0:
         raise DomainError("Sigma variance matching needs nu_n > p + 2")
-    dt = c.nu_n
-    Psit = c.Psi_n.copy()
-    if init is not None:
-        dt, Psit = float(init[0]), require_spd(init[1], "init Psi")
-    trace: list[np.ndarray] = []
-    prev = None
-    mu = Sig = None
-    nut = None
-    for it in range(1, max_iter + 1):
-        mu = c.mu_n
+    mu = c.mu_n
+
+    def step(state):
+        dt, Psit, _, _ = state
         if not dt > p - 1.0:
             raise DomainError("q(Sigma) dof fell below p - 1")
         Sig = symmetrize(Psit / (c.lambda_n * (dt - p + 1.0)))
@@ -180,30 +170,26 @@ def mvn_mp_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
                           + c.lambda_n * nut * Sig / (nut - 2.0))
         EmpS = Amat / (c.nu_n - p)
         if nut == 4.0:
-            # Fourth moment of q(mu) diverges: the matched dof collapses to
-            # the degenerate solution p + 3 in the limit.
-            dt = p + 3.0
+            # Fourth moment of q(mu) diverges: with an infinite summed
+            # variance the matched dof collapses to the degenerate p + 3.
+            var_sum = np.inf
         else:
             dgB = (2.0 * c.lambda_n**2 * nut**2 * (nut - 1.0)
                    / ((nut - 2.0) ** 2 * (nut - 4.0))) * np.diag(Sig) ** 2
-            dgV = ((2.0 * np.diag(Amat) ** 2 + (c.nu_n - p) * dgB)
-                   / ((c.nu_n - p) ** 2 * (c.nu_n - p - 2.0)))
-            dt = 2.0 * np.sum(np.diag(EmpS) ** 2) / np.sum(dgV) + p + 3.0
-        Psit = symmetrize((dt - p - 1.0) * EmpS)
-        xi = np.concatenate([mu, Sig.ravel(), [nut], Psit.ravel(), [dt]])
-        trace.append(xi)
-        if prev is not None and np.max(np.abs(xi - prev)) < eps:
-            params = {"mu": StudentTApprox(mu, Sig, nut),
-                      "Sigma": InverseWishartApprox(Psit, dt)}
-            rep = converged_report("mp", params, it, trace)
-            rep.wrong_basin = (abs(dt - (p + 3.0)) < 0.5
-                               and abs(dt - c.nu_n) > 1.0)
-            return rep
-        prev = xi
-    params = {"mu": StudentTApprox(mu, Sig, nut),
-              "Sigma": InverseWishartApprox(Psit, dt)}
-    rep = max_iter_report("mp", params, max_iter, trace)
-    rep.wrong_basin = (abs(dt - (p + 3.0)) < 0.5 and abs(dt - c.nu_n) > 1.0)
+            var_sum = np.sum((2.0 * np.diag(Amat) ** 2 + (c.nu_n - p) * dgB)
+                             / ((c.nu_n - p) ** 2 * (c.nu_n - p - 2.0)))
+        # EmpS is exactly symmetric, and so is the matched scale matrix
+        dt, Psit = _iw_match(EmpS, var_sum)
+        return (dt, Psit, Sig, nut), np.concatenate(
+            [mu, Sig.ravel(), [nut], Psit.ravel(), [dt]])
+
+    rep = fixed_point(
+        "mp", step, (*_start(c.nu_n, c, init), None, None),
+        lambda s: {"mu": StudentTApprox(mu, s[2], s[3]),
+                   "Sigma": InverseWishartApprox(s[1], s[0])},
+        eps, max_iter)
+    dof = rep.params["Sigma"].dof
+    rep.wrong_basin = abs(dof - (p + 3.0)) < 0.5 and abs(dof - c.nu_n) > 1.0
     return rep
 
 
@@ -218,8 +204,5 @@ def iw_diag_marginal(w: InverseWishartApprox, j: int) -> InverseGammaApprox:
 
 def mvn_moment_summary(mu_approx, method: str) -> MomentSummary:
     """Posterior mean/covariance of the location parameter."""
-    if isinstance(mu_approx, StudentTApprox):
-        return MomentSummary(method=method, mean=mu_approx.loc,
-                             cov=mu_approx.cov)
     return MomentSummary(method=method, mean=mu_approx.mean,
                          cov=mu_approx.cov)

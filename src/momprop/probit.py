@@ -24,8 +24,8 @@ from scipy.special import log_ndtr, ndtr, ndtri
 
 from .exceptions import DomainError, NumericError
 from .moments import GaussianApprox, require_spd, symmetrize
-from .reports import (FitReport, MomentSummary, converged_report,
-                      max_iter_report)
+from .reports import (TERMINATED_CONVERGED, TERMINATED_MAX_ITER, FitReport,
+                      MomentSummary, check_iteration_args, fixed_point)
 from .specfun import DEFAULT_XI_CONFIG, XiConfig, _zeta_orders, xi
 
 
@@ -71,17 +71,12 @@ class AuxiliaryMoments:
     mean_a: np.ndarray
 
 
-def _workspace(data: ProbitData, prior: ProbitPrior):
-    """S = (Z^T Z + D)^-1 and its Cholesky factor."""
+def _workspace(data: ProbitData, prior: ProbitPrior
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """S = (Z^T Z + D)^-1, the covariance of beta given a, and S Z^T."""
     M = symmetrize(data.Z.T @ data.Z + prior.D)
-    cho = cho_factor(M)
-    S = symmetrize(cho_solve(cho, np.eye(data.p)))
-    return S
-
-
-def _zeta12(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    z = _zeta_orders(2, t)
-    return z[1], z[2]
+    S = symmetrize(cho_solve(cho_factor(M), np.eye(data.p)))
+    return S, S @ data.Z.T
 
 
 def probit_laplace_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
@@ -89,8 +84,7 @@ def probit_laplace_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
                        init: np.ndarray | None = None) -> FitReport:
     """Newton ascent of log p(y, beta); returns the mode and inverse negative
     Hessian [Z^T diag(-zeta_2(Z beta)) Z + D]^-1."""
-    if not eps > 0:
-        raise DomainError("eps must be positive")
+    check_iteration_args(eps, max_iter)
     Z, D = data.Z, prior.D
     beta = (np.zeros(data.p) if init is None
             else np.asarray(init, dtype=float).copy())
@@ -101,9 +95,9 @@ def probit_laplace_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
     f_cur = objective(beta)
     trace: list[np.ndarray] = []
     for it in range(1, max_iter + 1):
-        z1, z2 = _zeta12(Z @ beta)
-        grad = Z.T @ z1 - D @ beta
-        H = symmetrize(Z.T @ (z2[:, None] * Z) - D)
+        z = _zeta_orders(2, Z @ beta)
+        grad = Z.T @ z[1] - D @ beta
+        H = symmetrize(Z.T @ (z[2][:, None] * Z) - D)
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError as exc:
@@ -119,14 +113,16 @@ def probit_laplace_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
         beta, f_cur = cand, f_new
         trace.append(beta.copy())
         if np.max(np.abs(scale * step)) < eps:
-            z2 = _zeta12(Z @ beta)[1]
-            cov = np.linalg.inv(symmetrize(Z.T @ (-z2[:, None] * Z) + D))
-            params = {"beta": GaussianApprox(beta, symmetrize(cov))}
-            return converged_report("laplace", params, it, trace)
-    z2 = _zeta12(Z @ beta)[1]
-    cov = np.linalg.inv(symmetrize(Z.T @ (-z2[:, None] * Z) + D))
-    params = {"beta": GaussianApprox(beta, symmetrize(cov))}
-    return max_iter_report("laplace", params, max_iter, trace)
+            termination = TERMINATED_CONVERGED
+            break
+    else:
+        termination = TERMINATED_MAX_ITER
+    cov = symmetrize(_inv_neg_hessian(Z, D, beta))
+    return FitReport(method="laplace",
+                     params={"beta": GaussianApprox(beta, cov)},
+                     iterations=it,
+                     converged=termination == TERMINATED_CONVERGED,
+                     termination=termination, trace=trace)
 
 
 def probit_mfvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
@@ -134,29 +130,21 @@ def probit_mfvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
                     init_mu: np.ndarray | None = None) -> FitReport:
     """Mean-field fit; the coefficient covariance is S at every iteration and
     the converged mean coincides with the posterior mode."""
-    if not eps > 0:
-        raise DomainError("eps must be positive")
     Z = data.Z
-    S = _workspace(data, prior)
-    SZt = S @ Z.T
+    S, SZt = _workspace(data, prior)
     mu = (SZt @ np.ones(data.n) if init_mu is None
           else np.asarray(init_mu, dtype=float).copy())
-    trace: list[np.ndarray] = []
-    prev = None
-    mu_a = None
-    for it in range(1, max_iter + 1):
-        mu_a = Z @ mu
+
+    def step(state):
+        mu_a = Z @ state[0]
         mu = SZt @ (mu_a + _zeta_orders(1, mu_a)[1])
-        xi_vec = np.concatenate([mu, mu_a])
-        trace.append(xi_vec)
-        if prev is not None and np.max(np.abs(xi_vec - prev)) < eps:
-            params = {"beta": GaussianApprox(mu, S),
-                      "aux": AuxiliaryMoments(mean_a=mu_a)}
-            return converged_report("mfvb", params, it, trace)
-        prev = xi_vec
-    params = {"beta": GaussianApprox(mu, S),
-              "aux": AuxiliaryMoments(mean_a=mu_a)}
-    return max_iter_report("mfvb", params, max_iter, trace)
+        return (mu, mu_a), np.concatenate([mu, mu_a])
+
+    return fixed_point(
+        "mfvb", step, (mu, None),
+        lambda s: {"beta": GaussianApprox(s[0], S),
+                   "aux": AuxiliaryMoments(mean_a=s[1])},
+        eps, max_iter)
 
 
 def _xi12(variant: str, m: np.ndarray, v: np.ndarray,
@@ -183,19 +171,16 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
     "dm" (second-order delta method, needs zeta up to order 4) or "quad"
     (series/trapezoid evaluator).
     """
-    if not eps > 0:
-        raise DomainError("eps must be positive")
     variant = variant.lower()
     Z = data.Z
-    S = _workspace(data, prior)
-    SZt = S @ Z.T
+    S, SZt = _workspace(data, prior)
+    ZS = Z @ S
     mu = (SZt @ np.ones(data.n) if init_mu is None
           else np.asarray(init_mu, dtype=float).copy())
     Sig = S.copy() if init_Sigma is None else require_spd(init_Sigma, "init Sigma")
-    trace: list[np.ndarray] = []
-    prev = None
-    mu_a = None
-    for it in range(1, max_iter + 1):
+
+    def step(state):
+        mu, Sig, _ = state
         m = Z @ mu
         v = np.einsum("ij,jk,ik->i", Z, Sig, Z)
         x1, x2 = _xi12(variant, m, v, xi_cfg)
@@ -206,27 +191,24 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
             raise NumericError("zeta_2 left (-1, 0); iteration is invalid",
                                last_iterate=mu)
         mu_a = m + x1
-        ZS = Z @ S
         w2 = 1.0 + x2
         term2 = ZS.T @ (w2[:, None] * ZS)
         G = Z.T @ ((1.0 + z2m)[:, None] * ZS)
         term3 = G.T @ Sig @ G
-        new_mu = SZt @ mu_a
-        new_Sig = symmetrize(S + term2 + term3)
-        mu, Sig = new_mu, new_Sig
-        xi_vec = np.concatenate([mu, Sig.ravel(), mu_a])
-        trace.append(xi_vec)
-        if prev is not None and np.max(np.abs(xi_vec - prev)) < eps:
-            params = {"beta": GaussianApprox(mu, Sig),
-                      "aux": AuxiliaryMoments(mean_a=mu_a)}
-            return converged_report(f"mp-{variant}", params, it, trace)
-        prev = xi_vec
-    params = {"beta": GaussianApprox(mu, Sig),
-              "aux": AuxiliaryMoments(mean_a=mu_a)}
-    return max_iter_report(f"mp-{variant}", params, max_iter, trace)
+        mu = SZt @ mu_a
+        Sig = symmetrize(S + term2 + term3)
+        return (mu, Sig, mu_a), np.concatenate([mu, Sig.ravel(), mu_a])
+
+    return fixed_point(
+        f"mp-{variant}", step, (mu, Sig, None),
+        lambda s: {"beta": GaussianApprox(s[0], s[1]),
+                   "aux": AuxiliaryMoments(mean_a=s[2])},
+        eps, max_iter)
 
 
-def _dmvb_sigma(Z: np.ndarray, D: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _inv_neg_hessian(Z: np.ndarray, D: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """[Z^T diag(-zeta_2(Z mu)) Z + D]^-1, the inverse negative Hessian of
+    log p(y, beta) at beta = mu."""
     z2 = _zeta_orders(2, Z @ mu)[2]
     return np.linalg.inv(symmetrize(Z.T @ (-z2[:, None] * Z) + D))
 
@@ -257,8 +239,7 @@ def probit_dmvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
     The contract is on the returned stationary point: max-norm of the
     gradient below eps.
     """
-    if not eps > 0:
-        raise DomainError("eps must be positive")
+    check_iteration_args(eps, max_iter)
     mu0 = (np.zeros(data.p) if init_mu is None
            else np.asarray(init_mu, dtype=float))
 
@@ -270,13 +251,13 @@ def probit_dmvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
                    options={"gtol": eps, "maxiter": max_iter})
     mu = res.x
     grad_norm = float(np.max(np.abs(res.jac)))
-    Sig = symmetrize(_dmvb_sigma(data.Z, prior.D, mu))
-    params = {"beta": GaussianApprox(mu, Sig)}
-    if grad_norm < 10.0 * eps:
-        return converged_report("dmvb", params, int(res.nit), [])
-    rep = max_iter_report("dmvb", params, int(res.nit), [])
-    rep.termination = f"optimizer stopped: {res.message} (|grad|={grad_norm:.2e})"
-    return rep
+    Sig = symmetrize(_inv_neg_hessian(data.Z, prior.D, mu))
+    converged = grad_norm < 10.0 * eps
+    termination = (TERMINATED_CONVERGED if converged else
+                   f"optimizer stopped: {res.message} (|grad|={grad_norm:.2e})")
+    return FitReport(method="dmvb", params={"beta": GaussianApprox(mu, Sig)},
+                     iterations=int(res.nit), converged=converged,
+                     termination=termination)
 
 
 def _truncnorm_positive(rng: np.random.Generator, m: np.ndarray) -> np.ndarray:
@@ -298,8 +279,7 @@ def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
     if n_samples < 1000:
         raise DomainError("need at least 1000 samples")
     Z = data.Z
-    S = _workspace(data, prior)
-    SZt = S @ Z.T
+    S, SZt = _workspace(data, prior)
     L = np.linalg.cholesky(S)
     rng = np.random.default_rng(seed)
     beta = np.zeros(data.p)

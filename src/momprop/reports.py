@@ -1,11 +1,14 @@
-"""Fit reports and posterior moment summaries shared by all fitters."""
+"""Fit reports, posterior moment summaries, and the fixed-point driver
+shared by the mean-field and moment-propagation fitters."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
+
+from .exceptions import DomainError
 
 TERMINATED_CONVERGED = "converged"
 TERMINATED_MAX_ITER = "max_iter"
@@ -48,15 +51,34 @@ class MomentSummary:
         self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
 
 
-def converged_report(method: str, params: dict[str, Any], iterations: int,
-                     trace: list[np.ndarray]) -> FitReport:
-    return FitReport(method=method, params=params, iterations=iterations,
-                     converged=True, termination=TERMINATED_CONVERGED,
-                     trace=trace)
+def check_iteration_args(eps: float, max_iter: int) -> None:
+    """Reject a non-positive tolerance or an iteration cap below one."""
+    if not eps > 0:
+        raise DomainError("eps must be positive")
+    if not max_iter >= 1:
+        raise DomainError(f"max_iter must be at least 1; got {max_iter}")
 
 
-def max_iter_report(method: str, params: dict[str, Any], iterations: int,
-                    trace: list[np.ndarray]) -> FitReport:
-    return FitReport(method=method, params=params, iterations=iterations,
-                     converged=False, termination=TERMINATED_MAX_ITER,
-                     trace=trace)
+def fixed_point(method: str, step: Callable[[Any], tuple[Any, np.ndarray]],
+                state: Any, params: Callable[[Any], dict[str, Any]],
+                eps: float, max_iter: int) -> FitReport:
+    """Iterate state, vector = step(state) until the monitored vector is
+    within eps of the previous sweep's in the max norm, or max_iter sweeps.
+
+    params(state) builds the q-densities of the report from the last state.
+    """
+    check_iteration_args(eps, max_iter)
+    trace: list[np.ndarray] = []
+    prev = None
+    converged = False
+    for it in range(1, max_iter + 1):
+        state, vec = step(state)
+        trace.append(vec)
+        if prev is not None and np.max(np.abs(vec - prev)) < eps:
+            converged = True
+            break
+        prev = vec
+    return FitReport(method=method, params=params(state), iterations=it,
+                     converged=converged, trace=trace,
+                     termination=(TERMINATED_CONVERGED if converged
+                                  else TERMINATED_MAX_ITER))

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from momprop import cli
 from momprop.cli import main
 from momprop.datagen import fixed_linear_dataset
 
@@ -239,6 +240,17 @@ class TestErrors:
                       "--data", str(path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--model", "linear", "--method", "mfvb"],
+        ["fit", "--model", "linear", "--method", "mp2"],
+        ["compare", "--model", "linear", "--methods", "mfvb,mp1",
+         "--reference", "exact"],
+    ])
+    def test_zero_max_iter_is_usage_error(self, c7_csv, argv, capsys):
+        rc = run_cli(argv + ["--data", c7_csv, "--max-iter", "0"])
+        assert rc == 2
+        assert "max_iter must be at least 1" in capsys.readouterr().err
+
     def test_nonconvergence_still_exit_zero(self, c7_csv, tmp_path):
         out = tmp_path / "rep.json"
         rc = run_cli(["fit", "--model", "linear", "--method", "mfvb",
@@ -319,20 +331,22 @@ class TestCompare:
         for m in doc["methods"].values():
             assert len(m["mean_err"]) == 3
 
-    def test_thread_env_variable(self, c7_csv, tmp_path, monkeypatch):
-        seq = tmp_path / "seq.json"
-        par = tmp_path / "par.json"
-        run_cli(["compare", "--model", "linear", "--methods", "mfvb,mp2",
-                 "--reference", "exact", "--data", c7_csv,
-                 "--out", str(seq)])
-        monkeypatch.setenv("MOMPROP_THREADS", "3")
-        run_cli(["compare", "--model", "linear", "--methods", "mfvb,mp2",
-                 "--reference", "exact", "--data", c7_csv,
-                 "--out", str(par)])
-        a = json.loads(seq.read_text())
-        b = json.loads(par.read_text())
-        for m in a["methods"]:
-            assert a["methods"][m]["accuracy"] == b["methods"][m]["accuracy"]
+    def test_reads_input_once(self, probit_csv, tmp_path, monkeypatch):
+        calls = []
+        read_csv = cli._read_csv
+
+        def counting(path):
+            calls.append(path)
+            return read_csv(path)
+
+        monkeypatch.setattr(cli, "_read_csv", counting)
+        rc = run_cli(["compare", "--model", "probit",
+                      "--methods", "laplace,mfvb,mp-dm",
+                      "--reference", "gibbs", "--data", probit_csv,
+                      "--n-samples", "1000", "--n-warmup", "100",
+                      "--out", str(tmp_path / "cmp.json")])
+        assert rc == 0
+        assert calls == [probit_csv]
 
     def test_requires_two_methods(self, c7_csv):
         rc = run_cli(["compare", "--model", "linear", "--methods", "mp2",
