@@ -25,7 +25,7 @@ from .probit import (AuxiliaryMoments, ProbitData, ProbitPrior,
                      probit_dmvb_fit, probit_gibbs_oracle, probit_laplace_fit,
                      probit_mfvb_fit, probit_moment_summary, probit_mp_fit)
 from .reports import FitReport, MomentSummary
-from .specfun import XiConfig, log_Phi, xi, xi_quad, xi_taylor, zeta
+from .specfun import log_Phi, xi, xi_quad, xi_taylor, zeta
 
 __all__ = [
     "AuxiliaryMoments", "DensityGrid", "DomainError", "FitReport",
@@ -33,7 +33,7 @@ __all__ = [
     "LinearConstants", "LinearData", "LinearPrior", "MVNConstants",
     "MVNData", "MVNPrior", "MomentSummary", "NumericError", "ProbitData",
     "ProbitPrior", "StudentTApprox", "ToyGaussianSpec",
-    "UndefinedMomentError", "XiConfig", "accuracy",
+    "UndefinedMomentError", "accuracy",
     "gauss_quadform_cumulant_moment", "gauss_quadform_moments",
     "ig_mean_var", "ig_moment_match", "iw_diag_marginal",
     "iw_elementwise_var_diag", "iw_mean", "iw_moment_match",

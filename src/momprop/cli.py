@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -35,6 +35,7 @@ from .probit import (ProbitData, ProbitPrior, probit_dmvb_fit,
 from .reports import FitReport, MomentSummary
 
 SCHEMA_VERSION = 1
+_PRETTY_DIGITS = 4  # significant digits in --pretty output
 
 
 class UsageError(Exception):
@@ -99,7 +100,10 @@ def _load_xy(path: str, intercept: bool) -> tuple[np.ndarray, np.ndarray]:
     return y, X
 
 
-def _load_json(path: str, keys: tuple[str, ...] = ()) -> dict:
+def _from_json(path: str, build: Callable[[dict], Any]):
+    """build(doc) on the JSON object in path. A missing key or a value of the
+    wrong type or shape is an InputError naming the file; a well-formed but
+    out-of-domain value stays a DomainError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -107,16 +111,22 @@ def _load_json(path: str, keys: tuple[str, ...] = ()) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    for key in keys:
-        if key not in doc:
-            raise InputError(f"{path}: missing key {key!r}")
-    return doc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: top level must be a JSON object")
+    try:
+        return build(doc)
+    except (DomainError, np.linalg.LinAlgError):
+        raise
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed value: {exc}") from exc
 
 
 def _load_mvn(data_path: str | None, summary_path: str | None) -> MVNData:
     if summary_path:
-        doc = _load_json(summary_path, ("n", "xbar", "S"))
-        return MVNData(n=doc["n"], xbar=doc["xbar"], S=doc["S"])
+        return _from_json(summary_path, lambda doc: MVNData(
+            n=doc["n"], xbar=doc["xbar"], S=doc["S"]))
     if data_path:
         _, data = _read_csv(data_path)
         return MVNData.from_raw(data)
@@ -126,9 +136,8 @@ def _load_mvn(data_path: str | None, summary_path: str | None) -> MVNData:
 def _load_toy(summary_path: str | None) -> ToyGaussianSpec:
     if not summary_path:
         raise UsageError("toy needs --summary (JSON with mu, Sigma, split)")
-    doc = _load_json(summary_path, ("mu", "Sigma", "split"))
-    return ToyGaussianSpec(mu=doc["mu"], Sigma=doc["Sigma"],
-                           split=int(doc["split"]))
+    return _from_json(summary_path, lambda doc: ToyGaussianSpec(
+        mu=doc["mu"], Sigma=doc["Sigma"], split=int(doc["split"])))
 
 
 # ---------------------------------------------------------------------------
@@ -198,28 +207,6 @@ def _summary_to_json(s: MomentSummary) -> dict:
 
 
 @dataclass
-class RunConfig:
-    model: str
-    method: str = ""
-    eps: float = 1e-6
-    max_iter: int = 500
-    g: float = 1e4
-    A: float = 0.01
-    B: float = 0.01
-    lambda0: float = 0.01
-    nu0: float | None = None
-    psi0_scale: float = 1.0
-    lam: float = 0.01
-    seed: int = 0
-    n_samples: int = 50_000
-    n_warmup: int = 5_000
-    intercept: bool = False
-    data: str | None = None
-    summary: str | None = None
-    init_from: str | None = None
-
-
-@dataclass
 class FitOutcome:
     """One method's fit as reported. Closed forms keep the defaults;
     iterative fits copy their FitReport; wall_time_s covers the fit alone."""
@@ -234,22 +221,24 @@ class FitOutcome:
     wall_time_s: float = 0.0
 
 
-def _load_regression(cfg: RunConfig, data_type):
-    if not cfg.data:
-        raise UsageError(f"{cfg.model} needs --data CSV")
-    return data_type(*_load_xy(cfg.data, cfg.intercept))
+def _load_regression(args: argparse.Namespace, data_type):
+    if not args.data:
+        raise UsageError(f"{args.model} needs --data CSV")
+    return data_type(*_load_xy(args.data, args.intercept))
 
 
-def _gibbs(cfg: RunConfig, data: ProbitData, prior: ProbitPrior) -> FitOutcome:
-    summ = probit_gibbs_oracle(data, prior, n_samples=cfg.n_samples,
-                               n_warmup=cfg.n_warmup, seed=cfg.seed)
-    return FitOutcome({"beta": summ}, cfg.n_samples, termination="sampling",
+def _gibbs(args: argparse.Namespace, data: ProbitData,
+           prior: ProbitPrior) -> FitOutcome:
+    summ = probit_gibbs_oracle(data, prior, n_samples=args.n_samples,
+                               n_warmup=args.n_warmup, seed=args.seed)
+    return FitOutcome({"beta": summ}, args.n_samples, termination="sampling",
                       summary=summ)
 
 
-def _toy(cfg: RunConfig, spec: ToyGaussianSpec, method: str) -> FitOutcome:
-    q1, q2, m1, m2 = toy_gaussian_mp(spec, eps=min(cfg.eps, 1e-10),
-                                     max_iter=max(cfg.max_iter, 10_000))
+def _toy(args: argparse.Namespace, spec: ToyGaussianSpec,
+         method: str) -> FitOutcome:
+    q1, q2, m1, m2 = toy_gaussian_mp(spec, eps=min(args.eps, 1e-10),
+                                     max_iter=max(args.max_iter, 10_000))
     block1, block2 = (q1, q2) if method == "mp" else (m1, m2)
     cov = block_diag(block1.cov, block2.cov)
     return FitOutcome({"block1": block1, "block2": block2},
@@ -314,15 +303,15 @@ def _generate_mvn(args):
 class Model:
     """What the CLI knows about one model.
 
-    fits maps each method to fit(cfg, data, prior, init), which returns a
-    FitReport, or a FitOutcome for closed forms and sampling. The entries
-    name the library fitters of this module, looked up at call time, so a
+    fits maps each method to fit(args, data, prior, init), args being the
+    parsed command line; a fit returns a FitReport, or a FitOutcome for
+    closed forms and sampling. The entries name the library fitters of this module, looked up at call time, so a
     wrapper installed under such a name sees every CLI fit. init_from names
     the q block --init-from reads and turns it into starting-value keywords.
     """
 
-    load: Callable[[RunConfig], Any]
-    prior: Callable[[RunConfig, Any], Any]
+    load: Callable[[argparse.Namespace], Any]
+    prior: Callable[[argparse.Namespace, Any], Any]
     fits: dict[str, Callable[..., FitReport | FitOutcome]]
     summary: Callable[[dict, str], MomentSummary] | None = None
     init_from: tuple[str, Callable[[dict], dict]] | None = None
@@ -334,72 +323,76 @@ class Model:
 
 MODELS = {
     "linear": Model(
-        load=lambda cfg: _load_regression(cfg, LinearData),
-        prior=lambda cfg, data: LinearPrior(g=cfg.g, A=cfg.A, B=cfg.B),
+        load=lambda args: _load_regression(args, LinearData),
+        prior=lambda args, data: LinearPrior(g=args.g, A=args.A, B=args.B),
         fits={
-            "exact": lambda cfg, data, prior, init: FitOutcome(dict(zip(
+            "exact": lambda args, data, prior, init: FitOutcome(dict(zip(
                 ("beta", "sigma2"), linear_exact_posterior(data, prior)))),
-            "mfvb": lambda cfg, data, prior, init: linear_mfvb_fit(
-                data, prior, cfg.eps, cfg.max_iter, **init),
-            "mp1": lambda cfg, data, prior, init: linear_mp1_fit(
-                data, prior, cfg.eps, cfg.max_iter, **init),
-            "mp2": lambda cfg, data, prior, init: linear_mp2_fit(
-                data, prior, cfg.eps, cfg.max_iter, **init),
+            "mfvb": lambda args, data, prior, init: linear_mfvb_fit(
+                data, prior, args.eps, args.max_iter, **init),
+            "mp1": lambda args, data, prior, init: linear_mp1_fit(
+                data, prior, args.eps, args.max_iter, **init),
+            "mp2": lambda args, data, prior, init: linear_mp2_fit(
+                data, prior, args.eps, args.max_iter, **init),
         },
         summary=lambda q, method: linear_moment_summary(
             q["beta"], q["sigma2"], method),
-        init_from=("sigma2", lambda b: {"init": (b["shape"], b["scale"])}),
+        init_from=("sigma2", lambda b: {
+            "init": (float(b["shape"]), float(b["scale"]))}),
         reference="exact",
         marginals=_linear_marginals,
         generate=_generate_linear),
     "mvn": Model(
-        load=lambda cfg: _load_mvn(cfg.data, cfg.summary),
-        prior=lambda cfg, data: MVNPrior(
-            lambda0=cfg.lambda0, nu0=cfg.nu0,
-            Psi0=cfg.psi0_scale * np.eye(data.p)),
+        load=lambda args: _load_mvn(args.data, args.summary),
+        prior=lambda args, data: MVNPrior(
+            lambda0=args.lambda0, nu0=args.nu0,
+            Psi0=args.psi0_scale * np.eye(data.p)),
         fits={
-            "exact": lambda cfg, data, prior, init: FitOutcome(dict(zip(
+            "exact": lambda args, data, prior, init: FitOutcome(dict(zip(
                 ("mu", "Sigma"), mvn_exact_posterior(data, prior)))),
-            "mfvb": lambda cfg, data, prior, init: mvn_mfvb_fit(
-                data, prior, cfg.eps, cfg.max_iter, **init),
-            "mp": lambda cfg, data, prior, init: mvn_mp_fit(
-                data, prior, cfg.eps, cfg.max_iter, **init),
+            "mfvb": lambda args, data, prior, init: mvn_mfvb_fit(
+                data, prior, args.eps, args.max_iter, **init),
+            "mp": lambda args, data, prior, init: mvn_mp_fit(
+                data, prior, args.eps, args.max_iter, **init),
         },
         summary=lambda q, method: mvn_moment_summary(q["mu"], method),
         init_from=("Sigma", lambda b: {
-            "init": (b["dof"], np.array(b["scale_matrix"]))}),
+            "init": (float(b["dof"]), np.array(b["scale_matrix"], float))}),
         reference="exact",
         marginals=_mvn_marginals,
         generate=_generate_mvn,
         wrong_basin=True),
     "probit": Model(
-        load=lambda cfg: _load_regression(cfg, ProbitData),
-        prior=lambda cfg, data: ProbitPrior.ridge(cfg.lam, data.p),
+        load=lambda args: _load_regression(args, ProbitData),
+        prior=lambda args, data: ProbitPrior.ridge(args.lam, data.p),
         fits={
-            "laplace": lambda cfg, data, prior, init: probit_laplace_fit(
-                data, prior, cfg.eps, cfg.max_iter, init=init.get("init_mu")),
-            "mfvb": lambda cfg, data, prior, init: probit_mfvb_fit(
-                data, prior, cfg.eps, cfg.max_iter, init.get("init_mu")),
-            "mp-dm": lambda cfg, data, prior, init: probit_mp_fit(
-                data, prior, "dm", cfg.eps, cfg.max_iter, **init),
-            "mp-quad": lambda cfg, data, prior, init: probit_mp_fit(
-                data, prior, "quad", cfg.eps, cfg.max_iter, **init),
-            "dmvb": lambda cfg, data, prior, init: probit_dmvb_fit(
-                data, prior, cfg.eps, cfg.max_iter, init.get("init_mu")),
-            "gibbs": lambda cfg, data, prior, init: _gibbs(cfg, data, prior),
+            "laplace": lambda args, data, prior, init: probit_laplace_fit(
+                data, prior, args.eps, args.max_iter,
+                init=init.get("init_mu")),
+            "mfvb": lambda args, data, prior, init: probit_mfvb_fit(
+                data, prior, args.eps, args.max_iter, init.get("init_mu")),
+            "mp-dm": lambda args, data, prior, init: probit_mp_fit(
+                data, prior, "dm", args.eps, args.max_iter, **init),
+            "mp-quad": lambda args, data, prior, init: probit_mp_fit(
+                data, prior, "quad", args.eps, args.max_iter, **init),
+            "dmvb": lambda args, data, prior, init: probit_dmvb_fit(
+                data, prior, args.eps, args.max_iter, init.get("init_mu")),
+            "gibbs": lambda args, data, prior, init: _gibbs(args, data, prior),
         },
         summary=lambda q, method: probit_moment_summary(q["beta"], method),
         init_from=("beta", lambda b: {
-            "init_mu": np.array(b["mean"]),
-            "init_Sigma": np.array(b["cov"]) if "cov" in b else None}),
+            "init_mu": np.array(b["mean"], float),
+            "init_Sigma": np.array(b["cov"], float) if "cov" in b else None}),
         reference="gibbs",
         marginals=lambda q: _vector_marginals("beta", q["beta"]),
         generate=_generate_probit),
     "toy": Model(
-        load=lambda cfg: _load_toy(cfg.summary),
-        prior=lambda cfg, spec: None,
-        fits={"mp": lambda cfg, spec, prior, init: _toy(cfg, spec, "mp"),
-              "mfvb": lambda cfg, spec, prior, init: _toy(cfg, spec, "mfvb")}),
+        load=lambda args: _load_toy(args.summary),
+        prior=lambda args, spec: None,
+        fits={
+            "mp": lambda args, spec, prior, init: _toy(args, spec, "mp"),
+            "mfvb": lambda args, spec, prior, init: _toy(args, spec, "mfvb"),
+        }),
 }
 
 
@@ -415,24 +408,30 @@ def _model(name: str, method: str) -> Model:
     return model
 
 
-def _load(cfg: RunConfig, model: Model) -> tuple[Any, Any, dict]:
+def _load(args: argparse.Namespace, model: Model) -> tuple[Any, Any, dict]:
     """Data, prior and --init-from starting values, each read once."""
     init: dict = {}
-    if cfg.init_from:
-        q = _load_json(cfg.init_from).get("q", {})
-        if model.init_from is not None:
-            key, parse = model.init_from
-            if q.get(key) is None:
-                raise InputError(f"--init-from report lacks q.{key}")
-            init = parse(q[key])
-    data = model.load(cfg)
-    return data, model.prior(cfg, data), init
+    if args.init_from:
+        init = _from_json(args.init_from, lambda doc: _init_values(doc, model))
+    data = model.load(args)
+    return data, model.prior(args, data), init
 
 
-def _fit(cfg: RunConfig, model: Model, method: str, data, prior,
+def _init_values(report: dict, model: Model) -> dict:
+    """Starting-value keywords from the q block of an earlier report."""
+    if model.init_from is None:
+        return {}
+    key, parse = model.init_from
+    block = report.get("q", {}).get(key)
+    if block is None:
+        raise InputError(f"--init-from report lacks q.{key}")
+    return parse(block)
+
+
+def _fit(args: argparse.Namespace, model: Model, method: str, data, prior,
          init: dict) -> FitOutcome:
     t0 = time.perf_counter()
-    out = model.fits[method](cfg, data, prior, init)
+    out = model.fits[method](args, data, prior, init)
     wall_time_s = time.perf_counter() - t0
     if isinstance(out, FitReport):
         out = FitOutcome(out.params, out.iterations, out.converged,
@@ -444,9 +443,9 @@ def _fit(cfg: RunConfig, model: Model, method: str, data, prior,
     return out
 
 
-def run_fit(cfg: RunConfig) -> FitOutcome:
-    model = _model(cfg.model, cfg.method)
-    return _fit(cfg, model, cfg.method, *_load(cfg, model))
+def run_fit(args: argparse.Namespace) -> FitOutcome:
+    model = _model(args.model, args.method)
+    return _fit(args, model, args.method, *_load(args, model))
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +483,19 @@ def _density_grid(family: str, params: tuple,
     return density(points, *params)
 
 
-def run_compare(cfg: RunConfig, methods: list[str], reference: str) -> dict:
+def run_compare(args: argparse.Namespace, methods: list[str],
+                reference: str) -> dict:
     if len(methods) < 2:
         raise UsageError("compare needs at least two methods")
     all_methods = list(dict.fromkeys(methods + [reference]))
     for m in all_methods:
-        model = _model(cfg.model, m)
-    data, prior, init = _load(cfg, model)
-    outcomes = {m: _fit(cfg, model, m, data, prior, init)
+        model = _model(args.model, m)
+    data, prior, init = _load(args, model)
+    outcomes = {m: _fit(args, model, m, data, prior, init)
                 for m in all_methods}
 
     ref = outcomes[reference]
-    ref_marg = _marginals(cfg.model, ref.q)
+    ref_marg = _marginals(args.model, ref.q)
     grids = {name: _density_grid(family, params)
              for name, family, params in ref_marg}
 
@@ -503,7 +503,7 @@ def run_compare(cfg: RunConfig, methods: list[str], reference: str) -> dict:
     for method in methods:
         out = outcomes[method]
         accs = {}
-        for name, family, params in _marginals(cfg.model, out.q):
+        for name, family, params in _marginals(args.model, out.q):
             if name in grids:
                 accs[name] = diagnostics.accuracy(grids[name], _density_grid(
                     family, params, grids[name].points))
@@ -516,7 +516,7 @@ def run_compare(cfg: RunConfig, methods: list[str], reference: str) -> dict:
             "converged": out.converged,
             "wall_time_s": out.wall_time_s,
         }
-    return {"schema": SCHEMA_VERSION, "model": cfg.model,
+    return {"schema": SCHEMA_VERSION, "model": args.model,
             "reference": reference, "methods": table}
 
 
@@ -549,11 +549,12 @@ def _parse_vector(text: str | None) -> np.ndarray | None:
 # rendering
 
 
-def _round_sig(x: float, sig: int = 4) -> float:
+def _round_sig(x: float) -> float:
+    """x rounded to _PRETTY_DIGITS significant digits."""
     if x == 0 or not np.isfinite(x):
         return x
     from math import floor, log10
-    return round(x, -int(floor(log10(abs(x)))) + sig - 1)
+    return round(x, -int(floor(log10(abs(x)))) + _PRETTY_DIGITS - 1)
 
 
 def _pretty_fit(doc: dict) -> str:
@@ -648,6 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reference method (default: exact, or gibbs "
                             "for probit)")
     _add_common(cmp_p)
+    cmp_p.set_defaults(init_from=None)  # read by _load, settable by fit only
 
     gen = sub.add_parser("generate", help="write a synthetic dataset CSV")
     gen.add_argument("--model", required=True,
@@ -664,11 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--no-intercept", action="store_true")
     gen.add_argument("--out", required=True)
     return ap
-
-
-def _cfg_from_args(args) -> RunConfig:
-    return RunConfig(**{f.name: getattr(args, f.name)
-                        for f in fields(RunConfig) if hasattr(args, f.name)})
 
 
 def _encode(doc: dict) -> dict:
@@ -700,13 +697,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "generate":
             run_generate(args)
             return 0
-        cfg = _cfg_from_args(args)
         if args.command == "fit":
-            outcome = run_fit(cfg)
+            outcome = run_fit(args)
             doc = {
                 "schema": SCHEMA_VERSION,
-                "model": cfg.model,
-                "method": cfg.method,
+                "model": args.model,
+                "method": args.method,
                 "converged": outcome.converged,
                 "iterations": outcome.iterations,
                 "termination": outcome.termination,
@@ -720,14 +716,14 @@ def main(argv: list[str] | None = None) -> int:
                 doc["trace"] = outcome.trace
             doc = _encode(doc)
             if args.emit_density:
-                _emit_density(outcome, cfg.model, args.emit_density,
+                _emit_density(outcome, args.model, args.emit_density,
                               args.density_out)
             _write_report(doc, args.out, args.pretty)
             return 0
         # compare
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
         reference = args.reference or MODELS[args.model].reference
-        _write_report(_encode(run_compare(cfg, methods, reference)),
+        _write_report(_encode(run_compare(args, methods, reference)),
                       args.out, pretty=False)
         return 0
     except (UsageError, DomainError) as exc:

@@ -16,21 +16,21 @@ from .exceptions import DomainError
 # fit with an intercept-only design.
 FIXED_LINEAR_Y = np.array([-1.48, 1.08, -2.14, 5.54, 1.54])
 
+# label draws generate_probit makes before giving up on getting both classes
+_LABEL_DRAWS = 100
+
 
 def fixed_linear_dataset() -> tuple[np.ndarray, np.ndarray]:
     return FIXED_LINEAR_Y.copy(), np.ones((5, 1))
 
 
 def generate_linear(n: int, p: int, seed: int, beta: np.ndarray | None = None,
-                    sigma: float = 1.0, intercept: bool = False
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian design, y = X beta + sigma * noise."""
     if n < 1 or p < 1:
         raise DomainError("n and p must be >= 1")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
-    if intercept:
-        X[:, 0] = 1.0
     if beta is None:
         beta = np.ones(p) / np.sqrt(p)
     beta = np.asarray(beta, dtype=float)
@@ -39,8 +39,7 @@ def generate_linear(n: int, p: int, seed: int, beta: np.ndarray | None = None,
 
 
 def generate_probit(n: int, p: int, seed: int, beta: np.ndarray | None = None,
-                    intercept: bool = True, max_tries: int = 100
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    intercept: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """iid rows with finite mean/covariance; labels drawn through the
     probit link. Redraws labels (deterministically) until both classes
     appear."""
@@ -54,24 +53,17 @@ def generate_probit(n: int, p: int, seed: int, beta: np.ndarray | None = None,
         beta = np.ones(p) / np.sqrt(p)
     beta = np.asarray(beta, dtype=float)
     probs = ndtr(X @ beta)
-    for _ in range(max_tries):
+    for _ in range(_LABEL_DRAWS):
         y = (rng.random(n) < probs).astype(float)
         if 0.0 < y.mean() < 1.0:
             return y, X
     raise DomainError("could not generate both classes; check beta scale")
 
 
-def generate_mvn(n: int, p: int, seed: int, mu: np.ndarray | None = None,
-                 Sigma: np.ndarray | None = None) -> np.ndarray:
-    """iid rows from N(mu, Sigma); defaults mu = 0, Sigma = I + 0.5 off-diagonal."""
+def generate_mvn(n: int, p: int, seed: int) -> np.ndarray:
+    """iid rows from N(0, Sigma) with Sigma = I + 0.5 off-diagonal."""
     if n < 1 or p < 1:
         raise DomainError("n and p must be >= 1")
     rng = np.random.default_rng(seed)
-    if mu is None:
-        mu = np.zeros(p)
-    if Sigma is None:
-        Sigma = 0.5 * np.ones((p, p)) + 0.5 * np.eye(p)
-    mu = np.asarray(mu, dtype=float)
-    Sigma = np.asarray(Sigma, dtype=float)
-    L = np.linalg.cholesky(Sigma)
-    return mu + rng.standard_normal((n, p)) @ L.T
+    L = np.linalg.cholesky(0.5 * np.ones((p, p)) + 0.5 * np.eye(p))
+    return rng.standard_normal((n, p)) @ L.T

@@ -9,7 +9,8 @@ import numpy as np
 from scipy import stats
 
 from .exceptions import DomainError, NumericError
-from .moments import GaussianApprox, require_spd, symmetrize
+from .moments import (GaussianApprox, require_finite, require_spd,
+                      symmetrize)
 from .reports import MomentSummary
 
 GRID_POINTS = 4001
@@ -95,8 +96,8 @@ class ToyGaussianSpec:
     split: int
 
     def __post_init__(self):
-        self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        self.Sigma = require_spd(self.Sigma, "Sigma")
+        self.mu = np.atleast_1d(require_finite(self.mu, "mu"))
+        self.Sigma = require_spd(require_finite(self.Sigma, "Sigma"), "Sigma")
         d = self.mu.shape[0]
         if not 1 <= self.split < d:
             raise DomainError("split must satisfy 1 <= split < dim")

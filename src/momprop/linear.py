@@ -23,7 +23,7 @@ import numpy as np
 from .exceptions import DomainError
 from .moments import (GaussianApprox, InverseGammaApprox, StudentTApprox,
                       _gauss_quadform, _t_quadform, ig_mean_var,
-                      ig_moment_match, symmetrize)
+                      ig_moment_match, regression_arrays, symmetrize)
 from .reports import FitReport, MomentSummary, fixed_point
 
 
@@ -33,12 +33,7 @@ class LinearData:
     X: np.ndarray
 
     def __post_init__(self):
-        self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        if self.X.shape[0] != self.y.shape[0]:
-            raise DomainError("y and X row counts differ")
-        if self.X.shape[0] < 1:
-            raise DomainError("need at least one observation")
+        self.y, self.X = regression_arrays(self.y, self.X)
 
     @property
     def n(self) -> int:

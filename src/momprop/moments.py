@@ -27,6 +27,26 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def require_finite(a, name: str) -> np.ndarray:
+    """a as a float array, with nan and inf rejected."""
+    arr = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
+    return arr
+
+
+def regression_arrays(y, X) -> tuple[np.ndarray, np.ndarray]:
+    """A response vector and design matrix with matching, non-zero row
+    counts and finite entries."""
+    y = np.atleast_1d(require_finite(y, "y"))
+    X = np.atleast_2d(require_finite(X, "X"))
+    if X.shape[0] != y.shape[0]:
+        raise DomainError("y and X row counts differ")
+    if X.shape[0] < 1:
+        raise DomainError("need at least one observation")
+    return y, X
+
+
 def require_spd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Symmetrize and verify positive definiteness via Cholesky."""
     m = symmetrize(m)

@@ -24,7 +24,7 @@ import numpy as np
 from .exceptions import DomainError
 from .moments import (GaussianApprox, InverseGammaApprox,
                       InverseWishartApprox, StudentTApprox, _iw_match,
-                      require_spd, symmetrize)
+                      require_finite, require_spd, symmetrize)
 from .reports import FitReport, MomentSummary, fixed_point
 
 
@@ -39,8 +39,8 @@ class MVNData:
         # n = 0 is allowed (posterior collapses to the prior)
         if self.n < 0:
             raise DomainError("negative sample count")
-        self.xbar = np.atleast_1d(np.asarray(self.xbar, dtype=float))
-        self.S = symmetrize(np.atleast_2d(self.S))
+        self.xbar = np.atleast_1d(require_finite(self.xbar, "xbar"))
+        self.S = symmetrize(np.atleast_2d(require_finite(self.S, "S")))
         p = self.xbar.shape[0]
         if self.S.shape != (p, p):
             raise DomainError("S must be p x p with p = len(xbar)")
@@ -49,7 +49,7 @@ class MVNData:
 
     @classmethod
     def from_raw(cls, X) -> "MVNData":
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.atleast_2d(require_finite(X, "observations"))
         n = X.shape[0]
         xbar = X.mean(axis=0)
         S = X.T @ X - n * np.outer(xbar, xbar)

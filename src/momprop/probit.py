@@ -23,10 +23,11 @@ from scipy.optimize import minimize
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .exceptions import DomainError, NumericError
-from .moments import GaussianApprox, require_spd, symmetrize
+from .moments import (GaussianApprox, regression_arrays, require_spd,
+                      symmetrize)
 from .reports import (TERMINATED_CONVERGED, TERMINATED_MAX_ITER, FitReport,
                       MomentSummary, check_iteration_args, fixed_point)
-from .specfun import DEFAULT_XI_CONFIG, XiConfig, _zeta_orders, xi
+from .specfun import _zeta_orders, xi
 
 
 @dataclass
@@ -35,10 +36,7 @@ class ProbitData:
     X: np.ndarray
 
     def __post_init__(self):
-        self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        if self.X.shape[0] != self.y.shape[0]:
-            raise DomainError("y and X row counts differ")
+        self.y, self.X = regression_arrays(self.y, self.X)
         if not np.all(np.isin(self.y, (0.0, 1.0))):
             raise DomainError("y must be binary 0/1")
         self.Z = (2.0 * self.y - 1.0)[:, None] * self.X
@@ -147,22 +145,20 @@ def probit_mfvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
         eps, max_iter)
 
 
-def _xi12(variant: str, m: np.ndarray, v: np.ndarray,
-          cfg: XiConfig) -> tuple[np.ndarray, np.ndarray]:
+def _xi12(variant: str, m: np.ndarray, v: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
     """Smoothed zeta_1 / zeta_2 at (m_i, v_i), by second-order delta method
     or by the series/quadrature evaluator."""
     if variant == "dm":
         z = _zeta_orders(4, m)
         return z[1] + 0.5 * z[3] * v, z[2] + 0.5 * z[4] * v
     if variant == "quad":
-        return (np.atleast_1d(xi(1, m, v, cfg)),
-                np.atleast_1d(xi(2, m, v, cfg)))
+        return np.atleast_1d(xi(1, m, v)), np.atleast_1d(xi(2, m, v))
     raise DomainError(f"unknown MP variant {variant!r}; use 'dm' or 'quad'")
 
 
 def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
                   eps: float = 1e-6, max_iter: int = 500,
-                  xi_cfg: XiConfig = DEFAULT_XI_CONFIG,
                   init_mu: np.ndarray | None = None,
                   init_Sigma: np.ndarray | None = None) -> FitReport:
     """Moment-propagation fit with q(beta) Gaussian and nonparametric q(a).
@@ -183,7 +179,7 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
         mu, Sig, _ = state
         m = Z @ mu
         v = np.einsum("ij,jk,ik->i", Z, Sig, Z)
-        x1, x2 = _xi12(variant, m, v, xi_cfg)
+        x1, x2 = _xi12(variant, m, v)
         z2m = _zeta_orders(2, m)[2]
         # zeta_2 lies in (-1, 0); equality with 0 only through underflow at
         # huge positive predictors, which is harmless in the updates below.
@@ -267,9 +263,13 @@ def _truncnorm_positive(rng: np.random.Generator, m: np.ndarray) -> np.ndarray:
     return m - ndtri(q)
 
 
+# batches of the Gibbs draws behind the batch-means Monte Carlo error
+_MC_BATCHES = 50
+
+
 def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
                         n_samples: int = 50_000, n_warmup: int = 5_000,
-                        seed: int = 0, n_batches: int = 50) -> MomentSummary:
+                        seed: int = 0) -> MomentSummary:
     """Albert-Chib data-augmentation Gibbs sampler.
 
     a_i | beta ~ N(z_i^T beta, 1) truncated to (0, inf); beta | a ~
@@ -291,9 +291,9 @@ def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
             draws[t - n_warmup] = beta
     mean = draws.mean(axis=0)
     cov = np.cov(draws.T, ddof=1).reshape(data.p, data.p)
-    batch_means = draws[: n_samples - n_samples % n_batches].reshape(
-        n_batches, -1, data.p).mean(axis=1)
-    mc_se = batch_means.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    batch_means = draws[: n_samples - n_samples % _MC_BATCHES].reshape(
+        _MC_BATCHES, -1, data.p).mean(axis=1)
+    mc_se = batch_means.std(axis=0, ddof=1) / np.sqrt(_MC_BATCHES)
     return MomentSummary(method="gibbs", mean=mean, cov=cov, mc_se=mc_se)
 
 

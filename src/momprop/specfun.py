@@ -18,13 +18,14 @@ All functions are pure and accept scalars or numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import wraps
 from math import comb
 
 import numpy as np
 from scipy.special import log_ndtr
 
 from .exceptions import DomainError, NumericError
+from .moments import require_finite
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -34,64 +35,35 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _CF_CROSSOVER = -25.0
 _CF_DEPTH = 64
 
-
-@dataclass
-class XiConfig:
-    """Tuning knobs for xi evaluation.
-
-    taylor_threshold: sigma2 cutoff below which the series branch is used.
-    taylor_terms: number of series terms kept (requires zeta up to order
-        d + 2*(taylor_terms - 1)).
-    mode_tol: Newton step-size tolerance for locating the integrand mode.
-    ed_tol: integrand-ratio threshold defining the effective domain.
-    quad_points: number N of trapezoid panels (N + 1 nodes).
-    """
-
-    taylor_threshold: float = 0.5
-    taylor_terms: int = 5
-    mode_tol: float = 1e-3
-    ed_tol: float = 1e-3
-    quad_points: int = 50
-    newton_max_steps: int = 100
-
-    def __post_init__(self):
-        if not self.taylor_threshold > 0:
-            raise DomainError("taylor_threshold must be positive")
-        if self.taylor_terms < 1:
-            raise DomainError("taylor_terms must be >= 1")
-        if self.quad_points < 2:
-            raise DomainError("quad_points must be >= 2")
-        if not self.mode_tol > 0:
-            raise DomainError("mode_tol must be positive")
-        if not 0 < self.ed_tol < 1:
-            raise DomainError("ed_tol must lie in (0, 1)")
-
-
-DEFAULT_XI_CONFIG = XiConfig()
-
-
-def _check_finite(t) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("input must be finite")
-    return arr
+# xi evaluation: the series branch is used below _TAYLOR_THRESHOLD and keeps
+# _TAYLOR_TERMS terms (zeta up to order d + 2 (_TAYLOR_TERMS - 1)); the
+# quadrature branch stops Newton's mode search once a step is below
+# _MODE_TOL (failing after _NEWTON_MAX_STEPS steps), bounds the effective
+# domain where the integrand falls below _ED_TOL of its peak, and applies
+# the trapezoid rule with _QUAD_POINTS panels.
+_TAYLOR_THRESHOLD = 0.5
+_TAYLOR_TERMS = 5
+_MODE_TOL = 1e-3
+_ED_TOL = 1e-3
+_QUAD_POINTS = 50
+_NEWTON_MAX_STEPS = 100
 
 
 def log_Phi(t):
     """log Phi(t) without underflow (finite down to t ~ -1e9 and beyond)."""
-    arr = _check_finite(t)
+    arr = require_finite(t, "t")
     out = log_ndtr(arr)
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
-def _recip_mills_cf(x: np.ndarray, depth: int = _CF_DEPTH) -> np.ndarray:
+def _recip_mills_cf(x: np.ndarray) -> np.ndarray:
     """1/R(x) for x > 0 via the Laplace continued fraction.
 
     R(x) = (1 - Phi(x))/phi(x) is the Mills ratio;
     1/R(x) = x + 1/(x + 2/(x + 3/(x + ...))).
     """
     d = np.array(x, dtype=float, copy=True)
-    for j in range(depth, 1, -1):
+    for j in range(_CF_DEPTH, 1, -1):
         d = x + j / d
     return x + 1.0 / d
 
@@ -120,7 +92,7 @@ def _zeta_orders(kmax: int, t) -> list[np.ndarray]:
 
     which only ever combines orders >= 1 on the product side.
     """
-    arr = np.atleast_1d(_check_finite(t))
+    arr = np.atleast_1d(require_finite(t, "t"))
     z: list[np.ndarray] = [log_ndtr(arr)]
     if kmax >= 1:
         z.append(_zeta1(arr))
@@ -136,33 +108,50 @@ def zeta(k: int, t):
     """zeta_k(t) = d^k log Phi(t)/dt^k for integer k >= 1."""
     if int(k) != k or k < 1:
         raise DomainError(f"zeta order must be an integer >= 1, got {k!r}")
-    arr = _check_finite(t)
+    arr = require_finite(t, "t")
     out = _zeta_orders(int(k), arr)[int(k)]
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def xi_taylor(d: int, mu, sigma2, cfg: XiConfig = DEFAULT_XI_CONFIG):
+def _xi_checked(positive_sigma2: bool = False):
+    """Wrap an xi evaluator kernel(d, mu, sigma2) on broadcast float arrays.
+
+    The wrapper checks d in {0, 1, 2}, finite mu and sigma2, and sigma2 >= 0
+    (> 0 when positive_sigma2), and returns a float for 0-d input.
+    """
+    def wrap(kernel):
+        @wraps(kernel)
+        def checked(d: int, mu, sigma2):
+            if d not in (0, 1, 2):
+                raise DomainError("xi order d must be in {0, 1, 2}")
+            mu_a, s2_a = np.broadcast_arrays(require_finite(mu, "mu"),
+                                             require_finite(sigma2, "sigma2"))
+            if positive_sigma2 and np.any(s2_a <= 0):
+                raise DomainError("xi_quad requires sigma2 > 0")
+            if np.any(s2_a < 0):
+                raise DomainError("sigma2 must be >= 0")
+            out = kernel(d, mu_a, s2_a)
+            return float(out) if out.ndim == 0 else out
+        return checked
+    return wrap
+
+
+@_xi_checked()
+def xi_taylor(d: int, mu, sigma2):
     """Series evaluation of xi_d: sum_k zeta_{d+2k}(mu) sigma2^k / (2^k k!).
 
-    Keeps cfg.taylor_terms terms. Intended for sigma2 below
-    cfg.taylor_threshold; the series need not converge for large sigma2.
+    Keeps _TAYLOR_TERMS terms. Intended for sigma2 below _TAYLOR_THRESHOLD;
+    the series need not converge for large sigma2.
     """
-    if d not in (0, 1, 2):
-        raise DomainError("xi order d must be in {0, 1, 2}")
-    mu_a, s2_a = np.broadcast_arrays(_check_finite(mu), _check_finite(sigma2))
-    if np.any(s2_a < 0):
-        raise DomainError("sigma2 must be >= 0")
-    kmax = d + 2 * (cfg.taylor_terms - 1)
-    z = _zeta_orders(kmax, mu_a.ravel())
-    s2 = s2_a.ravel()
+    z = _zeta_orders(d + 2 * (_TAYLOR_TERMS - 1), mu.ravel())
+    s2 = sigma2.ravel()
     acc = np.zeros_like(s2)
     coef = np.ones_like(s2)
-    for k in range(cfg.taylor_terms):
+    for k in range(_TAYLOR_TERMS):
         if k > 0:
             coef = coef * s2 / (2.0 * k)
         acc = acc + z[d + 2 * k] * coef
-    out = acc.reshape(mu_a.shape)
-    return float(out) if out.ndim == 0 else out
+    return acc.reshape(mu.shape)
 
 
 def _log_integrand(x: np.ndarray, mu: float, sigma2: float) -> np.ndarray:
@@ -170,7 +159,7 @@ def _log_integrand(x: np.ndarray, mu: float, sigma2: float) -> np.ndarray:
     return -0.5 * x * x - log_ndtr(x) - 0.5 * (x - mu) ** 2 / sigma2
 
 
-def _find_mode(mu: float, sigma2: float, cfg: XiConfig) -> tuple[float, float]:
+def _find_mode(mu: float, sigma2: float) -> tuple[float, float]:
     """Mode x* of the xi_1 log-integrand and f''(x*) via Newton's method."""
     cands = [mu / (1.0 + sigma2),
              (mu - sigma2 * np.sqrt(2.0 / np.pi))
@@ -179,14 +168,14 @@ def _find_mode(mu: float, sigma2: float, cfg: XiConfig) -> tuple[float, float]:
         cands.append(-np.sqrt(mu + sigma2))
     vals = _log_integrand(np.array(cands), mu, sigma2)
     x = float(cands[int(np.argmax(vals))])
-    for _ in range(cfg.newton_max_steps):
+    for _ in range(_NEWTON_MAX_STEPS):
         z1 = float(_zeta1(x)[0])
         z2 = -x * z1 - z1 * z1
         fp = -x - z1 - (x - mu) / sigma2
         fpp = -1.0 - z2 - 1.0 / sigma2
         step = fp / fpp
         x -= step
-        if abs(step) < cfg.mode_tol:
+        if abs(step) < _MODE_TOL:
             z1 = float(_zeta1(x)[0])
             z2 = -x * z1 - z1 * z1
             return x, -1.0 - z2 - 1.0 / sigma2
@@ -195,8 +184,8 @@ def _find_mode(mu: float, sigma2: float, cfg: XiConfig) -> tuple[float, float]:
         last_iterate=x)
 
 
-def _xi_quad_scalar(d: int, mu: float, sigma2: float, cfg: XiConfig) -> float:
-    x_star, fpp = _find_mode(mu, sigma2, cfg)
+def _xi_quad_scalar(d: int, mu: float, sigma2: float) -> float:
+    x_star, fpp = _find_mode(mu, sigma2)
     s = 1.0 / np.sqrt(-fpp)
     f_star = float(_log_integrand(np.array([x_star]), mu, sigma2)[0])
 
@@ -205,9 +194,9 @@ def _xi_quad_scalar(d: int, mu: float, sigma2: float, cfg: XiConfig) -> float:
         while True:
             f = float(_log_integrand(np.array([x_star + sign * s * k]),
                                      mu, sigma2)[0])
-            if np.exp(f - f_star) < cfg.ed_tol:
+            if np.exp(f - f_star) < _ED_TOL:
                 # one guard step past the threshold: the mass between the
-                # ed_tol crossing and one extra step is what limits overall
+                # _ED_TOL crossing and one extra step is what limits overall
                 # accuracy, and it is cheap to keep.
                 return k + 1
             k += 1
@@ -217,45 +206,38 @@ def _xi_quad_scalar(d: int, mu: float, sigma2: float, cfg: XiConfig) -> float:
 
     a = x_star - s * widen(-1)
     b = x_star + s * widen(+1)
-    nodes = np.linspace(a, b, cfg.quad_points + 1)
+    nodes = np.linspace(a, b, _QUAD_POINTS + 1)
     zd = _zeta_orders(d, nodes)[d]
     dens = np.exp(-0.5 * (nodes - mu) ** 2 / sigma2) / np.sqrt(
         2.0 * np.pi * sigma2)
     fx = zd * dens
-    h = (b - a) / cfg.quad_points
+    h = (b - a) / _QUAD_POINTS
     return float(h * (0.5 * fx[0] + fx[1:-1].sum() + 0.5 * fx[-1]))
 
 
-def xi_quad(d: int, mu, sigma2, cfg: XiConfig = DEFAULT_XI_CONFIG):
+@_xi_checked(positive_sigma2=True)
+def xi_quad(d: int, mu, sigma2):
     """Quadrature evaluation of xi_d for sigma2 > 0.
 
     Locates the integrand mode (Newton, started from the best of three
     closed-form candidates), expands left/right in steps of
-    1/sqrt(-f''(x*)) until the integrand falls below ed_tol relative to its
+    1/sqrt(-f''(x*)) until the integrand falls below _ED_TOL relative to its
     peak, then applies the composite trapezoid rule on that interval.
     """
-    if d not in (0, 1, 2):
-        raise DomainError("xi order d must be in {0, 1, 2}")
-    mu_a, s2_a = np.broadcast_arrays(_check_finite(mu), _check_finite(sigma2))
-    if np.any(s2_a <= 0):
-        raise DomainError("xi_quad requires sigma2 > 0")
-    flat = [_xi_quad_scalar(d, float(m), float(v), cfg)
-            for m, v in zip(mu_a.ravel(), s2_a.ravel())]
-    out = np.array(flat).reshape(mu_a.shape)
-    return float(out) if out.ndim == 0 else out
+    flat = [_xi_quad_scalar(d, float(m), float(v))
+            for m, v in zip(mu.ravel(), sigma2.ravel())]
+    return np.array(flat).reshape(mu.shape)
 
 
-def xi(d: int, mu, sigma2, cfg: XiConfig = DEFAULT_XI_CONFIG):
-    """xi_d(mu, sigma2): series branch below cfg.taylor_threshold, else quadrature."""
-    if d not in (0, 1, 2):
-        raise DomainError("xi order d must be in {0, 1, 2}")
-    mu_a, s2_a = np.broadcast_arrays(_check_finite(mu), _check_finite(sigma2))
-    if np.any(s2_a < 0):
-        raise DomainError("sigma2 must be >= 0")
-    out = np.empty(mu_a.shape, dtype=float)
-    small = s2_a < cfg.taylor_threshold
+@_xi_checked()
+def xi(d: int, mu, sigma2):
+    """xi_d(mu, sigma2): series branch below sigma2 = 0.5, else quadrature."""
+    out = np.empty(mu.shape, dtype=float)
+    small = sigma2 < _TAYLOR_THRESHOLD
+    # the branches are called by their module names, so that a wrapper
+    # installed under either name sees every evaluation
     if np.any(small):
-        out[small] = np.atleast_1d(xi_taylor(d, mu_a[small], s2_a[small], cfg))
+        out[small] = np.atleast_1d(xi_taylor(d, mu[small], sigma2[small]))
     if np.any(~small):
-        out[~small] = np.atleast_1d(xi_quad(d, mu_a[~small], s2_a[~small], cfg))
-    return float(out) if out.ndim == 0 else out
+        out[~small] = np.atleast_1d(xi_quad(d, mu[~small], sigma2[~small]))
+    return out

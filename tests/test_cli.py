@@ -213,7 +213,71 @@ class TestToyModel:
                                                                 rel=1e-9)
 
 
+NAN = float("nan")
+I2 = [[1.0, 0.0], [0.0, 1.0]]
+PROBIT_ROWS = "y,x1,x2\n1,1.0,0.3\n0,1.0,-0.8\n1,1.0,{}\n0,1.0,0.1\n"
+PROBIT_FITS = {
+    "fit-mfvb": ["fit", "--model", "probit", "--method", "mfvb"],
+    "fit-mp-dm": ["fit", "--model", "probit", "--method", "mp-dm"],
+    "fit-mp-quad": ["fit", "--model", "probit", "--method", "mp-quad"],
+    "compare": ["compare", "--model", "probit", "--methods", "mfvb,mp-dm"],
+}
+
+# id -> (argv with FILE for the input and C7 for the five-point CSV, the
+# input's content: text for a CSV, anything else written as JSON, exit code)
+BAD_INPUTS = {
+    **{f"probit-{cell}-{name}": (argv + ["--data", "FILE"],
+                                 PROBIT_ROWS.format(cell), 2)
+       for cell in ("inf", "nan") for name, argv in PROBIT_FITS.items()},
+    "linear-nan-y": (
+        ["fit", "--model", "linear", "--method", "mfvb", "--data", "FILE"],
+        "y,x1\nnan,1\n1.08,1\n-2.14,1\n", 2),
+    "mvn-raw-nan": (
+        ["fit", "--model", "mvn", "--method", "exact", "--data", "FILE"],
+        "x1,x2\n0.1,nan\n0.5,0.2\n-0.3,0.9\n", 2),
+    "toy-nan-mu": (
+        ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE"],
+        {"mu": [NAN, 0.0], "Sigma": I2, "split": 1}, 2),
+    "toy-nan-Sigma": (
+        ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE"],
+        {"mu": [0.0, 0.0], "Sigma": [[NAN, 0.0], [0.0, 1.0]], "split": 1}, 2),
+    "mvn-summary-n-string": (
+        ["fit", "--model", "mvn", "--method", "mp", "--summary", "FILE"],
+        {"n": "abc", "xbar": [0.0, 0.0], "S": I2}, 3),
+    "mvn-summary-xbar-string": (
+        ["fit", "--model", "mvn", "--method", "mp", "--summary", "FILE"],
+        {"n": 4, "xbar": "zz", "S": I2}, 3),
+    "mvn-summary-ragged-S": (
+        ["fit", "--model", "mvn", "--method", "mp", "--summary", "FILE"],
+        {"n": 4, "xbar": [0.0, 0.0], "S": [[1.0, 0.0], [0.0]]}, 3),
+    "toy-split-string": (
+        ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE"],
+        {"mu": [0.0, 0.0], "Sigma": I2, "split": "x"}, 3),
+    "init-from-missing-key": (
+        ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
+         "--init-from", "FILE"], {"q": {"sigma2": {"shape": 3}}}, 3),
+    "init-from-list": (
+        ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
+         "--init-from", "FILE"], [1, 2], 3),
+}
+
+
 class TestErrors:
+    @pytest.mark.parametrize("argv,content,rc", BAD_INPUTS.values(),
+                             ids=BAD_INPUTS.keys())
+    def test_bad_input_is_typed_error(self, c7_csv, tmp_path, capsys, argv,
+                                      content, rc):
+        """Non-finite data is a domain error (exit 2) and malformed JSON an
+        input error naming the file (exit 3), never a traceback."""
+        path = tmp_path / "input"
+        path.write_text(content if isinstance(content, str)
+                        else json.dumps(content))
+        argv = [{"FILE": str(path), "C7": c7_csv}.get(a, a) for a in argv]
+        assert run_cli(argv) == rc
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert ("must be finite" if rc == 2 else str(path)) in err
+
     def test_invalid_method_model_pair(self, c7_csv):
         rc = run_cli(["fit", "--model", "linear", "--method", "mp-dm",
                       "--data", c7_csv])

@@ -61,6 +61,19 @@ class TestConstants:
                              LinearPrior(g=1.0, A=1.0, B=1.0))
 
 
+class TestData:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        y, X = fixed_linear_dataset()
+        y[2] = bad
+        with pytest.raises(DomainError):
+            LinearData(y, X)
+        y, X = fixed_linear_dataset()
+        X[4, 0] = bad
+        with pytest.raises(DomainError):
+            LinearData(y, X)
+
+
 class TestExactPosterior:
     def test_reference_values(self, ref):
         beta, s2 = linear_exact_posterior(*ref)

@@ -59,6 +59,17 @@ class TestConstantsAndExact:
         assert d.S == pytest.approx(
             (X - X.mean(axis=0)).T @ (X - X.mean(axis=0)), abs=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_data(self, bad):
+        with pytest.raises(DomainError):
+            MVNData(n=3, xbar=[0.0, bad], S=np.eye(2))
+        with pytest.raises(DomainError):
+            MVNData(n=3, xbar=[0.0, 0.0], S=[[1.0, bad], [bad, 1.0]])
+        X = generate_mvn(5, 2, seed=1)
+        X[3, 1] = bad
+        with pytest.raises(DomainError):
+            MVNData.from_raw(X)
+
     def test_diag_marginal_consistent_with_iw_moments(self, ref):
         _, Sig_iw = mvn_exact_posterior(*ref)
         for j in range(2):

@@ -270,3 +270,8 @@ class TestData:
     def test_rejects_nonbinary(self):
         with pytest.raises(DomainError):
             ProbitData(y=[0.5], X=[[1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_design(self, bad):
+        with pytest.raises(DomainError):
+            ProbitData(y=[1.0, 0.0], X=[[1.0, 0.5], [1.0, bad]])

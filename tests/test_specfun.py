@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from momprop import specfun
 from momprop.exceptions import DomainError, NumericError
-from momprop.specfun import (XiConfig, _recip_mills_cf, _zeta1, _zeta_orders,
-                             log_Phi, xi, xi_quad, xi_taylor, zeta)
+from momprop.specfun import (_recip_mills_cf, _zeta1, _zeta_orders, log_Phi,
+                             xi, xi_quad, xi_taylor, zeta)
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
@@ -167,19 +168,19 @@ class TestXiQuad:
         with pytest.raises(DomainError):
             xi_quad(1, 0.0, 0.0)
 
-    def test_newton_cap_carries_last_iterate(self):
-        cfg = XiConfig(mode_tol=1e-300, newton_max_steps=3)
+    def test_newton_cap_carries_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MODE_TOL", 1e-300)
+        monkeypatch.setattr(specfun, "_NEWTON_MAX_STEPS", 3)
         with pytest.raises(NumericError) as exc:
-            xi_quad(1, 0.0, 2.0, cfg)
+            xi_quad(1, 0.0, 2.0)
         assert exc.value.last_iterate is not None
 
-    def test_quad_points_doubling_invariance(self):
+    def test_matches_oracle_grid(self):
         for d in (1, 2):
             for mu in (-4.0, 0.0, 3.0):
                 for s2 in (0.7, 2.0, 8.0):
-                    a = xi_quad(d, mu, s2, XiConfig(quad_points=50))
-                    b = xi_quad(d, mu, s2, XiConfig(quad_points=100))
-                    assert abs(a - b) <= 1e-5
+                    assert abs(xi_quad(d, mu, s2)
+                               - xi_oracle(d, mu, s2)) <= 1e-5
 
 
 class TestXiDispatch:
@@ -218,16 +219,3 @@ class TestXiDispatch:
                           (2, -2.0, 4.0)]:
             assert abs(xi(d, mu, s2) - xi_oracle(d, mu, s2)) <= 1e-4
 
-
-class TestXiConfig:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            XiConfig(taylor_threshold=0.0)
-        with pytest.raises(DomainError):
-            XiConfig(taylor_terms=0)
-        with pytest.raises(DomainError):
-            XiConfig(quad_points=1)
-        with pytest.raises(DomainError):
-            XiConfig(mode_tol=0.0)
-        with pytest.raises(DomainError):
-            XiConfig(ed_tol=1.0)
