@@ -1,0 +1,306 @@
+"""Digest of the CLI's observable behaviour on a fixed command list.
+
+Runs every command in-process through `momprop.cli.main` on fixtures it
+writes itself into a temporary directory, and prints one line per command:
+its label, exit code, and the first 16 hex digits of the sha256 of its
+stdout (followed by the files it wrote through `--out` and
+`--density-out`) and of its stderr. The temporary directory's path is
+replaced by `TMP`, and every `wall_time_s` value and the file and line of
+every Python warning are masked before hashing, so two trees that behave
+the same print the same lines. Run it on two trees and diff the output to
+see which commands changed behaviour.
+
+Usage: python scripts/cli_digest.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import tempfile
+from pathlib import Path
+
+from momprop import cli
+
+NAN, INF = float("nan"), float("inf")
+I2 = [[1.0, 0.0], [0.0, 1.0]]
+D9 = {"n": 4, "xbar": [-0.9724726, 1.3202681],
+      "S": [[0.8144316, 0.5688416], [0.5688416, 1.9682059]]}
+TOY = {"mu": [0.5, -1.0, 2.0], "Sigma": [[1.0, 0.6, 0.2], [0.6, 1.5, 0.4],
+                                         [0.2, 0.4, 2.0]], "split": 1}
+GIBBS = ["--n-samples", "1000", "--n-warmup", "100", "--seed", "3"]
+
+# input file name -> content: text for a CSV, anything else written as JSON
+FILES = {
+    "d9.json": D9,
+    "toy.json": TOY,
+    "toy2.json": {**TOY, "split": 2},
+    "probit-nan.csv": "y,x1,x2\n1,1.0,0.3\n0,1.0,-0.8\n1,1.0,nan\n0,1.0,0.1\n",
+    "linear-nan.csv": "y,x1\nnan,1\n1.08,1\n-2.14,1\n",
+    "bad-cell.csv": "y,x1\n1.0,2.0\n3.0,oops\n",
+    "ragged.csv": "y,x1\n1.0,2.0,9.9\n",
+    "empty.csv": "",
+    "header-only.csv": "y,x1\n",
+    "no-y.csv": "a,b\n1.0,2.0\n3.0,4.0\n",
+    "mvn-nan.csv": "x1,x2\n0.1,nan\n0.5,0.2\n-0.3,0.9\n",
+    "not-json.json": "{",
+    "list.json": [1, 2],
+    "mvn-n-float.json": {**D9, "n": 4.7},
+    "mvn-n-string.json": {**D9, "n": "abc"},
+    "mvn-n-negative.json": {**D9, "n": -1},
+    "mvn-xbar-string.json": {**D9, "xbar": "zz"},
+    "mvn-ragged-S.json": {**D9, "S": [[1.0, 0.0], [0.0]]},
+    "mvn-missing-S.json": {"n": 4, "xbar": [0.0, 0.0]},
+    "toy-split-float.json": {**TOY, "split": 1.6},
+    "toy-split-string.json": {**TOY, "split": "x"},
+    "toy-split-out.json": {**TOY, "split": 3},
+    "toy-nan-mu.json": {**TOY, "mu": [NAN, 0.0, 0.0]},
+    "init-missing-key.json": {"q": {"sigma2": {"shape": 3}}},
+    "init-no-block.json": {"q": {}},
+    "init-linear-nan.json": {"q": {"sigma2": {"family": "inverse_gamma",
+                                              "shape": NAN, "scale": 1.0}}},
+    "init-probit-inf.json": {"q": {"beta": {"family": "gaussian",
+                                            "mean": [INF, 0.0, 0.0]}}},
+    "init-mvn-inf.json": {"q": {"Sigma": {"family": "inverse_wishart",
+                                          "scale_matrix": I2, "dof": INF}}},
+}
+
+
+def _commands() -> list[tuple[str, list[str]]]:
+    """(label, argv) in run order; FILE/<name> names a file in the
+    temporary directory, and earlier commands write the files later ones
+    read."""
+    gen = [
+        ("generate linear fixed", ["generate", "--model", "linear", "--fixed",
+                                   "--out", "FILE/c7.csv"]),
+        ("generate linear", ["generate", "--model", "linear", "--n", "40",
+                             "--p", "3", "--seed", "7", "--beta", "1,-2,0.5",
+                             "--sigma", "0.7", "--out", "FILE/linear.csv"]),
+        ("generate probit", ["generate", "--model", "probit", "--n", "120",
+                             "--p", "3", "--seed", "5",
+                             "--out", "FILE/probit.csv"]),
+        ("generate probit no intercept", [
+            "generate", "--model", "probit", "--n", "80", "--p", "2",
+            "--seed", "2", "--no-intercept", "--out", "FILE/probit2.csv"]),
+        ("generate mvn", ["generate", "--model", "mvn", "--n", "30", "--p",
+                          "3", "--seed", "4", "--out", "FILE/mvn.csv"]),
+    ]
+    inputs = {
+        "linear": [["--data", "FILE/c7.csv"], ["--data", "FILE/linear.csv"],
+                   ["--data", "FILE/linear.csv", "--intercept", "--g", "100"]],
+        "mvn": [["--summary", "FILE/d9.json"], ["--data", "FILE/mvn.csv"],
+                ["--summary", "FILE/d9.json", "--nu0", "5",
+                 "--psi0-scale", "2", "--lambda0", "0.5"]],
+        "probit": [["--data", "FILE/probit.csv"],
+                   ["--data", "FILE/probit2.csv", "--intercept",
+                    "--lambda", "1"]],
+        "toy": [["--summary", "FILE/toy.json"], ["--summary", "FILE/toy2.json"]],
+    }
+    methods = {"linear": ["exact", "mfvb", "mp1", "mp2"],
+               "mvn": ["exact", "mfvb", "mp"],
+               "probit": ["laplace", "mfvb", "mp-dm", "mp-quad", "dmvb",
+                          "gibbs"],
+               "toy": ["mp", "mfvb"]}
+    fits = []
+    for model, methods_ in methods.items():
+        for i, inp in enumerate(inputs[model]):
+            for method in methods_:
+                base = ["fit", "--model", model, "--method", method, *inp,
+                        *(GIBBS if method == "gibbs" else [])]
+                label = f"fit {model}#{i} {method}"
+                fits.append((label, base))
+                if i == 0:
+                    fits += [(f"{label} --trace", base + ["--trace"]),
+                             (f"{label} --pretty", base + ["--pretty"]),
+                             (f"{label} --max-iter 2",
+                              base + ["--max-iter", "2"])]
+    density = [
+        (f"density {model} {method} {name}",
+         ["fit", "--model", model, "--method", method, *inputs[model][0],
+          *(GIBBS if method == "gibbs" else []), "--emit-density", name])
+        for model, method, name in [
+            ("linear", "exact", "beta0"), ("linear", "mp1", "sigma2"),
+            ("linear", "mp2", "beta0"), ("mvn", "exact", "mu1"),
+            ("mvn", "mfvb", "Sigma00"), ("mvn", "mp", "Sigma11"),
+            ("probit", "mp-dm", "beta2"), ("probit", "gibbs", "beta0"),
+            ("linear", "exact", "nope"), ("toy", "mp", "block1")]]
+    density.append(("density to file", [
+        "fit", "--model", "linear", "--method", "mfvb", "--data",
+        "FILE/c7.csv", "--emit-density", "beta0", "--density-out",
+        "FILE/dens.csv", "--out", "FILE/dens-report.json"]))
+    compare = [
+        ("compare linear", ["compare", "--model", "linear", "--methods",
+                            "mfvb,mp1,mp2", "--data", "FILE/c7.csv"]),
+        ("compare linear vs mp2", ["compare", "--model", "linear",
+                                   "--methods", "mfvb,exact", "--reference",
+                                   "mp2", "--data", "FILE/linear.csv"]),
+        ("compare mvn", ["compare", "--model", "mvn", "--methods", "mfvb,mp",
+                         "--summary", "FILE/d9.json"]),
+        ("compare mvn raw", ["compare", "--model", "mvn", "--methods",
+                             "exact,mfvb,mp", "--data", "FILE/mvn.csv"]),
+        ("compare probit", ["compare", "--model", "probit", "--methods",
+                            "laplace,mfvb,mp-dm,mp-quad,dmvb",
+                            "--data", "FILE/probit.csv", *GIBBS]),
+        ("compare probit vs laplace", [
+            "compare", "--model", "probit", "--methods", "mfvb,mp-dm",
+            "--reference", "laplace", "--data", "FILE/probit2.csv"]),
+        ("compare capped", ["compare", "--model", "linear", "--methods",
+                            "mfvb,mp1", "--max-iter", "2",
+                            "--data", "FILE/c7.csv"]),
+    ]
+    init = []
+    for model, method, inp in [
+            ("linear", "mfvb", 0), ("linear", "mp1", 0), ("linear", "mp2", 1),
+            ("mvn", "mfvb", 0), ("mvn", "mp", 0), ("mvn", "mp", 1),
+            ("probit", "laplace", 0), ("probit", "mfvb", 0),
+            ("probit", "mp-dm", 0), ("probit", "mp-quad", 0),
+            ("probit", "dmvb", 0), ("probit", "gibbs", 0)]:
+        first = f"FILE/init-{model}-{method}-{inp}.json"
+        fit = ["fit", "--model", model, "--method", method,
+               *inputs[model][inp]]
+        extra = GIBBS if method == "gibbs" else []
+        init.append((f"init write {model}#{inp} {method}",
+                     fit + extra + ["--out", first]))
+        # a Gibbs report starts the MP fit; every other report its own method
+        again = fit if method != "gibbs" else fit[:4] + ["mp-dm"] + fit[5:]
+        init.append((f"init from {model}#{inp} {method}",
+                     again + ["--init-from", first]))
+    init.append(("init write linear#0 exact", [
+        "fit", "--model", "linear", "--method", "exact", "--data",
+        "FILE/c7.csv", "--out", "FILE/init-exact.json"]))
+    init.append(("init from linear#0 exact", [
+        "fit", "--model", "linear", "--method", "mp2", "--data",
+        "FILE/c7.csv", "--init-from", "FILE/init-exact.json"]))
+    init.append(("init toy ignored", [
+        "fit", "--model", "toy", "--method", "mp", "--summary",
+        "FILE/toy.json", "--init-from", "FILE/init-exact.json"]))
+    linear_fit = ["fit", "--model", "linear", "--method", "mp2",
+                  "--data", "FILE/c7.csv"]
+    errors = [
+        ("usage: no command", []),
+        ("usage: unknown model", ["fit", "--model", "nope", "--method", "mp"]),
+        ("usage: method not of model", ["fit", "--model", "linear",
+                                        "--method", "mp-dm", "--data",
+                                        "FILE/c7.csv"]),
+        ("usage: linear without data", ["fit", "--model", "linear",
+                                        "--method", "mfvb"]),
+        ("usage: mvn without input", ["fit", "--model", "mvn", "--method",
+                                      "mp"]),
+        ("usage: toy without summary", ["fit", "--model", "toy", "--method",
+                                        "mp"]),
+        ("usage: max-iter 0", linear_fit + ["--max-iter", "0"]),
+        ("usage: eps 0", linear_fit + ["--eps", "0"]),
+        ("usage: bad --max-iter", linear_fit + ["--max-iter", "x"]),
+        ("usage: compare one method", ["compare", "--model", "linear",
+                                       "--methods", "mp2", "--data",
+                                       "FILE/c7.csv"]),
+        ("usage: compare bad reference", ["compare", "--model", "linear",
+                                          "--methods", "mfvb,mp1",
+                                          "--reference", "gibbs", "--data",
+                                          "FILE/c7.csv"]),
+        ("usage: compare toy", ["compare", "--model", "toy", "--methods",
+                                "mp,mfvb", "--summary", "FILE/toy.json"]),
+        ("usage: gibbs too few draws", [
+            "fit", "--model", "probit", "--method", "gibbs", "--data",
+            "FILE/probit.csv", "--n-samples", "500"]),
+        ("usage: generate toy", ["generate", "--model", "toy", "--out",
+                                 "FILE/x.csv"]),
+        ("usage: generate bad beta", ["generate", "--model", "linear",
+                                      "--beta", "1,x", "--out",
+                                      "FILE/bad-beta.csv"]),
+        ("domain: mvn negative n", ["fit", "--model", "mvn", "--method",
+                                    "exact", "--summary",
+                                    "FILE/mvn-n-negative.json"]),
+        ("domain: toy split out of range", [
+            "fit", "--model", "toy", "--method", "mp", "--summary",
+            "FILE/toy-split-out.json"]),
+        ("io: missing file", ["fit", "--model", "linear", "--method", "mfvb",
+                              "--data", "FILE/missing.csv"]),
+        ("io: unwritable --out", linear_fit + ["--out", "FILE/no/dir.json"]),
+        ("io: generate unwritable", ["generate", "--model", "mvn", "--out",
+                                     "FILE/no/dir.csv"]),
+    ]
+    for name, (model, method, flag) in {
+            "probit-nan.csv": ("probit", "mp-dm", "--data"),
+            "linear-nan.csv": ("linear", "mfvb", "--data"),
+            "bad-cell.csv": ("linear", "mfvb", "--data"),
+            "ragged.csv": ("linear", "mfvb", "--data"),
+            "empty.csv": ("linear", "mfvb", "--data"),
+            "header-only.csv": ("linear", "mfvb", "--data"),
+            "no-y.csv": ("linear", "mfvb", "--data"),
+            "mvn-nan.csv": ("mvn", "exact", "--data"),
+            "not-json.json": ("mvn", "exact", "--summary"),
+            "list.json": ("mvn", "exact", "--summary"),
+            "mvn-n-float.json": ("mvn", "exact", "--summary"),
+            "mvn-n-string.json": ("mvn", "exact", "--summary"),
+            "mvn-xbar-string.json": ("mvn", "mp", "--summary"),
+            "mvn-ragged-S.json": ("mvn", "mp", "--summary"),
+            "mvn-missing-S.json": ("mvn", "mp", "--summary"),
+            "toy-split-float.json": ("toy", "mp", "--summary"),
+            "toy-split-string.json": ("toy", "mp", "--summary"),
+            "toy-nan-mu.json": ("toy", "mfvb", "--summary")}.items():
+        errors.append((f"input: {name}", [
+            "fit", "--model", model, "--method", method, flag,
+            f"FILE/{name}"]))
+    for name, argv in {
+            "init-missing-key.json": linear_fit,
+            "init-no-block.json": linear_fit,
+            "list.json": linear_fit,
+            "not-json.json": linear_fit,
+            "init-linear-nan.json": linear_fit,
+            "init-probit-inf.json": ["fit", "--model", "probit", "--method",
+                                     "mp-dm", "--data", "FILE/probit.csv"],
+            "init-mvn-inf.json": ["fit", "--model", "mvn", "--method", "mp",
+                                  "--summary", "FILE/d9.json"]}.items():
+        errors.append((f"init-from: {name}",
+                       argv + ["--init-from", f"FILE/{name}"]))
+    return gen + fits + density + compare + init + errors
+
+
+_WALL = re.compile(r'("wall_time_s": )[^,\n}]+|(wall time: )\S+ s')
+# a Python warning's "file:line: category: message" and its source line
+_WARNING = re.compile(r"^\S+\.py:\d+: (\w+: .*)\n  .*\n", re.M)
+
+
+def _mask(text: str, tmp: str) -> str:
+    """text without what moves between runs and trees that behave alike:
+    wall times, the temporary directory and where a warning was raised."""
+    text = _WALL.sub(lambda m: (m.group(1) or m.group(2)) + "MASKED", text)
+    return _WARNING.sub(r"\1\n", text).replace(tmp, "TMP")
+
+
+def _run(argv: list[str], tmp: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            rc = exc.code
+    for flag in ("--out", "--density-out"):
+        path = Path(argv[argv.index(flag) + 1]) if flag in argv else None
+        if path is not None and path.exists():
+            out.write(f"--- {flag}\n{path.read_text()}")
+    return rc, _mask(out.getvalue(), tmp), _mask(err.getvalue(), tmp)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in FILES.items():
+            Path(tmp, name).write_text(
+                content if isinstance(content, str) else json.dumps(content))
+        for label, argv in _commands():
+            argv = [a.replace("FILE", tmp, 1) if a.startswith("FILE/") else a
+                    for a in argv]
+            rc, out, err = _run(argv, tmp)
+            print(f"{label:46s} rc={rc} out={_sha(out)} err={_sha(err)}")
+
+
+if __name__ == "__main__":
+    main()

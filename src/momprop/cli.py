@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -137,7 +138,7 @@ def _load_toy(summary_path: str | None) -> ToyGaussianSpec:
     if not summary_path:
         raise UsageError("toy needs --summary (JSON with mu, Sigma, split)")
     return _from_json(summary_path, lambda doc: ToyGaussianSpec(
-        mu=doc["mu"], Sigma=doc["Sigma"], split=int(doc["split"])))
+        mu=doc["mu"], Sigma=doc["Sigma"], split=doc["split"]))
 
 
 # ---------------------------------------------------------------------------
@@ -145,80 +146,45 @@ def _load_toy(summary_path: str | None) -> ToyGaussianSpec:
 
 
 def _jsonify(obj, warnings: list[str], path: str = ""):
-    """Floats become finite-or-null; arrays become nested lists."""
+    """Dicts and lists are walked; every other value, an array or a scalar,
+    becomes its list or Python scalar whole, each non-finite float null."""
     if isinstance(obj, dict):
         return {k: _jsonify(v, warnings, f"{path}.{k}" if path else k)
                 for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v, warnings, f"{path}[{i}]")
                 for i, v in enumerate(obj)]
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist(), warnings, path)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if not np.isfinite(x):
-            warnings.append(f"non-finite value at {path} replaced by null")
-            return None
-        return x
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+    arr = np.asarray(obj)
+    if arr.dtype.kind != "f":
+        return arr.tolist()
+    bad = ~np.isfinite(arr)
+    for idx in np.argwhere(bad):
+        where = "".join(f"[{i}]" for i in idx)
+        warnings.append(f"non-finite value at {path}{where} replaced by null")
+    return (np.where(bad, None, arr) if bad.any() else arr).tolist()
+
+
+# q-density type -> family name in the report; any other record is "moments"
+_FAMILY_NAMES = {GaussianApprox: "gaussian", StudentTApprox: "student_t",
+                 InverseGammaApprox: "inverse_gamma",
+                 InverseWishartApprox: "inverse_wishart",
+                 MomentSummary: "empirical"}
+
+
+def _fields(record) -> dict:
+    """A record's own fields as reported: no method tag, no unset field."""
+    return {k: v for k, v in vars(record).items()
+            if k != "method" and v is not None}
 
 
 def _q_to_json(q: dict) -> dict:
-    out = {}
-    for name, approx in q.items():
-        if isinstance(approx, GaussianApprox):
-            out[name] = {"family": "gaussian", "mean": approx.mean,
-                         "cov": approx.cov}
-        elif isinstance(approx, StudentTApprox):
-            out[name] = {"family": "student_t", "loc": approx.loc,
-                         "scale": approx.scale, "dof": approx.dof}
-        elif isinstance(approx, InverseGammaApprox):
-            out[name] = {"family": "inverse_gamma", "shape": approx.shape,
-                         "scale": approx.scale}
-        elif isinstance(approx, InverseWishartApprox):
-            out[name] = {"family": "inverse_wishart",
-                         "scale_matrix": approx.scale_matrix,
-                         "dof": approx.dof}
-        elif isinstance(approx, MomentSummary):
-            out[name] = {"family": "empirical", "mean": approx.mean,
-                         "cov": approx.cov, "mc_se": approx.mc_se}
-        else:  # auxiliary moments and similar small records
-            out[name] = {"family": "moments",
-                         **{k: v for k, v in vars(approx).items()}}
-    return out
-
-
-def _summary_to_json(s: MomentSummary) -> dict:
-    doc = {"mean": s.mean, "cov": s.cov}
-    if s.scalar_mean is not None:
-        doc["scalar_mean"] = s.scalar_mean
-        doc["scalar_var"] = s.scalar_var
-    if s.mc_se is not None:
-        doc["mc_se"] = s.mc_se
-    return doc
+    return {name: {"family": _FAMILY_NAMES.get(type(approx), "moments"),
+                   **_fields(approx)}
+            for name, approx in q.items()}
 
 
 # ---------------------------------------------------------------------------
 # fitting dispatch
-
-
-@dataclass
-class FitOutcome:
-    """One method's fit as reported. Closed forms keep the defaults;
-    iterative fits copy their FitReport; wall_time_s covers the fit alone."""
-
-    q: dict
-    iterations: int = 0
-    converged: bool = True
-    termination: str = "closed_form"
-    trace: list | None = None
-    wrong_basin: bool | None = None
-    summary: MomentSummary | None = None
-    wall_time_s: float = 0.0
 
 
 def _load_regression(args: argparse.Namespace, data_type):
@@ -227,23 +193,25 @@ def _load_regression(args: argparse.Namespace, data_type):
     return data_type(*_load_xy(args.data, args.intercept))
 
 
+def _closed_form(method: str, q: dict) -> FitReport:
+    return FitReport(method, q, iterations=0, converged=True,
+                     termination="closed_form", trace=None)
+
+
 def _gibbs(args: argparse.Namespace, data: ProbitData,
-           prior: ProbitPrior) -> FitOutcome:
+           prior: ProbitPrior) -> FitReport:
     summ = probit_gibbs_oracle(data, prior, n_samples=args.n_samples,
                                n_warmup=args.n_warmup, seed=args.seed)
-    return FitOutcome({"beta": summ}, args.n_samples, termination="sampling",
-                      summary=summ)
+    return FitReport("gibbs", {"beta": summ}, args.n_samples, converged=True,
+                     termination="sampling", trace=None)
 
 
 def _toy(args: argparse.Namespace, spec: ToyGaussianSpec,
-         method: str) -> FitOutcome:
+         method: str) -> FitReport:
     q1, q2, m1, m2 = toy_gaussian_mp(spec, eps=min(args.eps, 1e-10),
                                      max_iter=max(args.max_iter, 10_000))
     block1, block2 = (q1, q2) if method == "mp" else (m1, m2)
-    cov = block_diag(block1.cov, block2.cov)
-    return FitOutcome({"block1": block1, "block2": block2},
-                      summary=MomentSummary(method=method, mean=spec.mu,
-                                            cov=cov))
+    return _closed_form(method, {"block1": block1, "block2": block2})
 
 
 def _vector_marginals(prefix: str, approx) -> list[tuple[str, str, tuple]]:
@@ -304,21 +272,22 @@ class Model:
     """What the CLI knows about one model.
 
     fits maps each method to fit(args, data, prior, init), args being the
-    parsed command line; a fit returns a FitReport, or a FitOutcome for
-    closed forms and sampling. The entries name the library fitters of this module, looked up at call time, so a
-    wrapper installed under such a name sees every CLI fit. init_from names
-    the q block --init-from reads and turns it into starting-value keywords.
+    parsed command line, which returns a FitReport. The entries name the
+    library fitters of this module, looked up at call time, so a wrapper
+    installed under such a name sees every CLI fit. summary(q, method) gives
+    the reported moments of a fit's q. init_from names the q block
+    --init-from reads and a parse(block, finite) that turns it into
+    starting-value keywords, passing each value through finite.
     """
 
     load: Callable[[argparse.Namespace], Any]
     prior: Callable[[argparse.Namespace, Any], Any]
-    fits: dict[str, Callable[..., FitReport | FitOutcome]]
-    summary: Callable[[dict, str], MomentSummary] | None = None
-    init_from: tuple[str, Callable[[dict], dict]] | None = None
+    fits: dict[str, Callable[..., FitReport]]
+    summary: Callable[[dict, str], MomentSummary]
+    init_from: tuple[str, Callable[[dict, Callable], dict]] | None = None
     reference: str | None = None  # compare's default reference method
     marginals: Callable[[dict], list[tuple[str, str, tuple]]] | None = None
     generate: Callable[[argparse.Namespace], tuple[list, Any]] | None = None
-    wrong_basin: bool = False  # whether fit reports carry wrong_basin
 
 
 MODELS = {
@@ -326,8 +295,9 @@ MODELS = {
         load=lambda args: _load_regression(args, LinearData),
         prior=lambda args, data: LinearPrior(g=args.g, A=args.A, B=args.B),
         fits={
-            "exact": lambda args, data, prior, init: FitOutcome(dict(zip(
-                ("beta", "sigma2"), linear_exact_posterior(data, prior)))),
+            "exact": lambda args, data, prior, init: _closed_form(
+                "exact", dict(zip(("beta", "sigma2"),
+                                  linear_exact_posterior(data, prior)))),
             "mfvb": lambda args, data, prior, init: linear_mfvb_fit(
                 data, prior, args.eps, args.max_iter, **init),
             "mp1": lambda args, data, prior, init: linear_mp1_fit(
@@ -337,8 +307,8 @@ MODELS = {
         },
         summary=lambda q, method: linear_moment_summary(
             q["beta"], q["sigma2"], method),
-        init_from=("sigma2", lambda b: {
-            "init": (float(b["shape"]), float(b["scale"]))}),
+        init_from=("sigma2", lambda b, finite: {
+            "init": finite((float(b["shape"]), float(b["scale"])))}),
         reference="exact",
         marginals=_linear_marginals,
         generate=_generate_linear),
@@ -348,20 +318,21 @@ MODELS = {
             lambda0=args.lambda0, nu0=args.nu0,
             Psi0=args.psi0_scale * np.eye(data.p)),
         fits={
-            "exact": lambda args, data, prior, init: FitOutcome(dict(zip(
-                ("mu", "Sigma"), mvn_exact_posterior(data, prior)))),
+            "exact": lambda args, data, prior, init: _closed_form(
+                "exact", dict(zip(("mu", "Sigma"),
+                                  mvn_exact_posterior(data, prior)))),
             "mfvb": lambda args, data, prior, init: mvn_mfvb_fit(
                 data, prior, args.eps, args.max_iter, **init),
             "mp": lambda args, data, prior, init: mvn_mp_fit(
                 data, prior, args.eps, args.max_iter, **init),
         },
         summary=lambda q, method: mvn_moment_summary(q["mu"], method),
-        init_from=("Sigma", lambda b: {
-            "init": (float(b["dof"]), np.array(b["scale_matrix"], float))}),
+        init_from=("Sigma", lambda b, finite: {
+            "init": (finite(float(b["dof"])),
+                     finite(np.array(b["scale_matrix"], float)))}),
         reference="exact",
         marginals=_mvn_marginals,
-        generate=_generate_mvn,
-        wrong_basin=True),
+        generate=_generate_mvn),
     "probit": Model(
         load=lambda args: _load_regression(args, ProbitData),
         prior=lambda args, data: ProbitPrior.ridge(args.lam, data.p),
@@ -379,10 +350,13 @@ MODELS = {
                 data, prior, args.eps, args.max_iter, init.get("init_mu")),
             "gibbs": lambda args, data, prior, init: _gibbs(args, data, prior),
         },
-        summary=lambda q, method: probit_moment_summary(q["beta"], method),
-        init_from=("beta", lambda b: {
-            "init_mu": np.array(b["mean"], float),
-            "init_Sigma": np.array(b["cov"], float) if "cov" in b else None}),
+        # Gibbs' q(beta) is its own summary, Monte Carlo errors included
+        summary=lambda q, method: (q["beta"] if method == "gibbs" else
+                                   probit_moment_summary(q["beta"], method)),
+        init_from=("beta", lambda b, finite: {
+            "init_mu": finite(np.array(b["mean"], float)),
+            "init_Sigma": (finite(np.array(b["cov"], float)) if "cov" in b
+                           else None)}),
         reference="gibbs",
         marginals=lambda q: _vector_marginals("beta", q["beta"]),
         generate=_generate_probit),
@@ -392,7 +366,10 @@ MODELS = {
         fits={
             "mp": lambda args, spec, prior, init: _toy(args, spec, "mp"),
             "mfvb": lambda args, spec, prior, init: _toy(args, spec, "mfvb"),
-        }),
+        },
+        summary=lambda q, method: MomentSummary(
+            method, np.concatenate([q["block1"].mean, q["block2"].mean]),
+            block_diag(q["block1"].cov, q["block2"].cov))),
 }
 
 
@@ -425,25 +402,26 @@ def _init_values(report: dict, model: Model) -> dict:
     block = report.get("q", {}).get(key)
     if block is None:
         raise InputError(f"--init-from report lacks q.{key}")
-    return parse(block)
+
+    def finite(value):
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"--init-from q.{key} must be finite")
+        return value
+
+    return parse(block, finite)
 
 
 def _fit(args: argparse.Namespace, model: Model, method: str, data, prior,
-         init: dict) -> FitOutcome:
+         init: dict) -> tuple[FitReport, MomentSummary, float]:
+    """The fit's report, its moment summary and the fit call's wall time."""
     t0 = time.perf_counter()
-    out = model.fits[method](args, data, prior, init)
+    report = model.fits[method](args, data, prior, init)
     wall_time_s = time.perf_counter() - t0
-    if isinstance(out, FitReport):
-        out = FitOutcome(out.params, out.iterations, out.converged,
-                         out.termination, out.trace,
-                         out.wrong_basin if model.wrong_basin else None)
-    if out.summary is None:
-        out.summary = model.summary(out.q, method)
-    out.wall_time_s = wall_time_s
-    return out
+    return report, model.summary(report.params, method), wall_time_s
 
 
-def run_fit(args: argparse.Namespace) -> FitOutcome:
+def run_fit(args: argparse.Namespace
+            ) -> tuple[FitReport, MomentSummary, float]:
     model = _model(args.model, args.method)
     return _fit(args, model, args.method, *_load(args, model))
 
@@ -494,27 +472,26 @@ def run_compare(args: argparse.Namespace, methods: list[str],
     outcomes = {m: _fit(args, model, m, data, prior, init)
                 for m in all_methods}
 
-    ref = outcomes[reference]
-    ref_marg = _marginals(args.model, ref.q)
+    ref, ref_summary, _ = outcomes[reference]
     grids = {name: _density_grid(family, params)
-             for name, family, params in ref_marg}
+             for name, family, params in _marginals(args.model, ref.params)}
 
     table = {}
     for method in methods:
-        out = outcomes[method]
+        report, summary, wall_time_s = outcomes[method]
         accs = {}
-        for name, family, params in _marginals(args.model, out.q):
+        for name, family, params in _marginals(args.model, report.params):
             if name in grids:
                 accs[name] = diagnostics.accuracy(grids[name], _density_grid(
                     family, params, grids[name].points))
-        mean_err, sd_err = diagnostics.moment_errors(out.summary, ref.summary)
+        mean_err, sd_err = diagnostics.moment_errors(summary, ref_summary)
         table[method] = {
             "accuracy": accs,
             "mean_err": mean_err,
             "sd_err": sd_err,
-            "iterations": out.iterations,
-            "converged": out.converged,
-            "wall_time_s": out.wall_time_s,
+            "iterations": report.iterations,
+            "converged": report.converged,
+            "wall_time_s": wall_time_s,
         }
     return {"schema": SCHEMA_VERSION, "model": args.model,
             "reference": reference, "methods": table}
@@ -575,9 +552,8 @@ def _pretty_fit(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit_density(outcome: FitOutcome, model: str, name: str,
-                  path: str | None) -> None:
-    marginals = _marginals(model, outcome.q)
+def _emit_density(q: dict, model: str, name: str, path: str | None) -> None:
+    marginals = _marginals(model, q)
     for mname, family, params in marginals:
         if mname == name:
             grid = _density_grid(family, params)
@@ -688,6 +664,7 @@ def _write_report(doc: dict, out: str | None, pretty: bool) -> None:
             print(_pretty_fit(doc))
     else:
         print(_pretty_fit(doc) if pretty else text)
+    sys.stdout.flush()  # a closed stdout fails here, not at exit
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -698,25 +675,25 @@ def main(argv: list[str] | None = None) -> int:
             run_generate(args)
             return 0
         if args.command == "fit":
-            outcome = run_fit(args)
+            report, summary, wall_time_s = run_fit(args)
             doc = {
                 "schema": SCHEMA_VERSION,
                 "model": args.model,
                 "method": args.method,
-                "converged": outcome.converged,
-                "iterations": outcome.iterations,
-                "termination": outcome.termination,
-                "q": _q_to_json(outcome.q),
-                "moments": _summary_to_json(outcome.summary),
-                "wall_time_s": outcome.wall_time_s,
+                "converged": report.converged,
+                "iterations": report.iterations,
+                "termination": report.termination,
+                "q": _q_to_json(report.params),
+                "moments": _fields(summary),
+                "wall_time_s": wall_time_s,
             }
-            if outcome.wrong_basin is not None:
-                doc["wrong_basin"] = outcome.wrong_basin
-            if args.trace and outcome.trace is not None:
-                doc["trace"] = outcome.trace
+            if report.wrong_basin is not None:
+                doc["wrong_basin"] = report.wrong_basin
+            if args.trace and report.trace is not None:
+                doc["trace"] = report.trace
             doc = _encode(doc)
             if args.emit_density:
-                _emit_density(outcome, args.model, args.emit_density,
+                _emit_density(report.params, args.model, args.emit_density,
                               args.density_out)
             _write_report(doc, args.out, args.pretty)
             return 0
@@ -731,6 +708,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except BrokenPipeError:
+        # The reader of stdout is gone. Point stdout at devnull, so that the
+        # interpreter's flush of what is still buffered cannot fail at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written",
+              file=sys.stderr)
         return 3
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

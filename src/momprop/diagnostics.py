@@ -10,7 +10,7 @@ from scipy import stats
 
 from .exceptions import DomainError, NumericError
 from .moments import (GaussianApprox, require_finite, require_spd,
-                      symmetrize)
+                      require_whole, symmetrize)
 from .reports import MomentSummary
 
 GRID_POINTS = 4001
@@ -98,6 +98,7 @@ class ToyGaussianSpec:
     def __post_init__(self):
         self.mu = np.atleast_1d(require_finite(self.mu, "mu"))
         self.Sigma = require_spd(require_finite(self.Sigma, "Sigma"), "Sigma")
+        self.split = require_whole(self.split, "split")
         d = self.mu.shape[0]
         if not 1 <= self.split < d:
             raise DomainError("split must satisfy 1 <= split < dim")

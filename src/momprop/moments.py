@@ -35,6 +35,13 @@ def require_finite(a, name: str) -> np.ndarray:
     return arr
 
 
+def require_whole(x, name: str) -> int:
+    """x as an int, with a fractional or non-finite value rejected."""
+    if not float(x).is_integer():
+        raise DomainError(f"{name} must be a whole number")
+    return int(x)
+
+
 def regression_arrays(y, X) -> tuple[np.ndarray, np.ndarray]:
     """A response vector and design matrix with matching, non-zero row
     counts and finite entries."""

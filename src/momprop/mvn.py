@@ -24,7 +24,7 @@ import numpy as np
 from .exceptions import DomainError
 from .moments import (GaussianApprox, InverseGammaApprox,
                       InverseWishartApprox, StudentTApprox, _iw_match,
-                      require_finite, require_spd, symmetrize)
+                      require_finite, require_spd, require_whole, symmetrize)
 from .reports import FitReport, MomentSummary, fixed_point
 
 
@@ -35,7 +35,7 @@ class MVNData:
     S: np.ndarray
 
     def __post_init__(self):
-        self.n = int(self.n)
+        self.n = require_whole(self.n, "n")
         # n = 0 is allowed (posterior collapses to the prior)
         if self.n < 0:
             raise DomainError("negative sample count")
@@ -134,11 +134,13 @@ def mvn_mfvb_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
         return (dof, Psit, Sig), np.concatenate([mu, Sig.ravel(),
                                                  Psit.ravel(), [dof]])
 
-    return fixed_point(
+    rep = fixed_point(
         "mfvb", step, (*_start(dof, c, init), None),
         lambda s: {"mu": GaussianApprox(mu, s[2]),
                    "Sigma": InverseWishartApprox(s[1], s[0])},
         eps, max_iter)
+    rep.wrong_basin = False  # the mean-field fixed point is unique
+    return rep
 
 
 def mvn_mp_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,

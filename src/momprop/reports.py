@@ -16,13 +16,15 @@ TERMINATED_MAX_ITER = "max_iter"
 
 @dataclass
 class FitReport:
-    """Outcome of one iterative fit.
+    """Outcome of one fit.
 
     params maps q-density names (e.g. "beta", "sigma2") to the fitted
     approximation objects. trace holds the flattened monitored parameter
-    vector after each sweep; convergence is declared at the first sweep
-    whose vector differs from the previous one by less than eps in the
-    max norm.
+    vector after each sweep, and is None for a closed form or a sampler;
+    convergence is declared at the first sweep whose vector differs from
+    the previous one by less than eps in the max norm. wrong_basin stays
+    None unless the model's moment equations have a second, inexact
+    solution; it then tells whether the fit converged to that one.
     """
 
     method: str
@@ -30,8 +32,8 @@ class FitReport:
     iterations: int
     converged: bool
     termination: str
-    trace: list[np.ndarray] = field(default_factory=list)
-    wrong_basin: bool = False
+    trace: list[np.ndarray] | None = field(default_factory=list)
+    wrong_basin: bool | None = None
 
 
 @dataclass

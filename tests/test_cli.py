@@ -4,6 +4,9 @@ schema, density emission, and init-from round trips."""
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,7 +216,28 @@ class TestToyModel:
                                                                 rel=1e-9)
 
 
+class TestEncode:
+    def test_nonfinite_becomes_null_with_a_warning(self):
+        doc = {"a": np.array([[1.5, np.nan], [np.inf, -2.0]]),
+               "b": [0.25, [np.float64(-np.inf), 2]],
+               "x": float("nan"), "i": np.int64(3), "t": np.bool_(True),
+               "n": np.arange(3), "z": None, "s": "text"}
+        out = cli._encode(doc)
+        expected = {"a": [[1.5, None], [None, -2.0]],
+                    "b": [0.25, [None, 2]], "x": None, "i": 3, "t": True,
+                    "n": [0, 1, 2], "z": None, "s": "text",
+                    "warnings": [
+                        f"non-finite value at {path} replaced by null"
+                        for path in ("a[0][1]", "a[1][0]", "b[1][0]", "x")]}
+        assert out == expected
+        # == does not tell 3 from 3.0 or True from 1; the JSON text does
+        assert json.dumps(out) == json.dumps(expected)
+        assert type(out["i"]) is int and type(out["t"]) is bool
+        assert all(type(v) is int for v in out["n"])
+
+
 NAN = float("nan")
+INF = float("inf")
 I2 = [[1.0, 0.0], [0.0, 1.0]]
 PROBIT_ROWS = "y,x1,x2\n1,1.0,0.3\n0,1.0,-0.8\n1,1.0,{}\n0,1.0,0.1\n"
 PROBIT_FITS = {
@@ -223,60 +247,107 @@ PROBIT_FITS = {
     "compare": ["compare", "--model", "probit", "--methods", "mfvb,mp-dm"],
 }
 
-# id -> (argv with FILE for the input and C7 for the five-point CSV, the
-# input's content: text for a CSV, anything else written as JSON, exit code)
+FINITE = "must be finite"
+# id -> (argv with FILE for the input, C7 for the five-point CSV and PROBIT
+# for a probit CSV, the input's content: text for a CSV, anything else
+# written as JSON, exit code, a fragment of the message, FILE for the path)
 BAD_INPUTS = {
     **{f"probit-{cell}-{name}": (argv + ["--data", "FILE"],
-                                 PROBIT_ROWS.format(cell), 2)
+                                 PROBIT_ROWS.format(cell), 2, FINITE)
        for cell in ("inf", "nan") for name, argv in PROBIT_FITS.items()},
     "linear-nan-y": (
         ["fit", "--model", "linear", "--method", "mfvb", "--data", "FILE"],
-        "y,x1\nnan,1\n1.08,1\n-2.14,1\n", 2),
+        "y,x1\nnan,1\n1.08,1\n-2.14,1\n", 2, FINITE),
     "mvn-raw-nan": (
         ["fit", "--model", "mvn", "--method", "exact", "--data", "FILE"],
-        "x1,x2\n0.1,nan\n0.5,0.2\n-0.3,0.9\n", 2),
+        "x1,x2\n0.1,nan\n0.5,0.2\n-0.3,0.9\n", 2, FINITE),
     "toy-nan-mu": (
         ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE"],
-        {"mu": [NAN, 0.0], "Sigma": I2, "split": 1}, 2),
+        {"mu": [NAN, 0.0], "Sigma": I2, "split": 1}, 2, FINITE),
     "toy-nan-Sigma": (
         ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE"],
-        {"mu": [0.0, 0.0], "Sigma": [[NAN, 0.0], [0.0, 1.0]], "split": 1}, 2),
+        {"mu": [0.0, 0.0], "Sigma": [[NAN, 0.0], [0.0, 1.0]], "split": 1}, 2,
+        FINITE),
+    "mvn-summary-n-fraction": (
+        ["fit", "--model", "mvn", "--method", "exact", "--summary", "FILE"],
+        {"n": 4.7, "xbar": [0.0, 0.0], "S": I2}, 2,
+        "n must be a whole number"),
+    "toy-split-fraction": (
+        ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE"],
+        {"mu": [0.0, 0.0], "Sigma": I2, "split": 1.6}, 2,
+        "split must be a whole number"),
+    "init-from-nan-linear": (
+        ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
+         "--init-from", "FILE"],
+        {"q": {"sigma2": {"family": "inverse_gamma", "shape": NAN,
+                          "scale": 1.0}}}, 2,
+        "--init-from q.sigma2 must be finite"),
+    "init-from-inf-probit": (
+        ["fit", "--model", "probit", "--method", "mp-dm", "--data", "PROBIT",
+         "--init-from", "FILE"],
+        {"q": {"beta": {"family": "gaussian", "mean": [INF, 0.0, 0.0]}}}, 2,
+        "--init-from q.beta must be finite"),
     "mvn-summary-n-string": (
         ["fit", "--model", "mvn", "--method", "mp", "--summary", "FILE"],
-        {"n": "abc", "xbar": [0.0, 0.0], "S": I2}, 3),
+        {"n": "abc", "xbar": [0.0, 0.0], "S": I2}, 3, "FILE"),
     "mvn-summary-xbar-string": (
         ["fit", "--model", "mvn", "--method", "mp", "--summary", "FILE"],
-        {"n": 4, "xbar": "zz", "S": I2}, 3),
+        {"n": 4, "xbar": "zz", "S": I2}, 3, "FILE"),
     "mvn-summary-ragged-S": (
         ["fit", "--model", "mvn", "--method", "mp", "--summary", "FILE"],
-        {"n": 4, "xbar": [0.0, 0.0], "S": [[1.0, 0.0], [0.0]]}, 3),
+        {"n": 4, "xbar": [0.0, 0.0], "S": [[1.0, 0.0], [0.0]]}, 3, "FILE"),
     "toy-split-string": (
         ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE"],
-        {"mu": [0.0, 0.0], "Sigma": I2, "split": "x"}, 3),
+        {"mu": [0.0, 0.0], "Sigma": I2, "split": "x"}, 3, "FILE"),
     "init-from-missing-key": (
         ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
-         "--init-from", "FILE"], {"q": {"sigma2": {"shape": 3}}}, 3),
+         "--init-from", "FILE"], {"q": {"sigma2": {"shape": 3}}}, 3, "FILE"),
     "init-from-list": (
         ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
-         "--init-from", "FILE"], [1, 2], 3),
+         "--init-from", "FILE"], [1, 2], 3, "FILE"),
 }
 
 
 class TestErrors:
-    @pytest.mark.parametrize("argv,content,rc", BAD_INPUTS.values(),
+    @pytest.mark.parametrize("argv,content,rc,fragment", BAD_INPUTS.values(),
                              ids=BAD_INPUTS.keys())
-    def test_bad_input_is_typed_error(self, c7_csv, tmp_path, capsys, argv,
-                                      content, rc):
-        """Non-finite data is a domain error (exit 2) and malformed JSON an
-        input error naming the file (exit 3), never a traceback."""
+    def test_bad_input_is_typed_error(self, c7_csv, probit_csv, tmp_path,
+                                      capsys, argv, content, rc, fragment):
+        """Out-of-domain input is a domain error (exit 2) and malformed JSON
+        an input error naming the file (exit 3), never a traceback."""
         path = tmp_path / "input"
         path.write_text(content if isinstance(content, str)
                         else json.dumps(content))
-        argv = [{"FILE": str(path), "C7": c7_csv}.get(a, a) for a in argv]
-        assert run_cli(argv) == rc
+        names = {"FILE": str(path), "C7": c7_csv, "PROBIT": probit_csv}
+        assert run_cli([names.get(a, a) for a in argv]) == rc
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        assert ("must be finite" if rc == 2 else str(path)) in err
+        assert names.get(fragment, fragment) in err
+
+    @pytest.mark.parametrize("extra,lines", [
+        ([], 0),  # the whole report sits in the buffer flushed at exit
+        (["--emit-density", "mu0"], 1),  # the density CSV overfills the pipe
+    ], ids=["report", "density"])
+    def test_closed_stdout_is_io_error(self, d9_json, extra, lines):
+        """A reader that stops early, as `momprop fit ... | head -1` does,
+        gets exit 3 and one error line, with no traceback at any flush."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parent.parent / "src"),
+            env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from momprop.cli import main; sys.exit(main())",
+             "fit", "--model", "mvn", "--method", "exact",
+             "--summary", d9_json, *extra],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 3
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err and "Exception" not in err
 
     def test_invalid_method_model_pair(self, c7_csv):
         rc = run_cli(["fit", "--model", "linear", "--method", "mp-dm",

@@ -141,6 +141,13 @@ class TestToyGaussian:
             if np.max(np.abs(Sigma[:2, 2:])) > 1e-9:
                 assert np.all(np.diag(m1.cov) < np.diag(q1.cov))
 
+    @pytest.mark.parametrize("split", [1.6, np.inf])
+    def test_rejects_fractional_split(self, split):
+        with pytest.raises(DomainError, match="split must be a whole number"):
+            ToyGaussianSpec(mu=np.zeros(3), Sigma=np.eye(3), split=split)
+        assert ToyGaussianSpec(mu=np.zeros(3), Sigma=np.eye(3),
+                               split=2.0).split == 2
+
     def test_split_validation(self):
         with pytest.raises(DomainError):
             ToyGaussianSpec(mu=np.zeros(2), Sigma=np.eye(2), split=2)

@@ -70,6 +70,13 @@ class TestConstantsAndExact:
         with pytest.raises(DomainError):
             MVNData.from_raw(X)
 
+    @pytest.mark.parametrize("n", [4.7, np.inf, np.nan])
+    def test_rejects_fractional_count(self, n):
+        with pytest.raises(DomainError, match="n must be a whole number"):
+            MVNData(n=n, xbar=XBAR, S=S)
+        whole = MVNData(n=4.0, xbar=XBAR, S=S).n
+        assert whole == 4 and type(whole) is int
+
     def test_diag_marginal_consistent_with_iw_moments(self, ref):
         _, Sig_iw = mvn_exact_posterior(*ref)
         for j in range(2):

@@ -1,6 +1,7 @@
 """The experiment scripts run end to end against the library as it stands."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,15 @@ def test_script_prints_its_tables(argv, headers):
     out = run_script(*argv)
     for header in headers:
         assert header in out
+
+
+def test_cli_digest_prints_one_line_per_command(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import cli_digest
+    commands = cli_digest._commands()
+    lines = run_script("cli_digest.py").splitlines()
+    assert len(lines) == len(commands)
+    for (label, _), line in zip(commands, lines):
+        assert re.fullmatch(
+            rf"{re.escape(label)} +rc=\d+ out=[0-9a-f]{{16}} err=[0-9a-f]{{16}}",
+            line)
