@@ -174,7 +174,7 @@ def _commands() -> list[tuple[str, list[str]]]:
     init.append(("init from linear#0 exact", [
         "fit", "--model", "linear", "--method", "mp2", "--data",
         "FILE/c7.csv", "--init-from", "FILE/init-exact.json"]))
-    init.append(("init toy ignored", [
+    init.append(("init toy rejected", [
         "fit", "--model", "toy", "--method", "mp", "--summary",
         "FILE/toy.json", "--init-from", "FILE/init-exact.json"]))
     linear_fit = ["fit", "--model", "linear", "--method", "mp2",

@@ -277,7 +277,8 @@ class Model:
     installed under such a name sees every CLI fit. summary(q, method) gives
     the reported moments of a fit's q. init_from names the q block
     --init-from reads and a parse(block, finite) that turns it into
-    starting-value keywords, passing each value through finite.
+    starting-value keywords, passing each value through finite; a model
+    without one rejects --init-from.
     """
 
     load: Callable[[argparse.Namespace], Any]
@@ -389,6 +390,9 @@ def _load(args: argparse.Namespace, model: Model) -> tuple[Any, Any, dict]:
     """Data, prior and --init-from starting values, each read once."""
     init: dict = {}
     if args.init_from:
+        if model.init_from is None:
+            raise UsageError(
+                f"--init-from is not supported for model {args.model!r}")
         init = _from_json(args.init_from, lambda doc: _init_values(doc, model))
     data = model.load(args)
     return data, model.prior(args, data), init
@@ -396,8 +400,6 @@ def _load(args: argparse.Namespace, model: Model) -> tuple[Any, Any, dict]:
 
 def _init_values(report: dict, model: Model) -> dict:
     """Starting-value keywords from the q block of an earlier report."""
-    if model.init_from is None:
-        return {}
     key, parse = model.init_from
     block = report.get("q", {}).get(key)
     if block is None:
@@ -557,7 +559,10 @@ def _emit_density(q: dict, model: str, name: str, path: str | None) -> None:
     for mname, family, params in marginals:
         if mname == name:
             grid = _density_grid(family, params)
-            fh = open(path, "w", newline="") if path else sys.stdout
+            try:
+                fh = open(path, "w", newline="") if path else sys.stdout
+            except OSError as exc:
+                raise InputError(f"cannot write {path}: {exc}") from exc
             try:
                 writer = csv.writer(fh)
                 writer.writerow(["point", "value"])

@@ -165,6 +165,10 @@ def linear_mp1_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
     """
     _check_sigma2_matching_exists(data, prior)
     c, mu, b_mu, c1, start = _sweep_setup(data, prior, init)
+    # the first sweep scales Sigma by the q(sigma2) mean Bt / (At - 1)
+    if not start[0] > 1.0:
+        raise DomainError("mp1 needs a starting q(sigma2) shape > 1, "
+                          f"got {start[0]}")
 
     def step(state):
         At, Bt, _ = state

@@ -146,14 +146,15 @@ def probit_mfvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
 
 
 def _xi12(variant: str, m: np.ndarray, v: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray]:
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smoothed zeta_1 / zeta_2 at (m_i, v_i), by second-order delta method
-    or by the series/quadrature evaluator."""
+    or by the series/quadrature evaluator, and zeta_2(m_i)."""
     if variant == "dm":
         z = _zeta_orders(4, m)
-        return z[1] + 0.5 * z[3] * v, z[2] + 0.5 * z[4] * v
+        return z[1] + 0.5 * z[3] * v, z[2] + 0.5 * z[4] * v, z[2]
     if variant == "quad":
-        return np.atleast_1d(xi(1, m, v)), np.atleast_1d(xi(2, m, v))
+        x1, x2 = xi((1, 2), m, v)
+        return x1, x2, _zeta_orders(2, m)[2]
     raise DomainError(f"unknown MP variant {variant!r}; use 'dm' or 'quad'")
 
 
@@ -179,8 +180,7 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
         mu, Sig, _ = state
         m = Z @ mu
         v = np.einsum("ij,jk,ik->i", Z, Sig, Z)
-        x1, x2 = _xi12(variant, m, v)
-        z2m = _zeta_orders(2, m)[2]
+        x1, x2, z2m = _xi12(variant, m, v)
         # zeta_2 lies in (-1, 0); equality with 0 only through underflow at
         # huge positive predictors, which is harmless in the updates below.
         if not (np.all(z2m > -1.0) and np.all(z2m <= 0.0)):

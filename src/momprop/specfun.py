@@ -11,7 +11,16 @@ smoothing of zeta_d. Two evaluation strategies are provided:
 * a truncated series in powers of sigma2 (accurate for small sigma2), and
 * mode-finding plus composite trapezoidal quadrature over the effective
   domain of the integrand (used for larger sigma2, where the series may
-  diverge).
+  diverge). It works on whole arrays: Newton's mode search runs on every
+  element at once with a per-element convergence mask, the domain edges
+  are walked for every element at once, and the trapezoid rule runs on
+  one (elements x nodes) array.
+
+The xi evaluators take d as one order or as a tuple of orders; a tuple
+returns one stacked array and lets the orders share the zeta recursion,
+the mode search and the nodes. Every element goes through the same
+arithmetic as in a one-element call, so results do not depend on the
+batch.
 
 All functions are pure and accept scalars or numpy arrays.
 """
@@ -39,7 +48,8 @@ _CF_DEPTH = 64
 # _TAYLOR_TERMS terms (zeta up to order d + 2 (_TAYLOR_TERMS - 1)); the
 # quadrature branch stops Newton's mode search once a step is below
 # _MODE_TOL (failing after _NEWTON_MAX_STEPS steps), bounds the effective
-# domain where the integrand falls below _ED_TOL of its peak, and applies
+# domain where the integrand falls below _ED_TOL of its peak (walking out
+# _WALK_BLOCK steps per round, failing after _WALK_MAX_STEPS), and applies
 # the trapezoid rule with _QUAD_POINTS panels.
 _TAYLOR_THRESHOLD = 0.5
 _TAYLOR_TERMS = 5
@@ -47,6 +57,8 @@ _MODE_TOL = 1e-3
 _ED_TOL = 1e-3
 _QUAD_POINTS = 50
 _NEWTON_MAX_STEPS = 100
+_WALK_BLOCK = 8
+_WALK_MAX_STEPS = 10_000
 
 
 def log_Phi(t):
@@ -71,14 +83,14 @@ def _recip_mills_cf(x: np.ndarray) -> np.ndarray:
 def _zeta1(t: np.ndarray) -> np.ndarray:
     """Inverse Mills ratio phi(t)/Phi(t), stable over the whole real line."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(t)
     lo = t < _CF_CROSSOVER
-    if np.any(lo):
-        out[lo] = _recip_mills_cf(-t[lo])
+    if not lo.any():
+        return np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_ndtr(t))
+    out = np.empty_like(t)
+    out[lo] = _recip_mills_cf(-t[lo])
     hi = ~lo
-    if np.any(hi):
-        th = t[hi]
-        out[hi] = np.exp(-0.5 * th * th - _LOG_SQRT_2PI - log_ndtr(th))
+    th = t[hi]
+    out[hi] = np.exp(-0.5 * th * th - _LOG_SQRT_2PI - log_ndtr(th))
     return out
 
 
@@ -114,130 +126,166 @@ def zeta(k: int, t):
 
 
 def _xi_checked(positive_sigma2: bool = False):
-    """Wrap an xi evaluator kernel(d, mu, sigma2) on broadcast float arrays.
+    """Wrap an xi evaluator kernel(orders, mu, sigma2) on broadcast arrays.
 
-    The wrapper checks d in {0, 1, 2}, finite mu and sigma2, and sigma2 >= 0
-    (> 0 when positive_sigma2), and returns a float for 0-d input.
+    d is one order or a tuple of orders, each in {0, 1, 2}; the kernel gets
+    them as a tuple and returns one row per order. The wrapper checks the
+    orders, finite mu and sigma2, and sigma2 >= 0 (> 0 when
+    positive_sigma2). A tuple d returns the stacked rows, with a leading
+    axis per order; an int d returns its row, a float for 0-d input.
     """
     def wrap(kernel):
         @wraps(kernel)
-        def checked(d: int, mu, sigma2):
-            if d not in (0, 1, 2):
+        def checked(d, mu, sigma2):
+            orders = d if isinstance(d, tuple) else (d,)
+            if not orders or any(k not in (0, 1, 2) for k in orders):
                 raise DomainError("xi order d must be in {0, 1, 2}")
             mu_a, s2_a = np.broadcast_arrays(require_finite(mu, "mu"),
                                              require_finite(sigma2, "sigma2"))
-            if positive_sigma2 and np.any(s2_a <= 0):
+            if positive_sigma2 and (s2_a <= 0).any():
                 raise DomainError("xi_quad requires sigma2 > 0")
-            if np.any(s2_a < 0):
+            if (s2_a < 0).any():
                 raise DomainError("sigma2 must be >= 0")
-            out = kernel(d, mu_a, s2_a)
-            return float(out) if out.ndim == 0 else out
+            out = kernel(tuple(int(k) for k in orders), mu_a, s2_a)
+            if isinstance(d, tuple):
+                return out
+            return float(out[0]) if mu_a.ndim == 0 else out[0]
         return checked
     return wrap
 
 
 @_xi_checked()
-def xi_taylor(d: int, mu, sigma2):
+def xi_taylor(d: int | tuple[int, ...], mu, sigma2):
     """Series evaluation of xi_d: sum_k zeta_{d+2k}(mu) sigma2^k / (2^k k!).
 
     Keeps _TAYLOR_TERMS terms. Intended for sigma2 below _TAYLOR_THRESHOLD;
-    the series need not converge for large sigma2.
+    the series need not converge for large sigma2. One zeta recursion
+    serves every requested order.
     """
-    z = _zeta_orders(d + 2 * (_TAYLOR_TERMS - 1), mu.ravel())
+    z = _zeta_orders(max(d) + 2 * (_TAYLOR_TERMS - 1), mu.ravel())
     s2 = sigma2.ravel()
-    acc = np.zeros_like(s2)
+    acc = np.zeros((len(d), s2.size))
     coef = np.ones_like(s2)
     for k in range(_TAYLOR_TERMS):
         if k > 0:
             coef = coef * s2 / (2.0 * k)
-        acc = acc + z[d + 2 * k] * coef
-    return acc.reshape(mu.shape)
+        for row, dk in zip(acc, d):
+            row += z[dk + 2 * k] * coef
+    return acc.reshape((len(d),) + mu.shape)
 
 
-def _log_integrand(x: np.ndarray, mu: float, sigma2: float) -> np.ndarray:
+def _log_integrand(x, mu, sigma2):
     """Log integrand of xi_1 up to additive constants."""
     return -0.5 * x * x - log_ndtr(x) - 0.5 * (x - mu) ** 2 / sigma2
 
 
-def _find_mode(mu: float, sigma2: float) -> tuple[float, float]:
-    """Mode x* of the xi_1 log-integrand and f''(x*) via Newton's method."""
-    cands = [mu / (1.0 + sigma2),
-             (mu - sigma2 * np.sqrt(2.0 / np.pi))
-             / (sigma2 * (1.0 - np.pi / 2.0) + 1.0)]
-    if mu + sigma2 > 0:
-        cands.append(-np.sqrt(mu + sigma2))
-    vals = _log_integrand(np.array(cands), mu, sigma2)
-    x = float(cands[int(np.argmax(vals))])
+def _find_modes(mu: np.ndarray, sigma2: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Modes x* of the xi_1 log-integrands and f''(x*), for 1-d mu, sigma2.
+
+    Newton runs on every element at once, each started from the best of
+    three closed-form candidates; an element stops moving once its step is
+    below _MODE_TOL.
+    """
+    cands = np.stack([mu / (1.0 + sigma2),
+                      (mu - sigma2 * np.sqrt(2.0 / np.pi))
+                      / (sigma2 * (1.0 - np.pi / 2.0) + 1.0),
+                      -np.sqrt(np.maximum(mu + sigma2, 0.0))])
+    vals = _log_integrand(cands, mu, sigma2)
+    vals[2, mu + sigma2 <= 0] = -np.inf  # no third candidate there
+    x = np.choose(np.argmax(vals, axis=0), cands)
+    moving = np.ones(x.shape, dtype=bool)
     for _ in range(_NEWTON_MAX_STEPS):
-        z1 = float(_zeta1(x)[0])
+        z1 = _zeta1(x)
         z2 = -x * z1 - z1 * z1
         fp = -x - z1 - (x - mu) / sigma2
         fpp = -1.0 - z2 - 1.0 / sigma2
         step = fp / fpp
-        x -= step
-        if abs(step) < _MODE_TOL:
-            z1 = float(_zeta1(x)[0])
-            z2 = -x * z1 - z1 * z1
-            return x, -1.0 - z2 - 1.0 / sigma2
-    raise NumericError(
-        f"mode search did not converge for xi(mu={mu}, sigma2={sigma2})",
-        last_iterate=x)
+        x = np.where(moving, x - step, x)
+        moving &= ~(np.abs(step) < _MODE_TOL)
+        if not moving.any():
+            break
+    else:
+        i = int(np.argmax(moving))
+        raise NumericError(
+            f"mode search did not converge for xi(mu={mu[i]}, "
+            f"sigma2={sigma2[i]})", last_iterate=float(x[i]))
+    z1 = _zeta1(x)
+    z2 = -x * z1 - z1 * z1
+    return x, -1.0 - z2 - 1.0 / sigma2
 
 
-def _xi_quad_scalar(d: int, mu: float, sigma2: float) -> float:
-    x_star, fpp = _find_mode(mu, sigma2)
-    s = 1.0 / np.sqrt(-fpp)
-    f_star = float(_log_integrand(np.array([x_star]), mu, sigma2)[0])
+def _domain_steps(x_star: np.ndarray, s: np.ndarray, mu: np.ndarray,
+                  sigma2: np.ndarray) -> np.ndarray:
+    """Widths, in steps of s, of the effective domain left and right of x*.
 
-    def widen(sign: int) -> int:
-        k = 1
-        while True:
-            f = float(_log_integrand(np.array([x_star + sign * s * k]),
-                                     mu, sigma2)[0])
-            if np.exp(f - f_star) < _ED_TOL:
-                # one guard step past the threshold: the mass between the
-                # _ED_TOL crossing and one extra step is what limits overall
-                # accuracy, and it is cheap to keep.
-                return k + 1
-            k += 1
-            if k > 10_000:
-                raise NumericError("effective-domain search ran away",
-                                   last_iterate=x_star + sign * s * k)
-
-    a = x_star - s * widen(-1)
-    b = x_star + s * widen(+1)
-    nodes = np.linspace(a, b, _QUAD_POINTS + 1)
-    zd = _zeta_orders(d, nodes)[d]
-    dens = np.exp(-0.5 * (nodes - mu) ** 2 / sigma2) / np.sqrt(
-        2.0 * np.pi * sigma2)
-    fx = zd * dens
-    h = (b - a) / _QUAD_POINTS
-    return float(h * (0.5 * fx[0] + fx[1:-1].sum() + 0.5 * fx[-1]))
+    On each side the first k >= 1 where the integrand falls below _ED_TOL
+    of its peak gives k + 1: one guard step past the threshold, since the
+    mass between the crossing and one extra step is what limits overall
+    accuracy. Returns an (elements, 2) array, left column first.
+    """
+    x_star, s, mu, sigma2 = (a[:, None, None] for a in (x_star, s, mu, sigma2))
+    f_star = _log_integrand(x_star, mu, sigma2)
+    sign = np.array([[-1.0], [1.0]])
+    width = np.zeros((x_star.shape[0], 2))
+    rows = slice(None)  # the first round walks every element
+    for k0 in range(1, _WALK_MAX_STEPS + 1, _WALK_BLOCK):
+        k = np.arange(k0, min(k0 + _WALK_BLOCK, _WALK_MAX_STEPS + 1),
+                      dtype=float)
+        f = _log_integrand(x_star[rows] + sign * s[rows] * k, mu[rows],
+                           sigma2[rows])
+        below = np.exp(f - f_star[rows]) < _ED_TOL
+        unset = width[rows] == 0
+        width[rows] = np.where(unset & below.any(axis=2),
+                               k[np.argmax(below, axis=2)] + 1.0, width[rows])
+        rows = np.flatnonzero((width == 0).any(axis=1))
+        if not rows.size:
+            return width
+    i, side = np.argwhere(width == 0)[0]
+    last = x_star + sign * s * _WALK_MAX_STEPS
+    raise NumericError("effective-domain search ran away",
+                       last_iterate=float(last[i, side, 0]))
 
 
 @_xi_checked(positive_sigma2=True)
-def xi_quad(d: int, mu, sigma2):
-    """Quadrature evaluation of xi_d for sigma2 > 0.
+def xi_quad(d: int | tuple[int, ...], mu, sigma2):
+    """Quadrature evaluation of xi_d for sigma2 > 0, on whole arrays.
 
-    Locates the integrand mode (Newton, started from the best of three
-    closed-form candidates), expands left/right in steps of
-    1/sqrt(-f''(x*)) until the integrand falls below _ED_TOL relative to its
-    peak, then applies the composite trapezoid rule on that interval.
+    Locates every integrand mode at once (_find_modes), expands left and
+    right in steps of 1/sqrt(-f''(x*)) until the integrand falls below
+    _ED_TOL relative to its peak (_domain_steps), then applies the
+    composite trapezoid rule on one (elements x _QUAD_POINTS + 1) node
+    array. The mode, the domain and the nodes depend on (mu, sigma2) only,
+    so one zeta recursion on the nodes serves every requested order.
     """
-    flat = [_xi_quad_scalar(d, float(m), float(v))
-            for m, v in zip(mu.ravel(), sigma2.ravel())]
-    return np.array(flat).reshape(mu.shape)
+    m, s2 = mu.ravel(), sigma2.ravel()
+    x_star, fpp = _find_modes(m, s2)
+    s = 1.0 / np.sqrt(-fpp)
+    width = _domain_steps(x_star, s, m, s2)
+    a = x_star - s * width[:, 0]
+    b = x_star + s * width[:, 1]
+    # the nodes of np.linspace(a, b, _QUAD_POINTS + 1), row by row
+    h = (b - a) / _QUAD_POINTS
+    nodes = np.arange(_QUAD_POINTS + 1) * h[:, None] + a[:, None]
+    nodes[:, -1] = b
+    z = _zeta_orders(max(d), nodes)
+    dens = (np.exp(-0.5 * (nodes - m[:, None]) ** 2 / s2[:, None])
+            / np.sqrt(2.0 * np.pi * s2)[:, None])
+    fx = np.stack([z[k] for k in d]) * dens
+    out = h * (0.5 * fx[..., 0] + fx[..., 1:-1].sum(axis=-1)
+               + 0.5 * fx[..., -1])
+    return out.reshape((len(d),) + mu.shape)
 
 
 @_xi_checked()
-def xi(d: int, mu, sigma2):
+def xi(d: int | tuple[int, ...], mu, sigma2):
     """xi_d(mu, sigma2): series branch below sigma2 = 0.5, else quadrature."""
-    out = np.empty(mu.shape, dtype=float)
+    out = np.empty((len(d),) + mu.shape)
     small = sigma2 < _TAYLOR_THRESHOLD
     # the branches are called by their module names, so that a wrapper
     # installed under either name sees every evaluation
     if np.any(small):
-        out[small] = np.atleast_1d(xi_taylor(d, mu[small], sigma2[small]))
+        out[:, small] = xi_taylor(d, mu[small], sigma2[small])
     if np.any(~small):
-        out[~small] = np.atleast_1d(xi_quad(d, mu[~small], sigma2[~small]))
+        out[:, ~small] = xi_quad(d, mu[~small], sigma2[~small])
     return out

@@ -248,9 +248,10 @@ PROBIT_FITS = {
 }
 
 FINITE = "must be finite"
-# id -> (argv with FILE for the input, C7 for the five-point CSV and PROBIT
-# for a probit CSV, the input's content: text for a CSV, anything else
-# written as JSON, exit code, a fragment of the message, FILE for the path)
+# id -> (argv with FILE for the input, C7 for the five-point CSV, PROBIT
+# for a probit CSV and MISSING for a path in a missing directory, the
+# input's content: text for a CSV, anything else written as JSON, exit
+# code, a fragment of the message, FILE or MISSING for that path)
 BAD_INPUTS = {
     **{f"probit-{cell}-{name}": (argv + ["--data", "FILE"],
                                  PROBIT_ROWS.format(cell), 2, FINITE)
@@ -302,6 +303,20 @@ BAD_INPUTS = {
     "init-from-missing-key": (
         ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
          "--init-from", "FILE"], {"q": {"sigma2": {"shape": 3}}}, 3, "FILE"),
+    "init-from-shape-one-linear-mp1": (
+        ["fit", "--model", "linear", "--method", "mp1", "--data", "C7",
+         "--init-from", "FILE"],
+        {"q": {"sigma2": {"family": "inverse_gamma", "shape": 1.0,
+                          "scale": 1.0}}}, 2, "shape > 1"),
+    "init-from-toy": (
+        ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE",
+         "--init-from", "FILE"],
+        {"mu": [0.0, 0.0], "Sigma": I2, "split": 1}, 2,
+        "--init-from is not supported"),
+    "density-out-missing-dir": (
+        ["fit", "--model", "mvn", "--method", "exact", "--summary", "FILE",
+         "--emit-density", "mu0", "--density-out", "MISSING"],
+        {"n": 4, "xbar": [0.0, 0.0], "S": I2}, 3, "MISSING"),
     "init-from-list": (
         ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
          "--init-from", "FILE"], [1, 2], 3, "FILE"),
@@ -318,7 +333,8 @@ class TestErrors:
         path = tmp_path / "input"
         path.write_text(content if isinstance(content, str)
                         else json.dumps(content))
-        names = {"FILE": str(path), "C7": c7_csv, "PROBIT": probit_csv}
+        names = {"FILE": str(path), "C7": c7_csv, "PROBIT": probit_csv,
+                 "MISSING": str(tmp_path / "missing" / "density.csv")}
         assert run_cli([names.get(a, a) for a in argv]) == rc
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err

@@ -164,6 +164,13 @@ class TestMP1:
         with pytest.raises(DomainError):
             linear_mp1_fit(data, LinearPrior(g=1.0, A=0.5, B=1.0))
 
+    @pytest.mark.parametrize("shape", [1.0, 0.5])
+    def test_start_shape_must_exceed_one(self, ref, shape):
+        # shape 1 has no q(sigma2) mean, and a shape in (0, 1) would start
+        # from a negative-definite Sigma
+        with pytest.raises(DomainError, match="shape > 1"):
+            linear_mp1_fit(*ref, init=(shape, 1.0))
+
 
 class TestMP2:
     def test_reference_values(self, ref):

@@ -182,6 +182,32 @@ class TestXiQuad:
                     assert abs(xi_quad(d, mu, s2)
                                - xi_oracle(d, mu, s2)) <= 1e-5
 
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_batch_equals_elementwise(self, d):
+        # the mix varies the Newton step counts and the domain widths; each
+        # element's arithmetic does not depend on the rest of the batch
+        rng = np.random.default_rng(11)
+        mu = rng.uniform(-8.0, 8.0, 300)
+        s2 = rng.uniform(0.5, 10.0, 300)
+        batch = xi_quad(d, mu, s2)
+        one = np.array([xi_quad(d, m, v) for m, v in zip(mu, s2)])
+        assert np.array_equal(batch, one)
+
+    def test_walk_block_does_not_change_result(self, monkeypatch):
+        # every domain here is found in the first round of 8 steps; a block
+        # of one step walks the same k one round at a time
+        mu = np.linspace(-8.0, 8.0, 41)
+        s2 = np.linspace(0.5, 10.0, 41)
+        ref = xi_quad((0, 1, 2), mu, s2)
+        monkeypatch.setattr(specfun, "_WALK_BLOCK", 1)
+        assert np.array_equal(xi_quad((0, 1, 2), mu, s2), ref)
+
+    def test_walk_cap_carries_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_WALK_MAX_STEPS", 2)
+        with pytest.raises(NumericError) as exc:
+            xi_quad(1, np.array([0.0, 3.0]), np.array([2.0, 5.0]))
+        assert exc.value.last_iterate is not None
+
 
 class TestXiDispatch:
     def test_branch_continuity_at_threshold(self):
@@ -213,6 +239,28 @@ class TestXiDispatch:
         assert out[0] == pytest.approx(xi_taylor(1, 0.0, 0.1), rel=1e-14)
         assert out[1] == pytest.approx(xi_quad(1, 1.0, 2.0), rel=1e-14)
         assert out[2] == pytest.approx(zeta(1, -2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("mu,s2", [
+        (np.linspace(-8.0, 8.0, 57), np.linspace(0.0, 10.0, 57)),
+        (np.array([[0.0, 1.0], [-2.0, 3.0]]), np.array([[0.1, 2.0],
+                                                        [0.0, 0.6]])),
+        (np.array(1.5), np.array(0.3)),
+        (np.array(-1.5), np.array(3.0)),
+    ], ids=["mixed", "2-d", "0-d series", "0-d quadrature"])
+    def test_order_tuple_stacks_orders(self, mu, s2):
+        both = xi((1, 2), mu, s2)
+        assert both.shape == (2,) + mu.shape
+        assert np.array_equal(both, np.stack([xi(1, mu, s2), xi(2, mu, s2)]))
+        for fn in (xi_taylor, xi_quad):
+            if fn is xi_quad and np.any(s2 == 0):
+                continue
+            assert np.array_equal(fn((0, 2), mu, s2),
+                                  np.stack([fn(0, mu, s2), fn(2, mu, s2)]))
+
+    @pytest.mark.parametrize("d", [(), (1, 3), [1, 2], 3])
+    def test_rejects_bad_orders(self, d):
+        with pytest.raises(DomainError):
+            xi(d, 0.0, 1.0)
 
     def test_dispatch_against_oracle_both_sides(self):
         for d, mu, s2 in [(1, 0.5, 0.3), (2, -1.5, 0.45), (1, 2.0, 1.5),
