@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -52,10 +53,47 @@ class InputError(Exception):
 
 
 def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """The stripped header and the data rows of a CSV of numbers.
+
+    np.loadtxt reads the rows when it surely reads them as the row parser
+    below would; otherwise that parser reads them and names the first bad
+    row or cell.
+    """
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+            header = next(csv.reader(fh), None)
+            rest = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (csv.Error, UnicodeDecodeError):  # a NUL byte, undecodable text
+        return _parse_csv_rows(path)
+    data = None if header is None else _loadtxt_rows(rest, len(header))
+    if data is None:
+        return _parse_csv_rows(path)
+    return [h.strip() for h in header], data
+
+
+def _loadtxt_rows(text: str, width: int) -> np.ndarray | None:
+    """text's rows by np.loadtxt, or None where they might differ from what
+    the row parser reads: loadtxt raises, skipped a blank line (the row
+    parser rejects it) or found a width other than the header's."""
+    if not text or text.isspace():
+        return None
+    raw = text.encode()  # a quarter of the memory a StringIO would take
+    try:
+        data = np.loadtxt(io.BytesIO(raw), delimiter=",", ndmin=2,
+                          comments=None, encoding="utf-8")
+    except ValueError:
+        return None
+    lines = raw.count(b"\n") + (not raw.endswith(b"\n"))
+    return data if data.shape == (lines, width) else None
+
+
+def _parse_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
+    """Row-by-row CSV parser that names the first bad row or cell."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not rows:

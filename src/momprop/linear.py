@@ -97,14 +97,17 @@ def linear_exact_posterior(data: LinearData, prior: LinearPrior
 
 
 def _sweep_setup(data: LinearData, prior: LinearPrior,
-                 init: tuple[float, float] | None):
+                 init: tuple[float, float] | None, method: str,
+                 min_shape: float):
     """Loop invariants of every sweep and the starting q(sigma2).
 
     q(beta) is centred at u beta_hat in every fitter, so B(beta) = B +
     ||y - X beta||^2 / 2 + beta' X'X beta / (2 g) equals its value at that
     centre plus Q / 2, with Q = (beta - u beta_hat)' (X'X / u) (beta - u
     beta_hat). Returns the constants, the centre, B at the centre, c1 = A +
-    (n + p)/2 and the starting (shape, scale) of q(sigma2).
+    (n + p)/2 and the starting (shape, scale) of q(sigma2), which must have
+    scale > 0 and shape > min_shape, the bound the method's first sweep
+    needs.
     """
     c = linear_constants(data, prior)
     mu = c.u * c.beta_hat
@@ -112,9 +115,15 @@ def _sweep_setup(data: LinearData, prior: LinearPrior,
     b_mu = (prior.B + 0.5 * resid @ resid
             + mu @ c.XtX @ mu / (2.0 * prior.g))
     c1 = prior.A + (data.n + data.p) / 2.0
-    start = ((c1, prior.B + 0.5 * data.y @ data.y) if init is None
-             else (float(init[0]), float(init[1])))
-    return c, mu, b_mu, c1, start
+    shape, scale = ((c1, prior.B + 0.5 * data.y @ data.y) if init is None
+                    else (float(init[0]), float(init[1])))
+    if not shape > min_shape:
+        raise DomainError(f"{method} needs a starting q(sigma2) shape > "
+                          f"{min_shape:g}, got {shape}")
+    if not scale > 0:
+        raise DomainError(f"{method} needs a starting q(sigma2) scale > 0, "
+                          f"got {scale}")
+    return c, mu, b_mu, c1, (shape, scale)
 
 
 def _match_sigma2(EqB: float, VqB: float, c1: float) -> tuple[float, float]:
@@ -138,7 +147,8 @@ def linear_mfvb_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
                     max_iter: int = 500, init: tuple[float, float] | None = None
                     ) -> FitReport:
     """Coordinate-ascent mean-field fit with q(beta) Gaussian, q(sigma2) IG."""
-    c, mu, b_mu, c1, start = _sweep_setup(data, prior, init)
+    # the first sweep scales Sigma by Bt / At
+    c, mu, b_mu, c1, start = _sweep_setup(data, prior, init, "mfvb", 0.0)
 
     def step(state):
         At, Bt, _ = state
@@ -164,11 +174,8 @@ def linear_mp1_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
     full conditional over q(beta) (laws of total expectation/variance).
     """
     _check_sigma2_matching_exists(data, prior)
-    c, mu, b_mu, c1, start = _sweep_setup(data, prior, init)
     # the first sweep scales Sigma by the q(sigma2) mean Bt / (At - 1)
-    if not start[0] > 1.0:
-        raise DomainError("mp1 needs a starting q(sigma2) shape > 1, "
-                          f"got {start[0]}")
+    c, mu, b_mu, c1, start = _sweep_setup(data, prior, init, "mp1", 1.0)
 
     def step(state):
         At, Bt, _ = state
@@ -197,7 +204,8 @@ def linear_mp2_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
     the exact posterior.
     """
     _check_sigma2_matching_exists(data, prior)
-    c, mu, b_mu, c1, start = _sweep_setup(data, prior, init)
+    # the first sweep's t quadratic form needs its dof 2 At above 4
+    c, mu, b_mu, c1, start = _sweep_setup(data, prior, init, "mp2", 2.0)
 
     def step(state):
         At, Bt, _, _ = state

@@ -11,6 +11,13 @@ parametric family: only E_q(a) and (implicitly) V_q(a) enter. Within each
 sweep every zeta/xi evaluation uses the pre-update (mu_beta, Sigma_beta)
 and the two new values are written together, so the n x n V_q(a) is never
 materialized.
+
+A moment-propagation sweep makes three O(n p^2) passes over the rows: the
+predictor variances v_i = z_i^T Sigma_beta z_i and the two weighted Gram
+matrices (Z S)^T diag(1 + xi_2) (Z S) and Z^T diag(1 + zeta_2) (Z S). Each
+pass walks the rows in blocks of _ROW_BLOCK, so its scratch memory is
+O(block p) rather than O(n p); the Laplace Hessian and the delta-method
+ELBO use the same two row-block helpers.
 """
 
 from __future__ import annotations
@@ -28,6 +35,31 @@ from .moments import (GaussianApprox, regression_arrays, require_spd,
 from .reports import (TERMINATED_CONVERGED, TERMINATED_MAX_ITER, FitReport,
                       MomentSummary, check_iteration_args, fixed_point)
 from .specfun import _zeta_orders, xi
+
+
+# rows per block in the O(n p^2) passes; a block's temporaries stay in cache
+_ROW_BLOCK = 1024
+
+
+def _row_quadform(Z: np.ndarray, Sig: np.ndarray) -> np.ndarray:
+    """z_i^T Sig z_i for every row z_i of Z, one block of rows at a time."""
+    out = np.empty(Z.shape[0])
+    for s in range(0, Z.shape[0], _ROW_BLOCK):
+        Zb = Z[s:s + _ROW_BLOCK]
+        out[s:s + _ROW_BLOCK] = np.einsum("ij,ij->i", Zb @ Sig, Zb)
+    return out
+
+
+def _gram(A: np.ndarray, w: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^T diag(w) B, summed over blocks of rows (one product when the rows
+    fit in one block)."""
+    if A.shape[0] <= _ROW_BLOCK:
+        return A.T @ (w[:, None] * B)
+    out = np.zeros((A.shape[1], B.shape[1]))
+    for s in range(0, A.shape[0], _ROW_BLOCK):
+        e = s + _ROW_BLOCK
+        out += A[s:e].T @ (w[s:e, None] * B[s:e])
+    return out
 
 
 @dataclass
@@ -95,7 +127,7 @@ def probit_laplace_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
     for it in range(1, max_iter + 1):
         z = _zeta_orders(2, Z @ beta)
         grad = Z.T @ z[1] - D @ beta
-        H = symmetrize(Z.T @ (z[2][:, None] * Z) - D)
+        H = symmetrize(_gram(Z, z[2], Z) - D)
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError as exc:
@@ -179,7 +211,7 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
     def step(state):
         mu, Sig, _ = state
         m = Z @ mu
-        v = np.einsum("ij,jk,ik->i", Z, Sig, Z)
+        v = _row_quadform(Z, Sig)
         x1, x2, z2m = _xi12(variant, m, v)
         # zeta_2 lies in (-1, 0); equality with 0 only through underflow at
         # huge positive predictors, which is harmless in the updates below.
@@ -187,9 +219,8 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
             raise NumericError("zeta_2 left (-1, 0); iteration is invalid",
                                last_iterate=mu)
         mu_a = m + x1
-        w2 = 1.0 + x2
-        term2 = ZS.T @ (w2[:, None] * ZS)
-        G = Z.T @ ((1.0 + z2m)[:, None] * ZS)
+        term2 = _gram(ZS, 1.0 + x2, ZS)
+        G = _gram(Z, 1.0 + z2m, ZS)
         term3 = G.T @ Sig @ G
         mu = SZt @ mu_a
         Sig = symmetrize(S + term2 + term3)
@@ -206,7 +237,7 @@ def _inv_neg_hessian(Z: np.ndarray, D: np.ndarray, mu: np.ndarray) -> np.ndarray
     """[Z^T diag(-zeta_2(Z mu)) Z + D]^-1, the inverse negative Hessian of
     log p(y, beta) at beta = mu."""
     z2 = _zeta_orders(2, Z @ mu)[2]
-    return np.linalg.inv(symmetrize(Z.T @ (-z2[:, None] * Z) + D))
+    return np.linalg.inv(symmetrize(_gram(Z, -z2, Z) + D))
 
 
 def dmvb_objective_grad(data: ProbitData, prior: ProbitPrior,
@@ -215,14 +246,14 @@ def dmvb_objective_grad(data: ProbitData, prior: ProbitPrior,
     Z, D = data.Z, prior.D
     t = Z @ mu
     z = _zeta_orders(3, t)
-    M = symmetrize(Z.T @ (-z[2][:, None] * Z) + D)
+    M = symmetrize(_gram(Z, -z[2], Z) + D)
     sign, logdet = np.linalg.slogdet(M)
     if sign <= 0:
         raise NumericError("profiled covariance lost positive definiteness",
                            last_iterate=mu)
     val = float(np.sum(log_ndtr(t)) - 0.5 * mu @ D @ mu - 0.5 * logdet)
     Sig = np.linalg.inv(M)
-    h = np.einsum("ij,jk,ik->i", Z, Sig, Z)
+    h = _row_quadform(Z, Sig)
     grad = Z.T @ z[1] - D @ mu + 0.5 * Z.T @ (h * z[3])
     return val, grad
 

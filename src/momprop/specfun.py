@@ -80,17 +80,23 @@ def _recip_mills_cf(x: np.ndarray) -> np.ndarray:
     return x + 1.0 / d
 
 
-def _zeta1(t: np.ndarray) -> np.ndarray:
-    """Inverse Mills ratio phi(t)/Phi(t), stable over the whole real line."""
+def _zeta1(t: np.ndarray, log_phi: np.ndarray | None = None) -> np.ndarray:
+    """Inverse Mills ratio phi(t)/Phi(t), stable over the whole real line.
+
+    log_phi is log_ndtr(t), for a caller that has it already; only the
+    rows with t >= _CF_CROSSOVER read it.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    if log_phi is None:
+        log_phi = log_ndtr(t)
     lo = t < _CF_CROSSOVER
     if not lo.any():
-        return np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_ndtr(t))
+        return np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_phi)
     out = np.empty_like(t)
     out[lo] = _recip_mills_cf(-t[lo])
     hi = ~lo
     th = t[hi]
-    out[hi] = np.exp(-0.5 * th * th - _LOG_SQRT_2PI - log_ndtr(th))
+    out[hi] = np.exp(-0.5 * th * th - _LOG_SQRT_2PI - log_phi[hi])
     return out
 
 
@@ -107,7 +113,7 @@ def _zeta_orders(kmax: int, t) -> list[np.ndarray]:
     arr = np.atleast_1d(require_finite(t, "t"))
     z: list[np.ndarray] = [log_ndtr(arr)]
     if kmax >= 1:
-        z.append(_zeta1(arr))
+        z.append(_zeta1(arr, z[0]))
     for k in range(2, kmax + 1):
         acc = -(arr * z[k - 1] + (k - 2) * z[k - 2])
         for j in range(0, k - 1):

@@ -308,6 +308,12 @@ BAD_INPUTS = {
          "--init-from", "FILE"],
         {"q": {"sigma2": {"family": "inverse_gamma", "shape": 1.0,
                           "scale": 1.0}}}, 2, "shape > 1"),
+    **{f"init-from-shape-zero-linear-{method}": (
+        ["fit", "--model", "linear", "--method", method, "--data", "C7",
+         "--init-from", "FILE"],
+        {"q": {"sigma2": {"family": "inverse_gamma", "shape": 0.0,
+                          "scale": 1.0}}}, 2, f"shape > {bound}")
+       for method, bound in (("mfvb", 0), ("mp2", 2))},
     "init-from-toy": (
         ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE",
          "--init-from", "FILE"],
@@ -320,6 +326,27 @@ BAD_INPUTS = {
     "init-from-list": (
         ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
          "--init-from", "FILE"], [1, 2], 3, "FILE"),
+}
+
+
+# id -> (CSV text, True where np.loadtxt reads it, False where the row
+# parser does)
+CSV_CASES = {
+    "blank-line": ("y,x1\n1,2\n\n3,4\n", False),
+    "trailing-blank-line": ("y,x1\n1,2\n3,4\n\n", False),
+    "hash-cell": ("y,x1\n1,#\n", False),
+    "quoted-number": ('y,x1\n1,"2.5"\n', False),
+    "crlf": ("y,x1\r\n1,2\r\n3,4\r\n", True),
+    "no-final-newline": ("y,x1\n1,2\n3,4", True),
+    "one-data-row": ("y,x1\n1,2.5\n", True),
+    "one-column": ("y\n1\n0\n1\n", True),
+    "padded-cells": ("y , x1\n 1 , 2.5\t\n0,\t-3e-2 \n", True),
+    "nan-inf-cells": ("y,x1,x2\nnan,inf,-inf\nNaN,Infinity,-INF\n", True),
+    "underscore": ("y,x1\n1_000,2\n", False),
+    "ragged-row": ("y,x1\n1,2\n3\n", False),
+    "every-row-too-wide": ("y,x1\n1,2,3\n4,5,6\n", False),
+    "header-only": ("y,x1\n", False),
+    "empty-file": ("", False),
 }
 
 
@@ -390,6 +417,35 @@ class TestErrors:
         rc = run_cli(["fit", "--model", "linear", "--method", "mfvb",
                       "--data", str(path)])
         assert rc == 3
+
+    @pytest.mark.parametrize("text,fast", CSV_CASES.values(),
+                             ids=CSV_CASES.keys())
+    def test_csv_fast_path_matches_row_parser(self, tmp_path, monkeypatch,
+                                              text, fast):
+        """Where np.loadtxt reads a CSV it gives the row parser's array;
+        elsewhere the row parser reads it, with the same InputError."""
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+
+        def outcome(read):
+            try:
+                return read(str(path))
+            except cli.InputError as exc:
+                return str(exc)
+
+        want = outcome(cli._parse_csv_rows)
+        fallbacks = []
+        parse_rows = cli._parse_csv_rows
+        monkeypatch.setattr(cli, "_parse_csv_rows",
+                            lambda p: fallbacks.append(p) or parse_rows(p))
+        got = outcome(cli._read_csv)
+        assert (not fallbacks) == fast
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1], equal_nan=True)
+            assert got[1].shape == want[1].shape
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--model", "linear", "--method", "mfvb"],

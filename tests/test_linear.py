@@ -122,6 +122,23 @@ class TestMFVB:
         expect = ((prior.A + (n + p) / 2) / (prior.A + n / 2)) * prior.B
         assert rep.params["sigma2"].scale == pytest.approx(expect, rel=1e-8)
 
+    @pytest.mark.parametrize("start,match", [
+        ((0.0, 1.0), "shape > 0"),  # the first sweep divides by the shape
+        ((-1.0, 1.0), "shape > 0"),  # a negative-definite first Sigma
+        ((1.0, 0.0), "scale > 0"),
+        ((1.0, -1.0), "scale > 0"),
+    ])
+    def test_start_must_be_positive(self, ref, start, match):
+        with pytest.raises(DomainError, match=match):
+            linear_mfvb_fit(*ref, init=start)
+
+    def test_any_positive_start_reaches_the_fixed_point(self, ref):
+        rep = linear_mfvb_fit(*ref, eps=1e-12, max_iter=2000)
+        other = linear_mfvb_fit(*ref, eps=1e-12, max_iter=2000,
+                                init=(1e-3, 1e-3))
+        assert other.params["sigma2"].scale == pytest.approx(
+            rep.params["sigma2"].scale, rel=1e-10)
+
     def test_max_iter_reports_nonconvergence(self, ref):
         rep = linear_mfvb_fit(*ref, eps=1e-12, max_iter=2)
         assert not rep.converged
@@ -171,6 +188,10 @@ class TestMP1:
         with pytest.raises(DomainError, match="shape > 1"):
             linear_mp1_fit(*ref, init=(shape, 1.0))
 
+    def test_start_scale_must_be_positive(self, ref):
+        with pytest.raises(DomainError, match="scale > 0"):
+            linear_mp1_fit(*ref, init=(3.0, 0.0))
+
 
 class TestMP2:
     def test_reference_values(self, ref):
@@ -195,6 +216,23 @@ class TestMP2:
         assert beta.dof == pytest.approx(beta_ex.dof, rel=1e-8)
         assert s2.shape == pytest.approx(s2_ex.shape, rel=1e-8)
         assert s2.scale == pytest.approx(s2_ex.scale, rel=1e-8)
+
+    @pytest.mark.parametrize("start,match", [
+        ((0.0, 1.0), "shape > 2"),
+        ((2.0, 1.0), "shape > 2"),  # the first t quadratic form needs dof > 4
+        ((3.0, 0.0), "scale > 0"),
+    ])
+    def test_start_bounds(self, ref, start, match):
+        with pytest.raises(DomainError, match=match):
+            linear_mp2_fit(*ref, init=start)
+
+    def test_start_just_above_the_shape_bound(self, ref):
+        rep = linear_mp2_fit(*ref, eps=1e-12, max_iter=2000)
+        other = linear_mp2_fit(*ref, eps=1e-12, max_iter=2000,
+                               init=(2.0 + 1e-6, 1.0))
+        assert other.converged
+        assert other.params["sigma2"].shape == pytest.approx(
+            rep.params["sigma2"].shape, rel=1e-10)
 
     def test_converged_dof(self, ref):
         data, prior = ref

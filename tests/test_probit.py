@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from momprop import probit
 from momprop.datagen import generate_probit
 from momprop.exceptions import DomainError
 from momprop.probit import (ProbitData, ProbitPrior, dmvb_objective_grad,
@@ -188,6 +189,60 @@ class TestMP:
     def test_aux_moments_shape(self, synthetic200):
         rep = probit_mp_fit(*synthetic200, variant="dm")
         assert rep.params["aux"].mean_a.shape == (200,)
+
+
+@pytest.fixture(scope="module")
+def three_blocks_and_five():
+    """Three full row blocks and a partial one in every row-block pass."""
+    y, X = generate_probit(3 * probit._ROW_BLOCK + 5, 4, seed=11)
+    return ProbitData(y, X), ProbitPrior.ridge(0.01, 4)
+
+
+def _max_gap(a, b) -> float:
+    return max(float(np.max(np.abs(a.params["beta"].mean
+                                   - b.params["beta"].mean))),
+               float(np.max(np.abs(a.params["beta"].cov
+                                   - b.params["beta"].cov))))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("variant", ["dm", "quad"])
+    def test_row_permutation_leaves_mp_fit_unchanged(
+            self, three_blocks_and_five, variant):
+        data, prior = three_blocks_and_five
+        perm = np.random.default_rng(3).permutation(data.n)
+        a = probit_mp_fit(data, prior, variant)
+        b = probit_mp_fit(ProbitData(data.y[perm], data.X[perm]), prior,
+                          variant)
+        assert a.converged and b.iterations == a.iterations
+        assert _max_gap(a, b) <= 1e-12
+        assert np.max(np.abs(b.params["aux"].mean_a
+                             - a.params["aux"].mean_a[perm])) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["laplace", "mp-dm", "mp-quad"])
+    def test_block_size_does_not_change_fit(self, three_blocks_and_five,
+                                            monkeypatch, method):
+        data, prior = three_blocks_and_five
+        fit = {"laplace": lambda: probit_laplace_fit(data, prior),
+               "mp-dm": lambda: probit_mp_fit(data, prior, "dm"),
+               "mp-quad": lambda: probit_mp_fit(data, prior, "quad")}[method]
+        a = fit()
+        monkeypatch.setattr(probit, "_ROW_BLOCK", 7)
+        b = fit()
+        assert a.converged and b.iterations == a.iterations
+        assert _max_gap(a, b) <= 1e-12
+
+    def test_dmvb_objective_and_gradient_ignore_block_size(
+            self, three_blocks_and_five, monkeypatch):
+        data, prior = three_blocks_and_five
+        mus = np.random.default_rng(5).standard_normal((4, 4)) * 0.5
+        default = [dmvb_objective_grad(data, prior, mu) for mu in mus]
+        monkeypatch.setattr(probit, "_ROW_BLOCK", 7)
+        for mu, (val, grad) in zip(mus, default):
+            val7, grad7 = dmvb_objective_grad(data, prior, mu)
+            assert abs(val7 - val) <= 1e-12 * max(1.0, abs(val))
+            assert np.max(np.abs(grad7 - grad)) <= 1e-12 * max(
+                1.0, np.max(np.abs(grad)))
 
 
 class TestDMVB:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import log_ndtr
 
 from momprop import specfun
 from momprop.exceptions import DomainError, NumericError
@@ -102,6 +103,18 @@ class TestZeta:
         vec = zeta(4, t)
         for i, ti in enumerate(t):
             assert vec[i] == pytest.approx(zeta(4, float(ti)), rel=1e-14)
+
+    @pytest.mark.parametrize("t", [
+        np.linspace(-40.0, 10.0, 201),  # both branches, -25 itself included
+        np.linspace(-24.0, 10.0, 35),   # direct ratio only
+        np.array([-30.0, -26.0]),       # continued fraction only
+    ], ids=["both-branches", "direct", "continued-fraction"])
+    def test_precomputed_log_phi_is_bit_identical(self, t):
+        # _zeta_orders hands zeta_1 the log Phi it already computed; the
+        # cases sit on both sides of specfun._CF_CROSSOVER = -25
+        assert specfun._CF_CROSSOVER == -25.0
+        assert np.array_equal(_zeta1(t, log_ndtr(t)), _zeta1(t))
+        assert np.array_equal(_zeta_orders(1, t)[1], _zeta1(t))
 
     # recursion-vs-derivative consistency; the constants grow with the
     # magnitude of the (k+3)rd derivative (truncation) and with the
