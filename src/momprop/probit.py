@@ -51,10 +51,7 @@ def _row_quadform(Z: np.ndarray, Sig: np.ndarray) -> np.ndarray:
 
 
 def _gram(A: np.ndarray, w: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A^T diag(w) B, summed over blocks of rows (one product when the rows
-    fit in one block)."""
-    if A.shape[0] <= _ROW_BLOCK:
-        return A.T @ (w[:, None] * B)
+    """A^T diag(w) B, summed over blocks of rows."""
     out = np.zeros((A.shape[1], B.shape[1]))
     for s in range(0, A.shape[0], _ROW_BLOCK):
         e = s + _ROW_BLOCK
