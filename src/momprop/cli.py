@@ -60,12 +60,14 @@ def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
     row or cell.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), None)
             rest = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (csv.Error, UnicodeDecodeError):  # a NUL byte, undecodable text
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+    except csv.Error:  # a NUL byte
         return _parse_csv_rows(path)
     data = None if header is None else _loadtxt_rows(rest, len(header))
     if data is None:
@@ -92,10 +94,12 @@ def _loadtxt_rows(text: str, width: int) -> np.ndarray | None:
 def _parse_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
     """Row-by-row CSV parser that names the first bad row or cell."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     if not rows:
         raise InputError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
@@ -114,6 +118,10 @@ def _parse_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
     if not data:
         raise InputError(f"{path}: no data rows")
     return header, np.array(data)
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> InputError:
+    return InputError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
 def _is_float(s: str) -> bool:
@@ -144,10 +152,12 @@ def _from_json(path: str, build: Callable[[dict], Any]):
     wrong type or shape is an InputError naming the file; a well-formed but
     out-of-domain value stays a DomainError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

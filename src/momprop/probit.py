@@ -171,7 +171,7 @@ def probit_mfvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
         "mfvb", step, (mu, None),
         lambda s: {"beta": GaussianApprox(s[0], S),
                    "aux": AuxiliaryMoments(mean_a=s[1])},
-        eps, max_iter)
+        eps, max_iter, extrapolate=(lambda s: s[0], lambda x: (x, None)))
 
 
 def _xi12(variant: str, m: np.ndarray, v: np.ndarray
@@ -223,11 +223,22 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
         Sig = symmetrize(S + term2 + term3)
         return (mu, Sig, mu_a), np.concatenate([mu, Sig.ravel(), mu_a])
 
+    def pack(state):
+        return np.concatenate([state[0], state[1].ravel()])
+
+    def unpack(x):
+        Sig = x[data.p:].reshape(data.p, data.p)
+        try:
+            np.linalg.cholesky(Sig)
+        except np.linalg.LinAlgError:
+            return None
+        return x[:data.p], Sig, None
+
     return fixed_point(
         f"mp-{variant}", step, (mu, Sig, None),
         lambda s: {"beta": GaussianApprox(s[0], s[1]),
                    "aux": AuxiliaryMoments(mean_a=s[2])},
-        eps, max_iter)
+        eps, max_iter, extrapolate=(pack, unpack))
 
 
 def _inv_neg_hessian(Z: np.ndarray, D: np.ndarray, mu: np.ndarray) -> np.ndarray:

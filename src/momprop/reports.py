@@ -8,7 +8,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, NumericError
 
 TERMINATED_CONVERGED = "converged"
 TERMINATED_MAX_ITER = "max_iter"
@@ -20,11 +20,13 @@ class FitReport:
 
     params maps q-density names (e.g. "beta", "sigma2") to the fitted
     approximation objects. trace holds the flattened monitored parameter
-    vector after each sweep, and is None for a closed form or a sampler;
-    convergence is declared at the first sweep whose vector differs from
-    the previous one by less than eps in the max norm. wrong_basin stays
-    None unless the model's moment equations have a second, inexact
-    solution; it then tells whether the fit converged to that one.
+    vector after each map evaluation (a sweep), and is None for a closed
+    form or a sampler; iterations counts those evaluations, so an iterative
+    fit has len(trace) == iterations. Convergence is declared at the first
+    map output that differs from the previous one by less than eps in the
+    max norm. wrong_basin stays None unless the model's moment equations
+    have a second, inexact solution; it then tells whether the fit
+    converged to that one.
     """
 
     method: str
@@ -61,26 +63,94 @@ def check_iteration_args(eps: float, max_iter: int) -> None:
         raise DomainError(f"max_iter must be at least 1; got {max_iter}")
 
 
+def _squarem_point(x0: np.ndarray, x1: np.ndarray,
+                   x2: np.ndarray) -> np.ndarray | None:
+    """The SQUAREM point x0 - 2 a r + a^2 v from x0 and its two maps
+    x1 = F(x0), x2 = F(x1), where r = x1 - x0, v = x2 - 2 x1 + x0 and
+    a = min(-|r|/|v|, -1); None where a = -1, which would give x2 itself.
+    (Varadhan and Roland, Scand. J. Statist. 35, 2008, scheme S3.)"""
+    r = x1 - x0
+    v = x2 - 2.0 * x1 + x0
+    v_norm = np.linalg.norm(v)
+    if not v_norm > 0.0:
+        return None
+    alpha = -np.linalg.norm(r) / v_norm
+    if not alpha < -1.0:
+        return None
+    return x0 - 2.0 * alpha * r + alpha**2 * v
+
+
+def _squarem(step: Callable[[Any], tuple[Any, np.ndarray]], state: Any,
+             eps: float, max_iter: int, pack: Callable[[Any], np.ndarray],
+             unpack: Callable[[np.ndarray], Any]
+             ) -> tuple[Any, list[np.ndarray], bool]:
+    """fixed_point's loop in SQUAREM cycles: the last state, the trace and
+    whether it converged."""
+    trace: list[np.ndarray] = []
+    converged = False
+
+    def advance(state):
+        nonlocal converged
+        state, vec = step(state)
+        converged = bool(trace) and bool(np.max(np.abs(vec - trace[-1])) < eps)
+        trace.append(vec)
+        return state
+
+    def running() -> bool:
+        return not converged and len(trace) < max_iter
+
+    while running():
+        x0 = pack(state)
+        state = advance(state)
+        if not running():
+            break
+        x1 = pack(state)
+        state = advance(state)
+        if not running():
+            break
+        leap = _squarem_point(x0, x1, pack(state))
+        leap_state = None if leap is None else unpack(leap)
+        if leap_state is not None:
+            try:
+                state = advance(leap_state)
+            except NumericError:
+                pass
+    return state, trace, converged
+
+
 def fixed_point(method: str, step: Callable[[Any], tuple[Any, np.ndarray]],
                 state: Any, params: Callable[[Any], dict[str, Any]],
-                eps: float, max_iter: int) -> FitReport:
+                eps: float, max_iter: int,
+                extrapolate: tuple[Callable[[Any], np.ndarray],
+                                   Callable[[np.ndarray], Any]] | None = None
+                ) -> FitReport:
     """Iterate state, vector = step(state) until the monitored vector is
-    within eps of the previous sweep's in the max norm, or max_iter sweeps.
+    within eps of the previous map output's in the max norm, or max_iter
+    map evaluations.
 
     params(state) builds the q-densities of the report from the last state.
+    extrapolate = (pack, unpack) turns on SQUAREM: pack(state) is the
+    vector x that the map F moves, and unpack(x) the state to map from x,
+    or None if x is not a valid point. Each cycle maps x0 twice, then maps
+    the SQUAREM point once; it goes on from x2 = F(F(x0)) instead when the
+    step length is 1, when unpack rejects the point or when stepping from
+    it raises NumericError. Every map output is a trace entry and counts
+    as an iteration, and the stopping test compares consecutive outputs.
     """
     check_iteration_args(eps, max_iter)
-    trace: list[np.ndarray] = []
-    prev = None
-    converged = False
-    for it in range(1, max_iter + 1):
-        state, vec = step(state)
-        trace.append(vec)
-        if prev is not None and np.max(np.abs(vec - prev)) < eps:
-            converged = True
-            break
-        prev = vec
-    return FitReport(method=method, params=params(state), iterations=it,
-                     converged=converged, trace=trace,
+    if extrapolate is not None:
+        state, trace, converged = _squarem(step, state, eps, max_iter,
+                                           *extrapolate)
+    else:
+        trace, prev, converged = [], None, False
+        for _ in range(max_iter):
+            state, vec = step(state)
+            trace.append(vec)
+            if prev is not None and np.max(np.abs(vec - prev)) < eps:
+                converged = True
+                break
+            prev = vec
+    return FitReport(method=method, params=params(state),
+                     iterations=len(trace), converged=converged, trace=trace,
                      termination=(TERMINATED_CONVERGED if converged
                                   else TERMINATED_MAX_ITER))

@@ -326,6 +326,14 @@ BAD_INPUTS = {
     "init-from-list": (
         ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
          "--init-from", "FILE"], [1, 2], 3, "FILE"),
+    **{f"csv-not-utf8-{where}": (
+        ["fit", "--model", "linear", "--method", "mfvb", "--data", "FILE"],
+        raw, 3, "FILE")
+       for where, raw in (("header", b"y,\xffx1\n1,2\n"),
+                          ("row", b"y,x1\n1,\xff\n"))},
+    "json-not-utf8": (
+        ["fit", "--model", "mvn", "--method", "exact", "--summary", "FILE"],
+        b'{"n": "\xff"}', 3, "FILE"),
 }
 
 
@@ -358,8 +366,11 @@ class TestErrors:
         """Out-of-domain input is a domain error (exit 2) and malformed JSON
         an input error naming the file (exit 3), never a traceback."""
         path = tmp_path / "input"
-        path.write_text(content if isinstance(content, str)
-                        else json.dumps(content))
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content if isinstance(content, str)
+                            else json.dumps(content))
         names = {"FILE": str(path), "C7": c7_csv, "PROBIT": probit_csv,
                  "MISSING": str(tmp_path / "missing" / "density.csv")}
         assert run_cli([names.get(a, a) for a in argv]) == rc
@@ -417,6 +428,17 @@ class TestErrors:
         rc = run_cli(["fit", "--model", "linear", "--method", "mfvb",
                       "--data", str(path)])
         assert rc == 3
+
+    @pytest.mark.parametrize("raw", [b"y,\xffx1\n1,2\n", b"y,x1\n1,\xff\n"],
+                             ids=["header", "row"])
+    def test_csv_not_utf8_is_input_error(self, tmp_path, raw):
+        """Both CSV readers name the file of undecodable text."""
+        path = tmp_path / "in.csv"
+        path.write_bytes(raw)
+        for read in (cli._read_csv, cli._parse_csv_rows):
+            with pytest.raises(cli.InputError) as err:
+                read(str(path))
+            assert str(err.value).startswith(f"{path}: not UTF-8 text")
 
     @pytest.mark.parametrize("text,fast", CSV_CASES.values(),
                              ids=CSV_CASES.keys())

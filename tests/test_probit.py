@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from momprop import probit
+from momprop import probit, reports
 from momprop.datagen import generate_probit
 from momprop.exceptions import DomainError
 from momprop.probit import (ProbitData, ProbitPrior, dmvb_objective_grad,
@@ -189,6 +189,48 @@ class TestMP:
     def test_aux_moments_shape(self, synthetic200):
         rep = probit_mp_fit(*synthetic200, variant="dm")
         assert rep.params["aux"].mean_a.shape == (200,)
+
+
+@pytest.fixture(scope="module")
+def near_separation():
+    """A panel dataset on which the plain MP sweeps contract at about 0.99
+    and stop at the default cap of 500 unconverged."""
+    y, X = generate_probit(57, 5, seed=14)
+    return ProbitData(y, X), ProbitPrior.ridge(0.01, 5)
+
+
+def _plain_sweeps(monkeypatch):
+    """Run the probit fitters on the driver without extrapolation."""
+    def fixed_point(*args, extrapolate=None, **kwargs):
+        return reports.fixed_point(*args, **kwargs)
+    monkeypatch.setattr(probit, "fixed_point", fixed_point)
+
+
+class TestExtrapolation:
+    @pytest.mark.parametrize("method", ["mfvb", "mp-dm", "mp-quad"])
+    def test_near_separation_converges_within_default_cap(
+            self, near_separation, method):
+        data, prior = near_separation
+        rep = (probit_mfvb_fit(data, prior) if method == "mfvb"
+               else probit_mp_fit(data, prior, method[3:]))
+        assert rep.converged and rep.iterations <= 150
+        assert len(rep.trace) == rep.iterations
+
+    def test_no_farther_from_fixed_point_than_plain_sweeps(
+            self, near_separation, monkeypatch):
+        data, prior = near_separation
+        eps = 1e-6
+        fast = probit_mp_fit(data, prior, "dm", eps=eps)
+        _plain_sweeps(monkeypatch)
+        plain = probit_mp_fit(data, prior, "dm", eps=eps, max_iter=2000)
+        ref = probit_mp_fit(data, prior, "dm", eps=1e-13, max_iter=20000)
+        assert fast.converged and plain.converged and ref.converged
+        assert plain.iterations > 5 * fast.iterations
+        assert _max_gap(fast, ref) <= _max_gap(plain, ref)
+        # the mean lies within 10 eps of the reference; the covariance
+        # lies 1.02e-5 away, just beyond
+        assert np.max(np.abs(fast.params["beta"].mean
+                             - ref.params["beta"].mean)) <= 10 * eps
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from momprop.datagen import fixed_linear_dataset, generate_probit
-from momprop.exceptions import DomainError
+from momprop.exceptions import DomainError, NumericError
 from momprop.linear import (LinearData, LinearPrior, linear_mfvb_fit,
                             linear_mp1_fit, linear_mp2_fit)
 from momprop.mvn import MVNData, MVNPrior, mvn_mfvb_fit, mvn_mp_fit
@@ -82,3 +82,110 @@ class TestFixedPoint:
     def test_non_positive_eps(self, eps):
         with pytest.raises(DomainError, match="eps"):
             fixed_point("halve", self.halving, 1.0, lambda s: {}, eps, 10)
+
+
+def _contraction():
+    """x -> A x + b with spectral radius 0.99, and its fixed point."""
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    A = Q @ np.diag([0.99, 0.9, 0.5, 0.1]) @ Q.T
+    b = np.array([1.0, -2.0, 0.5, 3.0])
+    return A, b, np.linalg.solve(np.eye(4) - A, b)
+
+
+def _plain_loop(step, state, eps, max_iter):
+    """The driver's loop before extrapolation existed, kept as a reference:
+    (trace, iterations, converged)."""
+    trace, prev, converged = [], None, False
+    for it in range(1, max_iter + 1):
+        state, vec = step(state)
+        trace.append(vec)
+        if prev is not None and np.max(np.abs(vec - prev)) < eps:
+            converged = True
+            break
+        prev = vec
+    return trace, it, converged
+
+
+class TestSquarem:
+    EPS, MAX_ITER = 1e-10, 5000
+
+    @staticmethod
+    def affine_step(A, b):
+        def step(x):
+            x = A @ x + b
+            return x, x
+        return step
+
+    def run(self, step, extrapolate=None, max_iter=MAX_ITER):
+        return fixed_point("affine", step, np.zeros(4), lambda x: {"x": x},
+                           self.EPS, max_iter, extrapolate=extrapolate)
+
+    def test_fewer_maps_to_the_same_fixed_point(self):
+        A, b, x_star = _contraction()
+        step = self.affine_step(A, b)
+        plain = self.run(step)
+        fast = self.run(step, extrapolate=(lambda x: x, lambda x: x))
+        assert plain.converged and fast.converged
+        assert fast.iterations == len(fast.trace)
+        assert 10 * fast.iterations < plain.iterations
+        # the plain loop stops up to eps * rho / (1 - rho) = 1e-8 away
+        assert np.max(np.abs(plain.params["x"] - x_star)) < 1e-7
+        assert np.max(np.abs(fast.params["x"] - x_star)) < 1e-9
+
+    def test_max_iter_caps_map_evaluations(self):
+        A, b, _ = _contraction()
+        for cap in range(1, 8):
+            rep = self.run(self.affine_step(A, b),
+                           extrapolate=(lambda x: x, lambda x: x),
+                           max_iter=cap)
+            assert rep.iterations == len(rep.trace) == cap
+            assert not rep.converged and rep.termination == "max_iter"
+
+    def test_rejected_point_falls_back_to_plain_maps(self):
+        A, b, x_star = _contraction()
+        step = self.affine_step(A, b)
+        rejected = []
+        rep = self.run(step, extrapolate=(
+            lambda x: x, lambda x: rejected.append(x)))
+        plain = self.run(step)
+        assert rejected and rep.converged
+        assert rep.iterations == plain.iterations
+        assert all(np.array_equal(u, w)
+                   for u, w in zip(rep.trace, plain.trace))
+        assert np.max(np.abs(rep.params["x"] - x_star)) < 1e-7
+
+    def test_numeric_error_on_extrapolated_point_falls_back(self):
+        A, b, x_star = _contraction()
+        affine = self.affine_step(A, b)
+        raised = []
+
+        def step(state):
+            x, leap = state
+            if leap:
+                raised.append(x)
+                raise NumericError("extrapolated point", last_iterate=x)
+            x, vec = affine(x)
+            return (x, False), vec
+
+        rep = fixed_point("affine", step, (np.zeros(4), False),
+                          lambda s: {"x": s[0]}, self.EPS, self.MAX_ITER,
+                          extrapolate=(lambda s: s[0], lambda x: (x, True)))
+        plain = self.run(affine)
+        assert raised and rep.converged
+        assert rep.iterations == len(rep.trace) == plain.iterations
+        assert all(np.array_equal(u, w)
+                   for u, w in zip(rep.trace, plain.trace))
+        assert np.max(np.abs(rep.params["x"] - x_star)) < 1e-7
+
+    @pytest.mark.parametrize("eps,max_iter", [(1e-10, 5000), (1e-3, 5000),
+                                              (1e-10, 7)])
+    def test_plain_trace_is_the_reference_loop(self, eps, max_iter):
+        A, b, _ = _contraction()
+        step = self.affine_step(A, b)
+        rep = fixed_point("affine", step, np.zeros(4), lambda x: {},
+                          eps, max_iter)
+        trace, iterations, converged = _plain_loop(step, np.zeros(4), eps,
+                                                   max_iter)
+        assert (rep.iterations, rep.converged) == (iterations, converged)
+        assert len(rep.trace) == len(trace)
+        assert all(np.array_equal(u, w) for u, w in zip(rep.trace, trace))
