@@ -23,10 +23,11 @@ class FitReport:
     vector after each map evaluation (a sweep), and is None for a closed
     form or a sampler; iterations counts those evaluations, so an iterative
     fit has len(trace) == iterations. Convergence is declared at the first
-    map output that differs from the previous one by less than eps in the
-    max norm. wrong_basin stays None unless the model's moment equations
-    have a second, inexact solution; it then tells whether the fit
-    converged to that one.
+    map output that differs from the previous one, the map's input, by less
+    than eps in the max norm; the output of an extrapolated map (see
+    fixed_point) is never tested. wrong_basin stays None unless the model's
+    moment equations have a second, inexact solution; it then tells whether
+    the fit converged to that one.
     """
 
     method: str
@@ -80,44 +81,6 @@ def _squarem_point(x0: np.ndarray, x1: np.ndarray,
     return x0 - 2.0 * alpha * r + alpha**2 * v
 
 
-def _squarem(step: Callable[[Any], tuple[Any, np.ndarray]], state: Any,
-             eps: float, max_iter: int, pack: Callable[[Any], np.ndarray],
-             unpack: Callable[[np.ndarray], Any]
-             ) -> tuple[Any, list[np.ndarray], bool]:
-    """fixed_point's loop in SQUAREM cycles: the last state, the trace and
-    whether it converged."""
-    trace: list[np.ndarray] = []
-    converged = False
-
-    def advance(state):
-        nonlocal converged
-        state, vec = step(state)
-        converged = bool(trace) and bool(np.max(np.abs(vec - trace[-1])) < eps)
-        trace.append(vec)
-        return state
-
-    def running() -> bool:
-        return not converged and len(trace) < max_iter
-
-    while running():
-        x0 = pack(state)
-        state = advance(state)
-        if not running():
-            break
-        x1 = pack(state)
-        state = advance(state)
-        if not running():
-            break
-        leap = _squarem_point(x0, x1, pack(state))
-        leap_state = None if leap is None else unpack(leap)
-        if leap_state is not None:
-            try:
-                state = advance(leap_state)
-            except NumericError:
-                pass
-    return state, trace, converged
-
-
 def fixed_point(method: str, step: Callable[[Any], tuple[Any, np.ndarray]],
                 state: Any, params: Callable[[Any], dict[str, Any]],
                 eps: float, max_iter: int,
@@ -135,21 +98,32 @@ def fixed_point(method: str, step: Callable[[Any], tuple[Any, np.ndarray]],
     the SQUAREM point once; it goes on from x2 = F(F(x0)) instead when the
     step length is 1, when unpack rejects the point or when stepping from
     it raises NumericError. Every map output is a trace entry and counts
-    as an iteration, and the stopping test compares consecutive outputs.
+    as an iteration. The stopping test compares a plain map's output with
+    the previous one, which is that map's input; the output of a map from
+    a SQUAREM point is not tested, as its input is not in the trace.
     """
     check_iteration_args(eps, max_iter)
-    if extrapolate is not None:
-        state, trace, converged = _squarem(step, state, eps, max_iter,
-                                           *extrapolate)
-    else:
-        trace, prev, converged = [], None, False
-        for _ in range(max_iter):
-            state, vec = step(state)
-            trace.append(vec)
-            if prev is not None and np.max(np.abs(vec - prev)) < eps:
-                converged = True
-                break
-            prev = vec
+    pack, unpack = extrapolate or (None, None)
+    trace: list[np.ndarray] = []
+    converged, cycle = False, []  # cycle: packed x0 and x1 of the cycle
+    while not converged and len(trace) < max_iter:
+        if len(cycle) == 2:
+            leap = _squarem_point(*cycle, pack(state))
+            cycle = []
+            leap_state = None if leap is None else unpack(leap)
+            if leap_state is not None:
+                try:
+                    state, vec = step(leap_state)
+                except NumericError:
+                    pass
+                else:
+                    trace.append(vec)
+                    continue
+        if pack is not None:
+            cycle.append(pack(state))
+        state, vec = step(state)
+        converged = bool(trace) and bool(np.max(np.abs(vec - trace[-1])) < eps)
+        trace.append(vec)
     return FitReport(method=method, params=params(state),
                      iterations=len(trace), converged=converged, trace=trace,
                      termination=(TERMINATED_CONVERGED if converged

@@ -227,8 +227,9 @@ class TestExtrapolation:
         assert fast.converged and plain.converged and ref.converged
         assert plain.iterations > 5 * fast.iterations
         assert _max_gap(fast, ref) <= _max_gap(plain, ref)
-        # the mean lies within 10 eps of the reference; the covariance
-        # lies 1.02e-5 away, just beyond
+        # eps bounds the last change, not the distance to the fixed point,
+        # which at a contraction of 0.99 may be about 100 eps: the mean
+        # lies within 10 eps of the reference, the covariance 1.02e-5 away
         assert np.max(np.abs(fast.params["beta"].mean
                              - ref.params["beta"].mean)) <= 10 * eps
 

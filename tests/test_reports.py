@@ -132,6 +132,21 @@ class TestSquarem:
         assert np.max(np.abs(plain.params["x"] - x_star)) < 1e-7
         assert np.max(np.abs(fast.params["x"] - x_star)) < 1e-9
 
+    def test_extrapolated_map_output_is_not_tested(self):
+        A, b, x_star = _contraction()
+        packed = []
+
+        def pack(x):
+            packed.append(x)
+            return x
+        # unpack hands back x1, so the extrapolated map repeats F(x1) = x2:
+        # a zero change between two outputs whose inputs differ
+        rep = self.run(self.affine_step(A, b),
+                       extrapolate=(pack, lambda x: packed[-2]))
+        assert rep.converged and rep.iterations > 3
+        assert np.array_equal(rep.trace[-1], A @ rep.trace[-2] + b)
+        assert np.max(np.abs(rep.params["x"] - x_star)) < 1e-7
+
     def test_max_iter_caps_map_evaluations(self):
         A, b, _ = _contraction()
         for cap in range(1, 8):
