@@ -206,6 +206,9 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("usage: gibbs too few draws", [
             "fit", "--model", "probit", "--method", "gibbs", "--data",
             "FILE/probit.csv", "--n-samples", "500"]),
+        ("usage: gibbs negative warmup", [
+            "fit", "--model", "probit", "--method", "gibbs", "--data",
+            "FILE/probit.csv", *GIBBS, "--n-warmup", "-5"]),
         ("usage: generate toy", ["generate", "--model", "toy", "--out",
                                  "FILE/x.csv"]),
         ("usage: generate bad beta", ["generate", "--model", "linear",

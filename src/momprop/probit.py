@@ -18,6 +18,14 @@ matrices (Z S)^T diag(1 + xi_2) (Z S) and Z^T diag(1 + zeta_2) (Z S). Each
 pass walks the rows in blocks of _ROW_BLOCK, so its scratch memory is
 O(block p) rather than O(n p); the Laplace Hessian and the delta-method
 ELBO use the same two row-block helpers.
+
+The Gibbs sampler reads two streams spawned from SeedSequence(seed): one
+of uniforms for the a_i draws and one of standard normals for the beta
+draws. It takes them a block of draws at a time (about _GIBBS_CELLS
+uniforms) and writes each draw into a preallocated chain with in-place
+ufuncs, so no draw makes its own RNG call at small n. Gibbs output for a
+given seed therefore differs from versions that drew from one generator
+one draw at a time; its distribution does not.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .exceptions import DomainError, NumericError
 from .moments import (GaussianApprox, regression_arrays, require_spd,
@@ -295,15 +303,48 @@ def probit_dmvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
                      termination=termination)
 
 
+# largest double below 1: scaling 1 - u by it keeps V Phi(m) below 1, so
+# ndtri never sees 1 and a draw stays finite for predictors far above 0
+_BELOW_ONE = 1.0 - 2.0 ** -53
+# below this predictor Phi(m) V, with V as small as 2^-53, can leave the
+# normal doubles; those rows are drawn in log space
+_LOG_TAIL = -36.0
+
+
+def _tail_mass(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out with V = (1 - u)(1 - 2^-53), u uniform on [0, 1), so V lies
+    in (0, 1): the share of the positive mass that a draw leaves above it."""
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    out *= _BELOW_ONE
+    return out
+
+
+def _truncnorm_into(m: np.ndarray, v: np.ndarray, out: np.ndarray
+                    ) -> np.ndarray:
+    """out <- m - Phi^-1(V Phi(m)): draws from N(m, 1) conditioned on being
+    positive (inverse-CDF form), with V from _tail_mass. Rows with m below
+    _LOG_TAIL use m - ndtri_exp(log V + log Phi(m))."""
+    ndtr(m, out=out)
+    np.multiply(out, v, out=out)
+    ndtri(out, out=out)
+    if m[m.argmin()] < _LOG_TAIL:
+        tail = m < _LOG_TAIL
+        out[tail] = ndtri_exp(np.log(v[tail]) + log_ndtr(m[tail]))
+    return np.subtract(m, out, out=out)
+
+
 def _truncnorm_positive(rng: np.random.Generator, m: np.ndarray) -> np.ndarray:
-    """Draws from N(m, 1) conditioned on being positive (inverse-CDF form)."""
-    u = rng.random(m.shape[0])
-    q = np.clip((1.0 - u) * ndtr(m), 1e-300, 1.0 - 1e-16)
-    return m - ndtri(q)
+    """Draws from N(m, 1) conditioned on being positive, one per m_i."""
+    return _truncnorm_into(m, _tail_mass(rng, np.empty_like(m)),
+                           np.empty_like(m))
 
 
 # batches of the Gibbs draws behind the batch-means Monte Carlo error
 _MC_BATCHES = 50
+# Gibbs draws are generated in blocks of max(1, _GIBBS_CELLS // n), so a
+# block's uniforms take about _GIBBS_CELLS doubles
+_GIBBS_CELLS = 1 << 15
 
 
 def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
@@ -314,24 +355,44 @@ def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
     a_i | beta ~ N(z_i^T beta, 1) truncated to (0, inf); beta | a ~
     N(S Z^T a, S). Returns the empirical posterior mean and covariance of
     beta with batch-means Monte Carlo standard errors for the mean.
+
+    The a draws and the beta draws read two streams spawned from
+    SeedSequence(seed), in order and a block of draws at a time, so the
+    chain does not depend on the block size.
     """
     if n_samples < 1000:
         raise DomainError("need at least 1000 samples")
+    if n_warmup < 0:
+        raise DomainError("n_warmup must be non-negative")
     Z = data.Z
+    n, p = Z.shape
     S, SZt = _workspace(data, prior)
-    L = np.linalg.cholesky(S)
-    rng = np.random.default_rng(seed)
-    beta = np.zeros(data.p)
-    draws = np.empty((n_samples, data.p))
-    for t in range(n_warmup + n_samples):
-        a = _truncnorm_positive(rng, Z @ beta)
-        beta = SZt @ a + L @ rng.standard_normal(data.p)
-        if t >= n_warmup:
-            draws[t - n_warmup] = beta
+    Lt = np.linalg.cholesky(S).T
+    rng_u, rng_e = (np.random.default_rng(s)
+                    for s in np.random.SeedSequence(seed).spawn(2))
+    total = n_warmup + n_samples
+    chain = np.empty((total, p))
+    block = max(1, _GIBBS_CELLS // n)
+    V, N, E = np.empty((block, n)), np.empty((block, p)), np.empty((block, p))
+    m, a = np.zeros(n), np.empty(n)  # m = Z beta, starting from beta = 0
+    for s in range(0, total, block):
+        b = min(block, total - s)
+        Vb, Nb, Eb = _tail_mass(rng_u, V[:b]), N[:b], E[:b]
+        rng_e.standard_normal(out=Nb)
+        # E = N L^T column by column, so a row's sums do not depend on b
+        np.multiply(Nb[:, :1], Lt[0], out=Eb)
+        for k in range(1, p):
+            Eb += Nb[:, k:k + 1] * Lt[k]
+        for v, e, beta in zip(Vb, Eb, chain[s:s + b]):
+            _truncnorm_into(m, v, a)
+            np.dot(SZt, a, out=beta)
+            np.add(beta, e, out=beta)
+            np.dot(Z, beta, out=m)
+    draws = chain[n_warmup:]
     mean = draws.mean(axis=0)
-    cov = np.cov(draws.T, ddof=1).reshape(data.p, data.p)
+    cov = np.cov(draws.T, ddof=1).reshape(p, p)
     batch_means = draws[: n_samples - n_samples % _MC_BATCHES].reshape(
-        _MC_BATCHES, -1, data.p).mean(axis=1)
+        _MC_BATCHES, -1, p).mean(axis=1)
     mc_se = batch_means.std(axis=0, ddof=1) / np.sqrt(_MC_BATCHES)
     return MomentSummary(method="gibbs", mean=mean, cov=cov, mc_se=mc_se)
 

@@ -288,6 +288,10 @@ BAD_INPUTS = {
          "--init-from", "FILE"],
         {"q": {"beta": {"family": "gaussian", "mean": [INF, 0.0, 0.0]}}}, 2,
         "--init-from q.beta must be finite"),
+    "gibbs-negative-warmup": (
+        ["fit", "--model", "probit", "--method", "gibbs", "--data", "PROBIT",
+         "--n-samples", "1000", "--n-warmup", "-5"], "", 2,
+        "n_warmup must be non-negative"),
     "mvn-summary-n-string": (
         ["fit", "--model", "mvn", "--method", "mp", "--summary", "FILE"],
         {"n": "abc", "xbar": [0.0, 0.0], "S": I2}, 3, "FILE"),

@@ -7,6 +7,7 @@ zeta_1(b) = b, root 0.5060544689891807 (Brent bracketing, frozen).
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri
 
 from momprop import probit, reports
 from momprop.datagen import generate_probit
@@ -320,6 +321,24 @@ class TestDMVB:
                               - lap.params["beta"].mean) < 0.05
 
 
+def _gibbs_reference(data, prior, n_samples, n_warmup, seed):
+    """Gibbs draws one at a time with plain numpy expressions, reading the
+    two spawned streams in the order the sampler reads them."""
+    Z = data.Z
+    S = np.linalg.inv(Z.T @ Z + prior.D)
+    L = np.linalg.cholesky(S)
+    rng_u, rng_e = (np.random.default_rng(s)
+                    for s in np.random.SeedSequence(seed).spawn(2))
+    beta, draws = np.zeros(data.p), []
+    for _ in range(n_warmup + n_samples):
+        m = Z @ beta
+        v = (1.0 - rng_u.random(data.n)) * (1.0 - 2.0 ** -53)
+        a = m - ndtri(v * ndtr(m))
+        beta = S @ (Z.T @ a) + L @ rng_e.standard_normal(data.p)
+        draws.append(beta)
+    return np.array(draws[n_warmup:])
+
+
 class TestGibbs:
     def test_truncated_normal_mean(self):
         # closed-form mean of the positive-truncated normal: m + zeta_1(m)
@@ -331,6 +350,52 @@ class TestGibbs:
         expect = -2.0 + zeta(1, -2.0)
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - expect) < 3 * se
+
+    @pytest.mark.parametrize("m", [-38.0, -40.0, -60.0, -1e3])
+    def test_far_tail_draws_are_positive(self, m):
+        # Phi(m) V leaves the normal doubles here; the log-space rows must
+        # still land above 0 with the closed-form mean m + zeta_1(m)
+        from momprop.probit import _truncnorm_positive
+        draws = _truncnorm_positive(np.random.default_rng(29),
+                                    np.full(100_000, m))
+        assert np.all(draws > 0)
+        se = draws.std(ddof=1) / np.sqrt(len(draws))
+        assert abs(draws.mean() - (m + zeta(1, m))) < 3 * se
+
+    def test_single_observation_posterior(self, single_obs):
+        # y = 1, x = 1, D = 1: the posterior is proportional to
+        # Phi(b) N(b; 0, 1), a skew normal with mean 1/sqrt(pi) and
+        # variance 1 - 1/pi
+        summ = probit_gibbs_oracle(*single_obs, n_samples=50_000,
+                                   n_warmup=1000, seed=4)
+        assert abs(summ.mean[0] - 1 / np.sqrt(np.pi)) < 4 * summ.mc_se[0]
+        assert summ.cov[0, 0] == pytest.approx(1 - 1 / np.pi, rel=0.03)
+
+    def test_block_size_does_not_change_chain(self, synthetic200,
+                                              monkeypatch):
+        # 2,100 draws: the default block of 163 and a block of 11 both
+        # leave a partial last block
+        a = probit_gibbs_oracle(*synthetic200, n_samples=2000, n_warmup=100,
+                                seed=6)
+        monkeypatch.setattr(probit, "_GIBBS_CELLS", 11 * 200)
+        b = probit_gibbs_oracle(*synthetic200, n_samples=2000, n_warmup=100,
+                                seed=6)
+        for x, y in [(a.mean, b.mean), (a.cov, b.cov), (a.mc_se, b.mc_se)]:
+            assert np.array_equal(x, y)
+
+    def test_matches_per_draw_reference(self, synthetic200):
+        # same streams, same formulas; only the summation order differs
+        summ = probit_gibbs_oracle(*synthetic200, n_samples=2000,
+                                   n_warmup=100, seed=8)
+        ref = _gibbs_reference(*synthetic200, 2000, 100, 8)
+        assert np.allclose(summ.mean, ref.mean(axis=0), rtol=1e-9, atol=0)
+        assert np.allclose(summ.cov, np.cov(ref.T), rtol=1e-9, atol=0)
+
+    def test_warmup_floor(self, single_obs):
+        with pytest.raises(DomainError, match="n_warmup"):
+            probit_gibbs_oracle(*single_obs, n_samples=1000, n_warmup=-5)
+        assert probit_gibbs_oracle(*single_obs, n_samples=1000,
+                                   n_warmup=0).mean.shape == (1,)
 
     def test_prior_dominated_mean_near_zero(self):
         y, X = generate_probit(50, 2, seed=3)
