@@ -214,6 +214,12 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("usage: generate bad beta", ["generate", "--model", "linear",
                                       "--beta", "1,x", "--out",
                                       "FILE/bad-beta.csv"]),
+        ("usage: negative seed generate", [
+            "generate", "--model", "probit", "--n", "20", "--p", "2",
+            "--seed", "-1", "--out", "FILE/negative-seed.csv"]),
+        ("usage: negative seed gibbs", [
+            "fit", "--model", "probit", "--method", "gibbs", "--data",
+            "FILE/probit.csv", *GIBBS[:4], "--seed", "-1"]),
         ("domain: mvn negative n", ["fit", "--model", "mvn", "--method",
                                     "exact", "--summary",
                                     "FILE/mvn-n-negative.json"]),

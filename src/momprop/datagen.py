@@ -20,6 +20,13 @@ FIXED_LINEAR_Y = np.array([-1.48, 1.08, -2.14, 5.54, 1.54])
 _LABEL_DRAWS = 100
 
 
+def seed_sequence(seed: int) -> np.random.SeedSequence:
+    """SeedSequence(seed); a negative seed is a DomainError."""
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative; got {seed}")
+    return np.random.SeedSequence(seed)
+
+
 def fixed_linear_dataset() -> tuple[np.ndarray, np.ndarray]:
     return FIXED_LINEAR_Y.copy(), np.ones((5, 1))
 
@@ -29,7 +36,7 @@ def generate_linear(n: int, p: int, seed: int, beta: np.ndarray | None = None,
     """Gaussian design, y = X beta + sigma * noise."""
     if n < 1 or p < 1:
         raise DomainError("n and p must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     X = rng.standard_normal((n, p))
     if beta is None:
         beta = np.ones(p) / np.sqrt(p)
@@ -45,7 +52,7 @@ def generate_probit(n: int, p: int, seed: int, beta: np.ndarray | None = None,
     appear."""
     if n < 2 or p < 1:
         raise DomainError("need n >= 2 and p >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     X = rng.standard_normal((n, p))
     if intercept:
         X[:, 0] = 1.0
@@ -64,6 +71,6 @@ def generate_mvn(n: int, p: int, seed: int) -> np.ndarray:
     """iid rows from N(0, Sigma) with Sigma = I + 0.5 off-diagonal."""
     if n < 1 or p < 1:
         raise DomainError("n and p must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     L = np.linalg.cholesky(0.5 * np.ones((p, p)) + 0.5 * np.eye(p))
     return rng.standard_normal((n, p)) @ L.T

@@ -19,6 +19,12 @@ pass walks the rows in blocks of _ROW_BLOCK, so its scratch memory is
 O(block p) rather than O(n p); the Laplace Hessian and the delta-method
 ELBO use the same two row-block helpers.
 
+Laplace and delta-method VB (dmvb) take damped Newton steps on the same
+driver, dmvb's preconditioned by the inverse of its profiled covariance;
+a step is halved until the objective does not fall. A fit stops once a
+step moves its mean by less than eps in the max norm; the first step is
+never tested, so a fit started at its own optimum takes two.
+
 The Gibbs sampler reads two streams spawned from SeedSequence(seed): one
 of uniforms for the a_i draws and one of standard normals for the beta
 draws. It takes them a block of draws at a time (about _GIBBS_CELLS
@@ -31,17 +37,17 @@ one draw at a time; its distribution does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
+from .datagen import seed_sequence
 from .exceptions import DomainError, NumericError
 from .moments import (GaussianApprox, regression_arrays, require_spd,
                       symmetrize)
-from .reports import (TERMINATED_CONVERGED, TERMINATED_MAX_ITER, FitReport,
-                      MomentSummary, check_iteration_args, fixed_point)
+from .reports import FitReport, MomentSummary, fixed_point
 from .specfun import _zeta_orders, xi
 
 
@@ -114,50 +120,57 @@ def _workspace(data: ProbitData, prior: ProbitPrior
     return S, S @ data.Z.T
 
 
+def _damped_newton(method: str, data: ProbitData, prior: ProbitPrior,
+                   objective: Callable[[np.ndarray], float],
+                   direction: Callable[[np.ndarray], np.ndarray],
+                   init: np.ndarray | None, eps: float,
+                   max_iter: int) -> FitReport:
+    """Damped Newton ascent from init (zero by default), halving direction(x)
+    up to 30 times until objective (kept in the state) falls by at most
+    1e-12 of its size. q(beta) is N(x, [-Hessian of log p(y, beta)]^-1)."""
+
+    def step(state):
+        x, f = state
+        d = direction(x)
+        scale = 1.0
+        for _ in range(30):
+            cand = x + scale * d
+            f_new = objective(cand)
+            if f_new >= f - 1e-12 * abs(f):
+                break
+            scale *= 0.5
+        return (cand, f_new), cand
+
+    def params(state):
+        z2 = _zeta_orders(2, data.Z @ state[0])[2]
+        cov = np.linalg.inv(symmetrize(_gram(data.Z, -z2, data.Z) + prior.D))
+        return {"beta": GaussianApprox(state[0], symmetrize(cov))}
+
+    x = (np.zeros(data.p) if init is None
+         else np.asarray(init, dtype=float).copy())
+    return fixed_point(method, step, (x, objective(x)), params, eps, max_iter)
+
+
 def probit_laplace_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
                        max_iter: int = 500,
                        init: np.ndarray | None = None) -> FitReport:
-    """Newton ascent of log p(y, beta); returns the mode and inverse negative
-    Hessian [Z^T diag(-zeta_2(Z beta)) Z + D]^-1."""
-    check_iteration_args(eps, max_iter)
+    """Damped Newton ascent of log p(y, beta); returns the mode and inverse
+    negative Hessian [Z^T diag(-zeta_2(Z beta)) Z + D]^-1."""
     Z, D = data.Z, prior.D
-    beta = (np.zeros(data.p) if init is None
-            else np.asarray(init, dtype=float).copy())
 
     def objective(b):
         return float(np.sum(log_ndtr(Z @ b)) - 0.5 * b @ D @ b)
 
-    f_cur = objective(beta)
-    trace: list[np.ndarray] = []
-    for it in range(1, max_iter + 1):
+    def direction(beta):
         z = _zeta_orders(2, Z @ beta)
-        grad = Z.T @ z[1] - D @ beta
         H = symmetrize(_gram(Z, z[2], Z) - D)
         try:
-            step = np.linalg.solve(H, grad)
+            return -np.linalg.solve(H, Z.T @ z[1] - D @ beta)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError("singular Hessian in Newton step") from exc
-        # damped Newton: halve until the objective does not decrease
-        scale = 1.0
-        for _ in range(30):
-            cand = beta - scale * step
-            f_new = objective(cand)
-            if f_new >= f_cur - 1e-12 * abs(f_cur):
-                break
-            scale *= 0.5
-        beta, f_cur = cand, f_new
-        trace.append(beta.copy())
-        if np.max(np.abs(scale * step)) < eps:
-            termination = TERMINATED_CONVERGED
-            break
-    else:
-        termination = TERMINATED_MAX_ITER
-    cov = symmetrize(_inv_neg_hessian(Z, D, beta))
-    return FitReport(method="laplace",
-                     params={"beta": GaussianApprox(beta, cov)},
-                     iterations=it,
-                     converged=termination == TERMINATED_CONVERGED,
-                     termination=termination, trace=trace)
+
+    return _damped_newton("laplace", data, prior, objective, direction, init,
+                          eps, max_iter)
 
 
 def probit_mfvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
@@ -249,58 +262,47 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
         eps, max_iter, extrapolate=(pack, unpack))
 
 
-def _inv_neg_hessian(Z: np.ndarray, D: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """[Z^T diag(-zeta_2(Z mu)) Z + D]^-1, the inverse negative Hessian of
-    log p(y, beta) at beta = mu."""
-    z2 = _zeta_orders(2, Z @ mu)[2]
-    return np.linalg.inv(symmetrize(_gram(Z, -z2, Z) + D))
+def _dmvb_objective(Z: np.ndarray, D: np.ndarray, mu: np.ndarray
+                    ) -> tuple[float, list[np.ndarray], tuple]:
+    """Profiled delta-method ELBO at mu, zeta orders 0..3 at Z mu, and the
+    Cholesky factor of M = Z^T diag(-zeta_2(Z mu)) Z + D."""
+    z = _zeta_orders(3, Z @ mu)
+    try:
+        cf = cho_factor(symmetrize(_gram(Z, -z[2], Z) + D))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("profiled covariance lost positive definiteness",
+                           last_iterate=mu) from exc
+    half_logdet = np.sum(np.log(np.diag(cf[0])))
+    return float(np.sum(z[0]) - 0.5 * mu @ D @ mu - half_logdet), z, cf
+
+
+def _dmvb_ascent(Z: np.ndarray, D: np.ndarray, mu: np.ndarray
+                 ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Profiled ELBO at mu, its gradient g and the ascent direction M^-1 g,
+    all from one Cholesky factor of M."""
+    val, z, cf = _dmvb_objective(Z, D, mu)
+    h = _row_quadform(Z, cho_solve(cf, np.eye(mu.size)))
+    grad = Z.T @ z[1] - D @ mu + 0.5 * Z.T @ (h * z[3])
+    return val, grad, cho_solve(cf, grad)
 
 
 def dmvb_objective_grad(data: ProbitData, prior: ProbitPrior,
                         mu: np.ndarray) -> tuple[float, np.ndarray]:
     """Profiled delta-method ELBO (covariance solved out) and its gradient."""
-    Z, D = data.Z, prior.D
-    t = Z @ mu
-    z = _zeta_orders(3, t)
-    M = symmetrize(_gram(Z, -z[2], Z) + D)
-    sign, logdet = np.linalg.slogdet(M)
-    if sign <= 0:
-        raise NumericError("profiled covariance lost positive definiteness",
-                           last_iterate=mu)
-    val = float(np.sum(log_ndtr(t)) - 0.5 * mu @ D @ mu - 0.5 * logdet)
-    Sig = np.linalg.inv(M)
-    h = _row_quadform(Z, Sig)
-    grad = Z.T @ z[1] - D @ mu + 0.5 * Z.T @ (h * z[3])
-    return val, grad
+    return _dmvb_ascent(data.Z, prior.D, mu)[:2]
 
 
 def probit_dmvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
                     max_iter: int = 500,
                     init_mu: np.ndarray | None = None) -> FitReport:
-    """Quasi-Newton ascent of the profiled delta-method ELBO.
-
-    The contract is on the returned stationary point: max-norm of the
-    gradient below eps.
-    """
-    check_iteration_args(eps, max_iter)
-    mu0 = (np.zeros(data.p) if init_mu is None
-           else np.asarray(init_mu, dtype=float))
-
-    def neg(muv):
-        val, grad = dmvb_objective_grad(data, prior, muv)
-        return -val, -grad
-
-    res = minimize(neg, mu0, jac=True, method="BFGS",
-                   options={"gtol": eps, "maxiter": max_iter})
-    mu = res.x
-    grad_norm = float(np.max(np.abs(res.jac)))
-    Sig = symmetrize(_inv_neg_hessian(data.Z, prior.D, mu))
-    converged = grad_norm < 10.0 * eps
-    termination = (TERMINATED_CONVERGED if converged else
-                   f"optimizer stopped: {res.message} (|grad|={grad_norm:.2e})")
-    return FitReport(method="dmvb", params={"beta": GaussianApprox(mu, Sig)},
-                     iterations=int(res.nit), converged=converged,
-                     termination=termination)
+    """Damped Newton ascent of the profiled delta-method ELBO along M^-1 g
+    (g the gradient, M = Z^T diag(-zeta_2(Z mu)) Z + D); stops on a step
+    below eps in the max norm, so a restart from the optimum takes two."""
+    Z, D = data.Z, prior.D
+    return _damped_newton("dmvb", data, prior,
+                          lambda mu: _dmvb_objective(Z, D, mu)[0],
+                          lambda mu: _dmvb_ascent(Z, D, mu)[2],
+                          init_mu, eps, max_iter)
 
 
 # largest double below 1: scaling 1 - u by it keeps V Phi(m) below 1, so
@@ -369,7 +371,7 @@ def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
     S, SZt = _workspace(data, prior)
     Lt = np.linalg.cholesky(S).T
     rng_u, rng_e = (np.random.default_rng(s)
-                    for s in np.random.SeedSequence(seed).spawn(2))
+                    for s in seed_sequence(seed).spawn(2))
     total = n_warmup + n_samples
     chain = np.empty((total, p))
     block = max(1, _GIBBS_CELLS // n)

@@ -1,5 +1,5 @@
 """Fit reports, posterior moment summaries, and the fixed-point driver
-shared by the mean-field and moment-propagation fitters."""
+shared by every iterative fitter (sweeps and damped Newton steps)."""
 
 from __future__ import annotations
 
@@ -9,10 +9,6 @@ from typing import Any, Callable
 import numpy as np
 
 from .exceptions import DomainError, NumericError
-
-TERMINATED_CONVERGED = "converged"
-TERMINATED_MAX_ITER = "max_iter"
-
 
 @dataclass
 class FitReport:
@@ -56,14 +52,6 @@ class MomentSummary:
         self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
 
 
-def check_iteration_args(eps: float, max_iter: int) -> None:
-    """Reject a non-positive tolerance or an iteration cap below one."""
-    if not eps > 0:
-        raise DomainError("eps must be positive")
-    if not max_iter >= 1:
-        raise DomainError(f"max_iter must be at least 1; got {max_iter}")
-
-
 def _squarem_point(x0: np.ndarray, x1: np.ndarray,
                    x2: np.ndarray) -> np.ndarray | None:
     """The SQUAREM point x0 - 2 a r + a^2 v from x0 and its two maps
@@ -102,7 +90,10 @@ def fixed_point(method: str, step: Callable[[Any], tuple[Any, np.ndarray]],
     the previous one, which is that map's input; the output of a map from
     a SQUAREM point is not tested, as its input is not in the trace.
     """
-    check_iteration_args(eps, max_iter)
+    if not eps > 0:
+        raise DomainError("eps must be positive")
+    if not max_iter >= 1:
+        raise DomainError(f"max_iter must be at least 1; got {max_iter}")
     pack, unpack = extrapolate or (None, None)
     trace: list[np.ndarray] = []
     converged, cycle = False, []  # cycle: packed x0 and x1 of the cycle
@@ -126,5 +117,4 @@ def fixed_point(method: str, step: Callable[[Any], tuple[Any, np.ndarray]],
         trace.append(vec)
     return FitReport(method=method, params=params(state),
                      iterations=len(trace), converged=converged, trace=trace,
-                     termination=(TERMINATED_CONVERGED if converged
-                                  else TERMINATED_MAX_ITER))
+                     termination="converged" if converged else "max_iter")

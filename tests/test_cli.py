@@ -292,6 +292,13 @@ BAD_INPUTS = {
         ["fit", "--model", "probit", "--method", "gibbs", "--data", "PROBIT",
          "--n-samples", "1000", "--n-warmup", "-5"], "", 2,
         "n_warmup must be non-negative"),
+    "generate-negative-seed": (
+        ["generate", "--model", "probit", "--n", "20", "--p", "2", "--seed",
+         "-1", "--out", "FILE"], "", 2, "seed must be non-negative"),
+    "gibbs-negative-seed": (
+        ["fit", "--model", "probit", "--method", "gibbs", "--data", "PROBIT",
+         "--n-samples", "1000", "--seed", "-1"], "", 2,
+        "seed must be non-negative"),
     "mvn-summary-n-string": (
         ["fit", "--model", "mvn", "--method", "mp", "--summary", "FILE"],
         {"n": "abc", "xbar": [0.0, 0.0], "S": I2}, 3, "FILE"),

@@ -10,8 +10,8 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from momprop import probit, reports
-from momprop.datagen import generate_probit
-from momprop.exceptions import DomainError
+from momprop.datagen import generate_linear, generate_mvn, generate_probit
+from momprop.exceptions import DomainError, NumericError
 from momprop.probit import (ProbitData, ProbitPrior, dmvb_objective_grad,
                             probit_dmvb_fit, probit_gibbs_oracle,
                             probit_laplace_fit, probit_mfvb_fit,
@@ -321,6 +321,75 @@ class TestDMVB:
                               - lap.params["beta"].mean) < 0.05
 
 
+NEWTON_FITS = {"laplace": probit_laplace_fit, "dmvb": probit_dmvb_fit}
+
+
+class TestNewtonFits:
+    """Laplace and dmvb: damped Newton steps on the fixed-point driver."""
+
+    def test_dmvb_converges_where_bfgs_stopped_short(self):
+        # BFGS stopped here on precision loss after 31 iterations with
+        # max |grad| = 1.4e-5
+        y, X = generate_probit(50_000, 20, seed=1840210241)
+        data, prior = ProbitData(y, X), ProbitPrior.ridge(0.01, 20)
+        rep = probit_dmvb_fit(data, prior, eps=1e-6)
+        assert rep.converged and rep.iterations <= 10
+        _, grad = dmvb_objective_grad(data, prior, rep.params["beta"].mean)
+        assert np.max(np.abs(grad)) < 1e-6
+
+    def test_dmvb_factor_rejected_by_cholesky_is_numeric_error(
+            self, synthetic200, monkeypatch):
+        data, prior = synthetic200
+        # every Gram matrix -2 D makes M = -D, which is not positive definite
+        monkeypatch.setattr(probit, "_gram", lambda A, w, B: -2.0 * prior.D)
+        with pytest.raises(NumericError, match="lost positive definiteness"):
+            probit_dmvb_fit(data, prior)
+
+    @pytest.mark.parametrize("method", NEWTON_FITS)
+    def test_trace_has_one_iterate_per_step(self, synthetic200, method):
+        rep = NEWTON_FITS[method](*synthetic200)
+        assert rep.converged and rep.termination == "converged"
+        assert len(rep.trace) == rep.iterations >= 2
+        assert np.array_equal(rep.trace[-1], rep.params["beta"].mean)
+
+    @pytest.mark.parametrize("method", NEWTON_FITS)
+    def test_restart_from_optimum_takes_two_steps(self, synthetic200,
+                                                  method):
+        """The driver never tests the first step, so a fit started at its
+        own optimum stops after the second."""
+        first = NEWTON_FITS[method](*synthetic200)
+        start = {"laplace": "init", "dmvb": "init_mu"}[method]
+        again = NEWTON_FITS[method](*synthetic200,
+                                    **{start: first.params["beta"].mean})
+        assert again.converged and again.iterations == 2
+        assert np.max(np.abs(again.params["beta"].mean
+                             - first.params["beta"].mean)) <= 1e-6
+
+    @pytest.mark.parametrize("method", NEWTON_FITS)
+    def test_row_permutation_leaves_fit_unchanged(self, three_blocks_and_five,
+                                                  method):
+        data, prior = three_blocks_and_five
+        perm = np.random.default_rng(3).permutation(data.n)
+        a = NEWTON_FITS[method](data, prior)
+        b = NEWTON_FITS[method](ProbitData(data.y[perm], data.X[perm]), prior)
+        assert a.converged and b.iterations == a.iterations
+        assert _max_gap(a, b) <= 1e-12
+
+    @pytest.mark.parametrize("method", NEWTON_FITS)
+    def test_column_sign_flip_flips_coefficient(self, synthetic200, method):
+        data, prior = synthetic200
+        X = data.X.copy()
+        X[:, 1] *= -1.0
+        a = NEWTON_FITS[method](data, prior)
+        b = NEWTON_FITS[method](ProbitData(data.y, X), prior)
+        sign = np.array([1.0, -1.0, 1.0])
+        assert a.converged and b.iterations == a.iterations
+        assert np.max(np.abs(b.params["beta"].mean
+                             - sign * a.params["beta"].mean)) <= 1e-12
+        assert np.max(np.abs(b.params["beta"].cov - np.outer(sign, sign)
+                             * a.params["beta"].cov)) <= 1e-12
+
+
 def _gibbs_reference(data, prior, n_samples, n_warmup, seed):
     """Gibbs draws one at a time with plain numpy expressions, reading the
     two spawned streams in the order the sampler reads them."""
@@ -423,6 +492,20 @@ class TestGibbs:
     def test_sample_floor(self, single_obs):
         with pytest.raises(DomainError):
             probit_gibbs_oracle(*single_obs, n_samples=10)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda seed: generate_linear(10, 2, seed),
+    lambda seed: generate_probit(10, 2, seed),
+    lambda seed: generate_mvn(10, 2, seed),
+    lambda seed: probit_gibbs_oracle(ProbitData([1.0, 0.0], [[1.0], [0.5]]),
+                                     ProbitPrior.ridge(1.0, 1),
+                                     n_samples=1000, n_warmup=0, seed=seed),
+], ids=["linear", "probit", "mvn", "gibbs"])
+def test_negative_seed_is_domain_error(draw):
+    with pytest.raises(DomainError, match="seed must be non-negative"):
+        draw(-1)
+    draw(0)
 
 
 class TestData:
