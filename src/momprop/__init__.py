@@ -11,8 +11,7 @@ from .diagnostics import (DensityGrid, ToyGaussianSpec, accuracy,
 from .exceptions import DomainError, NumericError, UndefinedMomentError
 from .linear import (LinearConstants, LinearData, LinearPrior,
                      linear_constants, linear_exact_posterior,
-                     linear_mfvb_fit, linear_moment_summary, linear_mp1_fit,
-                     linear_mp2_fit)
+                     linear_mfvb_fit, linear_mp1_fit, linear_mp2_fit)
 from .moments import (GaussianApprox, InverseGammaApprox,
                       InverseWishartApprox, StudentTApprox,
                       gauss_quadform_cumulant_moment, gauss_quadform_moments,
@@ -20,11 +19,11 @@ from .moments import (GaussianApprox, InverseGammaApprox,
                       iw_mean, iw_moment_match, t_quadform_moments)
 from .mvn import (MVNConstants, MVNData, MVNPrior, iw_diag_marginal,
                   mvn_constants, mvn_exact_posterior, mvn_mfvb_fit,
-                  mvn_moment_summary, mvn_mp_fit)
+                  mvn_mp_fit)
 from .probit import (AuxiliaryMoments, ProbitData, ProbitPrior,
                      probit_dmvb_fit, probit_gibbs_oracle, probit_laplace_fit,
-                     probit_mfvb_fit, probit_moment_summary, probit_mp_fit)
-from .reports import FitReport, MomentSummary
+                     probit_mfvb_fit, probit_mp_fit)
+from .reports import FitReport, MomentSummary, moment_summary
 from .specfun import log_Phi, xi, xi_quad, xi_taylor, zeta
 
 __all__ = [
@@ -38,11 +37,11 @@ __all__ = [
     "ig_mean_var", "ig_moment_match", "iw_diag_marginal",
     "iw_elementwise_var_diag", "iw_mean", "iw_moment_match",
     "linear_constants", "linear_exact_posterior", "linear_mfvb_fit",
-    "linear_moment_summary", "linear_mp1_fit", "linear_mp2_fit", "log_Phi",
-    "moment_errors", "mvn_constants", "mvn_exact_posterior", "mvn_mfvb_fit",
-    "mvn_moment_summary", "mvn_mp_fit", "probit_dmvb_fit",
-    "probit_gibbs_oracle", "probit_laplace_fit", "probit_mfvb_fit",
-    "probit_moment_summary", "probit_mp_fit", "t_quadform_moments",
+    "linear_mp1_fit", "linear_mp2_fit", "log_Phi", "moment_errors",
+    "moment_summary", "mvn_constants", "mvn_exact_posterior", "mvn_mfvb_fit",
+    "mvn_mp_fit", "probit_dmvb_fit", "probit_gibbs_oracle",
+    "probit_laplace_fit", "probit_mfvb_fit", "probit_mp_fit",
+    "t_quadform_moments",
     "toy_gaussian_mp", "xi", "xi_quad", "xi_taylor", "zeta",
 ]
 

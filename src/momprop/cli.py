@@ -19,22 +19,20 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import datagen, diagnostics
 from .diagnostics import DensityGrid, ToyGaussianSpec, toy_gaussian_mp
 from .exceptions import DomainError, NumericError
 from .linear import (LinearData, LinearPrior, linear_exact_posterior,
-                     linear_mfvb_fit, linear_moment_summary, linear_mp1_fit,
-                     linear_mp2_fit)
+                     linear_mfvb_fit, linear_mp1_fit, linear_mp2_fit)
 from .moments import (GaussianApprox, InverseGammaApprox,
                       InverseWishartApprox, StudentTApprox)
 from .mvn import (MVNData, MVNPrior, iw_diag_marginal, mvn_exact_posterior,
-                  mvn_mfvb_fit, mvn_moment_summary, mvn_mp_fit)
+                  mvn_mfvb_fit, mvn_mp_fit)
 from .probit import (ProbitData, ProbitPrior, probit_dmvb_fit,
                      probit_gibbs_oracle, probit_laplace_fit,
-                     probit_mfvb_fit, probit_moment_summary, probit_mp_fit)
-from .reports import FitReport, MomentSummary
+                     probit_mfvb_fit, probit_mp_fit)
+from .reports import FitReport, MomentSummary, moment_summary
 
 SCHEMA_VERSION = 1
 _PRETTY_DIGITS = 4  # significant digits in --pretty output
@@ -262,30 +260,6 @@ def _toy(args: argparse.Namespace, spec: ToyGaussianSpec,
     return _closed_form(method, {"block1": block1, "block2": block2})
 
 
-def _vector_marginals(prefix: str, approx) -> list[tuple[str, str, tuple]]:
-    if isinstance(approx, StudentTApprox):
-        return [(f"{prefix}{j}", "t",
-                 (approx.loc[j], approx.scale[j, j], approx.dof))
-                for j in range(approx.dim)]
-    # a Gaussian q or a Gibbs summary: both carry mean and cov
-    return [(f"{prefix}{j}", "normal", (approx.mean[j], approx.cov[j, j]))
-            for j in range(approx.mean.shape[0])]
-
-
-def _linear_marginals(q: dict) -> list[tuple[str, str, tuple]]:
-    ig = q["sigma2"]
-    return (_vector_marginals("beta", q["beta"])
-            + [("sigma2", "ig", (ig.shape, ig.scale))])
-
-
-def _mvn_marginals(q: dict) -> list[tuple[str, str, tuple]]:
-    out = _vector_marginals("mu", q["mu"])
-    for j in range(q["Sigma"].dim):
-        ig = iw_diag_marginal(q["Sigma"], j)
-        out.append((f"Sigma{j}{j}", "ig", (ig.shape, ig.scale)))
-    return out
-
-
 def _xy_table(y: np.ndarray, X: np.ndarray, y_cell: Callable):
     header = ["y"] + [f"x{j + 1}" for j in range(X.shape[1])]
     return header, ([y_cell(yi)] + [repr(float(v)) for v in xi]
@@ -322,20 +296,19 @@ class Model:
     fits maps each method to fit(args, data, prior, init), args being the
     parsed command line, which returns a FitReport. The entries name the
     library fitters of this module, looked up at call time, so a wrapper
-    installed under such a name sees every CLI fit. summary(q, method) gives
-    the reported moments of a fit's q. init_from names the q block
-    --init-from reads and a parse(block, finite) that turns it into
+    installed under such a name sees every CLI fit. init_from names the q
+    block --init-from reads and a parse(block, finite) that turns it into
     starting-value keywords, passing each value through finite; a model
-    without one rejects --init-from.
+    without one rejects --init-from. reference is compare's default
+    reference method; a model without one supports neither compare nor
+    --emit-density.
     """
 
     load: Callable[[argparse.Namespace], Any]
     prior: Callable[[argparse.Namespace, Any], Any]
     fits: dict[str, Callable[..., FitReport]]
-    summary: Callable[[dict, str], MomentSummary]
     init_from: tuple[str, Callable[[dict, Callable], dict]] | None = None
-    reference: str | None = None  # compare's default reference method
-    marginals: Callable[[dict], list[tuple[str, str, tuple]]] | None = None
+    reference: str | None = None
     generate: Callable[[argparse.Namespace], tuple[list, Any]] | None = None
 
 
@@ -354,12 +327,9 @@ MODELS = {
             "mp2": lambda args, data, prior, init: linear_mp2_fit(
                 data, prior, args.eps, args.max_iter, **init),
         },
-        summary=lambda q, method: linear_moment_summary(
-            q["beta"], q["sigma2"], method),
         init_from=("sigma2", lambda b, finite: {
             "init": finite((float(b["shape"]), float(b["scale"])))}),
         reference="exact",
-        marginals=_linear_marginals,
         generate=_generate_linear),
     "mvn": Model(
         load=lambda args: _load_mvn(args.data, args.summary),
@@ -375,12 +345,10 @@ MODELS = {
             "mp": lambda args, data, prior, init: mvn_mp_fit(
                 data, prior, args.eps, args.max_iter, **init),
         },
-        summary=lambda q, method: mvn_moment_summary(q["mu"], method),
         init_from=("Sigma", lambda b, finite: {
             "init": (finite(float(b["dof"])),
                      finite(np.array(b["scale_matrix"], float)))}),
         reference="exact",
-        marginals=_mvn_marginals,
         generate=_generate_mvn),
     "probit": Model(
         load=lambda args: _load_regression(args, ProbitData),
@@ -399,15 +367,11 @@ MODELS = {
                 data, prior, args.eps, args.max_iter, init.get("init_mu")),
             "gibbs": lambda args, data, prior, init: _gibbs(args, data, prior),
         },
-        # Gibbs' q(beta) is its own summary, Monte Carlo errors included
-        summary=lambda q, method: (q["beta"] if method == "gibbs" else
-                                   probit_moment_summary(q["beta"], method)),
         init_from=("beta", lambda b, finite: {
             "init_mu": finite(np.array(b["mean"], float)),
             "init_Sigma": (finite(np.array(b["cov"], float)) if "cov" in b
                            else None)}),
         reference="gibbs",
-        marginals=lambda q: _vector_marginals("beta", q["beta"]),
         generate=_generate_probit),
     "toy": Model(
         load=lambda args: _load_toy(args.summary),
@@ -415,10 +379,7 @@ MODELS = {
         fits={
             "mp": lambda args, spec, prior, init: _toy(args, spec, "mp"),
             "mfvb": lambda args, spec, prior, init: _toy(args, spec, "mfvb"),
-        },
-        summary=lambda q, method: MomentSummary(
-            method, np.concatenate([q["block1"].mean, q["block2"].mean]),
-            block_diag(q["block1"].cov, q["block2"].cov))),
+        }),
 }
 
 
@@ -467,7 +428,7 @@ def _fit(args: argparse.Namespace, model: Model, method: str, data, prior,
     t0 = time.perf_counter()
     report = model.fits[method](args, data, prior, init)
     wall_time_s = time.perf_counter() - t0
-    return report, model.summary(report.params, method), wall_time_s
+    return report, moment_summary(report.params, method), wall_time_s
 
 
 def run_fit(args: argparse.Namespace
@@ -480,13 +441,27 @@ def run_fit(args: argparse.Namespace
 # marginal densities for accuracy comparisons
 
 
-def _marginals(model: str, q: dict) -> list[tuple[str, str, tuple]]:
-    """(name, family, params) for each scalar marginal of a fitted q."""
-    marginals = MODELS[model].marginals
-    if marginals is None:
-        raise UsageError(f"compare and --emit-density do not support the "
-                         f"{model} model")
-    return marginals(q)
+def _marginals(q: dict) -> list[tuple[str, str, tuple]]:
+    """(name, family, params) for each scalar marginal of a fitted q: entry
+    j of a vector block "beta" is "beta<j>", diagonal entry j of an
+    inverse-Wishart block "Sigma" is "Sigma<j><j>", and an inverse-gamma
+    block keeps its name. Other blocks have none."""
+    out = []
+    for key, approx in q.items():
+        if isinstance(approx, StudentTApprox):
+            out += [(f"{key}{j}", "t",
+                     (approx.loc[j], approx.scale[j, j], approx.dof))
+                    for j in range(approx.dim)]
+        elif isinstance(approx, (GaussianApprox, MomentSummary)):
+            out += [(f"{key}{j}", "normal", (approx.mean[j], approx.cov[j, j]))
+                    for j in range(approx.mean.shape[0])]
+        elif isinstance(approx, InverseGammaApprox):
+            out.append((key, "ig", (approx.shape, approx.scale)))
+        elif isinstance(approx, InverseWishartApprox):
+            for j in range(approx.dim):
+                ig = iw_diag_marginal(approx, j)
+                out.append((f"{key}{j}{j}", "ig", (ig.shape, ig.scale)))
+    return out
 
 
 def _t_grid_range(loc: float, scale: float, dof: float) -> tuple[float, float]:
@@ -524,13 +499,13 @@ def run_compare(args: argparse.Namespace, methods: list[str],
 
     ref, ref_summary, _ = outcomes[reference]
     grids = {name: _density_grid(family, params)
-             for name, family, params in _marginals(args.model, ref.params)}
+             for name, family, params in _marginals(ref.params)}
 
     table = {}
     for method in methods:
         report, summary, wall_time_s = outcomes[method]
         accs = {}
-        for name, family, params in _marginals(args.model, report.params):
+        for name, family, params in _marginals(report.params):
             if name in grids:
                 accs[name] = diagnostics.accuracy(grids[name], _density_grid(
                     family, params, grids[name].points))
@@ -603,7 +578,10 @@ def _pretty_fit(doc: dict) -> str:
 
 
 def _emit_density(q: dict, model: str, name: str, path: str | None) -> None:
-    marginals = _marginals(model, q)
+    if MODELS[model].reference is None:
+        raise UsageError(f"compare and --emit-density do not support the "
+                         f"{model} model")
+    marginals = _marginals(q)
     for mname, family, params in marginals:
         if mname == name:
             grid = _density_grid(family, params)

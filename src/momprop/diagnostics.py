@@ -11,7 +11,7 @@ from scipy import stats
 from .exceptions import DomainError, NumericError
 from .moments import (GaussianApprox, require_finite, require_spd,
                       require_whole, symmetrize)
-from .reports import MomentSummary
+from .reports import MomentSummary, fixed_point
 
 GRID_POINTS = 4001
 GRID_SD_SPAN = 10.0
@@ -118,8 +118,6 @@ def toy_gaussian_mp(spec: ToyGaussianSpec, eps: float = 1e-10,
     converges back to the true marginal blocks. Returns (mp_1, mp_2,
     mfvb_1, mfvb_2).
     """
-    if not eps > 0:
-        raise DomainError("eps must be positive")
     d1 = spec.split
     S11 = spec.Sigma[:d1, :d1]
     S22 = spec.Sigma[d1:, d1:]
@@ -128,16 +126,18 @@ def toy_gaussian_mp(spec: ToyGaussianSpec, eps: float = 1e-10,
     S11_inv = np.linalg.inv(S11)
     schur1 = symmetrize(S11 - S12 @ S22_inv @ S12.T)
     schur2 = symmetrize(S22 - S12.T @ S11_inv @ S12)
+
+    def step(state):
+        _, C2 = state
+        C1 = symmetrize(S11 + S12 @ S22_inv @ (C2 - S22) @ S22_inv @ S12.T)
+        C2 = symmetrize(S22 + S12.T @ S11_inv @ (C1 - S11) @ S11_inv @ S12)
+        return (C1, C2), np.concatenate([C1.ravel(), C2.ravel()])
+
     # start from the mean-field solution and iterate the MP sweep
-    C1, C2 = schur1.copy(), schur2.copy()
-    for _ in range(max_iter):
-        C1_new = symmetrize(S11 + S12 @ S22_inv @ (C2 - S22) @ S22_inv @ S12.T)
-        C2_new = symmetrize(S22 + S12.T @ S11_inv @ (C1_new - S11) @ S11_inv @ S12)
-        delta = max(np.max(np.abs(C1_new - C1)), np.max(np.abs(C2_new - C2)))
-        C1, C2 = C1_new, C2_new
-        if delta < eps:
-            break
-    else:
+    report = fixed_point("mp", step, (schur1, schur2), lambda s: {"C": s},
+                         eps, max_iter)
+    C1, C2 = report.params["C"]
+    if not report.converged:
         raise NumericError("toy MP iteration did not converge",
                            last_iterate=(C1, C2))
     mu1, mu2 = spec.mu[:d1], spec.mu[d1:]

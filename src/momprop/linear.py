@@ -22,9 +22,9 @@ import numpy as np
 
 from .exceptions import DomainError
 from .moments import (GaussianApprox, InverseGammaApprox, StudentTApprox,
-                      _gauss_quadform, _t_quadform, ig_mean_var,
-                      ig_moment_match, regression_arrays, symmetrize)
-from .reports import FitReport, MomentSummary, fixed_point
+                      _gauss_quadform, _t_quadform, ig_moment_match,
+                      regression_arrays, symmetrize)
+from .reports import FitReport, fixed_point
 
 
 @dataclass
@@ -223,11 +223,3 @@ def linear_mp2_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
         lambda s: {"beta": StudentTApprox(mu, s[2], s[3]),
                    "sigma2": InverseGammaApprox(s[0], s[1])},
         eps, max_iter)
-
-
-def linear_moment_summary(beta, sigma2: InverseGammaApprox,
-                          method: str) -> MomentSummary:
-    """Posterior mean/covariance of beta and mean/variance of sigma2."""
-    s_mean, s_var = ig_mean_var(sigma2)
-    return MomentSummary(method=method, mean=beta.mean, cov=beta.cov,
-                         scalar_mean=s_mean, scalar_var=s_var)

@@ -25,7 +25,7 @@ from .exceptions import DomainError
 from .moments import (GaussianApprox, InverseGammaApprox,
                       InverseWishartApprox, StudentTApprox, _iw_match,
                       require_finite, require_spd, require_whole, symmetrize)
-from .reports import FitReport, MomentSummary, fixed_point
+from .reports import FitReport, fixed_point
 
 
 @dataclass
@@ -202,9 +202,3 @@ def iw_diag_marginal(w: InverseWishartApprox, j: int) -> InverseGammaApprox:
         raise DomainError("diagonal index out of range")
     return InverseGammaApprox(shape=(w.dof - p + 1.0) / 2.0,
                               scale=w.scale_matrix[j, j] / 2.0)
-
-
-def mvn_moment_summary(mu_approx, method: str) -> MomentSummary:
-    """Posterior mean/covariance of the location parameter."""
-    return MomentSummary(method=method, mean=mu_approx.mean,
-                         cov=mu_approx.cov)

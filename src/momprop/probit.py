@@ -20,10 +20,13 @@ O(block p) rather than O(n p); the Laplace Hessian and the delta-method
 ELBO use the same two row-block helpers.
 
 Laplace and delta-method VB (dmvb) take damped Newton steps on the same
-driver, dmvb's preconditioned by the inverse of its profiled covariance;
-a step is halved until the objective does not fall. A fit stops once a
-step moves its mean by less than eps in the max norm; the first step is
-never tested, so a fit started at its own optimum takes two.
+driver along M^-1 g, M = Z^T diag(-zeta_2(Z x)) Z + D: one evaluation of
+a point gives its objective, its zeta orders and the Cholesky factor of
+M, and the state carries it to the next step and to the reported
+covariance M^-1. A step is halved until the objective does not fall. A
+fit stops once a step moves its mean by less than eps in the max norm;
+the first step is never tested, so a fit started at its own optimum
+takes two.
 
 The Gibbs sampler reads two streams spawned from SeedSequence(seed): one
 of uniforms for the a_i draws and one of standard normals for the beta
@@ -37,7 +40,6 @@ one draw at a time; its distribution does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -120,35 +122,63 @@ def _workspace(data: ProbitData, prior: ProbitPrior
     return S, S @ data.Z.T
 
 
-def _damped_newton(method: str, data: ProbitData, prior: ProbitPrior,
-                   objective: Callable[[np.ndarray], float],
-                   direction: Callable[[np.ndarray], np.ndarray],
-                   init: np.ndarray | None, eps: float,
-                   max_iter: int) -> FitReport:
-    """Damped Newton ascent from init (zero by default), halving direction(x)
-    up to 30 times until objective (kept in the state) falls by at most
-    1e-12 of its size. q(beta) is N(x, [-Hessian of log p(y, beta)]^-1)."""
+def _newton_point(Z: np.ndarray, D: np.ndarray, x: np.ndarray,
+                  profiled: bool) -> tuple:
+    """(x, f, zeta orders at Z x, Cholesky factor of M) at a point x of a
+    Newton fit, M = Z^T diag(-zeta_2(Z x)) Z + D. f is log p(y, x), less
+    1/2 log det M for the profiled delta-method ELBO, whose gradient also
+    needs zeta_3."""
+    z = _zeta_orders(3 if profiled else 2, Z @ x)
+    try:
+        cf = cho_factor(symmetrize(_gram(Z, -z[2], Z) + D))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("Newton matrix M lost positive definiteness",
+                           last_iterate=x) from exc
+    f = np.sum(z[0]) - 0.5 * x @ D @ x
+    if profiled:
+        f -= np.sum(np.log(np.diag(cf[0])))
+    return x, float(f), z, cf
 
-    def step(state):
-        x, f = state
-        d = direction(x)
+
+def _newton_gradient(Z: np.ndarray, D: np.ndarray, point: tuple) -> np.ndarray:
+    """Gradient of f at a _newton_point; the profiled term is
+    1/2 Z^T (h * zeta_3) with h_i = z_i^T M^-1 z_i."""
+    x, _, z, cf = point
+    grad = Z.T @ z[1] - D @ x
+    if len(z) > 3:
+        h = _row_quadform(Z, cho_solve(cf, np.eye(x.size)))
+        grad = grad + 0.5 * Z.T @ (h * z[3])
+    return grad
+
+
+def _damped_newton(method: str, data: ProbitData, prior: ProbitPrior,
+                   profiled: bool, init: np.ndarray | None, eps: float,
+                   max_iter: int) -> FitReport:
+    """Damped Newton ascent of f from init (zero by default) along M^-1 g,
+    solved from the factor carried in the state, halving the step up to 30
+    times until f falls by at most 1e-12 of its size. q(beta) is
+    N(x, M^-1) at the last point."""
+    Z, D = data.Z, prior.D
+
+    def step(point):
+        x, f, _, cf = point
+        d = cho_solve(cf, _newton_gradient(Z, D, point))
         scale = 1.0
         for _ in range(30):
-            cand = x + scale * d
-            f_new = objective(cand)
-            if f_new >= f - 1e-12 * abs(f):
+            cand = _newton_point(Z, D, x + scale * d, profiled)
+            if cand[1] >= f - 1e-12 * abs(f):
                 break
             scale *= 0.5
-        return (cand, f_new), cand
+        return cand, cand[0]
 
-    def params(state):
-        z2 = _zeta_orders(2, data.Z @ state[0])[2]
-        cov = np.linalg.inv(symmetrize(_gram(data.Z, -z2, data.Z) + prior.D))
-        return {"beta": GaussianApprox(state[0], symmetrize(cov))}
+    def params(point):
+        cov = symmetrize(cho_solve(point[3], np.eye(data.p)))
+        return {"beta": GaussianApprox(point[0], cov)}
 
     x = (np.zeros(data.p) if init is None
          else np.asarray(init, dtype=float).copy())
-    return fixed_point(method, step, (x, objective(x)), params, eps, max_iter)
+    return fixed_point(method, step, _newton_point(Z, D, x, profiled), params,
+                       eps, max_iter)
 
 
 def probit_laplace_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
@@ -156,21 +186,7 @@ def probit_laplace_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
                        init: np.ndarray | None = None) -> FitReport:
     """Damped Newton ascent of log p(y, beta); returns the mode and inverse
     negative Hessian [Z^T diag(-zeta_2(Z beta)) Z + D]^-1."""
-    Z, D = data.Z, prior.D
-
-    def objective(b):
-        return float(np.sum(log_ndtr(Z @ b)) - 0.5 * b @ D @ b)
-
-    def direction(beta):
-        z = _zeta_orders(2, Z @ beta)
-        H = symmetrize(_gram(Z, z[2], Z) - D)
-        try:
-            return -np.linalg.solve(H, Z.T @ z[1] - D @ beta)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError("singular Hessian in Newton step") from exc
-
-    return _damped_newton("laplace", data, prior, objective, direction, init,
-                          eps, max_iter)
+    return _damped_newton("laplace", data, prior, False, init, eps, max_iter)
 
 
 def probit_mfvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
@@ -262,47 +278,13 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
         eps, max_iter, extrapolate=(pack, unpack))
 
 
-def _dmvb_objective(Z: np.ndarray, D: np.ndarray, mu: np.ndarray
-                    ) -> tuple[float, list[np.ndarray], tuple]:
-    """Profiled delta-method ELBO at mu, zeta orders 0..3 at Z mu, and the
-    Cholesky factor of M = Z^T diag(-zeta_2(Z mu)) Z + D."""
-    z = _zeta_orders(3, Z @ mu)
-    try:
-        cf = cho_factor(symmetrize(_gram(Z, -z[2], Z) + D))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("profiled covariance lost positive definiteness",
-                           last_iterate=mu) from exc
-    half_logdet = np.sum(np.log(np.diag(cf[0])))
-    return float(np.sum(z[0]) - 0.5 * mu @ D @ mu - half_logdet), z, cf
-
-
-def _dmvb_ascent(Z: np.ndarray, D: np.ndarray, mu: np.ndarray
-                 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Profiled ELBO at mu, its gradient g and the ascent direction M^-1 g,
-    all from one Cholesky factor of M."""
-    val, z, cf = _dmvb_objective(Z, D, mu)
-    h = _row_quadform(Z, cho_solve(cf, np.eye(mu.size)))
-    grad = Z.T @ z[1] - D @ mu + 0.5 * Z.T @ (h * z[3])
-    return val, grad, cho_solve(cf, grad)
-
-
-def dmvb_objective_grad(data: ProbitData, prior: ProbitPrior,
-                        mu: np.ndarray) -> tuple[float, np.ndarray]:
-    """Profiled delta-method ELBO (covariance solved out) and its gradient."""
-    return _dmvb_ascent(data.Z, prior.D, mu)[:2]
-
-
 def probit_dmvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
                     max_iter: int = 500,
                     init_mu: np.ndarray | None = None) -> FitReport:
     """Damped Newton ascent of the profiled delta-method ELBO along M^-1 g
     (g the gradient, M = Z^T diag(-zeta_2(Z mu)) Z + D); stops on a step
     below eps in the max norm, so a restart from the optimum takes two."""
-    Z, D = data.Z, prior.D
-    return _damped_newton("dmvb", data, prior,
-                          lambda mu: _dmvb_objective(Z, D, mu)[0],
-                          lambda mu: _dmvb_ascent(Z, D, mu)[2],
-                          init_mu, eps, max_iter)
+    return _damped_newton("dmvb", data, prior, True, init_mu, eps, max_iter)
 
 
 # largest double below 1: scaling 1 - u by it keeps V Phi(m) below 1, so
@@ -334,12 +316,6 @@ def _truncnorm_into(m: np.ndarray, v: np.ndarray, out: np.ndarray
         tail = m < _LOG_TAIL
         out[tail] = ndtri_exp(np.log(v[tail]) + log_ndtr(m[tail]))
     return np.subtract(m, out, out=out)
-
-
-def _truncnorm_positive(rng: np.random.Generator, m: np.ndarray) -> np.ndarray:
-    """Draws from N(m, 1) conditioned on being positive, one per m_i."""
-    return _truncnorm_into(m, _tail_mass(rng, np.empty_like(m)),
-                           np.empty_like(m))
 
 
 # batches of the Gibbs draws behind the batch-means Monte Carlo error
@@ -397,7 +373,3 @@ def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
         _MC_BATCHES, -1, p).mean(axis=1)
     mc_se = batch_means.std(axis=0, ddof=1) / np.sqrt(_MC_BATCHES)
     return MomentSummary(method="gibbs", mean=mean, cov=cov, mc_se=mc_se)
-
-
-def probit_moment_summary(beta: GaussianApprox, method: str) -> MomentSummary:
-    return MomentSummary(method=method, mean=beta.mean, cov=beta.cov)

@@ -7,8 +7,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .exceptions import DomainError, NumericError
+from .moments import (GaussianApprox, InverseGammaApprox, StudentTApprox,
+                      ig_mean_var)
 
 @dataclass
 class FitReport:
@@ -50,6 +53,24 @@ class MomentSummary:
     def __post_init__(self):
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+
+
+def moment_summary(q: dict[str, Any], method: str) -> MomentSummary:
+    """The reported moments of a fitted q: the means of its vector blocks
+    (Gaussian, t or empirical) stacked and their covariances block-diagonal,
+    the mean and variance of its inverse-gamma block, and an empirical
+    block's Monte Carlo errors. Other blocks (inverse-Wishart, auxiliary)
+    are left out."""
+    vectors = [a for a in q.values() if isinstance(
+        a, (GaussianApprox, StudentTApprox, MomentSummary))]
+    summary = MomentSummary(method, np.concatenate([a.mean for a in vectors]),
+                            block_diag(*(a.cov for a in vectors)))
+    for approx in q.values():
+        if isinstance(approx, InverseGammaApprox):
+            summary.scalar_mean, summary.scalar_var = ig_mean_var(approx)
+        elif isinstance(approx, MomentSummary):
+            summary.mc_se = approx.mc_se
+    return summary
 
 
 def _squarem_point(x0: np.ndarray, x1: np.ndarray,

@@ -13,9 +13,9 @@ from momprop.datagen import fixed_linear_dataset, generate_linear
 from momprop.exceptions import DomainError
 from momprop.linear import (LinearData, LinearPrior, linear_constants,
                             linear_exact_posterior, linear_mfvb_fit,
-                            linear_moment_summary, linear_mp1_fit,
-                            linear_mp2_fit)
+                            linear_mp1_fit, linear_mp2_fit)
 from momprop.moments import ig_mean_var
+from momprop.reports import moment_summary
 
 EPS = 1e-6
 
@@ -275,7 +275,6 @@ class TestCrossMethod:
 
     def test_moment_summary(self, ref):
         rep = linear_mp2_fit(*ref)
-        summ = linear_moment_summary(rep.params["beta"],
-                                     rep.params["sigma2"], "mp2")
+        summ = moment_summary(rep.params, "mp2")
         assert summ.method == "mp2"
         assert summ.scalar_mean == pytest.approx(12.2, abs=5e-2)

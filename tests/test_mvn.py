@@ -13,8 +13,8 @@ from momprop.datagen import generate_mvn
 from momprop.exceptions import DomainError
 from momprop.moments import iw_elementwise_var_diag, iw_mean, iw_moment_match
 from momprop.mvn import (MVNData, MVNPrior, iw_diag_marginal, mvn_constants,
-                         mvn_exact_posterior, mvn_mfvb_fit,
-                         mvn_moment_summary, mvn_mp_fit)
+                         mvn_exact_posterior, mvn_mfvb_fit, mvn_mp_fit)
+from momprop.reports import moment_summary
 
 XBAR = np.array([-0.9724726, 1.3202681])
 S = np.array([[0.8144316, 0.5688416], [0.5688416, 1.9682059]])
@@ -222,7 +222,7 @@ class TestMP:
 class TestSummary:
     def test_summary_uses_t_cov(self, ref):
         rep = mvn_mp_fit(*ref)
-        summ = mvn_moment_summary(rep.params["mu"], "mp")
+        summ = moment_summary(rep.params, "mp")
         assert summ.cov[0, 0] == pytest.approx(0.114, abs=5e-4)
 
 

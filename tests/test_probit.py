@@ -12,13 +12,26 @@ from scipy.special import ndtr, ndtri
 from momprop import probit, reports
 from momprop.datagen import generate_linear, generate_mvn, generate_probit
 from momprop.exceptions import DomainError, NumericError
-from momprop.probit import (ProbitData, ProbitPrior, dmvb_objective_grad,
-                            probit_dmvb_fit, probit_gibbs_oracle,
-                            probit_laplace_fit, probit_mfvb_fit,
-                            probit_mp_fit)
+from momprop.probit import (ProbitData, ProbitPrior, probit_dmvb_fit,
+                            probit_gibbs_oracle, probit_laplace_fit,
+                            probit_mfvb_fit, probit_mp_fit)
 from momprop.specfun import zeta
 
 SINGLE_OBS_MODE = 0.5060544689891807
+
+
+def dmvb_objective_grad(data, prior, mu):
+    """Profiled delta-method ELBO at mu and its gradient, from the Newton
+    evaluation that the dmvb fit steps on."""
+    point = probit._newton_point(data.Z, prior.D, mu, True)
+    return point[1], probit._newton_gradient(data.Z, prior.D, point)
+
+
+def _truncnorm_positive(rng, m):
+    """Draws from N(m, 1) conditioned on being positive, one per m_i, by
+    the sampler's own tail-mass and inverse-CDF kernels."""
+    v = probit._tail_mass(rng, np.empty_like(m))
+    return probit._truncnorm_into(m, v, np.empty_like(m))
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +359,23 @@ class TestNewtonFits:
             probit_dmvb_fit(data, prior)
 
     @pytest.mark.parametrize("method", NEWTON_FITS)
+    def test_one_matrix_per_evaluated_point(self, synthetic200, monkeypatch,
+                                            method):
+        """Each evaluated point builds M once; the step from it and the
+        reported covariance reuse its factor."""
+        calls = {"_gram": 0, "_newton_point": 0}
+        for name in calls:
+            def counted(*args, _name=name, _orig=getattr(probit, name)):
+                calls[_name] += 1
+                return _orig(*args)
+            monkeypatch.setattr(probit, name, counted)
+        rep = NEWTON_FITS[method](*synthetic200)
+        assert rep.converged
+        # the start and each step's accepted point: no step is halved here
+        assert calls["_newton_point"] == rep.iterations + 1
+        assert calls["_gram"] == calls["_newton_point"]
+
+    @pytest.mark.parametrize("method", NEWTON_FITS)
     def test_trace_has_one_iterate_per_step(self, synthetic200, method):
         rep = NEWTON_FITS[method](*synthetic200)
         assert rep.converged and rep.termination == "converged"
@@ -411,7 +441,6 @@ def _gibbs_reference(data, prior, n_samples, n_warmup, seed):
 class TestGibbs:
     def test_truncated_normal_mean(self):
         # closed-form mean of the positive-truncated normal: m + zeta_1(m)
-        from momprop.probit import _truncnorm_positive
         rng = np.random.default_rng(23)
         m = np.full(400_000, -2.0)
         draws = _truncnorm_positive(rng, m)
@@ -424,7 +453,6 @@ class TestGibbs:
     def test_far_tail_draws_are_positive(self, m):
         # Phi(m) V leaves the normal doubles here; the log-space rows must
         # still land above 0 with the closed-form mean m + zeta_1(m)
-        from momprop.probit import _truncnorm_positive
         draws = _truncnorm_positive(np.random.default_rng(29),
                                     np.full(100_000, m))
         assert np.all(draws > 0)

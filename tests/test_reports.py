@@ -1,18 +1,21 @@
-"""The shared fixed-point driver and the iteration arguments of every
-iterative fitter."""
+"""The shared fixed-point driver, the iteration arguments of every
+iterative fitter, and the moment summary of every q."""
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from momprop.datagen import fixed_linear_dataset, generate_probit
+from momprop.diagnostics import ToyGaussianSpec, toy_gaussian_mp
 from momprop.exceptions import DomainError, NumericError
-from momprop.linear import (LinearData, LinearPrior, linear_mfvb_fit,
-                            linear_mp1_fit, linear_mp2_fit)
+from momprop.linear import (LinearData, LinearPrior, linear_exact_posterior,
+                            linear_mfvb_fit, linear_mp1_fit, linear_mp2_fit)
+from momprop.moments import ig_mean_var
 from momprop.mvn import MVNData, MVNPrior, mvn_mfvb_fit, mvn_mp_fit
 from momprop.probit import (ProbitData, ProbitPrior, probit_dmvb_fit,
-                            probit_laplace_fit, probit_mfvb_fit,
-                            probit_mp_fit)
-from momprop.reports import fixed_point
+                            probit_gibbs_oracle, probit_laplace_fit,
+                            probit_mfvb_fit, probit_mp_fit)
+from momprop.reports import MomentSummary, fixed_point, moment_summary
 
 
 def _linear():
@@ -204,3 +207,58 @@ class TestSquarem:
         assert (rep.iterations, rep.converged) == (iterations, converged)
         assert len(rep.trace) == len(trace)
         assert all(np.array_equal(u, w) for u, w in zip(rep.trace, trace))
+
+
+def _toy_q():
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((3, 3))
+    spec = ToyGaussianSpec(mu=rng.standard_normal(3),
+                           Sigma=a @ a.T + 3 * np.eye(3), split=1)
+    q1, q2, _, _ = toy_gaussian_mp(spec)
+    return {"block1": q1, "block2": q2}
+
+
+# each q shape with the summary the per-model code built for it
+SUMMARY_CASES = {
+    "linear-exact": (
+        lambda: dict(zip(("beta", "sigma2"),
+                         linear_exact_posterior(*_linear()))),
+        lambda q, m: MomentSummary(m, q["beta"].mean, q["beta"].cov,
+                                   *ig_mean_var(q["sigma2"]))),
+    "linear-mp2": (
+        lambda: linear_mp2_fit(*_linear()).params,
+        lambda q, m: MomentSummary(m, q["beta"].mean, q["beta"].cov,
+                                   *ig_mean_var(q["sigma2"]))),
+    "mvn-mp": (
+        lambda: mvn_mp_fit(*_mvn()).params,
+        lambda q, m: MomentSummary(m, q["mu"].mean, q["mu"].cov)),
+    "probit-mp": (
+        lambda: probit_mp_fit(*_probit()).params,
+        lambda q, m: MomentSummary(m, q["beta"].mean, q["beta"].cov)),
+    "probit-gibbs": (
+        lambda: {"beta": probit_gibbs_oracle(*_probit(), n_samples=1000,
+                                             n_warmup=100, seed=5)},
+        lambda q, m: q["beta"]),
+    "toy": (
+        _toy_q,
+        lambda q, m: MomentSummary(
+            m, np.concatenate([q["block1"].mean, q["block2"].mean]),
+            block_diag(q["block1"].cov, q["block2"].cov))),
+}
+
+
+@pytest.mark.parametrize("case", SUMMARY_CASES)
+def test_moment_summary_is_the_per_model_summary(case):
+    """Bit for bit: vector blocks stacked, an inverse-gamma block's mean and
+    variance, an empirical block's Monte Carlo errors; inverse-Wishart and
+    auxiliary blocks left out."""
+    build_q, expected = SUMMARY_CASES[case]
+    q = build_q()
+    method = "gibbs" if case == "probit-gibbs" else "m"
+    got, want = moment_summary(q, method), expected(q, method)
+    assert vars(got).keys() == vars(want).keys()
+    for name, value in vars(want).items():
+        if value is None or isinstance(value, str):
+            assert getattr(got, name) == value, name
+        else:
+            assert np.array_equal(getattr(got, name), value), name
