@@ -218,9 +218,8 @@ _FAMILY_NAMES = {GaussianApprox: "gaussian", StudentTApprox: "student_t",
 
 
 def _fields(record) -> dict:
-    """A record's own fields as reported: no method tag, no unset field."""
-    return {k: v for k, v in vars(record).items()
-            if k != "method" and v is not None}
+    """A record's own fields as reported, less the unset ones."""
+    return {k: v for k, v in vars(record).items() if v is not None}
 
 
 def _q_to_json(q: dict) -> dict:
@@ -239,25 +238,19 @@ def _load_regression(args: argparse.Namespace, data_type):
     return data_type(*_load_xy(args.data, args.intercept))
 
 
-def _closed_form(method: str, q: dict) -> FitReport:
-    return FitReport(method, q, iterations=0, converged=True,
+def _closed_form(q: dict) -> FitReport:
+    return FitReport(q, iterations=0, converged=True,
                      termination="closed_form", trace=None)
-
-
-def _gibbs(args: argparse.Namespace, data: ProbitData,
-           prior: ProbitPrior) -> FitReport:
-    summ = probit_gibbs_oracle(data, prior, n_samples=args.n_samples,
-                               n_warmup=args.n_warmup, seed=args.seed)
-    return FitReport("gibbs", {"beta": summ}, args.n_samples, converged=True,
-                     termination="sampling", trace=None)
 
 
 def _toy(args: argparse.Namespace, spec: ToyGaussianSpec,
          method: str) -> FitReport:
+    if args.max_iter < 1:
+        raise UsageError(f"max_iter must be at least 1; got {args.max_iter}")
     q1, q2, m1, m2 = toy_gaussian_mp(spec, eps=min(args.eps, 1e-10),
                                      max_iter=max(args.max_iter, 10_000))
     block1, block2 = (q1, q2) if method == "mp" else (m1, m2)
-    return _closed_form(method, {"block1": block1, "block2": block2})
+    return _closed_form({"block1": block1, "block2": block2})
 
 
 def _xy_table(y: np.ndarray, X: np.ndarray, y_cell: Callable):
@@ -318,8 +311,8 @@ MODELS = {
         prior=lambda args, data: LinearPrior(g=args.g, A=args.A, B=args.B),
         fits={
             "exact": lambda args, data, prior, init: _closed_form(
-                "exact", dict(zip(("beta", "sigma2"),
-                                  linear_exact_posterior(data, prior)))),
+                dict(zip(("beta", "sigma2"),
+                         linear_exact_posterior(data, prior)))),
             "mfvb": lambda args, data, prior, init: linear_mfvb_fit(
                 data, prior, args.eps, args.max_iter, **init),
             "mp1": lambda args, data, prior, init: linear_mp1_fit(
@@ -338,8 +331,7 @@ MODELS = {
             Psi0=args.psi0_scale * np.eye(data.p)),
         fits={
             "exact": lambda args, data, prior, init: _closed_form(
-                "exact", dict(zip(("mu", "Sigma"),
-                                  mvn_exact_posterior(data, prior)))),
+                dict(zip(("mu", "Sigma"), mvn_exact_posterior(data, prior)))),
             "mfvb": lambda args, data, prior, init: mvn_mfvb_fit(
                 data, prior, args.eps, args.max_iter, **init),
             "mp": lambda args, data, prior, init: mvn_mp_fit(
@@ -365,7 +357,12 @@ MODELS = {
                 data, prior, "quad", args.eps, args.max_iter, **init),
             "dmvb": lambda args, data, prior, init: probit_dmvb_fit(
                 data, prior, args.eps, args.max_iter, init.get("init_mu")),
-            "gibbs": lambda args, data, prior, init: _gibbs(args, data, prior),
+            "gibbs": lambda args, data, prior, init: FitReport(
+                {"beta": probit_gibbs_oracle(
+                    data, prior, n_samples=args.n_samples,
+                    n_warmup=args.n_warmup, seed=args.seed)},
+                iterations=args.n_samples, converged=True,
+                termination="sampling", trace=None),
         },
         init_from=("beta", lambda b, finite: {
             "init_mu": finite(np.array(b["mean"], float)),
@@ -428,13 +425,7 @@ def _fit(args: argparse.Namespace, model: Model, method: str, data, prior,
     t0 = time.perf_counter()
     report = model.fits[method](args, data, prior, init)
     wall_time_s = time.perf_counter() - t0
-    return report, moment_summary(report.params, method), wall_time_s
-
-
-def run_fit(args: argparse.Namespace
-            ) -> tuple[FitReport, MomentSummary, float]:
-    model = _model(args.model, args.method)
-    return _fit(args, model, args.method, *_load(args, model))
+    return report, moment_summary(report.params), wall_time_s
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +544,7 @@ def _parse_vector(text: str | None) -> np.ndarray | None:
 
 def _round_sig(x: float) -> float:
     """x rounded to _PRETTY_DIGITS significant digits."""
-    if x == 0 or not np.isfinite(x):
-        return x
-    from math import floor, log10
-    return round(x, -int(floor(log10(abs(x)))) + _PRETTY_DIGITS - 1)
+    return float(f"{x:.{_PRETTY_DIGITS}g}")
 
 
 def _pretty_fit(doc: dict) -> str:
@@ -706,7 +694,9 @@ def main(argv: list[str] | None = None) -> int:
             run_generate(args)
             return 0
         if args.command == "fit":
-            report, summary, wall_time_s = run_fit(args)
+            model = _model(args.model, args.method)
+            report, summary, wall_time_s = _fit(args, model, args.method,
+                                                *_load(args, model))
             doc = {
                 "schema": SCHEMA_VERSION,
                 "model": args.model,

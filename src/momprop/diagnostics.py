@@ -134,7 +134,7 @@ def toy_gaussian_mp(spec: ToyGaussianSpec, eps: float = 1e-10,
         return (C1, C2), np.concatenate([C1.ravel(), C2.ravel()])
 
     # start from the mean-field solution and iterate the MP sweep
-    report = fixed_point("mp", step, (schur1, schur2), lambda s: {"C": s},
+    report = fixed_point(step, (schur1, schur2), lambda s: {"C": s},
                          eps, max_iter)
     C1, C2 = report.params["C"]
     if not report.converged:

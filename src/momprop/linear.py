@@ -21,27 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .moments import (GaussianApprox, InverseGammaApprox, StudentTApprox,
-                      _gauss_quadform, _t_quadform, ig_moment_match,
-                      regression_arrays, symmetrize)
+from .moments import (GaussianApprox, InverseGammaApprox, RegressionData,
+                      StudentTApprox, _gauss_quadform, _t_quadform,
+                      ig_moment_match, symmetrize)
 from .reports import FitReport, fixed_point
 
 
-@dataclass
-class LinearData:
-    y: np.ndarray
-    X: np.ndarray
-
-    def __post_init__(self):
-        self.y, self.X = regression_arrays(self.y, self.X)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
+class LinearData(RegressionData):
+    """Response y and design X of a linear regression."""
 
 
 @dataclass
@@ -157,7 +144,7 @@ def linear_mfvb_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
         return (c1, Bt, Sig), np.concatenate([mu, Sig.ravel(), [c1, Bt]])
 
     return fixed_point(
-        "mfvb", step, (*start, None),
+        step, (*start, None),
         lambda s: {"beta": GaussianApprox(mu, s[2]),
                    "sigma2": InverseGammaApprox(s[0], s[1])},
         eps, max_iter)
@@ -187,7 +174,7 @@ def linear_mp1_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
         return (At, Bt, Sig), np.concatenate([mu, Sig.ravel(), [At, Bt]])
 
     return fixed_point(
-        "mp1", step, (*start, None),
+        step, (*start, None),
         lambda s: {"beta": GaussianApprox(mu, s[2]),
                    "sigma2": InverseGammaApprox(s[0], s[1])},
         eps, max_iter)
@@ -219,7 +206,7 @@ def linear_mp2_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
                                                   [nu, At, Bt]])
 
     return fixed_point(
-        "mp2", step, (*start, None, None),
+        step, (*start, None, None),
         lambda s: {"beta": StudentTApprox(mu, s[2], s[3]),
                    "sigma2": InverseGammaApprox(s[0], s[1])},
         eps, max_iter)

@@ -42,18 +42,6 @@ def require_whole(x, name: str) -> int:
     return int(x)
 
 
-def regression_arrays(y, X) -> tuple[np.ndarray, np.ndarray]:
-    """A response vector and design matrix with matching, non-zero row
-    counts and finite entries."""
-    y = np.atleast_1d(require_finite(y, "y"))
-    X = np.atleast_2d(require_finite(X, "X"))
-    if X.shape[0] != y.shape[0]:
-        raise DomainError("y and X row counts differ")
-    if X.shape[0] < 1:
-        raise DomainError("need at least one observation")
-    return y, X
-
-
 def require_spd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Symmetrize and verify positive definiteness via Cholesky."""
     m = symmetrize(m)
@@ -62,6 +50,31 @@ def require_spd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"{name} is not positive definite") from exc
     return m
+
+
+@dataclass
+class RegressionData:
+    """A response vector y and design matrix X with matching, non-zero row
+    counts and finite entries."""
+
+    y: np.ndarray
+    X: np.ndarray
+
+    def __post_init__(self):
+        self.y = np.atleast_1d(require_finite(self.y, "y"))
+        self.X = np.atleast_2d(require_finite(self.X, "X"))
+        if self.X.shape[0] != self.y.shape[0]:
+            raise DomainError("y and X row counts differ")
+        if self.X.shape[0] < 1:
+            raise DomainError("need at least one observation")
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.X.shape[1]
 
 
 @dataclass

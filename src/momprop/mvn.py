@@ -135,7 +135,7 @@ def mvn_mfvb_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
                                                  Psit.ravel(), [dof]])
 
     rep = fixed_point(
-        "mfvb", step, (*_start(dof, c, init), None),
+        step, (*_start(dof, c, init), None),
         lambda s: {"mu": GaussianApprox(mu, s[2]),
                    "Sigma": InverseWishartApprox(s[1], s[0])},
         eps, max_iter)
@@ -186,7 +186,7 @@ def mvn_mp_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
             [mu, Sig.ravel(), [nut], Psit.ravel(), [dt]])
 
     rep = fixed_point(
-        "mp", step, (*_start(c.nu_n, c, init), None, None),
+        step, (*_start(c.nu_n, c, init), None, None),
         lambda s: {"mu": StudentTApprox(mu, s[2], s[3]),
                    "Sigma": InverseWishartApprox(s[1], s[0])},
         eps, max_iter)

@@ -23,10 +23,10 @@ Laplace and delta-method VB (dmvb) take damped Newton steps on the same
 driver along M^-1 g, M = Z^T diag(-zeta_2(Z x)) Z + D: one evaluation of
 a point gives its objective, its zeta orders and the Cholesky factor of
 M, and the state carries it to the next step and to the reported
-covariance M^-1. A step is halved until the objective does not fall. A
-fit stops once a step moves its mean by less than eps in the max norm;
-the first step is never tested, so a fit started at its own optimum
-takes two.
+covariance M^-1. A step is halved until the objective rises enough
+(Armijo's rule). A fit stops once a step moves its mean by less than eps
+in the max norm; the first step is never tested, so a fit started at its
+own optimum takes two.
 
 The Gibbs sampler reads two streams spawned from SeedSequence(seed): one
 of uniforms for the a_i draws and one of standard normals for the beta
@@ -47,10 +47,10 @@ from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .datagen import seed_sequence
 from .exceptions import DomainError, NumericError
-from .moments import (GaussianApprox, regression_arrays, require_spd,
+from .moments import (GaussianApprox, RegressionData, require_spd,
                       symmetrize)
 from .reports import FitReport, MomentSummary, fixed_point
-from .specfun import _zeta_orders, xi
+from .specfun import _xi_series, _zeta_orders, xi
 
 
 # rows per block in the O(n p^2) passes; a block's temporaries stay in cache
@@ -75,24 +75,14 @@ def _gram(A: np.ndarray, w: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class ProbitData:
-    y: np.ndarray
-    X: np.ndarray
+class ProbitData(RegressionData):
+    """Binary response y and design X; Z has rows z_i = (2 y_i - 1) x_i."""
 
     def __post_init__(self):
-        self.y, self.X = regression_arrays(self.y, self.X)
+        super().__post_init__()
         if not np.all(np.isin(self.y, (0.0, 1.0))):
             raise DomainError("y must be binary 0/1")
         self.Z = (2.0 * self.y - 1.0)[:, None] * self.X
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
 
 
 @dataclass
@@ -151,22 +141,24 @@ def _newton_gradient(Z: np.ndarray, D: np.ndarray, point: tuple) -> np.ndarray:
     return grad
 
 
-def _damped_newton(method: str, data: ProbitData, prior: ProbitPrior,
-                   profiled: bool, init: np.ndarray | None, eps: float,
+def _damped_newton(data: ProbitData, prior: ProbitPrior, profiled: bool,
+                   init: np.ndarray | None, eps: float,
                    max_iter: int) -> FitReport:
-    """Damped Newton ascent of f from init (zero by default) along M^-1 g,
-    solved from the factor carried in the state, halving the step up to 30
-    times until f falls by at most 1e-12 of its size. q(beta) is
-    N(x, M^-1) at the last point."""
+    """Damped Newton ascent of f from init (zero by default) along
+    d = M^-1 g, solved from the factor in the state: s d, from s = 1, is
+    halved up to 30 times until f rises by 1e-4 s g^T d less 8 machine
+    epsilons of |f| (Armijo). q(beta) is N(x, M^-1) at the last point."""
     Z, D = data.Z, prior.D
 
     def step(point):
         x, f, _, cf = point
-        d = cho_solve(cf, _newton_gradient(Z, D, point))
+        g = _newton_gradient(Z, D, point)
+        d = cho_solve(cf, g)
+        rise, slack = 1e-4 * (g @ d), 8.0 * np.finfo(float).eps * abs(f)
         scale = 1.0
         for _ in range(30):
             cand = _newton_point(Z, D, x + scale * d, profiled)
-            if cand[1] >= f - 1e-12 * abs(f):
+            if cand[1] - f >= scale * rise - slack:
                 break
             scale *= 0.5
         return cand, cand[0]
@@ -177,8 +169,8 @@ def _damped_newton(method: str, data: ProbitData, prior: ProbitPrior,
 
     x = (np.zeros(data.p) if init is None
          else np.asarray(init, dtype=float).copy())
-    return fixed_point(method, step, _newton_point(Z, D, x, profiled), params,
-                       eps, max_iter)
+    return fixed_point(step, _newton_point(Z, D, x, profiled), params, eps,
+                       max_iter)
 
 
 def probit_laplace_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
@@ -186,7 +178,7 @@ def probit_laplace_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
                        init: np.ndarray | None = None) -> FitReport:
     """Damped Newton ascent of log p(y, beta); returns the mode and inverse
     negative Hessian [Z^T diag(-zeta_2(Z beta)) Z + D]^-1."""
-    return _damped_newton("laplace", data, prior, False, init, eps, max_iter)
+    return _damped_newton(data, prior, False, init, eps, max_iter)
 
 
 def probit_mfvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
@@ -205,7 +197,7 @@ def probit_mfvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
         return (mu, mu_a), np.concatenate([mu, mu_a])
 
     return fixed_point(
-        "mfvb", step, (mu, None),
+        step, (mu, None),
         lambda s: {"beta": GaussianApprox(s[0], S),
                    "aux": AuxiliaryMoments(mean_a=s[1])},
         eps, max_iter, extrapolate=(lambda s: s[0], lambda x: (x, None)))
@@ -214,14 +206,13 @@ def probit_mfvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
 def _xi12(variant: str, m: np.ndarray, v: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smoothed zeta_1 / zeta_2 at (m_i, v_i), by second-order delta method
-    or by the series/quadrature evaluator, and zeta_2(m_i)."""
+    (xi's series to two terms) or by xi itself, and zeta_2(m_i)."""
     if variant == "dm":
         z = _zeta_orders(4, m)
-        return z[1] + 0.5 * z[3] * v, z[2] + 0.5 * z[4] * v, z[2]
-    if variant == "quad":
-        x1, x2 = xi((1, 2), m, v)
-        return x1, x2, _zeta_orders(2, m)[2]
-    raise DomainError(f"unknown MP variant {variant!r}; use 'dm' or 'quad'")
+        x1, x2 = _xi_series(z, (1, 2), v, 2)
+        return x1, x2, z[2]
+    x1, x2 = xi((1, 2), m, v)
+    return x1, x2, _zeta_orders(2, m)[2]
 
 
 def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
@@ -234,7 +225,8 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
     "dm" (second-order delta method, needs zeta up to order 4) or "quad"
     (series/trapezoid evaluator).
     """
-    variant = variant.lower()
+    if variant not in ("dm", "quad"):
+        raise DomainError(f"unknown MP variant {variant!r}; use 'dm' or 'quad'")
     Z = data.Z
     S, SZt = _workspace(data, prior)
     ZS = Z @ S
@@ -272,7 +264,7 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
         return x[:data.p], Sig, None
 
     return fixed_point(
-        f"mp-{variant}", step, (mu, Sig, None),
+        step, (mu, Sig, None),
         lambda s: {"beta": GaussianApprox(s[0], s[1]),
                    "aux": AuxiliaryMoments(mean_a=s[2])},
         eps, max_iter, extrapolate=(pack, unpack))
@@ -284,7 +276,7 @@ def probit_dmvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
     """Damped Newton ascent of the profiled delta-method ELBO along M^-1 g
     (g the gradient, M = Z^T diag(-zeta_2(Z mu)) Z + D); stops on a step
     below eps in the max norm, so a restart from the optimum takes two."""
-    return _damped_newton("dmvb", data, prior, True, init_mu, eps, max_iter)
+    return _damped_newton(data, prior, True, init_mu, eps, max_iter)
 
 
 # largest double below 1: scaling 1 - u by it keeps V Phi(m) below 1, so
@@ -372,4 +364,4 @@ def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
     batch_means = draws[: n_samples - n_samples % _MC_BATCHES].reshape(
         _MC_BATCHES, -1, p).mean(axis=1)
     mc_se = batch_means.std(axis=0, ddof=1) / np.sqrt(_MC_BATCHES)
-    return MomentSummary(method="gibbs", mean=mean, cov=cov, mc_se=mc_se)
+    return MomentSummary(mean=mean, cov=cov, mc_se=mc_se)

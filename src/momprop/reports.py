@@ -29,7 +29,6 @@ class FitReport:
     the fit converged to that one.
     """
 
-    method: str
     params: dict[str, Any]
     iterations: int
     converged: bool
@@ -41,9 +40,8 @@ class FitReport:
 @dataclass
 class MomentSummary:
     """First two posterior moments of the coefficient-like block, plus an
-    optional scalar block (e.g. a variance parameter), tagged by method."""
+    optional scalar block (e.g. a variance parameter)."""
 
-    method: str
     mean: np.ndarray
     cov: np.ndarray
     scalar_mean: float | None = None
@@ -55,7 +53,7 @@ class MomentSummary:
         self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
 
 
-def moment_summary(q: dict[str, Any], method: str) -> MomentSummary:
+def moment_summary(q: dict[str, Any]) -> MomentSummary:
     """The reported moments of a fitted q: the means of its vector blocks
     (Gaussian, t or empirical) stacked and their covariances block-diagonal,
     the mean and variance of its inverse-gamma block, and an empirical
@@ -63,7 +61,7 @@ def moment_summary(q: dict[str, Any], method: str) -> MomentSummary:
     are left out."""
     vectors = [a for a in q.values() if isinstance(
         a, (GaussianApprox, StudentTApprox, MomentSummary))]
-    summary = MomentSummary(method, np.concatenate([a.mean for a in vectors]),
+    summary = MomentSummary(np.concatenate([a.mean for a in vectors]),
                             block_diag(*(a.cov for a in vectors)))
     for approx in q.values():
         if isinstance(approx, InverseGammaApprox):
@@ -90,9 +88,9 @@ def _squarem_point(x0: np.ndarray, x1: np.ndarray,
     return x0 - 2.0 * alpha * r + alpha**2 * v
 
 
-def fixed_point(method: str, step: Callable[[Any], tuple[Any, np.ndarray]],
-                state: Any, params: Callable[[Any], dict[str, Any]],
-                eps: float, max_iter: int,
+def fixed_point(step: Callable[[Any], tuple[Any, np.ndarray]], state: Any,
+                params: Callable[[Any], dict[str, Any]], eps: float,
+                max_iter: int,
                 extrapolate: tuple[Callable[[Any], np.ndarray],
                                    Callable[[np.ndarray], Any]] | None = None
                 ) -> FitReport:
@@ -136,6 +134,6 @@ def fixed_point(method: str, step: Callable[[Any], tuple[Any, np.ndarray]],
         state, vec = step(state)
         converged = bool(trace) and bool(np.max(np.abs(vec - trace[-1])) < eps)
         trace.append(vec)
-    return FitReport(method=method, params=params(state),
-                     iterations=len(trace), converged=converged, trace=trace,
+    return FitReport(params=params(state), iterations=len(trace),
+                     converged=converged, trace=trace,
                      termination="converged" if converged else "max_iter")

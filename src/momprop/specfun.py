@@ -169,15 +169,23 @@ def xi_taylor(d: int | tuple[int, ...], mu, sigma2):
     serves every requested order.
     """
     z = _zeta_orders(max(d) + 2 * (_TAYLOR_TERMS - 1), mu.ravel())
-    s2 = sigma2.ravel()
-    acc = np.zeros((len(d), s2.size))
-    coef = np.ones_like(s2)
-    for k in range(_TAYLOR_TERMS):
+    out = _xi_series(z, d, sigma2.ravel(), _TAYLOR_TERMS)
+    return out.reshape((len(d),) + mu.shape)
+
+
+def _xi_series(z: list[np.ndarray], d: tuple[int, ...], sigma2: np.ndarray,
+               terms: int) -> np.ndarray:
+    """The first terms of sum_k zeta_{d+2k}(mu) sigma2^k / (2^k k!), one
+    row per order in d, from the zeta orders z at 1-d mu (up to order
+    max(d) + 2 (terms - 1)) and 1-d sigma2."""
+    acc = np.zeros((len(d), sigma2.size))
+    coef = np.ones_like(sigma2)
+    for k in range(terms):
         if k > 0:
-            coef = coef * s2 / (2.0 * k)
+            coef = coef * sigma2 / (2.0 * k)
         for row, dk in zip(acc, d):
             row += z[dk + 2 * k] * coef
-    return acc.reshape((len(d),) + mu.shape)
+    return acc
 
 
 def _log_integrand(x, mu, sigma2):

@@ -67,6 +67,26 @@ class TestFitLinear:
         assert round(m["scalar_mean"], 1) == 12.2
         assert round(m["scalar_var"], 0) == 293
 
+    def test_pretty_text(self, c7_csv, capsys):
+        rc = run_cli(["fit", "--model", "linear", "--method", "mp2",
+                      "--data", c7_csv, "--pretty"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == ["model: linear   method: mp2",
+                              "converged: True   iterations: 17",
+                              "coef   mean        sd",
+                              "[0]   0.9079     1.563     ",
+                              "scalar mean: 12.22   variance: 292.7"]
+        assert lines[-1].startswith("wall time: ")
+        assert lines[-1].endswith(" s")
+
+    @pytest.mark.parametrize("x,rounded", [
+        (0.0, 0.0), (999.95, 1000.0), (0.00012345, 0.0001234),
+        (123456.0, 123500.0), (-2.71828, -2.718), (12.225, 12.22),
+        (float("inf"), float("inf"))])
+    def test_round_sig(self, x, rounded):
+        assert cli._round_sig(x) == rounded
+
     def test_all_leaf_numbers_finite(self, c7_csv, tmp_path):
         out = tmp_path / "rep.json"
         run_cli(["fit", "--model", "linear", "--method", "mfvb",
@@ -491,6 +511,16 @@ class TestErrors:
         assert rc == 2
         assert "max_iter must be at least 1" in capsys.readouterr().err
 
+    def test_toy_zero_max_iter_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "toy.json"
+        spec.write_text(json.dumps({"mu": [0.0, 0.0],
+                                    "Sigma": [[1.0, 0.9], [0.9, 1.0]],
+                                    "split": 1}))
+        rc = run_cli(["fit", "--model", "toy", "--method", "mp",
+                      "--summary", str(spec), "--max-iter", "0"])
+        assert rc == 2
+        assert "max_iter must be at least 1" in capsys.readouterr().err
+
     def test_nonconvergence_still_exit_zero(self, c7_csv, tmp_path):
         out = tmp_path / "rep.json"
         rc = run_cli(["fit", "--model", "linear", "--method", "mfvb",
@@ -520,6 +550,24 @@ class TestGenerate:
             run_cli(["generate", "--model", "probit", "--n", "60",
                      "--p", "2", "--seed", "42", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_linear_with_coefficients(self, tmp_path):
+        argv = ["generate", "--model", "linear", "--n", "40", "--p", "3",
+                "--seed", "7", "--beta", "1,-2,0.5", "--sigma", "0.7"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path in (a, b):
+            assert run_cli(argv + ["--out", str(path)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        with open(a) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["y", "x1", "x2", "x3"]
+        assert np.array(rows[1:], dtype=float).shape == (40, 4)
+
+    def test_bad_coefficient_vector_is_usage_error(self, tmp_path, capsys):
+        rc = run_cli(["generate", "--model", "linear", "--beta", "1,x",
+                      "--out", str(tmp_path / "g.csv")])
+        assert rc == 2
+        assert "bad vector '1,x'" in capsys.readouterr().err
 
     def test_probit_has_both_classes(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -80,22 +80,22 @@ class TestDensityGrids:
 
 class TestMomentErrors:
     def test_identical_summaries(self):
-        s = MomentSummary("a", mean=[1.0, 2.0], cov=np.eye(2))
+        s = MomentSummary(mean=[1.0, 2.0], cov=np.eye(2))
         me, se = moment_errors(s, s)
         assert me == pytest.approx(np.zeros(2))
         assert se == pytest.approx(np.zeros(2))
 
     def test_reference_sd_error(self):
-        a = MomentSummary("mfvb", mean=[0.908], cov=[[1.47]])
-        b = MomentSummary("exact", mean=[0.908], cov=[[2.44]])
+        a = MomentSummary(mean=[0.908], cov=[[1.47]])
+        b = MomentSummary(mean=[0.908], cov=[[2.44]])
         _, se = moment_errors(a, b)
         assert se[0] == pytest.approx(np.sqrt(1.47) - np.sqrt(2.44),
                                       rel=1e-12)
         assert se[0] == pytest.approx(-0.350, abs=5e-4)
 
     def test_dimension_mismatch(self):
-        a = MomentSummary("a", mean=[0.0], cov=[[1.0]])
-        b = MomentSummary("b", mean=[0.0, 1.0], cov=np.eye(2))
+        a = MomentSummary(mean=[0.0], cov=[[1.0]])
+        b = MomentSummary(mean=[0.0, 1.0], cov=np.eye(2))
         with pytest.raises(DomainError):
             moment_errors(a, b)
 

@@ -275,6 +275,5 @@ class TestCrossMethod:
 
     def test_moment_summary(self, ref):
         rep = linear_mp2_fit(*ref)
-        summ = moment_summary(rep.params, "mp2")
-        assert summ.method == "mp2"
+        summ = moment_summary(rep.params)
         assert summ.scalar_mean == pytest.approx(12.2, abs=5e-2)

@@ -222,7 +222,7 @@ class TestMP:
 class TestSummary:
     def test_summary_uses_t_cov(self, ref):
         rep = mvn_mp_fit(*ref)
-        summ = moment_summary(rep.params, "mp")
+        summ = moment_summary(rep.params)
         assert summ.cov[0, 0] == pytest.approx(0.114, abs=5e-4)
 
 

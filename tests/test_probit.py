@@ -163,6 +163,13 @@ class TestMP:
         with pytest.raises(DomainError):
             probit_mp_fit(*synthetic200, variant="nope")
 
+    @pytest.mark.parametrize("variant", ["DM", "Quad", "nope"])
+    def test_variant_checked_before_any_work(self, synthetic200, monkeypatch,
+                                             variant):
+        monkeypatch.setattr(probit, "_workspace", None)  # not to be reached
+        with pytest.raises(DomainError, match="unknown MP variant"):
+            probit_mp_fit(*synthetic200, variant=variant)
+
     def test_update_ordering_reaches_same_fixed_point(self, synthetic200):
         # the library computes both block updates from the pre-update
         # iterate; a sequential variant (covariance update sees the fresh
@@ -347,6 +354,19 @@ class TestNewtonFits:
         data, prior = ProbitData(y, X), ProbitPrior.ridge(0.01, 20)
         rep = probit_dmvb_fit(data, prior, eps=1e-6)
         assert rep.converged and rep.iterations <= 10
+        _, grad = dmvb_objective_grad(data, prior, rep.params["beta"].mean)
+        assert np.max(np.abs(grad)) < 1e-6
+
+    @pytest.mark.parametrize("n,p,seed", [(20, 2, 1), (30, 3, 8)])
+    def test_dmvb_stops_at_its_optimum(self, n, p, seed):
+        # neither set is separable; a full step M^-1 g overshoots near the
+        # optimum, as M is Laplace's curvature and not the objective's, and
+        # a fit that accepted any step short of a rounding-level fall swung
+        # about the optimum until max_iter
+        data = ProbitData(*generate_probit(n, p, seed=seed))
+        prior = ProbitPrior.ridge(0.01, p)
+        rep = probit_dmvb_fit(data, prior, max_iter=50)
+        assert rep.converged
         _, grad = dmvb_objective_grad(data, prior, rep.params["beta"].mean)
         assert np.max(np.abs(grad)) < 1e-6
 

@@ -15,7 +15,8 @@ from momprop.mvn import MVNData, MVNPrior, mvn_mfvb_fit, mvn_mp_fit
 from momprop.probit import (ProbitData, ProbitPrior, probit_dmvb_fit,
                             probit_gibbs_oracle, probit_laplace_fit,
                             probit_mfvb_fit, probit_mp_fit)
-from momprop.reports import MomentSummary, fixed_point, moment_summary
+from momprop.reports import (MomentSummary, _squarem_point, fixed_point,
+                             moment_summary)
 
 
 def _linear():
@@ -61,7 +62,7 @@ class TestFixedPoint:
         return state, np.array([state])
 
     def test_stops_when_successive_vectors_agree(self):
-        rep = fixed_point("halve", self.halving, 1.0,
+        rep = fixed_point(self.halving, 1.0,
                           lambda s: {"x": s}, eps=0.1, max_iter=50)
         # vectors 0.5, 0.25, 0.125, 0.0625: the change 0.0625 is the first
         # below 0.1
@@ -71,20 +72,20 @@ class TestFixedPoint:
         assert [float(t[0]) for t in rep.trace] == [0.5, 0.25, 0.125, 0.0625]
 
     def test_cap_reports_last_state(self):
-        rep = fixed_point("halve", self.halving, 1.0,
+        rep = fixed_point(self.halving, 1.0,
                           lambda s: {"x": s}, eps=1e-9, max_iter=3)
         assert not rep.converged and rep.termination == "max_iter"
         assert rep.iterations == 3 and rep.params == {"x": 0.125}
 
     def test_first_sweep_never_converges(self):
-        rep = fixed_point("still", lambda s: (s, np.zeros(1)), 0.0,
+        rep = fixed_point(lambda s: (s, np.zeros(1)), 0.0,
                           lambda s: {}, eps=1.0, max_iter=1)
         assert not rep.converged and rep.iterations == 1
 
     @pytest.mark.parametrize("eps", [0.0, -1e-6, float("nan")])
     def test_non_positive_eps(self, eps):
         with pytest.raises(DomainError, match="eps"):
-            fixed_point("halve", self.halving, 1.0, lambda s: {}, eps, 10)
+            fixed_point(self.halving, 1.0, lambda s: {}, eps, 10)
 
 
 def _contraction():
@@ -120,7 +121,7 @@ class TestSquarem:
         return step
 
     def run(self, step, extrapolate=None, max_iter=MAX_ITER):
-        return fixed_point("affine", step, np.zeros(4), lambda x: {"x": x},
+        return fixed_point(step, np.zeros(4), lambda x: {"x": x},
                            self.EPS, max_iter, extrapolate=extrapolate)
 
     def test_fewer_maps_to_the_same_fixed_point(self):
@@ -185,7 +186,7 @@ class TestSquarem:
             x, vec = affine(x)
             return (x, False), vec
 
-        rep = fixed_point("affine", step, (np.zeros(4), False),
+        rep = fixed_point(step, (np.zeros(4), False),
                           lambda s: {"x": s[0]}, self.EPS, self.MAX_ITER,
                           extrapolate=(lambda s: s[0], lambda x: (x, True)))
         plain = self.run(affine)
@@ -195,12 +196,29 @@ class TestSquarem:
                    for u, w in zip(rep.trace, plain.trace))
         assert np.max(np.abs(rep.params["x"] - x_star)) < 1e-7
 
+    @pytest.mark.parametrize("step", [
+        lambda x: (-x / 2.0, -x / 2.0),  # step length -2/3, above -1
+        lambda x: (x + 1.0, x + 1.0),  # v = 0
+    ], ids=["step-length-above-minus-one", "zero-second-difference"])
+    def test_no_squarem_point_leaves_the_plain_trace(self, step):
+        x0 = np.ones(4)
+        x1 = step(x0)[0]
+        assert _squarem_point(x0, x1, step(x1)[0]) is None
+        plain = fixed_point(step, x0, lambda x: {}, self.EPS, 60)
+        rep = fixed_point(step, x0, lambda x: {}, self.EPS, 60,
+                          extrapolate=(lambda x: x, lambda x: x))
+        assert (rep.iterations, rep.converged) == (plain.iterations,
+                                                   plain.converged)
+        assert len(rep.trace) == len(plain.trace)
+        assert all(np.array_equal(u, w)
+                   for u, w in zip(rep.trace, plain.trace))
+
     @pytest.mark.parametrize("eps,max_iter", [(1e-10, 5000), (1e-3, 5000),
                                               (1e-10, 7)])
     def test_plain_trace_is_the_reference_loop(self, eps, max_iter):
         A, b, _ = _contraction()
         step = self.affine_step(A, b)
-        rep = fixed_point("affine", step, np.zeros(4), lambda x: {},
+        rep = fixed_point(step, np.zeros(4), lambda x: {},
                           eps, max_iter)
         trace, iterations, converged = _plain_loop(step, np.zeros(4), eps,
                                                    max_iter)
@@ -223,26 +241,26 @@ SUMMARY_CASES = {
     "linear-exact": (
         lambda: dict(zip(("beta", "sigma2"),
                          linear_exact_posterior(*_linear()))),
-        lambda q, m: MomentSummary(m, q["beta"].mean, q["beta"].cov,
-                                   *ig_mean_var(q["sigma2"]))),
+        lambda q: MomentSummary(q["beta"].mean, q["beta"].cov,
+                                *ig_mean_var(q["sigma2"]))),
     "linear-mp2": (
         lambda: linear_mp2_fit(*_linear()).params,
-        lambda q, m: MomentSummary(m, q["beta"].mean, q["beta"].cov,
-                                   *ig_mean_var(q["sigma2"]))),
+        lambda q: MomentSummary(q["beta"].mean, q["beta"].cov,
+                                *ig_mean_var(q["sigma2"]))),
     "mvn-mp": (
         lambda: mvn_mp_fit(*_mvn()).params,
-        lambda q, m: MomentSummary(m, q["mu"].mean, q["mu"].cov)),
+        lambda q: MomentSummary(q["mu"].mean, q["mu"].cov)),
     "probit-mp": (
         lambda: probit_mp_fit(*_probit()).params,
-        lambda q, m: MomentSummary(m, q["beta"].mean, q["beta"].cov)),
+        lambda q: MomentSummary(q["beta"].mean, q["beta"].cov)),
     "probit-gibbs": (
         lambda: {"beta": probit_gibbs_oracle(*_probit(), n_samples=1000,
                                              n_warmup=100, seed=5)},
-        lambda q, m: q["beta"]),
+        lambda q: q["beta"]),
     "toy": (
         _toy_q,
-        lambda q, m: MomentSummary(
-            m, np.concatenate([q["block1"].mean, q["block2"].mean]),
+        lambda q: MomentSummary(
+            np.concatenate([q["block1"].mean, q["block2"].mean]),
             block_diag(q["block1"].cov, q["block2"].cov))),
 }
 
@@ -254,11 +272,10 @@ def test_moment_summary_is_the_per_model_summary(case):
     auxiliary blocks left out."""
     build_q, expected = SUMMARY_CASES[case]
     q = build_q()
-    method = "gibbs" if case == "probit-gibbs" else "m"
-    got, want = moment_summary(q, method), expected(q, method)
+    got, want = moment_summary(q), expected(q)
     assert vars(got).keys() == vars(want).keys()
     for name, value in vars(want).items():
-        if value is None or isinstance(value, str):
+        if value is None:
             assert getattr(got, name) == value, name
         else:
             assert np.array_equal(getattr(got, name), value), name
