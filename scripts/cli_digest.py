@@ -45,6 +45,8 @@ FILES = {
     "empty.csv": "",
     "header-only.csv": "y,x1\n",
     "no-y.csv": "a,b\n1.0,2.0\n3.0,4.0\n",
+    "y-only.csv": "y\n1.0\n2.0\n",
+    "dup-column.csv": "y,x1,x2\n0.5,1,1\n1.5,2,2\n2.0,3,3\n4.5,4,4\n",
     "mvn-nan.csv": "x1,x2\n0.1,nan\n0.5,0.2\n-0.3,0.9\n",
     "not-json.json": "{",
     "list.json": [1, 2],
@@ -131,6 +133,10 @@ def _commands() -> list[tuple[str, list[str]]]:
         "fit", "--model", "linear", "--method", "mfvb", "--data",
         "FILE/c7.csv", "--emit-density", "beta0", "--density-out",
         "FILE/dens.csv", "--out", "FILE/dens-report.json"]))
+    density.append(("density to missing dir", [
+        "fit", "--model", "linear", "--method", "mfvb", "--data",
+        "FILE/c7.csv", "--emit-density", "beta0", "--density-out",
+        "FILE/no/dens.csv"]))
     compare = [
         ("compare linear", ["compare", "--model", "linear", "--methods",
                             "mfvb,mp1,mp2", "--data", "FILE/c7.csv"]),
@@ -231,6 +237,8 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("io: unwritable --out", linear_fit + ["--out", "FILE/no/dir.json"]),
         ("io: generate unwritable", ["generate", "--model", "mvn", "--out",
                                      "FILE/no/dir.csv"]),
+        ("fit --pretty --out", linear_fit + ["--pretty", "--out",
+                                             "FILE/pretty.json"]),
     ]
     for name, (model, method, flag) in {
             "probit-nan.csv": ("probit", "mp-dm", "--data"),
@@ -240,6 +248,8 @@ def _commands() -> list[tuple[str, list[str]]]:
             "empty.csv": ("linear", "mfvb", "--data"),
             "header-only.csv": ("linear", "mfvb", "--data"),
             "no-y.csv": ("linear", "mfvb", "--data"),
+            "y-only.csv": ("linear", "mfvb", "--data"),
+            "dup-column.csv": ("linear", "mp2", "--data"),
             "mvn-nan.csv": ("mvn", "exact", "--data"),
             "not-json.json": ("mvn", "exact", "--summary"),
             "list.json": ("mvn", "exact", "--summary"),

@@ -9,6 +9,7 @@ null (a warning entry names any replaced value). Exit codes: 0 success
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -106,13 +107,13 @@ def _parse_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
         if len(row) != len(header):
             raise InputError(f"{path}: row {i} has {len(row)} fields, "
                              f"expected {len(header)}")
-        try:
-            data.append([float(v) for v in row])
-        except ValueError as exc:
-            bad = next(j for j, v in enumerate(row, start=1)
-                       if not _is_float(v))
-            raise InputError(f"{path}: row {i}, col {bad}: "
-                             f"not a number: {row[bad - 1]!r}") from exc
+        data.append(values := [])
+        for j, cell in enumerate(row, start=1):
+            try:
+                values.append(float(cell))
+            except ValueError as exc:
+                raise InputError(f"{path}: row {i}, col {j}: "
+                                 f"not a number: {cell!r}") from exc
     if not data:
         raise InputError(f"{path}: no data rows")
     return header, np.array(data)
@@ -122,27 +123,22 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> InputError:
     return InputError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
-
-
-def _load_xy(path: str, intercept: bool) -> tuple[np.ndarray, np.ndarray]:
-    header, data = _read_csv(path)
+def _load_regression(args: argparse.Namespace, data_type):
+    """data_type(y, X) from the --data CSV: y is its "y" column and X the
+    others, after a column of ones with --intercept."""
+    if not args.data:
+        raise UsageError(f"{args.model} needs --data CSV")
+    header, data = _read_csv(args.data)
     if "y" not in header:
-        raise InputError(f"{path}: header must contain a 'y' column")
+        raise InputError(f"{args.data}: header must contain a 'y' column")
     yi = header.index("y")
-    y = data[:, yi]
     X = np.delete(data, yi, axis=1)
-    if intercept:
+    if args.intercept:
         X = np.column_stack([np.ones(X.shape[0]), X])
     if X.shape[1] == 0:
-        raise InputError(f"{path}: no predictor columns "
+        raise InputError(f"{args.data}: no predictor columns "
                          "(pass --intercept for an intercept-only fit)")
-    return y, X
+    return data_type(data[:, yi], X)
 
 
 def _from_json(path: str, build: Callable[[dict], Any]):
@@ -232,12 +228,6 @@ def _q_to_json(q: dict) -> dict:
 # fitting dispatch
 
 
-def _load_regression(args: argparse.Namespace, data_type):
-    if not args.data:
-        raise UsageError(f"{args.model} needs --data CSV")
-    return data_type(*_load_xy(args.data, args.intercept))
-
-
 def _closed_form(q: dict) -> FitReport:
     return FitReport(q, iterations=0, converged=True,
                      termination="closed_form", trace=None)
@@ -251,6 +241,15 @@ def _toy(args: argparse.Namespace, spec: ToyGaussianSpec,
                                      max_iter=max(args.max_iter, 10_000))
     block1, block2 = (q1, q2) if method == "mp" else (m1, m2)
     return _closed_form({"block1": block1, "block2": block2})
+
+
+def _parse_vector(text: str | None) -> np.ndarray | None:
+    if not text:
+        return None
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise UsageError(f"bad vector {text!r}: {exc}") from exc
 
 
 def _xy_table(y: np.ndarray, X: np.ndarray, y_cell: Callable):
@@ -514,31 +513,6 @@ def run_compare(args: argparse.Namespace, methods: list[str],
 
 
 # ---------------------------------------------------------------------------
-# generate
-
-
-def run_generate(args) -> None:
-    header, rows = MODELS[args.model].generate(args)
-    try:
-        fh = open(args.out, "w", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot write {args.out}: {exc}") from exc
-    with fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _parse_vector(text: str | None) -> np.ndarray | None:
-    if not text:
-        return None
-    try:
-        return np.array([float(v) for v in text.split(",")])
-    except ValueError as exc:
-        raise UsageError(f"bad vector {text!r}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
 # rendering
 
 
@@ -573,18 +547,9 @@ def _emit_density(q: dict, model: str, name: str, path: str | None) -> None:
     for mname, family, params in marginals:
         if mname == name:
             grid = _density_grid(family, params)
-            try:
-                fh = open(path, "w", newline="") if path else sys.stdout
-            except OSError as exc:
-                raise InputError(f"cannot write {path}: {exc}") from exc
-            try:
-                writer = csv.writer(fh)
-                writer.writerow(["point", "value"])
-                for pt, val in zip(grid.points, grid.values):
-                    writer.writerow([repr(float(pt)), repr(float(val))])
-            finally:
-                if path:
-                    fh.close()
+            _write_csv(path, ["point", "value"],
+                       ([repr(float(pt)), repr(float(val))]
+                        for pt, val in zip(grid.points, grid.values)))
             return
     raise UsageError(f"no marginal named {name!r}; available: "
                      f"{', '.join(m[0] for m in marginals)}")
@@ -671,6 +636,19 @@ def _encode(doc: dict) -> dict:
     return doc
 
 
+def _write_csv(path: str | None, header: list[str], rows) -> None:
+    """header and rows as CSV into path, or onto stdout without one."""
+    try:
+        fh = (open(path, "w", newline="") if path
+              else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    with fh as out:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_report(doc: dict, out: str | None, pretty: bool) -> None:
     text = json.dumps(doc, indent=2)
     if out:
@@ -691,7 +669,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.command == "generate":
-            run_generate(args)
+            _write_csv(args.out, *MODELS[args.model].generate(args))
             return 0
         if args.command == "fit":
             model = _model(args.model, args.method)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammainccinv, gammaln, poch
 
 from .exceptions import DomainError, NumericError
 from .moments import (GaussianApprox, require_finite, require_spd,
@@ -58,17 +58,30 @@ def moment_errors(approx: MomentSummary, reference: MomentSummary
     return mean_err, sd_err
 
 
+# The densities and ig_grid_range evaluate scipy.stats' norm, t and invgamma
+# expressions in its order, which gives its values bit for bit.
 def gaussian_density(points: np.ndarray, mean: float, var: float) -> DensityGrid:
-    return DensityGrid(points, stats.norm.pdf(points, mean, np.sqrt(var)))
+    sd = np.sqrt(var)
+    x = (np.asarray(points, dtype=float) - mean) / sd
+    return DensityGrid(points, np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi) / sd)
 
 
 def t_density(points: np.ndarray, loc: float, scale: float,
               dof: float) -> DensityGrid:
-    return DensityGrid(points, stats.t.pdf(points, dof, loc, np.sqrt(scale)))
+    sd = np.sqrt(scale)
+    x = (np.asarray(points, dtype=float) - loc) / sd
+    logpdf = (np.log(poch(0.5 * dof, 0.5)) - 0.5 * (np.log(dof) + np.log(np.pi))
+              - (dof + 1) / 2 * np.log1p(x * x / dof))
+    return DensityGrid(points, np.exp(logpdf) / sd)
 
 
 def ig_density(points: np.ndarray, shape: float, scale: float) -> DensityGrid:
-    return DensityGrid(points, stats.invgamma.pdf(points, shape, scale=scale))
+    """The inverse-gamma density, 0 at points <= 0."""
+    x = np.asarray(points, dtype=float) / scale
+    values, pos = np.zeros_like(x), x > 0
+    values[pos] = np.exp(-(shape + 1) * np.log(x[pos]) - gammaln(shape)
+                         - 1.0 / x[pos]) / scale
+    return DensityGrid(points, values)
 
 
 def gaussian_grid_range(mean: float, var: float) -> tuple[float, float]:
@@ -77,8 +90,10 @@ def gaussian_grid_range(mean: float, var: float) -> tuple[float, float]:
 
 
 def ig_grid_range(shape: float, scale: float) -> tuple[float, float]:
-    dist = stats.invgamma(shape, scale=scale)
-    return float(dist.ppf(IG_TAIL_QUANTILE)), float(dist.ppf(1 - IG_TAIL_QUANTILE))
+    # in scipy's order: scale / gammainccinv(...) differs in the last bit
+    lo, hi = 1.0 / gammainccinv(
+        shape, [IG_TAIL_QUANTILE, 1 - IG_TAIL_QUANTILE]) * scale
+    return float(lo), float(hi)
 
 
 def make_points(lo: float, hi: float, n: int = GRID_POINTS) -> np.ndarray:

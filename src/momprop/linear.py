@@ -56,9 +56,14 @@ def linear_constants(data: LinearData, prior: LinearPrior) -> LinearConstants:
     """OLS estimate, shrinkage factor u = g/(1+g), and shrunk residual variance."""
     XtX = symmetrize(data.X.T @ data.X)
     try:
-        np.linalg.cholesky(XtX)
+        pivots = np.diag(np.linalg.cholesky(XtX)) ** 2
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("X is rank deficient") from exc
+    # cholesky factors numerically singular X'X too. pivot_j / (X'X)_jj is
+    # 1 - R^2 of column j on the columns before it, free of column scale: a
+    # few eps when columns are exactly collinear, orders above 64 p eps else
+    if np.any(pivots <= 64 * data.p * np.finfo(float).eps * np.diag(XtX)):
+        raise np.linalg.LinAlgError("X is rank deficient")
     XtX_inv = symmetrize(np.linalg.inv(XtX))
     Xty = data.X.T @ data.y
     beta_hat = XtX_inv @ Xty

@@ -134,6 +134,16 @@ class TestFitLinear:
         assert len(pts) == 4001
         assert 0.99 <= np.trapezoid(vals, pts) <= 1.01
 
+    def test_pretty_with_out(self, c7_csv, tmp_path, capsys):
+        """--out takes the JSON report and stdout the summary."""
+        out = tmp_path / "rep.json"
+        rc = run_cli(["fit", "--model", "linear", "--method", "mp2",
+                      "--data", c7_csv, "--out", str(out), "--pretty"])
+        assert rc == 0
+        assert json.loads(out.read_text())["iterations"] == 17
+        assert capsys.readouterr().out.startswith(
+            "model: linear   method: mp2\n")
+
 
 class TestFitMVN:
     def test_summary_input(self, d9_json, tmp_path):
@@ -187,6 +197,22 @@ class TestFitProbit:
         assert doc["q"]["beta"]["mean"] == rep.params["beta"].mean.tolist()
         assert doc["q"]["beta"]["cov"] == rep.params["beta"].cov.tolist()
         assert doc["iterations"] == rep.iterations
+
+    def test_intercept_prepends_a_column_of_ones(self, tmp_path):
+        data = tmp_path / "p.csv"
+        run_cli(["generate", "--model", "probit", "--n", "80", "--p", "2",
+                 "--seed", "2", "--no-intercept", "--out", str(data)])
+        out = tmp_path / "rep.json"
+        rc = run_cli(["fit", "--model", "probit", "--method", "mfvb",
+                      "--data", str(data), "--intercept", "--out", str(out)])
+        assert rc == 0
+        from momprop.probit import ProbitData, ProbitPrior, probit_mfvb_fit
+        arr = np.loadtxt(data, delimiter=",", skiprows=1)
+        X = np.column_stack([np.ones(len(arr)), arr[:, 1:]])
+        rep = probit_mfvb_fit(ProbitData(arr[:, 0], X),
+                              ProbitPrior.ridge(0.01, 3))
+        mean = json.loads(out.read_text())["q"]["beta"]["mean"]
+        assert mean == rep.params["beta"].mean.tolist()
 
 
 class TestInitFromRoundTrips:
@@ -365,6 +391,31 @@ BAD_INPUTS = {
     "json-not-utf8": (
         ["fit", "--model", "mvn", "--method", "exact", "--summary", "FILE"],
         b'{"n": "\xff"}', 3, "FILE"),
+    "generate-out-missing-dir": (
+        ["generate", "--model", "mvn", "--out", "MISSING"], "", 3, "MISSING"),
+    "fit-out-missing-dir": (
+        ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
+         "--out", "MISSING"], "", 3, "MISSING"),
+    "density-unknown-name": (
+        ["fit", "--model", "linear", "--method", "exact", "--data", "C7",
+         "--emit-density", "nope"], "", 2, "available: beta0, sigma2"),
+    "density-toy": (
+        ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE",
+         "--emit-density", "block10"],
+        {"mu": [0.0, 0.0], "Sigma": I2, "split": 1}, 2,
+        "do not support the toy model"),
+    "csv-no-y": (
+        ["fit", "--model", "linear", "--method", "mfvb", "--data", "FILE"],
+        "a,b\n1.0,2.0\n3.0,4.0\n", 3, "header must contain a 'y' column"),
+    "csv-y-only": (
+        ["fit", "--model", "linear", "--method", "mfvb", "--data", "FILE"],
+        "y\n1.0\n2.0\n", 3, "no predictor columns"),
+    "mvn-summary-invalid-json": (
+        ["fit", "--model", "mvn", "--method", "exact", "--summary", "FILE"],
+        "{", 3, "invalid JSON"),
+    "init-from-no-q-block": (
+        ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
+         "--init-from", "FILE"], {"q": {}}, 3, "lacks q.sigma2"),
 }
 
 
@@ -452,6 +503,16 @@ class TestErrors:
         assert rc == 3
         err = capsys.readouterr().err
         assert "row 3" in err and "col 2" in err
+
+    def test_rank_deficient_design_is_numeric_failure(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("y,x1,x2\n0.5,1,1\n1.5,2,2\n2.0,3,3\n4.5,4,4\n")
+        rc = run_cli(["fit", "--model", "linear", "--method", "mp2",
+                      "--data", str(path)])
+        assert rc == 4
+        assert (capsys.readouterr().err
+                == "numeric failure: X is rank deficient\n")
 
     def test_ragged_csv(self, tmp_path):
         path = tmp_path / "bad.csv"

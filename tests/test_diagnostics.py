@@ -1,5 +1,11 @@
 """Accuracy metric, moment errors, density grids, toy block-Gaussian fits."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +74,49 @@ class TestDensityGrids:
         lo, hi = ig_grid_range(2.51, 18.45)
         g = ig_density(make_points(lo, hi), 2.51, 18.45)
         assert 0.99 <= g.mass() <= 1.01
+
+    def test_closed_forms_match_scipy_stats(self):
+        """The densities, each on a grid across its bulk and tails, and the
+        inverse-gamma range equal scipy.stats' values bit for bit."""
+        from scipy import stats
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            m, v = rng.normal(0.0, 10.0), 10 ** rng.uniform(-6, 4)
+            pts = make_points(*gaussian_grid_range(m, v))
+            assert np.array_equal(gaussian_density(pts, m, v).values,
+                                  stats.norm.pdf(pts, m, np.sqrt(v)))
+            loc, scale = rng.normal(0.0, 10.0), 10 ** rng.uniform(-6, 4)
+            dof = 10 ** rng.uniform(-0.5, 3.5)
+            pts = make_points(*gaussian_grid_range(loc, 16.0 * scale))
+            assert np.array_equal(t_density(pts, loc, scale, dof).values,
+                                  stats.t.pdf(pts, dof, loc, np.sqrt(scale)))
+            shape, scale = 10 ** rng.uniform(-1, 4), 10 ** rng.uniform(-4, 4)
+            ig = stats.invgamma(shape, scale=scale)
+            lo, hi = ig_grid_range(shape, scale)
+            assert (lo, hi) == (ig.ppf(1e-6), ig.ppf(1 - 1e-6))
+            for pts in (make_points(lo, hi), make_points(-hi, 2 * hi, 501)):
+                assert np.array_equal(ig_density(pts, shape, scale).values,
+                                      ig.pdf(pts))
+
+    def test_ig_density_is_zero_off_its_support(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            g = ig_density(np.array([-1.0, 0.0, 1.0]), 2.0, 1.0)
+        assert g.values[:2].tolist() == [0.0, 0.0]
+        assert g.values[2] == pytest.approx(np.exp(-1.0))
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        """scipy.stats was most of the time `import momprop` took; nothing
+        the CLI imports needs it."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parent.parent / "src"),
+            env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, momprop.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):

@@ -60,6 +60,30 @@ class TestConstants:
             linear_constants(LinearData(np.arange(5.0), X),
                              LinearPrior(g=1.0, A=1.0, B=1.0))
 
+    def test_collinear_designs_are_rank_deficient(self):
+        """cholesky factors X'X of a column and its multiple, some of them
+        numerically; every such design is rank deficient, not a fit."""
+        rng = np.random.default_rng(0)
+        prior = LinearPrior(g=1e4, A=0.01, B=0.01)
+        for _ in range(200):
+            n, p = rng.integers(5, 30), rng.integers(2, 5)
+            X = rng.standard_normal((n, p))
+            i, j = rng.choice(p, 2, replace=False)
+            X[:, j] = rng.choice([1, 3, -0.7, 1 / 3, 0.1, 7]) * X[:, i]
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="X is rank deficient"):
+                linear_mp2_fit(LinearData(rng.standard_normal(n), X), prior)
+
+    def test_scaled_full_rank_designs_fit(self):
+        """The rank test does not depend on column scale."""
+        rng = np.random.default_rng(1)
+        prior = LinearPrior(g=1e4, A=0.01, B=0.01)
+        for _ in range(200):
+            n, p = rng.integers(6, 30), rng.integers(2, 6)
+            X = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-8, 8, p)
+            c = linear_constants(LinearData(rng.standard_normal(n), X), prior)
+            assert np.all(np.isfinite(c.XtX_inv))
+
 
 class TestData:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
