@@ -68,6 +68,8 @@ FILES = {
                                             "mean": [INF, 0.0, 0.0]}}},
     "init-mvn-inf.json": {"q": {"Sigma": {"family": "inverse_wishart",
                                           "scale_matrix": I2, "dof": INF}}},
+    "init-probit-p2.json": {"q": {"beta": {"family": "gaussian",
+                                           "mean": [0.0, 0.0], "cov": I2}}},
 }
 
 
@@ -183,6 +185,14 @@ def _commands() -> list[tuple[str, list[str]]]:
     init.append(("init toy rejected", [
         "fit", "--model", "toy", "--method", "mp", "--summary",
         "FILE/toy.json", "--init-from", "FILE/init-exact.json"]))
+    # a linear report's q.beta is a t density, which no probit fit starts from
+    init.append(("init from linear#1 mp2 to probit", [
+        "fit", "--model", "probit", "--method", "mp-dm", "--data",
+        "FILE/probit.csv", "--init-from", "FILE/init-linear-mp2-1.json"]))
+    # the d9 report is bivariate, mvn.csv has three columns
+    init.append(("init from mvn#0 mp to mvn#1", [
+        "fit", "--model", "mvn", "--method", "mp", "--data", "FILE/mvn.csv",
+        "--init-from", "FILE/init-mvn-mp-0.json"]))
     linear_fit = ["fit", "--model", "linear", "--method", "mp2",
                   "--data", "FILE/c7.csv"]
     errors = [
@@ -220,6 +230,15 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("usage: generate bad beta", ["generate", "--model", "linear",
                                       "--beta", "1,x", "--out",
                                       "FILE/bad-beta.csv"]),
+        *((f"usage: generate {model} short beta", [
+            "generate", "--model", model, "--p", "3", "--beta", "1,2",
+            "--out", "FILE/short-beta.csv"]) for model in ("linear", "probit")),
+        ("usage: generate nan sigma", ["generate", "--model", "linear",
+                                       "--sigma", "nan", "--out",
+                                       "FILE/nan-sigma.csv"]),
+        *((f"usage: generate {model} beta overflow", [
+            "generate", "--model", model, "--beta", "1e308,1e308", "--out",
+            "FILE/overflow.csv"]) for model in ("linear", "probit")),
         ("usage: negative seed generate", [
             "generate", "--model", "probit", "--n", "20", "--p", "2",
             "--seed", "-1", "--out", "FILE/negative-seed.csv"]),
@@ -229,6 +248,9 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("domain: mvn negative n", ["fit", "--model", "mvn", "--method",
                                     "exact", "--summary",
                                     "FILE/mvn-n-negative.json"]),
+        ("domain: mvn psi0 nan", ["fit", "--model", "mvn", "--method",
+                                  "exact", "--summary", "FILE/d9.json",
+                                  "--psi0-scale", "nan"]),
         ("domain: toy split out of range", [
             "fit", "--model", "toy", "--method", "mp", "--summary",
             "FILE/toy-split-out.json"]),
@@ -273,7 +295,10 @@ def _commands() -> list[tuple[str, list[str]]]:
             "init-probit-inf.json": ["fit", "--model", "probit", "--method",
                                      "mp-dm", "--data", "FILE/probit.csv"],
             "init-mvn-inf.json": ["fit", "--model", "mvn", "--method", "mp",
-                                  "--summary", "FILE/d9.json"]}.items():
+                                  "--summary", "FILE/d9.json"],
+            "init-probit-p2.json": ["fit", "--model", "probit", "--method",
+                                    "laplace", "--data",
+                                    "FILE/probit.csv"]}.items():
         errors.append((f"init-from: {name}",
                        argv + ["--init-from", f"FILE/{name}"]))
     return gen + fits + density + compare + init + errors

@@ -211,6 +211,7 @@ _FAMILY_NAMES = {GaussianApprox: "gaussian", StudentTApprox: "student_t",
                  InverseGammaApprox: "inverse_gamma",
                  InverseWishartApprox: "inverse_wishart",
                  MomentSummary: "empirical"}
+_FAMILY_TYPES = {name: q_type for q_type, name in _FAMILY_NAMES.items()}
 
 
 def _fields(record) -> dict:
@@ -286,12 +287,12 @@ class Model:
     """What the CLI knows about one model.
 
     fits maps each method to fit(args, data, prior, init), args being the
-    parsed command line, which returns a FitReport. The entries name the
-    library fitters of this module, looked up at call time, so a wrapper
-    installed under such a name sees every CLI fit. init_from names the q
-    block --init-from reads and a parse(block, finite) that turns it into
-    starting-value keywords, passing each value through finite; a model
-    without one rejects --init-from. reference is compare's default
+    parsed command line and init the starting q-density or None, which
+    returns a FitReport. The entries name the library fitters of this
+    module, looked up at call time, so a wrapper installed under such a
+    name sees every CLI fit. init_from names the q block --init-from reads
+    and the q-density types the model's fits start from; a model without
+    one rejects --init-from. reference is compare's default
     reference method; a model without one supports neither compare nor
     --emit-density.
     """
@@ -299,7 +300,7 @@ class Model:
     load: Callable[[argparse.Namespace], Any]
     prior: Callable[[argparse.Namespace, Any], Any]
     fits: dict[str, Callable[..., FitReport]]
-    init_from: tuple[str, Callable[[dict, Callable], dict]] | None = None
+    init_from: tuple[str, tuple[type, ...]] | None = None
     reference: str | None = None
     generate: Callable[[argparse.Namespace], tuple[list, Any]] | None = None
 
@@ -313,14 +314,13 @@ MODELS = {
                 dict(zip(("beta", "sigma2"),
                          linear_exact_posterior(data, prior)))),
             "mfvb": lambda args, data, prior, init: linear_mfvb_fit(
-                data, prior, args.eps, args.max_iter, **init),
+                data, prior, args.eps, args.max_iter, init),
             "mp1": lambda args, data, prior, init: linear_mp1_fit(
-                data, prior, args.eps, args.max_iter, **init),
+                data, prior, args.eps, args.max_iter, init),
             "mp2": lambda args, data, prior, init: linear_mp2_fit(
-                data, prior, args.eps, args.max_iter, **init),
+                data, prior, args.eps, args.max_iter, init),
         },
-        init_from=("sigma2", lambda b, finite: {
-            "init": finite((float(b["shape"]), float(b["scale"])))}),
+        init_from=("sigma2", (InverseGammaApprox,)),
         reference="exact",
         generate=_generate_linear),
     "mvn": Model(
@@ -332,13 +332,11 @@ MODELS = {
             "exact": lambda args, data, prior, init: _closed_form(
                 dict(zip(("mu", "Sigma"), mvn_exact_posterior(data, prior)))),
             "mfvb": lambda args, data, prior, init: mvn_mfvb_fit(
-                data, prior, args.eps, args.max_iter, **init),
+                data, prior, args.eps, args.max_iter, init),
             "mp": lambda args, data, prior, init: mvn_mp_fit(
-                data, prior, args.eps, args.max_iter, **init),
+                data, prior, args.eps, args.max_iter, init),
         },
-        init_from=("Sigma", lambda b, finite: {
-            "init": (finite(float(b["dof"])),
-                     finite(np.array(b["scale_matrix"], float)))}),
+        init_from=("Sigma", (InverseWishartApprox,)),
         reference="exact",
         generate=_generate_mvn),
     "probit": Model(
@@ -346,16 +344,15 @@ MODELS = {
         prior=lambda args, data: ProbitPrior.ridge(args.lam, data.p),
         fits={
             "laplace": lambda args, data, prior, init: probit_laplace_fit(
-                data, prior, args.eps, args.max_iter,
-                init=init.get("init_mu")),
+                data, prior, args.eps, args.max_iter, init),
             "mfvb": lambda args, data, prior, init: probit_mfvb_fit(
-                data, prior, args.eps, args.max_iter, init.get("init_mu")),
+                data, prior, args.eps, args.max_iter, init),
             "mp-dm": lambda args, data, prior, init: probit_mp_fit(
-                data, prior, "dm", args.eps, args.max_iter, **init),
+                data, prior, "dm", args.eps, args.max_iter, init),
             "mp-quad": lambda args, data, prior, init: probit_mp_fit(
-                data, prior, "quad", args.eps, args.max_iter, **init),
+                data, prior, "quad", args.eps, args.max_iter, init),
             "dmvb": lambda args, data, prior, init: probit_dmvb_fit(
-                data, prior, args.eps, args.max_iter, init.get("init_mu")),
+                data, prior, args.eps, args.max_iter, init),
             "gibbs": lambda args, data, prior, init: FitReport(
                 {"beta": probit_gibbs_oracle(
                     data, prior, n_samples=args.n_samples,
@@ -363,10 +360,7 @@ MODELS = {
                 iterations=args.n_samples, converged=True,
                 termination="sampling", trace=None),
         },
-        init_from=("beta", lambda b, finite: {
-            "init_mu": finite(np.array(b["mean"], float)),
-            "init_Sigma": (finite(np.array(b["cov"], float)) if "cov" in b
-                           else None)}),
+        init_from=("beta", (GaussianApprox, MomentSummary)),
         reference="gibbs",
         generate=_generate_probit),
     "toy": Model(
@@ -391,9 +385,9 @@ def _model(name: str, method: str) -> Model:
     return model
 
 
-def _load(args: argparse.Namespace, model: Model) -> tuple[Any, Any, dict]:
-    """Data, prior and --init-from starting values, each read once."""
-    init: dict = {}
+def _load(args: argparse.Namespace, model: Model) -> tuple[Any, Any, Any]:
+    """Data, prior and the --init-from starting q-density, each read once."""
+    init = None
     if args.init_from:
         if model.init_from is None:
             raise UsageError(
@@ -403,23 +397,26 @@ def _load(args: argparse.Namespace, model: Model) -> tuple[Any, Any, dict]:
     return data, model.prior(args, data), init
 
 
-def _init_values(report: dict, model: Model) -> dict:
-    """Starting-value keywords from the q block of an earlier report."""
-    key, parse = model.init_from
+def _init_values(report: dict, model: Model):
+    """The model's q block of an earlier report, built as the q-density
+    type its family names."""
+    key, types = model.init_from
     block = report.get("q", {}).get(key)
     if block is None:
         raise InputError(f"--init-from report lacks q.{key}")
-
-    def finite(value):
-        if not np.all(np.isfinite(value)):
-            raise DomainError(f"--init-from q.{key} must be finite")
-        return value
-
-    return parse(block, finite)
+    fields = dict(block)
+    family = fields.pop("family")
+    if _FAMILY_TYPES.get(family) not in types:
+        raise InputError(f"--init-from q.{key} has family {family!r}, not "
+                         f"{' or '.join(_FAMILY_NAMES[t] for t in types)}")
+    if not all(np.all(np.isfinite(np.asarray(v, float)))
+               for v in fields.values()):
+        raise DomainError(f"--init-from q.{key} must be finite")
+    return _FAMILY_TYPES[family](**fields)
 
 
 def _fit(args: argparse.Namespace, model: Model, method: str, data, prior,
-         init: dict) -> tuple[FitReport, MomentSummary, float]:
+         init) -> tuple[FitReport, MomentSummary, float]:
     """The fit's report, its moment summary and the fit call's wall time."""
     t0 = time.perf_counter()
     report = model.fits[method](args, data, prior, init)

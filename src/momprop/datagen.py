@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .exceptions import DomainError
+from .moments import require_finite
 
 # Fixed reference sample (n=5 draws from N(0.5, 10), rounded to 2 dp),
 # fit with an intercept-only design.
@@ -27,22 +28,31 @@ def seed_sequence(seed: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _coefficients(beta: np.ndarray | None, p: int) -> np.ndarray:
+    """beta as p finite floats; 1/sqrt(p) each by default."""
+    if beta is None:
+        return np.ones(p) / np.sqrt(p)
+    beta = require_finite(beta, "beta")
+    if beta.shape != (p,):
+        raise DomainError(f"beta has shape {beta.shape}; p = {p} needs "
+                          f"({p},)")
+    return beta
+
+
 def fixed_linear_dataset() -> tuple[np.ndarray, np.ndarray]:
     return FIXED_LINEAR_Y.copy(), np.ones((5, 1))
 
 
 def generate_linear(n: int, p: int, seed: int, beta: np.ndarray | None = None,
                     sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian design, y = X beta + sigma * noise."""
+    """Gaussian design, y = X beta + sigma * noise, which must be finite."""
     if n < 1 or p < 1:
         raise DomainError("n and p must be >= 1")
+    beta = _coefficients(beta, p)
     rng = np.random.default_rng(seed_sequence(seed))
     X = rng.standard_normal((n, p))
-    if beta is None:
-        beta = np.ones(p) / np.sqrt(p)
-    beta = np.asarray(beta, dtype=float)
     y = X @ beta + sigma * rng.standard_normal(n)
-    return y, X
+    return require_finite(y, "generated y"), X
 
 
 def generate_probit(n: int, p: int, seed: int, beta: np.ndarray | None = None,
@@ -52,14 +62,12 @@ def generate_probit(n: int, p: int, seed: int, beta: np.ndarray | None = None,
     appear."""
     if n < 2 or p < 1:
         raise DomainError("need n >= 2 and p >= 1")
+    beta = _coefficients(beta, p)
     rng = np.random.default_rng(seed_sequence(seed))
     X = rng.standard_normal((n, p))
     if intercept:
         X[:, 0] = 1.0
-    if beta is None:
-        beta = np.ones(p) / np.sqrt(p)
-    beta = np.asarray(beta, dtype=float)
-    probs = ndtr(X @ beta)
+    probs = ndtr(require_finite(X @ beta, "generated X beta"))
     for _ in range(_LABEL_DRAWS):
         y = (rng.random(n) < probs).astype(float)
         if 0.0 < y.mean() < 1.0:

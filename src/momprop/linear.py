@@ -89,7 +89,7 @@ def linear_exact_posterior(data: LinearData, prior: LinearPrior
 
 
 def _sweep_setup(data: LinearData, prior: LinearPrior,
-                 init: tuple[float, float] | None, method: str,
+                 init: InverseGammaApprox | None, method: str,
                  min_shape: float):
     """Loop invariants of every sweep and the starting q(sigma2).
 
@@ -97,9 +97,9 @@ def _sweep_setup(data: LinearData, prior: LinearPrior,
     ||y - X beta||^2 / 2 + beta' X'X beta / (2 g) equals its value at that
     centre plus Q / 2, with Q = (beta - u beta_hat)' (X'X / u) (beta - u
     beta_hat). Returns the constants, the centre, B at the centre, c1 = A +
-    (n + p)/2 and the starting (shape, scale) of q(sigma2), which must have
-    scale > 0 and shape > min_shape, the bound the method's first sweep
-    needs.
+    (n + p)/2 and the starting (shape, scale) of q(sigma2), init's if
+    given, whose shape must exceed min_shape, the bound the method's
+    first sweep needs.
     """
     c = linear_constants(data, prior)
     mu = c.u * c.beta_hat
@@ -108,13 +108,10 @@ def _sweep_setup(data: LinearData, prior: LinearPrior,
             + mu @ c.XtX @ mu / (2.0 * prior.g))
     c1 = prior.A + (data.n + data.p) / 2.0
     shape, scale = ((c1, prior.B + 0.5 * data.y @ data.y) if init is None
-                    else (float(init[0]), float(init[1])))
+                    else (init.shape, init.scale))
     if not shape > min_shape:
         raise DomainError(f"{method} needs a starting q(sigma2) shape > "
                           f"{min_shape:g}, got {shape}")
-    if not scale > 0:
-        raise DomainError(f"{method} needs a starting q(sigma2) scale > 0, "
-                          f"got {scale}")
     return c, mu, b_mu, c1, (shape, scale)
 
 
@@ -136,8 +133,8 @@ def _check_sigma2_matching_exists(data: LinearData, prior: LinearPrior):
 
 
 def linear_mfvb_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
-                    max_iter: int = 500, init: tuple[float, float] | None = None
-                    ) -> FitReport:
+                    max_iter: int = 500,
+                    init: InverseGammaApprox | None = None) -> FitReport:
     """Coordinate-ascent mean-field fit with q(beta) Gaussian, q(sigma2) IG."""
     # the first sweep scales Sigma by Bt / At
     c, mu, b_mu, c1, start = _sweep_setup(data, prior, init, "mfvb", 0.0)
@@ -156,8 +153,8 @@ def linear_mfvb_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
 
 
 def linear_mp1_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
-                   max_iter: int = 500, init: tuple[float, float] | None = None
-                   ) -> FitReport:
+                   max_iter: int = 500,
+                   init: InverseGammaApprox | None = None) -> FitReport:
     """Moment propagation with a Gaussian coefficient density.
 
     Per sweep: q(beta) matches the first two moments of beta obtained by
@@ -186,8 +183,8 @@ def linear_mp1_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
 
 
 def linear_mp2_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
-                   max_iter: int = 500, init: tuple[float, float] | None = None
-                   ) -> FitReport:
+                   max_iter: int = 500,
+                   init: InverseGammaApprox | None = None) -> FitReport:
     """Moment propagation with a t coefficient density.
 
     Additionally matches the second moment of the centered quadratic form

@@ -8,14 +8,14 @@ Conventions:
   needs dof > p + 1.
 * Multivariate t(loc, scale, dof) has covariance dof/(dof-2) * scale.
 
-SPD checks use Cholesky success; symmetry drift is removed with
-(M + M^T)/2 before checking.
+SPD checks use Cholesky success and a finite factor; symmetry drift is
+removed with (M + M^T)/2 before checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -43,13 +43,27 @@ def require_whole(x, name: str) -> int:
 
 
 def require_spd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Symmetrize and verify positive definiteness via Cholesky."""
+    """Symmetrize and verify positive definiteness via Cholesky. The
+    factorization either rejects a non-finite entry or leaves the factor's
+    diagonal sum non-finite, so one scalar test catches it."""
     m = symmetrize(m)
     try:
-        np.linalg.cholesky(m)
+        finite = isfinite(np.linalg.cholesky(m).trace())
     except np.linalg.LinAlgError as exc:
-        raise DomainError(f"{name} is not positive definite") from exc
+        if np.all(np.isfinite(m)):
+            raise DomainError(f"{name} is not positive definite") from exc
+        finite = False
+    if not finite:
+        raise DomainError(f"{name} must be finite")
     return m
+
+
+def require_shape(a: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """a, whose shape must be the data's."""
+    if a.shape != shape:
+        raise DomainError(f"{name} has shape {a.shape}; the data needs "
+                          f"{shape}")
+    return a
 
 
 @dataclass

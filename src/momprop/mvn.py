@@ -24,7 +24,8 @@ import numpy as np
 from .exceptions import DomainError
 from .moments import (GaussianApprox, InverseGammaApprox,
                       InverseWishartApprox, StudentTApprox, _iw_match,
-                      require_finite, require_spd, require_whole, symmetrize)
+                      require_finite, require_shape, require_spd,
+                      require_whole, symmetrize)
 from .reports import FitReport, fixed_point
 
 
@@ -112,16 +113,18 @@ def mvn_exact_posterior(data: MVNData, prior: MVNPrior
 
 
 def _start(default_dof: float, c: MVNConstants,
-           init: tuple[float, np.ndarray] | None) -> tuple[float, np.ndarray]:
-    """Starting (dof, scale matrix) of q(Sigma)."""
+           init: InverseWishartApprox | None) -> tuple[float, np.ndarray]:
+    """Starting (dof, scale matrix) of q(Sigma), init's if given."""
     if init is None:
         return default_dof, c.Psi_n
-    return float(init[0]), require_spd(init[1], "init Psi")
+    p = c.mu_n.shape[0]
+    return init.dof, require_shape(init.scale_matrix, (p, p),
+                                   "init scale matrix")
 
 
 def mvn_mfvb_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
                  max_iter: int = 500,
-                 init: tuple[float, np.ndarray] | None = None) -> FitReport:
+                 init: InverseWishartApprox | None = None) -> FitReport:
     """Coordinate-ascent mean-field fit with q(mu) Gaussian, q(Sigma) IW."""
     c = mvn_constants(data, prior)
     mu = c.mu_n
@@ -145,7 +148,7 @@ def mvn_mfvb_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
 
 def mvn_mp_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
                max_iter: int = 500,
-               init: tuple[float, np.ndarray] | None = None) -> FitReport:
+               init: InverseWishartApprox | None = None) -> FitReport:
     """Moment-propagation fit with q(mu) = t and q(Sigma) = IW.
 
     Default initialization (dof = nu_n, scale = Psi_n) starts at the exact

@@ -21,9 +21,9 @@ ELBO use the same two row-block helpers.
 
 Laplace and delta-method VB (dmvb) take damped Newton steps on the same
 driver along M^-1 g, M = Z^T diag(-zeta_2(Z x)) Z + D: one evaluation of
-a point gives its objective, its zeta orders and the Cholesky factor of
-M, and the state carries it to the next step and to the reported
-covariance M^-1. A step is halved until the objective rises enough
+a point gives its objective, its zeta orders and M^-1, inverted from the
+Cholesky factor of M, and the state carries it to the next step and to
+the reported covariance. A step is halved until the objective rises enough
 (Armijo's rule). A fit stops once a step moves its mean by less than eps
 in the max norm; the first step is never tested, so a fit started at its
 own optimum takes two.
@@ -47,8 +47,8 @@ from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .datagen import seed_sequence
 from .exceptions import DomainError, NumericError
-from .moments import (GaussianApprox, RegressionData, require_spd,
-                      symmetrize)
+from .moments import (GaussianApprox, RegressionData, require_shape,
+                      require_spd, symmetrize)
 from .reports import FitReport, MomentSummary, fixed_point
 from .specfun import _xi_series, _zeta_orders, xi
 
@@ -114,46 +114,52 @@ def _workspace(data: ProbitData, prior: ProbitPrior
 
 def _newton_point(Z: np.ndarray, D: np.ndarray, x: np.ndarray,
                   profiled: bool) -> tuple:
-    """(x, f, zeta orders at Z x, Cholesky factor of M) at a point x of a
-    Newton fit, M = Z^T diag(-zeta_2(Z x)) Z + D. f is log p(y, x), less
-    1/2 log det M for the profiled delta-method ELBO, whose gradient also
-    needs zeta_3."""
+    """(x, f, zeta orders at Z x, M^-1) at a point x of a Newton fit,
+    M = Z^T diag(-zeta_2(Z x)) Z + D. f is log p(y, x), less 1/2 log det M
+    for the profiled delta-method ELBO, whose gradient also needs zeta_3.
+    M^-1 = L^-T L^-1 and log det M come from the lower Cholesky factor L."""
     z = _zeta_orders(3 if profiled else 2, Z @ x)
     try:
-        cf = cho_factor(symmetrize(_gram(Z, -z[2], Z) + D))
+        L = np.linalg.cholesky(symmetrize(_gram(Z, -z[2], Z) + D))
     except np.linalg.LinAlgError as exc:
         raise NumericError("Newton matrix M lost positive definiteness",
                            last_iterate=x) from exc
     f = np.sum(z[0]) - 0.5 * x @ D @ x
     if profiled:
-        f -= np.sum(np.log(np.diag(cf[0])))
-    return x, float(f), z, cf
+        f -= np.sum(np.log(np.diag(L)))
+    Li = np.linalg.inv(L)
+    return x, float(f), z, symmetrize(Li.T @ Li)
 
 
 def _newton_gradient(Z: np.ndarray, D: np.ndarray, point: tuple) -> np.ndarray:
     """Gradient of f at a _newton_point; the profiled term is
     1/2 Z^T (h * zeta_3) with h_i = z_i^T M^-1 z_i."""
-    x, _, z, cf = point
+    x, _, z, Minv = point
     grad = Z.T @ z[1] - D @ x
     if len(z) > 3:
-        h = _row_quadform(Z, cho_solve(cf, np.eye(x.size)))
+        h = _row_quadform(Z, Minv)
         grad = grad + 0.5 * Z.T @ (h * z[3])
     return grad
 
 
+def _start_mean(init: GaussianApprox | MomentSummary, p: int) -> np.ndarray:
+    """A copy of the mean of a starting q(beta), which must be p long."""
+    return require_shape(init.mean, (p,), "init mean").copy()
+
+
 def _damped_newton(data: ProbitData, prior: ProbitPrior, profiled: bool,
-                   init: np.ndarray | None, eps: float,
+                   init: GaussianApprox | MomentSummary | None, eps: float,
                    max_iter: int) -> FitReport:
-    """Damped Newton ascent of f from init (zero by default) along
-    d = M^-1 g, solved from the factor in the state: s d, from s = 1, is
-    halved up to 30 times until f rises by 1e-4 s g^T d less 8 machine
-    epsilons of |f| (Armijo). q(beta) is N(x, M^-1) at the last point."""
+    """Damped Newton ascent of f from init's mean (zero by default) along
+    d = M^-1 g, with M^-1 from the state: s d, from s = 1, is halved up to
+    30 times until f rises by 1e-4 s g^T d less 8 machine epsilons of |f|
+    (Armijo). q(beta) is N(x, M^-1) at the last point."""
     Z, D = data.Z, prior.D
 
     def step(point):
-        x, f, _, cf = point
+        x, f, _, Minv = point
         g = _newton_gradient(Z, D, point)
-        d = cho_solve(cf, g)
+        d = Minv @ g
         rise, slack = 1e-4 * (g @ d), 8.0 * np.finfo(float).eps * abs(f)
         scale = 1.0
         for _ in range(30):
@@ -164,32 +170,31 @@ def _damped_newton(data: ProbitData, prior: ProbitPrior, profiled: bool,
         return cand, cand[0]
 
     def params(point):
-        cov = symmetrize(cho_solve(point[3], np.eye(data.p)))
-        return {"beta": GaussianApprox(point[0], cov)}
+        return {"beta": GaussianApprox(point[0], point[3])}
 
-    x = (np.zeros(data.p) if init is None
-         else np.asarray(init, dtype=float).copy())
+    x = np.zeros(data.p) if init is None else _start_mean(init, data.p)
     return fixed_point(step, _newton_point(Z, D, x, profiled), params, eps,
                        max_iter)
 
 
 def probit_laplace_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
                        max_iter: int = 500,
-                       init: np.ndarray | None = None) -> FitReport:
-    """Damped Newton ascent of log p(y, beta); returns the mode and inverse
-    negative Hessian [Z^T diag(-zeta_2(Z beta)) Z + D]^-1."""
+                       init: GaussianApprox | MomentSummary | None = None
+                       ) -> FitReport:
+    """Damped Newton ascent of log p(y, beta) from init's mean; returns the
+    mode and inverse negative Hessian [Z^T diag(-zeta_2(Z beta)) Z + D]^-1."""
     return _damped_newton(data, prior, False, init, eps, max_iter)
 
 
 def probit_mfvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
                     max_iter: int = 500,
-                    init_mu: np.ndarray | None = None) -> FitReport:
+                    init: GaussianApprox | MomentSummary | None = None
+                    ) -> FitReport:
     """Mean-field fit; the coefficient covariance is S at every iteration and
     the converged mean coincides with the posterior mode."""
     Z = data.Z
     S, SZt = _workspace(data, prior)
-    mu = (SZt @ np.ones(data.n) if init_mu is None
-          else np.asarray(init_mu, dtype=float).copy())
+    mu = SZt @ np.ones(data.n) if init is None else _start_mean(init, data.p)
 
     def step(state):
         mu_a = Z @ state[0]
@@ -217,9 +222,10 @@ def _xi12(variant: str, m: np.ndarray, v: np.ndarray
 
 def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
                   eps: float = 1e-6, max_iter: int = 500,
-                  init_mu: np.ndarray | None = None,
-                  init_Sigma: np.ndarray | None = None) -> FitReport:
-    """Moment-propagation fit with q(beta) Gaussian and nonparametric q(a).
+                  init: GaussianApprox | MomentSummary | None = None
+                  ) -> FitReport:
+    """Moment-propagation fit with q(beta) Gaussian and nonparametric q(a),
+    started from init's mean and covariance.
 
     variant selects how the Gaussian-smoothed xi_1, xi_2 are evaluated:
     "dm" (second-order delta method, needs zeta up to order 4) or "quad"
@@ -227,12 +233,15 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
     """
     if variant not in ("dm", "quad"):
         raise DomainError(f"unknown MP variant {variant!r}; use 'dm' or 'quad'")
-    Z = data.Z
+    Z, p = data.Z, data.p
     S, SZt = _workspace(data, prior)
     ZS = Z @ S
-    mu = (SZt @ np.ones(data.n) if init_mu is None
-          else np.asarray(init_mu, dtype=float).copy())
-    Sig = S.copy() if init_Sigma is None else require_spd(init_Sigma, "init Sigma")
+    if init is None:
+        mu, Sig = SZt @ np.ones(data.n), S.copy()
+    else:
+        mu = _start_mean(init, p)
+        Sig = require_spd(require_shape(init.cov, (p, p), "init cov"),
+                          "init cov")
 
     def step(state):
         mu, Sig, _ = state
@@ -256,12 +265,12 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
         return np.concatenate([state[0], state[1].ravel()])
 
     def unpack(x):
-        Sig = x[data.p:].reshape(data.p, data.p)
+        Sig = x[p:].reshape(p, p)
         try:
             np.linalg.cholesky(Sig)
         except np.linalg.LinAlgError:
             return None
-        return x[:data.p], Sig, None
+        return x[:p], Sig, None
 
     return fixed_point(
         step, (mu, Sig, None),
@@ -272,11 +281,12 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
 
 def probit_dmvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
                     max_iter: int = 500,
-                    init_mu: np.ndarray | None = None) -> FitReport:
+                    init: GaussianApprox | MomentSummary | None = None
+                    ) -> FitReport:
     """Damped Newton ascent of the profiled delta-method ELBO along M^-1 g
     (g the gradient, M = Z^T diag(-zeta_2(Z mu)) Z + D); stops on a step
     below eps in the max norm, so a restart from the optimum takes two."""
-    return _damped_newton(data, prior, True, init_mu, eps, max_iter)
+    return _damped_newton(data, prior, True, init, eps, max_iter)
 
 
 # largest double below 1: scaling 1 - u by it keeps V Phi(m) below 1, so

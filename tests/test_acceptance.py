@@ -231,7 +231,9 @@ def test_criterion_05_mvn_mp_exactness_and_spurious_point():
         c = mp.mvn_constants(data, prior)
         d_sp = p + 3.0
         Psi_sp = 2.0 * c.Psi_n / (c.nu_n - p - 1.0)
-        one = mp.mvn_mp_fit(data, prior, init=(d_sp, Psi_sp), max_iter=1)
+        one = mp.mvn_mp_fit(data, prior,
+                            init=mp.InverseWishartApprox(Psi_sp, d_sp),
+                            max_iter=1)
         if abs(one.params["Sigma"].dof - d_sp) > 1e-10 or \
                 np.max(np.abs(one.params["Sigma"].scale_matrix - Psi_sp)) \
                 > 1e-10 * max(1.0, np.max(np.abs(Psi_sp))):

@@ -240,6 +240,27 @@ class TestInitFromRoundTrips:
         doc = json.loads(second.read_text())
         assert doc["iterations"] <= 2 and doc["converged"] is True
 
+    @pytest.mark.parametrize("model,method", [
+        ("linear", "mfvb"), ("linear", "mp1"), ("linear", "mp2"),
+        ("mvn", "mfvb"), ("mvn", "mp"), ("probit", "laplace"),
+        ("probit", "mfvb"), ("probit", "mp-dm"), ("probit", "mp-quad"),
+        ("probit", "dmvb")])
+    def test_restart_from_its_own_report_takes_two_maps(
+            self, c7_csv, d9_json, probit_csv, tmp_path, model, method):
+        """--init-from builds the block a fit starts from back from the
+        report, so the restart stops at the second map, within 10 eps."""
+        data = {"linear": ["--data", c7_csv], "mvn": ["--summary", d9_json],
+                "probit": ["--data", probit_csv]}[model]
+        fit = ["fit", "--model", model, "--method", method, *data, "--trace"]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run_cli(fit + ["--out", str(first)]) == 0
+        assert run_cli(fit + ["--init-from", str(first),
+                              "--out", str(second)]) == 0
+        a, b = (json.loads(path.read_text()) for path in (first, second))
+        assert a["converged"] and b["converged"] and b["iterations"] == 2
+        gap = np.subtract(b["trace"][-1], a["trace"][-1])
+        assert np.max(np.abs(gap)) <= 1e-5
+
 
 class TestToyModel:
     def test_fit_toy(self, tmp_path):
@@ -285,6 +306,7 @@ class TestEncode:
 NAN = float("nan")
 INF = float("inf")
 I2 = [[1.0, 0.0], [0.0, 1.0]]
+I3 = np.eye(3).tolist()
 PROBIT_ROWS = "y,x1,x2\n1,1.0,0.3\n0,1.0,-0.8\n1,1.0,{}\n0,1.0,0.1\n"
 PROBIT_FITS = {
     "fit-mfvb": ["fit", "--model", "probit", "--method", "mfvb"],
@@ -295,9 +317,10 @@ PROBIT_FITS = {
 
 FINITE = "must be finite"
 # id -> (argv with FILE for the input, C7 for the five-point CSV, PROBIT
-# for a probit CSV and MISSING for a path in a missing directory, the
-# input's content: text for a CSV, anything else written as JSON, exit
-# code, a fragment of the message, FILE or MISSING for that path)
+# for a probit CSV (p = 3), D9 for a bivariate MVN summary and MISSING for
+# a path in a missing directory, the input's content: text for a CSV,
+# anything else written as JSON, exit code, a fragment of the message,
+# FILE or MISSING for that path)
 BAD_INPUTS = {
     **{f"probit-{cell}-{name}": (argv + ["--data", "FILE"],
                                  PROBIT_ROWS.format(cell), 2, FINITE)
@@ -369,8 +392,9 @@ BAD_INPUTS = {
         ["fit", "--model", "linear", "--method", method, "--data", "C7",
          "--init-from", "FILE"],
         {"q": {"sigma2": {"family": "inverse_gamma", "shape": 0.0,
-                          "scale": 1.0}}}, 2, f"shape > {bound}")
-       for method, bound in (("mfvb", 0), ("mp2", 2))},
+                          "scale": 1.0}}}, 2,
+        "inverse-gamma shape and scale must be positive")
+       for method in ("mfvb", "mp2")},
     "init-from-toy": (
         ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE",
          "--init-from", "FILE"],
@@ -416,6 +440,46 @@ BAD_INPUTS = {
     "init-from-no-q-block": (
         ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
          "--init-from", "FILE"], {"q": {}}, 3, "lacks q.sigma2"),
+    "init-from-family-mismatch": (
+        ["fit", "--model", "probit", "--method", "mp-dm", "--data", "PROBIT",
+         "--init-from", "FILE"],
+        {"q": {"beta": {"family": "student_t", "loc": [0.0, 0.0, 0.0],
+                        "scale": I3, "dof": 5.0}}}, 3,
+        "--init-from q.beta has family 'student_t', not gaussian or "
+        "empirical"),
+    **{f"init-from-wrong-dimension-probit-{method}": (
+        ["fit", "--model", "probit", "--method", method, "--data", "PROBIT",
+         "--init-from", "FILE"],
+        {"q": {"beta": {"family": "gaussian", "mean": [0.0, 0.0],
+                        "cov": I2}}}, 2,
+        "init mean has shape (2,); the data needs (3,)")
+       for method in ("laplace", "mfvb", "mp-dm", "mp-quad", "dmvb")},
+    **{f"init-from-wrong-dimension-mvn-{method}": (
+        ["fit", "--model", "mvn", "--method", method, "--summary", "D9",
+         "--init-from", "FILE"],
+        {"q": {"Sigma": {"family": "inverse_wishart", "scale_matrix": I3,
+                         "dof": 7.0}}}, 2,
+        "init scale matrix has shape (3, 3); the data needs (2, 2)")
+       for method in ("mfvb", "mp")},
+    **{f"mvn-psi0-scale-nan-{method}": (
+        ["fit", "--model", "mvn", "--method", method, "--summary", "FILE",
+         "--psi0-scale", "nan"],
+        {"n": 4, "xbar": [0.0, 0.0], "S": I2}, 2, "Psi0 must be finite")
+       for method in ("exact", "mp")},
+    **{f"generate-{model}-short-beta": (
+        ["generate", "--model", model, "--p", "3", "--beta", "1,2",
+         "--out", "FILE"], "", 2, "beta has shape (2,); p = 3 needs (3,)")
+       for model in ("linear", "probit")},
+    "generate-probit-nan-beta": (
+        ["generate", "--model", "probit", "--beta", "nan,1", "--out",
+         "FILE"], "", 2, "beta must be finite"),
+    "generate-linear-nan-sigma": (
+        ["generate", "--model", "linear", "--sigma", "nan", "--out", "FILE"],
+        "", 2, "generated y must be finite"),
+    **{f"generate-{model}-overflow": (
+        ["generate", "--model", model, "--beta", "1e308,1e308", "--out",
+         "FILE"], "", 2, f"generated {column} must be finite")
+       for model, column in (("linear", "y"), ("probit", "X beta"))},
 }
 
 
@@ -443,8 +507,10 @@ CSV_CASES = {
 class TestErrors:
     @pytest.mark.parametrize("argv,content,rc,fragment", BAD_INPUTS.values(),
                              ids=BAD_INPUTS.keys())
-    def test_bad_input_is_typed_error(self, c7_csv, probit_csv, tmp_path,
-                                      capsys, argv, content, rc, fragment):
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_bad_input_is_typed_error(self, c7_csv, probit_csv, d9_json,
+                                      tmp_path, capsys, argv, content, rc,
+                                      fragment):
         """Out-of-domain input is a domain error (exit 2) and malformed JSON
         an input error naming the file (exit 3), never a traceback."""
         path = tmp_path / "input"
@@ -454,6 +520,7 @@ class TestErrors:
             path.write_text(content if isinstance(content, str)
                             else json.dumps(content))
         names = {"FILE": str(path), "C7": c7_csv, "PROBIT": probit_csv,
+                 "D9": d9_json,
                  "MISSING": str(tmp_path / "missing" / "density.csv")}
         assert run_cli([names.get(a, a) for a in argv]) == rc
         err = capsys.readouterr().err

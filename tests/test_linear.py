@@ -14,10 +14,12 @@ from momprop.exceptions import DomainError
 from momprop.linear import (LinearData, LinearPrior, linear_constants,
                             linear_exact_posterior, linear_mfvb_fit,
                             linear_mp1_fit, linear_mp2_fit)
-from momprop.moments import ig_mean_var
+from momprop.moments import InverseGammaApprox, ig_mean_var
 from momprop.reports import moment_summary
 
 EPS = 1e-6
+# the start's own check, made before a fit sees it
+IG_POSITIVE = "inverse-gamma shape and scale must be positive"
 
 
 @pytest.fixture(scope="module")
@@ -146,20 +148,23 @@ class TestMFVB:
         expect = ((prior.A + (n + p) / 2) / (prior.A + n / 2)) * prior.B
         assert rep.params["sigma2"].scale == pytest.approx(expect, rel=1e-8)
 
+    # each id names the bound its start breaks
     @pytest.mark.parametrize("start,match", [
-        ((0.0, 1.0), "shape > 0"),  # the first sweep divides by the shape
-        ((-1.0, 1.0), "shape > 0"),  # a negative-definite first Sigma
-        ((1.0, 0.0), "scale > 0"),
-        ((1.0, -1.0), "scale > 0"),
+        # the first sweep divides by the shape
+        pytest.param((0.0, 1.0), IG_POSITIVE, id="start0-shape > 0"),
+        # a negative-definite first Sigma
+        pytest.param((-1.0, 1.0), IG_POSITIVE, id="start1-shape > 0"),
+        pytest.param((1.0, 0.0), IG_POSITIVE, id="start2-scale > 0"),
+        pytest.param((1.0, -1.0), IG_POSITIVE, id="start3-scale > 0"),
     ])
     def test_start_must_be_positive(self, ref, start, match):
         with pytest.raises(DomainError, match=match):
-            linear_mfvb_fit(*ref, init=start)
+            linear_mfvb_fit(*ref, init=InverseGammaApprox(*start))
 
     def test_any_positive_start_reaches_the_fixed_point(self, ref):
         rep = linear_mfvb_fit(*ref, eps=1e-12, max_iter=2000)
         other = linear_mfvb_fit(*ref, eps=1e-12, max_iter=2000,
-                                init=(1e-3, 1e-3))
+                                init=InverseGammaApprox(1e-3, 1e-3))
         assert other.params["sigma2"].scale == pytest.approx(
             rep.params["sigma2"].scale, rel=1e-10)
 
@@ -210,11 +215,11 @@ class TestMP1:
         # shape 1 has no q(sigma2) mean, and a shape in (0, 1) would start
         # from a negative-definite Sigma
         with pytest.raises(DomainError, match="shape > 1"):
-            linear_mp1_fit(*ref, init=(shape, 1.0))
+            linear_mp1_fit(*ref, init=InverseGammaApprox(shape, 1.0))
 
     def test_start_scale_must_be_positive(self, ref):
-        with pytest.raises(DomainError, match="scale > 0"):
-            linear_mp1_fit(*ref, init=(3.0, 0.0))
+        with pytest.raises(DomainError, match=IG_POSITIVE):
+            linear_mp1_fit(*ref, init=InverseGammaApprox(3.0, 0.0))
 
 
 class TestMP2:
@@ -241,19 +246,20 @@ class TestMP2:
         assert s2.shape == pytest.approx(s2_ex.shape, rel=1e-8)
         assert s2.scale == pytest.approx(s2_ex.scale, rel=1e-8)
 
+    # each id names the bound its start breaks
     @pytest.mark.parametrize("start,match", [
-        ((0.0, 1.0), "shape > 2"),
+        pytest.param((0.0, 1.0), IG_POSITIVE, id="start0-shape > 2"),
         ((2.0, 1.0), "shape > 2"),  # the first t quadratic form needs dof > 4
-        ((3.0, 0.0), "scale > 0"),
+        pytest.param((3.0, 0.0), IG_POSITIVE, id="start2-scale > 0"),
     ])
     def test_start_bounds(self, ref, start, match):
         with pytest.raises(DomainError, match=match):
-            linear_mp2_fit(*ref, init=start)
+            linear_mp2_fit(*ref, init=InverseGammaApprox(*start))
 
     def test_start_just_above_the_shape_bound(self, ref):
         rep = linear_mp2_fit(*ref, eps=1e-12, max_iter=2000)
         other = linear_mp2_fit(*ref, eps=1e-12, max_iter=2000,
-                               init=(2.0 + 1e-6, 1.0))
+                               init=InverseGammaApprox(2.0 + 1e-6, 1.0))
         assert other.converged
         assert other.params["sigma2"].shape == pytest.approx(
             rep.params["sigma2"].shape, rel=1e-10)

@@ -16,7 +16,8 @@ from momprop.moments import (GaussianApprox, InverseGammaApprox,
                              gauss_quadform_cumulant_moment,
                              gauss_quadform_moments, ig_mean_var,
                              ig_moment_match, iw_elementwise_var_diag,
-                             iw_mean, iw_moment_match, t_quadform_moments)
+                             iw_mean, iw_moment_match, require_spd,
+                             t_quadform_moments)
 
 
 class TestApproxTypes:
@@ -27,6 +28,30 @@ class TestApproxTypes:
     def test_gaussian_symmetrizes_drift(self):
         g = GaussianApprox(mean=[0.0], cov=[[1.0 + 1e-14]])
         assert g.cov[0, 0] > 0
+
+    @pytest.mark.parametrize("i,j,value", [
+        (0, 0, np.nan), (1, 0, np.nan), (2, 2, np.nan),
+        (0, 0, np.inf), (1, 0, np.inf), (2, 1, -np.inf)])
+    def test_non_finite_matrix_is_not_taken(self, i, j, value):
+        """numpy's Cholesky returns NaNs for some non-finite matrices and
+        raises for others; either way the matrix is named non-finite."""
+        m = np.array([[2.0, 0.5, 0.1], [0.5, 3.0, 0.2], [0.1, 0.2, 4.0]])
+        m[i, j] = value
+        with pytest.raises(DomainError, match="^cov must be finite$"):
+            GaussianApprox(np.zeros(3), m)
+        with pytest.raises(DomainError, match="^scale_matrix must be finite$"):
+            InverseWishartApprox(m, 6.0)
+
+    def test_random_non_finite_matrices_are_not_taken(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            p = int(rng.integers(1, 6))
+            A = rng.standard_normal((p, p))
+            m = A @ A.T + p * np.eye(p)
+            m[tuple(rng.integers(0, p, 2))] = rng.choice(
+                [np.nan, np.inf, -np.inf])
+            with pytest.raises(DomainError, match="must be finite"):
+                require_spd(m, "m")
 
     def test_t_cov_needs_dof(self):
         t = StudentTApprox(loc=[0.0], scale=[[1.0]], dof=2.0)

@@ -11,7 +11,8 @@ import pytest
 
 from momprop.datagen import generate_mvn
 from momprop.exceptions import DomainError
-from momprop.moments import iw_elementwise_var_diag, iw_mean, iw_moment_match
+from momprop.moments import (InverseWishartApprox, iw_elementwise_var_diag,
+                             iw_mean, iw_moment_match)
 from momprop.mvn import (MVNData, MVNPrior, iw_diag_marginal, mvn_constants,
                          mvn_exact_posterior, mvn_mfvb_fit, mvn_mp_fit)
 from momprop.reports import moment_summary
@@ -171,7 +172,8 @@ class TestMP:
         p = data.p
         d_sp = p + 3.0
         Psi_sp = 2.0 * c.Psi_n / (c.nu_n - p - 1.0)
-        rep = mvn_mp_fit(data, prior, init=(d_sp, Psi_sp), max_iter=1)
+        rep = mvn_mp_fit(data, prior, init=InverseWishartApprox(Psi_sp, d_sp),
+                         max_iter=1)
         assert rep.params["Sigma"].dof == pytest.approx(d_sp, abs=1e-10)
         assert rep.params["Sigma"].scale_matrix == pytest.approx(Psi_sp,
                                                                  abs=1e-10)
@@ -181,8 +183,9 @@ class TestMP:
         data, prior = ref
         c = mvn_constants(data, prior)
         p = data.p
-        rep = mvn_mp_fit(data, prior,
-                         init=(p + 3.0, 2.0 * c.Psi_n / (c.nu_n - p - 1.0)))
+        start = InverseWishartApprox(2.0 * c.Psi_n / (c.nu_n - p - 1.0),
+                                     p + 3.0)
+        rep = mvn_mp_fit(data, prior, init=start)
         assert rep.converged
         assert rep.wrong_basin
         assert rep.params["Sigma"].dof == pytest.approx(p + 3.0, abs=1e-9)
@@ -193,9 +196,9 @@ class TestMP:
         data, prior = ref
         c = mvn_constants(data, prior)
         p = data.p
-        rep = mvn_mp_fit(data, prior,
-                         init=(p + 3.01, 2.0 * c.Psi_n / (c.nu_n - p - 1.0)),
-                         eps=1e-10, max_iter=5000)
+        start = InverseWishartApprox(2.0 * c.Psi_n / (c.nu_n - p - 1.0),
+                                     p + 3.01)
+        rep = mvn_mp_fit(data, prior, init=start, eps=1e-10, max_iter=5000)
         assert rep.converged
         assert not rep.wrong_basin
         assert rep.params["Sigma"].dof == pytest.approx(c.nu_n, abs=1e-6)
@@ -217,6 +220,14 @@ class TestMP:
         assert w.dof == pytest.approx(7.0, rel=1e-12)
         assert w.scale_matrix == pytest.approx(Sig_iw.scale_matrix,
                                                rel=1e-12)
+
+
+@pytest.mark.parametrize("fit", [mvn_mfvb_fit, mvn_mp_fit],
+                         ids=["mfvb", "mp"])
+def test_start_of_another_dimension_is_domain_error(ref, fit):
+    with pytest.raises(DomainError, match=r"init scale matrix has shape "
+                                          r"\(3, 3\); the data needs \(2, 2\)"):
+        fit(*ref, init=InverseWishartApprox(np.eye(3), 7.0))
 
 
 class TestSummary:

@@ -12,9 +12,11 @@ from scipy.special import ndtr, ndtri
 from momprop import probit, reports
 from momprop.datagen import generate_linear, generate_mvn, generate_probit
 from momprop.exceptions import DomainError, NumericError
+from momprop.moments import GaussianApprox
 from momprop.probit import (ProbitData, ProbitPrior, probit_dmvb_fit,
                             probit_gibbs_oracle, probit_laplace_fit,
                             probit_mfvb_fit, probit_mp_fit)
+from momprop.reports import MomentSummary
 from momprop.specfun import zeta
 
 SINGLE_OBS_MODE = 0.5060544689891807
@@ -150,8 +152,7 @@ class TestMP:
                             max_iter=2000)
         assert rep.converged
         more = probit_mp_fit(data, prior, variant="dm", max_iter=1,
-                             init_mu=rep.params["beta"].mean,
-                             init_Sigma=rep.params["beta"].cov)
+                             init=rep.params["beta"])
         delta = max(
             np.max(np.abs(more.params["beta"].mean
                           - rep.params["beta"].mean)),
@@ -408,9 +409,8 @@ class TestNewtonFits:
         """The driver never tests the first step, so a fit started at its
         own optimum stops after the second."""
         first = NEWTON_FITS[method](*synthetic200)
-        start = {"laplace": "init", "dmvb": "init_mu"}[method]
         again = NEWTON_FITS[method](*synthetic200,
-                                    **{start: first.params["beta"].mean})
+                                    init=first.params["beta"])
         assert again.converged and again.iterations == 2
         assert np.max(np.abs(again.params["beta"].mean
                              - first.params["beta"].mean)) <= 1e-6
@@ -554,6 +554,74 @@ def test_negative_seed_is_domain_error(draw):
     with pytest.raises(DomainError, match="seed must be non-negative"):
         draw(-1)
     draw(0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("draw,match", [
+    (lambda: generate_linear(10, 3, 0, beta=[1.0, 2.0]),
+     r"beta has shape \(2,\); p = 3"),
+    (lambda: generate_probit(10, 3, 0, beta=[1.0, 2.0]),
+     r"beta has shape \(2,\); p = 3"),
+    (lambda: generate_linear(10, 2, 0, beta=[np.nan, 1.0]),
+     "beta must be finite"),
+    (lambda: generate_probit(10, 2, 0, beta=[1.0, np.inf]),
+     "beta must be finite"),
+    (lambda: generate_linear(10, 2, 0, sigma=np.nan),
+     "generated y must be finite"),
+    (lambda: generate_linear(10, 2, 0, beta=[1e308, 1e308]),
+     "generated y must be finite"),
+    (lambda: generate_probit(10, 2, 0, beta=[1e308, 1e308]),
+     "generated X beta must be finite"),
+], ids=["linear-short-beta", "probit-short-beta", "linear-nan-beta",
+        "probit-inf-beta", "linear-nan-sigma", "linear-overflow",
+        "probit-overflow"])
+def test_generators_reject_what_they_cannot_draw(draw, match):
+    """A beta of another length or with a non-finite entry, and data that
+    come out non-finite, are domain errors, not tracebacks or NaN rows."""
+    with pytest.raises(DomainError, match=match):
+        draw()
+
+
+STARTED_FITS = {"laplace": probit_laplace_fit, "mfvb": probit_mfvb_fit,
+                "mp": probit_mp_fit, "dmvb": probit_dmvb_fit}
+
+
+class TestStarts:
+    @pytest.mark.parametrize("method", STARTED_FITS)
+    def test_start_of_another_dimension_is_domain_error(self, synthetic200,
+                                                        method):
+        start = GaussianApprox(np.zeros(2), np.eye(2))
+        with pytest.raises(DomainError, match=r"init mean has shape \(2,\); "
+                                              r"the data needs \(3,\)"):
+            STARTED_FITS[method](*synthetic200, init=start)
+
+    def test_mp_start_cov_of_another_dimension_is_domain_error(
+            self, synthetic200):
+        start = MomentSummary(np.zeros(3), np.eye(2))
+        with pytest.raises(DomainError, match=r"init cov has shape \(2, 2\); "
+                                              r"the data needs \(3, 3\)"):
+            probit_mp_fit(*synthetic200, init=start)
+
+    def test_mp_start_cov_must_be_positive_definite(self, synthetic200):
+        start = MomentSummary(np.zeros(3), -np.eye(3))
+        with pytest.raises(DomainError,
+                           match="init cov is not positive definite"):
+            probit_mp_fit(*synthetic200, init=start)
+
+    @pytest.mark.parametrize("method", STARTED_FITS)
+    def test_gibbs_summary_starts_as_its_gaussian(self, synthetic200,
+                                                  method):
+        """A Gibbs moment summary starts a fit exactly as the Gaussian
+        with its mean and covariance does."""
+        cov = np.array([[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]])
+        mean = np.array([0.2, 0.7, -0.1])
+        a = STARTED_FITS[method](*synthetic200,
+                                 init=MomentSummary(mean, cov))
+        b = STARTED_FITS[method](*synthetic200,
+                                 init=GaussianApprox(mean, cov))
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.params["beta"].mean, b.params["beta"].mean)
+        assert np.array_equal(a.params["beta"].cov, b.params["beta"].cov)
 
 
 class TestData:

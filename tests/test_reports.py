@@ -1,11 +1,14 @@
 """The shared fixed-point driver, the iteration arguments of every
 iterative fitter, and the moment summary of every q."""
 
+from functools import cache, partial
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from momprop.datagen import fixed_linear_dataset, generate_probit
+from momprop.datagen import (fixed_linear_dataset, generate_linear,
+                             generate_mvn, generate_probit)
 from momprop.diagnostics import ToyGaussianSpec, toy_gaussian_mp
 from momprop.exceptions import DomainError, NumericError
 from momprop.linear import (LinearData, LinearPrior, linear_exact_posterior,
@@ -225,6 +228,77 @@ class TestSquarem:
         assert (rep.iterations, rep.converged) == (iterations, converged)
         assert len(rep.trace) == len(trace)
         assert all(np.array_equal(u, w) for u, w in zip(rep.trace, trace))
+
+
+@cache
+def _linear_sets():
+    """40 seeded linear problems, n 5-59, p 1-4, g 1, 50 or 1e4."""
+    sets = []
+    for s in range(40):
+        rng = np.random.default_rng(1000 + s)
+        n, p = int(rng.integers(5, 60)), int(rng.integers(1, 5))
+        g = float(rng.choice([1.0, 50.0, 1e4]))
+        sets.append((LinearData(*generate_linear(n, p, seed=s)),
+                     LinearPrior(g, 0.5, 0.5)))
+    return sets
+
+
+@cache
+def _mvn_sets():
+    """40 seeded MVN samples, n 6-59, p 1-3, under the default prior."""
+    sets = []
+    for s in range(40):
+        rng = np.random.default_rng(2000 + s)
+        n, p = int(rng.integers(6, 60)), int(rng.integers(1, 4))
+        sets.append((MVNData.from_raw(generate_mvn(n, p, seed=s)),
+                     MVNPrior()))
+    return sets
+
+
+@cache
+def _probit_panel():
+    """The 60 small-study panel sets: generate_probit(n_j, p_j, seed=j)
+    with n_j in [50, 100] and p_j in {4, 5} drawn from default_rng(j)."""
+    sets = []
+    for j in range(60):
+        rng = np.random.default_rng(j)
+        n, p = int(rng.integers(50, 101)), int(rng.integers(4, 6))
+        sets.append((ProbitData(*generate_probit(n, p, seed=j)),
+                     ProbitPrior.ridge(0.01, p)))
+    return sets
+
+
+# method -> (fitter, problems, the q block the fitter starts from)
+RESTARTS = {
+    "linear-mfvb": (linear_mfvb_fit, _linear_sets, "sigma2"),
+    "linear-mp1": (linear_mp1_fit, _linear_sets, "sigma2"),
+    "linear-mp2": (linear_mp2_fit, _linear_sets, "sigma2"),
+    "mvn-mfvb": (mvn_mfvb_fit, _mvn_sets, "Sigma"),
+    "mvn-mp": (mvn_mp_fit, _mvn_sets, "Sigma"),
+    "probit-laplace": (probit_laplace_fit, _probit_panel, "beta"),
+    "probit-mfvb": (probit_mfvb_fit, _probit_panel, "beta"),
+    "probit-mp-dm": (partial(probit_mp_fit, variant="dm"), _probit_panel,
+                     "beta"),
+    "probit-mp-quad": (partial(probit_mp_fit, variant="quad"),
+                       _probit_panel, "beta"),
+    "probit-dmvb": (probit_dmvb_fit, _probit_panel, "beta"),
+}
+
+
+@pytest.mark.parametrize("name", RESTARTS)
+def test_restart_from_its_own_fit_takes_two_maps(name):
+    """A fit started from the q-density it reported for its starting block
+    stops at the second map (the driver never tests the first), within
+    10 eps of where it stopped."""
+    fit, problems, block = RESTARTS[name]
+    eps = 1e-6
+    for data, prior in problems():
+        rep = fit(data, prior, eps=eps, max_iter=2000)
+        again = fit(data, prior, eps=eps, max_iter=2000,
+                    init=rep.params[block])
+        assert rep.converged and again.converged
+        assert again.iterations == 2
+        assert np.max(np.abs(again.trace[-1] - rep.trace[-1])) <= 10 * eps
 
 
 def _toy_q():
