@@ -4,7 +4,9 @@ Runs every command in-process through `momprop.cli.main` on fixtures it
 writes itself into a temporary directory, and prints one line per command:
 its label, exit code, and the first 16 hex digits of the sha256 of its
 stdout (followed by the files it wrote through `--out` and
-`--density-out`) and of its stderr. The temporary directory's path is
+`--density-out`) and of its stderr. A command that raises instead of
+exiting prints `rc=traceback`, with the exception's type and message
+added to its stderr. The temporary directory's path is
 replaced by `TMP`, and every `wall_time_s` value and the file and line of
 every Python warning are masked before hashing, so two trees that behave
 the same print the same lines. Run it on two trees and diff the output to
@@ -33,7 +35,7 @@ TOY = {"mu": [0.5, -1.0, 2.0], "Sigma": [[1.0, 0.6, 0.2], [0.6, 1.5, 0.4],
                                          [0.2, 0.4, 2.0]], "split": 1}
 GIBBS = ["--n-samples", "1000", "--n-warmup", "100", "--seed", "3"]
 
-# input file name -> content: text for a CSV, anything else written as JSON
+# input file name -> content: text written as it is, anything else as JSON
 FILES = {
     "d9.json": D9,
     "toy.json": TOY,
@@ -70,6 +72,15 @@ FILES = {
                                           "scale_matrix": I2, "dof": INF}}},
     "init-probit-p2.json": {"q": {"beta": {"family": "gaussian",
                                            "mean": [0.0, 0.0], "cov": I2}}},
+    "init-mvn-dof-half.json": {"q": {"Sigma": {"family": "inverse_wishart",
+                                               "scale_matrix": I2,
+                                               "dof": 0.5}}},
+    # past the csv module's field limit (131,072), json's nesting depth and
+    # int's 4,300-digit conversion limit
+    "long-cell.csv": "y,x1\n1," + "a" * 200_000 + "\n",
+    "long-header.csv": "y," + "x" * 200_000 + "\n1,2\n",
+    "deep.json": "[" * 100_000 + "]" * 100_000,
+    "long-integer.json": '{"n": ' + "1" * 5_000 + "}",
 }
 
 
@@ -282,7 +293,11 @@ def _commands() -> list[tuple[str, list[str]]]:
             "mvn-missing-S.json": ("mvn", "mp", "--summary"),
             "toy-split-float.json": ("toy", "mp", "--summary"),
             "toy-split-string.json": ("toy", "mp", "--summary"),
-            "toy-nan-mu.json": ("toy", "mfvb", "--summary")}.items():
+            "toy-nan-mu.json": ("toy", "mfvb", "--summary"),
+            "long-cell.csv": ("linear", "mfvb", "--data"),
+            "long-header.csv": ("linear", "mfvb", "--data"),
+            "deep.json": ("mvn", "exact", "--summary"),
+            "long-integer.json": ("mvn", "exact", "--summary")}.items():
         errors.append((f"input: {name}", [
             "fit", "--model", model, "--method", method, flag,
             f"FILE/{name}"]))
@@ -298,7 +313,10 @@ def _commands() -> list[tuple[str, list[str]]]:
                                   "--summary", "FILE/d9.json"],
             "init-probit-p2.json": ["fit", "--model", "probit", "--method",
                                     "laplace", "--data",
-                                    "FILE/probit.csv"]}.items():
+                                    "FILE/probit.csv"],
+            "init-mvn-dof-half.json": ["fit", "--model", "mvn", "--method",
+                                       "mfvb", "--summary", "FILE/d9.json"],
+            "deep.json": linear_fit}.items():
         errors.append((f"init-from: {name}",
                        argv + ["--init-from", f"FILE/{name}"]))
     return gen + fits + density + compare + init + errors
@@ -316,13 +334,16 @@ def _mask(text: str, tmp: str) -> str:
     return _WARNING.sub(r"\1\n", text).replace(tmp, "TMP")
 
 
-def _run(argv: list[str], tmp: str) -> tuple[int, str, str]:
+def _run(argv: list[str], tmp: str) -> tuple[int | str, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = cli.main(argv)
         except SystemExit as exc:  # argparse's usage errors
             rc = exc.code
+        except Exception as exc:  # a crash; the digest goes on
+            rc = "traceback"
+            err.write(f"{type(exc).__name__}: {exc}\n")
     for flag in ("--out", "--density-out"):
         path = Path(argv[argv.index(flag) + 1]) if flag in argv else None
         if path is not None and path.exists():

@@ -51,6 +51,21 @@ class InputError(Exception):
 # input handling
 
 
+@contextlib.contextmanager
+def _reading(path: str, kind: str):
+    """path open as UTF-8 text. Failing to open, decode or parse it as kind,
+    in the with body too, is an InputError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # before ValueError, its base class
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except (csv.Error, RecursionError, ValueError) as exc:
+        raise InputError(f"{path}: invalid {kind}: {exc}") from exc
+
+
 def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
     """The stripped header and the data rows of a CSV of numbers.
 
@@ -58,16 +73,9 @@ def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
     below would; otherwise that parser reads them and names the first bad
     row or cell.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-            rest = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
-    except csv.Error:  # a NUL byte
-        return _parse_csv_rows(path)
+    with _reading(path, "CSV") as fh:
+        header = next(csv.reader(fh), None)
+        rest = fh.read()
     data = None if header is None else _loadtxt_rows(rest, len(header))
     if data is None:
         return _parse_csv_rows(path)
@@ -92,13 +100,8 @@ def _loadtxt_rows(text: str, width: int) -> np.ndarray | None:
 
 def _parse_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
     """Row-by-row CSV parser that names the first bad row or cell."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
+    with _reading(path, "CSV") as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         raise InputError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
@@ -117,10 +120,6 @@ def _parse_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
     if not data:
         raise InputError(f"{path}: no data rows")
     return header, np.array(data)
-
-
-def _not_utf8(path: str, exc: UnicodeDecodeError) -> InputError:
-    return InputError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
 def _load_regression(args: argparse.Namespace, data_type):
@@ -145,15 +144,8 @@ def _from_json(path: str, build: Callable[[dict], Any]):
     """build(doc) on the JSON object in path. A missing key or a value of the
     wrong type or shape is an InputError naming the file; a well-formed but
     out-of-domain value stays a DomainError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    with _reading(path, "JSON") as fh:
+        doc = json.load(fh)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     try:
@@ -633,31 +625,33 @@ def _encode(doc: dict) -> dict:
     return doc
 
 
-def _write_csv(path: str | None, header: list[str], rows) -> None:
-    """header and rows as CSV into path, or onto stdout without one."""
+@contextlib.contextmanager
+def _open_out(path: str | None):
+    """path open for writing, or stdout; OSError on path is an InputError."""
+    if not path:
+        yield sys.stdout
+        return
     try:
-        fh = (open(path, "w", newline="") if path
-              else contextlib.nullcontext(sys.stdout))
+        with open(path, "w", newline="") as fh:
+            yield fh
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
-    with fh as out:
+
+
+def _write_csv(path: str | None, header: list[str], rows) -> None:
+    """header and rows as CSV into path, or onto stdout without one."""
+    with _open_out(path) as out:
         writer = csv.writer(out)
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def _write_report(doc: dict, out: str | None, pretty: bool) -> None:
-    text = json.dumps(doc, indent=2)
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc}") from exc
-        if pretty:
-            print(_pretty_fit(doc))
-    else:
-        print(_pretty_fit(doc) if pretty else text)
+    if out or not pretty:
+        with _open_out(out) as fh:
+            print(json.dumps(doc, indent=2), file=fh)
+    if pretty:
+        print(_pretty_fit(doc))
     sys.stdout.flush()  # a closed stdout fails here, not at exit
 
 

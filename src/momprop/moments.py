@@ -115,6 +115,8 @@ class StudentTApprox:
         self.loc = np.atleast_1d(np.asarray(self.loc, dtype=float))
         self.scale = require_spd(np.atleast_2d(self.scale), "scale")
         self.dof = float(self.dof)
+        if not isfinite(self.dof):
+            raise DomainError("t dof must be finite")
         if not self.dof > 0:
             raise DomainError("dof must be positive")
 
@@ -143,6 +145,8 @@ class InverseGammaApprox:
     def __post_init__(self):
         self.shape = float(self.shape)
         self.scale = float(self.scale)
+        if not (isfinite(self.shape) and isfinite(self.scale)):
+            raise DomainError("inverse-gamma shape and scale must be finite")
         if not (self.shape > 0 and self.scale > 0):
             raise DomainError("inverse-gamma shape and scale must be positive")
 
@@ -156,6 +160,9 @@ class InverseWishartApprox:
         self.scale_matrix = require_spd(np.atleast_2d(self.scale_matrix),
                                         "scale_matrix")
         self.dof = float(self.dof)
+        if not (isfinite(self.dof) and self.dof > self.dim - 1):
+            raise DomainError("inverse-Wishart dof must be finite and "
+                              "exceed p - 1")
 
     @property
     def dim(self) -> int:

@@ -480,6 +480,28 @@ BAD_INPUTS = {
         ["generate", "--model", model, "--beta", "1e308,1e308", "--out",
          "FILE"], "", 2, f"generated {column} must be finite")
        for model, column in (("linear", "y"), ("probit", "X beta"))},
+    # past the csv module's field limit (131,072), json's nesting depth and
+    # int's 4,300-digit conversion limit
+    **{f"csv-long-{where}": (
+        ["fit", "--model", "linear", "--method", "mfvb", "--data", "FILE"],
+        text, 3, "FILE")
+       for where, text in (("cell", "y,x1\n1," + "a" * 200_000 + "\n"),
+                           ("header", "y," + "x" * 200_000 + "\n1,2\n"))},
+    **{f"json-deep-{flag}": (argv + [f"--{flag}", "FILE"],
+                             "[" * 100_000 + "]" * 100_000, 3, "FILE")
+       for flag, argv in (
+           ("summary", ["fit", "--model", "mvn", "--method", "exact"]),
+           ("init-from", ["fit", "--model", "linear", "--method", "mp2",
+                          "--data", "C7"]))},
+    "json-long-integer-summary": (
+        ["fit", "--model", "mvn", "--method", "exact", "--summary", "FILE"],
+        '{"n": ' + "1" * 5_000 + "}", 3, "FILE"),
+    "init-from-iw-dof-half-mvn-mfvb": (
+        ["fit", "--model", "mvn", "--method", "mfvb", "--summary", "D9",
+         "--init-from", "FILE"],
+        {"q": {"Sigma": {"family": "inverse_wishart", "scale_matrix": I2,
+                         "dof": 0.5}}}, 2,
+        "inverse-Wishart dof must be finite and exceed p - 1"),
 }
 
 
@@ -598,6 +620,41 @@ class TestErrors:
             with pytest.raises(cli.InputError) as err:
                 read(str(path))
             assert str(err.value).startswith(f"{path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("exc,message", [
+        (OSError("gone"), "cannot read {}: gone"),
+        (csv.Error("line contains NUL"), "{}: invalid CSV: line contains NUL"),
+        (RecursionError("too deep"), "{}: invalid CSV: too deep"),
+        (ValueError("bad"), "{}: invalid CSV: bad"),
+    ], ids=["os", "csv", "recursion", "value"])
+    def test_reader_names_the_file_of_a_failure_in_its_body(
+            self, tmp_path, exc, message):
+        """What the parser raises inside the reader, as the csv module of
+        Python 3.10 does on a NUL byte, is an InputError naming the file."""
+        path = tmp_path / "in.csv"
+        path.write_text("y\n1\n")
+        with pytest.raises(cli.InputError) as err:
+            with cli._reading(str(path), "CSV"):
+                raise exc
+        assert str(err.value) == message.format(path)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device whose writes fail")
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--model", "mvn", "--out"],
+        ["fit", "--model", "linear", "--method", "exact", "--data", "C7",
+         "--out"],
+        ["fit", "--model", "linear", "--method", "exact", "--data", "C7",
+         "--emit-density", "beta0", "--density-out"],
+    ], ids=["generate", "report", "density"])
+    def test_failed_write_is_io_error(self, c7_csv, capsys, argv):
+        """A write that fails after the open, as on a full disk, names the
+        file (exit 3), for the CSV writer as for the report."""
+        rc = run_cli([c7_csv if a == "C7" else a for a in argv]
+                     + ["/dev/full"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: cannot write "
+                                                  "/dev/full: ")
 
     @pytest.mark.parametrize("text,fast", CSV_CASES.values(),
                              ids=CSV_CASES.keys())

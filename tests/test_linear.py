@@ -8,6 +8,8 @@ Closed-form fixed-point identities give the tighter checks.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momprop.datagen import fixed_linear_dataset, generate_linear
 from momprop.exceptions import DomainError
@@ -245,6 +247,23 @@ class TestMP2:
         assert beta.dof == pytest.approx(beta_ex.dof, rel=1e-8)
         assert s2.shape == pytest.approx(s2_ex.shape, rel=1e-8)
         assert s2.scale == pytest.approx(s2_ex.scale, rel=1e-8)
+
+    @given(st.integers(8, 40), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.floats(1.0, 1e4), st.floats(0.01, 2.0), st.floats(0.01, 2.0))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_on_random_data(self, n, p, seed, g, A, B):
+        """MP2 at its default eps is the closed-form posterior on random
+        designs and priors, within 1e-6 relative."""
+        data = LinearData(*generate_linear(n, p, seed))
+        prior = LinearPrior(g=g, A=A, B=B)
+        rep = linear_mp2_fit(data, prior)
+        beta_ex, s2_ex = linear_exact_posterior(data, prior)
+        beta, s2 = rep.params["beta"], rep.params["sigma2"]
+        assert rep.converged
+        for got, want in [(beta.loc, beta_ex.loc), (beta.scale, beta_ex.scale),
+                          ([beta.dof, s2.shape, s2.scale],
+                           [beta_ex.dof, s2_ex.shape, s2_ex.scale])]:
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
 
     # each id names the bound its start breaks
     @pytest.mark.parametrize("start,match", [

@@ -64,6 +64,25 @@ class TestApproxTypes:
         with pytest.raises(DomainError):
             InverseGammaApprox(shape=-1.0, scale=1.0)
 
+    @pytest.mark.parametrize("build,match", [
+        (lambda: InverseGammaApprox(np.inf, 1.0), "inverse-gamma .* finite"),
+        (lambda: InverseGammaApprox(3.0, np.inf), "inverse-gamma .* finite"),
+        *((lambda dof=dof: InverseWishartApprox(np.eye(2), dof),
+           "inverse-Wishart dof must be finite and exceed p - 1")
+          for dof in (np.nan, np.inf, 0.5, -3.0)),
+        (lambda: StudentTApprox(np.zeros(2), np.eye(2), np.inf),
+         "t dof must be finite"),
+    ], ids=["ig-shape-inf", "ig-scale-inf", "iw-dof-nan", "iw-dof-inf",
+            "iw-dof-half", "iw-dof-negative", "t-dof-inf"])
+    def test_scalars_outside_the_family_are_not_taken(self, build, match):
+        """A start no density of the family has is rejected when built,
+        before a fitter iterates from it."""
+        with pytest.raises(DomainError, match=match):
+            build()
+
+    def test_iw_dof_just_above_p_minus_one_is_taken(self):
+        assert InverseWishartApprox(np.eye(3), 2.0 + 1e-12).dof > 2.0
+
 
 class TestInverseGamma:
     def test_mean_var_simple(self):

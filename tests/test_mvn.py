@@ -8,6 +8,8 @@ parameters (dof 7, Psi = Psi_n).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momprop.datagen import generate_mvn
 from momprop.exceptions import DomainError
@@ -165,6 +167,29 @@ class TestMP:
         assert rep.params["Sigma"].scale_matrix == pytest.approx(
             Sig_iw.scale_matrix, rel=1e-8)
         assert rep.params["Sigma"].dof == pytest.approx(Sig_iw.dof, rel=1e-8)
+
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.floats(0.01, 2.0), st.floats(0.0, 5.0), st.floats(0.1, 10.0))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_on_random_summaries(self, p, seed, lambda0, nu0_excess,
+                                       psi0_scale):
+        """MP at its default eps and start is the closed-form posterior on
+        random summaries and priors, within 1e-6 relative."""
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((p, p))
+        data = MVNData(n=int(rng.integers(5, 60)),
+                       xbar=rng.standard_normal(p) * 3.0,
+                       S=M @ M.T + 0.1 * np.eye(p))
+        prior = MVNPrior(lambda0=lambda0, nu0=p - 1.0 + nu0_excess + 1e-3,
+                         Psi0=psi0_scale * np.eye(p))
+        rep = mvn_mp_fit(data, prior)
+        mu_ex, Sig_ex = mvn_exact_posterior(data, prior)
+        mu, Sig = rep.params["mu"], rep.params["Sigma"]
+        assert rep.converged and not rep.wrong_basin
+        for got, want in [(mu.loc, mu_ex.loc), (mu.scale, mu_ex.scale),
+                          (Sig.scale_matrix, Sig_ex.scale_matrix),
+                          ([mu.dof, Sig.dof], [mu_ex.dof, Sig_ex.dof])]:
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
 
     def test_spurious_fixed_point_self_reproduces(self, ref):
         data, prior = ref

@@ -47,6 +47,15 @@ def synthetic200():
     return ProbitData(y, X), ProbitPrior.ridge(0.01, 3)
 
 
+# every deterministic probit fit as fit(data, prior, **kwargs)
+FITS = {"laplace": probit_laplace_fit, "mfvb": probit_mfvb_fit,
+        "mp-dm": lambda data, prior, **kw: probit_mp_fit(data, prior, "dm",
+                                                         **kw),
+        "mp-quad": lambda data, prior, **kw: probit_mp_fit(data, prior,
+                                                           "quad", **kw),
+        "dmvb": probit_dmvb_fit}
+
+
 class TestLaplace:
     def test_single_observation_mode(self, single_obs):
         # independent scalar oracle
@@ -346,7 +355,8 @@ NEWTON_FITS = {"laplace": probit_laplace_fit, "dmvb": probit_dmvb_fit}
 
 
 class TestNewtonFits:
-    """Laplace and dmvb: damped Newton steps on the fixed-point driver."""
+    """Laplace and dmvb: damped Newton steps on the fixed-point driver. The
+    last tests check invariances of every probit fit."""
 
     def test_dmvb_converges_where_bfgs_stopped_short(self):
         # BFGS stopped here on precision loss after 31 iterations with
@@ -415,29 +425,57 @@ class TestNewtonFits:
         assert np.max(np.abs(again.params["beta"].mean
                              - first.params["beta"].mean)) <= 1e-6
 
-    @pytest.mark.parametrize("method", NEWTON_FITS)
+    # MP's own row-permutation test is in TestRowBlocks
+    @pytest.mark.parametrize("method", [*NEWTON_FITS, "mfvb"])
     def test_row_permutation_leaves_fit_unchanged(self, three_blocks_and_five,
                                                   method):
         data, prior = three_blocks_and_five
         perm = np.random.default_rng(3).permutation(data.n)
-        a = NEWTON_FITS[method](data, prior)
-        b = NEWTON_FITS[method](ProbitData(data.y[perm], data.X[perm]), prior)
+        a = FITS[method](data, prior)
+        b = FITS[method](ProbitData(data.y[perm], data.X[perm]), prior)
         assert a.converged and b.iterations == a.iterations
         assert _max_gap(a, b) <= 1e-12
 
-    @pytest.mark.parametrize("method", NEWTON_FITS)
+    @pytest.mark.parametrize("method", FITS)
     def test_column_sign_flip_flips_coefficient(self, synthetic200, method):
         data, prior = synthetic200
         X = data.X.copy()
         X[:, 1] *= -1.0
-        a = NEWTON_FITS[method](data, prior)
-        b = NEWTON_FITS[method](ProbitData(data.y, X), prior)
+        a = FITS[method](data, prior)
+        b = FITS[method](ProbitData(data.y, X), prior)
         sign = np.array([1.0, -1.0, 1.0])
         assert a.converged and b.iterations == a.iterations
         assert np.max(np.abs(b.params["beta"].mean
                              - sign * a.params["beta"].mean)) <= 1e-12
         assert np.max(np.abs(b.params["beta"].cov - np.outer(sign, sign)
                              * a.params["beta"].cov)) <= 1e-12
+
+    @pytest.mark.parametrize("method", [*FITS, "gibbs"])
+    def test_column_scaling_scales_coefficient(self, method):
+        """Column j times c, with D_jj times c^2, is the same model in
+        beta_j / c: coefficient j's mean and its covariance row and column
+        scale by 1/c. The iterative fits agree within 10 eps of their
+        fixed points, and Gibbs, whose draws of a stay the same, within
+        rounding."""
+        eps = 1e-10
+        fit = FITS.get(method) or (
+            lambda data, prior, eps: probit_gibbs_oracle(
+                data, prior, n_samples=1000, n_warmup=100, seed=3))
+        for n, p, seed, j, c in [(57, 3, 1, 1, 3.7), (90, 4, 2, 3, 0.23),
+                                 (40, 2, 3, 0, 2.5), (119, 4, 4, 2, 1.9)]:
+            y, X = generate_probit(n, p, seed=seed)
+            s = np.ones(p)
+            s[j] = c
+            prior = ProbitPrior.ridge(0.5, p)
+            a = fit(ProbitData(y, X), prior, eps=eps)
+            b = fit(ProbitData(y, X * s),
+                    ProbitPrior(prior.D * np.outer(s, s)), eps=eps)
+            if method != "gibbs":
+                assert a.converged and b.converged
+                a, b = a.params["beta"], b.params["beta"]
+            tol = 1e-12 if method == "gibbs" else 10 * eps
+            assert np.max(np.abs(s * b.mean - a.mean)) <= tol
+            assert np.max(np.abs(np.outer(s, s) * b.cov - a.cov)) <= tol
 
 
 def _gibbs_reference(data, prior, n_samples, n_warmup, seed):
