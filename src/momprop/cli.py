@@ -37,6 +37,7 @@ from .reports import FitReport, MomentSummary, moment_summary
 
 SCHEMA_VERSION = 1
 _PRETTY_DIGITS = 4  # significant digits in --pretty output
+_encode_scalar = json.JSONEncoder().encode  # what json.dumps gives a scalar
 
 
 class UsageError(Exception):
@@ -56,7 +57,7 @@ def _reading(path: str, kind: str):
     """path open as UTF-8 text. Failing to open, decode or parse it as kind,
     in the with body too, is an InputError naming the file."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -180,8 +181,8 @@ def _load_toy(summary_path: str | None) -> ToyGaussianSpec:
 
 
 def _jsonify(obj, warnings: list[str], path: str = ""):
-    """Dicts and lists are walked; every other value, an array or a scalar,
-    becomes its list or Python scalar whole, each non-finite float null."""
+    """Dicts and lists are walked; finite float arrays (size > 1) stay whole,
+    other values become their lists or Python scalars, non-finites null."""
     if isinstance(obj, dict):
         return {k: _jsonify(v, warnings, f"{path}.{k}" if path else k)
                 for k, v in obj.items()}
@@ -195,7 +196,27 @@ def _jsonify(obj, warnings: list[str], path: str = ""):
     for idx in np.argwhere(bad):
         where = "".join(f"[{i}]" for i in idx)
         warnings.append(f"non-finite value at {path}{where} replaced by null")
-    return (np.where(bad, None, arr) if bad.any() else arr).tolist()
+    return (np.where(bad, None, arr).tolist() if bad.any() or arr.size < 2
+            else arr)
+
+
+def _dump(obj, write: Callable[[str], Any], indent: str = "\n") -> None:
+    """What json.dumps(obj, indent=2) gives, passed to write in pieces, for
+    an obj that _jsonify returned: each 1-d float array is one piece."""
+    inner, keyed = indent + "  ", isinstance(obj, dict)
+    if not isinstance(obj, (dict, list, np.ndarray)) or not len(obj):
+        write(_encode_scalar(obj))
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1:
+        write(f"[{inner}")
+        write(f",{inner}".join(map(float.__repr__, obj.tolist())))
+        write(f"{indent}]")
+    else:
+        for i, item in enumerate(obj.items() if keyed else obj):
+            write(("," if i else "{" if keyed else "[") + inner)
+            if keyed:
+                write(_encode_scalar(item[0]) + ": ")
+            _dump(item[1] if keyed else item, write, inner)
+        write(indent + ("}" if keyed else "]"))
 
 
 # q-density type -> family name in the report; any other record is "moments"
@@ -505,23 +526,20 @@ def run_compare(args: argparse.Namespace, methods: list[str],
 # rendering
 
 
-def _round_sig(x: float) -> float:
-    """x rounded to _PRETTY_DIGITS significant digits."""
-    return float(f"{x:.{_PRETTY_DIGITS}g}")
+def _round_sig(x: float | None) -> float | None:
+    """x rounded to _PRETTY_DIGITS significant digits; None stays None."""
+    return None if x is None else float(f"{x:.{_PRETTY_DIGITS}g}")
 
 
 def _pretty_fit(doc: dict) -> str:
+    moments = doc["moments"]
     lines = [f"model: {doc['model']}   method: {doc['method']}",
-             f"converged: {doc['converged']}   iterations: {doc['iterations']}"]
-    moments = doc.get("moments") or {}
-    if "mean" in moments:
-        mean = [_round_sig(v) for v in moments["mean"]]
-        sds = [_round_sig(float(np.sqrt(moments["cov"][j][j])))
-               for j in range(len(mean))]
-        lines.append("coef   mean        sd")
-        for j, (m, s) in enumerate(zip(mean, sds)):
-            lines.append(f"[{j}]   {m:<10} {s:<10}")
-    if moments.get("scalar_mean") is not None:
+             f"converged: {doc['converged']}   "
+             f"iterations: {doc['iterations']}", "coef   mean        sd"]
+    for j, (m, row) in enumerate(zip(moments["mean"], moments["cov"])):
+        sd = None if row[j] is None else float(np.sqrt(row[j]))
+        lines.append(f"[{j}]   {_round_sig(m)!s:<10} {_round_sig(sd)!s:<10}")
+    if "scalar_mean" in moments:
         lines.append(f"scalar mean: {_round_sig(moments['scalar_mean'])}   "
                      f"variance: {_round_sig(moments['scalar_var'])}")
     lines.append(f"wall time: {doc['wall_time_s']:.4g} s")
@@ -649,7 +667,8 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
 def _write_report(doc: dict, out: str | None, pretty: bool) -> None:
     if out or not pretty:
         with _open_out(out) as fh:
-            print(json.dumps(doc, indent=2), file=fh)
+            _dump(doc, fh.write)
+            fh.write("\n")
     if pretty:
         print(_pretty_fit(doc))
     sys.stdout.flush()  # a closed stdout fails here, not at exit

@@ -169,15 +169,16 @@ class InverseWishartApprox:
         return self.scale_matrix.shape[0]
 
 
-def ig_mean_var(a: InverseGammaApprox) -> tuple[float, float]:
-    """Mean and variance of IG(shape, scale)."""
-    if a.shape <= 1:
-        raise UndefinedMomentError("inverse-gamma mean needs shape > 1")
-    mean = a.scale / (a.shape - 1.0)
-    if a.shape <= 2:
-        raise UndefinedMomentError("inverse-gamma variance needs shape > 2")
-    var = a.scale**2 / ((a.shape - 1.0) ** 2 * (a.shape - 2.0))
-    return mean, var
+def ig_mean_var(a: InverseGammaApprox, undefined=None) -> tuple[float, float]:
+    """Mean and variance of IG(shape, scale). One that does not exist is
+    undefined, or an UndefinedMomentError where undefined is None."""
+    if undefined is None and a.shape <= 2:
+        raise UndefinedMomentError("inverse-gamma mean needs shape > 1"
+                                   if a.shape <= 1 else
+                                   "inverse-gamma variance needs shape > 2")
+    return (a.scale / (a.shape - 1.0) if a.shape > 1 else undefined,
+            a.scale**2 / ((a.shape - 1.0) ** 2 * (a.shape - 2.0))
+            if a.shape > 2 else undefined)
 
 
 def ig_moment_match(mean: float, variance: float) -> InverseGammaApprox:

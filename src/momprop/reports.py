@@ -9,7 +9,7 @@ from typing import Any, Callable
 import numpy as np
 from scipy.linalg import block_diag
 
-from .exceptions import DomainError, NumericError
+from .exceptions import DomainError, NumericError, UndefinedMomentError
 from .moments import (GaussianApprox, InverseGammaApprox, StudentTApprox,
                       ig_mean_var)
 
@@ -53,19 +53,29 @@ class MomentSummary:
         self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
 
 
+def _or_inf(approx, moment: str) -> np.ndarray:
+    """approx's mean or cov, all inf where a t has too few dof for it."""
+    try:
+        return getattr(approx, moment)
+    except UndefinedMomentError:
+        return np.full(approx.scale.shape[:1 + (moment == "cov")], np.inf)
+
+
 def moment_summary(q: dict[str, Any]) -> MomentSummary:
-    """The reported moments of a fitted q: the means of its vector blocks
-    (Gaussian, t or empirical) stacked and their covariances block-diagonal,
-    the mean and variance of its inverse-gamma block, and an empirical
-    block's Monte Carlo errors. Other blocks (inverse-Wishart, auxiliary)
-    are left out."""
+    """The reported moments of a fitted q, each inf where it does not exist:
+    the means of its vector blocks (Gaussian, t or empirical) stacked and
+    their covariances block-diagonal, the mean and variance of its
+    inverse-gamma block, and an empirical block's Monte Carlo errors. Other
+    blocks (inverse-Wishart, auxiliary) are left out."""
     vectors = [a for a in q.values() if isinstance(
         a, (GaussianApprox, StudentTApprox, MomentSummary))]
-    summary = MomentSummary(np.concatenate([a.mean for a in vectors]),
-                            block_diag(*(a.cov for a in vectors)))
+    summary = MomentSummary(
+        np.concatenate([_or_inf(a, "mean") for a in vectors]),
+        block_diag(*(_or_inf(a, "cov") for a in vectors)))
     for approx in q.values():
         if isinstance(approx, InverseGammaApprox):
-            summary.scalar_mean, summary.scalar_var = ig_mean_var(approx)
+            summary.scalar_mean, summary.scalar_var = ig_mean_var(
+                approx, undefined=np.inf)
         elif isinstance(approx, MomentSummary):
             summary.mc_se = approx.mc_se
     return summary

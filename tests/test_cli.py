@@ -1,15 +1,21 @@
 """End-to-end CLI coverage: fit / compare / generate, exit codes, report
 schema, density emission, and init-from round trips."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from momprop import cli
 from momprop.cli import main
@@ -49,6 +55,15 @@ def probit_csv(tmp_path):
                   "--seed", "5", "--out", str(path)])
     assert rc == 0
     return str(path)
+
+
+def _fit_doc(argv: list[str], path: str, tmp_path) -> dict:
+    """The report of `fit argv path`, less its wall time."""
+    out = tmp_path / "rep.json"
+    assert run_cli(["fit", *argv, path, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    del doc["wall_time_s"]
+    return doc
 
 
 class TestFitLinear:
@@ -134,6 +149,36 @@ class TestFitLinear:
         assert len(pts) == 4001
         assert 0.99 <= np.trapezoid(vals, pts) <= 1.01
 
+    def test_undefined_sigma2_variance_is_null(self, tmp_path, capsys):
+        """A posterior q(sigma2) of shape 1.51 has a mean but no variance:
+        the variance is null with a warning, every other moment is kept."""
+        data = tmp_path / "three.csv"
+        data.write_text("y,x1\n1,2\n3,4\n5,7\n")
+        out = tmp_path / "rep.json"
+        argv = ["fit", "--model", "linear", "--method", "exact",
+                "--data", str(data)]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        ig = doc["q"]["sigma2"]
+        assert ig["shape"] == pytest.approx(1.51)
+        m = doc["moments"]
+        assert m["scalar_mean"] == ig["scale"] / (ig["shape"] - 1.0)
+        assert m["scalar_var"] is None
+        assert np.all(np.isfinite(m["mean"])) and np.all(np.isfinite(m["cov"]))
+        assert doc["warnings"] == [
+            "non-finite value at moments.scalar_var replaced by null"]
+        assert run_cli(argv + ["--pretty"]) == 0
+        assert "variance: None" in capsys.readouterr().out
+
+    def test_utf8_bom_csv_reads_as_without(self, c7_csv, tmp_path):
+        """A CSV saved with a UTF-8 byte-order mark, as spreadsheet programs
+        save it, gives the report the file without the mark gives."""
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(c7_csv).read_bytes())
+        argv = ["--model", "linear", "--method", "mp2", "--data"]
+        assert (_fit_doc(argv, str(bom), tmp_path)
+                == _fit_doc(argv, c7_csv, tmp_path))
+
     def test_pretty_with_out(self, c7_csv, tmp_path, capsys):
         """--out takes the JSON report and stdout the summary."""
         out = tmp_path / "rep.json"
@@ -162,6 +207,33 @@ class TestFitMVN:
         doc = json.loads(out.read_text())
         assert doc["wrong_basin"] is False
         assert doc["q"]["Sigma"]["dof"] == pytest.approx(7.0)
+
+    def test_undefined_mu_covariance_is_null(self, tmp_path, capsys):
+        """With nu_n = p + 0.5 the inverse-Wishart q(Sigma) has no mean, so
+        q(mu), a t of 1.5 dof, has no covariance: the covariance is null
+        with a warning per entry, and the mean is kept."""
+        data = tmp_path / "one.csv"
+        data.write_text("x1,x2\n1,2\n")
+        out = tmp_path / "rep.json"
+        argv = ["fit", "--model", "mvn", "--method", "exact",
+                "--data", str(data), "--nu0", "1.5"]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["q"]["mu"]["dof"] == 1.5
+        assert doc["moments"]["mean"] == doc["q"]["mu"]["loc"]
+        assert doc["moments"]["cov"] == [[None, None], [None, None]]
+        assert doc["warnings"] == [
+            f"non-finite value at moments.cov[{i}][{j}] replaced by null"
+            for i in range(2) for j in range(2)]
+        assert run_cli(argv + ["--pretty"]) == 0
+        assert "[1]   1.98       None" in capsys.readouterr().out
+
+    def test_utf8_bom_json_reads_as_without(self, d9_json, tmp_path):
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(d9_json).read_bytes())
+        argv = ["--model", "mvn", "--method", "mp", "--summary"]
+        assert (_fit_doc(argv, str(bom), tmp_path)
+                == _fit_doc(argv, d9_json, tmp_path))
 
     def test_raw_csv_input(self, tmp_path):
         data = tmp_path / "mvn.csv"
@@ -283,6 +355,26 @@ class TestToyModel:
                                                                 rel=1e-9)
 
 
+# What a report may hold: Python and numpy scalars, float edge cases,
+# non-ASCII text, and 0-d to 2-d float and int arrays, nested in dicts,
+# lists and tuples.
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, 1e16, float("nan"), float("inf"), float("-inf")]))
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)
+REPORT_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), _FLOATS, st.text(),
+        st.booleans().map(np.bool_), _FLOATS.map(np.float64),
+        st.integers(-2**63, 2**63 - 1).map(np.int64),
+        hnp.arrays(np.float64, _SHAPES, elements=_FLOATS),
+        hnp.arrays(np.float32, _SHAPES, elements=st.floats(width=32)),
+        hnp.arrays(np.int64, _SHAPES)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+
+
 class TestEncode:
     def test_nonfinite_becomes_null_with_a_warning(self):
         doc = {"a": np.array([[1.5, np.nan], [np.inf, -2.0]]),
@@ -301,6 +393,80 @@ class TestEncode:
         assert json.dumps(out) == json.dumps(expected)
         assert type(out["i"]) is int and type(out["t"]) is bool
         assert all(type(v) is int for v in out["n"])
+
+    @given(st.dictionaries(st.text(), REPORT_VALUES, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_stream_is_json_dumps(self, tmp_path_factory, doc):
+        """The streamed report, into a file and onto stdout, has the bytes
+        and the warnings that json.dumps(indent=2) of the list-only
+        encoding gives."""
+        want_warnings: list[str] = []
+        want = _jsonify_lists(doc, want_warnings)
+        if want_warnings:
+            want["warnings"] = want_warnings
+        want = json.dumps(want, indent=2) + "\n"
+        got = cli._encode(doc)
+        assert got.get("warnings", []) == want_warnings
+        path = tmp_path_factory.getbasetemp() / "streamed.json"
+        cli._write_report(got, str(path), pretty=False)
+        assert path.read_bytes() == want.encode()
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            cli._write_report(got, None, pretty=False)
+        assert stdout.getvalue() == want
+
+    def test_stream_holds_no_copy_of_the_report(self, tmp_path):
+        """Encoding and writing a report with a 10 x 20,000 float trace
+        peaks below half the bytes written: no list of its floats and no
+        whole-report string is built."""
+        trace = list(np.random.default_rng(0).standard_normal((10, 20_000)))
+        out = tmp_path / "rep.json"
+        tracemalloc.start()
+        try:
+            cli._write_report(cli._encode({"schema": 1, "trace": trace}),
+                              str(out), pretty=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size / 2
+
+
+def _assert_closed_stdout_is_io_error(argv: list[str], lines: int) -> None:
+    """`momprop argv` exits 3 with one error line and no traceback when its
+    reader closes stdout after reading the given number of lines."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parent.parent / "src"),
+        env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from momprop.cli import main; sys.exit(main())", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 3
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and "Exception" not in err
+
+
+def _jsonify_lists(obj, warnings: list[str], path: str = ""):
+    """The report encoding with every array turned into its list: the
+    reference that the streamed writer must reproduce byte for byte."""
+    if isinstance(obj, dict):
+        return {k: _jsonify_lists(v, warnings, f"{path}.{k}" if path else k)
+                for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify_lists(v, warnings, f"{path}[{i}]")
+                for i, v in enumerate(obj)]
+    arr = np.asarray(obj)
+    if arr.dtype.kind != "f":
+        return arr.tolist()
+    bad = ~np.isfinite(arr)
+    for idx in np.argwhere(bad):
+        where = "".join(f"[{i}]" for i in idx)
+        warnings.append(f"non-finite value at {path}{where} replaced by null")
+    return (np.where(bad, None, arr) if bad.any() else arr).tolist()
 
 
 NAN = float("nan")
@@ -556,23 +722,19 @@ class TestErrors:
     def test_closed_stdout_is_io_error(self, d9_json, extra, lines):
         """A reader that stops early, as `momprop fit ... | head -1` does,
         gets exit 3 and one error line, with no traceback at any flush."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-            str(Path(__file__).resolve().parent.parent / "src"),
-            env.get("PYTHONPATH")]))
-        proc = subprocess.Popen(
-            [sys.executable, "-c",
-             "import sys; from momprop.cli import main; sys.exit(main())",
-             "fit", "--model", "mvn", "--method", "exact",
-             "--summary", d9_json, *extra],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        for _ in range(lines):
-            proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == 3
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "Traceback" not in err and "Exception" not in err
+        _assert_closed_stdout_is_io_error(
+            ["fit", "--model", "mvn", "--method", "exact",
+             "--summary", d9_json, *extra], lines)
+
+    def test_closed_stdout_mid_report_is_io_error(self, tmp_path):
+        """The same while the report is being streamed: with --trace it
+        takes 1.8 MB, far more than the pipe holds."""
+        data = tmp_path / "probit.csv"
+        assert run_cli(["generate", "--model", "probit", "--n", "4000",
+                        "--p", "3", "--seed", "2", "--out", str(data)]) == 0
+        _assert_closed_stdout_is_io_error(
+            ["fit", "--model", "probit", "--method", "mp-dm", "--trace",
+             "--data", str(data)], 1)
 
     def test_invalid_method_model_pair(self, c7_csv):
         rc = run_cli(["fit", "--model", "linear", "--method", "mp-dm",
