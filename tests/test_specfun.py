@@ -1,10 +1,11 @@
 """Tests for log_Phi, the zeta ladder, and the smoothed xi evaluators.
 
 Frozen reference values were computed with a 50-digit mpmath erfc oracle
-(log_Phi, zeta_1) and with scipy.integrate.quad applied directly to
-zeta_d(x) * normal_pdf(x; mu, sigma2) (xi). The quad oracle is reproduced
-in-test so the comparison stays independent of the series/trapezoid path
-under test.
+(log_Phi, zeta_1), with scipy.integrate.quad applied directly to
+zeta_d(x) * normal_pdf(x; mu, sigma2) (xi), and with a 60-digit mpmath
+quadrature of the same integral (xi in the far left tail). The quad and
+Simpson oracles are reproduced in-test so the comparison stays independent
+of the series, Gauss-Hermite and trapezoid paths under test.
 """
 
 import numpy as np
@@ -16,8 +17,9 @@ from scipy.special import log_ndtr
 
 from momprop import specfun
 from momprop.exceptions import DomainError, NumericError
-from momprop.specfun import (_recip_mills_cf, _zeta1, _zeta_orders, log_Phi,
-                             xi, xi_quad, xi_taylor, zeta)
+from momprop.specfun import (_recip_mills_cf, _xi_hermite, _zeta1,
+                             _zeta_orders, log_Phi, xi, xi_quad, xi_taylor,
+                             zeta)
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
@@ -224,7 +226,8 @@ class TestXiQuad:
 
 class TestXiDispatch:
     def test_branch_continuity_at_threshold(self):
-        # both branches evaluated at matched sigma2 near the cutoff
+        # the two public outer branches agree near sigma2 = 0.5, where the
+        # series is least accurate
         for s2 in (0.49, 0.51):
             t_val = xi_taylor(1, 1.0, s2)
             q_val = xi_quad(1, 1.0, s2)
@@ -245,13 +248,17 @@ class TestXiDispatch:
                                                           rel=1e-7)
 
     def test_vectorized_mixed_branches(self):
-        mu = np.array([0.0, 1.0, -2.0])
-        s2 = np.array([0.1, 2.0, 0.0])
+        # series below sigma2 = 0.01, Gauss-Hermite on [0.01, 2), trapezoid
+        # from 2 up
+        mu = np.array([0.0, 0.5, 1.0, -2.0])
+        s2 = np.array([0.005, 0.1, 2.0, 0.0])
         out = xi(1, mu, s2)
-        assert out.shape == (3,)
-        assert out[0] == pytest.approx(xi_taylor(1, 0.0, 0.1), rel=1e-14)
-        assert out[1] == pytest.approx(xi_quad(1, 1.0, 2.0), rel=1e-14)
-        assert out[2] == pytest.approx(zeta(1, -2.0), rel=1e-14)
+        assert out.shape == (4,)
+        assert out[0] == pytest.approx(xi_taylor(1, 0.0, 0.005), rel=1e-14)
+        hermite = _xi_hermite((1,), np.array([0.5]), np.array([0.1]))[0, 0]
+        assert out[1] == pytest.approx(hermite, rel=1e-14)
+        assert out[2] == pytest.approx(xi_quad(1, 1.0, 2.0), rel=1e-14)
+        assert out[3] == pytest.approx(zeta(1, -2.0), rel=1e-14)
 
     @pytest.mark.parametrize("mu,s2", [
         (np.linspace(-8.0, 8.0, 57), np.linspace(0.0, 10.0, 57)),
@@ -280,3 +287,133 @@ class TestXiDispatch:
                           (2, -2.0, 4.0)]:
             assert abs(xi(d, mu, s2) - xi_oracle(d, mu, s2)) <= 1e-4
 
+
+
+def xi_simpson(d: int, mu: float, sigma2: float) -> float:
+    """Dense Simpson rule over a wide domain, as criterion 08's oracle."""
+    sd = np.sqrt(sigma2)
+    x = np.linspace(mu - 12 * sd - 12, mu + 12 * sd + 12, 8001)
+    fx = _zeta_orders(d, x)[d] * stats.norm.pdf(x, mu, sd)
+    return float(integrate.simpson(fx, x=x))
+
+
+class TestXiBranches:
+    """xi's three branches: the series below sigma2 = 0.01 (_SERIES_MAX),
+    Gauss-Hermite on [0.01, 2) and the trapezoid quadrature from 2 up
+    (_GH_MAX)."""
+
+    def test_cutoffs(self):
+        assert (specfun._SERIES_MAX, specfun._GH_MAX) == (0.01, 2.0)
+
+    def test_matches_simpson_oracle(self):
+        # a coarser grid than criterion 08's; below sigma2 = 0.5 the series
+        # was off by 1.2e-3 there
+        mus = np.linspace(-6.0, 6.0, 7)
+        worst = {"series+band<0.5": 0.0, "band>=0.5": 0.0, "all": 0.0}
+        for s2 in [0.005, 0.02, 0.1, 0.3, 0.49, 0.8, 1.5, 1.999, 2.0, 5.0,
+                   10.0]:
+            for d in (1, 2):
+                for mu in mus:
+                    err = abs(xi(d, mu, s2) - xi_simpson(d, mu, s2))
+                    worst["all"] = max(worst["all"], err)
+                    if s2 < 0.5:
+                        key = "series+band<0.5"
+                    elif s2 < 2.0:
+                        key = "band>=0.5"
+                    else:
+                        continue
+                    worst[key] = max(worst[key], err)
+        assert worst["series+band<0.5"] <= 1e-9
+        # 24 nodes leave up to 2.5e-7 near sigma2 = 2
+        assert worst["band>=0.5"] <= 1e-6
+        # the trapezoid's own error, 8.6e-6 at sigma2 = 10
+        assert worst["all"] <= 1e-5
+
+    def test_seam_at_series_cutoff(self):
+        mu = np.linspace(-8.0, 8.0, 161)
+        below = np.nextafter(specfun._SERIES_MAX, 0.0)
+        for d in (0, 1, 2):
+            jump = np.abs(xi(d, mu, below) - xi(d, mu, specfun._SERIES_MAX))
+            assert jump.max() <= 1e-10
+
+    def test_seam_at_trapezoid_cutoff_within_trapezoid_error(self):
+        # the trapezoid is off by up to 2.5e-5, 4.4e-6 and 9.9e-7 (d = 0,
+        # 1, 2) at sigma2 = 2, Gauss-Hermite by at most 3.2e-7; so the jump
+        # is the trapezoid's error, and the 1% allows for Gauss-Hermite's
+        mu = np.linspace(-8.0, 8.0, 33)
+        below = np.nextafter(specfun._GH_MAX, 0.0)
+        for d in (0, 1, 2):
+            jump = np.abs(xi(d, mu, below) - xi(d, mu, specfun._GH_MAX))
+            trap_err = np.array([abs(xi_quad(d, m, 2.0) - xi_simpson(d, m, 2.0))
+                                 for m in mu])
+            assert jump.max() <= 1.01 * trap_err.max()
+
+    # (mu, sigma2): (xi_1, xi_2), from a 60-digit mpmath quadrature of
+    # int zeta_d(mu + sqrt(sigma2) u) phi(u) du on [-inf, -10, -5, -2, 0, 2,
+    # 5, 10, inf], with zeta_1 = npdf/ncdf and zeta_2 = -zeta_1 (x + zeta_1);
+    # an 80-digit run on other breakpoints agrees to 25 digits
+    FAR_LEFT = {
+        (-12.0, 0.05): (12.082240915101247792, -0.99332292624358383064),
+        (-20.0, 0.05): (20.049759138871286305, -0.99753584526699282741),
+        (-50.0, 0.05): (50.019984430018904101, -0.99960093300150109203),
+        (-80.0, 0.05): (80.012496194274014074, -0.99984389264310968477),
+        (-12.0, 0.2): (12.082321433756036955, -0.99330376837609443371),
+        (-20.0, 0.2): (20.049777376110711892, -0.99753315954239540751),
+        (-50.0, 0.2): (50.019985624643413852, -0.99960086153807455854),
+        (-80.0, 0.2): (80.012496486728695754, -0.99984388168888797876),
+        (-12.0, 0.49): (12.082478394077000189, -0.99326622822256478809),
+        (-20.0, 0.49): (20.049812746896437928, -0.99752793982624063863),
+        (-50.0, 0.49): (50.019987935462971523, -0.99960072325474030438),
+        (-80.0, 0.49): (80.012497052257423004, -0.99984386050346652648),
+    }
+
+    @pytest.mark.parametrize("mu,s2", sorted(FAR_LEFT))
+    def test_far_left_band_matches_mpmath(self, mu, s2):
+        # the series was off by 6.8e-4 in xi_2 at (-50, 0.49) and by 0.24
+        # at (-80, 0.49): it reads zeta up to order 10, which the recursion
+        # loses there; the band reads orders up to 2 only
+        x1, x2 = xi((1, 2), mu, s2)
+        ref1, ref2 = self.FAR_LEFT[(mu, s2)]
+        assert x1 == pytest.approx(ref1, rel=1e-10, abs=0.0)
+        assert x2 == pytest.approx(ref2, rel=1e-10, abs=0.0)
+
+    def test_far_left_xi2_in_open_unit_interval(self):
+        mu = np.repeat(np.linspace(-80.0, -12.0, 69), 3)
+        s2 = np.tile([0.05, 0.2, 0.49], 69)
+        x2 = xi(2, mu, s2)
+        assert np.all((-1.0 < x2) & (x2 < 0.0))
+
+    def test_batch_equals_elementwise(self):
+        # all three branches in one batch, the band the most of it
+        rng = np.random.default_rng(17)
+        mu = rng.uniform(-60.0, 8.0, 300)
+        s2 = np.concatenate([rng.uniform(0.0, 0.01, 20),
+                             rng.uniform(0.01, 2.0, 260),
+                             rng.uniform(2.0, 3.0, 20)])
+        batch = xi((0, 1, 2), mu, s2)
+        one = np.stack([xi((0, 1, 2), m, v) for m, v in zip(mu, s2)], axis=1)
+        assert np.array_equal(batch, one)
+
+    # inside the band, away from both seams; a central difference with
+    # h = 1e-4 is within 5e-10 of the identities in mu. The heat identity
+    # holds to 9e-11 below sigma2 = 0.5 and to 1.5e-7 near sigma2 = 1.9,
+    # where the 24-node rule is least accurate
+    BAND = dict(mu=st.floats(min_value=-8.0, max_value=8.0),
+                s2=st.floats(min_value=0.02, max_value=1.9))
+
+    @given(**BAND)
+    @settings(max_examples=60, deadline=None)
+    def test_mu_derivatives(self, mu, s2):
+        h = 1e-4
+        x0p, x1p, _ = xi((0, 1, 2), mu + h, s2)
+        x0m, x1m, _ = xi((0, 1, 2), mu - h, s2)
+        _, x1, x2 = xi((0, 1, 2), mu, s2)
+        assert abs((x0p - x0m) / (2 * h) - x1) <= 5e-9
+        assert abs((x1p - x1m) / (2 * h) - x2) <= 5e-9
+
+    @given(**BAND)
+    @settings(max_examples=60, deadline=None)
+    def test_heat_identity(self, mu, s2):
+        h = 1e-4
+        fd = (xi(0, mu, s2 + h) - xi(0, mu, s2 - h)) / (2 * h)
+        assert abs(fd - xi(2, mu, s2) / 2) <= (1e-9 if s2 < 0.5 else 1e-6)
