@@ -41,6 +41,9 @@ FILES = {
     "toy.json": TOY,
     "toy2.json": {**TOY, "split": 2},
     "probit-nan.csv": "y,x1,x2\n1,1.0,0.3\n0,1.0,-0.8\n1,1.0,nan\n0,1.0,0.1\n",
+    # finite entries whose Z^T Z overflows
+    "probit-overflow.csv": ("y,x1,x2\n1,1.0,1e200\n0,1.0,-3e199\n1,1.0,0.5\n"
+                            "0,1.0,0.1\n"),
     "linear-nan.csv": "y,x1\nnan,1\n1.08,1\n-2.14,1\n",
     "bad-cell.csv": "y,x1\n1.0,2.0\n3.0,oops\n",
     "ragged.csv": "y,x1\n1.0,2.0,9.9\n",
@@ -265,6 +268,9 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("domain: toy split out of range", [
             "fit", "--model", "toy", "--method", "mp", "--summary",
             "FILE/toy-split-out.json"]),
+        *((f"numeric: probit overflow {method}", [
+            "fit", "--model", "probit", "--method", method, "--data",
+            "FILE/probit-overflow.csv"]) for method in methods["probit"]),
         ("io: missing file", ["fit", "--model", "linear", "--method", "mfvb",
                               "--data", "FILE/missing.csv"]),
         ("io: unwritable --out", linear_fit + ["--out", "FILE/no/dir.json"]),

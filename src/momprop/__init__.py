@@ -13,10 +13,9 @@ from .linear import (LinearConstants, LinearData, LinearPrior,
                      linear_constants, linear_exact_posterior,
                      linear_mfvb_fit, linear_mp1_fit, linear_mp2_fit)
 from .moments import (GaussianApprox, InverseGammaApprox,
-                      InverseWishartApprox, StudentTApprox,
-                      gauss_quadform_cumulant_moment, gauss_quadform_moments,
-                      ig_mean_var, ig_moment_match, iw_elementwise_var_diag,
-                      iw_mean, iw_moment_match, t_quadform_moments)
+                      InverseWishartApprox, StudentTApprox, ig_mean_var,
+                      ig_moment_match, iw_elementwise_var_diag, iw_mean,
+                      iw_moment_match)
 from .mvn import (MVNConstants, MVNData, MVNPrior, iw_diag_marginal,
                   mvn_constants, mvn_exact_posterior, mvn_mfvb_fit,
                   mvn_mp_fit)
@@ -29,11 +28,9 @@ from .specfun import log_Phi, xi, xi_quad, xi_taylor, zeta
 __all__ = [
     "AuxiliaryMoments", "DensityGrid", "DomainError", "FitReport",
     "GaussianApprox", "InverseGammaApprox", "InverseWishartApprox",
-    "LinearConstants", "LinearData", "LinearPrior", "MVNConstants",
-    "MVNData", "MVNPrior", "MomentSummary", "NumericError", "ProbitData",
-    "ProbitPrior", "StudentTApprox", "ToyGaussianSpec",
-    "UndefinedMomentError", "accuracy",
-    "gauss_quadform_cumulant_moment", "gauss_quadform_moments",
+    "LinearConstants", "LinearData", "LinearPrior", "MVNConstants", "MVNData",
+    "MVNPrior", "MomentSummary", "NumericError", "ProbitData", "ProbitPrior",
+    "StudentTApprox", "ToyGaussianSpec", "UndefinedMomentError", "accuracy",
     "ig_mean_var", "ig_moment_match", "iw_diag_marginal",
     "iw_elementwise_var_diag", "iw_mean", "iw_moment_match",
     "linear_constants", "linear_exact_posterior", "linear_mfvb_fit",
@@ -41,7 +38,6 @@ __all__ = [
     "moment_summary", "mvn_constants", "mvn_exact_posterior", "mvn_mfvb_fit",
     "mvn_mp_fit", "probit_dmvb_fit", "probit_gibbs_oracle",
     "probit_laplace_fit", "probit_mfvb_fit", "probit_mp_fit",
-    "t_quadform_moments",
     "toy_gaussian_mp", "xi", "xi_quad", "xi_taylor", "zeta",
 ]
 

@@ -171,7 +171,7 @@ def linear_mp1_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
         Sig = symmetrize((Bt / (At - 1.0)) * c.u * c.XtX_inv)
         XS = c.XtX @ Sig
         EQ, VQ = _gauss_quadform(np.trace(XS) / c.u,
-                                 np.trace(XS @ XS) / c.u**2, 0.0, 0.0)
+                                 np.trace(XS @ XS) / c.u**2)
         At, Bt = _match_sigma2(b_mu + EQ / 2.0, VQ / 4.0, c1)
         return (At, Bt, Sig), np.concatenate([mu, Sig.ravel(), [At, Bt]])
 
@@ -202,7 +202,7 @@ def linear_mp2_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
         nu = 2.0 * At
         XS = c.XtX @ Sig
         EQ, VQ = _t_quadform(np.trace(XS) / c.u, np.trace(XS @ XS) / c.u**2,
-                             0.0, 0.0, 1.0, nu)
+                             1.0, nu)
         At, Bt = _match_sigma2(b_mu + EQ / 2.0, VQ / 4.0, c1)
         return (At, Bt, Sig, nu), np.concatenate([mu, Sig.ravel(),
                                                   [nu, At, Bt]])

@@ -15,7 +15,7 @@ removed with (M + M^T)/2 before checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, isfinite
+from math import isfinite
 
 import numpy as np
 
@@ -229,85 +229,20 @@ def _iw_match(mean_matrix: np.ndarray, trace_elementwise_var: float
     return dof, (dof - p - 1.0) * mean_matrix
 
 
-def _quadform_pieces(mu, Sigma, A, b_shift):
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if b_shift is None:
-        b_shift = np.zeros_like(mu)
-    b_shift = np.atleast_1d(np.asarray(b_shift, dtype=float))
-    p = mu.shape[0]
-    if Sigma.shape != (p, p) or A.shape != (p, p) or b_shift.shape != (p,):
-        raise DomainError("dimension mismatch in quadratic-form moments")
-    m = mu - b_shift
-    AS = A @ Sigma
-    return m, A, AS
+def _gauss_quadform(tr_AS, tr_ASAS):
+    """Mean and variance of the centred form (x-mu)^T A (x-mu) for
+    x ~ N(mu, Sigma), from tr(A Sigma) and tr((A Sigma)^2)."""
+    return tr_AS, 2.0 * tr_ASAS
 
 
-def _quadform_scalars(mu, Sigma, A, b_shift):
-    """tr(A Sigma), tr((A Sigma)^2), m^T A m and m^T A Sigma A m, m = mu - b."""
-    m, A, AS = _quadform_pieces(mu, Sigma, A, b_shift)
-    return np.trace(AS), np.trace(AS @ AS), m @ A @ m, m @ AS @ A @ m
-
-
-def _gauss_quadform(tr_AS, tr_ASAS, mAm, mASAm):
-    """Mean and variance of (x-b)^T A (x-b) for x ~ N(mu, Sigma), from the
-    scalars of _quadform_scalars."""
-    return mAm + tr_AS, 2.0 * tr_ASAS + 4.0 * mASAm
-
-
-def _t_quadform(tr_AS, tr_ASAS, mAm, mASAm, a, b):
-    """Mean and variance of (x-b)^T A (x-b) for x ~ t(mu, a Sigma, b), from
-    the scalars of _quadform_scalars of (mu, Sigma, A, b_shift)."""
+def _t_quadform(tr_AS, tr_ASAS, a, b):
+    """Mean and variance of the centred form (x-mu)^T A (x-mu) for
+    x ~ t(mu, a Sigma, b), from tr(A Sigma) and tr((A Sigma)^2)."""
     if b <= 2:
         raise UndefinedMomentError("t quadratic-form mean needs dof > 2")
     if b <= 4:
         raise UndefinedMomentError("t quadratic-form variance needs dof > 4")
-    mean = mAm + a * b / (b - 2.0) * tr_AS
+    mean = a * b / (b - 2.0) * tr_AS
     var = (2.0 * a**2 * b**2 * tr_ASAS / ((b - 2.0) * (b - 4.0))
-           + 2.0 * a**2 * b**2 * tr_AS**2 / ((b - 2.0) ** 2 * (b - 4.0))
-           + 4.0 * a * b / (b - 2.0) * mASAm)
+           + 2.0 * a**2 * b**2 * tr_AS**2 / ((b - 2.0) ** 2 * (b - 4.0)))
     return mean, var
-
-
-def gauss_quadform_moments(mu, Sigma, A, b_shift=None):
-    """Mean, variance and second moment of (x-b)^T A (x-b), x ~ N(mu, Sigma)."""
-    mean, var = _gauss_quadform(*_quadform_scalars(mu, Sigma, A, b_shift))
-    return float(mean), float(var), float(var + mean**2)
-
-
-def gauss_quadform_cumulant_moment(h: int, mu, Sigma, A) -> float:
-    """h-th raw moment of x^T A x via the cumulant recursion.
-
-    kappa(s) = 2^(s-1) s! [tr((A Sigma)^s)/s + mu^T (A Sigma)^(s-1) A mu],
-    E[Q^h] = sum_{i=0}^{h-1} (h-1)!/((h-1-i)! i!) kappa(h-i) E[Q^i].
-    """
-    if int(h) != h or h < 1:
-        raise DomainError("moment order h must be an integer >= 1")
-    h = int(h)
-    m, A, AS = _quadform_pieces(mu, Sigma, A, None)
-    AS_pows = [np.eye(AS.shape[0])]
-    for _ in range(h):
-        AS_pows.append(AS_pows[-1] @ AS)
-    kappa = {}
-    for s in range(1, h + 1):
-        kappa[s] = 2.0 ** (s - 1) * factorial(s) * (
-            np.trace(AS_pows[s]) / s + m @ AS_pows[s - 1] @ A @ m)
-    moments = [1.0]
-    for hh in range(1, h + 1):
-        tot = 0.0
-        for i in range(hh):
-            tot += (factorial(hh - 1) / (factorial(hh - 1 - i) * factorial(i))
-                    * kappa[hh - i] * moments[i])
-        moments.append(tot)
-    return float(moments[h])
-
-
-def t_quadform_moments(loc, scale, dof: float, a_mult: float, A, b_shift=None):
-    """Moments of (x-b)^T A (x-b) for x ~ t(loc, a_mult * scale, dof).
-
-    Mean needs dof > 2; variance and second moment need dof > 4.
-    """
-    mean, var = _t_quadform(*_quadform_scalars(loc, scale, A, b_shift),
-                            float(a_mult), float(dof))
-    return float(mean), float(var), float(var + mean**2)

@@ -4,7 +4,10 @@ VB, and a data-augmentation Gibbs oracle.
 The likelihood is prod_i Phi(z_i^T beta) with z_i = (2 y_i - 1) x_i and
 prior beta ~ N(0, D^-1). With auxiliary variables a_i | beta ~ N(z_i^T
 beta, 1) truncated to a_i > 0, the full conditionals are Gaussian, which
-drives both the Gibbs sampler and the MFVB/MP updates.
+drives both the Gibbs sampler and the MFVB/MP updates. These start from
+S = (Z^T Z + D)^-1, which, like the Newton fits' M^-1 below, is L^-T L^-1
+from the Cholesky factor L (_cholesky_inverse); a factor that fails or is
+not finite, as when Z^T Z overflows, is a NumericError.
 
 Moment propagation keeps q(beta) Gaussian but never commits q(a) to a
 parametric family: only E_q(a) and (implicitly) V_q(a) enter. Within each
@@ -21,12 +24,11 @@ ELBO use the same two row-block helpers.
 
 Laplace and delta-method VB (dmvb) take damped Newton steps on the same
 driver along M^-1 g, M = Z^T diag(-zeta_2(Z x)) Z + D: one evaluation of
-a point gives its objective, its zeta orders and M^-1, inverted from the
-Cholesky factor of M, and the state carries it to the next step and to
-the reported covariance. A step is halved until the objective rises enough
-(Armijo's rule). A fit stops once a step moves its mean by less than eps
-in the max norm; the first step is never tested, so a fit started at its
-own optimum takes two.
+a point gives its objective, its zeta orders and M^-1, and the state
+carries M^-1 to the next step and to the reported covariance. A step is
+halved until the objective rises enough (Armijo's rule). A fit stops once
+a step moves its mean by less than eps in the max norm; the first step is
+never tested, so a fit started at its own optimum takes two.
 
 The Gibbs sampler reads two streams spawned from SeedSequence(seed): one
 of uniforms for the a_i draws and one of standard normals for the beta
@@ -40,9 +42,9 @@ one draw at a time; its distribution does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .datagen import seed_sequence
@@ -104,11 +106,27 @@ class AuxiliaryMoments:
     mean_a: np.ndarray
 
 
+def _cholesky_inverse(M: np.ndarray, message: str, last_iterate=None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(L, symmetrize(L^-T L^-1)), L the lower Cholesky factor of
+    symmetrize(M); NumericError(message) where it fails or is not finite
+    (a non-finite entry that numpy lets through reaches L's diagonal)."""
+    try:
+        L = np.linalg.cholesky(symmetrize(M))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(message, last_iterate=last_iterate) from exc
+    if not isfinite(L.trace()):
+        raise NumericError(message, last_iterate=last_iterate)
+    Li = np.linalg.inv(L)
+    return L, symmetrize(Li.T @ Li)
+
+
 def _workspace(data: ProbitData, prior: ProbitPrior
                ) -> tuple[np.ndarray, np.ndarray]:
-    """S = (Z^T Z + D)^-1, the covariance of beta given a, and S Z^T."""
-    M = symmetrize(data.Z.T @ data.Z + prior.D)
-    S = symmetrize(cho_solve(cho_factor(M), np.eye(data.p)))
+    """S = (Z^T Z + D)^-1, the covariance of beta given a, from the shared
+    Cholesky inverse, and S Z^T."""
+    _, S = _cholesky_inverse(data.Z.T @ data.Z + prior.D,
+                             "Z^T Z + D is not finite and positive definite")
     return S, S @ data.Z.T
 
 
@@ -119,16 +137,13 @@ def _newton_point(Z: np.ndarray, D: np.ndarray, x: np.ndarray,
     for the profiled delta-method ELBO, whose gradient also needs zeta_3.
     M^-1 = L^-T L^-1 and log det M come from the lower Cholesky factor L."""
     z = _zeta_orders(3 if profiled else 2, Z @ x)
-    try:
-        L = np.linalg.cholesky(symmetrize(_gram(Z, -z[2], Z) + D))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("Newton matrix M lost positive definiteness",
-                           last_iterate=x) from exc
+    L, Minv = _cholesky_inverse(_gram(Z, -z[2], Z) + D,
+                                "Newton matrix M lost positive definiteness",
+                                last_iterate=x)
     f = np.sum(z[0]) - 0.5 * x @ D @ x
     if profiled:
         f -= np.sum(np.log(np.diag(L)))
-    Li = np.linalg.inv(L)
-    return x, float(f), z, symmetrize(Li.T @ Li)
+    return x, float(f), z, Minv
 
 
 def _newton_gradient(Z: np.ndarray, D: np.ndarray, point: tuple) -> np.ndarray:

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .exceptions import DomainError, NumericError, UndefinedMomentError
 from .moments import (GaussianApprox, InverseGammaApprox, StudentTApprox,
@@ -69,9 +68,13 @@ def moment_summary(q: dict[str, Any]) -> MomentSummary:
     blocks (inverse-Wishart, auxiliary) are left out."""
     vectors = [a for a in q.values() if isinstance(
         a, (GaussianApprox, StudentTApprox, MomentSummary))]
+    covs = [_or_inf(a, "cov") for a in vectors]
+    ends = np.cumsum([len(c) for c in covs])
+    cov = np.zeros((ends[-1], ends[-1]))
+    for c, e in zip(covs, ends):
+        cov[e - len(c):e, e - len(c):e] = c
     summary = MomentSummary(
-        np.concatenate([_or_inf(a, "mean") for a in vectors]),
-        block_diag(*(_or_inf(a, "cov") for a in vectors)))
+        np.concatenate([_or_inf(a, "mean") for a in vectors]), cov)
     for approx in q.values():
         if isinstance(approx, InverseGammaApprox):
             summary.scalar_mean, summary.scalar_var = ig_mean_var(

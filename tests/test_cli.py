@@ -765,6 +765,23 @@ class TestErrors:
         assert (capsys.readouterr().err
                 == "numeric failure: X is rank deficient\n")
 
+    @pytest.mark.parametrize("method", ["laplace", "mfvb", "mp-dm",
+                                        "mp-quad", "dmvb", "gibbs"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_probit_design_is_numeric_failure(self, tmp_path,
+                                                          capsys, method):
+        """Finite entries whose Z^T Z overflows: every probit fit stops on
+        its first Cholesky inverse, never on a traceback, a domain error
+        about a later value, or a report of nulls."""
+        path = tmp_path / "overflow.csv"
+        path.write_text("y,x1,x2\n1,1.0,1e200\n0,1.0,-3e199\n1,1.0,0.5\n"
+                        "0,1.0,0.1\n")
+        rc = run_cli(["fit", "--model", "probit", "--method", method,
+                      "--data", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 4 and out == ""
+        assert err.startswith("numeric failure: ") and "Traceback" not in err
+
     def test_ragged_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("y,x1\n1.0,2.0,9.9\n")

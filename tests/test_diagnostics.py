@@ -105,16 +105,17 @@ class TestDensityGrids:
         assert g.values[:2].tolist() == [0.0, 0.0]
         assert g.values[2] == pytest.approx(np.exp(-1.0))
 
-    def test_cli_import_leaves_out_scipy_stats(self):
-        """scipy.stats was most of the time `import momprop` took; nothing
-        the CLI imports needs it."""
+    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg"])
+    def test_cli_import_leaves_out(self, module):
+        """scipy.stats was most of the time `import momprop` took, and
+        scipy.linalg added to it; nothing the CLI imports needs either."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [
             str(Path(__file__).resolve().parent.parent / "src"),
             env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, momprop.cli; print('scipy.stats' in sys.modules)"],
+             f"import sys, momprop.cli; print({module!r} in sys.modules)"],
             capture_output=True, text=True, env=env, timeout=60, check=True)
         assert proc.stdout.strip() == "False"
 
