@@ -9,7 +9,9 @@ exiting prints `rc=traceback`, with the exception's type and message
 added to its stderr. The temporary directory's path is
 replaced by `TMP`, and every `wall_time_s` value and the file and line of
 every Python warning are masked before hashing, so two trees that behave
-the same print the same lines. Run it on two trees and diff the output to
+the same print the same lines. Each command runs under its own warnings
+filter, so it shows every warning it raises, once per source line, whichever
+commands ran before it. Run it on two trees and diff the output to
 see which commands changed behaviour.
 
 Usage: python scripts/cli_digest.py
@@ -23,6 +25,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 from momprop import cli
@@ -342,7 +345,10 @@ def _mask(text: str, tmp: str) -> str:
 
 def _run(argv: list[str], tmp: str) -> tuple[int | str, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        # each command shows its own warnings, whatever ran before it
+        warnings.simplefilter("default")
         try:
             rc = cli.main(argv)
         except SystemExit as exc:  # argparse's usage errors

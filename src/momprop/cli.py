@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
+import itertools
 import json
 import os
 import sys
@@ -76,27 +76,45 @@ def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
     """
     with _reading(path, "CSV") as fh:
         header = next(csv.reader(fh), None)
-        rest = fh.read()
-    data = None if header is None else _loadtxt_rows(rest, len(header))
+        data = None if header is None else _loadtxt_rows(fh, len(header))
     if data is None:
         return _parse_csv_rows(path)
     return [h.strip() for h in header], data
 
 
-def _loadtxt_rows(text: str, width: int) -> np.ndarray | None:
-    """text's rows by np.loadtxt, or None where they might differ from what
-    the row parser reads: loadtxt raises, skipped a blank line (the row
-    parser rejects it) or found a width other than the header's."""
-    if not text or text.isspace():
+def _lf_lines(fh, count: list[int]):
+    """fh's remaining lines split at "\\n" alone, counted in count[0]. fh
+    also splits at a bare "\\r"; joined back, such a line is one np.loadtxt
+    rejects (an embedded newline), so the row parser reads the file."""
+    held = []
+    for line in fh:
+        if line.endswith("\r"):
+            held.append(line)
+            continue
+        count[0] += 1
+        yield "".join(held) + line if held else line
+        held.clear()
+    if held:
+        count[0] += 1
+        yield "".join(held)
+
+
+def _loadtxt_rows(fh, width: int) -> np.ndarray | None:
+    """fh's remaining rows, streamed through np.loadtxt, or None where they
+    might differ from what the row parser reads: the first line is blank,
+    loadtxt raises, skipped a blank line (the row parser rejects it) or found
+    a width other than the header's."""
+    count = [0]
+    lines = _lf_lines(fh, count)
+    first = next(lines, "")
+    if not first.strip():  # no data rows, or a blank row the parser names
         return None
-    raw = text.encode()  # a quarter of the memory a StringIO would take
     try:
-        data = np.loadtxt(io.BytesIO(raw), delimiter=",", ndmin=2,
-                          comments=None, encoding="utf-8")
+        data = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
+                          ndmin=2, comments=None, encoding="utf-8")
     except ValueError:
         return None
-    lines = raw.count(b"\n") + (not raw.endswith(b"\n"))
-    return data if data.shape == (lines, width) else None
+    return data if data.shape == (count[0], width) else None
 
 
 def _parse_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
@@ -430,10 +448,13 @@ def _init_values(report: dict, model: Model):
 
 def _fit(args: argparse.Namespace, model: Model, method: str, data, prior,
          init) -> tuple[FitReport, MomentSummary, float]:
-    """The fit's report, its moment summary and the fit call's wall time."""
+    """The fit's report, its moment summary and the fit call's wall time.
+    The report keeps its trace only where --trace will write it."""
     t0 = time.perf_counter()
     report = model.fits[method](args, data, prior, init)
     wall_time_s = time.perf_counter() - t0
+    if not args.trace:
+        report.trace = None
     return report, moment_summary(report.params), wall_time_s
 
 
@@ -616,7 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reference method (default: exact, or gibbs "
                             "for probit)")
     _add_common(cmp_p)
-    cmp_p.set_defaults(init_from=None)  # read by _load, settable by fit only
+    # read by _load and _fit, settable by fit only
+    cmp_p.set_defaults(init_from=None, trace=False)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset CSV")
     gen.add_argument("--model", required=True,
@@ -698,7 +720,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             if report.wrong_basin is not None:
                 doc["wrong_basin"] = report.wrong_basin
-            if args.trace and report.trace is not None:
+            if report.trace is not None:
                 doc["trace"] = report.trace
             doc = _encode(doc)
             if args.emit_density:

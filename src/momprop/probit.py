@@ -20,7 +20,10 @@ predictor variances v_i = z_i^T Sigma_beta z_i and the two weighted Gram
 matrices (Z S)^T diag(1 + xi_2) (Z S) and Z^T diag(1 + zeta_2) (Z S). Each
 pass walks the rows in blocks of _ROW_BLOCK, so its scratch memory is
 O(block p) rather than O(n p); the Laplace Hessian and the delta-method
-ELBO use the same two row-block helpers.
+ELBO use the same two row-block helpers. Z S is read as the transpose of
+S Z^T, so the n x p arrays a fit holds are the data's X and Z and that
+one S Z^T; besides them a sweep works on a few n-vectors, and the trace
+keeps one (mu_a) per sweep.
 
 Laplace and delta-method VB (dmvb) take damped Newton steps on the same
 driver along M^-1 g, M = Z^T diag(-zeta_2(Z x)) Z + D: one evaluation of
@@ -69,11 +72,13 @@ def _row_quadform(Z: np.ndarray, Sig: np.ndarray) -> np.ndarray:
 
 
 def _gram(A: np.ndarray, w: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A^T diag(w) B, summed over blocks of rows."""
+    """A^T diag(w) B, summed over blocks of rows. A's block is taken in C
+    order, as its layout picks the BLAS path: so A = (S Z^T)^T gives what
+    A = Z S would, bit for bit (B's layout does not matter)."""
     out = np.zeros((A.shape[1], B.shape[1]))
     for s in range(0, A.shape[0], _ROW_BLOCK):
         e = s + _ROW_BLOCK
-        out += A[s:e].T @ (w[s:e, None] * B[s:e])
+        out += np.ascontiguousarray(A[s:e]).T @ (w[s:e, None] * B[s:e])
     return out
 
 
@@ -82,6 +87,8 @@ class ProbitData(RegressionData):
 
     def __post_init__(self):
         super().__post_init__()
+        # own y, so that a table that y is a column of can be freed
+        self.y = self.y.copy()
         if not np.all(np.isin(self.y, (0.0, 1.0))):
             raise DomainError("y must be binary 0/1")
         self.Z = (2.0 * self.y - 1.0)[:, None] * self.X
@@ -250,7 +257,7 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
         raise DomainError(f"unknown MP variant {variant!r}; use 'dm' or 'quad'")
     Z, p = data.Z, data.p
     S, SZt = _workspace(data, prior)
-    ZS = Z @ S
+    ZS = SZt.T  # Z S, as the transpose of the S Z^T held already
     if init is None:
         mu, Sig = SZt @ np.ones(data.n), S.copy()
     else:

@@ -19,13 +19,14 @@ class FitReport:
     params maps q-density names (e.g. "beta", "sigma2") to the fitted
     approximation objects. trace holds the flattened monitored parameter
     vector after each map evaluation (a sweep), and is None for a closed
-    form or a sampler; iterations counts those evaluations, so an iterative
-    fit has len(trace) == iterations. Convergence is declared at the first
-    map output that differs from the previous one, the map's input, by less
-    than eps in the max norm; the output of an extrapolated map (see
-    fixed_point) is never tested. wrong_basin stays None unless the model's
-    moment equations have a second, inexact solution; it then tells whether
-    the fit converged to that one.
+    form or a sampler, and in a CLI fit whose trace is not written (see
+    cli._fit); iterations counts those evaluations, so an iterative fit
+    with a trace has len(trace) == iterations. Convergence is declared at
+    the first map output that differs from the previous one, the map's
+    input, by less than eps in the max norm; the output of an extrapolated
+    map (see fixed_point) is never tested. wrong_basin stays None unless
+    the model's moment equations have a second, inexact solution; it then
+    tells whether the fit converged to that one.
     """
 
     params: dict[str, Any]

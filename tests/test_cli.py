@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -689,6 +690,11 @@ CSV_CASES = {
     "every-row-too-wide": ("y,x1\n1,2,3\n4,5,6\n", False),
     "header-only": ("y,x1\n", False),
     "empty-file": ("", False),
+    "whitespace-line": ("y,x1\n1,2\n  \t\n3,4\n", False),
+    "cr-line-ends": ("y,x1\r1,2\r3,4\r", False),
+    "cr-one-data-row": ("y,x1\r1,2\r", True),
+    "header-cell-spans-lines": ('y,"x\n1"\n1,2\n3,4\n', True),
+    "bom-crlf": ("\ufeffy,x1\r\n1,2\r\n3,4\r\n", True),
 }
 
 
@@ -835,12 +841,29 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error: cannot write "
                                                   "/dev/full: ")
 
+    def test_csv_reader_holds_no_copy_of_the_text(self, tmp_path):
+        """The fast path streams the file into np.loadtxt: reading a
+        20,000 x 6 CSV peaks below twice the bytes of the array it returns,
+        where the whole text, as a string, takes 1.8 times them."""
+        path = tmp_path / "probit.csv"
+        assert run_cli(["generate", "--model", "probit", "--n", "20000",
+                        "--p", "5", "--seed", "1", "--out", str(path)]) == 0
+        tracemalloc.start()
+        try:
+            _, data = cli._read_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.shape == (20_000, 6)
+        assert peak < 2 * data.nbytes
+
     @pytest.mark.parametrize("text,fast", CSV_CASES.values(),
                              ids=CSV_CASES.keys())
     def test_csv_fast_path_matches_row_parser(self, tmp_path, monkeypatch,
                                               text, fast):
         """Where np.loadtxt reads a CSV it gives the row parser's array;
-        elsewhere the row parser reads it, with the same InputError."""
+        elsewhere the row parser reads it, with the same InputError. No
+        warning escapes the reader."""
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode())
 
@@ -855,7 +878,9 @@ class TestErrors:
         parse_rows = cli._parse_csv_rows
         monkeypatch.setattr(cli, "_parse_csv_rows",
                             lambda p: fallbacks.append(p) or parse_rows(p))
-        got = outcome(cli._read_csv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(cli._read_csv)
         assert (not fallbacks) == fast
         if isinstance(want, str):
             assert got == want
@@ -1004,3 +1029,34 @@ class TestCompare:
         rc = run_cli(["compare", "--model", "linear", "--methods", "mp2",
                       "--reference", "exact", "--data", c7_csv])
         assert rc == 2
+
+    def test_keeps_no_trace_of_a_returned_fit(self, tmp_path, monkeypatch):
+        """compare writes no trace, so a fit's trace, one n-vector per sweep,
+        is gone once the fit returns: from one fit's start to the next, the
+        traced memory grows by less than two n-vectors (the fit's mean_a)."""
+        n, data = 10_000, tmp_path / "probit.csv"
+        methods = "mfvb,mp-dm,mp-quad"
+        assert run_cli(["generate", "--model", "probit", "--n", str(n),
+                        "--p", "3", "--seed", "3", "--out", str(data)]) == 0
+        at_start = []
+
+        def tracked(fit):
+            def run(*args, **kwargs):
+                at_start.append(tracemalloc.get_traced_memory()[0])
+                return fit(*args, **kwargs)
+            return run
+
+        for fit in ("laplace", "mfvb", "mp"):
+            name = f"probit_{fit}_fit"
+            monkeypatch.setattr(cli, name, tracked(getattr(cli, name)))
+        args = cli.build_parser().parse_args(
+            ["compare", "--model", "probit", "--methods", methods,
+             "--reference", "laplace", "--data", str(data)])
+        tracemalloc.start()
+        try:
+            doc = cli.run_compare(args, methods.split(","), "laplace")
+        finally:
+            tracemalloc.stop()
+        assert all(m["iterations"] > 10 for m in doc["methods"].values())
+        assert len(at_start) == 4
+        assert max(np.diff(at_start)) < 2 * n * 8

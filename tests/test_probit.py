@@ -4,6 +4,9 @@ Scalar oracle for the one-observation problem: the mode solves
 zeta_1(b) = b, root 0.5060544689891807 (Brent bracketing, frozen).
 """
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -317,6 +320,51 @@ class TestRowBlocks:
             assert abs(val7 - val) <= 1e-12 * max(1.0, abs(val))
             assert np.max(np.abs(grad7 - grad)) <= 1e-12 * max(
                 1.0, np.max(np.abs(grad)))
+
+    @pytest.mark.parametrize("n", [77, 1024, 3000])
+    def test_sweep_grams_on_transposed_workspace_are_bit_identical(self, n):
+        """The MP sweep reads Z S as the transpose of the S Z^T it holds. Its
+        two Gram matrices equal, bit for bit, the same sums formed on Z S
+        itself, below, at and above one row block."""
+        data = ProbitData(*generate_probit(n, 5, seed=n))
+        S, SZt = probit._workspace(data, ProbitPrior.ridge(0.01, 5))
+        ZS = data.Z @ S
+        w2, wz = 1.0 + np.random.default_rng(n).uniform(-0.9, 0.0, (2, n))
+
+        def on_zs(A, w, B):
+            out = np.zeros((A.shape[1], B.shape[1]))
+            for s in range(0, n, probit._ROW_BLOCK):
+                e = s + probit._ROW_BLOCK
+                out += A[s:e].T @ (w[s:e, None] * B[s:e])
+            return out
+
+        assert np.array_equal(SZt.T, ZS)
+        assert np.array_equal(probit._gram(SZt.T, w2, SZt.T),
+                              on_zs(ZS, w2, ZS))
+        assert np.array_equal(probit._gram(data.Z, wz, SZt.T),
+                              on_zs(data.Z, wz, ZS))
+
+    @pytest.mark.parametrize("variant", ["dm", "quad"])
+    def test_mp_fit_holds_one_n_by_p_matrix(self, variant, monkeypatch):
+        """Besides the data's Z and X, an MP fit holds one n x p matrix,
+        S Z^T: no block of that size but one is alive in any Gram pass."""
+        n, p = 20_000, 10
+        data = ProbitData(*generate_probit(n, p, seed=2))
+        live, gram = [], probit._gram
+
+        def counting(A, w, B):
+            live.append(sum(t.size >= n * p * 8 for t in
+                            tracemalloc.take_snapshot().traces))
+            return gram(A, w, B)
+
+        monkeypatch.setattr(probit, "_gram", counting)
+        tracemalloc.start()
+        try:
+            probit_mp_fit(data, ProbitPrior.ridge(0.01, p), variant,
+                          max_iter=2)
+        finally:
+            tracemalloc.stop()
+        assert live and max(live) == 1
 
 
 class TestDMVB:
@@ -666,6 +714,16 @@ class TestData:
     def test_signed_design(self):
         d = ProbitData(y=[1.0, 0.0], X=[[2.0], [3.0]])
         assert d.Z == pytest.approx(np.array([[2.0], [-3.0]]))
+
+    def test_keeps_no_view_of_the_callers_table(self):
+        """y may be a column of a table, as the CLI passes it; the data owns
+        a copy, so the table is freed once the caller drops it."""
+        table = np.array([[1.0, 0.5], [0.0, 2.0], [1.0, -1.0]])
+        gone = weakref.ref(table)
+        data = ProbitData(table[:, 0], table[:, 1:].copy())
+        del table
+        assert gone() is None
+        assert np.array_equal(data.y, [1.0, 0.0, 1.0])
 
     def test_rejects_nonbinary(self):
         with pytest.raises(DomainError):
