@@ -509,6 +509,7 @@ def _density_grid(family: str, params: tuple,
 
 def run_compare(args: argparse.Namespace, methods: list[str],
                 reference: str) -> dict:
+    methods = list(dict.fromkeys(methods))
     if len(methods) < 2:
         raise UsageError("compare needs at least two methods")
     all_methods = list(dict.fromkeys(methods + [reference]))

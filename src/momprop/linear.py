@@ -17,6 +17,7 @@ q-parameter vector between sweeps, stopping below eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -39,7 +40,10 @@ class LinearPrior:
 
     def __post_init__(self):
         for name in ("g", "A", "B"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not isfinite(value):
+                raise DomainError(f"prior hyperparameter {name} must be finite")
+            if not value > 0:
                 raise DomainError(f"prior hyperparameter {name} must be > 0")
 
 

@@ -18,6 +18,7 @@ Data may be supplied as raw observations or as sufficient statistics
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -72,6 +73,9 @@ class MVNPrior:
         nu0 = float(self.nu0) if self.nu0 is not None else p + 1.0
         Psi0 = (require_spd(self.Psi0, "Psi0") if self.Psi0 is not None
                 else np.eye(p))
+        for name, value in (("lambda0", self.lambda0), ("nu0", nu0)):
+            if not isfinite(value):
+                raise DomainError(f"{name} must be finite")
         if not self.lambda0 > 0:
             raise DomainError("lambda0 must be > 0")
         if not nu0 > p - 1:

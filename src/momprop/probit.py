@@ -15,15 +15,16 @@ sweep every zeta/xi evaluation uses the pre-update (mu_beta, Sigma_beta)
 and the two new values are written together, so the n x n V_q(a) is never
 materialized.
 
-A moment-propagation sweep makes three O(n p^2) passes over the rows: the
-predictor variances v_i = z_i^T Sigma_beta z_i and the two weighted Gram
-matrices (Z S)^T diag(1 + xi_2) (Z S) and Z^T diag(1 + zeta_2) (Z S). Each
-pass walks the rows in blocks of _ROW_BLOCK, so its scratch memory is
+The q(beta) covariance update is the law of total variance, Sigma_beta =
+S + S Z^T V_q(a) Z S = S + S A S + G^T Sigma_beta G with G = B S and the
+p x p Gram matrices A = Z^T diag(1 + xi_2) Z and B = Z^T diag(1 + zeta_2)
+Z. So a sweep makes three O(n p^2) passes over the rows of Z: the
+predictor variances v_i = z_i^T Sigma_beta z_i and the two Gram matrices.
+Each pass walks the rows in blocks of _ROW_BLOCK, so its scratch memory is
 O(block p) rather than O(n p); the Laplace Hessian and the delta-method
-ELBO use the same two row-block helpers. Z S is read as the transpose of
-S Z^T, so the n x p arrays a fit holds are the data's X and Z and that
-one S Z^T; besides them a sweep works on a few n-vectors, and the trace
-keeps one (mu_a) per sweep.
+ELBO use the same two row-block helpers. The n x p arrays a fit holds are
+the data's X and Z; besides them a sweep works on a few n-vectors, and the
+trace keeps one (mu_a) per sweep. Only the Gibbs sampler builds S Z^T.
 
 Laplace and delta-method VB (dmvb) take damped Newton steps on the same
 driver along M^-1 g, M = Z^T diag(-zeta_2(Z x)) Z + D: one evaluation of
@@ -71,14 +72,12 @@ def _row_quadform(Z: np.ndarray, Sig: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram(A: np.ndarray, w: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A^T diag(w) B, summed over blocks of rows. A's block is taken in C
-    order, as its layout picks the BLAS path: so A = (S Z^T)^T gives what
-    A = Z S would, bit for bit (B's layout does not matter)."""
-    out = np.zeros((A.shape[1], B.shape[1]))
-    for s in range(0, A.shape[0], _ROW_BLOCK):
-        e = s + _ROW_BLOCK
-        out += np.ascontiguousarray(A[s:e]).T @ (w[s:e, None] * B[s:e])
+def _gram(Z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Z^T diag(w) Z, summed over blocks of rows."""
+    out = np.zeros((Z.shape[1], Z.shape[1]))
+    for s in range(0, Z.shape[0], _ROW_BLOCK):
+        Zb = Z[s:s + _ROW_BLOCK]
+        out += Zb.T @ (w[s:s + _ROW_BLOCK, None] * Zb)
     return out
 
 
@@ -103,6 +102,8 @@ class ProbitPrior:
 
     @classmethod
     def ridge(cls, lam: float, p: int) -> "ProbitPrior":
+        if not isfinite(lam):
+            raise DomainError("lambda must be finite")
         if not lam > 0:
             raise DomainError("lambda must be positive")
         return cls(D=lam * np.eye(p))
@@ -128,13 +129,12 @@ def _cholesky_inverse(M: np.ndarray, message: str, last_iterate=None
     return L, symmetrize(Li.T @ Li)
 
 
-def _workspace(data: ProbitData, prior: ProbitPrior
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _workspace(data: ProbitData, prior: ProbitPrior) -> np.ndarray:
     """S = (Z^T Z + D)^-1, the covariance of beta given a, from the shared
-    Cholesky inverse, and S Z^T."""
+    Cholesky inverse."""
     _, S = _cholesky_inverse(data.Z.T @ data.Z + prior.D,
                              "Z^T Z + D is not finite and positive definite")
-    return S, S @ data.Z.T
+    return S
 
 
 def _newton_point(Z: np.ndarray, D: np.ndarray, x: np.ndarray,
@@ -144,7 +144,7 @@ def _newton_point(Z: np.ndarray, D: np.ndarray, x: np.ndarray,
     for the profiled delta-method ELBO, whose gradient also needs zeta_3.
     M^-1 = L^-T L^-1 and log det M come from the lower Cholesky factor L."""
     z = _zeta_orders(3 if profiled else 2, Z @ x)
-    L, Minv = _cholesky_inverse(_gram(Z, -z[2], Z) + D,
+    L, Minv = _cholesky_inverse(_gram(Z, -z[2]) + D,
                                 "Newton matrix M lost positive definiteness",
                                 last_iterate=x)
     f = np.sum(z[0]) - 0.5 * x @ D @ x
@@ -215,12 +215,12 @@ def probit_mfvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
     """Mean-field fit; the coefficient covariance is S at every iteration and
     the converged mean coincides with the posterior mode."""
     Z = data.Z
-    S, SZt = _workspace(data, prior)
-    mu = SZt @ np.ones(data.n) if init is None else _start_mean(init, data.p)
+    S = _workspace(data, prior)
+    mu = S @ Z.sum(axis=0) if init is None else _start_mean(init, data.p)
 
     def step(state):
         mu_a = Z @ state[0]
-        mu = SZt @ (mu_a + _zeta_orders(1, mu_a)[1])
+        mu = S @ (Z.T @ (mu_a + _zeta_orders(1, mu_a)[1]))
         return (mu, mu_a), np.concatenate([mu, mu_a])
 
     return fixed_point(
@@ -256,10 +256,9 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
     if variant not in ("dm", "quad"):
         raise DomainError(f"unknown MP variant {variant!r}; use 'dm' or 'quad'")
     Z, p = data.Z, data.p
-    S, SZt = _workspace(data, prior)
-    ZS = SZt.T  # Z S, as the transpose of the S Z^T held already
+    S = _workspace(data, prior)
     if init is None:
-        mu, Sig = SZt @ np.ones(data.n), S.copy()
+        mu, Sig = S @ Z.sum(axis=0), S.copy()
     else:
         mu = _start_mean(init, p)
         Sig = require_spd(require_shape(init.cov, (p, p), "init cov"),
@@ -276,11 +275,9 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
             raise NumericError("zeta_2 left (-1, 0); iteration is invalid",
                                last_iterate=mu)
         mu_a = m + x1
-        term2 = _gram(ZS, 1.0 + x2, ZS)
-        G = _gram(Z, 1.0 + z2m, ZS)
-        term3 = G.T @ Sig @ G
-        mu = SZt @ mu_a
-        Sig = symmetrize(S + term2 + term3)
+        G = _gram(Z, 1.0 + z2m) @ S
+        mu = S @ (Z.T @ mu_a)
+        Sig = symmetrize(S + S @ _gram(Z, 1.0 + x2) @ S + G.T @ Sig @ G)
         return (mu, Sig, mu_a), np.concatenate([mu, Sig.ravel(), mu_a])
 
     def pack(state):
@@ -361,6 +358,10 @@ def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
     The a draws and the beta draws read two streams spawned from
     SeedSequence(seed), in order and a block of draws at a time, so the
     chain does not depend on the block size.
+
+    Unlike the fits, the sampler holds the n x p array S Z^T: a draw's
+    S Z^T a is then one matrix-vector product, 0.22 ms at n = 5e4, p = 20
+    on a 2-core host, against 0.51-0.62 ms for S (Z^T a).
     """
     if n_samples < 1000:
         raise DomainError("need at least 1000 samples")
@@ -368,7 +369,8 @@ def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
         raise DomainError("n_warmup must be non-negative")
     Z = data.Z
     n, p = Z.shape
-    S, SZt = _workspace(data, prior)
+    S = _workspace(data, prior)
+    SZt = S @ Z.T
     Lt = np.linalg.cholesky(S).T
     rng_u, rng_e = (np.random.default_rng(s)
                     for s in seed_sequence(seed).spawn(2))

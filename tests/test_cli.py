@@ -742,6 +742,23 @@ class TestErrors:
             ["fit", "--model", "probit", "--method", "mp-dm", "--trace",
              "--data", str(data)], 1)
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("model,method,flag,name", [
+        ("linear", "mp1", "--g", "g"), ("linear", "mfvb", "--A", "A"),
+        ("linear", "mfvb", "--B", "B"), ("mvn", "mp", "--lambda0", "lambda0"),
+        ("mvn", "exact", "--nu0", "nu0"),
+        ("probit", "laplace", "--lambda", "lambda"),
+    ])
+    def test_nonfinite_prior_hyperparameter_is_named(
+            self, c7_csv, d9_json, probit_csv, capsys, model, method, flag,
+            name, value):
+        data = {"linear": ["--data", c7_csv], "mvn": ["--summary", d9_json],
+                "probit": ["--data", probit_csv]}[model]
+        rc = run_cli(["fit", "--model", model, "--method", method, *data,
+                      flag, value])
+        assert rc == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+
     def test_invalid_method_model_pair(self, c7_csv):
         rc = run_cli(["fit", "--model", "linear", "--method", "mp-dm",
                       "--data", c7_csv])
@@ -1029,6 +1046,12 @@ class TestCompare:
         rc = run_cli(["compare", "--model", "linear", "--methods", "mp2",
                       "--reference", "exact", "--data", c7_csv])
         assert rc == 2
+
+    def test_repeated_method_counts_once(self, c7_csv, capsys):
+        rc = run_cli(["compare", "--model", "linear", "--methods",
+                      "mfvb,mfvb", "--data", c7_csv])
+        assert rc == 2
+        assert "at least two methods" in capsys.readouterr().err
 
     def test_keeps_no_trace_of_a_returned_fit(self, tmp_path, monkeypatch):
         """compare writes no trace, so a fit's trace, one n-vector per sweep,

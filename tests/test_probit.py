@@ -322,49 +322,51 @@ class TestRowBlocks:
                 1.0, np.max(np.abs(grad)))
 
     @pytest.mark.parametrize("n", [77, 1024, 3000])
-    def test_sweep_grams_on_transposed_workspace_are_bit_identical(self, n):
-        """The MP sweep reads Z S as the transpose of the S Z^T it holds. Its
-        two Gram matrices equal, bit for bit, the same sums formed on Z S
-        itself, below, at and above one row block."""
+    def test_one_mp_sweep_matches_dense_update(self, n):
+        """One sweep from (mu, Sigma) gives mu' = S Z^T (m + xi_1) and
+        Sigma' = S + S Z^T diag(1 + xi_2) Z S + S B Sigma B S, with
+        B = Z^T diag(1 + zeta_2(m)) Z, below, at and above one row block."""
         data = ProbitData(*generate_probit(n, 5, seed=n))
-        S, SZt = probit._workspace(data, ProbitPrior.ridge(0.01, 5))
-        ZS = data.Z @ S
-        w2, wz = 1.0 + np.random.default_rng(n).uniform(-0.9, 0.0, (2, n))
+        prior = ProbitPrior.ridge(0.01, 5)
+        Z, S = data.Z, probit._workspace(data, prior)
+        mu, Sig = S @ (Z.T @ np.ones(n)), 1.5 * S
+        rep = probit_mp_fit(data, prior, "dm", max_iter=1,
+                            init=GaussianApprox(mu, Sig))
+        m = Z @ mu
+        x1, x2, z2m = probit._xi12("dm", m, np.einsum("ij,jk,ik->i", Z,
+                                                      Sig, Z))
+        B = (Z.T * (1.0 + z2m)) @ Z
+        dense_mu = S @ Z.T @ (m + x1)
+        dense_sig = S + S @ (Z.T * (1.0 + x2)) @ Z @ S + S @ B @ Sig @ B @ S
+        for got, want in ((rep.params["beta"].mean, dense_mu),
+                          (rep.params["beta"].cov, dense_sig)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-        def on_zs(A, w, B):
-            out = np.zeros((A.shape[1], B.shape[1]))
-            for s in range(0, n, probit._ROW_BLOCK):
-                e = s + probit._ROW_BLOCK
-                out += A[s:e].T @ (w[s:e, None] * B[s:e])
-            return out
-
-        assert np.array_equal(SZt.T, ZS)
-        assert np.array_equal(probit._gram(SZt.T, w2, SZt.T),
-                              on_zs(ZS, w2, ZS))
-        assert np.array_equal(probit._gram(data.Z, wz, SZt.T),
-                              on_zs(data.Z, wz, ZS))
-
-    @pytest.mark.parametrize("variant", ["dm", "quad"])
-    def test_mp_fit_holds_one_n_by_p_matrix(self, variant, monkeypatch):
-        """Besides the data's Z and X, an MP fit holds one n x p matrix,
-        S Z^T: no block of that size but one is alive in any Gram pass."""
+    @pytest.mark.parametrize("method", ["mfvb", "mp-dm", "mp-quad"])
+    def test_fit_holds_no_n_by_p_matrix_beyond_the_data(self, method,
+                                                        monkeypatch):
+        """Besides the data's Z and X, a sweep holds no n x p matrix: no
+        block of that size is alive when a sweep evaluates zeta or sums a
+        Gram matrix."""
         n, p = 20_000, 10
         data = ProbitData(*generate_probit(n, p, seed=2))
-        live, gram = [], probit._gram
+        live = []
 
-        def counting(A, w, B):
-            live.append(sum(t.size >= n * p * 8 for t in
-                            tracemalloc.take_snapshot().traces))
-            return gram(A, w, B)
+        def counting(fn):
+            def wrapped(*args):
+                live.append(sum(t.size >= n * p * 8 for t in
+                                tracemalloc.take_snapshot().traces))
+                return fn(*args)
+            return wrapped
 
-        monkeypatch.setattr(probit, "_gram", counting)
+        for name in ("_gram", "_zeta_orders"):
+            monkeypatch.setattr(probit, name, counting(getattr(probit, name)))
         tracemalloc.start()
         try:
-            probit_mp_fit(data, ProbitPrior.ridge(0.01, p), variant,
-                          max_iter=2)
+            FITS[method](data, ProbitPrior.ridge(0.01, p), max_iter=2)
         finally:
             tracemalloc.stop()
-        assert live and max(live) == 1
+        assert live and max(live) == 0
 
 
 class TestDMVB:
@@ -433,7 +435,7 @@ class TestNewtonFits:
             self, synthetic200, monkeypatch):
         data, prior = synthetic200
         # every Gram matrix -2 D makes M = -D, which is not positive definite
-        monkeypatch.setattr(probit, "_gram", lambda A, w, B: -2.0 * prior.D)
+        monkeypatch.setattr(probit, "_gram", lambda Z, w: -2.0 * prior.D)
         with pytest.raises(NumericError, match="lost positive definiteness"):
             probit_dmvb_fit(data, prior)
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,3 +50,26 @@ def test_cli_digest_prints_one_line_per_command(monkeypatch):
         assert re.fullmatch(
             rf"{re.escape(label)} +rc=\d+ out=[0-9a-f]{{16}} err=[0-9a-f]{{16}}",
             line)
+
+
+def test_fit_digest_names_each_move(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import fit_digest
+    sets = fit_digest.designs(rotate=1, panel=[0, 14], large=False)
+    assert [label for label, _, _ in sets] == ["panel 0", "panel 14"]
+    a = fit_digest.fit_all(sets)
+    assert len(a) == 2 * (5 * 4 + 2)  # gibbs has no count or flag
+    assert fit_digest.compare(a, a) == [f"{m:8s} identical"
+                                        for m in fit_digest.FITS]
+    b = dict(a)
+    b["panel 14|mp-dm|cov"] = a["panel 14|mp-dm|cov"] + 1e-9
+    b["panel 0|mfvb|iterations"] = a["panel 0|mfvb|iterations"] + 1
+    for name, digest in (("a", a), ("b", b)):
+        np.savez(tmp_path / f"{name}.npz", **digest)
+    assert fit_digest.main([str(tmp_path / "a.npz"),
+                            str(tmp_path / "b.npz")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "mfvb     identical" in lines
+    assert lines[2] == "mp-dm    max move 1e-09 at panel 14 cov"
+    it = int(a["panel 0|mfvb|iterations"])
+    assert lines[-1] == f"panel 0 mfvb iterations: {it} -> {it + 1}"
