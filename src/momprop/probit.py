@@ -7,24 +7,32 @@ beta, 1) truncated to a_i > 0, the full conditionals are Gaussian, which
 drives both the Gibbs sampler and the MFVB/MP updates. These start from
 S = (Z^T Z + D)^-1, which, like the Newton fits' M^-1 below, is L^-T L^-1
 from the Cholesky factor L (_cholesky_inverse); a factor that fails or is
-not finite, as when Z^T Z overflows, is a NumericError.
+not finite, as when Z^T Z overflows, is a NumericError, and so is a linear
+predictor Z beta or a gradient that overflows.
 
 Moment propagation keeps q(beta) Gaussian but never commits q(a) to a
-parametric family: only E_q(a) and (implicitly) V_q(a) enter. Within each
-sweep every zeta/xi evaluation uses the pre-update (mu_beta, Sigma_beta)
-and the two new values are written together, so the n x n V_q(a) is never
-materialized.
+parametric family: only E_q(a) and (implicitly) V_q(a) enter, and the
+n x n V_q(a) is never materialized. Its fixed point is solved, not swept.
+With m = Z mu and v_i = z_i^T Sigma z_i, the covariance equation (the law
+of total variance) Sigma = S + S A S + G^T Sigma G, with A = Z^T diag(1 +
+xi_2(m, v)) Z and G = Z^T diag(1 + zeta_2(m)) Z S, is a Stein equation
+in Sigma, solved by doubling (_stein). The mean equation D mu = Z^T
+xi_1(Z mu, v) is, at fixed v, the stationarity condition of sum_i
+xi_0(z_i^T mu, v_i) - 1/2 mu^T D mu, whose Hessian is A - S^-1. So an
+outer iteration solves for Sigma at (m, v), takes the new Sigma's v, and
+then one Newton step mu + (S^-1 - A)^-1 (Z^T xi_1 - D mu) with xi_1 and
+A at that v, or the plain map mu + S (Z^T xi_1 - D mu) where S^-1 - A is
+not positive definite, as the delta-method xi_2 allows. It makes four
+O(n p^2) passes over the rows of Z: the variances v and three Gram
+matrices. Each pass walks the rows in blocks of _ROW_BLOCK, so its
+scratch memory is O(block p), not O(n p); the Laplace Hessian and the
+delta-method ELBO use the same two row-block helpers. Besides the data's
+X and Z a fit holds a few n-vectors, and the trace one (mu_a) per outer
+iteration. Only the Gibbs sampler builds S Z^T.
 
-The q(beta) covariance update is the law of total variance, Sigma_beta =
-S + S Z^T V_q(a) Z S = S + S A S + G^T Sigma_beta G with G = B S and the
-p x p Gram matrices A = Z^T diag(1 + xi_2) Z and B = Z^T diag(1 + zeta_2)
-Z. So a sweep makes three O(n p^2) passes over the rows of Z: the
-predictor variances v_i = z_i^T Sigma_beta z_i and the two Gram matrices.
-Each pass walks the rows in blocks of _ROW_BLOCK, so its scratch memory is
-O(block p) rather than O(n p); the Laplace Hessian and the delta-method
-ELBO use the same two row-block helpers. The n x p arrays a fit holds are
-the data's X and Z; besides them a sweep works on a few n-vectors, and the
-trace keeps one (mu_a) per sweep. Only the Gibbs sampler builds S Z^T.
+Mean-field VB's fixed point D mu = Z^T zeta_1(Z mu) is the stationarity
+condition of log p(y, beta): its mean is the mode, found by Laplace's
+Newton steps, and its covariance is S.
 
 Laplace and delta-method VB (dmvb) take damped Newton steps on the same
 driver along M^-1 g, M = Z^T diag(-zeta_2(Z x)) Z + D: one evaluation of
@@ -129,12 +137,24 @@ def _cholesky_inverse(M: np.ndarray, message: str, last_iterate=None
     return L, symmetrize(Li.T @ Li)
 
 
-def _workspace(data: ProbitData, prior: ProbitPrior) -> np.ndarray:
-    """S = (Z^T Z + D)^-1, the covariance of beta given a, from the shared
-    Cholesky inverse."""
-    _, S = _cholesky_inverse(data.Z.T @ data.Z + prior.D,
+def _workspace(data: ProbitData, prior: ProbitPrior
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(S^-1, S): the precision Z^T Z + D of beta given a and its inverse
+    S, the covariance, from the shared Cholesky inverse."""
+    precision = data.Z.T @ data.Z + prior.D
+    _, S = _cholesky_inverse(precision,
                              "Z^T Z + D is not finite and positive definite")
-    return S
+    return precision, S
+
+
+def _predictor(Z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The linear predictor Z x; NumericError where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = Z @ x
+    if not np.isfinite(t).all():
+        raise NumericError("linear predictor Z beta is not finite",
+                           last_iterate=x)
+    return t
 
 
 def _newton_point(Z: np.ndarray, D: np.ndarray, x: np.ndarray,
@@ -143,7 +163,7 @@ def _newton_point(Z: np.ndarray, D: np.ndarray, x: np.ndarray,
     M = Z^T diag(-zeta_2(Z x)) Z + D. f is log p(y, x), less 1/2 log det M
     for the profiled delta-method ELBO, whose gradient also needs zeta_3.
     M^-1 = L^-T L^-1 and log det M come from the lower Cholesky factor L."""
-    z = _zeta_orders(3 if profiled else 2, Z @ x)
+    z = _zeta_orders(3 if profiled else 2, _predictor(Z, x))
     L, Minv = _cholesky_inverse(_gram(Z, -z[2]) + D,
                                 "Newton matrix M lost positive definiteness",
                                 last_iterate=x)
@@ -159,8 +179,12 @@ def _newton_gradient(Z: np.ndarray, D: np.ndarray, point: tuple) -> np.ndarray:
     x, _, z, Minv = point
     grad = Z.T @ z[1] - D @ x
     if len(z) > 3:
-        h = _row_quadform(Z, Minv)
-        grad = grad + 0.5 * Z.T @ (h * z[3])
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = _row_quadform(Z, Minv)
+            grad = grad + 0.5 * Z.T @ (h * z[3])
+        if not np.isfinite(grad).all():
+            raise NumericError("gradient of the dmvb objective in beta is "
+                               "not finite", last_iterate=x)
     return grad
 
 
@@ -171,11 +195,12 @@ def _start_mean(init: GaussianApprox | MomentSummary, p: int) -> np.ndarray:
 
 def _damped_newton(data: ProbitData, prior: ProbitPrior, profiled: bool,
                    init: GaussianApprox | MomentSummary | None, eps: float,
-                   max_iter: int) -> FitReport:
+                   max_iter: int, params=None) -> FitReport:
     """Damped Newton ascent of f from init's mean (zero by default) along
     d = M^-1 g, with M^-1 from the state: s d, from s = 1, is halved up to
     30 times until f rises by 1e-4 s g^T d less 8 machine epsilons of |f|
-    (Armijo). q(beta) is N(x, M^-1) at the last point."""
+    (Armijo). params(point) gives the report's q-densities at the last
+    point; by default q(beta) is N(x, M^-1)."""
     Z, D = data.Z, prior.D
 
     def step(point):
@@ -191,12 +216,12 @@ def _damped_newton(data: ProbitData, prior: ProbitPrior, profiled: bool,
             scale *= 0.5
         return cand, cand[0]
 
-    def params(point):
+    def newton_params(point):
         return {"beta": GaussianApprox(point[0], point[3])}
 
     x = np.zeros(data.p) if init is None else _start_mean(init, data.p)
-    return fixed_point(step, _newton_point(Z, D, x, profiled), params, eps,
-                       max_iter)
+    return fixed_point(step, _newton_point(Z, D, x, profiled),
+                       params or newton_params, eps, max_iter)
 
 
 def probit_laplace_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
@@ -212,34 +237,51 @@ def probit_mfvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
                     max_iter: int = 500,
                     init: GaussianApprox | MomentSummary | None = None
                     ) -> FitReport:
-    """Mean-field fit; the coefficient covariance is S at every iteration and
-    the converged mean coincides with the posterior mode."""
-    Z = data.Z
-    S = _workspace(data, prior)
-    mu = S @ Z.sum(axis=0) if init is None else _start_mean(init, data.p)
+    """Mean-field fit: q(beta) = N(mode, S), the mode from Laplace's damped
+    Newton steps (the mean-field fixed point D mu = Z^T zeta_1(Z mu) is its
+    stationarity condition), and q(a_i) N(m_i, 1) truncated to a_i > 0,
+    m = Z mu, whose mean E_q[a_i] = m_i + zeta_1(m_i) is aux.mean_a."""
+    _, S = _workspace(data, prior)
 
-    def step(state):
-        mu_a = Z @ state[0]
-        mu = S @ (Z.T @ (mu_a + _zeta_orders(1, mu_a)[1]))
-        return (mu, mu_a), np.concatenate([mu, mu_a])
+    def params(point):
+        x, _, z, _ = point
+        return {"beta": GaussianApprox(x, S),
+                "aux": AuxiliaryMoments(mean_a=data.Z @ x + z[1])}
 
-    return fixed_point(
-        step, (mu, None),
-        lambda s: {"beta": GaussianApprox(s[0], S),
-                   "aux": AuxiliaryMoments(mean_a=s[1])},
-        eps, max_iter, extrapolate=(lambda s: s[0], lambda x: (x, None)))
+    return _damped_newton(data, prior, False, init, eps, max_iter, params)
 
 
-def _xi12(variant: str, m: np.ndarray, v: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smoothed zeta_1 / zeta_2 at (m_i, v_i), by second-order delta method
-    (xi's series to two terms) or by xi itself, and zeta_2(m_i)."""
+# cap on the doublings of _stein: G^(2^60) vanishes unless G's spectral
+# radius is within about 1e-15 of 1
+_STEIN_DOUBLINGS = 60
+
+
+def _stein(Q: np.ndarray, G: np.ndarray, last_iterate: np.ndarray
+           ) -> np.ndarray:
+    """Sigma = sum_k (G^k)^T Q G^k, the solution of the Stein equation
+    Sigma = Q + G^T Sigma G, by Smith's doubling (SIAM J. Appl. Math. 16,
+    1968): Sigma <- Sigma + G^T Sigma G and G <- G^2 double the terms
+    summed, until a doubling leaves Sigma unchanged, as G has underflowed
+    against it; NumericError if _STEIN_DOUBLINGS do not get there."""
+    Sig = Q
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_STEIN_DOUBLINGS):
+            new = Sig + G.T @ Sig @ G
+            if np.array_equal(new, Sig):
+                return symmetrize(Sig)
+            Sig, G = new, G @ G
+    raise NumericError("covariance equation has no solution: G^k does not "
+                       "vanish", last_iterate=last_iterate)
+
+
+def _smoothed(variant: str, d: tuple[int, ...], z: list[np.ndarray],
+              m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """zeta_d smoothed at (m_i, v_i), one row per order in d: by the
+    second-order delta method, xi's series to two terms from the zeta
+    orders z at m (up to max(d) + 2), for "dm"; by xi itself for "quad"."""
     if variant == "dm":
-        z = _zeta_orders(4, m)
-        x1, x2 = _xi_series(z, (1, 2), v, 2)
-        return x1, x2, z[2]
-    x1, x2 = xi((1, 2), m, v)
-    return x1, x2, _zeta_orders(2, m)[2]
+        return _xi_series(z, d, v, 2)
+    return xi(d, m, v)
 
 
 def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
@@ -247,16 +289,18 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
                   init: GaussianApprox | MomentSummary | None = None
                   ) -> FitReport:
     """Moment-propagation fit with q(beta) Gaussian and nonparametric q(a),
-    started from init's mean and covariance.
+    started from init's mean and covariance; each iteration solves the
+    covariance equation, then takes a Newton step in the mean (see the
+    module docstring).
 
     variant selects how the Gaussian-smoothed xi_1, xi_2 are evaluated:
     "dm" (second-order delta method, needs zeta up to order 4) or "quad"
-    (series/trapezoid evaluator).
+    (xi itself).
     """
     if variant not in ("dm", "quad"):
         raise DomainError(f"unknown MP variant {variant!r}; use 'dm' or 'quad'")
-    Z, p = data.Z, data.p
-    S = _workspace(data, prior)
+    Z, D, p = data.Z, prior.D, data.p
+    precision, S = _workspace(data, prior)
     if init is None:
         mu, Sig = S @ Z.sum(axis=0), S.copy()
     else:
@@ -265,37 +309,33 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
                           "init cov")
 
     def step(state):
-        mu, Sig, _ = state
-        m = Z @ mu
-        v = _row_quadform(Z, Sig)
-        x1, x2, z2m = _xi12(variant, m, v)
+        mu, _, v, _ = state
+        m = _predictor(Z, mu)
+        z = _zeta_orders(4 if variant == "dm" else 2, m)
         # zeta_2 lies in (-1, 0); equality with 0 only through underflow at
         # huge positive predictors, which is harmless in the updates below.
-        if not (np.all(z2m > -1.0) and np.all(z2m <= 0.0)):
+        if not (np.all(z[2] > -1.0) and np.all(z[2] <= 0.0)):
             raise NumericError("zeta_2 left (-1, 0); iteration is invalid",
                                last_iterate=mu)
+        A = _gram(Z, 1.0 + _smoothed(variant, (2,), z, m, v)[0])
+        Sig = _stein(symmetrize(S + S @ A @ S), _gram(Z, 1.0 + z[2]) @ S, mu)
+        v = _row_quadform(Z, Sig)
+        x1, x2 = _smoothed(variant, (1, 2), z, m, v)
+        try:  # Newton in mu at the new v; the plain map where it has no ascent
+            _, step_matrix = _cholesky_inverse(
+                precision - _gram(Z, 1.0 + x2),
+                "S^-1 - A is not positive definite")
+        except NumericError:
+            step_matrix = S
+        mu = mu + step_matrix @ (Z.T @ x1 - D @ mu)
         mu_a = m + x1
-        G = _gram(Z, 1.0 + z2m) @ S
-        mu = S @ (Z.T @ mu_a)
-        Sig = symmetrize(S + S @ _gram(Z, 1.0 + x2) @ S + G.T @ Sig @ G)
-        return (mu, Sig, mu_a), np.concatenate([mu, Sig.ravel(), mu_a])
-
-    def pack(state):
-        return np.concatenate([state[0], state[1].ravel()])
-
-    def unpack(x):
-        Sig = x[p:].reshape(p, p)
-        try:
-            np.linalg.cholesky(Sig)
-        except np.linalg.LinAlgError:
-            return None
-        return x[:p], Sig, None
+        return (mu, Sig, v, mu_a), np.concatenate([mu, Sig.ravel(), mu_a])
 
     return fixed_point(
-        step, (mu, Sig, None),
+        step, (mu, Sig, _row_quadform(Z, Sig), None),
         lambda s: {"beta": GaussianApprox(s[0], s[1]),
-                   "aux": AuxiliaryMoments(mean_a=s[2])},
-        eps, max_iter, extrapolate=(pack, unpack))
+                   "aux": AuxiliaryMoments(mean_a=s[3])},
+        eps, max_iter)
 
 
 def probit_dmvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
@@ -369,7 +409,7 @@ def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
         raise DomainError("n_warmup must be non-negative")
     Z = data.Z
     n, p = Z.shape
-    S = _workspace(data, prior)
+    _, S = _workspace(data, prior)
     SZt = S @ Z.T
     Lt = np.linalg.cholesky(S).T
     rng_u, rng_e = (np.random.default_rng(s)

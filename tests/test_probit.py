@@ -5,6 +5,7 @@ zeta_1(b) = b, root 0.5060544689891807 (Brent bracketing, frozen).
 """
 
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -233,13 +234,6 @@ def near_separation():
     return ProbitData(y, X), ProbitPrior.ridge(0.01, 5)
 
 
-def _plain_sweeps(monkeypatch):
-    """Run the probit fitters on the driver without extrapolation."""
-    def fixed_point(*args, extrapolate=None, **kwargs):
-        return reports.fixed_point(*args, **kwargs)
-    monkeypatch.setattr(probit, "fixed_point", fixed_point)
-
-
 class TestExtrapolation:
     @pytest.mark.parametrize("method", ["mfvb", "mp-dm", "mp-quad"])
     def test_near_separation_converges_within_default_cap(
@@ -250,22 +244,115 @@ class TestExtrapolation:
         assert rep.converged and rep.iterations <= 150
         assert len(rep.trace) == rep.iterations
 
-    def test_no_farther_from_fixed_point_than_plain_sweeps(
-            self, near_separation, monkeypatch):
-        data, prior = near_separation
-        eps = 1e-6
-        fast = probit_mp_fit(data, prior, "dm", eps=eps)
-        _plain_sweeps(monkeypatch)
-        plain = probit_mp_fit(data, prior, "dm", eps=eps, max_iter=2000)
-        ref = probit_mp_fit(data, prior, "dm", eps=1e-13, max_iter=20000)
-        assert fast.converged and plain.converged and ref.converged
-        assert plain.iterations > 5 * fast.iterations
-        assert _max_gap(fast, ref) <= _max_gap(plain, ref)
-        # eps bounds the last change, not the distance to the fixed point,
-        # which at a contraction of 0.99 may be about 100 eps: the mean
-        # lies within 10 eps of the reference, the covariance 1.02e-5 away
-        assert np.max(np.abs(fast.params["beta"].mean
-                             - ref.params["beta"].mean)) <= 10 * eps
+
+def _dense_stein(Q, G):
+    """The solution of Sigma = Q + G^T Sigma G by one dense solve on the
+    p^2 x p^2 system (I - G^T kron G^T) vec(Sigma) = vec(Q)."""
+    p = len(Q)
+    vec = np.linalg.solve(np.eye(p * p) - np.kron(G.T, G.T), Q.ravel())
+    return vec.reshape(p, p)
+
+
+def _separable_150():
+    """A separable 40-row set with an intercept, its predictor scaled by
+    1e150: Z^T Z stays finite, but a Newton step can overflow Z beta."""
+    x = np.random.default_rng(0).standard_normal(40)
+    X = np.column_stack([np.ones(40), 1e150 * x])
+    return ProbitData((x > 0).astype(float), X), ProbitPrior.ridge(0.01, 2)
+
+
+def _dm_xi(d, m, v):
+    """The delta-method xi_d at (m, v): zeta_d(m) + zeta_{d+2}(m) v / 2."""
+    return zeta(d, m) + 0.5 * zeta(d + 2, m) * v
+
+
+def _stein_problem(n, p, seed):
+    """S + S A S and G = B S at MP's own fixed point on a probit set."""
+    data = ProbitData(*generate_probit(n, p, seed=seed))
+    prior = ProbitPrior.ridge(0.01, p)
+    rep = probit_mp_fit(data, prior, "dm", max_iter=2000)
+    Z, S = data.Z, np.linalg.inv(data.Z.T @ data.Z + prior.D)
+    mu, Sig = rep.params["beta"].mean, rep.params["beta"].cov
+    m = Z @ mu
+    A = (Z.T * (1.0 + _dm_xi(2, m, np.einsum("ij,jk,ik->i", Z, Sig, Z)))) @ Z
+    return S + S @ A @ S, (Z.T * (1.0 + zeta(2, m))) @ Z @ S
+
+
+class TestDirectSolve:
+    """Probit MFVB as Newton steps to the mode, and MP's outer iteration:
+    a Newton step in mu and the Stein equation in Sigma, solved by
+    doubling."""
+
+    @pytest.mark.parametrize("n,p,seed", [(40, 2, 3), (57, 5, 14),
+                                          (32, 4, 50), (200, 3, 7)])
+    def test_stein_doubling_solves_its_equation(self, n, p, seed):
+        Q, G = _stein_problem(n, p, seed)
+        Sig = probit._stein(Q, G, None)
+        scale = np.max(np.abs(Sig))
+        assert np.max(np.abs(Q + G.T @ Sig @ G - Sig)) <= 1e-12 * scale
+        assert np.max(np.abs(Sig - _dense_stein(Q, G))) <= 1e-12 * scale
+
+    def test_stein_without_a_solution_is_numeric_error(self):
+        Q = np.eye(3)
+        for G in (np.eye(3), 1.5 * np.eye(3)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError, match="covariance equation"):
+                    probit._stein(Q, G, None)
+
+    def test_mean_step_falls_back_to_plain_map(self, synthetic200,
+                                               monkeypatch):
+        """Where S^-1 - A is not positive definite the mean takes the plain
+        map mu + S (Z^T xi_1 - D mu), as the sweep did."""
+        data, prior = synthetic200
+        Z, D = data.Z, prior.D
+        S = np.linalg.inv(Z.T @ Z + D)
+        smoothed = probit._smoothed
+
+        def positive_xi2(variant, d, z, m, v):
+            out = smoothed(variant, d, z, m, v)
+            out[-1] = np.abs(out[-1]) + 1.0  # A = Z^T diag(> 2) Z
+            return out
+        monkeypatch.setattr(probit, "_smoothed", positive_xi2)
+        mu = np.array([0.3, -0.2, 0.5])
+        rep = probit_mp_fit(data, prior, "dm", max_iter=1,
+                            init=GaussianApprox(mu, S))
+        m = Z @ mu
+        x1 = _dm_xi(1, m, np.einsum("ij,jk,ik->i", Z, rep.params["beta"].cov,
+                                    Z))
+        want = mu + S @ (Z.T @ x1 - D @ mu)
+        assert np.max(np.abs(rep.params["beta"].mean - want)) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["mfvb", "mp-dm", "mp-quad"])
+    @pytest.mark.parametrize("n,p,seed", [(57, 5, 14), (20, 5, 8),
+                                          (32, 4, 50)])
+    def test_near_separation_converges(self, method, n, p, seed):
+        data = ProbitData(*generate_probit(n, p, seed=seed))
+        rep = FITS[method](data, ProbitPrior.ridge(0.01, p), max_iter=2000)
+        # mp-dm on (32, 4, 50) takes 117 outer iterations, linear through v;
+        # sweeping with SQUAREM it took 1,396 maps
+        cap = 150 if (method, seed) == ("mp-dm", 50) else 50
+        assert rep.converged and rep.iterations <= cap
+
+    @pytest.mark.parametrize("method", ["mfvb", "mp-dm"])
+    def test_converges_where_predictor_scale_is_extreme(self, method):
+        rep = FITS[method](*_separable_150())
+        assert rep.converged
+
+    def test_mfvb_mean_a_is_the_auxiliary_mean(self, synthetic200):
+        """aux.mean_a is E_q[a_i] = m_i + zeta_1(m_i) at the reported mean,
+        m = Z mu, as MP's is E_q[a_i]; the swept fit reported m itself."""
+        data, prior = synthetic200
+        rep = probit_mfvb_fit(data, prior)
+        m = data.Z @ rep.params["beta"].mean
+        assert np.max(np.abs(rep.params["aux"].mean_a
+                             - (m + zeta(1, m)))) <= 1e-12
+
+    def test_mfvb_mean_is_the_laplace_mode(self, synthetic200):
+        mf = probit_mfvb_fit(*synthetic200)
+        lap = probit_laplace_fit(*synthetic200)
+        assert np.array_equal(mf.params["beta"].mean, lap.params["beta"].mean)
+        assert mf.iterations == lap.iterations
 
 
 @pytest.fixture(scope="module")
@@ -322,25 +409,33 @@ class TestRowBlocks:
                 1.0, np.max(np.abs(grad)))
 
     @pytest.mark.parametrize("n", [77, 1024, 3000])
-    def test_one_mp_sweep_matches_dense_update(self, n):
-        """One sweep from (mu, Sigma) gives mu' = S Z^T (m + xi_1) and
-        Sigma' = S + S Z^T diag(1 + xi_2) Z S + S B Sigma B S, with
-        B = Z^T diag(1 + zeta_2(m)) Z, below, at and above one row block."""
+    def test_one_mp_iteration_matches_dense_update(self, n):
+        """One outer iteration from (mu, Sigma), with m = Z mu, gives the
+        Sigma' that solves Sigma' = S + S A S + G^T Sigma' G, where
+        A = Z^T diag(1 + xi_2(m, v)) Z and G = Z^T diag(1 + zeta_2(m)) Z S,
+        then the Newton step mu' = mu + (S^-1 - A')^-1 (Z^T xi_1 - D mu),
+        with xi_1, xi_2 and A' at Sigma''s variances v', by dense numpy
+        below, at and above one row block."""
         data = ProbitData(*generate_probit(n, 5, seed=n))
         prior = ProbitPrior.ridge(0.01, 5)
-        Z, S = data.Z, probit._workspace(data, prior)
+        Z, D = data.Z, prior.D
+        P = Z.T @ Z + D
+        S = np.linalg.inv(P)
         mu, Sig = S @ (Z.T @ np.ones(n)), 1.5 * S
         rep = probit_mp_fit(data, prior, "dm", max_iter=1,
                             init=GaussianApprox(mu, Sig))
         m = Z @ mu
-        x1, x2, z2m = probit._xi12("dm", m, np.einsum("ij,jk,ik->i", Z,
-                                                      Sig, Z))
-        B = (Z.T * (1.0 + z2m)) @ Z
-        dense_mu = S @ Z.T @ (m + x1)
-        dense_sig = S + S @ (Z.T * (1.0 + x2)) @ Z @ S + S @ B @ Sig @ B @ S
+        A = (Z.T * (1.0 + _dm_xi(2, m, np.einsum("ij,jk,ik->i", Z, Sig, Z)))
+             ) @ Z
+        dense_sig = _dense_stein(S + S @ A @ S,
+                                 (Z.T * (1.0 + zeta(2, m))) @ Z @ S)
+        v = np.einsum("ij,jk,ik->i", Z, dense_sig, Z)
+        A = (Z.T * (1.0 + _dm_xi(2, m, v))) @ Z
+        assert np.min(np.linalg.eigvalsh(P - A)) > 0  # the Newton branch
+        dense_mu = mu + np.linalg.solve(P - A, Z.T @ _dm_xi(1, m, v) - D @ mu)
         for got, want in ((rep.params["beta"].mean, dense_mu),
                           (rep.params["beta"].cov, dense_sig)):
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("method", ["mfvb", "mp-dm", "mp-quad"])
     def test_fit_holds_no_n_by_p_matrix_beyond_the_data(self, method,

@@ -10,7 +10,7 @@ from scipy.linalg import block_diag
 from momprop.datagen import (fixed_linear_dataset, generate_linear,
                              generate_mvn, generate_probit)
 from momprop.diagnostics import ToyGaussianSpec, toy_gaussian_mp
-from momprop.exceptions import DomainError, NumericError
+from momprop.exceptions import DomainError
 from momprop.linear import (LinearData, LinearPrior, linear_exact_posterior,
                             linear_mfvb_fit, linear_mp1_fit, linear_mp2_fit)
 from momprop.moments import ig_mean_var
@@ -18,8 +18,7 @@ from momprop.mvn import MVNData, MVNPrior, mvn_mfvb_fit, mvn_mp_fit
 from momprop.probit import (ProbitData, ProbitPrior, probit_dmvb_fit,
                             probit_gibbs_oracle, probit_laplace_fit,
                             probit_mfvb_fit, probit_mp_fit)
-from momprop.reports import (MomentSummary, _squarem_point, fixed_point,
-                             moment_summary)
+from momprop.reports import MomentSummary, fixed_point, moment_summary
 
 
 def _linear():
@@ -90,17 +89,32 @@ class TestFixedPoint:
         with pytest.raises(DomainError, match="eps"):
             fixed_point(self.halving, 1.0, lambda s: {}, eps, 10)
 
+    @pytest.mark.parametrize("eps,max_iter", [(1e-10, 5000), (1e-3, 5000),
+                                              (1e-10, 7)])
+    def test_trace_is_the_reference_loop(self, eps, max_iter):
+        A, b = _contraction()
+
+        def step(x):
+            x = A @ x + b
+            return x, x
+        rep = fixed_point(step, np.zeros(4), lambda x: {},
+                          eps, max_iter)
+        trace, iterations, converged = _plain_loop(step, np.zeros(4), eps,
+                                                   max_iter)
+        assert (rep.iterations, rep.converged) == (iterations, converged)
+        assert len(rep.trace) == len(trace)
+        assert all(np.array_equal(u, w) for u, w in zip(rep.trace, trace))
+
 
 def _contraction():
-    """x -> A x + b with spectral radius 0.99, and its fixed point."""
+    """x -> A x + b with spectral radius 0.99."""
     Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
     A = Q @ np.diag([0.99, 0.9, 0.5, 0.1]) @ Q.T
-    b = np.array([1.0, -2.0, 0.5, 3.0])
-    return A, b, np.linalg.solve(np.eye(4) - A, b)
+    return A, np.array([1.0, -2.0, 0.5, 3.0])
 
 
 def _plain_loop(step, state, eps, max_iter):
-    """The driver's loop before extrapolation existed, kept as a reference:
+    """The driver's loop written out plainly, kept as a reference:
     (trace, iterations, converged)."""
     trace, prev, converged = [], None, False
     for it in range(1, max_iter + 1):
@@ -111,123 +125,6 @@ def _plain_loop(step, state, eps, max_iter):
             break
         prev = vec
     return trace, it, converged
-
-
-class TestSquarem:
-    EPS, MAX_ITER = 1e-10, 5000
-
-    @staticmethod
-    def affine_step(A, b):
-        def step(x):
-            x = A @ x + b
-            return x, x
-        return step
-
-    def run(self, step, extrapolate=None, max_iter=MAX_ITER):
-        return fixed_point(step, np.zeros(4), lambda x: {"x": x},
-                           self.EPS, max_iter, extrapolate=extrapolate)
-
-    def test_fewer_maps_to_the_same_fixed_point(self):
-        A, b, x_star = _contraction()
-        step = self.affine_step(A, b)
-        plain = self.run(step)
-        fast = self.run(step, extrapolate=(lambda x: x, lambda x: x))
-        assert plain.converged and fast.converged
-        assert fast.iterations == len(fast.trace)
-        assert 10 * fast.iterations < plain.iterations
-        # the plain loop stops up to eps * rho / (1 - rho) = 1e-8 away
-        assert np.max(np.abs(plain.params["x"] - x_star)) < 1e-7
-        assert np.max(np.abs(fast.params["x"] - x_star)) < 1e-9
-
-    def test_extrapolated_map_output_is_not_tested(self):
-        A, b, x_star = _contraction()
-        packed = []
-
-        def pack(x):
-            packed.append(x)
-            return x
-        # unpack hands back x1, so the extrapolated map repeats F(x1) = x2:
-        # a zero change between two outputs whose inputs differ
-        rep = self.run(self.affine_step(A, b),
-                       extrapolate=(pack, lambda x: packed[-2]))
-        assert rep.converged and rep.iterations > 3
-        assert np.array_equal(rep.trace[-1], A @ rep.trace[-2] + b)
-        assert np.max(np.abs(rep.params["x"] - x_star)) < 1e-7
-
-    def test_max_iter_caps_map_evaluations(self):
-        A, b, _ = _contraction()
-        for cap in range(1, 8):
-            rep = self.run(self.affine_step(A, b),
-                           extrapolate=(lambda x: x, lambda x: x),
-                           max_iter=cap)
-            assert rep.iterations == len(rep.trace) == cap
-            assert not rep.converged and rep.termination == "max_iter"
-
-    def test_rejected_point_falls_back_to_plain_maps(self):
-        A, b, x_star = _contraction()
-        step = self.affine_step(A, b)
-        rejected = []
-        rep = self.run(step, extrapolate=(
-            lambda x: x, lambda x: rejected.append(x)))
-        plain = self.run(step)
-        assert rejected and rep.converged
-        assert rep.iterations == plain.iterations
-        assert all(np.array_equal(u, w)
-                   for u, w in zip(rep.trace, plain.trace))
-        assert np.max(np.abs(rep.params["x"] - x_star)) < 1e-7
-
-    def test_numeric_error_on_extrapolated_point_falls_back(self):
-        A, b, x_star = _contraction()
-        affine = self.affine_step(A, b)
-        raised = []
-
-        def step(state):
-            x, leap = state
-            if leap:
-                raised.append(x)
-                raise NumericError("extrapolated point", last_iterate=x)
-            x, vec = affine(x)
-            return (x, False), vec
-
-        rep = fixed_point(step, (np.zeros(4), False),
-                          lambda s: {"x": s[0]}, self.EPS, self.MAX_ITER,
-                          extrapolate=(lambda s: s[0], lambda x: (x, True)))
-        plain = self.run(affine)
-        assert raised and rep.converged
-        assert rep.iterations == len(rep.trace) == plain.iterations
-        assert all(np.array_equal(u, w)
-                   for u, w in zip(rep.trace, plain.trace))
-        assert np.max(np.abs(rep.params["x"] - x_star)) < 1e-7
-
-    @pytest.mark.parametrize("step", [
-        lambda x: (-x / 2.0, -x / 2.0),  # step length -2/3, above -1
-        lambda x: (x + 1.0, x + 1.0),  # v = 0
-    ], ids=["step-length-above-minus-one", "zero-second-difference"])
-    def test_no_squarem_point_leaves_the_plain_trace(self, step):
-        x0 = np.ones(4)
-        x1 = step(x0)[0]
-        assert _squarem_point(x0, x1, step(x1)[0]) is None
-        plain = fixed_point(step, x0, lambda x: {}, self.EPS, 60)
-        rep = fixed_point(step, x0, lambda x: {}, self.EPS, 60,
-                          extrapolate=(lambda x: x, lambda x: x))
-        assert (rep.iterations, rep.converged) == (plain.iterations,
-                                                   plain.converged)
-        assert len(rep.trace) == len(plain.trace)
-        assert all(np.array_equal(u, w)
-                   for u, w in zip(rep.trace, plain.trace))
-
-    @pytest.mark.parametrize("eps,max_iter", [(1e-10, 5000), (1e-3, 5000),
-                                              (1e-10, 7)])
-    def test_plain_trace_is_the_reference_loop(self, eps, max_iter):
-        A, b, _ = _contraction()
-        step = self.affine_step(A, b)
-        rep = fixed_point(step, np.zeros(4), lambda x: {},
-                          eps, max_iter)
-        trace, iterations, converged = _plain_loop(step, np.zeros(4), eps,
-                                                   max_iter)
-        assert (rep.iterations, rep.converged) == (iterations, converged)
-        assert len(rep.trace) == len(trace)
-        assert all(np.array_equal(u, w) for u, w in zip(rep.trace, trace))
 
 
 @cache

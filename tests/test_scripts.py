@@ -73,3 +73,36 @@ def test_fit_digest_names_each_move(monkeypatch, tmp_path, capsys):
     assert lines[2] == "mp-dm    max move 1e-09 at panel 14 cov"
     it = int(a["panel 0|mfvb|iterations"])
     assert lines[-1] == f"panel 0 mfvb iterations: {it} -> {it + 1}"
+
+
+def test_fit_digest_eps_and_tight_reference(monkeypatch, tmp_path, capsys):
+    """--eps sets the fits' eps; --against T lists each fit that lies more
+    than 1e-10 farther from T in the second digest than in the first."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import fit_digest
+    sets = fit_digest.designs(panel=[0, 14], large=False)
+    monkeypatch.setattr(fit_digest, "designs", lambda rotate: sets)
+    paths = {name: str(tmp_path / f"{name}.npz") for name in "abt"}
+    assert fit_digest.main([paths["a"]]) == 0
+    assert fit_digest.main(["--eps", "1e-12", paths["t"]]) == 0
+    a, tight = dict(np.load(paths["a"])), dict(np.load(paths["t"]))
+    loose = fit_digest.fit_all(sets)
+    assert all(np.array_equal(a[key], loose[key]) for key in loose)
+    assert not np.array_equal(a["panel 0|laplace|mean"],
+                              tight["panel 0|laplace|mean"])
+    b = dict(a)
+    b["panel 14|mp-dm|mean"] = tight["panel 14|mp-dm|mean"] + 1e-3
+    b["panel 0|mfvb|cov"] = a["panel 0|mfvb|cov"] + 1e-11  # within slack
+    b["panel 0|laplace|mean"] = tight["panel 0|laplace|mean"]  # nearer
+    np.savez(paths["b"], **b)
+    capsys.readouterr()
+    assert fit_digest.main([paths["a"], paths["b"], "--against",
+                            paths["t"]]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    gap = fit_digest._distance(a, tight, "panel 14|mp-dm|")
+    assert lines == [f"panel 14 mp-dm: {1e-3:.3g} from the reference "
+                     f"against {gap:.3g}",
+                     "1 of 12 fits lie more than 1e-10 farther from the "
+                     "reference"]
+    with pytest.raises(SystemExit):
+        fit_digest.main([paths["a"], paths["b"], "--eps", "1e-12"])
