@@ -7,18 +7,20 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from momprop import probit
 from momprop.datagen import (fixed_linear_dataset, generate_linear,
                              generate_mvn, generate_probit)
 from momprop.diagnostics import ToyGaussianSpec, toy_gaussian_mp
-from momprop.exceptions import DomainError
+from momprop.exceptions import DomainError, NumericError
 from momprop.linear import (LinearData, LinearPrior, linear_exact_posterior,
                             linear_mfvb_fit, linear_mp1_fit, linear_mp2_fit)
-from momprop.moments import ig_mean_var
+from momprop.moments import GaussianApprox, ig_mean_var
 from momprop.mvn import MVNData, MVNPrior, mvn_mfvb_fit, mvn_mp_fit
 from momprop.probit import (ProbitData, ProbitPrior, probit_dmvb_fit,
                             probit_gibbs_oracle, probit_laplace_fit,
                             probit_mfvb_fit, probit_mp_fit)
 from momprop.reports import MomentSummary, fixed_point, moment_summary
+from momprop.specfun import zeta
 
 
 def _linear():
@@ -89,22 +91,6 @@ class TestFixedPoint:
         with pytest.raises(DomainError, match="eps"):
             fixed_point(self.halving, 1.0, lambda s: {}, eps, 10)
 
-    @pytest.mark.parametrize("eps,max_iter", [(1e-10, 5000), (1e-3, 5000),
-                                              (1e-10, 7)])
-    def test_trace_is_the_reference_loop(self, eps, max_iter):
-        A, b = _contraction()
-
-        def step(x):
-            x = A @ x + b
-            return x, x
-        rep = fixed_point(step, np.zeros(4), lambda x: {},
-                          eps, max_iter)
-        trace, iterations, converged = _plain_loop(step, np.zeros(4), eps,
-                                                   max_iter)
-        assert (rep.iterations, rep.converged) == (iterations, converged)
-        assert len(rep.trace) == len(trace)
-        assert all(np.array_equal(u, w) for u, w in zip(rep.trace, trace))
-
 
 def _contraction():
     """x -> A x + b with spectral radius 0.99."""
@@ -125,6 +111,112 @@ def _plain_loop(step, state, eps, max_iter):
             break
         prev = vec
     return trace, it, converged
+
+
+class TestSquarem:
+    """The driver once SQUAREM extrapolation was taken out of it: each
+    trace entry is one map of the plain loop, and max_iter caps the maps.
+    Probit MP's Newton step in the mean took over SQUAREM's work; where
+    that step is rejected, the mean takes the plain map."""
+    EPS = 1e-10
+
+    @staticmethod
+    def affine_step(A, b):
+        def step(x):
+            x = A @ x + b
+            return x, x
+        return step
+
+    def assert_reference_loop(self, step, x0, eps, max_iter):
+        rep = fixed_point(step, x0, lambda x: {}, eps, max_iter)
+        trace, iterations, converged = _plain_loop(step, x0, eps, max_iter)
+        assert (rep.iterations, rep.converged) == (iterations, converged)
+        assert len(rep.trace) == len(trace)
+        assert all(np.array_equal(u, w) for u, w in zip(rep.trace, trace))
+        return rep
+
+    def test_max_iter_caps_map_evaluations(self):
+        A, b = _contraction()
+        for cap in range(1, 8):
+            rep = fixed_point(self.affine_step(A, b), np.zeros(4),
+                              lambda x: {"x": x}, self.EPS, cap)
+            assert rep.iterations == len(rep.trace) == cap
+            assert not rep.converged and rep.termination == "max_iter"
+            assert np.array_equal(rep.params["x"], rep.trace[-1])
+
+    @pytest.mark.parametrize("step,converges", [
+        (lambda x: (-x / 2.0, -x / 2.0), True),  # step length -2/3, above -1
+        (lambda x: (x + 1.0, x + 1.0), False),  # v = 0
+    ], ids=["step-length-above-minus-one", "zero-second-difference"])
+    def test_no_squarem_point_leaves_the_plain_trace(self, step, converges):
+        """The two maps on which SQUAREM declined to extrapolate: the
+        driver's trace is the plain loop's, converging on the first and
+        stopping at the cap on the second."""
+        rep = self.assert_reference_loop(step, np.ones(4), self.EPS, 60)
+        assert rep.converged == converges
+
+    @pytest.mark.parametrize("eps,max_iter", [(1e-10, 5000), (1e-3, 5000),
+                                              (1e-10, 7)])
+    def test_plain_trace_is_the_reference_loop(self, eps, max_iter):
+        A, b = _contraction()
+        self.assert_reference_loop(self.affine_step(A, b), np.zeros(4), eps,
+                                   max_iter)
+
+    def test_rejected_point_falls_back_to_plain_maps(self, monkeypatch):
+        """Where S^-1 - A is not positive definite, probit MP's mean takes
+        the plain map mu + S (Z^T xi_1 - D mu), as the sweep did."""
+        data, prior = _probit200()
+        Z, D = data.Z, prior.D
+        S = np.linalg.inv(Z.T @ Z + D)
+        smoothed = probit._smoothed
+
+        def positive_xi2(variant, d, z, m, v):
+            out = smoothed(variant, d, z, m, v)
+            out[-1] = np.abs(out[-1]) + 1.0  # A = Z^T diag(> 2) Z
+            return out
+        monkeypatch.setattr(probit, "_smoothed", positive_xi2)
+        mu = np.array([0.3, -0.2, 0.5])
+        rep = probit_mp_fit(data, prior, "dm", max_iter=1,
+                            init=GaussianApprox(mu, S))
+        m = Z @ mu
+        v = np.einsum("ij,jk,ik->i", Z, rep.params["beta"].cov, Z)
+        x1 = zeta(1, m) + 0.5 * zeta(3, m) * v
+        want = mu + S @ (Z.T @ x1 - D @ mu)
+        assert np.max(np.abs(rep.params["beta"].mean - want)) <= 1e-12
+
+    def test_numeric_error_on_extrapolated_point_falls_back(self,
+                                                            monkeypatch):
+        """A NumericError from the factorisation of probit MP's Newton step
+        leaves every iteration on the plain map, which reaches the same
+        fixed point in more iterations."""
+        data, prior = _probit200()
+        newton = {v: probit_mp_fit(data, prior, v, eps=self.EPS)
+                  for v in ("dm", "quad")}
+        factor, raised = probit._cholesky_inverse, []
+
+        def refuse_newton(M, message, last_iterate=None):
+            if message.startswith("S^-1 - A"):
+                raised.append(message)
+                raise NumericError(message)
+            return factor(M, message, last_iterate)
+        monkeypatch.setattr(probit, "_cholesky_inverse", refuse_newton)
+        for variant, fast in newton.items():
+            raised.clear()
+            plain = probit_mp_fit(data, prior, variant, eps=self.EPS)
+            assert fast.converged and plain.converged
+            assert len(raised) == plain.iterations > 3 * fast.iterations
+            for got, want in ((plain.params["beta"].mean,
+                               fast.params["beta"].mean),
+                              (plain.params["beta"].cov,
+                               fast.params["beta"].cov),
+                              (plain.params["aux"].mean_a,
+                               fast.params["aux"].mean_a)):
+                assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def _probit200():
+    y, X = generate_probit(200, 3, seed=7)
+    return ProbitData(y, X), ProbitPrior.ridge(0.01, 3)
 
 
 @cache
