@@ -149,14 +149,20 @@ def _load_regression(args: argparse.Namespace, data_type):
     header, data = _read_csv(args.data)
     if "y" not in header:
         raise InputError(f"{args.data}: header must contain a 'y' column")
-    yi = header.index("y")
-    X = np.delete(data, yi, axis=1)
-    if args.intercept:
-        X = np.column_stack([np.ones(X.shape[0]), X])
-    if X.shape[1] == 0:
+    yi, lead = header.index("y"), int(args.intercept)
+    if lead + data.shape[1] == 1:
         raise InputError(f"{args.data}: no predictor columns "
                          "(pass --intercept for an intercept-only fit)")
-    return data_type(data[:, yi], X)
+    # X is filled by basic slices on each side of y's column, which copy
+    # without the n x p temporary that a fancy index would make, and the
+    # table is dropped before data_type builds its own arrays from X
+    X = np.empty((data.shape[0], lead + data.shape[1] - 1))
+    X[:, :lead] = 1.0
+    X[:, lead:lead + yi] = data[:, :yi]
+    X[:, lead + yi:] = data[:, yi + 1:]
+    y = data[:, yi].copy()
+    del data
+    return data_type(y, X)
 
 
 def _from_json(path: str, build: Callable[[dict], Any]):

@@ -66,6 +66,18 @@ def require_shape(a: np.ndarray, shape: tuple, name: str) -> np.ndarray:
     return a
 
 
+def require_regression(y, X) -> tuple[np.ndarray, np.ndarray]:
+    """y as a vector and X as a matrix of finite floats, with matching,
+    non-zero row counts; neither is copied where it is already float."""
+    y = np.atleast_1d(require_finite(y, "y"))
+    X = np.atleast_2d(require_finite(X, "X"))
+    if X.shape[0] != y.shape[0]:
+        raise DomainError("y and X row counts differ")
+    if X.shape[0] < 1:
+        raise DomainError("need at least one observation")
+    return y, X
+
+
 @dataclass
 class RegressionData:
     """A response vector y and design matrix X with matching, non-zero row
@@ -75,12 +87,7 @@ class RegressionData:
     X: np.ndarray
 
     def __post_init__(self):
-        self.y = np.atleast_1d(require_finite(self.y, "y"))
-        self.X = np.atleast_2d(require_finite(self.X, "X"))
-        if self.X.shape[0] != self.y.shape[0]:
-            raise DomainError("y and X row counts differ")
-        if self.X.shape[0] < 1:
-            raise DomainError("need at least one observation")
+        self.y, self.X = require_regression(self.y, self.X)
 
     @property
     def n(self) -> int:

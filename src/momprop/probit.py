@@ -26,9 +26,10 @@ not positive definite, as the delta-method xi_2 allows. It makes four
 O(n p^2) passes over the rows of Z: the variances v and three Gram
 matrices. Each pass walks the rows in blocks of _ROW_BLOCK, so its
 scratch memory is O(block p), not O(n p); the Laplace Hessian and the
-delta-method ELBO use the same two row-block helpers. Besides the data's
-X and Z a fit holds a few n-vectors, and the trace one (mu_a) per outer
-iteration. Only the Gibbs sampler builds S Z^T.
+delta-method ELBO use the same two row-block helpers. ProbitData holds Z
+and y, not X, so the data's one n x p array is Z; beside it a fit holds a
+few n-vectors, and the trace one (mu_a) per outer iteration. Only the
+Gibbs sampler builds S Z^T.
 
 Mean-field VB's fixed point D mu = Z^T zeta_1(Z mu) is the stationarity
 condition of log p(y, beta): its mean is the mode, found by Laplace's
@@ -61,7 +62,7 @@ from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .datagen import seed_sequence
 from .exceptions import DomainError, NumericError
-from .moments import (GaussianApprox, RegressionData, require_shape,
+from .moments import (GaussianApprox, require_regression, require_shape,
                       require_spd, symmetrize)
 from .reports import FitReport, MomentSummary, fixed_point
 from .specfun import _xi_series, _zeta_orders, xi
@@ -89,16 +90,31 @@ def _gram(Z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-class ProbitData(RegressionData):
-    """Binary response y and design X; Z has rows z_i = (2 y_i - 1) x_i."""
+class ProbitData:
+    """Binary response y and design X, held as Z alone: the n x p array with
+    rows z_i = (2 y_i - 1) x_i. The arrays passed in are never written, and
+    y is a copy, so that a table that y is a column of can be freed."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        # own y, so that a table that y is a column of can be freed
-        self.y = self.y.copy()
+    def __init__(self, y, X):
+        y, X = require_regression(y, X)
+        self.y = y.copy()
         if not np.all(np.isin(self.y, (0.0, 1.0))):
             raise DomainError("y must be binary 0/1")
-        self.Z = (2.0 * self.y - 1.0)[:, None] * self.X
+        self.Z = (2.0 * self.y - 1.0)[:, None] * X
+
+    @property
+    def X(self) -> np.ndarray:
+        """(2 y - 1) Z, a new array each time: bit for bit the X given,
+        signed zeros included, as each factor is +-1."""
+        return (2.0 * self.y - 1.0)[:, None] * self.Z
+
+    @property
+    def n(self) -> int:
+        return self.Z.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.Z.shape[1]
 
 
 @dataclass
@@ -281,7 +297,14 @@ def _smoothed(variant: str, d: tuple[int, ...], z: list[np.ndarray],
     orders z at m (up to max(d) + 2), for "dm"; by xi itself for "quad"."""
     if variant == "dm":
         return _xi_series(z, d, v, 2)
-    return xi(d, m, v)
+    try:
+        return xi(d, m, v)
+    except NumericError as exc:
+        i = int(np.argmax(v))
+        raise NumericError(
+            f"Gaussian smoothing of zeta failed; the largest predictor "
+            f"variance z_i^T Sigma z_i is {v[i]:.4g}, at observation "
+            f"{i + 1}") from exc
 
 
 def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: fit / compare / generate, exit codes, report
 schema, density emission, and init-from round trips."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -21,6 +22,7 @@ from hypothesis.extra import numpy as hnp
 from momprop import cli
 from momprop.cli import main
 from momprop.datagen import fixed_linear_dataset
+from momprop.probit import ProbitData
 
 
 def run_cli(args) -> int:
@@ -286,6 +288,57 @@ class TestFitProbit:
                               ProbitPrior.ridge(0.01, 3))
         mean = json.loads(out.read_text())["q"]["beta"]["mean"]
         assert mean == rep.params["beta"].mean.tolist()
+
+
+class TestLoadRegression:
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("yi", [0, 2, 4])
+    def test_places_columns_as_delete_and_column_stack(self, tmp_path, yi,
+                                                       intercept):
+        """y as the first, a middle and the last column: X and y are, bit
+        for bit, np.delete of the table (after a column of ones with
+        --intercept) and its y column."""
+        table = np.random.default_rng(yi).standard_normal((7, 5))
+        table[:, yi] = [0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0]
+        table[1, 1] = -0.0  # column 1 is never y
+        header = [f"x{j}" for j in range(4)]
+        header.insert(yi, "y")
+        path = tmp_path / "t.csv"
+        path.write_text(",".join(header) + "\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in table))
+        args = argparse.Namespace(model="linear", data=str(path),
+                                  intercept=intercept)
+        y, X = cli._load_regression(args, lambda y, X: (y, X))
+        want = np.delete(table, yi, axis=1)
+        if intercept:
+            want = np.column_stack([np.ones(7), want])
+        assert X.tobytes() == want.tobytes() and X.shape == want.shape
+        assert y.tobytes() == table[:, yi].tobytes()
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_probit_data_holds_one_design_array(self, tmp_path, intercept):
+        """Loading a 20,000 x 6 probit CSV into ProbitData peaks below the
+        table plus two n x p arrays, which is what holding the table, X and
+        Z at once would take: the table is dropped before Z is built from
+        X. Afterwards only Z and y are held."""
+        path = tmp_path / "probit.csv"
+        assert run_cli(["generate", "--model", "probit", "--n", "20000",
+                        "--p", "5", "--seed", "1", "--out", str(path)]) == 0
+        args = argparse.Namespace(model="probit", data=str(path),
+                                  intercept=intercept)
+        tracemalloc.start()
+        try:
+            data = cli._load_regression(args, ProbitData)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n, p = data.Z.shape
+        table = n * (6 * 8)
+        assert (n, p) == (20_000, 5 + intercept)
+        assert peak < table + 2 * data.Z.nbytes
+        assert held < data.Z.nbytes + 2 * data.y.nbytes
+        assert [k for k, v in vars(data).items()
+                if isinstance(v, np.ndarray) and v.ndim == 2] == ["Z"]
 
 
 class TestInitFromRoundTrips:
@@ -824,6 +877,29 @@ class TestErrors:
         assert rc == 4 and out == ""
         assert err == ("numeric failure: gradient of the dmvb objective in "
                        "beta is not finite\n")
+        assert not [w for w in caught if w.category is RuntimeWarning]
+
+    def test_mp_quad_failed_smoothing_names_the_predictor_variance(
+            self, tmp_path, capsys):
+        """On a separable set at a vanishing ridge, mp-quad drives the
+        predictor variances z_i^T Sigma z_i up until xi cannot be
+        evaluated: a numeric failure naming the largest variance, not xi's
+        internals, with no RuntimeWarning."""
+        x = np.random.default_rng(0).standard_normal(40)
+        path = tmp_path / "separable.csv"
+        path.write_text("y,x1\n" + "".join(
+            f"{float(v > 0)!r},{float(v)!r}\n" for v in x))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(["fit", "--model", "probit", "--method", "mp-quad",
+                          "--intercept", "--lambda", "1e-8",
+                          "--data", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 4 and out == ""
+        assert err.startswith("numeric failure: Gaussian smoothing of zeta "
+                              "failed; the largest predictor variance "
+                              "z_i^T Sigma z_i is ")
+        assert "xi(" not in err and "mode search" not in err
         assert not [w for w in caught if w.category is RuntimeWarning]
 
     def test_ragged_csv(self, tmp_path):

@@ -837,6 +837,22 @@ class TestData:
         assert gone() is None
         assert np.array_equal(data.y, [1.0, 0.0, 1.0])
 
+    def test_reads_back_the_design_bit_for_bit(self):
+        """X, read back from Z, is the X given, signed zeros included; the
+        caller's y and X are left as they were, and Z is the data's only
+        2-d array."""
+        rng = np.random.default_rng(4)
+        y = (rng.random(30) < 0.5).astype(float)
+        X = rng.standard_normal((30, 4))
+        X[::3, 1], X[1::3, 2] = 0.0, -0.0
+        y0, X0 = y.tobytes(), X.tobytes()
+        data = ProbitData(y, X)
+        assert data.X.tobytes() == X0 and data.X.shape == X.shape
+        assert y.tobytes() == y0 and X.tobytes() == X0
+        assert (data.n, data.p) == (30, 4)
+        assert [k for k, v in vars(data).items()
+                if isinstance(v, np.ndarray) and v.ndim == 2] == ["Z"]
+
     def test_rejects_nonbinary(self):
         with pytest.raises(DomainError):
             ProbitData(y=[0.5], X=[[1.0]])
