@@ -52,6 +52,10 @@ FILES = {
     "ragged.csv": "y,x1\n1.0,2.0,9.9\n",
     "empty.csv": "",
     "header-only.csv": "y,x1\n",
+    # bare-CR line ends, as old Mac programs save them; with a blank row
+    "linear-cr.csv": ("y,x1,x2\r1.2,0.5,1.0\r-0.3,1.5,0.2\r2.1,-0.7,1.1\r"
+                      "0.4,0.9,-1.3\r1.7,2.2,0.6\r-1.1,-0.4,0.8\r"),
+    "cr-blank.csv": "y,x1\r1,2\r\r3,4\r",
     "no-y.csv": "a,b\n1.0,2.0\n3.0,4.0\n",
     "y-only.csv": "y\n1.0\n2.0\n",
     "dup-column.csv": "y,x1,x2\n0.5,1,1\n1.5,2,2\n2.0,3,3\n4.5,4,4\n",
@@ -289,6 +293,8 @@ def _commands() -> list[tuple[str, list[str]]]:
             "ragged.csv": ("linear", "mfvb", "--data"),
             "empty.csv": ("linear", "mfvb", "--data"),
             "header-only.csv": ("linear", "mfvb", "--data"),
+            "linear-cr.csv": ("linear", "exact", "--data"),
+            "cr-blank.csv": ("linear", "mfvb", "--data"),
             "no-y.csv": ("linear", "mfvb", "--data"),
             "y-only.csv": ("linear", "mfvb", "--data"),
             "dup-column.csv": ("linear", "mp2", "--data"),

@@ -37,6 +37,7 @@ from .reports import FitReport, MomentSummary, moment_summary
 
 SCHEMA_VERSION = 1
 _PRETTY_DIGITS = 4  # significant digits in --pretty output
+_DUMP_FLOATS = 4096  # floats of a report row formatted at a time
 _encode_scalar = json.JSONEncoder().encode  # what json.dumps gives a scalar
 
 
@@ -82,39 +83,29 @@ def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
     return [h.strip() for h in header], data
 
 
-def _lf_lines(fh, count: list[int]):
-    """fh's remaining lines split at "\\n" alone, counted in count[0]. fh
-    also splits at a bare "\\r"; joined back, such a line is one np.loadtxt
-    rejects (an embedded newline), so the row parser reads the file."""
-    held = []
-    for line in fh:
-        if line.endswith("\r"):
-            held.append(line)
-            continue
-        count[0] += 1
-        yield "".join(held) + line if held else line
-        held.clear()
-    if held:
-        count[0] += 1
-        yield "".join(held)
-
-
 def _loadtxt_rows(fh, width: int) -> np.ndarray | None:
     """fh's remaining rows, streamed through np.loadtxt, or None where they
-    might differ from what the row parser reads: the first line is blank,
-    loadtxt raises, skipped a blank line (the row parser rejects it) or found
-    a width other than the header's."""
-    count = [0]
-    lines = _lf_lines(fh, count)
-    first = next(lines, "")
-    if not first.strip():  # no data rows, or a blank row the parser names
+    might differ from what the row parser reads: there is no data line,
+    loadtxt raises (also at a blank line, which it would skip and the row
+    parser names) or it found a width other than the header's."""
+    first = next(fh, None)
+    if first is None:
         return None
     try:
-        data = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
-                          ndmin=2, comments=None, encoding="utf-8")
+        data = np.loadtxt(_unblank(itertools.chain((first,), fh)),
+                          delimiter=",", ndmin=2, comments=None,
+                          encoding="utf-8")
     except ValueError:
         return None
-    return data if data.shape == (count[0], width) else None
+    return data if data.shape[1] == width else None
+
+
+def _unblank(lines):
+    """lines, with a ValueError at the first blank or whitespace-only one."""
+    for line in lines:
+        if line.isspace():
+            raise ValueError("blank line")
+        yield line
 
 
 def _parse_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
@@ -226,13 +217,17 @@ def _jsonify(obj, warnings: list[str], path: str = ""):
 
 def _dump(obj, write: Callable[[str], Any], indent: str = "\n") -> None:
     """What json.dumps(obj, indent=2) gives, passed to write in pieces, for
-    an obj that _jsonify returned: each 1-d float array is one piece."""
+    an obj that _jsonify returned: a 1-d float array in pieces of
+    _DUMP_FLOATS floats."""
     inner, keyed = indent + "  ", isinstance(obj, dict)
     if not isinstance(obj, (dict, list, np.ndarray)) or not len(obj):
         write(_encode_scalar(obj))
     elif isinstance(obj, np.ndarray) and obj.ndim == 1:
+        sep = f",{inner}"
         write(f"[{inner}")
-        write(f",{inner}".join(map(float.__repr__, obj.tolist())))
+        for i in range(0, len(obj), _DUMP_FLOATS):
+            write((sep if i else "") + sep.join(
+                map(float.__repr__, obj[i:i + _DUMP_FLOATS].tolist())))
         write(f"{indent}]")
     else:
         for i, item in enumerate(obj.items() if keyed else obj):

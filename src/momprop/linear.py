@@ -22,14 +22,30 @@ from math import isfinite
 import numpy as np
 
 from .exceptions import DomainError
-from .moments import (GaussianApprox, InverseGammaApprox, RegressionData,
-                      StudentTApprox, _gauss_quadform, _t_quadform,
-                      ig_moment_match, symmetrize)
+from .moments import (GaussianApprox, InverseGammaApprox, StudentTApprox,
+                      _gauss_quadform, _t_quadform, ig_moment_match,
+                      require_regression, symmetrize)
 from .reports import FitReport, fixed_point
 
 
-class LinearData(RegressionData):
-    """Response y and design X of a linear regression."""
+@dataclass
+class LinearData:
+    """Response y and design X of a linear regression, with matching,
+    non-zero row counts and finite entries."""
+
+    y: np.ndarray
+    X: np.ndarray
+
+    def __post_init__(self):
+        self.y, self.X = require_regression(self.y, self.X)
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.X.shape[1]
 
 
 @dataclass

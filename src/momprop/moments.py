@@ -79,26 +79,6 @@ def require_regression(y, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class RegressionData:
-    """A response vector y and design matrix X with matching, non-zero row
-    counts and finite entries."""
-
-    y: np.ndarray
-    X: np.ndarray
-
-    def __post_init__(self):
-        self.y, self.X = require_regression(self.y, self.X)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
-
-
-@dataclass
 class GaussianApprox:
     mean: np.ndarray
     cov: np.ndarray

@@ -6,15 +6,18 @@ negative t: the direct ratio underflows, so a continued-fraction branch is
 used in the far left tail.
 
 xi_d(mu, sigma2) = int zeta_d(x) phi(x; mu, sigma2) dx is the Gaussian
-smoothing of zeta_d. xi picks one of three strategies per element, by
-sigma2 alone:
+smoothing of zeta_d. xi picks one of three strategies per element:
 
-* below sigma2 = 0.01, a truncated series in powers of sigma2 (within
-  7e-12 there; it is asymptotic, and 1.2e-3 off at sigma2 = 0.49);
-* on [0.01, 2), a fixed 24-node Gauss-Hermite rule, within 2.3e-13 of a
-  Simpson oracle below sigma2 = 0.5 and 2.5e-7 near 2. It reads zeta up
-  to order 2 only, which stays accurate far left. Per element it costs
-  about six times the series in large calls and less in small ones;
+* below sigma2 = 0.01 where mu >= -12, a truncated series in powers of
+  sigma2 (within 1e-11 on a grid there at sigma2 = 0.0099; asymptotic,
+  1.2e-3 off at 0.49). It reads zeta up to order 10, which the recursion
+  loses further left: at sigma2 = 0.0099 series xi_2 is 4.6e-8 off
+  (relative) at mu = -80 and 1.2e3 at -995;
+* elsewhere below sigma2 = 2, a fixed 24-node Gauss-Hermite rule, within
+  2.3e-13 of a Simpson oracle on [0.01, 0.5) and 2.5e-7 near 2. It reads
+  zeta up to order 2 only, which stays accurate far left (xi_2 within
+  7e-11 down to mu = -995). Per element it costs about six times the
+  series in large calls and less in small ones;
 * from sigma2 = 2 up, mode-finding plus composite trapezoidal quadrature
   over the effective domain of the integrand (within 9e-6 for d = 1, 2
   up to sigma2 = 10). It works on whole arrays: Newton's mode search runs
@@ -50,8 +53,10 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _CF_CROSSOVER = -25.0
 _CF_DEPTH = 64
 
-# xi evaluation: xi uses the series below _SERIES_MAX, Gauss-Hermite on
-# [_SERIES_MAX, _GH_MAX) and the quadrature from _GH_MAX up. The series
+# xi evaluation: xi uses the series below _SERIES_MAX where mu >=
+# _SERIES_MIN_MU (further left the recursion loses the zeta orders above 2
+# that the series reads), Gauss-Hermite elsewhere below _GH_MAX and the
+# quadrature from _GH_MAX up. The series
 # keeps _TAYLOR_TERMS terms (zeta up to order d + 2 (_TAYLOR_TERMS - 1));
 # the Gauss-Hermite weights carry the 1/sqrt(pi) of the rule; the
 # quadrature branch stops Newton's mode search once a step is below
@@ -60,6 +65,7 @@ _CF_DEPTH = 64
 # _WALK_BLOCK steps per round, failing after _WALK_MAX_STEPS), and applies
 # the trapezoid rule with _QUAD_POINTS panels.
 _SERIES_MAX = 0.01
+_SERIES_MIN_MU = -12.0
 _GH_MAX = 2.0
 _TAYLOR_TERMS = 5
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(24)
@@ -176,9 +182,9 @@ def xi_taylor(d: int | tuple[int, ...], mu, sigma2):
     """Series evaluation of xi_d: sum_k zeta_{d+2k}(mu) sigma2^k / (2^k k!).
 
     Keeps _TAYLOR_TERMS terms. The series is asymptotic: xi uses it below
-    sigma2 = _SERIES_MAX only, and at sigma2 = 0.49 it is off by up to
-    1.2e-3 for mu in [-6, 6]. One zeta recursion serves every requested
-    order.
+    sigma2 = _SERIES_MAX at mu >= _SERIES_MIN_MU only, and at sigma2 = 0.49
+    it is off by up to 1.2e-3 for mu in [-6, 6]. One zeta recursion serves
+    every requested order.
     """
     z = _zeta_orders(max(d) + 2 * (_TAYLOR_TERMS - 1), mu.ravel())
     out = _xi_series(z, d, sigma2.ravel(), _TAYLOR_TERMS)
@@ -315,10 +321,11 @@ def _xi_hermite(d: tuple[int, ...], mu: np.ndarray, sigma2: np.ndarray
 
 @_xi_checked()
 def xi(d: int | tuple[int, ...], mu, sigma2):
-    """xi_d(mu, sigma2): the series below sigma2 = _SERIES_MAX, Gauss-Hermite
-    on [_SERIES_MAX, _GH_MAX), the trapezoid quadrature from _GH_MAX up."""
+    """xi_d(mu, sigma2): the series below sigma2 = _SERIES_MAX where mu >=
+    _SERIES_MIN_MU, Gauss-Hermite elsewhere below _GH_MAX, the trapezoid
+    quadrature from _GH_MAX up."""
     out = np.empty((len(d),) + mu.shape)
-    series = sigma2 < _SERIES_MAX
+    series = (sigma2 < _SERIES_MAX) & (mu >= _SERIES_MIN_MU)
     quad = sigma2 >= _GH_MAX
     # the branches are looked up by their module names at each call, so
     # that a wrapper installed as xi_taylor or xi_quad sees every evaluation

@@ -474,14 +474,29 @@ class TestEncode:
         whole-report string is built."""
         trace = list(np.random.default_rng(0).standard_normal((10, 20_000)))
         out = tmp_path / "rep.json"
-        tracemalloc.start()
-        try:
-            cli._write_report(cli._encode({"schema": 1, "trace": trace}),
-                              str(out), pretty=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_write({"schema": 1, "trace": trace}, out)
         assert peak < out.stat().st_size / 2
+
+    def test_stream_writes_a_long_row_in_pieces(self, tmp_path):
+        """Writing a report with a 200,000-float row peaks below a quarter
+        of the bytes written, which are json.dumps(indent=2)'s across the
+        seams of the pieces the row is written in."""
+        row = np.random.default_rng(1).standard_normal(200_000)
+        out = tmp_path / "rep.json"
+        peak = _traced_write({"schema": 1, "row": row}, out)
+        assert peak < out.stat().st_size / 4
+        want = json.dumps({"schema": 1, "row": row.tolist()}, indent=2)
+        assert out.read_text() == want + "\n"
+
+
+def _traced_write(doc: dict, out) -> int:
+    """The tracemalloc peak of encoding doc and writing it into out."""
+    tracemalloc.start()
+    try:
+        cli._write_report(cli._encode(doc), str(out), pretty=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _assert_closed_stdout_is_io_error(argv: list[str], lines: int) -> None:
@@ -729,6 +744,7 @@ BAD_INPUTS = {
 # parser does)
 CSV_CASES = {
     "blank-line": ("y,x1\n1,2\n\n3,4\n", False),
+    "blank-first-row": ("y,x1\n\n1,2\n", False),
     "trailing-blank-line": ("y,x1\n1,2\n3,4\n\n", False),
     "hash-cell": ("y,x1\n1,#\n", False),
     "quoted-number": ('y,x1\n1,"2.5"\n', False),
@@ -744,8 +760,11 @@ CSV_CASES = {
     "header-only": ("y,x1\n", False),
     "empty-file": ("", False),
     "whitespace-line": ("y,x1\n1,2\n  \t\n3,4\n", False),
-    "cr-line-ends": ("y,x1\r1,2\r3,4\r", False),
+    "cr-line-ends": ("y,x1\r1,2\r3,4\r", True),
     "cr-one-data-row": ("y,x1\r1,2\r", True),
+    "cr-blank-line": ("y,x1\r1,2\r\r3,4\r", False),
+    "cr-whitespace-line": ("y,x1\r1,2\r \t\r3,4\r", False),
+    "cr-crlf-mixed": ("y,x1\r\n1,2\r3,4\n5,6\r\n", True),
     "header-cell-spans-lines": ('y,"x\n1"\n1,2\n3,4\n', True),
     "bom-crlf": ("\ufeffy,x1\r\n1,2\r\n3,4\r\n", True),
 }

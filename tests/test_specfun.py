@@ -336,6 +336,23 @@ class TestXiBranches:
             jump = np.abs(xi(d, mu, below) - xi(d, mu, specfun._SERIES_MAX))
             assert jump.max() <= 1e-10
 
+    def test_seam_at_series_min_mu(self):
+        # below sigma2 = 0.01 the series takes mu >= -12 and the band the
+        # rest; against mpmath at mu = -12, sigma2 = 0.0099 the series is
+        # off by 6.3e-12 in xi_2, the band by 2.7e-12, and the jumps
+        # measured on this grid are 4.3e-14, 4.1e-13 and 5.1e-12 (d = 0,
+        # 1, 2)
+        tau = specfun._SERIES_MIN_MU
+        below = np.nextafter(tau, -np.inf)
+        s2 = np.nextafter(np.linspace(0.0, specfun._SERIES_MAX, 101), 0.0)
+        assert np.array_equal(xi((0, 1, 2), tau, s2),
+                              xi_taylor((0, 1, 2), tau, s2))
+        assert np.array_equal(xi((0, 1, 2), below, s2),
+                              _xi_hermite((0, 1, 2), np.full(101, below), s2))
+        for d, bound in ((0, 1e-13), (1, 1e-12), (2, 1e-11)):
+            jump = np.abs(xi(d, tau, s2) - xi(d, below, s2))
+            assert jump.max() <= bound
+
     def test_seam_at_trapezoid_cutoff_within_trapezoid_error(self):
         # the trapezoid is off by up to 2.5e-5, 4.4e-6 and 9.9e-7 (d = 0,
         # 1, 2) at sigma2 = 2, Gauss-Hermite by at most 3.2e-7; so the jump
@@ -351,8 +368,21 @@ class TestXiBranches:
     # (mu, sigma2): (xi_1, xi_2), from a 60-digit mpmath quadrature of
     # int zeta_d(mu + sqrt(sigma2) u) phi(u) du on [-inf, -10, -5, -2, 0, 2,
     # 5, 10, inf], with zeta_1 = npdf/ncdf and zeta_2 = -zeta_1 (x + zeta_1);
-    # an 80-digit run on other breakpoints agrees to 25 digits
+    # an 80-digit run on other breakpoints agrees to 25 digits (to 58 on
+    # the rows below sigma2 = 0.01)
     FAR_LEFT = {
+        (-20.0, 0.001): (20.049753189892011094, -0.99753672053296054481),
+        (-80.0, 0.001): (80.012496098747705407, -0.99984389622093431169),
+        (-200.0, 0.001): (200.00499975015620674, -0.99997500374734488914),
+        (-995.0, 0.001): (995.00100502309635101, -0.99999898993061525905),
+        (-20.0, 0.005): (20.049753675366075997, -0.99753664912078108711),
+        (-80.0, 0.005): (80.012496106545607388, -0.99984389592887722824),
+        (-200.0, 0.005): (200.00499975065605701, -0.99997500373984863188),
+        (-995.0, 0.005): (995.00100502310041157, -0.99999898993060301627),
+        (-20.0, 0.0099): (20.049754270109800109, -0.99753656163163561534),
+        (-80.0, 0.0099): (80.012496116098077056, -0.99984389557110482188),
+        (-200.0, 0.0099): (200.004999751268374, -0.99997500373066570653),
+        (-995.0, 0.0099): (995.00100502310538575, -0.99999898993058801886),
         (-12.0, 0.05): (12.082240915101247792, -0.99332292624358383064),
         (-20.0, 0.05): (20.049759138871286305, -0.99753584526699282741),
         (-50.0, 0.05): (50.019984430018904101, -0.99960093300150109203),
@@ -370,16 +400,18 @@ class TestXiBranches:
     @pytest.mark.parametrize("mu,s2", sorted(FAR_LEFT))
     def test_far_left_band_matches_mpmath(self, mu, s2):
         # the series was off by 6.8e-4 in xi_2 at (-50, 0.49) and by 0.24
-        # at (-80, 0.49): it reads zeta up to order 10, which the recursion
-        # loses there; the band reads orders up to 2 only
+        # at (-80, 0.49), and below sigma2 = 0.01 by 4.6e-8 at (-80,
+        # 0.0099) and 1.2e3 at (-995, 0.0099): it reads zeta up to order
+        # 10, which the recursion loses there; the band reads orders up to
+        # 2 only
         x1, x2 = xi((1, 2), mu, s2)
         ref1, ref2 = self.FAR_LEFT[(mu, s2)]
         assert x1 == pytest.approx(ref1, rel=1e-10, abs=0.0)
         assert x2 == pytest.approx(ref2, rel=1e-10, abs=0.0)
 
     def test_far_left_xi2_in_open_unit_interval(self):
-        mu = np.repeat(np.linspace(-80.0, -12.0, 69), 3)
-        s2 = np.tile([0.05, 0.2, 0.49], 69)
+        mu = np.repeat(np.arange(-995.0, -11.0), 6)
+        s2 = np.tile([0.001, 0.005, 0.0099, 0.05, 0.2, 0.49], 984)
         x2 = xi(2, mu, s2)
         assert np.all((-1.0 < x2) & (x2 < 0.0))
 
