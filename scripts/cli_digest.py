@@ -112,6 +112,10 @@ def _commands() -> list[tuple[str, list[str]]]:
             "--seed", "2", "--no-intercept", "--out", "FILE/probit2.csv"]),
         ("generate mvn", ["generate", "--model", "mvn", "--n", "30", "--p",
                           "3", "--seed", "4", "--out", "FILE/mvn.csv"]),
+        # a file of thousands of rows, pinned byte for byte
+        ("generate probit 5000x20", [
+            "generate", "--model", "probit", "--n", "5000", "--p", "20",
+            "--seed", "1", "--out", "FILE/probit-5000.csv"]),
     ]
     inputs = {
         "linear": [["--data", "FILE/c7.csv"], ["--data", "FILE/linear.csv"],
@@ -257,6 +261,16 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("usage: generate nan sigma", ["generate", "--model", "linear",
                                        "--sigma", "nan", "--out",
                                        "FILE/nan-sigma.csv"]),
+        ("usage: generate negative sigma", [
+            "generate", "--model", "linear", "--sigma", "-1", "--out",
+            "FILE/negative-sigma.csv"]),
+        *((f"usage: generate {model} {flag}", [
+            "generate", "--model", model, flag, *value, "--out",
+            f"FILE/unread-{model}-{flag[2:]}.csv"])
+          for model, flag, value in (("probit", "--fixed", []),
+                                     ("mvn", "--beta", ["1,2"]),
+                                     ("probit", "--sigma", ["3"]),
+                                     ("linear", "--no-intercept", []))),
         *((f"usage: generate {model} beta overflow", [
             "generate", "--model", model, "--beta", "1e308,1e308", "--out",
             "FILE/overflow.csv"]) for model in ("linear", "probit")),

@@ -285,33 +285,25 @@ def _parse_vector(text: str | None) -> np.ndarray | None:
         raise UsageError(f"bad vector {text!r}: {exc}") from exc
 
 
-def _xy_table(y: np.ndarray, X: np.ndarray, y_cell: Callable):
-    header = ["y"] + [f"x{j + 1}" for j in range(X.shape[1])]
-    return header, ([y_cell(yi)] + [repr(float(v)) for v in xi]
-                    for yi, xi in zip(y, X))
-
-
 def _generate_linear(args):
     if args.fixed:
         y, X = datagen.fixed_linear_dataset()
     else:
-        y, X = datagen.generate_linear(args.n, args.p, args.seed,
-                                       beta=_parse_vector(args.beta),
-                                       sigma=args.sigma)
-    return _xy_table(y, X, lambda v: repr(float(v)))
+        y, X = datagen.generate_linear(
+            args.n, args.p, args.seed, beta=_parse_vector(args.beta),
+            sigma=1.0 if args.sigma is None else args.sigma)
+    return X, y
 
 
 def _generate_probit(args):
     y, X = datagen.generate_probit(args.n, args.p, args.seed,
                                    beta=_parse_vector(args.beta),
                                    intercept=not args.no_intercept)
-    return _xy_table(y, X, int)
+    return X, y, int
 
 
 def _generate_mvn(args):
-    X = datagen.generate_mvn(args.n, args.p, args.seed)
-    return ([f"x{j + 1}" for j in range(X.shape[1])],
-            ([repr(float(v)) for v in xi] for xi in X))
+    return (datagen.generate_mvn(args.n, args.p, args.seed),)
 
 
 @dataclass(frozen=True)
@@ -326,7 +318,9 @@ class Model:
     and the q-density types the model's fits start from; a model without
     one rejects --init-from. reference is compare's default
     reference method; a model without one supports neither compare nor
-    --emit-density.
+    --emit-density. generate gives the model's data set as _write_csv's
+    X, y and y_cell, and generate_flags names the flags it reads of those
+    that not every model reads.
     """
 
     load: Callable[[argparse.Namespace], Any]
@@ -334,7 +328,8 @@ class Model:
     fits: dict[str, Callable[..., FitReport]]
     init_from: tuple[str, tuple[type, ...]] | None = None
     reference: str | None = None
-    generate: Callable[[argparse.Namespace], tuple[list, Any]] | None = None
+    generate: Callable[[argparse.Namespace], tuple] | None = None
+    generate_flags: tuple[str, ...] = ()
 
 
 MODELS = {
@@ -354,7 +349,8 @@ MODELS = {
         },
         init_from=("sigma2", (InverseGammaApprox,)),
         reference="exact",
-        generate=_generate_linear),
+        generate=_generate_linear,
+        generate_flags=("--beta", "--sigma", "--fixed")),
     "mvn": Model(
         load=lambda args: _load_mvn(args.data, args.summary),
         prior=lambda args, data: MVNPrior(
@@ -394,7 +390,8 @@ MODELS = {
         },
         init_from=("beta", (GaussianApprox, MomentSummary)),
         reference="gibbs",
-        generate=_generate_probit),
+        generate=_generate_probit,
+        generate_flags=("--beta", "--no-intercept")),
     "toy": Model(
         load=lambda args: _load_toy(args.summary),
         prior=lambda args, spec: None,
@@ -578,8 +575,7 @@ def _emit_density(q: dict, model: str, name: str, path: str | None) -> None:
         if mname == name:
             grid = _density_grid(family, params)
             _write_csv(path, ["point", "value"],
-                       ([repr(float(pt)), repr(float(val))]
-                        for pt, val in zip(grid.points, grid.values)))
+                       np.column_stack((grid.points, grid.values)))
             return
     raise UsageError(f"no marginal named {name!r}; available: "
                      f"{', '.join(m[0] for m in marginals)}")
@@ -650,11 +646,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p", type=int, default=2)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--beta", help="comma-separated true coefficients")
-    gen.add_argument("--sigma", type=float, default=1.0)
-    gen.add_argument("--fixed", action="store_true",
+    gen.add_argument("--sigma", type=float,
+                     help="noise standard deviation (linear only; default 1)")
+    # unset flags read None, so that a flag the model does not read is
+    # rejected whatever its value
+    gen.add_argument("--fixed", action="store_true", default=None,
                      help="emit the fixed five-point reference dataset "
                           "(linear only)")
-    gen.add_argument("--no-intercept", action="store_true")
+    gen.add_argument("--no-intercept", action="store_true", default=None,
+                     help="draw x1 as the other columns, not as "
+                          "ones (probit only)")
     gen.add_argument("--out", required=True)
     return ap
 
@@ -680,12 +681,32 @@ def _open_out(path: str | None):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path: str | None, header: list[str], rows) -> None:
-    """header and rows as CSV into path, or onto stdout without one."""
+def _write_csv(path: str | None, header: list[str], X: np.ndarray,
+               y: np.ndarray | None = None, y_cell=float.__repr__) -> None:
+    """header and X's rows, each after its y cell if there is y, as CSV
+    with CRLF line ends into path, or onto stdout without one; a float is
+    its shortest repr. Rows are formatted one at a time."""
+    rows = (",".join(map(float.__repr__, row.tolist())) for row in X)
+    if y is not None:
+        rows = (f"{y_cell(v)},{row}" for v, row in zip(y, rows))
     with _open_out(path) as out:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
+        out.write(",".join(header) + "\r\n")
+        out.writelines(row + "\r\n" for row in rows)
+
+
+def _generate(args: argparse.Namespace, model: Model) -> None:
+    """The model's data set as a CSV of columns y (where it has one) and
+    x1, x2, ... into --out, once each flag set is one the model reads."""
+    unread = dict.fromkeys(
+        f for m in MODELS.values() for f in m.generate_flags
+        if f not in model.generate_flags
+        and getattr(args, f[2:].replace("-", "_")) is not None)
+    if unread:
+        raise UsageError(f"generate --model {args.model} does not read "
+                         f"{', '.join(unread)}")
+    X, *label = model.generate(args)
+    header = ["y"] * bool(label) + [f"x{j + 1}" for j in range(X.shape[1])]
+    _write_csv(args.out, header, X, *label)
 
 
 def _write_report(doc: dict, out: str | None, pretty: bool) -> None:
@@ -703,7 +724,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.command == "generate":
-            _write_csv(args.out, *MODELS[args.model].generate(args))
+            _generate(args, MODELS[args.model])
             return 0
         if args.command == "fit":
             model = _model(args.model, args.method)

@@ -48,6 +48,8 @@ def generate_linear(n: int, p: int, seed: int, beta: np.ndarray | None = None,
     """Gaussian design, y = X beta + sigma * noise, which must be finite."""
     if n < 1 or p < 1:
         raise DomainError("n and p must be >= 1")
+    if sigma < 0:
+        raise DomainError("sigma must be non-negative")
     beta = _coefficients(beta, p)
     rng = np.random.default_rng(seed_sequence(seed))
     X = rng.standard_normal((n, p))

@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from momprop import cli
+from momprop import cli, datagen
 from momprop.cli import main
 from momprop.datagen import fixed_linear_dataset
+from momprop.linear import LinearData, LinearPrior, linear_exact_posterior
 from momprop.probit import ProbitData
 
 
@@ -711,6 +712,17 @@ BAD_INPUTS = {
     "generate-linear-nan-sigma": (
         ["generate", "--model", "linear", "--sigma", "nan", "--out", "FILE"],
         "", 2, "generated y must be finite"),
+    "generate-linear-negative-sigma": (
+        ["generate", "--model", "linear", "--sigma", "-1", "--out", "FILE"],
+        "", 2, "sigma must be non-negative"),
+    # a flag the model does not read
+    **{f"generate-{model}-unread-{flag[2:]}": (
+        ["generate", "--model", model, flag, *value, "--out", "FILE"], "", 2,
+        f"generate --model {model} does not read {flag}")
+       for model, flag, value in (("probit", "--fixed", []),
+                                  ("mvn", "--beta", ["1,2"]),
+                                  ("probit", "--sigma", ["3"]),
+                                  ("linear", "--no-intercept", []))},
     **{f"generate-{model}-overflow": (
         ["generate", "--model", model, "--beta", "1e308,1e308", "--out",
          "FILE"], "", 2, f"generated {column} must be finite")
@@ -1099,6 +1111,101 @@ class TestGenerate:
             rows = list(csv.reader(fh))
         y = np.array([float(r[0]) for r in rows[1:]])
         assert 0.0 < y.mean() < 1.0
+
+
+def _csv_writer_text(header: list[str], rows) -> str:
+    """What csv.writer gives for header and rows."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _xy_rows(y: np.ndarray | None, X: np.ndarray, y_cell) -> list[list]:
+    """X's rows as lists of floats, after y's cell in each if there is y."""
+    if y is None:
+        return X.tolist()
+    return [[y_cell(v), *row] for v, row in zip(y.tolist(), X.tolist())]
+
+
+# id -> (generate's flags less --out, the y and X that datagen gives for
+# them, y's cell type)
+GENERATE_CASES = {
+    "linear": (["--model", "linear", "--n", "40", "--p", "3", "--seed", "7",
+                "--beta", "1,-2,0.5", "--sigma", "0.7"],
+               lambda: datagen.generate_linear(
+                   40, 3, 7, beta=np.array([1.0, -2.0, 0.5]), sigma=0.7),
+               float),
+    "linear-fixed": (["--model", "linear", "--fixed"],
+                     datagen.fixed_linear_dataset, float),
+    "probit": (["--model", "probit", "--n", "120", "--p", "3", "--seed", "5"],
+               lambda: datagen.generate_probit(120, 3, 5), int),
+    "probit-no-intercept": (
+        ["--model", "probit", "--n", "80", "--p", "2", "--seed", "2",
+         "--no-intercept"],
+        lambda: datagen.generate_probit(80, 2, 2, intercept=False), int),
+    "mvn": (["--model", "mvn", "--n", "30", "--p", "3", "--seed", "4"],
+            lambda: (None, datagen.generate_mvn(30, 3, 4)), None),
+}
+
+
+class TestWriteCSV:
+    """Every CSV momprop writes is what csv.writer gives for its cells."""
+
+    @pytest.mark.parametrize("argv,arrays,y_cell", GENERATE_CASES.values(),
+                             ids=GENERATE_CASES.keys())
+    def test_generate_is_csv_writer(self, tmp_path, argv, arrays, y_cell):
+        out = tmp_path / "g.csv"
+        assert run_cli(["generate", *argv, "--out", str(out)]) == 0
+        y, X = arrays()
+        header = ([] if y is None else ["y"]) + [
+            f"x{j + 1}" for j in range(X.shape[1])]
+        want = _csv_writer_text(header, _xy_rows(y, X, y_cell))
+        assert out.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_density_is_csv_writer(self, c7_csv, tmp_path, capsys, to_file):
+        dens = tmp_path / "dens.csv"
+        rc = run_cli(["fit", "--model", "linear", "--method", "exact",
+                      "--data", c7_csv, "--out", str(tmp_path / "rep.json"),
+                      "--emit-density", "sigma2",
+                      *(["--density-out", str(dens)] if to_file else [])])
+        assert rc == 0
+        q = dict(zip(("beta", "sigma2"), linear_exact_posterior(
+            LinearData(*fixed_linear_dataset()),
+            LinearPrior(g=1e4, A=0.01, B=0.01))))
+        (_, family, params), = [m for m in cli._marginals(q)
+                                if m[0] == "sigma2"]
+        grid = cli._density_grid(family, params)
+        want = _csv_writer_text(["point", "value"], zip(
+            grid.points.tolist(), grid.values.tolist()))
+        got = (dens.read_bytes().decode() if to_file
+               else capsys.readouterr().out)
+        assert got == want
+
+    def test_generate_holds_no_list_of_the_table(self, tmp_path,
+                                                 monkeypatch):
+        """Writing a 20,000 x 6 probit data set, drawn before the trace
+        starts, peaks below a twentieth of the bytes written: the rows are
+        formatted one at a time, and no list of the table's floats is
+        built."""
+        y, X = datagen.generate_probit(20_000, 6, 1)
+        monkeypatch.setattr(datagen, "generate_probit",
+                            lambda *args, **kwargs: (y, X))
+        out = tmp_path / "p.csv"
+        tracemalloc.start()
+        try:
+            assert run_cli(["generate", "--model", "probit", "--n", "20000",
+                            "--p", "6", "--seed", "1", "--out",
+                            str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size / 20
+        want = _csv_writer_text(["y", *(f"x{j + 1}" for j in range(6))],
+                                _xy_rows(y, X, int))
+        assert out.read_bytes() == want.encode()
 
 
 class TestCompare:
