@@ -252,6 +252,10 @@ def _commands() -> list[tuple[str, list[str]]]:
             "FILE/probit.csv", *GIBBS, "--n-warmup", "-5"]),
         ("usage: generate toy", ["generate", "--model", "toy", "--out",
                                  "FILE/x.csv"]),
+        ("usage: generate fixed with shape flags", [
+            "generate", "--model", "linear", "--fixed", "--n", "50", "--p",
+            "4", "--seed", "3", "--beta", "1,2,3,4", "--sigma", "9", "--out",
+            "FILE/fixed-flags.csv"]),
         ("usage: generate bad beta", ["generate", "--model", "linear",
                                       "--beta", "1,x", "--out",
                                       "FILE/bad-beta.csv"]),

@@ -15,10 +15,21 @@ and each iterative fit's iteration count and converged flag. --rotate SEED
 rotates and permutes the rows of each small design as the benchmark's
 probit-small-study does at seed SEED.
 
-The second form prints, per method, the largest absolute move of a mean or
-covariance entry from A to B and the design where it happens ("identical"
-when every array is equal bit for bit), then one line for every iteration
-count or converged flag that differs.
+It also fits the conjugate models on sixty designs each, from the
+generators, shape ranges and priors of the benchmark's conjugate-batch
+pool (one seed per design here): linear exact, mfvb, mp1 and
+mp2 (methods lin-*) on generate_linear(n_j, p_j, seed=j) with n_j in
+[8, 40] and p_j in [1, 4] from default_rng(j), under the prior g = 1e4,
+A = B = 0.01; and MVN exact, mfvb and mp (mvn-*) on the summary of
+generate_mvn(n_j, p_j, seed=j), p_j in [2, 4], under lambda0 = 0.01. It
+saves every field of every q-density (beta.loc, sigma2.shape, ...), and
+each iterative fit's iteration count, converged flag and, for MVN, its
+wrong-basin flag. --rotate leaves these designs as they are.
+
+The second form prints, per method, the largest absolute move of a saved
+entry (a mean, a covariance or a q field) from A to B and the design where
+it happens ("identical" when every array is equal bit for bit), then one
+line for every iteration count or flag that differs.
 
 The third form takes T as the tight reference, a digest of the same
 designs at a small eps (say 1e-13), and prints every fit whose B point
@@ -34,8 +45,8 @@ import sys
 
 import numpy as np
 
-from momprop import probit
-from momprop.datagen import generate_probit
+from momprop import linear, mvn, probit
+from momprop.datagen import generate_linear, generate_mvn, generate_probit
 
 PANEL, LAM, MAX_ITER, EPS = 60, 0.01, 2000, 1e-6
 LARGE = (50_000, 20, 1)  # n, p, seed
@@ -53,6 +64,27 @@ FITS = {
     "gibbs": lambda d, pr, eps: probit.probit_gibbs_oracle(
         d, pr, n_samples=1000, n_warmup=100, seed=0),
 }
+# the conjugate-batch priors, and method -> (model, fit(data, prior, eps))
+LINEAR_PRIOR = linear.LinearPrior(g=1e4, A=0.01, B=0.01)
+MVN_PRIOR = mvn.MVNPrior(lambda0=0.01)
+CONJUGATE = {
+    "lin-exact": ("linear", lambda d, pr, eps: dict(zip(
+        ("beta", "sigma2"), linear.linear_exact_posterior(d, pr)))),
+    "lin-mfvb": ("linear", lambda d, pr, eps: linear.linear_mfvb_fit(
+        d, pr, eps, MAX_ITER)),
+    "lin-mp1": ("linear", lambda d, pr, eps: linear.linear_mp1_fit(
+        d, pr, eps, MAX_ITER)),
+    "lin-mp2": ("linear", lambda d, pr, eps: linear.linear_mp2_fit(
+        d, pr, eps, MAX_ITER)),
+    "mvn-exact": ("mvn", lambda d, pr, eps: dict(zip(
+        ("mu", "Sigma"), mvn.mvn_exact_posterior(d, pr)))),
+    "mvn-mfvb": ("mvn", lambda d, pr, eps: mvn.mvn_mfvb_fit(
+        d, pr, eps, MAX_ITER)),
+    "mvn-mp": ("mvn", lambda d, pr, eps: mvn.mvn_mp_fit(d, pr, eps,
+                                                         MAX_ITER)),
+}
+# saved fields compared for equality, not measured as moves
+FLAGS = ("iterations", "converged", "wrong_basin")
 
 
 def _rotation(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -104,13 +136,47 @@ def fit_all(sets, eps: float = EPS) -> dict[str, np.ndarray]:
     return out
 
 
+def conjugate_designs(panel=range(PANEL)) -> dict[str, list]:
+    """model -> [(label, data, prior)] for the linear and MVN designs in
+    panel."""
+    out = {"linear": [], "mvn": []}
+    for j in panel:
+        rng = np.random.default_rng(j)
+        n, p = int(rng.integers(8, 41)), int(rng.integers(1, 5))
+        out["linear"].append((f"linear {j}", linear.LinearData(
+            *generate_linear(n, p, seed=j)), LINEAR_PRIOR))
+        out["mvn"].append((f"mvn {j}", mvn.MVNData.from_raw(
+            generate_mvn(n, max(p, 2), seed=j)), MVN_PRIOR))
+    return out
+
+
+def fit_conjugate(sets, eps: float = EPS) -> dict[str, np.ndarray]:
+    """Every conjugate method's fit on its model's designs in sets (from
+    conjugate_designs) at eps, as arrays keyed "label|method|field": a q
+    field is "block.name", as beta.loc or sigma2.shape."""
+    out = {}
+    for method, (model, fit) in CONJUGATE.items():
+        for label, data, prior in sets[model]:
+            key = f"{label}|{method}|"
+            rep = fit(data, prior, eps)
+            q = rep if isinstance(rep, dict) else rep.params
+            for block, approx in q.items():
+                for name, value in vars(approx).items():
+                    out[f"{key}{block}.{name}"] = np.asarray(value)
+            if not isinstance(rep, dict):
+                for flag in FLAGS:
+                    if getattr(rep, flag) is not None:
+                        out[key + flag] = np.array(getattr(rep, flag))
+    return out
+
+
 def compare(a: dict, b: dict) -> list[str]:
     """Per method, the largest move from a to b and where; then every key
     that is in one digest only, and every count or flag that differs."""
     moves, lines = {}, []
     for key in sorted(a.keys() & b.keys()):
         label, method, field = key.split("|")
-        if field in ("mean", "cov"):
+        if field not in FLAGS:
             gap = float(np.max(np.abs(a[key] - b[key])))
             worst = moves.setdefault(method, [0.0, "", True])
             worst[2] &= np.array_equal(a[key], b[key])
@@ -123,7 +189,7 @@ def compare(a: dict, b: dict) -> list[str]:
     lines += [f"only in the second: {key}"
               for key in sorted(b.keys() - a.keys())]
     summary = []
-    for method in (m for m in FITS if m in moves):
+    for method in (m for m in (*FITS, *CONJUGATE) if m in moves):
         gap, where, equal = moves[method]
         summary.append(f"{method:8s} identical" if equal else
                        f"{method:8s} max move {gap:.3g} at {where}")
@@ -160,7 +226,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if len(args.paths) == 1 and args.against is None:
         eps = EPS if args.eps is None else args.eps
-        np.savez(args.paths[0], **fit_all(designs(args.rotate), eps))
+        np.savez(args.paths[0], **fit_all(designs(args.rotate), eps),
+                 **fit_conjugate(conjugate_designs(), eps))
         return 0
     if (len(args.paths) != 2 or args.rotate is not None
             or args.eps is not None):

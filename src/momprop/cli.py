@@ -483,15 +483,10 @@ def _marginals(q: dict) -> list[tuple[str, str, tuple]]:
     return out
 
 
-def _t_grid_range(loc: float, scale: float, dof: float) -> tuple[float, float]:
-    var = dof / (dof - 2.0) * scale if dof > 2 else 4.0 * scale
-    return diagnostics.gaussian_grid_range(loc, var)
-
-
 # marginal family -> (density on given points, default grid range)
 _FAMILIES = {
     "normal": (diagnostics.gaussian_density, diagnostics.gaussian_grid_range),
-    "t": (diagnostics.t_density, _t_grid_range),
+    "t": (diagnostics.t_density, diagnostics.t_grid_range),
     "ig": (diagnostics.ig_density, diagnostics.ig_grid_range),
 }
 
@@ -642,9 +637,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--model", required=True,
                      choices=[m for m, spec in MODELS.items()
                               if spec.generate])
-    gen.add_argument("--n", type=int, default=100)
-    gen.add_argument("--p", type=int, default=2)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--n", type=int)
+    gen.add_argument("--p", type=int)
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--beta", help="comma-separated true coefficients")
     gen.add_argument("--sigma", type=float,
                      help="noise standard deviation (linear only; default 1)")
@@ -696,14 +691,19 @@ def _write_csv(path: str | None, header: list[str], X: np.ndarray,
 
 def _generate(args: argparse.Namespace, model: Model) -> None:
     """The model's data set as a CSV of columns y (where it has one) and
-    x1, x2, ... into --out, once each flag set is one the model reads."""
+    x1, x2, ... into --out, once each flag set is one the model reads:
+    --fixed alone, or --n, --p, --seed (these defaults) and generate_flags."""
+    shape = {"--n": 100, "--p": 2, "--seed": 0}
+    fixed = bool(args.fixed) and "--fixed" in model.generate_flags
+    reads = ("--fixed",) if fixed else (*shape, *model.generate_flags)
     unread = dict.fromkeys(
-        f for m in MODELS.values() for f in m.generate_flags
-        if f not in model.generate_flags
-        and getattr(args, f[2:].replace("-", "_")) is not None)
+        f for m in MODELS.values() for f in (*shape, *m.generate_flags)
+        if f not in reads and vars(args)[f[2:].replace("-", "_")] is not None)
     if unread:
-        raise UsageError(f"generate --model {args.model} does not read "
-                         f"{', '.join(unread)}")
+        raise UsageError(f"generate --model {args.model}{' --fixed' * fixed} "
+                         f"does not read {', '.join(unread)}")
+    vars(args).update((f[2:], default) for f, default in shape.items()
+                      if vars(args)[f[2:]] is None)
     X, *label = model.generate(args)
     header = ["y"] * bool(label) + [f"x{j + 1}" for j in range(X.shape[1])]
     _write_csv(args.out, header, X, *label)

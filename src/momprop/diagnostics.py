@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import gammainccinv, gammaln, poch
 
 from .exceptions import DomainError, NumericError
-from .moments import (GaussianApprox, require_finite, require_spd,
+from .moments import (GaussianApprox, _t_cov, require_finite, require_spd,
                       require_whole, symmetrize)
 from .reports import MomentSummary, fixed_point
 
@@ -87,6 +87,11 @@ def ig_density(points: np.ndarray, shape: float, scale: float) -> DensityGrid:
 def gaussian_grid_range(mean: float, var: float) -> tuple[float, float]:
     sd = np.sqrt(var)
     return mean - GRID_SD_SPAN * sd, mean + GRID_SD_SPAN * sd
+
+
+def t_grid_range(loc: float, scale: float, dof: float) -> tuple[float, float]:
+    var = _t_cov(scale, dof) if dof > 2 else 4.0 * scale
+    return gaussian_grid_range(loc, var)
 
 
 def ig_grid_range(shape: float, scale: float) -> tuple[float, float]:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .exceptions import DomainError
 from .moments import (GaussianApprox, InverseGammaApprox, StudentTApprox,
-                      _gauss_quadform, _t_quadform, ig_moment_match,
-                      require_regression, symmetrize)
+                      _gauss_quadform, _ig_mean, _ig_var, _t_quadform,
+                      ig_moment_match, require_regression, symmetrize)
 from .reports import FitReport, fixed_point
 
 
@@ -98,14 +98,16 @@ def linear_exact_posterior(data: LinearData, prior: LinearPrior
                            ) -> tuple[StudentTApprox, InverseGammaApprox]:
     """Closed-form posterior: beta | y is t, sigma2 | y is inverse-gamma."""
     c = linear_constants(data, prior)
-    n = data.n
-    shape = prior.A + n / 2.0
-    scale = prior.B + n * c.sigma_hat_u2 / 2.0
-    beta = StudentTApprox(loc=c.u * c.beta_hat,
-                          scale=(scale / shape) * c.u * c.XtX_inv,
-                          dof=2.0 * prior.A + n)
-    sigma2 = InverseGammaApprox(shape=shape, scale=scale)
-    return beta, sigma2
+    shape = prior.A + data.n / 2.0
+    scale = prior.B + data.n * c.sigma_hat_u2 / 2.0
+    return (StudentTApprox(c.u * c.beta_hat, *_beta_t(c, shape, scale)),
+            InverseGammaApprox(shape=shape, scale=scale))
+
+
+def _beta_t(c: LinearConstants, shape: float, scale: float):
+    """Scale matrix and dof of the t that N(u beta_hat, sigma2 u (X'X)^-1)
+    is when sigma2 ~ IG(shape, scale)."""
+    return (scale / shape) * c.u * c.XtX_inv, 2.0 * shape
 
 
 def _sweep_setup(data: LinearData, prior: LinearPrior,
@@ -119,14 +121,17 @@ def _sweep_setup(data: LinearData, prior: LinearPrior,
     beta_hat). Returns the constants, the centre, B at the centre, c1 = A +
     (n + p)/2 and the starting (shape, scale) of q(sigma2), init's if
     given, whose shape must exceed min_shape, the bound the method's
-    first sweep needs.
+    first sweep needs. MP's _ig_var(c1, ...) needs c1 > 2.
     """
+    c1 = prior.A + (data.n + data.p) / 2.0
+    if method != "mfvb" and not c1 > 2.0:
+        raise DomainError("sigma2 moment matching needs A + (n + p)/2 > 2; "
+                          f"got A={prior.A}, n={data.n}, p={data.p}")
     c = linear_constants(data, prior)
     mu = c.u * c.beta_hat
     resid = data.y - data.X @ mu
     b_mu = (prior.B + 0.5 * resid @ resid
             + mu @ c.XtX @ mu / (2.0 * prior.g))
-    c1 = prior.A + (data.n + data.p) / 2.0
     shape, scale = ((c1, prior.B + 0.5 * data.y @ data.y) if init is None
                     else (init.shape, init.scale))
     if not shape > min_shape:
@@ -138,18 +143,8 @@ def _sweep_setup(data: LinearData, prior: LinearPrior,
 def _match_sigma2(EqB: float, VqB: float, c1: float) -> tuple[float, float]:
     """q(sigma2) = IG matching the mean and variance of sigma2 obtained by
     averaging its IG(c1, B(beta)) full conditional over q(beta)."""
-    Es2 = EqB / (c1 - 1.0)
-    Vs2 = (EqB**2 / ((c1 - 1.0) ** 2 * (c1 - 2.0))
-           + VqB / ((c1 - 1.0) * (c1 - 2.0)))
-    ig = ig_moment_match(Es2, Vs2)
+    ig = ig_moment_match(_ig_mean(c1, EqB), _ig_var(c1, EqB, VqB))
     return ig.shape, ig.scale
-
-
-def _check_sigma2_matching_exists(data: LinearData, prior: LinearPrior):
-    if not prior.A + (data.n + data.p) / 2.0 > 2.0:
-        raise DomainError(
-            "sigma2 moment matching needs A + (n + p)/2 > 2; "
-            f"got A={prior.A}, n={data.n}, p={data.p}")
 
 
 def linear_mfvb_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
@@ -161,7 +156,7 @@ def linear_mfvb_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
 
     def step(state):
         At, Bt, _ = state
-        Sig = symmetrize((Bt / At) * c.u * c.XtX_inv)
+        Sig = _beta_t(c, At, Bt)[0]  # E[1/sigma2]^-1 u (X'X)^-1
         Bt = b_mu + np.trace(c.XtX @ Sig) / (2.0 * c.u)
         return (c1, Bt, Sig), np.concatenate([mu, Sig.ravel(), [c1, Bt]])
 
@@ -182,13 +177,12 @@ def linear_mp1_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
     the mean/variance of sigma2 obtained by averaging its inverse-gamma
     full conditional over q(beta) (laws of total expectation/variance).
     """
-    _check_sigma2_matching_exists(data, prior)
     # the first sweep scales Sigma by the q(sigma2) mean Bt / (At - 1)
     c, mu, b_mu, c1, start = _sweep_setup(data, prior, init, "mp1", 1.0)
 
     def step(state):
         At, Bt, _ = state
-        Sig = symmetrize((Bt / (At - 1.0)) * c.u * c.XtX_inv)
+        Sig = _ig_mean(At, Bt) * c.u * c.XtX_inv
         XS = c.XtX @ Sig
         EQ, VQ = _gauss_quadform(np.trace(XS) / c.u,
                                  np.trace(XS @ XS) / c.u**2)
@@ -212,17 +206,15 @@ def linear_mp2_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
     degrees of freedom; at the fixed point the q-densities coincide with
     the exact posterior.
     """
-    _check_sigma2_matching_exists(data, prior)
     # the first sweep's t quadratic form needs its dof 2 At above 4
     c, mu, b_mu, c1, start = _sweep_setup(data, prior, init, "mp2", 2.0)
 
     def step(state):
         At, Bt, _, _ = state
-        Sig = symmetrize((Bt / At) * c.u * c.XtX_inv)
-        nu = 2.0 * At
+        Sig, nu = _beta_t(c, At, Bt)
         XS = c.XtX @ Sig
         EQ, VQ = _t_quadform(np.trace(XS) / c.u, np.trace(XS @ XS) / c.u**2,
-                             1.0, nu)
+                             nu)
         At, Bt = _match_sigma2(b_mu + EQ / 2.0, VQ / 4.0, c1)
         return (At, Bt, Sig, nu), np.concatenate([mu, Sig.ravel(),
                                                   [nu, At, Bt]])

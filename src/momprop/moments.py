@@ -119,9 +119,14 @@ class StudentTApprox:
 
     @property
     def cov(self) -> np.ndarray:
-        if self.dof <= 2:
-            raise UndefinedMomentError("t covariance needs dof > 2")
-        return self.dof / (self.dof - 2.0) * self.scale
+        return _t_cov(self.scale, self.dof)
+
+
+def _t_cov(scale, dof):
+    """Covariance of a t with this scale and dof, which must exceed 2."""
+    if dof <= 2:
+        raise UndefinedMomentError("t covariance needs dof > 2")
+    return dof / (dof - 2.0) * scale
 
 
 @dataclass
@@ -156,6 +161,29 @@ class InverseWishartApprox:
         return self.scale_matrix.shape[0]
 
 
+def _iw_diag_ig(dof, p, psi):
+    """IG((dof - p + 1)/2, psi/2), the marginal of entry psi of IW's diag."""
+    return (dof - p + 1.0) / 2.0, psi / 2.0
+
+
+def iw_diag_marginal(w: InverseWishartApprox, j: int) -> InverseGammaApprox:
+    """Marginal of the (j, j) entry of an IW matrix: IG((d-p+1)/2, psi_jj/2)."""
+    if not 0 <= j < w.dim:
+        raise DomainError("diagonal index out of range")
+    return InverseGammaApprox(*_iw_diag_ig(w.dof, w.dim, w.scale_matrix[j, j]))
+
+
+def _ig_mean(shape, scale):
+    """Mean of IG(shape, b), b fixed or random with mean scale."""
+    return scale / (shape - 1.0)
+
+
+def _ig_var(shape, scale, scale_var):
+    """Variance of IG(shape, b), b of mean scale and variance scale_var."""
+    return (scale**2 / ((shape - 1.0) ** 2 * (shape - 2.0))
+            + scale_var / ((shape - 1.0) * (shape - 2.0)))
+
+
 def ig_mean_var(a: InverseGammaApprox, undefined=None) -> tuple[float, float]:
     """Mean and variance of IG(shape, scale). One that does not exist is
     undefined, or an UndefinedMomentError where undefined is None."""
@@ -163,9 +191,8 @@ def ig_mean_var(a: InverseGammaApprox, undefined=None) -> tuple[float, float]:
         raise UndefinedMomentError("inverse-gamma mean needs shape > 1"
                                    if a.shape <= 1 else
                                    "inverse-gamma variance needs shape > 2")
-    return (a.scale / (a.shape - 1.0) if a.shape > 1 else undefined,
-            a.scale**2 / ((a.shape - 1.0) ** 2 * (a.shape - 2.0))
-            if a.shape > 2 else undefined)
+    return (_ig_mean(a.shape, a.scale) if a.shape > 1 else undefined,
+            _ig_var(a.shape, a.scale, 0.0) if a.shape > 2 else undefined)
 
 
 def ig_moment_match(mean: float, variance: float) -> InverseGammaApprox:
@@ -178,20 +205,18 @@ def ig_moment_match(mean: float, variance: float) -> InverseGammaApprox:
 
 
 def iw_mean(w: InverseWishartApprox) -> np.ndarray:
-    p = w.dim
-    if w.dof <= p + 1:
+    """Psi / (dof - p - 1), entry by entry the mean of the IG marginals."""
+    if w.dof <= w.dim + 1:
         raise UndefinedMomentError("inverse-Wishart mean needs dof > p + 1")
-    return w.scale_matrix / (w.dof - p - 1.0)
+    return _ig_mean(*_iw_diag_ig(w.dof, w.dim, w.scale_matrix))
 
 
 def iw_elementwise_var_diag(w: InverseWishartApprox) -> np.ndarray:
-    """Variances of the diagonal entries: 2 dg(Psi)^2 / ((d-p-1)^2 (d-p-3))."""
-    p = w.dim
-    if w.dof <= p + 3:
+    """Variances of the diagonal entries, those of their IG marginals."""
+    if w.dof <= w.dim + 3:
         raise UndefinedMomentError(
             "inverse-Wishart element variances need dof > p + 3")
-    dg = np.diag(w.scale_matrix)
-    return 2.0 * dg**2 / ((w.dof - p - 1.0) ** 2 * (w.dof - p - 3.0))
+    return _ig_var(*_iw_diag_ig(w.dof, w.dim, np.diag(w.scale_matrix)), 0.0)
 
 
 def iw_moment_match(mean_matrix: np.ndarray,
@@ -222,14 +247,12 @@ def _gauss_quadform(tr_AS, tr_ASAS):
     return tr_AS, 2.0 * tr_ASAS
 
 
-def _t_quadform(tr_AS, tr_ASAS, a, b):
+def _t_quadform(tr_AS, tr_ASAS, b):
     """Mean and variance of the centred form (x-mu)^T A (x-mu) for
-    x ~ t(mu, a Sigma, b), from tr(A Sigma) and tr((A Sigma)^2)."""
-    if b <= 2:
-        raise UndefinedMomentError("t quadratic-form mean needs dof > 2")
+    x ~ t(mu, Sigma, b), from tr(A Sigma) and tr((A Sigma)^2)."""
+    mean = _t_cov(tr_AS, b)
     if b <= 4:
         raise UndefinedMomentError("t quadratic-form variance needs dof > 4")
-    mean = a * b / (b - 2.0) * tr_AS
-    var = (2.0 * a**2 * b**2 * tr_ASAS / ((b - 2.0) * (b - 4.0))
-           + 2.0 * a**2 * b**2 * tr_AS**2 / ((b - 2.0) ** 2 * (b - 4.0)))
+    var = (2.0 * b**2 * tr_ASAS / ((b - 2.0) * (b - 4.0))
+           + 2.0 * b**2 * tr_AS**2 / ((b - 2.0) ** 2 * (b - 4.0)))
     return mean, var

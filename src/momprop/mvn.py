@@ -23,10 +23,10 @@ from math import isfinite
 import numpy as np
 
 from .exceptions import DomainError
-from .moments import (GaussianApprox, InverseGammaApprox,
-                      InverseWishartApprox, StudentTApprox, _iw_match,
-                      require_finite, require_shape, require_spd,
-                      require_whole, symmetrize)
+from .moments import (GaussianApprox, InverseWishartApprox, StudentTApprox,
+                      _ig_mean, _ig_var, _iw_diag_ig, _iw_match, _t_cov,
+                      _t_quadform, iw_diag_marginal, require_finite,
+                      require_shape, require_spd, require_whole, symmetrize)
 from .reports import FitReport, fixed_point
 
 
@@ -106,14 +106,15 @@ def mvn_constants(data: MVNData, prior: MVNPrior) -> MVNConstants:
 def mvn_exact_posterior(data: MVNData, prior: MVNPrior
                         ) -> tuple[StudentTApprox, InverseWishartApprox]:
     c = mvn_constants(data, prior)
-    p = data.p
-    if not c.nu_n > p - 1:
-        raise DomainError("posterior dof must exceed p - 1")
-    mu = StudentTApprox(loc=c.mu_n,
-                        scale=c.Psi_n / (c.lambda_n * (c.nu_n - p + 1.0)),
-                        dof=c.nu_n - p + 1.0)
-    Sigma = InverseWishartApprox(scale_matrix=c.Psi_n, dof=c.nu_n)
-    return mu, Sigma
+    return (StudentTApprox(c.mu_n, *_mu_t(c, c.nu_n, c.Psi_n)),
+            InverseWishartApprox(scale_matrix=c.Psi_n, dof=c.nu_n))
+
+
+def _mu_t(c: MVNConstants, dof: float, scale_matrix: np.ndarray):
+    """Scale matrix and dof of the t that N(mu_n, Sigma / lambda_n) is when
+    Sigma ~ IW(scale_matrix, dof)."""
+    nu = dof - c.mu_n.shape[0] + 1.0
+    return scale_matrix / (c.lambda_n * nu), nu
 
 
 def _start(default_dof: float, c: MVNConstants,
@@ -167,26 +168,21 @@ def mvn_mp_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
 
     def step(state):
         dt, Psit, _, _ = state
-        if not dt > p - 1.0:
-            raise DomainError("q(Sigma) dof fell below p - 1")
-        Sig = symmetrize(Psit / (c.lambda_n * (dt - p + 1.0)))
-        nut = dt - p + 1.0
+        Sig, nut = _mu_t(c, dt, Psit)
         if nut < 4.0:
             raise DomainError(
                 "fourth-moment matching needs q(mu) dof >= 4; "
                 f"reached dof {nut}")
-        Amat = symmetrize(c.Psi_n
-                          + c.lambda_n * nut * Sig / (nut - 2.0))
-        EmpS = Amat / (c.nu_n - p)
-        if nut == 4.0:
-            # Fourth moment of q(mu) diverges: with an infinite summed
-            # variance the matched dof collapses to the degenerate p + 3.
-            var_sum = np.inf
-        else:
-            dgB = (2.0 * c.lambda_n**2 * nut**2 * (nut - 1.0)
-                   / ((nut - 2.0) ** 2 * (nut - 4.0))) * np.diag(Sig) ** 2
-            var_sum = np.sum((2.0 * np.diag(Amat) ** 2 + (c.nu_n - p) * dgB)
-                             / ((c.nu_n - p) ** 2 * (c.nu_n - p - 2.0)))
+        # Sigma | mu ~ IW(Psi_n + lambda_n d d', nu_n + 1), d = mu - mu_n
+        Amat = symmetrize(c.Psi_n + c.lambda_n * _t_cov(Sig, nut))
+        shape, half_B = _iw_diag_ig(c.nu_n + 1.0, p, Amat)
+        EmpS = _ig_mean(shape, half_B)
+        # At dof 4 the fourth moment of q(mu) diverges: with an infinite
+        # summed variance the matched dof collapses to the degenerate p + 3.
+        lam_dg = c.lambda_n * np.diag(Sig)
+        var_B = (np.inf if nut == 4.0
+                 else _t_quadform(lam_dg, lam_dg**2, nut)[1])
+        var_sum = np.sum(_ig_var(shape, np.diag(half_B), var_B / 4.0))
         # EmpS is exactly symmetric, and so is the matched scale matrix
         dt, Psit = _iw_match(EmpS, var_sum)
         return (dt, Psit, Sig, nut), np.concatenate(
@@ -200,12 +196,3 @@ def mvn_mp_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
     dof = rep.params["Sigma"].dof
     rep.wrong_basin = abs(dof - (p + 3.0)) < 0.5 and abs(dof - c.nu_n) > 1.0
     return rep
-
-
-def iw_diag_marginal(w: InverseWishartApprox, j: int) -> InverseGammaApprox:
-    """Marginal of the (j, j) entry of an IW matrix: IG((d-p+1)/2, psi_jj/2)."""
-    p = w.dim
-    if not 0 <= j < p:
-        raise DomainError("diagonal index out of range")
-    return InverseGammaApprox(shape=(w.dof - p + 1.0) / 2.0,
-                              scale=w.scale_matrix[j, j] / 2.0)

@@ -228,8 +228,7 @@ def _find_modes(mu: np.ndarray, sigma2: np.ndarray
     x = np.choose(np.argmax(vals, axis=0), cands)
     moving = np.ones(x.shape, dtype=bool)
     for _ in range(_NEWTON_MAX_STEPS):
-        z1 = _zeta1(x)
-        z2 = -x * z1 - z1 * z1
+        _, z1, z2 = _zeta_orders(2, x)
         fp = -x - z1 - (x - mu) / sigma2
         fpp = -1.0 - z2 - 1.0 / sigma2
         step = fp / fpp
@@ -242,9 +241,7 @@ def _find_modes(mu: np.ndarray, sigma2: np.ndarray
         raise NumericError(
             f"mode search did not converge for xi(mu={mu[i]}, "
             f"sigma2={sigma2[i]})", last_iterate=float(x[i]))
-    z1 = _zeta1(x)
-    z2 = -x * z1 - z1 * z1
-    return x, -1.0 - z2 - 1.0 / sigma2
+    return x, -1.0 - _zeta_orders(2, x)[2] - 1.0 / sigma2
 
 
 def _domain_steps(x_star: np.ndarray, s: np.ndarray, mu: np.ndarray,

@@ -723,6 +723,13 @@ BAD_INPUTS = {
                                   ("mvn", "--beta", ["1,2"]),
                                   ("probit", "--sigma", ["3"]),
                                   ("linear", "--no-intercept", []))},
+    # the fixed five-point set reads none of the flags that shape a draw
+    **{f"generate-linear-fixed-unread-{flag[2:]}": (
+        ["generate", "--model", "linear", "--fixed", flag, value, "--out",
+         "FILE"], "", 2,
+        f"generate --model linear --fixed does not read {flag}")
+       for flag, value in (("--n", "50"), ("--p", "4"), ("--seed", "3"),
+                           ("--beta", "1,2,3,4"), ("--sigma", "9"))},
     **{f"generate-{model}-overflow": (
         ["generate", "--model", model, "--beta", "1e308,1e308", "--out",
          "FILE"], "", 2, f"generated {column} must be finite")

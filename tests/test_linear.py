@@ -248,6 +248,24 @@ class TestMP2:
         assert s2.shape == pytest.approx(s2_ex.shape, rel=1e-8)
         assert s2.scale == pytest.approx(s2_ex.scale, rel=1e-8)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_map_from_the_exact_sigma2_is_exact(self, seed):
+        """The paper's exactness claim for one map: averaging beta's full
+        conditional over the exact q(sigma2) gives the exact t, and the
+        sigma2 update then returns the exact inverse gamma."""
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(8, 41)), int(rng.integers(1, 5))
+        data = LinearData(*generate_linear(n, p, seed))
+        prior = LinearPrior(g=float(rng.uniform(1.0, 1e4)), A=0.01, B=0.01)
+        beta_ex, s2_ex = linear_exact_posterior(data, prior)
+        rep = linear_mp2_fit(data, prior, max_iter=1, init=s2_ex)
+        beta, s2 = rep.params["beta"], rep.params["sigma2"]
+        assert rep.iterations == 1
+        for got, want in [(beta.loc, beta_ex.loc), (beta.scale, beta_ex.scale),
+                          ([beta.dof, s2.shape, s2.scale],
+                           [beta_ex.dof, s2_ex.shape, s2_ex.scale])]:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     @given(st.integers(8, 40), st.integers(1, 4), st.integers(0, 2**32 - 1),
            st.floats(1.0, 1e4), st.floats(0.01, 2.0), st.floats(0.01, 2.0))
     @settings(max_examples=100, deadline=None)

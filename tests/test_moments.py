@@ -4,6 +4,8 @@ Monte Carlo oracles are run in-test with fixed seeds and 3-4 standard-error
 bands; closed-form expectations were hand-evaluated and frozen.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from scipy import stats
 from momprop.exceptions import DomainError, UndefinedMomentError
 from momprop.moments import (GaussianApprox, InverseGammaApprox,
                              InverseWishartApprox, StudentTApprox,
-                             _gauss_quadform, _t_quadform, ig_mean_var,
+                             _gauss_quadform, _ig_mean, _ig_var,
+                             _t_quadform, ig_mean_var,
                              ig_moment_match, iw_elementwise_var_diag,
                              iw_mean, iw_moment_match, require_spd)
 
@@ -137,6 +140,24 @@ class TestInverseGamma:
         assert back.shape == pytest.approx(ig.shape, rel=1e-12)
         assert back.scale == pytest.approx(ig.scale, rel=1e-12)
 
+    @given(st.floats(min_value=1e-6, max_value=1e6),
+           st.floats(min_value=1e-3, max_value=1e3),
+           st.floats(min_value=0.0, max_value=1e6))
+    @settings(max_examples=200, deadline=None)
+    def test_random_scale_moments(self, excess, scale_mean, scale_var):
+        """x = b / G, G ~ Gamma(shape, 1) independent of b, is IG(shape, b):
+        E x = E b / (shape - 1), and E x^2 = E b^2 E G^-2 gives Var x =
+        (Var b + (E b)^2) / ((shape - 1)(shape - 2)) - (E x)^2, here in
+        exact rationals."""
+        shape = 2.0 + excess
+        a, m, v = (Fraction(x) for x in (shape, scale_mean, scale_var))
+        mean = m / (a - 1)
+        var = (v + m * m) / ((a - 1) * (a - 2)) - mean * mean
+        assert _ig_mean(shape, scale_mean) == pytest.approx(
+            float(mean), rel=1e-12, abs=0.0)
+        assert _ig_var(shape, scale_mean, scale_var) == pytest.approx(
+            float(var), rel=1e-12, abs=0.0)
+
 
 class TestInverseWishart:
     def test_mean(self):
@@ -248,24 +269,23 @@ class TestGaussQuadform:
 
 
 class TestTQuadform:
-    """Moments of the centred form (x-mu)^T A (x-mu), x ~ t(mu, a Sigma,
-    dof)."""
+    """Moments of the centred form (x-mu)^T A (x-mu), x ~ t(mu, Sigma, dof)."""
 
     def test_reference_variance(self):
         # dof=10, scalar: 200/48 + 200/384 = 4.6875
-        _, var = _t_quadform(*_traces([[1.0]], [[1.0]]), 1.0, 10.0)
+        _, var = _t_quadform(*_traces([[1.0]], [[1.0]]), 10.0)
         assert var == pytest.approx(4.6875, rel=1e-13)
 
     def test_against_monte_carlo(self):
         rng = np.random.default_rng(9)
         x = rng.standard_t(10.0, size=4_000_000)
         q = x * x
-        _, var = _t_quadform(*_traces([[1.0]], [[1.0]]), 1.0, 10.0)
+        _, var = _t_quadform(*_traces([[1.0]], [[1.0]]), 10.0)
         se = q.var(ddof=1) * np.sqrt(2.0 / len(q))
         assert abs(var - q.var(ddof=1)) < 12 * se  # heavy-tailed q
 
     def test_mean_two_dim(self):
-        mean, _ = _t_quadform(*_traces(np.eye(2), np.eye(2)), 1.0, 6.0)
+        mean, _ = _t_quadform(*_traces(np.eye(2), np.eye(2)), 6.0)
         assert mean == pytest.approx(3.0)
 
     def test_gaussian_limit(self):
@@ -274,13 +294,13 @@ class TestTQuadform:
         Sigma = a @ a.T + 3 * np.eye(3)
         b = rng.standard_normal((3, 3))
         A = 0.5 * (b + b.T) + 3 * np.eye(3)
-        t_m = _t_quadform(*_traces(Sigma, A), 1.0, 1e6)
+        t_m = _t_quadform(*_traces(Sigma, A), 1e6)
         g_m = _gauss_quadform(*_traces(Sigma, A))
         for tv, gv in zip(t_m, g_m):
             assert tv == pytest.approx(gv, rel=1e-3)
 
     def test_moment_existence_guards(self):
         with pytest.raises(UndefinedMomentError):
-            _t_quadform(*_traces([[1.0]], [[1.0]]), 1.0, 2.0)
+            _t_quadform(*_traces([[1.0]], [[1.0]]), 2.0)
         with pytest.raises(UndefinedMomentError):
-            _t_quadform(*_traces([[1.0]], [[1.0]]), 1.0, 4.0)
+            _t_quadform(*_traces([[1.0]], [[1.0]]), 4.0)

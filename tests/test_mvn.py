@@ -168,6 +168,24 @@ class TestMP:
             Sig_iw.scale_matrix, rel=1e-8)
         assert rep.params["Sigma"].dof == pytest.approx(Sig_iw.dof, rel=1e-8)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_map_from_the_exact_sigma_is_exact(self, seed):
+        """The paper's exactness claim for one map: averaging mu's full
+        conditional over the exact q(Sigma) gives the exact t, and the
+        Sigma update then returns the exact inverse Wishart."""
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(8, 41)), int(rng.integers(2, 5))
+        data = MVNData.from_raw(generate_mvn(n, p, seed))
+        prior = MVNPrior(lambda0=float(rng.uniform(0.01, 2.0)))
+        mu_ex, Sig_ex = mvn_exact_posterior(data, prior)
+        rep = mvn_mp_fit(data, prior, max_iter=1, init=Sig_ex)
+        mu, Sig = rep.params["mu"], rep.params["Sigma"]
+        assert rep.iterations == 1
+        for got, want in [(mu.loc, mu_ex.loc), (mu.scale, mu_ex.scale),
+                          (Sig.scale_matrix, Sig_ex.scale_matrix),
+                          ([mu.dof, Sig.dof], [mu_ex.dof, Sig_ex.dof])]:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1),
            st.floats(0.01, 2.0), st.floats(0.0, 5.0), st.floats(0.1, 10.0))
     @settings(max_examples=100, deadline=None)

@@ -106,3 +106,23 @@ def test_fit_digest_eps_and_tight_reference(monkeypatch, tmp_path, capsys):
                      "reference"]
     with pytest.raises(SystemExit):
         fit_digest.main([paths["a"], paths["b"], "--eps", "1e-12"])
+
+
+def test_fit_digest_covers_the_conjugate_fits(monkeypatch):
+    """The conjugate fits save every q field and their counts and flags,
+    and a move in any of them is named like a probit move."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import fit_digest
+    a = fit_digest.fit_conjugate(fit_digest.conjugate_designs(panel=[3]))
+    assert {key.split("|")[1] for key in a} == set(fit_digest.CONJUGATE)
+    for key in ("linear 3|lin-exact|beta.dof", "linear 3|lin-mp2|sigma2.shape",
+                "mvn 3|mvn-mp|Sigma.scale_matrix", "mvn 3|mvn-mp|wrong_basin"):
+        assert key in a
+    b = dict(a)
+    b["mvn 3|mvn-mp|mu.scale"] = a["mvn 3|mvn-mp|mu.scale"] + 1e-12
+    b["linear 3|lin-mp1|iterations"] = a["linear 3|lin-mp1|iterations"] + 1
+    lines = fit_digest.compare(a, b)
+    assert "lin-exact identical" in lines
+    assert "mvn-mp   max move 1e-12 at mvn 3 mu.scale" in lines
+    it = int(a["linear 3|lin-mp1|iterations"])
+    assert lines[-1] == f"linear 3 lin-mp1 iterations: {it} -> {it + 1}"
