@@ -275,6 +275,25 @@ def _commands() -> list[tuple[str, list[str]]]:
                                      ("mvn", "--beta", ["1,2"]),
                                      ("probit", "--sigma", ["3"]),
                                      ("linear", "--no-intercept", []))),
+        # an option the model does not read, in fit and in compare
+        *((f"usage: fit {model} unread {flag}", [
+            "fit", "--model", model, "--method", methods[model][0],
+            *inputs[model][0], flag, *value])
+          for model, flag, value in (("linear", "--lambda", ["5"]),
+                                     ("mvn", "--intercept", []),
+                                     ("probit", "--g", ["100"]),
+                                     ("toy", "--eps", ["1e-3"]))),
+        *((f"usage: compare {model} unread {flag}", [
+            "compare", "--model", model, "--methods",
+            ",".join(methods[model][:2]), *inputs[model][0], flag, value])
+          for model, flag, value in (("linear", "--n-samples", "9"),
+                                     ("mvn", "--seed", "3"),
+                                     ("probit", "--psi0-scale", "3"))),
+        ("usage: mvn data and summary", [
+            "fit", "--model", "mvn", "--method", "exact", "--data",
+            "FILE/mvn.csv", "--summary", "FILE/d9.json"]),
+        ("usage: density-out without emit-density",
+         linear_fit + ["--density-out", "FILE/unread-density.csv"]),
         *((f"usage: generate {model} beta overflow", [
             "generate", "--model", model, "--beta", "1e308,1e308", "--out",
             "FILE/overflow.csv"]) for model in ("linear", "probit")),

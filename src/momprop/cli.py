@@ -175,6 +175,8 @@ def _from_json(path: str, build: Callable[[dict], Any]):
 
 
 def _load_mvn(data_path: str | None, summary_path: str | None) -> MVNData:
+    if data_path and summary_path:
+        raise UsageError("mvn reads --data or --summary, not both")
     if summary_path:
         return _from_json(summary_path, lambda doc: MVNData(
             n=doc["n"], xbar=doc["xbar"], S=doc["S"]))
@@ -266,16 +268,6 @@ def _closed_form(q: dict) -> FitReport:
                      termination="closed_form", trace=None)
 
 
-def _toy(args: argparse.Namespace, spec: ToyGaussianSpec,
-         method: str) -> FitReport:
-    if args.max_iter < 1:
-        raise UsageError(f"max_iter must be at least 1; got {args.max_iter}")
-    q1, q2, m1, m2 = toy_gaussian_mp(spec, eps=min(args.eps, 1e-10),
-                                     max_iter=max(args.max_iter, 10_000))
-    block1, block2 = (q1, q2) if method == "mp" else (m1, m2)
-    return _closed_form({"block1": block1, "block2": block2})
-
-
 def _parse_vector(text: str | None) -> np.ndarray | None:
     if not text:
         return None
@@ -291,7 +283,7 @@ def _generate_linear(args):
     else:
         y, X = datagen.generate_linear(
             args.n, args.p, args.seed, beta=_parse_vector(args.beta),
-            sigma=1.0 if args.sigma is None else args.sigma)
+            sigma=args.sigma)
     return X, y
 
 
@@ -302,10 +294,6 @@ def _generate_probit(args):
     return X, y, int
 
 
-def _generate_mvn(args):
-    return (datagen.generate_mvn(args.n, args.p, args.seed),)
-
-
 @dataclass(frozen=True)
 class Model:
     """What the CLI knows about one model.
@@ -314,22 +302,21 @@ class Model:
     parsed command line and init the starting q-density or None, which
     returns a FitReport. The entries name the library fitters of this
     module, looked up at call time, so a wrapper installed under such a
-    name sees every CLI fit. init_from names the q block --init-from reads
-    and the q-density types the model's fits start from; a model without
-    one rejects --init-from. reference is compare's default
-    reference method; a model without one supports neither compare nor
-    --emit-density. generate gives the model's data set as _write_csv's
-    X, y and y_cell, and generate_flags names the flags it reads of those
-    that not every model reads.
+    name sees every CLI fit. reads names the options of _DEFAULTS that the
+    model reads, in any command; _options rejects the others. init_from
+    names the q block --init-from reads and the q-density types the
+    model's fits start from. reference is compare's default reference
+    method; a model without one has no compare. generate gives the model's
+    data set as _write_csv's X, y and y_cell.
     """
 
     load: Callable[[argparse.Namespace], Any]
     prior: Callable[[argparse.Namespace, Any], Any]
     fits: dict[str, Callable[..., FitReport]]
+    reads: tuple[str, ...]
     init_from: tuple[str, tuple[type, ...]] | None = None
     reference: str | None = None
     generate: Callable[[argparse.Namespace], tuple] | None = None
-    generate_flags: tuple[str, ...] = ()
 
 
 MODELS = {
@@ -347,10 +334,12 @@ MODELS = {
             "mp2": lambda args, data, prior, init: linear_mp2_fit(
                 data, prior, args.eps, args.max_iter, init),
         },
+        reads=("data", "intercept", "eps", "max_iter", "g", "A", "B",
+               "emit_density", "density_out", "init_from",
+               "n", "p", "beta", "sigma", "fixed"),
         init_from=("sigma2", (InverseGammaApprox,)),
         reference="exact",
-        generate=_generate_linear,
-        generate_flags=("--beta", "--sigma", "--fixed")),
+        generate=_generate_linear),
     "mvn": Model(
         load=lambda args: _load_mvn(args.data, args.summary),
         prior=lambda args, data: MVNPrior(
@@ -364,9 +353,13 @@ MODELS = {
             "mp": lambda args, data, prior, init: mvn_mp_fit(
                 data, prior, args.eps, args.max_iter, init),
         },
+        reads=("data", "summary", "eps", "max_iter", "lambda0", "nu0",
+               "psi0_scale", "emit_density", "density_out", "init_from",
+               "n", "p"),
         init_from=("Sigma", (InverseWishartApprox,)),
         reference="exact",
-        generate=_generate_mvn),
+        generate=lambda args: (
+            datagen.generate_mvn(args.n, args.p, args.seed),)),
     "probit": Model(
         load=lambda args: _load_regression(args, ProbitData),
         prior=lambda args, data: ProbitPrior.ridge(args.lam, data.p),
@@ -388,24 +381,60 @@ MODELS = {
                 iterations=args.n_samples, converged=True,
                 termination="sampling", trace=None),
         },
+        reads=("data", "intercept", "eps", "max_iter", "lam", "seed",
+               "n_samples", "n_warmup", "emit_density", "density_out",
+               "init_from", "n", "p", "beta", "no_intercept"),
         init_from=("beta", (GaussianApprox, MomentSummary)),
         reference="gibbs",
-        generate=_generate_probit,
-        generate_flags=("--beta", "--no-intercept")),
+        generate=_generate_probit),
     "toy": Model(
         load=lambda args: _load_toy(args.summary),
         prior=lambda args, spec: None,
         fits={
-            "mp": lambda args, spec, prior, init: _toy(args, spec, "mp"),
-            "mfvb": lambda args, spec, prior, init: _toy(args, spec, "mfvb"),
-        }),
+            "mp": lambda args, spec, prior, init: _closed_form(dict(zip(
+                ("block1", "block2"), toy_gaussian_mp(spec)[:2]))),
+            "mfvb": lambda args, spec, prior, init: _closed_form(dict(zip(
+                ("block1", "block2"), toy_gaussian_mp(spec)[2:]))),
+        },
+        reads=("summary",)),
 }
+
+# each option that a model may or may not read, by the attribute it is parsed
+# into, in the order an error lists them, with the value it takes when unset
+_DEFAULTS = {
+    "data": None, "summary": None, "eps": 1e-6, "max_iter": 500, "g": 1e4,
+    "A": 0.01, "B": 0.01, "lambda0": 0.01, "nu0": None, "psi0_scale": 1.0,
+    "lam": 0.01, "n": 100, "p": 2, "seed": 0, "n_samples": 50_000,
+    "n_warmup": 5_000, "intercept": False, "emit_density": None,
+    "density_out": None, "init_from": None, "beta": None, "sigma": 1.0,
+    "fixed": False, "no_intercept": False}
+
+
+def _options(args: argparse.Namespace, model: Model) -> None:
+    """Reject each option of _DEFAULTS that is set but that the model does
+    not read in this command, then give every unset one its default. Every
+    model's generate reads --seed, --fixed reads no other option, and
+    --density-out is read only beside --emit-density."""
+    values = {name: vars(args).get(name) for name in _DEFAULTS}
+    fixed = bool(values["fixed"]) and "fixed" in model.reads
+    reads = {"fixed"} if fixed else set(model.reads)
+    if args.command == "generate" and not fixed:
+        reads.add("seed")
+    if values["emit_density"] is None:
+        reads.discard("density_out")
+    unread = ["--lambda" if name == "lam" else "--" + name.replace("_", "-")
+              for name, value in values.items()
+              if value is not None and name not in reads]
+    if unread:
+        raise UsageError(f"{args.command} --model {args.model}"
+                         f"{' --fixed' * fixed} does not read "
+                         f"{', '.join(unread)}")
+    vars(args).update((name, _DEFAULTS[name] if value is None else value)
+                      for name, value in values.items())
 
 
 def _model(name: str, method: str) -> Model:
     """The table entry of a model, once the method is known to be its own."""
-    if name not in MODELS:
-        raise UsageError(f"unknown model {name!r}")
     model = MODELS[name]
     if method not in model.fits:
         raise UsageError(
@@ -416,11 +445,9 @@ def _model(name: str, method: str) -> Model:
 
 def _load(args: argparse.Namespace, model: Model) -> tuple[Any, Any, Any]:
     """Data, prior and the --init-from starting q-density, each read once."""
+    _options(args, model)
     init = None
     if args.init_from:
-        if model.init_from is None:
-            raise UsageError(
-                f"--init-from is not supported for model {args.model!r}")
         init = _from_json(args.init_from, lambda doc: _init_values(doc, model))
     data = model.load(args)
     return data, model.prior(args, data), init
@@ -445,13 +472,13 @@ def _init_values(report: dict, model: Model):
 
 
 def _fit(args: argparse.Namespace, model: Model, method: str, data, prior,
-         init) -> tuple[FitReport, MomentSummary, float]:
+         init, trace: bool) -> tuple[FitReport, MomentSummary, float]:
     """The fit's report, its moment summary and the fit call's wall time.
-    The report keeps its trace only where --trace will write it."""
+    The report keeps its trace only where trace says it will be written."""
     t0 = time.perf_counter()
     report = model.fits[method](args, data, prior, init)
     wall_time_s = time.perf_counter() - t0
-    if not args.trace:
+    if not trace:
         report.trace = None
     return report, moment_summary(report.params), wall_time_s
 
@@ -509,7 +536,7 @@ def run_compare(args: argparse.Namespace, methods: list[str],
     for m in all_methods:
         model = _model(args.model, m)
     data, prior, init = _load(args, model)
-    outcomes = {m: _fit(args, model, m, data, prior, init)
+    outcomes = {m: _fit(args, model, m, data, prior, init, trace=False)
                 for m in all_methods}
 
     ref, ref_summary, _ = outcomes[reference]
@@ -561,10 +588,7 @@ def _pretty_fit(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit_density(q: dict, model: str, name: str, path: str | None) -> None:
-    if MODELS[model].reference is None:
-        raise UsageError(f"compare and --emit-density do not support the "
-                         f"{model} model")
+def _emit_density(q: dict, name: str, path: str | None) -> None:
     marginals = _marginals(q)
     for mname, family, params in marginals:
         if mname == name:
@@ -581,23 +605,23 @@ def _emit_density(q: dict, model: str, name: str, path: str | None) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    # options of _DEFAULTS, here and in generate, read None until _options
     p.add_argument("--data", help="input CSV (header row required)")
     p.add_argument("--summary", help="JSON summary input (mvn/toy)")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--g", type=float, default=1e4)
-    p.add_argument("--A", type=float, default=0.01)
-    p.add_argument("--B", type=float, default=0.01)
-    p.add_argument("--lambda0", type=float, default=0.01)
-    p.add_argument("--nu0", type=float, default=None)
-    p.add_argument("--psi0-scale", type=float, default=1.0,
-                   help="Psi0 = scale * I")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01,
+    p.add_argument("--eps", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--g", type=float)
+    p.add_argument("--A", type=float)
+    p.add_argument("--B", type=float)
+    p.add_argument("--lambda0", type=float)
+    p.add_argument("--nu0", type=float)
+    p.add_argument("--psi0-scale", type=float, help="Psi0 = scale * I")
+    p.add_argument("--lambda", dest="lam", type=float,
                    help="probit ridge prior precision")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-samples", type=int, default=50_000)
-    p.add_argument("--n-warmup", type=int, default=5_000)
-    p.add_argument("--intercept", action="store_true",
+    p.add_argument("--seed", type=int)
+    p.add_argument("--n-samples", type=int)
+    p.add_argument("--n-warmup", type=int)
+    p.add_argument("--intercept", action="store_true", default=None,
                    help="prepend a column of ones to the design")
     p.add_argument("--out", help="write the JSON report here (default stdout)")
 
@@ -630,8 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reference method (default: exact, or gibbs "
                             "for probit)")
     _add_common(cmp_p)
-    # read by _load and _fit, settable by fit only
-    cmp_p.set_defaults(init_from=None, trace=False)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset CSV")
     gen.add_argument("--model", required=True,
@@ -643,8 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--beta", help="comma-separated true coefficients")
     gen.add_argument("--sigma", type=float,
                      help="noise standard deviation (linear only; default 1)")
-    # unset flags read None, so that a flag the model does not read is
-    # rejected whatever its value
     gen.add_argument("--fixed", action="store_true", default=None,
                      help="emit the fixed five-point reference dataset "
                           "(linear only)")
@@ -691,19 +711,8 @@ def _write_csv(path: str | None, header: list[str], X: np.ndarray,
 
 def _generate(args: argparse.Namespace, model: Model) -> None:
     """The model's data set as a CSV of columns y (where it has one) and
-    x1, x2, ... into --out, once each flag set is one the model reads:
-    --fixed alone, or --n, --p, --seed (these defaults) and generate_flags."""
-    shape = {"--n": 100, "--p": 2, "--seed": 0}
-    fixed = bool(args.fixed) and "--fixed" in model.generate_flags
-    reads = ("--fixed",) if fixed else (*shape, *model.generate_flags)
-    unread = dict.fromkeys(
-        f for m in MODELS.values() for f in (*shape, *m.generate_flags)
-        if f not in reads and vars(args)[f[2:].replace("-", "_")] is not None)
-    if unread:
-        raise UsageError(f"generate --model {args.model}{' --fixed' * fixed} "
-                         f"does not read {', '.join(unread)}")
-    vars(args).update((f[2:], default) for f, default in shape.items()
-                      if vars(args)[f[2:]] is None)
+    x1, x2, ... into --out, once _options has checked the options."""
+    _options(args, model)
     X, *label = model.generate(args)
     header = ["y"] * bool(label) + [f"x{j + 1}" for j in range(X.shape[1])]
     _write_csv(args.out, header, X, *label)
@@ -729,7 +738,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fit":
             model = _model(args.model, args.method)
             report, summary, wall_time_s = _fit(args, model, args.method,
-                                                *_load(args, model))
+                                                *_load(args, model),
+                                                trace=args.trace)
             doc = {
                 "schema": SCHEMA_VERSION,
                 "model": args.model,
@@ -747,7 +757,7 @@ def main(argv: list[str] | None = None) -> int:
                 doc["trace"] = report.trace
             doc = _encode(doc)
             if args.emit_density:
-                _emit_density(report.params, args.model, args.emit_density,
+                _emit_density(report.params, args.emit_density,
                               args.density_out)
             _write_report(doc, args.out, args.pretty)
             return 0

@@ -635,7 +635,7 @@ BAD_INPUTS = {
         ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE",
          "--init-from", "FILE"],
         {"mu": [0.0, 0.0], "Sigma": I2, "split": 1}, 2,
-        "--init-from is not supported"),
+        "fit --model toy does not read --init-from"),
     "density-out-missing-dir": (
         ["fit", "--model", "mvn", "--method", "exact", "--summary", "FILE",
          "--emit-density", "mu0", "--density-out", "MISSING"],
@@ -663,7 +663,16 @@ BAD_INPUTS = {
         ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE",
          "--emit-density", "block10"],
         {"mu": [0.0, 0.0], "Sigma": I2, "split": 1}, 2,
-        "do not support the toy model"),
+        "fit --model toy does not read --emit-density"),
+    # a p = 3 CSV beside a p = 2 summary: neither is dropped in silence
+    "mvn-data-and-summary": (
+        ["fit", "--model", "mvn", "--method", "exact", "--data", "FILE",
+         "--summary", "D9"], "x1,x2,x3\n0.1,0.2,0.3\n0.5,-0.2,0.9\n", 2,
+        "mvn reads --data or --summary, not both"),
+    "density-out-without-emit-density": (
+        ["fit", "--model", "linear", "--method", "exact", "--data", "C7",
+         "--density-out", "MISSING"], "", 2,
+        "fit --model linear does not read --density-out"),
     "csv-no-y": (
         ["fit", "--model", "linear", "--method", "mfvb", "--data", "FILE"],
         "a,b\n1.0,2.0\n3.0,4.0\n", 3, "header must contain a 'y' column"),
@@ -1060,7 +1069,8 @@ class TestErrors:
         rc = run_cli(["fit", "--model", "toy", "--method", "mp",
                       "--summary", str(spec), "--max-iter", "0"])
         assert rc == 2
-        assert "max_iter must be at least 1" in capsys.readouterr().err
+        assert ("fit --model toy does not read --max-iter"
+                in capsys.readouterr().err)
 
     def test_nonconvergence_still_exit_zero(self, c7_csv, tmp_path):
         out = tmp_path / "rep.json"
@@ -1071,6 +1081,59 @@ class TestErrors:
         doc = json.loads(out.read_text())
         assert doc["converged"] is False
         assert doc["termination"] == "max_iter"
+
+
+def _table_options(command: str) -> list[argparse.Action]:
+    """The options of command that are in cli._DEFAULTS."""
+    parser = cli.build_parser()
+    sub, = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    return [a for a in sub.choices[command]._actions
+            if a.dest in cli._DEFAULTS]
+
+
+# (command, model, flag, the flag's argv) for each option of the table that
+# fit or compare offers and the model does not read; compare runs on the
+# models with a reference
+UNREAD_OPTIONS = [
+    (command, model, action.option_strings[0],
+     action.option_strings[:1] + ["1"] * (action.nargs != 0))
+    for command in ("fit", "compare")
+    for model, spec in cli.MODELS.items() if command == "fit" or spec.reference
+    for action in _table_options(command) if action.dest not in spec.reads]
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "command,model,flag,argv", UNREAD_OPTIONS,
+        ids=[f"{c}-{m}-{f[2:]}" for c, m, f, _ in UNREAD_OPTIONS])
+    def test_unread_option_is_usage_error(self, capsys, command, model, flag,
+                                          argv):
+        """An option the model does not read is a usage error that names
+        it, raised before the (here missing) input is looked for."""
+        methods = list(cli.MODELS[model].fits)
+        head = (["fit", "--model", model, "--method", methods[0]]
+                if command == "fit" else
+                ["compare", "--model", model, "--methods",
+                 ",".join(methods[:2])])
+        assert run_cli(head + argv) == 2
+        assert (f"{command} --model {model} does not read {flag}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv,want", [
+        (["fit", "--model", "probit", "--method", "gibbs"],
+         {"eps": 1e-6, "max_iter": 500, "g": 1e4, "A": 0.01, "B": 0.01,
+          "lambda0": 0.01, "nu0": None, "psi0_scale": 1.0, "lam": 0.01,
+          "seed": 0, "n_samples": 50_000, "n_warmup": 5_000}),
+        (["generate", "--model", "linear", "--out", "unused.csv"],
+         {"n": 100, "p": 2, "seed": 0, "sigma": 1.0}),
+    ], ids=["fit", "generate"])
+    def test_unset_options_take_their_defaults(self, argv, want):
+        """What a command reads of each option left unset; repr tells 500
+        from 500.0."""
+        args = cli.build_parser().parse_args(argv)
+        cli._options(args, cli.MODELS[args.model])
+        assert repr({k: vars(args)[k] for k in want}) == repr(want)
 
 
 class TestGenerate:
