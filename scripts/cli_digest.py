@@ -128,11 +128,7 @@ def _commands() -> list[tuple[str, list[str]]]:
                     "--lambda", "1"]],
         "toy": [["--summary", "FILE/toy.json"], ["--summary", "FILE/toy2.json"]],
     }
-    methods = {"linear": ["exact", "mfvb", "mp1", "mp2"],
-               "mvn": ["exact", "mfvb", "mp"],
-               "probit": ["laplace", "mfvb", "mp-dm", "mp-quad", "dmvb",
-                          "gibbs"],
-               "toy": ["mp", "mfvb"]}
+    methods = {model: list(spec.fits) for model, spec in cli.MODELS.items()}
     fits = []
     for model, methods_ in methods.items():
         for i, inp in enumerate(inputs[model]):
@@ -146,10 +142,13 @@ def _commands() -> list[tuple[str, list[str]]]:
                              (f"{label} --pretty", base + ["--pretty"]),
                              (f"{label} --max-iter 2",
                               base + ["--max-iter", "2"])]
+    # toy reads neither option, and is rejected for --emit-density alone
     density = [
         (f"density {model} {method} {name}",
          ["fit", "--model", model, "--method", method, *inputs[model][0],
-          *(GIBBS if method == "gibbs" else []), "--emit-density", name])
+          *(GIBBS if method == "gibbs" else []), "--emit-density", name,
+          *([] if model == "toy" else
+            ["--density-out", f"FILE/dens-{model}-{method}-{name}.csv"])])
         for model, method, name in [
             ("linear", "exact", "beta0"), ("linear", "mp1", "sigma2"),
             ("linear", "mp2", "beta0"), ("mvn", "exact", "mu1"),
@@ -294,6 +293,8 @@ def _commands() -> list[tuple[str, list[str]]]:
             "FILE/mvn.csv", "--summary", "FILE/d9.json"]),
         ("usage: density-out without emit-density",
          linear_fit + ["--density-out", "FILE/unread-density.csv"]),
+        ("usage: emit-density without density-out",
+         linear_fit + ["--emit-density", "beta0"]),
         *((f"usage: generate {model} beta overflow", [
             "generate", "--model", model, "--beta", "1e308,1e308", "--out",
             "FILE/overflow.csv"]) for model in ("linear", "probit")),

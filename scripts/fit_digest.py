@@ -21,10 +21,14 @@ pool (one seed per design here): linear exact, mfvb, mp1 and
 mp2 (methods lin-*) on generate_linear(n_j, p_j, seed=j) with n_j in
 [8, 40] and p_j in [1, 4] from default_rng(j), under the prior g = 1e4,
 A = B = 0.01; and MVN exact, mfvb and mp (mvn-*) on the summary of
-generate_mvn(n_j, p_j, seed=j), p_j in [2, 4], under lambda0 = 0.01. It
-saves every field of every q-density (beta.loc, sigma2.shape, ...), and
-each iterative fit's iteration count, converged flag and, for MVN, its
-wrong-basin flag. --rotate leaves these designs as they are.
+generate_mvn(n_j, p_j, seed=j), p_j in [2, 4], under lambda0 = 0.01; and
+the toy model's MP and mean-field blocks (toy-mp, toy-mfvb) at
+toy_gaussian_mp's own eps, on a d-dimensional Gaussian that the same
+default_rng(j) goes on to draw as conjugate-batch draws its toy specs:
+d in [3, 6], Sigma = M M' + d I, split in [1, d). It saves every field of every
+q-density (beta.loc, sigma2.shape, block1.cov, ...), and each iterative
+fit's iteration count, converged flag and, for MVN, its wrong-basin flag.
+--rotate leaves these designs as they are.
 
 The second form prints, per method, the largest absolute move of a saved
 entry (a mean, a covariance or a q field) from A to B and the design where
@@ -45,7 +49,7 @@ import sys
 
 import numpy as np
 
-from momprop import linear, mvn, probit
+from momprop import diagnostics, linear, mvn, probit
 from momprop.datagen import generate_linear, generate_mvn, generate_probit
 
 PANEL, LAM, MAX_ITER, EPS = 60, 0.01, 2000, 1e-6
@@ -82,6 +86,10 @@ CONJUGATE = {
         d, pr, eps, MAX_ITER)),
     "mvn-mp": ("mvn", lambda d, pr, eps: mvn.mvn_mp_fit(d, pr, eps,
                                                          MAX_ITER)),
+    "toy-mp": ("toy", lambda d, pr, eps: dict(zip(
+        ("block1", "block2"), diagnostics.toy_gaussian_mp(d)[:2]))),
+    "toy-mfvb": ("toy", lambda d, pr, eps: dict(zip(
+        ("block1", "block2"), diagnostics.toy_gaussian_mp(d)[2:]))),
 }
 # saved fields compared for equality, not measured as moves
 FLAGS = ("iterations", "converged", "wrong_basin")
@@ -137,9 +145,9 @@ def fit_all(sets, eps: float = EPS) -> dict[str, np.ndarray]:
 
 
 def conjugate_designs(panel=range(PANEL)) -> dict[str, list]:
-    """model -> [(label, data, prior)] for the linear and MVN designs in
-    panel."""
-    out = {"linear": [], "mvn": []}
+    """model -> [(label, data, prior)] for the linear, MVN and toy designs
+    in panel; a toy spec has no prior."""
+    out = {"linear": [], "mvn": [], "toy": []}
     for j in panel:
         rng = np.random.default_rng(j)
         n, p = int(rng.integers(8, 41)), int(rng.integers(1, 5))
@@ -147,6 +155,11 @@ def conjugate_designs(panel=range(PANEL)) -> dict[str, list]:
             *generate_linear(n, p, seed=j)), LINEAR_PRIOR))
         out["mvn"].append((f"mvn {j}", mvn.MVNData.from_raw(
             generate_mvn(n, max(p, 2), seed=j)), MVN_PRIOR))
+        d = int(rng.integers(3, 7))
+        M = rng.standard_normal((d, d))
+        out["toy"].append((f"toy {j}", diagnostics.ToyGaussianSpec(
+            mu=rng.standard_normal(d), Sigma=M @ M.T + d * np.eye(d),
+            split=int(rng.integers(1, d))), None))
     return out
 
 

@@ -414,7 +414,7 @@ def _options(args: argparse.Namespace, model: Model) -> None:
     """Reject each option of _DEFAULTS that is set but that the model does
     not read in this command, then give every unset one its default. Every
     model's generate reads --seed, --fixed reads no other option, and
-    --density-out is read only beside --emit-density."""
+    --emit-density and --density-out are read together."""
     values = {name: vars(args).get(name) for name in _DEFAULTS}
     fixed = bool(values["fixed"]) and "fixed" in model.reads
     reads = {"fixed"} if fixed else set(model.reads)
@@ -429,6 +429,8 @@ def _options(args: argparse.Namespace, model: Model) -> None:
         raise UsageError(f"{args.command} --model {args.model}"
                          f"{' --fixed' * fixed} does not read "
                          f"{', '.join(unread)}")
+    if values["emit_density"] is not None and values["density_out"] is None:
+        raise UsageError("--emit-density needs --density-out")
     vars(args).update((name, _DEFAULTS[name] if value is None else value)
                       for name, value in values.items())
 
@@ -588,7 +590,7 @@ def _pretty_fit(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit_density(q: dict, name: str, path: str | None) -> None:
+def _emit_density(q: dict, name: str, path: str) -> None:
     marginals = _marginals(q)
     for mname, family, params in marginals:
         if mname == name:
@@ -696,11 +698,11 @@ def _open_out(path: str | None):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path: str | None, header: list[str], X: np.ndarray,
+def _write_csv(path: str, header: list[str], X: np.ndarray,
                y: np.ndarray | None = None, y_cell=float.__repr__) -> None:
     """header and X's rows, each after its y cell if there is y, as CSV
-    with CRLF line ends into path, or onto stdout without one; a float is
-    its shortest repr. Rows are formatted one at a time."""
+    with CRLF line ends into path; a float is its shortest repr. Rows are
+    formatted one at a time."""
     rows = (",".join(map(float.__repr__, row.tolist())) for row in X)
     if y is not None:
         rows = (f"{y_cell(v)},{row}" for v, row in zip(y, rows))

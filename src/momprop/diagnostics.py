@@ -142,15 +142,15 @@ def toy_gaussian_mp(spec: ToyGaussianSpec, eps: float = 1e-10,
     S11 = spec.Sigma[:d1, :d1]
     S22 = spec.Sigma[d1:, d1:]
     S12 = spec.Sigma[:d1, d1:]
-    S22_inv = np.linalg.inv(S22)
-    S11_inv = np.linalg.inv(S11)
-    schur1 = symmetrize(S11 - S12 @ S22_inv @ S12.T)
-    schur2 = symmetrize(S22 - S12.T @ S11_inv @ S12)
+    K1 = S12 @ np.linalg.inv(S22)
+    K2 = S12.T @ np.linalg.inv(S11)
+    schur1 = symmetrize(S11 - K1 @ S12.T)
+    schur2 = symmetrize(S22 - K2 @ S12)
 
     def step(state):
         _, C2 = state
-        C1 = symmetrize(S11 + S12 @ S22_inv @ (C2 - S22) @ S22_inv @ S12.T)
-        C2 = symmetrize(S22 + S12.T @ S11_inv @ (C1 - S11) @ S11_inv @ S12)
+        C1 = symmetrize(S11 + K1 @ (C2 - S22) @ K1.T)
+        C2 = symmetrize(S22 + K2 @ (C1 - S11) @ K2.T)
         return (C1, C2), np.concatenate([C1.ravel(), C2.ravel()])
 
     # start from the mean-field solution and iterate the MP sweep

@@ -10,6 +10,10 @@ a testbed for approximate fitters:
 * moment propagation with a t coefficient density ("approach 2"),
   whose fixed point recovers the exact posterior.
 
+In every fitter q(beta)'s covariance (t scale for mp2) is s u (X^T X)^-1,
+s = B/A (B/(A - 1) for mp1) of the IG(A, B) a sweep starts from, so its
+sigma2 update reads tr(X^T X Sigma)/u = s p, tr((X^T X Sigma)^2)/u^2 = s^2 p.
+
 All fitters monitor convergence as the max-norm change of the flattened
 q-parameter vector between sweeps, stopping below eps.
 """
@@ -21,7 +25,7 @@ from math import isfinite
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, NumericError
 from .moments import (GaussianApprox, InverseGammaApprox, StudentTApprox,
                       _gauss_quadform, _ig_mean, _ig_var, _t_quadform,
                       ig_moment_match, require_regression, symmetrize)
@@ -78,12 +82,12 @@ def linear_constants(data: LinearData, prior: LinearPrior) -> LinearConstants:
     try:
         pivots = np.diag(np.linalg.cholesky(XtX)) ** 2
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("X is rank deficient") from exc
+        raise NumericError("X is rank deficient") from exc
     # cholesky factors numerically singular X'X too. pivot_j / (X'X)_jj is
     # 1 - R^2 of column j on the columns before it, free of column scale: a
     # few eps when columns are exactly collinear, orders above 64 p eps else
     if np.any(pivots <= 64 * data.p * np.finfo(float).eps * np.diag(XtX)):
-        raise np.linalg.LinAlgError("X is rank deficient")
+        raise NumericError("X is rank deficient")
     XtX_inv = symmetrize(np.linalg.inv(XtX))
     Xty = data.X.T @ data.y
     beta_hat = XtX_inv @ Xty
@@ -151,13 +155,12 @@ def linear_mfvb_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
                     max_iter: int = 500,
                     init: InverseGammaApprox | None = None) -> FitReport:
     """Coordinate-ascent mean-field fit with q(beta) Gaussian, q(sigma2) IG."""
-    # the first sweep scales Sigma by Bt / At
     c, mu, b_mu, c1, start = _sweep_setup(data, prior, init, "mfvb", 0.0)
 
     def step(state):
         At, Bt, _ = state
         Sig = _beta_t(c, At, Bt)[0]  # E[1/sigma2]^-1 u (X'X)^-1
-        Bt = b_mu + np.trace(c.XtX @ Sig) / (2.0 * c.u)
+        Bt = b_mu + (Bt / At) * data.p / 2.0
         return (c1, Bt, Sig), np.concatenate([mu, Sig.ravel(), [c1, Bt]])
 
     return fixed_point(
@@ -177,15 +180,13 @@ def linear_mp1_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
     the mean/variance of sigma2 obtained by averaging its inverse-gamma
     full conditional over q(beta) (laws of total expectation/variance).
     """
-    # the first sweep scales Sigma by the q(sigma2) mean Bt / (At - 1)
     c, mu, b_mu, c1, start = _sweep_setup(data, prior, init, "mp1", 1.0)
 
     def step(state):
         At, Bt, _ = state
-        Sig = _ig_mean(At, Bt) * c.u * c.XtX_inv
-        XS = c.XtX @ Sig
-        EQ, VQ = _gauss_quadform(np.trace(XS) / c.u,
-                                 np.trace(XS @ XS) / c.u**2)
+        s = _ig_mean(At, Bt)
+        Sig = s * c.u * c.XtX_inv
+        EQ, VQ = _gauss_quadform(s * data.p, s**2 * data.p)
         At, Bt = _match_sigma2(b_mu + EQ / 2.0, VQ / 4.0, c1)
         return (At, Bt, Sig), np.concatenate([mu, Sig.ravel(), [At, Bt]])
 
@@ -212,9 +213,8 @@ def linear_mp2_fit(data: LinearData, prior: LinearPrior, eps: float = 1e-6,
     def step(state):
         At, Bt, _, _ = state
         Sig, nu = _beta_t(c, At, Bt)
-        XS = c.XtX @ Sig
-        EQ, VQ = _t_quadform(np.trace(XS) / c.u, np.trace(XS @ XS) / c.u**2,
-                             nu)
+        s = Bt / At
+        EQ, VQ = _t_quadform(s * data.p, s**2 * data.p, nu)
         At, Bt = _match_sigma2(b_mu + EQ / 2.0, VQ / 4.0, c1)
         return (At, Bt, Sig, nu), np.concatenate([mu, Sig.ravel(),
                                                   [nu, At, Bt]])

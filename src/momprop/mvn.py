@@ -120,6 +120,7 @@ def _mu_t(c: MVNConstants, dof: float, scale_matrix: np.ndarray):
 def _start(default_dof: float, c: MVNConstants,
            init: InverseWishartApprox | None) -> tuple[float, np.ndarray]:
     """Starting (dof, scale matrix) of q(Sigma), init's if given."""
+    # the maps' sums, multiples and _iw_match keep this exactly symmetric
     if init is None:
         return default_dof, c.Psi_n
     p = c.mu_n.shape[0]
@@ -138,7 +139,7 @@ def mvn_mfvb_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
     def step(state):
         dt, Psit, _ = state
         Sig = Psit / (c.lambda_n * dt)
-        Psit = symmetrize(c.Psi_n + c.lambda_n * Sig)
+        Psit = c.Psi_n + c.lambda_n * Sig
         return (dof, Psit, Sig), np.concatenate([mu, Sig.ravel(),
                                                  Psit.ravel(), [dof]])
 
@@ -174,7 +175,7 @@ def mvn_mp_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
                 "fourth-moment matching needs q(mu) dof >= 4; "
                 f"reached dof {nut}")
         # Sigma | mu ~ IW(Psi_n + lambda_n d d', nu_n + 1), d = mu - mu_n
-        Amat = symmetrize(c.Psi_n + c.lambda_n * _t_cov(Sig, nut))
+        Amat = c.Psi_n + c.lambda_n * _t_cov(Sig, nut)
         shape, half_B = _iw_diag_ig(c.nu_n + 1.0, p, Amat)
         EmpS = _ig_mean(shape, half_B)
         # At dof 4 the fourth moment of q(mu) diverges: with an infinite
@@ -183,7 +184,6 @@ def mvn_mp_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
         var_B = (np.inf if nut == 4.0
                  else _t_quadform(lam_dg, lam_dg**2, nut)[1])
         var_sum = np.sum(_ig_var(shape, np.diag(half_B), var_B / 4.0))
-        # EmpS is exactly symmetric, and so is the matched scale matrix
         dt, Psit = _iw_match(EmpS, var_sum)
         return (dt, Psit, Sig, nut), np.concatenate(
             [mu, Sig.ravel(), [nut], Psit.ravel(), [dt]])

@@ -658,7 +658,13 @@ BAD_INPUTS = {
          "--out", "MISSING"], "", 3, "MISSING"),
     "density-unknown-name": (
         ["fit", "--model", "linear", "--method", "exact", "--data", "C7",
-         "--emit-density", "nope"], "", 2, "available: beta0, sigma2"),
+         "--emit-density", "nope", "--density-out", "MISSING"], "", 2,
+        "available: beta0, sigma2"),
+    # the grid and the report would share stdout
+    "emit-density-without-density-out": (
+        ["fit", "--model", "linear", "--method", "exact", "--data", "C7",
+         "--emit-density", "beta0"], "", 2,
+        "--emit-density needs --density-out"),
     "density-toy": (
         ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE",
          "--emit-density", "block10"],
@@ -821,16 +827,18 @@ class TestErrors:
         assert err.startswith("error: ") and "Traceback" not in err
         assert names.get(fragment, fragment) in err
 
-    @pytest.mark.parametrize("extra,lines", [
-        ([], 0),  # the whole report sits in the buffer flushed at exit
-        (["--emit-density", "mu0"], 1),  # the density CSV overfills the pipe
-    ], ids=["report", "density"])
-    def test_closed_stdout_is_io_error(self, d9_json, extra, lines):
+    @pytest.mark.parametrize("density", [False, True],
+                             ids=["report", "density"])
+    def test_closed_stdout_is_io_error(self, d9_json, tmp_path, density):
         """A reader that stops early, as `momprop fit ... | head -1` does,
-        gets exit 3 and one error line, with no traceback at any flush."""
+        gets exit 3 and one error line, with no traceback at any flush; the
+        whole report sits in the buffer flushed at exit, also after a
+        density grid went to its file."""
+        extra = ["--emit-density", "mu0", "--density-out",
+                 str(tmp_path / "dens.csv")] if density else []
         _assert_closed_stdout_is_io_error(
             ["fit", "--model", "mvn", "--method", "exact",
-             "--summary", d9_json, *extra], lines)
+             "--summary", d9_json, *extra], 0)
 
     def test_closed_stdout_mid_report_is_io_error(self, tmp_path):
         """The same while the report is being streamed: with --trace it
@@ -1234,13 +1242,11 @@ class TestWriteCSV:
         want = _csv_writer_text(header, _xy_rows(y, X, y_cell))
         assert out.read_bytes() == want.encode()
 
-    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
-    def test_density_is_csv_writer(self, c7_csv, tmp_path, capsys, to_file):
+    def test_density_is_csv_writer(self, c7_csv, tmp_path):
         dens = tmp_path / "dens.csv"
         rc = run_cli(["fit", "--model", "linear", "--method", "exact",
                       "--data", c7_csv, "--out", str(tmp_path / "rep.json"),
-                      "--emit-density", "sigma2",
-                      *(["--density-out", str(dens)] if to_file else [])])
+                      "--emit-density", "sigma2", "--density-out", str(dens)])
         assert rc == 0
         q = dict(zip(("beta", "sigma2"), linear_exact_posterior(
             LinearData(*fixed_linear_dataset()),
@@ -1250,9 +1256,7 @@ class TestWriteCSV:
         grid = cli._density_grid(family, params)
         want = _csv_writer_text(["point", "value"], zip(
             grid.points.tolist(), grid.values.tolist()))
-        got = (dens.read_bytes().decode() if to_file
-               else capsys.readouterr().out)
-        assert got == want
+        assert dens.read_bytes().decode() == want
 
     def test_generate_holds_no_list_of_the_table(self, tmp_path,
                                                  monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momprop.datagen import fixed_linear_dataset, generate_linear
-from momprop.exceptions import DomainError
+from momprop.exceptions import DomainError, NumericError
 from momprop.linear import (LinearData, LinearPrior, linear_constants,
                             linear_exact_posterior, linear_mfvb_fit,
                             linear_mp1_fit, linear_mp2_fit)
@@ -60,7 +60,7 @@ class TestConstants:
 
     def test_rank_deficient_raises(self):
         X = np.column_stack([np.ones(5), np.ones(5)])
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(NumericError, match="X is rank deficient"):
             linear_constants(LinearData(np.arange(5.0), X),
                              LinearPrior(g=1.0, A=1.0, B=1.0))
 
@@ -74,8 +74,7 @@ class TestConstants:
             X = rng.standard_normal((n, p))
             i, j = rng.choice(p, 2, replace=False)
             X[:, j] = rng.choice([1, 3, -0.7, 1 / 3, 0.1, 7]) * X[:, i]
-            with pytest.raises(np.linalg.LinAlgError,
-                               match="X is rank deficient"):
+            with pytest.raises(NumericError, match="X is rank deficient"):
                 linear_mp2_fit(LinearData(rng.standard_normal(n), X), prior)
 
     def test_scaled_full_rank_designs_fit(self):
@@ -306,6 +305,36 @@ class TestMP2:
         rep = linear_mp2_fit(data, prior, eps=1e-12, max_iter=2000)
         assert rep.params["beta"].dof == pytest.approx(2 * prior.A + data.n,
                                                        rel=1e-10)
+
+
+class TestSigmaIdentity:
+    @pytest.mark.parametrize("g", [1.0, 1e4])
+    def test_sigma_is_s_times_u_inverse_gram(self, g):
+        """From the default start as from an init, every map's Sigma is
+        s u (X'X)^-1 bit for bit, s read off the q(sigma2) the map starts
+        from: B/A for mfvb and mp2, B/(A - 1) for mp1. The maps' sigma2
+        updates rely on it to read tr(X'X Sigma) / u as s p."""
+        rng = np.random.default_rng(11)
+        prior = LinearPrior(g=g, A=0.01, B=0.01)
+        fits = ((linear_mfvb_fit, lambda A, B: B / A),
+                (linear_mp1_fit, lambda A, B: B / (A - 1.0)),
+                (linear_mp2_fit, lambda A, B: B / A))
+        for seed in range(20):
+            n, p = int(rng.integers(8, 41)), int(rng.integers(1, 5))
+            data = LinearData(*generate_linear(n, p, seed=seed))
+            c = linear_constants(data, prior)
+            init = InverseGammaApprox(rng.uniform(2.5, 10.0),
+                                      rng.uniform(0.1, 10.0))
+            for start in (None, init):
+                for fit, s_of in fits:
+                    A, B = ((prior.A + (n + p) / 2.0,
+                             prior.B + 0.5 * data.y @ data.y)
+                            if start is None else (start.shape, start.scale))
+                    for vec in fit(data, prior, init=start).trace:
+                        np.testing.assert_array_equal(
+                            vec[p:p + p * p],
+                            (s_of(A, B) * c.u * c.XtX_inv).ravel())
+                        A, B = vec[-2:]
 
 
 class TestCrossMethod:

@@ -116,13 +116,17 @@ def test_fit_digest_covers_the_conjugate_fits(monkeypatch):
     a = fit_digest.fit_conjugate(fit_digest.conjugate_designs(panel=[3]))
     assert {key.split("|")[1] for key in a} == set(fit_digest.CONJUGATE)
     for key in ("linear 3|lin-exact|beta.dof", "linear 3|lin-mp2|sigma2.shape",
-                "mvn 3|mvn-mp|Sigma.scale_matrix", "mvn 3|mvn-mp|wrong_basin"):
+                "mvn 3|mvn-mp|Sigma.scale_matrix", "mvn 3|mvn-mp|wrong_basin",
+                "toy 3|toy-mp|block1.cov", "toy 3|toy-mfvb|block2.cov"):
         assert key in a
     b = dict(a)
     b["mvn 3|mvn-mp|mu.scale"] = a["mvn 3|mvn-mp|mu.scale"] + 1e-12
+    b["toy 3|toy-mp|block2.cov"] = a["toy 3|toy-mp|block2.cov"] + 1e-12
     b["linear 3|lin-mp1|iterations"] = a["linear 3|lin-mp1|iterations"] + 1
     lines = fit_digest.compare(a, b)
     assert "lin-exact identical" in lines
+    assert "toy-mfvb identical" in lines
     assert "mvn-mp   max move 1e-12 at mvn 3 mu.scale" in lines
+    assert "toy-mp   max move 1e-12 at toy 3 block2.cov" in lines
     it = int(a["linear 3|lin-mp1|iterations"])
     assert lines[-1] == f"linear 3 lin-mp1 iterations: {it} -> {it + 1}"
