@@ -72,6 +72,10 @@ FILES = {
     "toy-split-string.json": {**TOY, "split": "x"},
     "toy-split-out.json": {**TOY, "split": 3},
     "toy-nan-mu.json": {**TOY, "mu": [NAN, 0.0, 0.0]},
+    # MP needs more than its 10,000 sweeps; the mean-field fit none
+    "toy-rho9999.json": {"mu": [0.0, 0.0], "Sigma": [[1.0, 0.9999],
+                                                     [0.9999, 1.0]],
+                         "split": 1},
     "init-missing-key.json": {"q": {"sigma2": {"shape": 3}}},
     "init-no-block.json": {"q": {}},
     "init-linear-nan.json": {"q": {"sigma2": {"family": "inverse_gamma",
@@ -316,6 +320,9 @@ def _commands() -> list[tuple[str, list[str]]]:
         *((f"numeric: probit overflow {method}", [
             "fit", "--model", "probit", "--method", method, "--data",
             "FILE/probit-overflow.csv"]) for method in methods["probit"]),
+        *((f"toy rho 0.9999 {method}", [
+            "fit", "--model", "toy", "--method", method, "--summary",
+            "FILE/toy-rho9999.json"]) for method in ("mp", "mfvb")),
         ("io: missing file", ["fit", "--model", "linear", "--method", "mfvb",
                               "--data", "FILE/missing.csv"]),
         ("io: unwritable --out", linear_fit + ["--out", "FILE/no/dir.json"]),

@@ -22,13 +22,13 @@ mp2 (methods lin-*) on generate_linear(n_j, p_j, seed=j) with n_j in
 [8, 40] and p_j in [1, 4] from default_rng(j), under the prior g = 1e4,
 A = B = 0.01; and MVN exact, mfvb and mp (mvn-*) on the summary of
 generate_mvn(n_j, p_j, seed=j), p_j in [2, 4], under lambda0 = 0.01; and
-the toy model's MP and mean-field blocks (toy-mp, toy-mfvb) at
-toy_gaussian_mp's own eps, on a d-dimensional Gaussian that the same
-default_rng(j) goes on to draw as conjugate-batch draws its toy specs:
-d in [3, 6], Sigma = M M' + d I, split in [1, d). It saves every field of every
-q-density (beta.loc, sigma2.shape, block1.cov, ...), and each iterative
-fit's iteration count, converged flag and, for MVN, its wrong-basin flag.
---rotate leaves these designs as they are.
+the toy model's MP blocks (toy-mp, toy_gaussian_mp at its own eps) and
+mean-field blocks (toy-mfvb, toy_gaussian_mfvb), on a d-dimensional
+Gaussian that the same default_rng(j) goes on to draw as conjugate-batch
+draws its toy specs: d in [3, 6], Sigma = M M' + d I, split in [1, d). It
+saves every field of every q-density (beta.loc, sigma2.shape, block1.cov,
+...), and each iterative fit's iteration count, converged flag and, for
+MVN, its wrong-basin flag. --rotate leaves these designs as they are.
 
 The second form prints, per method, the largest absolute move of a saved
 entry (a mean, a covariance or a q field) from A to B and the design where
@@ -89,7 +89,7 @@ CONJUGATE = {
     "toy-mp": ("toy", lambda d, pr, eps: dict(zip(
         ("block1", "block2"), diagnostics.toy_gaussian_mp(d)[:2]))),
     "toy-mfvb": ("toy", lambda d, pr, eps: dict(zip(
-        ("block1", "block2"), diagnostics.toy_gaussian_mp(d)[2:]))),
+        ("block1", "block2"), diagnostics.toy_gaussian_mfvb(d)))),
 }
 # saved fields compared for equality, not measured as moves
 FLAGS = ("iterations", "converged", "wrong_basin")

@@ -7,7 +7,7 @@ probit methods rely on.
 """
 
 from .diagnostics import (DensityGrid, ToyGaussianSpec, accuracy,
-                          moment_errors, toy_gaussian_mp)
+                          moment_errors, toy_gaussian_mfvb, toy_gaussian_mp)
 from .exceptions import DomainError, NumericError, UndefinedMomentError
 from .linear import (LinearConstants, LinearData, LinearPrior,
                      linear_constants, linear_exact_posterior,
@@ -38,7 +38,8 @@ __all__ = [
     "moment_summary", "mvn_constants", "mvn_exact_posterior", "mvn_mfvb_fit",
     "mvn_mp_fit", "probit_dmvb_fit", "probit_gibbs_oracle",
     "probit_laplace_fit", "probit_mfvb_fit", "probit_mp_fit",
-    "toy_gaussian_mp", "xi", "xi_quad", "xi_taylor", "zeta",
+    "toy_gaussian_mfvb", "toy_gaussian_mp", "xi", "xi_quad", "xi_taylor",
+    "zeta",
 ]
 
 __version__ = "0.1.0"

@@ -22,7 +22,8 @@ from typing import Any, Callable
 import numpy as np
 
 from . import datagen, diagnostics
-from .diagnostics import DensityGrid, ToyGaussianSpec, toy_gaussian_mp
+from .diagnostics import (DensityGrid, ToyGaussianSpec, toy_gaussian_mfvb,
+                          toy_gaussian_mp)
 from .exceptions import DomainError, NumericError
 from .linear import (LinearData, LinearPrior, linear_exact_posterior,
                      linear_mfvb_fit, linear_mp1_fit, linear_mp2_fit)
@@ -394,7 +395,7 @@ MODELS = {
             "mp": lambda args, spec, prior, init: _closed_form(dict(zip(
                 ("block1", "block2"), toy_gaussian_mp(spec)[:2]))),
             "mfvb": lambda args, spec, prior, init: _closed_form(dict(zip(
-                ("block1", "block2"), toy_gaussian_mp(spec)[2:]))),
+                ("block1", "block2"), toy_gaussian_mfvb(spec)))),
         },
         reads=("summary",)),
 }

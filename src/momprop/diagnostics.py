@@ -124,28 +124,46 @@ class ToyGaussianSpec:
             raise DomainError("split must satisfy 1 <= split < dim")
 
 
-def toy_gaussian_mp(spec: ToyGaussianSpec, eps: float = 1e-10,
-                    max_iter: int = 10_000
-                    ) -> tuple[GaussianApprox, GaussianApprox,
-                               GaussianApprox, GaussianApprox]:
-    """Block-marginal fits for a known joint Gaussian.
-
-    MFVB fixes each block's covariance at the conditional (Schur-complement)
-    covariance; the moment-propagation covariance iteration
-
-        C_i <- S_ii + S_i,-i S_-i,-i^-1 (C_-i - S_-i,-i) S_-i,-i^-1 S_-i,i
-
-    converges back to the true marginal blocks. Returns (mp_1, mp_2,
-    mfvb_1, mfvb_2).
-    """
+def _toy_blocks(spec: ToyGaussianSpec):
+    """S11, S22, the gains K1 = S12 S22^-1 and K2 = S12' S11^-1, and the
+    conditional (Schur-complement) covariances S11 - K1 S12' and
+    S22 - K2 S12 of spec's two blocks."""
     d1 = spec.split
     S11 = spec.Sigma[:d1, :d1]
     S22 = spec.Sigma[d1:, d1:]
     S12 = spec.Sigma[:d1, d1:]
     K1 = S12 @ np.linalg.inv(S22)
     K2 = S12.T @ np.linalg.inv(S11)
-    schur1 = symmetrize(S11 - K1 @ S12.T)
-    schur2 = symmetrize(S22 - K2 @ S12)
+    return (S11, S22, K1, K2, symmetrize(S11 - K1 @ S12.T),
+            symmetrize(S22 - K2 @ S12))
+
+
+def toy_gaussian_mfvb(spec: ToyGaussianSpec
+                      ) -> tuple[GaussianApprox, GaussianApprox]:
+    """Mean-field block fits for a known joint Gaussian: each block keeps
+    its mean and takes its conditional (Schur-complement) covariance.
+    Returns (mfvb_1, mfvb_2)."""
+    schur1, schur2 = _toy_blocks(spec)[4:]
+    d1 = spec.split
+    return (GaussianApprox(spec.mu[:d1], schur1),
+            GaussianApprox(spec.mu[d1:], schur2))
+
+
+def toy_gaussian_mp(spec: ToyGaussianSpec, eps: float = 1e-10,
+                    max_iter: int = 10_000
+                    ) -> tuple[GaussianApprox, GaussianApprox,
+                               GaussianApprox, GaussianApprox]:
+    """Block-marginal fits for a known joint Gaussian.
+
+    Starting from the mean-field covariances of toy_gaussian_mfvb, the
+    moment-propagation covariance iteration
+
+        C_i <- S_ii + S_i,-i S_-i,-i^-1 (C_-i - S_-i,-i) S_-i,-i^-1 S_-i,i
+
+    converges back to the true marginal blocks. Returns (mp_1, mp_2,
+    mfvb_1, mfvb_2).
+    """
+    S11, S22, K1, K2, schur1, schur2 = _toy_blocks(spec)
 
     def step(state):
         _, C2 = state
@@ -153,13 +171,13 @@ def toy_gaussian_mp(spec: ToyGaussianSpec, eps: float = 1e-10,
         C2 = symmetrize(S22 + K2 @ (C1 - S11) @ K2.T)
         return (C1, C2), np.concatenate([C1.ravel(), C2.ravel()])
 
-    # start from the mean-field solution and iterate the MP sweep
     report = fixed_point(step, (schur1, schur2), lambda s: {"C": s},
                          eps, max_iter)
     C1, C2 = report.params["C"]
     if not report.converged:
         raise NumericError("toy MP iteration did not converge",
                            last_iterate=(C1, C2))
+    d1 = spec.split
     mu1, mu2 = spec.mu[:d1], spec.mu[d1:]
     return (GaussianApprox(mu1, C1), GaussianApprox(mu2, C2),
             GaussianApprox(mu1, schur1), GaussianApprox(mu2, schur2))

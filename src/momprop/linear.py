@@ -16,12 +16,20 @@ sigma2 update reads tr(X^T X Sigma)/u = s p, tr((X^T X Sigma)^2)/u^2 = s^2 p.
 
 All fitters monitor convergence as the max-norm change of the flattened
 q-parameter vector between sweeps, stopping below eps.
+
+A LinearData computes its Gram statistics (X'X with its rank check,
+(X'X)^-1, X'y, the OLS estimate and y'y) on its first fit and keeps them
+read-only, so the fits of one data set share them. Its y and X must not be
+written after it is built (no fitter writes them), and its fields cannot
+be reassigned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,16 +40,33 @@ from .moments import (GaussianApprox, InverseGammaApprox, StudentTApprox,
 from .reports import FitReport, fixed_point
 
 
-@dataclass
+class GramStats(NamedTuple):
+    """Data-only statistics of a linear regression, each read-only."""
+
+    XtX: np.ndarray
+    XtX_inv: np.ndarray
+    Xty: np.ndarray
+    beta_hat: np.ndarray
+    yty: float
+
+
+@dataclass(frozen=True)
 class LinearData:
     """Response y and design X of a linear regression, with matching,
-    non-zero row counts and finite entries."""
+    non-zero row counts and finite entries.
+
+    gram holds the data's Gram statistics, computed on the first fit and
+    kept read-only; a rank-deficient X raises NumericError on every fit.
+    y and X must not be written after the data is built, as gram would
+    then be stale; the fields cannot be reassigned."""
 
     y: np.ndarray
     X: np.ndarray
 
     def __post_init__(self):
-        self.y, self.X = require_regression(self.y, self.X)
+        y, X = require_regression(self.y, self.X)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "X", X)
 
     @property
     def n(self) -> int:
@@ -50,6 +75,27 @@ class LinearData:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def gram(self) -> GramStats:
+        """X'X, (X'X)^-1, X'y, the OLS estimate (X'X)^-1 X'y and y'y."""
+        XtX = symmetrize(self.X.T @ self.X)
+        try:
+            pivots = np.diag(np.linalg.cholesky(XtX)) ** 2
+        except np.linalg.LinAlgError as exc:
+            raise NumericError("X is rank deficient") from exc
+        # cholesky factors numerically singular X'X too. pivot_j / (X'X)_jj
+        # is 1 - R^2 of column j on the columns before it, free of column
+        # scale: a few eps when columns are exactly collinear, orders above
+        # 64 p eps else
+        if np.any(pivots <= 64 * self.p * np.finfo(float).eps * np.diag(XtX)):
+            raise NumericError("X is rank deficient")
+        XtX_inv = symmetrize(np.linalg.inv(XtX))
+        Xty = self.X.T @ self.y
+        stats = GramStats(XtX, XtX_inv, Xty, XtX_inv @ Xty, self.y @ self.y)
+        for a in stats[:4]:
+            a.flags.writeable = False
+        return stats
 
 
 @dataclass
@@ -78,24 +124,13 @@ class LinearConstants:
 
 def linear_constants(data: LinearData, prior: LinearPrior) -> LinearConstants:
     """OLS estimate, shrinkage factor u = g/(1+g), and shrunk residual variance."""
-    XtX = symmetrize(data.X.T @ data.X)
-    try:
-        pivots = np.diag(np.linalg.cholesky(XtX)) ** 2
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("X is rank deficient") from exc
-    # cholesky factors numerically singular X'X too. pivot_j / (X'X)_jj is
-    # 1 - R^2 of column j on the columns before it, free of column scale: a
-    # few eps when columns are exactly collinear, orders above 64 p eps else
-    if np.any(pivots <= 64 * data.p * np.finfo(float).eps * np.diag(XtX)):
-        raise NumericError("X is rank deficient")
-    XtX_inv = symmetrize(np.linalg.inv(XtX))
-    Xty = data.X.T @ data.y
-    beta_hat = XtX_inv @ Xty
+    gram = data.gram
     u = prior.g / (1.0 + prior.g)
-    sigma_hat_u2 = (data.y @ data.y - u * Xty @ XtX_inv @ Xty) / data.n
+    sigma_hat_u2 = (gram.yty - u * gram.Xty @ gram.XtX_inv @ gram.Xty) / data.n
     sigma_hat_u2 = max(sigma_hat_u2, 0.0)
-    return LinearConstants(beta_hat=beta_hat, u=u, sigma_hat_u2=sigma_hat_u2,
-                           XtX=XtX, XtX_inv=XtX_inv)
+    return LinearConstants(beta_hat=gram.beta_hat, u=u,
+                           sigma_hat_u2=sigma_hat_u2, XtX=gram.XtX,
+                           XtX_inv=gram.XtX_inv)
 
 
 def linear_exact_posterior(data: LinearData, prior: LinearPrior
@@ -136,7 +171,7 @@ def _sweep_setup(data: LinearData, prior: LinearPrior,
     resid = data.y - data.X @ mu
     b_mu = (prior.B + 0.5 * resid @ resid
             + mu @ c.XtX @ mu / (2.0 * prior.g))
-    shape, scale = ((c1, prior.B + 0.5 * data.y @ data.y) if init is None
+    shape, scale = ((c1, prior.B + 0.5 * data.gram.yty) if init is None
                     else (init.shape, init.scale))
     if not shape > min_shape:
         raise DomainError(f"{method} needs a starting q(sigma2) shape > "

@@ -104,7 +104,7 @@ def fixed_point(step: Callable[[Any], tuple[Any, np.ndarray]], state: Any,
     converged = False
     while not converged and len(trace) < max_iter:
         state, vec = step(state)
-        converged = bool(trace) and bool(np.max(np.abs(vec - trace[-1])) < eps)
+        converged = bool(trace) and bool(np.abs(vec - trace[-1]).max() < eps)
         trace.append(vec)
     return FitReport(params=params(state), iterations=len(trace),
                      converged=converged, trace=trace,

@@ -409,6 +409,24 @@ class TestToyModel:
         assert doc["q"]["block1"]["cov"][0][0] == pytest.approx(0.19,
                                                                 rel=1e-9)
 
+    def test_mfvb_does_not_run_the_mp_iteration(self, tmp_path, capsys):
+        """At correlation 0.9999 MP needs more than its 10,000 sweeps; the
+        mean-field blocks are the conditional variances 1 - 0.9999^2."""
+        spec = tmp_path / "toy.json"
+        spec.write_text(json.dumps({"mu": [0.0, 0.0],
+                                    "Sigma": [[1.0, 0.9999], [0.9999, 1.0]],
+                                    "split": 1}))
+        out = tmp_path / "rep.json"
+        fit = ["fit", "--model", "toy", "--summary", str(spec)]
+        assert run_cli(fit + ["--method", "mfvb", "--out", str(out)]) == 0
+        q = json.loads(out.read_text())["q"]
+        assert q["block1"]["cov"] == q["block2"]["cov"] == [
+            [pytest.approx(1 - 0.9999**2, rel=1e-12)]]
+        capsys.readouterr()
+        assert run_cli(fit + ["--method", "mp"]) == 4
+        assert capsys.readouterr().err == (
+            "numeric failure: toy MP iteration did not converge\n")
+
 
 # What a report may hold: Python and numpy scalars, float edge cases,
 # non-ASCII text, and 0-d to 2-d float and int arrays, nested in dicts,

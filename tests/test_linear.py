@@ -6,6 +6,8 @@ E(beta) 0.908, V(beta) 2.44, E(s2) 12.2, V(s2) 293; the approximations hit
 Closed-form fixed-point identities give the tighter checks.
 """
 
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -373,3 +375,74 @@ class TestCrossMethod:
         rep = linear_mp2_fit(*ref)
         summ = moment_summary(rep.params)
         assert summ.scalar_mean == pytest.approx(12.2, abs=5e-2)
+
+
+FITS = {"exact": linear_exact_posterior, "mfvb": linear_mfvb_fit,
+        "mp1": linear_mp1_fit, "mp2": linear_mp2_fit}
+
+
+def _arrays(out):
+    """Every number a fit returns: each q-density field, and for an
+    iterative fit its trace and iteration count."""
+    q = (dict(zip(("beta", "sigma2"), out)) if isinstance(out, tuple)
+         else {**out.params, "iterations": out.iterations,
+               "trace": out.trace})
+    flat = []
+    for key, value in q.items():
+        if hasattr(value, "__dataclass_fields__"):
+            flat += [(f"{key}.{f.name}", getattr(value, f.name))
+                     for f in fields(value)]
+        else:
+            flat.append((key, value))
+    return flat
+
+
+def _assert_same(a, b):
+    assert [k for k, _ in a] == [k for k, _ in b]
+    for (key, x), (_, y) in zip(a, b):
+        np.testing.assert_array_equal(x, y, err_msg=key, strict=True)
+
+
+class TestSharedStatistics:
+    """A LinearData's Gram statistics are computed on its first fit and
+    shared by the fits after it."""
+
+    @pytest.mark.parametrize("order", [("exact", "mfvb", "mp1", "mp2"),
+                                       ("mp2", "mp1", "mfvb", "exact")])
+    def test_fits_on_one_data_set_equal_fresh_fits(self, order):
+        rng = np.random.default_rng(5)
+        prior = LinearPrior(g=1e4, A=0.01, B=0.01)
+        for seed in range(12):
+            n, p = int(rng.integers(8, 41)), int(rng.integers(1, 5))
+            y, X = generate_linear(n, p, seed=seed)
+            shared = LinearData(y, X)
+            for name in order:
+                _assert_same(_arrays(FITS[name](shared, prior)),
+                             _arrays(FITS[name](LinearData(y, X), prior)))
+
+    def test_no_prior_dependent_statistic_is_kept(self):
+        y, X = generate_linear(30, 3, seed=4)
+        shared = LinearData(y, X)
+        for g in (1.0, 1e4):
+            prior = LinearPrior(g=g, A=0.01, B=0.01)
+            for fit in FITS.values():
+                _assert_same(_arrays(fit(shared, prior)),
+                             _arrays(fit(LinearData(y, X), prior)))
+
+    def test_collinear_design_raises_on_every_fit(self):
+        X = np.column_stack([np.ones(6), np.arange(6.0), 2 * np.arange(6.0)])
+        data = LinearData(np.arange(6.0), X)
+        prior = LinearPrior(g=1.0, A=1.0, B=1.0)
+        for fit in (linear_exact_posterior, linear_mp2_fit):
+            with pytest.raises(NumericError, match="X is rank deficient"):
+                fit(data, prior)
+
+    def test_statistics_and_fields_are_read_only(self, ref):
+        data, prior = ref
+        linear_mfvb_fit(data, prior)
+        gram = data.gram
+        for a in (gram.XtX, gram.XtX_inv, gram.Xty, gram.beta_hat):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            data.X = np.ones((5, 1))

@@ -86,6 +86,21 @@ class TestFixedPoint:
                           lambda s: {}, eps=1.0, max_iter=1)
         assert not rep.converged and rep.iterations == 1
 
+    @pytest.mark.parametrize("tail", [
+        [0.0, np.nan], [np.nan, 0.0],  # a constant entry beside a NaN
+        [np.inf, 0.0], [0.0, -np.inf]])  # a jump to inf that stays there
+    def test_non_finite_vector_never_converges(self, tail):
+        """Every entry but the non-finite one is constant, so only the
+        non-finite change can keep the map from stopping."""
+        def step(k):
+            return k + 1, np.array([1.0, 2.0] if k == 0 else tail)
+
+        with np.errstate(invalid="ignore"):  # inf - inf
+            rep = fixed_point(step, 0, lambda k: {"k": k}, eps=1.0,
+                              max_iter=6)
+        assert not rep.converged and rep.termination == "max_iter"
+        assert rep.iterations == 6 and rep.params == {"k": 6}
+
     @pytest.mark.parametrize("eps", [0.0, -1e-6, float("nan")])
     def test_non_positive_eps(self, eps):
         with pytest.raises(DomainError, match="eps"):
