@@ -133,9 +133,10 @@ def _parse_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
     return header, np.array(data)
 
 
-def _load_regression(args: argparse.Namespace, data_type):
+def _load_regression(args: argparse.Namespace, data_type, order: str = "C"):
     """data_type(y, X) from the --data CSV: y is its "y" column and X the
-    others, after a column of ones with --intercept."""
+    others, after a column of ones with --intercept. X is a new array in
+    the given memory order, which data_type may take over."""
     if not args.data:
         raise UsageError(f"{args.model} needs --data CSV")
     header, data = _read_csv(args.data)
@@ -147,8 +148,11 @@ def _load_regression(args: argparse.Namespace, data_type):
                          "(pass --intercept for an intercept-only fit)")
     # X is filled by basic slices on each side of y's column, which copy
     # without the n x p temporary that a fancy index would make, and the
-    # table is dropped before data_type builds its own arrays from X
-    X = np.empty((data.shape[0], lead + data.shape[1] - 1))
+    # table is dropped before data_type is built. Probit asks for Fortran
+    # order, the layout of its Z, and ProbitData._taking signs X's rows in
+    # place, so it holds the table and one n x p array at most; linear keeps
+    # C order, as X'X rounds differently on the other layout
+    X = np.empty((data.shape[0], lead + data.shape[1] - 1), order=order)
     X[:, :lead] = 1.0
     X[:, lead:lead + yi] = data[:, :yi]
     X[:, lead + yi:] = data[:, yi + 1:]
@@ -362,7 +366,7 @@ MODELS = {
         generate=lambda args: (
             datagen.generate_mvn(args.n, args.p, args.seed),)),
     "probit": Model(
-        load=lambda args: _load_regression(args, ProbitData),
+        load=lambda args: _load_regression(args, ProbitData._taking, "F"),
         prior=lambda args, data: ProbitPrior.ridge(args.lam, data.p),
         fits={
             "laplace": lambda args, data, prior, init: probit_laplace_fit(

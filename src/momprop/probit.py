@@ -28,8 +28,8 @@ matrices. Each pass walks the rows in blocks of _ROW_BLOCK, so its
 scratch memory is O(block p), not O(n p); the Laplace Hessian and the
 delta-method ELBO use the same two row-block helpers. ProbitData holds Z
 and y, not X, so the data's one n x p array is Z; beside it a fit holds a
-few n-vectors, and the trace one (mu_a) per outer iteration. Only the
-Gibbs sampler builds S Z^T.
+few n-vectors, and the trace one (mu_a) per outer iteration. Z is
+column-major (Fortran order), whichever constructor built it.
 
 Mean-field VB's fixed point D mu = Z^T zeta_1(Z mu) is the stationarity
 condition of log p(y, beta): its mean is the mode, found by Laplace's
@@ -91,16 +91,31 @@ def _gram(Z: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class ProbitData:
-    """Binary response y and design X, held as Z alone: the n x p array with
-    rows z_i = (2 y_i - 1) x_i. The arrays passed in are never written, and
-    y is a copy, so that a table that y is a column of can be freed."""
+    """Binary response y and design X, held as Z alone: the column-major
+    (Fortran-order) n x p array with rows z_i = (2 y_i - 1) x_i. The arrays
+    passed in are never written, and y is a copy, so that a table that y is
+    a column of can be freed."""
 
     def __init__(self, y, X):
         y, X = require_regression(y, X)
-        self.y = y.copy()
-        if not np.all(np.isin(self.y, (0.0, 1.0))):
+        self._sign(y.copy(), np.array(X, dtype=float, order="F"))
+
+    @classmethod
+    def _taking(cls, y: np.ndarray, X: np.ndarray) -> "ProbitData":
+        """ProbitData that takes over y and the float array X, Fortran-order
+        for Z to be: X's rows are signed in place, so no second n x p array
+        is made."""
+        data = cls.__new__(cls)
+        data._sign(*require_regression(y, X))
+        return data
+
+    def _sign(self, y: np.ndarray, Z: np.ndarray) -> None:
+        """Hold y and Z <- (2 y - 1) Z, signed in place: exact, as each
+        factor is +-1."""
+        if not np.all(np.isin(y, (0.0, 1.0))):
             raise DomainError("y must be binary 0/1")
-        self.Z = (2.0 * self.y - 1.0)[:, None] * X
+        Z *= (2.0 * y - 1.0)[:, None]
+        self.y, self.Z = y, Z
 
     @property
     def X(self) -> np.ndarray:
@@ -409,35 +424,23 @@ _MC_BATCHES = 50
 _GIBBS_CELLS = 1 << 15
 
 
-def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
-                        n_samples: int = 50_000, n_warmup: int = 5_000,
-                        seed: int = 0) -> MomentSummary:
-    """Albert-Chib data-augmentation Gibbs sampler.
+def _gibbs_chain(Z: np.ndarray, S: np.ndarray, total: int, seed: int
+                 ) -> np.ndarray:
+    """total Albert-Chib draws of beta, from beta = 0, as a (total, p)
+    array; its n-vector buffers are freed on return.
 
-    a_i | beta ~ N(z_i^T beta, 1) truncated to (0, inf); beta | a ~
-    N(S Z^T a, S). Returns the empirical posterior mean and covariance of
-    beta with batch-means Monte Carlo standard errors for the mean.
-
-    The a draws and the beta draws read two streams spawned from
-    SeedSequence(seed), in order and a block of draws at a time, so the
-    chain does not depend on the block size.
-
-    Unlike the fits, the sampler holds the n x p array S Z^T: a draw's
-    S Z^T a is then one matrix-vector product, 0.22 ms at n = 5e4, p = 20
-    on a 2-core host, against 0.51-0.62 ms for S (Z^T a).
+    A draw's beta is S Z^T a + e. Where S Z^T is no larger than the block of
+    uniforms held beside it (n p <= _GIBBS_CELLS), it is held and S Z^T a is
+    one product; above that it is not made, and a draw takes S (Z^T a), one
+    product of p x p more, so that nothing n x p is held beside Z.
     """
-    if n_samples < 1000:
-        raise DomainError("need at least 1000 samples")
-    if n_warmup < 0:
-        raise DomainError("n_warmup must be non-negative")
-    Z = data.Z
     n, p = Z.shape
-    _, S = _workspace(data, prior)
-    SZt = S @ Z.T
+    held = n * p <= _GIBBS_CELLS
+    SZt = S @ Z.T if held else None
+    Zt, c = Z.T, np.empty(p)  # c = Z^T a where S Z^T is not held
     Lt = np.linalg.cholesky(S).T
     rng_u, rng_e = (np.random.default_rng(s)
                     for s in seed_sequence(seed).spawn(2))
-    total = n_warmup + n_samples
     chain = np.empty((total, p))
     block = max(1, _GIBBS_CELLS // n)
     V, N, E = np.empty((block, n)), np.empty((block, p)), np.empty((block, p))
@@ -452,10 +455,35 @@ def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
             Eb += Nb[:, k:k + 1] * Lt[k]
         for v, e, beta in zip(Vb, Eb, chain[s:s + b]):
             _truncnorm_into(m, v, a)
-            np.dot(SZt, a, out=beta)
+            if held:
+                np.dot(SZt, a, out=beta)
+            else:
+                np.dot(S, np.dot(Zt, a, out=c), out=beta)
             np.add(beta, e, out=beta)
             np.dot(Z, beta, out=m)
-    draws = chain[n_warmup:]
+    return chain
+
+
+def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
+                        n_samples: int = 50_000, n_warmup: int = 5_000,
+                        seed: int = 0) -> MomentSummary:
+    """Albert-Chib data-augmentation Gibbs sampler.
+
+    a_i | beta ~ N(z_i^T beta, 1) truncated to (0, inf); beta | a ~
+    N(S Z^T a, S). Returns the empirical posterior mean and covariance of
+    beta with batch-means Monte Carlo standard errors for the mean.
+
+    The a draws and the beta draws read two streams spawned from
+    SeedSequence(seed), in order and a block of draws at a time, so the
+    chain does not depend on the block size.
+    """
+    if n_samples < 1000:
+        raise DomainError("need at least 1000 samples")
+    if n_warmup < 0:
+        raise DomainError("n_warmup must be non-negative")
+    p = data.p
+    _, S = _workspace(data, prior)
+    draws = _gibbs_chain(data.Z, S, n_warmup + n_samples, seed)[n_warmup:]
     mean = draws.mean(axis=0)
     cov = np.cov(draws.T, ddof=1).reshape(p, p)
     batch_means = draws[: n_samples - n_samples % _MC_BATCHES].reshape(

@@ -29,7 +29,10 @@ The xi evaluators take d as one order or as a tuple of orders; a tuple
 returns one stacked array and lets the orders share the zeta recursion,
 the mode search and the nodes. Every element goes through the same
 arithmetic as in a one-element call, so results do not depend on the
-batch.
+batch. So xi walks its elements in fixed blocks of _XI_BLOCK, each block
+split among the branches, and gives bit for bit what one pass over the
+whole call would; its scratch, the series' zeta orders or the nodes of
+the other two branches, is that of one block, not of the call.
 
 All functions are pure and accept scalars or numpy arrays.
 """
@@ -76,6 +79,10 @@ _QUAD_POINTS = 50
 _NEWTON_MAX_STEPS = 100
 _WALK_BLOCK = 8
 _WALK_MAX_STEPS = 10_000
+# xi evaluates its elements this many at a time, so that its scratch (the
+# series' zeta orders, the Gauss-Hermite and trapezoid node arrays) does not
+# grow with the call
+_XI_BLOCK = 4096
 
 
 def log_Phi(t):
@@ -85,20 +92,23 @@ def log_Phi(t):
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
-def _recip_mills_cf(x: np.ndarray) -> np.ndarray:
-    """1/R(x) for x > 0 via the Laplace continued fraction.
+def _recip_mills_cf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(1/R(x), d) for x > 0 via the Laplace continued fraction.
 
     R(x) = (1 - Phi(x))/phi(x) is the Mills ratio;
-    1/R(x) = x + 1/(x + 2/(x + 3/(x + ...))).
+    1/R(x) = x + 1/d with d = x + 2/(x + 3/(x + ...)).
     """
     d = np.array(x, dtype=float, copy=True)
     for j in range(_CF_DEPTH, 1, -1):
         d = x + j / d
-    return x + 1.0 / d
+    return x + 1.0 / d, d
 
 
-def _zeta1(t: np.ndarray, log_phi: np.ndarray | None = None) -> np.ndarray:
-    """Inverse Mills ratio phi(t)/Phi(t), stable over the whole real line.
+def _zeta1(t: np.ndarray, log_phi: np.ndarray | None = None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Inverse Mills ratio phi(t)/Phi(t), stable over the whole real line,
+    with the mask of t below _CF_CROSSOVER and, for those t, the continued
+    fraction's d, with t + zeta_1 = 1/d (None where no t is below).
 
     log_phi is log_ndtr(t), for a caller that has it already; only the
     rows with t >= _CF_CROSSOVER read it.
@@ -108,13 +118,13 @@ def _zeta1(t: np.ndarray, log_phi: np.ndarray | None = None) -> np.ndarray:
         log_phi = log_ndtr(t)
     lo = t < _CF_CROSSOVER
     if not lo.any():
-        return np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_phi)
+        return np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_phi), lo, None
     out = np.empty_like(t)
-    out[lo] = _recip_mills_cf(-t[lo])
+    out[lo], d = _recip_mills_cf(-t[lo])
     hi = ~lo
     th = t[hi]
     out[hi] = np.exp(-0.5 * th * th - _LOG_SQRT_2PI - log_phi[hi])
-    return out
+    return out, lo, d
 
 
 def _zeta_orders(kmax: int, t) -> list[np.ndarray]:
@@ -125,16 +135,22 @@ def _zeta_orders(kmax: int, t) -> list[np.ndarray]:
         zeta_k = -(t zeta_{k-1} + (k-2) zeta_{k-2})
                  - sum_{j=0}^{k-2} C(k-2, j) zeta_{1+j} zeta_{k-1-j},
 
-    which only ever combines orders >= 1 on the product side.
+    which only ever combines orders >= 1 on the product side. Its zeta_2,
+    -zeta_1 (t + zeta_1), cancels in the far left tail; below
+    _CF_CROSSOVER it is -zeta_1 / d instead, d from the continued fraction
+    that gives t + zeta_1 = 1/d.
     """
     arr = np.atleast_1d(require_finite(t, "t"))
     z: list[np.ndarray] = [log_ndtr(arr)]
     if kmax >= 1:
-        z.append(_zeta1(arr, z[0]))
+        z1, lo, d = _zeta1(arr, z[0])
+        z.append(z1)
     for k in range(2, kmax + 1):
         acc = -(arr * z[k - 1] + (k - 2) * z[k - 2])
         for j in range(0, k - 1):
             acc = acc - comb(k - 2, j) * z[1 + j] * z[k - 1 - j]
+        if k == 2 and d is not None:
+            acc[lo] = -z1[lo] / d
         z.append(acc)
     return z
 
@@ -320,7 +336,15 @@ def _xi_hermite(d: tuple[int, ...], mu: np.ndarray, sigma2: np.ndarray
 def xi(d: int | tuple[int, ...], mu, sigma2):
     """xi_d(mu, sigma2): the series below sigma2 = _SERIES_MAX where mu >=
     _SERIES_MIN_MU, Gauss-Hermite elsewhere below _GH_MAX, the trapezoid
-    quadrature from _GH_MAX up."""
+    quadrature from _GH_MAX up. A call of more than _XI_BLOCK elements is
+    evaluated _XI_BLOCK elements at a time."""
+    if mu.size > _XI_BLOCK:
+        m, s2 = mu.ravel(), sigma2.ravel()
+        out = np.empty((len(d), mu.size))
+        for s in range(0, mu.size, _XI_BLOCK):
+            out[:, s:s + _XI_BLOCK] = xi(d, m[s:s + _XI_BLOCK],
+                                         s2[s:s + _XI_BLOCK])
+        return out.reshape((len(d),) + mu.shape)
     out = np.empty((len(d),) + mu.shape)
     series = (sigma2 < _SERIES_MAX) & (mu >= _SERIES_MIN_MU)
     quad = sigma2 >= _GH_MAX

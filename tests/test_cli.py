@@ -318,10 +318,10 @@ class TestLoadRegression:
 
     @pytest.mark.parametrize("intercept", [False, True])
     def test_probit_data_holds_one_design_array(self, tmp_path, intercept):
-        """Loading a 20,000 x 6 probit CSV into ProbitData peaks below the
-        table plus two n x p arrays, which is what holding the table, X and
-        Z at once would take: the table is dropped before Z is built from
-        X. Afterwards only Z and y are held."""
+        """Loading a 20,000 x 6 probit CSV through the probit model's loader
+        peaks below the table plus one n x p array and two n-vectors: the
+        design is signed into Z in place. Afterwards only Z and y are held,
+        and Z is column-major."""
         path = tmp_path / "probit.csv"
         assert run_cli(["generate", "--model", "probit", "--n", "20000",
                         "--p", "5", "--seed", "1", "--out", str(path)]) == 0
@@ -329,17 +329,31 @@ class TestLoadRegression:
                                   intercept=intercept)
         tracemalloc.start()
         try:
-            data = cli._load_regression(args, ProbitData)
+            data = cli.MODELS["probit"].load(args)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         n, p = data.Z.shape
         table = n * (6 * 8)
         assert (n, p) == (20_000, 5 + intercept)
-        assert peak < table + 2 * data.Z.nbytes
+        assert peak < table + data.Z.nbytes + 2 * data.y.nbytes
         assert held < data.Z.nbytes + 2 * data.y.nbytes
         assert [k for k, v in vars(data).items()
                 if isinstance(v, np.ndarray) and v.ndim == 2] == ["Z"]
+        assert data.Z.flags.f_contiguous
+
+    def test_probit_loader_reads_the_library_bits(self, probit_csv):
+        """The CLI's in-place signing gives the Z, y and X that ProbitData
+        builds from the same table."""
+        args = argparse.Namespace(model="probit", data=probit_csv,
+                                  intercept=True)
+        data = cli.MODELS["probit"].load(args)
+        y, X = cli._load_regression(args, lambda y, X: (y, X))
+        ref = ProbitData(y, X)
+        assert data.Z.flags.f_contiguous
+        assert data.Z.tobytes("A") == ref.Z.tobytes("A")
+        assert data.y.tobytes() == y.tobytes()
+        assert data.X.tobytes() == X.tobytes()
 
 
 class TestInitFromRoundTrips:
@@ -931,42 +945,78 @@ class TestErrors:
         assert rc == 4 and out == ""
         assert err.startswith("numeric failure: ") and "Traceback" not in err
 
+    @staticmethod
+    def _separable(tmp_path, scale: float) -> str:
+        """The separable 40-row set, y = 1{x > 0}, with x scaled."""
+        x = np.random.default_rng(0).standard_normal(40)
+        path = tmp_path / "separable.csv"
+        path.write_text("y,x1\n" + "".join(
+            f"{float(v > 0)!r},{float(scale * v)!r}\n" for v in x))
+        return str(path)
+
+    @staticmethod
+    def _start(tmp_path, mean, cov) -> str:
+        """A report holding only q(beta) = N(mean, cov), for --init-from."""
+        path = tmp_path / "start.json"
+        path.write_text(json.dumps({"q": {"beta": {
+            "family": "gaussian", "mean": mean, "cov": cov}}}))
+        return str(path)
+
     def test_dmvb_overflowing_gradient_is_numeric_failure(self, tmp_path,
                                                           capsys):
-        """A separable set whose predictor is scaled by 1e150 (Z^T Z stays
-        finite): the dmvb gradient overflows, which is a numeric failure
-        naming it, with no RuntimeWarning, not a domain error about the
-        zeta argument."""
-        x = np.random.default_rng(0).standard_normal(40)
-        path = tmp_path / "scaled.csv"
-        path.write_text("y,x1\n" + "".join(
-            f"{float(v > 0)!r},{float(1e150 * v)!r}\n" for v in x))
+        """The separable set scaled by 1e160, started where every predictor
+        is above 1e5: zeta_1 to zeta_3 vanish there, so M = D and every
+        h_i = z_i^T M^-1 z_i overflows on the first step, which is a
+        numeric failure naming the gradient, with no RuntimeWarning, not a
+        domain error about the zeta argument."""
+        data = self._separable(tmp_path, 1e160)
+        start = self._start(tmp_path, [0.0, 1e-150], [[1.0, 0.0], [0.0, 1.0]])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = run_cli(["fit", "--model", "probit", "--method", "dmvb",
                           "--intercept", "--lambda", "0.01",
-                          "--data", str(path)])
+                          "--data", data, "--init-from", start])
         out, err = capsys.readouterr()
         assert rc == 4 and out == ""
         assert err == ("numeric failure: gradient of the dmvb objective in "
                        "beta is not finite\n")
         assert not [w for w in caught if w.category is RuntimeWarning]
 
+    @pytest.mark.parametrize("method,scale,lam", [
+        ("dmvb", 1e150, "0.01"), ("mp-quad", 1.0, "1e-8")])
+    def test_separable_extremes_end_cleanly(self, tmp_path, capsys, method,
+                                            scale, lam):
+        """The inputs these errors were once pinned on, reached there only
+        through rounding: the 1e150-scaled set for dmvb, the unscaled one at
+        a vanishing ridge for mp-quad. Each ends in a report or a numeric
+        failure, with no traceback, NaN or RuntimeWarning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(["fit", "--model", "probit", "--method", method,
+                          "--intercept", "--lambda", lam,
+                          "--data", self._separable(tmp_path, scale)])
+        out, err = capsys.readouterr()
+        assert rc in (0, 4)
+        assert "Traceback" not in err and "NaN" not in out
+        if rc == 0:
+            beta = json.loads(out)["q"]["beta"]
+            assert np.isfinite(beta["mean"]).all()
+            assert np.isfinite(beta["cov"]).all()
+        assert not [w for w in caught if w.category is RuntimeWarning]
+
     def test_mp_quad_failed_smoothing_names_the_predictor_variance(
             self, tmp_path, capsys):
-        """On a separable set at a vanishing ridge, mp-quad drives the
-        predictor variances z_i^T Sigma z_i up until xi cannot be
-        evaluated: a numeric failure naming the largest variance, not xi's
-        internals, with no RuntimeWarning."""
-        x = np.random.default_rng(0).standard_normal(40)
-        path = tmp_path / "separable.csv"
-        path.write_text("y,x1\n" + "".join(
-            f"{float(v > 0)!r},{float(v)!r}\n" for v in x))
+        """mp-quad on the separable set, started from a q(beta) whose
+        intercept variance is 1e15, where xi's mode search fails: a numeric
+        failure naming the largest predictor variance z_i^T Sigma z_i, not
+        xi's internals, with no RuntimeWarning."""
+        start = self._start(tmp_path, [0.0, 0.0], [[1e15, 0.0], [0.0, 1.0]])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = run_cli(["fit", "--model", "probit", "--method", "mp-quad",
-                          "--intercept", "--lambda", "1e-8",
-                          "--data", str(path)])
+                          "--intercept", "--data",
+                          self._separable(tmp_path, 1.0),
+                          "--init-from", start])
         out, err = capsys.readouterr()
         assert rc == 4 and out == ""
         assert err.startswith("numeric failure: Gaussian smoothing of zeta "

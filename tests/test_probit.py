@@ -698,6 +698,18 @@ class TestGibbs:
         for x, y in [(a.mean, b.mean), (a.cov, b.cov), (a.mc_se, b.mc_se)]:
             assert np.array_equal(x, y)
 
+    def test_unheld_product_gives_the_chain(self, synthetic200,
+                                            monkeypatch):
+        """Above n p = _GIBBS_CELLS a draw takes S (Z^T a) instead of a held
+        S Z^T; the chain is the same up to rounding."""
+        held = probit_gibbs_oracle(*synthetic200, n_samples=2000,
+                                   n_warmup=100, seed=6)
+        monkeypatch.setattr(probit, "_GIBBS_CELLS", 200 * 3 - 1)
+        unheld = probit_gibbs_oracle(*synthetic200, n_samples=2000,
+                                     n_warmup=100, seed=6)
+        assert np.allclose(held.mean, unheld.mean, rtol=1e-12, atol=0)
+        assert np.allclose(held.cov, unheld.cov, rtol=1e-12, atol=0)
+
     def test_matches_per_draw_reference(self, synthetic200):
         # same streams, same formulas; only the summation order differs
         summ = probit_gibbs_oracle(*synthetic200, n_samples=2000,
@@ -738,6 +750,22 @@ class TestGibbs:
     def test_sample_floor(self, single_obs):
         with pytest.raises(DomainError):
             probit_gibbs_oracle(*single_obs, n_samples=10)
+
+    def test_chain_holds_no_n_by_p_array(self):
+        """Beside Z, a chain at n = 20,000, p = 20 holds n-vectors and its
+        draws only: its traced peak stays below a quarter of Z, where
+        S Z^T alone would take all of it."""
+        n, p = 20_000, 20
+        data = ProbitData(*generate_probit(n, p, seed=5))
+        prior = ProbitPrior.ridge(0.01, p)
+        tracemalloc.start()
+        try:
+            probit_gibbs_oracle(data, prior, n_samples=1000, n_warmup=0,
+                                seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.Z.nbytes / 4
 
 
 @pytest.mark.parametrize("draw", [
@@ -852,6 +880,17 @@ class TestData:
         assert (data.n, data.p) == (30, 4)
         assert [k for k, v in vars(data).items()
                 if isinstance(v, np.ndarray) and v.ndim == 2] == ["Z"]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_design_is_column_major(self, order):
+        """Z is Fortran-ordered whatever the layout of the X given, and X
+        reads back the input bits."""
+        rng = np.random.default_rng(6)
+        y = (rng.random(9) < 0.5).astype(float)
+        X = np.asarray(rng.standard_normal((9, 3)), order=order)
+        data = ProbitData(y, X)
+        assert data.Z.flags.f_contiguous
+        assert data.X.tobytes() == X.tobytes()
 
     def test_rejects_nonbinary(self):
         with pytest.raises(DomainError):

@@ -1,12 +1,15 @@
 """Tests for log_Phi, the zeta ladder, and the smoothed xi evaluators.
 
 Frozen reference values were computed with a 50-digit mpmath erfc oracle
-(log_Phi, zeta_1), with scipy.integrate.quad applied directly to
+(log_Phi, zeta_1), with 60-digit mpmath -zeta_1 (t + zeta_1) (zeta_2 in the
+far left tail), with scipy.integrate.quad applied directly to
 zeta_d(x) * normal_pdf(x; mu, sigma2) (xi), and with a 60-digit mpmath
 quadrature of the same integral (xi in the far left tail). The quad and
 Simpson oracles are reproduced in-test so the comparison stays independent
 of the series, Gauss-Hermite and trapezoid paths under test.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,7 +100,7 @@ class TestZeta:
         for t in np.linspace(-28.0, -24.0, 17):
             direct = float(np.exp(stats.norm.logpdf(t)
                                   - stats.norm.logcdf(t)))
-            cf = float(_recip_mills_cf(np.array([-t]))[0])
+            cf = float(_recip_mills_cf(np.array([-t]))[0][0])
             assert abs(direct - cf) <= 1e-12 * cf
 
     def test_vectorized_matches_scalar(self):
@@ -115,8 +118,8 @@ class TestZeta:
         # _zeta_orders hands zeta_1 the log Phi it already computed; the
         # cases sit on both sides of specfun._CF_CROSSOVER = -25
         assert specfun._CF_CROSSOVER == -25.0
-        assert np.array_equal(_zeta1(t, log_ndtr(t)), _zeta1(t))
-        assert np.array_equal(_zeta_orders(1, t)[1], _zeta1(t))
+        assert np.array_equal(_zeta1(t, log_ndtr(t))[0], _zeta1(t)[0])
+        assert np.array_equal(_zeta_orders(1, t)[1], _zeta1(t)[0])
 
     # recursion-vs-derivative consistency; the constants grow with the
     # magnitude of the (k+3)rd derivative (truncation) and with the
@@ -142,6 +145,20 @@ class TestZeta:
     def test_zeta2_in_open_unit_interval(self, t):
         z2 = zeta(2, t)
         assert -1.0 < z2 < 0.0
+
+    ZETA2_FAR_LEFT = {-26.0: -0.99853368043156099019,
+                      -100.0: -0.99990005995005173655,
+                      -421.0: -0.99999435815556570426,
+                      -975.0: -0.99999894806712592426,
+                      -1e4: -0.99999999000000059999995}
+
+    @pytest.mark.parametrize("t", sorted(ZETA2_FAR_LEFT))
+    def test_zeta2_far_left_tail(self, t):
+        """Below the continued-fraction crossover zeta_2 is -zeta_1 / d,
+        free of the cancellation in -zeta_1 (t + zeta_1), which left it
+        8.3e-14 (t = -26) to 4.9e-9 (t = -1e4) off."""
+        want = self.ZETA2_FAR_LEFT[t]
+        assert abs(zeta(2, t) - want) <= 1e-14 * abs(want)
 
 
 class TestXiTaylor:
@@ -276,6 +293,44 @@ class TestXiDispatch:
                 continue
             assert np.array_equal(fn((0, 2), mu, s2),
                                   np.stack([fn(0, mu, s2), fn(2, mu, s2)]))
+
+    @staticmethod
+    def _three_branches(n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n elements taking the series, the Gauss-Hermite band and the
+        trapezoid in turn."""
+        rng = np.random.default_rng(11)
+        mu = rng.uniform(-6.0, 6.0, n)
+        s2 = np.choose(np.arange(n) % 3, [rng.uniform(0.0, 0.009, n),
+                                          rng.uniform(0.01, 1.9, n),
+                                          rng.uniform(2.0, 8.0, n)])
+        return mu, s2
+
+    def test_blocks_give_one_pass_bit_for_bit(self, monkeypatch):
+        n = 3 * specfun._XI_BLOCK + 17
+        mu, s2 = self._three_branches(n)
+        blocked = xi((1, 2), mu, s2)
+        monkeypatch.setattr(specfun, "_XI_BLOCK", n)
+        assert np.array_equal(blocked, xi((1, 2), mu, s2))
+
+    def test_blocks_match_one_element_calls(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_XI_BLOCK", 8)
+        mu, s2 = self._three_branches(3 * 8 + 17)
+        each = np.stack([xi((1, 2), m, v) for m, v in zip(mu, s2)], axis=1)
+        assert np.array_equal(xi((1, 2), mu, s2), each)
+
+    @pytest.mark.parametrize("s2", [0.005, 0.5], ids=["series", "band"])
+    def test_scratch_is_one_block(self, s2):
+        """On 2e5 elements the traced peak stays within three times the
+        output: the series' zeta orders and the band's nodes are one
+        block's."""
+        mu, sigma2 = np.linspace(-6.0, 6.0, 200_000), np.full(200_000, s2)
+        tracemalloc.start()
+        try:
+            out = xi((1, 2), mu, sigma2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * out.nbytes
 
     @pytest.mark.parametrize("d", [(), (1, 3), [1, 2], 3])
     def test_rejects_bad_orders(self, d):
