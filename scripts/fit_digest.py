@@ -11,7 +11,8 @@ generate_probit(50_000, 20, seed=1), where dmvb is skipped. Every prior is
 a ridge of 0.01, every iterative fit gets max_iter 2000 and eps EPS (the
 fitters' default, 1e-6, unless given), and Gibbs takes 1,000 draws after
 100 of warm-up from seed 0. It saves each fit's mean and covariance,
-and each iterative fit's iteration count and converged flag. --rotate SEED
+each iterative fit's iteration count and converged flag, and each Gibbs
+fit's Monte Carlo standard errors of the mean (mc_se). --rotate SEED
 rotates and permutes the rows of each small design as the benchmark's
 probit-small-study does at seed SEED.
 
@@ -32,8 +33,10 @@ MVN, its wrong-basin flag. --rotate leaves these designs as they are.
 
 The second form prints, per method, the largest absolute move of a saved
 entry (a mean, a covariance or a q field) from A to B and the design where
-it happens ("identical" when every array is equal bit for bit), then one
-line for every iteration count or flag that differs.
+it happens ("identical" when every array is equal bit for bit), then, for
+every Gibbs fit whose mean moved, the largest move of a mean entry in
+units of its combined MC-SE, sqrt(mc_se_A^2 + mc_se_B^2), then one line
+for every iteration count or flag that differs.
 
 The third form takes T as the tight reference, a digest of the same
 designs at a small eps (say 1e-13), and prints every fit whose B point
@@ -136,6 +139,7 @@ def fit_all(sets, eps: float = EPS) -> dict[str, np.ndarray]:
             rep = fit(data, prior, eps)
             if method == "gibbs":
                 out[key + "mean"], out[key + "cov"] = rep.mean, rep.cov
+                out[key + "mc_se"] = rep.mc_se
                 continue
             out[key + "mean"] = rep.params["beta"].mean
             out[key + "cov"] = rep.params["beta"].cov
@@ -183,9 +187,25 @@ def fit_conjugate(sets, eps: float = EPS) -> dict[str, np.ndarray]:
     return out
 
 
+def mc_se_moves(a: dict, b: dict) -> list[str]:
+    """One line for every Gibbs fit whose mean moved from a to b: its
+    largest mean move over the combined MC-SE of that entry."""
+    lines = []
+    for key in sorted(k for k in a.keys() & b.keys() if k.endswith("|mc_se")):
+        fit = key[:-len("mc_se")]
+        move = np.abs(a[fit + "mean"] - b[fit + "mean"])
+        if move.any():
+            label, method, _ = key.split("|")
+            lines.append(f"{label} {method} mean: max move "
+                         f"{np.max(move / np.hypot(a[key], b[key])):.3g} "
+                         f"combined MC-SE")
+    return lines
+
+
 def compare(a: dict, b: dict) -> list[str]:
-    """Per method, the largest move from a to b and where; then every key
-    that is in one digest only, and every count or flag that differs."""
+    """Per method, the largest move from a to b and where; then each Gibbs
+    mean move in MC-SE (mc_se_moves), every key that is in one digest only,
+    and every count or flag that differs."""
     moves, lines = {}, []
     for key in sorted(a.keys() & b.keys()):
         label, method, field = key.split("|")
@@ -206,7 +226,7 @@ def compare(a: dict, b: dict) -> list[str]:
         gap, where, equal = moves[method]
         summary.append(f"{method:8s} identical" if equal else
                        f"{method:8s} max move {gap:.3g} at {where}")
-    return summary + lines
+    return summary + mc_se_moves(a, b) + lines
 
 
 def _distance(digest: dict, tight: dict, fit: str) -> float:

@@ -43,17 +43,26 @@ halved until the objective rises enough (Armijo's rule). A fit stops once
 a step moves its mean by less than eps in the max norm; the first step is
 never tested, so a fit started at its own optimum takes two.
 
-The Gibbs sampler reads two streams spawned from SeedSequence(seed): one
-of uniforms for the a_i draws and one of standard normals for the beta
-draws. It takes them a block of draws at a time (about _GIBBS_CELLS
+The Gibbs sampler has two regimes, chosen by n alone. Below _GIBBS_SPLIT
+rows it reads two streams spawned from SeedSequence(seed): one of uniforms
+for the a_i draws, by the inverse CDF, and one of standard normals for the
+beta draws. It takes them a block of draws at a time (about _GIBBS_CELLS
 uniforms) and writes each draw into a preallocated chain with in-place
-ufuncs, so no draw makes its own RNG call at small n. Gibbs output for a
-given seed therefore differs from versions that drew from one generator
-one draw at a time; its distribution does not.
+ufuncs, so no draw makes its own RNG call at small n. From _GIBBS_SPLIT
+rows on it splits Z's rows in two halves, the second on a worker thread
+where a second CPU is available; each half draws its a_i by accept-reject
+(_truncnorm_ar) from its own stream, beta reads a third, and no BLAS call
+runs inside a half. Either way the chain depends on the seed and on n's
+regime, not on the block size, the thread or the CPU count. Gibbs output
+for a given seed differs from versions that drew from one generator one
+draw at a time, and at large n from versions before the split; its
+distribution does not.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import isfinite
 
@@ -417,11 +426,103 @@ def _truncnorm_into(m: np.ndarray, v: np.ndarray, out: np.ndarray
     return np.subtract(m, out, out=out)
 
 
+def _truncnorm_ar(rng: np.random.Generator, m: np.ndarray, out: np.ndarray,
+                  scratch: np.ndarray) -> np.ndarray:
+    """out <- draws from N(m, 1) conditioned on being positive, by accept-
+    reject with an exact fallback: the proposal m + e, e ~ N(0, 1), is kept
+    where it is positive, and only the other rows are redrawn, by
+    _truncnorm_into, so every row is an exact draw (Robert, Statistics and
+    Computing 5, 1995). m is overwritten.
+
+    The rejected rows are redrawn in chunks of up to len(scratch) // 2, in
+    row order: a chunk's m is gathered into the first half of scratch, its
+    uniforms are written over the leading rows of m (the i-th rejected row
+    is row i or later, so no later chunk reads them) and its draws go to
+    the second half. The uniforms go to the rejected rows in order, so the
+    chunk size does not change the draws."""
+    rng.standard_normal(out=out)
+    out += m
+    rows = np.flatnonzero(out <= 0.0)
+    step = len(scratch) // 2
+    for s in range(0, len(rows), step):
+        rk = rows[s:s + step]
+        k = len(rk)
+        mk = np.take(m, rk, out=scratch[:k], mode="clip")
+        out[rk] = _truncnorm_into(mk, _tail_mass(rng, m[:k]),
+                                  scratch[step:step + k])
+    return out
+
+
 # batches of the Gibbs draws behind the batch-means Monte Carlo error
 _MC_BATCHES = 50
 # Gibbs draws are generated in blocks of max(1, _GIBBS_CELLS // n), so a
 # block's uniforms take about _GIBBS_CELLS doubles
 _GIBBS_CELLS = 1 << 15
+# from this many rows on a Gibbs draw splits Z's rows in two halves, one on
+# a worker thread (_gibbs_halves); at p = 20 that pays from between 1e4 and
+# 2e4 rows. The 20,000-row memory test runs the split path.
+_GIBBS_SPLIT = 1 << 14
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _gibbs_halves(Z: np.ndarray, S: np.ndarray, total: int, seed: int
+                  ) -> np.ndarray:
+    """_gibbs_chain from _GIBBS_SPLIT rows on. The rows are split into two
+    fixed halves, views of Z. Per draw each half computes m_k = Z_k beta,
+    draws a_k by _truncnorm_ar and forms c_k = Z_k^T a_k; the second half
+    runs on one worker thread where a second CPU is available. Then
+    beta = S (c_0 + c_1) + L e. The halves' products are einsum's, not
+    BLAS', whose own threads spin on the second CPU and slow both halves.
+
+    Each half reads its own generator and beta's normals a third, all
+    spawned from SeedSequence(seed), so the chain depends on the seed alone,
+    not on thread timing or the CPU count. m, a and _truncnorm_ar's scratch
+    are made once. The scratch is as long as m, so that one fallback chunk
+    takes up to half of a half's rows: each numpy call in a half can wait
+    for the interpreter lock while the other half holds it, so a half makes
+    few of them.
+    """
+    # imported here, not at the top: loading the executor's module raised
+    # the peak RSS of a run that never splits (probit-small-study) by 0.2 MB
+    from concurrent.futures import ThreadPoolExecutor
+
+    n, p = Z.shape
+    rngs = [np.random.default_rng(s) for s in seed_sequence(seed).spawn(3)]
+    chain = rngs[2].standard_normal((total, p))  # overwritten by the draws
+    L = np.linalg.cholesky(S)
+    h = (n + 1) // 2
+    halves = (slice(0, h), slice(h, n))
+    m, a = np.empty(n), np.empty(n)
+    scratch = np.empty((2, h))
+    c, e = np.empty((2, p)), np.empty(p)
+
+    def half(k: int, beta: np.ndarray) -> None:
+        rows = halves[k]
+        Zk, mk = Z[rows], m[rows]
+        np.einsum("ij,j->i", Zk, beta, out=mk)
+        ak = _truncnorm_ar(rngs[k], mk, a[rows], scratch[k])
+        np.einsum("ij,i->j", Zk, ak, out=c[k])
+
+    beta = np.zeros(p)
+    with (ThreadPoolExecutor(1) if _cpus() > 1 else nullcontext()) as pool:
+        for draw in chain:
+            if pool is None:
+                half(0, beta)
+                half(1, beta)
+            else:
+                job = pool.submit(half, 1, beta)
+                half(0, beta)
+                job.result()
+            np.dot(L, draw, out=e)
+            np.dot(S, np.add(c[0], c[1], out=c[0]), out=draw)
+            beta = np.add(draw, e, out=draw)
+    return chain
 
 
 def _gibbs_chain(Z: np.ndarray, S: np.ndarray, total: int, seed: int
@@ -432,9 +533,12 @@ def _gibbs_chain(Z: np.ndarray, S: np.ndarray, total: int, seed: int
     A draw's beta is S Z^T a + e. Where S Z^T is no larger than the block of
     uniforms held beside it (n p <= _GIBBS_CELLS), it is held and S Z^T a is
     one product; above that it is not made, and a draw takes S (Z^T a), one
-    product of p x p more, so that nothing n x p is held beside Z.
+    product of p x p more, so that nothing n x p is held beside Z. From
+    _GIBBS_SPLIT rows on the draws are _gibbs_halves'.
     """
     n, p = Z.shape
+    if n >= _GIBBS_SPLIT:
+        return _gibbs_halves(Z, S, total, seed)
     held = n * p <= _GIBBS_CELLS
     SZt = S @ Z.T if held else None
     Zt, c = Z.T, np.empty(p)  # c = Z^T a where S Z^T is not held
@@ -473,9 +577,14 @@ def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
     N(S Z^T a, S). Returns the empirical posterior mean and covariance of
     beta with batch-means Monte Carlo standard errors for the mean.
 
-    The a draws and the beta draws read two streams spawned from
-    SeedSequence(seed), in order and a block of draws at a time, so the
-    chain does not depend on the block size.
+    Below _GIBBS_SPLIT rows the a draws and the beta draws read two streams
+    spawned from SeedSequence(seed), in order and a block of draws at a
+    time. From _GIBBS_SPLIT rows on the rows are split in two halves, whose
+    a draws read a stream each, and the beta draws a third, all spawned
+    from SeedSequence(seed); the second half runs on a worker thread where
+    a second CPU is available. So the chain depends on the seed and on
+    which side of _GIBBS_SPLIT n lies, not on the block size, the thread
+    or the CPU count.
     """
     if n_samples < 1000:
         raise DomainError("need at least 1000 samples")

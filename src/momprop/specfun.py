@@ -55,6 +55,10 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 # well past the seam in both directions.
 _CF_CROSSOVER = -25.0
 _CF_DEPTH = 64
+# From t ~ 38.6 on, phi(t) underflows and the direct ratio is 0. Squaring
+# t = min(t, _DIRECT_MAX) gives the same 0 there without overflowing t * t,
+# which it would from t ~ 1.3e154 on.
+_DIRECT_MAX = 40.0
 
 # xi evaluation: xi uses the series below _SERIES_MAX where mu >=
 # _SERIES_MIN_MU (further left the recursion loses the zeta orders above 2
@@ -104,6 +108,13 @@ def _recip_mills_cf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x + 1.0 / d, d
 
 
+def _direct_ratio(t: np.ndarray, log_phi: np.ndarray) -> np.ndarray:
+    """phi(t)/Phi(t) as exp(log phi(t) - log Phi(t)), log_phi = log Phi(t),
+    for t >= _CF_CROSSOVER."""
+    t = np.minimum(t, _DIRECT_MAX)
+    return np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_phi)
+
+
 def _zeta1(t: np.ndarray, log_phi: np.ndarray | None = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Inverse Mills ratio phi(t)/Phi(t), stable over the whole real line,
@@ -118,12 +129,11 @@ def _zeta1(t: np.ndarray, log_phi: np.ndarray | None = None
         log_phi = log_ndtr(t)
     lo = t < _CF_CROSSOVER
     if not lo.any():
-        return np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_phi), lo, None
+        return _direct_ratio(t, log_phi), lo, None
     out = np.empty_like(t)
     out[lo], d = _recip_mills_cf(-t[lo])
     hi = ~lo
-    th = t[hi]
-    out[hi] = np.exp(-0.5 * th * th - _LOG_SQRT_2PI - log_phi[hi])
+    out[hi] = _direct_ratio(t[hi], log_phi[hi])
     return out, lo, d
 
 

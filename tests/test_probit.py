@@ -4,14 +4,18 @@ Scalar oracle for the one-observation problem: the mode solves
 zeta_1(b) = b, root 0.5060544689891807 (Brent bracketing, frozen).
 """
 
+import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
+from scipy.stats import ks_2samp
 
 from momprop import probit, reports
 from momprop.datagen import generate_linear, generate_mvn, generate_probit
@@ -38,6 +42,13 @@ def _truncnorm_positive(rng, m):
     the sampler's own tail-mass and inverse-CDF kernels."""
     v = probit._tail_mass(rng, np.empty_like(m))
     return probit._truncnorm_into(m, v, np.empty_like(m))
+
+
+def _truncnorm_ar_positive(rng, m, step):
+    """The same draws by the large-n sampler's accept-reject kernel, its
+    fallback walking chunks of step rows; m is left as it was."""
+    return probit._truncnorm_ar(rng, m.copy(), np.empty_like(m),
+                                np.empty(2 * step))
 
 
 @pytest.fixture(scope="module")
@@ -677,6 +688,27 @@ class TestGibbs:
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - (m + zeta(1, m))) < 3 * se
 
+    @pytest.mark.parametrize("m", [-40.0, -3.0, -0.5, 0.0, 2.0, 8.0])
+    def test_accept_reject_kernel_matches_inverse_cdf(self, m):
+        """The accept-reject kernel, its inverse-CDF fallback included (all
+        of it at m = -40, in log space), draws what the inverse-CDF kernel
+        draws: a two-sample KS test, and the closed-form mean m + zeta_1(m)
+        within 3 standard errors."""
+        ms = np.full(50_000, m)
+        draws = _truncnorm_ar_positive(np.random.default_rng(31), ms, 7_000)
+        assert np.all(draws > 0)
+        reference = _truncnorm_positive(np.random.default_rng(37), ms)
+        assert ks_2samp(draws, reference).pvalue > 1e-3
+        se = draws.std(ddof=1) / np.sqrt(len(draws))
+        assert abs(draws.mean() - (m + zeta(1, m))) < 3 * se
+
+    def test_accept_reject_chunks_do_not_change_draws(self):
+        m = np.random.default_rng(41).normal(0.3, 2.0, 10_000)
+        draws = [_truncnorm_ar_positive(np.random.default_rng(43), m, step)
+                 for step in (1, 999, 10_000)]
+        assert np.array_equal(draws[0], draws[1])
+        assert np.array_equal(draws[0], draws[2])
+
     def test_single_observation_posterior(self, single_obs):
         # y = 1, x = 1, D = 1: the posterior is proportional to
         # Phi(b) N(b; 0, 1), a skew normal with mean 1/sqrt(pi) and
@@ -766,6 +798,88 @@ class TestGibbs:
         finally:
             tracemalloc.stop()
         assert peak < data.Z.nbytes / 4
+
+
+class TestGibbsHalves:
+    """The sampler's path from probit._GIBBS_SPLIT rows on, taken here at
+    n = 200 by lowering the split."""
+
+    @pytest.fixture(autouse=True)
+    def split(self, monkeypatch):
+        monkeypatch.setattr(probit, "_GIBBS_SPLIT", 100)
+
+    @staticmethod
+    def chain(data, prior, seed=5):
+        return probit._gibbs_chain(data.Z, probit._workspace(data, prior)[1],
+                                   1_000, seed)
+
+    def test_worker_thread_does_not_change_chain(self, synthetic200,
+                                                 monkeypatch):
+        monkeypatch.setattr(probit, "_cpus", lambda: 2)
+        threaded = self.chain(*synthetic200)
+        monkeypatch.setattr(probit, "_cpus", lambda: 1)
+        inline = self.chain(*synthetic200)
+        assert np.array_equal(threaded, inline)
+
+    def test_concurrent_chains_under_fast_switching(self, synthetic200,
+                                                    monkeypatch):
+        """Two chains at once, each with its worker (four threads on two
+        CPUs), switching threads every microsecond: each equals its chain
+        run inline, so no half reads or writes another's buffers."""
+        monkeypatch.setattr(probit, "_cpus", lambda: 1)
+        want = [self.chain(*synthetic200, seed=s) for s in (5, 6)]
+        monkeypatch.setattr(probit, "_cpus", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                got = list(pool.map(lambda s: self.chain(*synthetic200,
+                                                         seed=s),
+                                    (5, 6), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_seed_gives_the_chain(self, synthetic200, monkeypatch):
+        monkeypatch.setattr(probit, "_cpus", lambda: 2)
+        a, b = self.chain(*synthetic200), self.chain(*synthetic200)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, self.chain(*synthetic200, seed=6))
+
+    @pytest.mark.parametrize("fails", [None, "worker", "caller"])
+    def test_worker_thread_ends_with_the_chain(self, synthetic200,
+                                               monkeypatch, fails):
+        """The worker is joined when the chain returns, and when a half
+        raises, on either thread."""
+        monkeypatch.setattr(probit, "_cpus", lambda: 2)
+        kernel = probit._truncnorm_ar
+
+        def failing(*args):
+            worker = threading.current_thread() is not threading.main_thread()
+            if fails == ("worker" if worker else "caller"):
+                raise RuntimeError("half failed")
+            return kernel(*args)
+
+        monkeypatch.setattr(probit, "_truncnorm_ar", failing)
+        baseline = threading.active_count()
+        if fails is None:
+            self.chain(*synthetic200)
+        else:
+            with pytest.raises(RuntimeError, match="half failed"):
+                self.chain(*synthetic200)
+        assert threading.active_count() == baseline
+
+    def test_moments_agree_with_the_default_path(self, synthetic200,
+                                                 monkeypatch):
+        """At criterion 07's data the split chain's mean lies within 4
+        combined Monte Carlo SEs of the default chain's."""
+        kw = dict(n_samples=5_000, n_warmup=200, seed=1)
+        split = probit_gibbs_oracle(*synthetic200, **kw)
+        monkeypatch.setattr(probit, "_GIBBS_SPLIT", 10**9)
+        default = probit_gibbs_oracle(*synthetic200, **kw)
+        combined = np.sqrt(split.mc_se**2 + default.mc_se**2)
+        assert np.all(np.abs(split.mean - default.mean) < 4 * combined)
+        assert np.allclose(split.cov, default.cov, rtol=0.1)
 
 
 @pytest.mark.parametrize("draw", [

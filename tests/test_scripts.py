@@ -58,7 +58,7 @@ def test_fit_digest_names_each_move(monkeypatch, tmp_path, capsys):
     sets = fit_digest.designs(rotate=1, panel=[0, 14], large=False)
     assert [label for label, _, _ in sets] == ["panel 0", "panel 14"]
     a = fit_digest.fit_all(sets)
-    assert len(a) == 2 * (5 * 4 + 2)  # gibbs has no count or flag
+    assert len(a) == 2 * (5 * 4 + 3)  # gibbs has mc_se, no count or flag
     assert fit_digest.compare(a, a) == [f"{m:8s} identical"
                                         for m in fit_digest.FITS]
     b = dict(a)
@@ -73,6 +73,23 @@ def test_fit_digest_names_each_move(monkeypatch, tmp_path, capsys):
     assert lines[2] == "mp-dm    max move 1e-09 at panel 14 cov"
     it = int(a["panel 0|mfvb|iterations"])
     assert lines[-1] == f"panel 0 mfvb iterations: {it} -> {it + 1}"
+
+
+def test_fit_digest_measures_gibbs_moves_in_mc_se(monkeypatch):
+    """A Gibbs mean that moves is also reported as its largest move over
+    the combined Monte Carlo SE; a Gibbs fit that does not move is not."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import fit_digest
+    a = {f"panel {j}|gibbs|{field}": np.array(value) for j in (0, 3)
+         for field, value in (("mean", [0.5, -1.0]), ("cov", np.eye(2)),
+                              ("mc_se", [0.03, 0.04]))}
+    b = dict(a)
+    b["panel 3|gibbs|mean"] = a["panel 3|gibbs|mean"] + [0.05, -0.1]
+    b["panel 3|gibbs|mc_se"] = np.array([0.04, 0.03])
+    assert fit_digest.compare(a, b) == [
+        "gibbs    max move 0.1 at panel 3 mean",
+        "panel 3 gibbs mean: max move 2 combined MC-SE"]
+    assert fit_digest.compare(a, a) == ["gibbs    identical"]
 
 
 def test_fit_digest_eps_and_tight_reference(monkeypatch, tmp_path, capsys):

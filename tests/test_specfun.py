@@ -10,6 +10,7 @@ of the series, Gauss-Hermite and trapezoid paths under test.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,30 @@ class TestZeta:
         assert specfun._CF_CROSSOVER == -25.0
         assert np.array_equal(_zeta1(t, log_ndtr(t))[0], _zeta1(t)[0])
         assert np.array_equal(_zeta_orders(1, t)[1], _zeta1(t)[0])
+
+    @pytest.mark.parametrize("t", [1e155, 1e200, np.inf])
+    def test_direct_ratio_does_not_overflow(self, t):
+        """Far right zeta_1 is 0 without an overflow warning: t * t would
+        overflow from t ~ 1.3e154 on."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _zeta1(np.array([t, -30.0, t]))[0][[0, 2]].tolist() == [
+                0.0, 0.0]
+            assert _zeta1(t)[0][0] == 0.0
+            if np.isfinite(t):
+                assert zeta(1, t) == 0.0
+
+    def test_direct_ratio_is_bit_identical_up_to_the_clamp(self):
+        """Clamping t at specfun._DIRECT_MAX changes no bit: below it t is
+        unchanged, and from it on the unclamped ratio underflows to 0 too."""
+        t = np.concatenate([np.linspace(-25.0, 40.0, 65_001),
+                            [38.5, 38.6, 38.7, 39.9, 40.0, 41.0, 1e3, 1e150,
+                             np.nan]])
+        with np.errstate(over="ignore"):
+            want = np.exp(-0.5 * t * t - np.log(np.sqrt(2.0 * np.pi))
+                          - log_ndtr(t))
+        assert specfun._DIRECT_MAX == 40.0
+        assert np.array_equal(_zeta1(t)[0], want, equal_nan=True)
 
     # recursion-vs-derivative consistency; the constants grow with the
     # magnitude of the (k+3)rd derivative (truncation) and with the
