@@ -33,10 +33,12 @@ MVN, its wrong-basin flag. --rotate leaves these designs as they are.
 
 The second form prints, per method, the largest absolute move of a saved
 entry (a mean, a covariance or a q field) from A to B and the design where
-it happens ("identical" when every array is equal bit for bit), then, for
-every Gibbs fit whose mean moved, the largest move of a mean entry in
-units of its combined MC-SE, sqrt(mc_se_A^2 + mc_se_B^2), then one line
-for every iteration count or flag that differs.
+it happens ("identical" when every array is equal bit for bit), then one
+line for every other fit that moved (design, method, its largest move and
+the field where it happens), then, for every Gibbs fit whose mean moved,
+the largest move of a mean entry in units of its combined MC-SE,
+sqrt(mc_se_A^2 + mc_se_B^2), then one line for every iteration count or
+flag that differs.
 
 The third form takes T as the tight reference, a digest of the same
 designs at a small eps (say 1e-13), and prints every fit whose B point
@@ -203,18 +205,24 @@ def mc_se_moves(a: dict, b: dict) -> list[str]:
 
 
 def compare(a: dict, b: dict) -> list[str]:
-    """Per method, the largest move from a to b and where; then each Gibbs
-    mean move in MC-SE (mc_se_moves), every key that is in one digest only,
+    """Per method, the largest move from a to b and where; then one line
+    for every fit that moved, with its largest move and where (a Gibbs
+    fit's in MC-SE, by mc_se_moves), every key that is in one digest only,
     and every count or flag that differs."""
-    moves, lines = {}, []
+    moves, fits, lines = {}, {}, []
     for key in sorted(a.keys() & b.keys()):
         label, method, field = key.split("|")
         if field not in FLAGS:
             gap = float(np.max(np.abs(a[key] - b[key])))
+            equal = np.array_equal(a[key], b[key])
             worst = moves.setdefault(method, [0.0, "", True])
-            worst[2] &= np.array_equal(a[key], b[key])
+            worst[2] &= equal
             if gap > worst[0]:
                 worst[:2] = gap, f"{label} {field}"
+            if not equal and f"{label}|{method}|mc_se" not in a:
+                fit = fits.setdefault(f"{label} {method}", [gap, field])
+                if gap > fit[0]:
+                    fit[:] = gap, field
         elif not np.array_equal(a[key], b[key]):
             lines.append(f"{label} {method} {field}: {a[key]} -> {b[key]}")
     lines += [f"only in the first: {key}"
@@ -226,7 +234,9 @@ def compare(a: dict, b: dict) -> list[str]:
         gap, where, equal = moves[method]
         summary.append(f"{method:8s} identical" if equal else
                        f"{method:8s} max move {gap:.3g} at {where}")
-    return summary + mc_se_moves(a, b) + lines
+    moved = [f"{fit}: max move {gap:.3g} at {field}"
+             for fit, (gap, field) in fits.items()]
+    return summary + moved + mc_se_moves(a, b) + lines
 
 
 def _distance(digest: dict, tight: dict, fit: str) -> float:

@@ -319,16 +319,7 @@ def _smoothed(variant: str, d: tuple[int, ...], z: list[np.ndarray],
     """zeta_d smoothed at (m_i, v_i), one row per order in d: by the
     second-order delta method, xi's series to two terms from the zeta
     orders z at m (up to max(d) + 2), for "dm"; by xi itself for "quad"."""
-    if variant == "dm":
-        return _xi_series(z, d, v, 2)
-    try:
-        return xi(d, m, v)
-    except NumericError as exc:
-        i = int(np.argmax(v))
-        raise NumericError(
-            f"Gaussian smoothing of zeta failed; the largest predictor "
-            f"variance z_i^T Sigma z_i is {v[i]:.4g}, at observation "
-            f"{i + 1}") from exc
+    return _xi_series(z, d, v, 2) if variant == "dm" else xi(d, m, v)
 
 
 def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",

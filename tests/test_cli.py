@@ -983,20 +983,23 @@ class TestErrors:
         assert not [w for w in caught if w.category is RuntimeWarning]
 
     @pytest.mark.parametrize("method,scale,lam", [
-        ("dmvb", 1e150, "0.01"), ("mp-quad", 1.0, "1e-8")])
+        ("dmvb", 1e150, "0.01"), ("mp-quad", 1.0, "1e-8"),
+        pytest.param("mp-quad", 1e150, "0.01", id="mp-quad-1e150-scaled")])
     def test_separable_extremes_end_cleanly(self, tmp_path, capsys, method,
                                             scale, lam):
         """The inputs these errors were once pinned on, reached there only
         through rounding: the 1e150-scaled set for dmvb, the unscaled one at
         a vanishing ridge for mp-quad. Each ends in a report or a numeric
-        failure, with no traceback, NaN or RuntimeWarning."""
+        failure, with no traceback, NaN or RuntimeWarning. mp-quad ends in
+        a report on both of its sets, the 1e150-scaled one too, where xi's
+        mode search once failed."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = run_cli(["fit", "--model", "probit", "--method", method,
                           "--intercept", "--lambda", lam,
                           "--data", self._separable(tmp_path, scale)])
         out, err = capsys.readouterr()
-        assert rc in (0, 4)
+        assert rc == 0 if method == "mp-quad" else rc in (0, 4)
         assert "Traceback" not in err and "NaN" not in out
         if rc == 0:
             beta = json.loads(out)["q"]["beta"]
@@ -1004,26 +1007,32 @@ class TestErrors:
             assert np.isfinite(beta["cov"]).all()
         assert not [w for w in caught if w.category is RuntimeWarning]
 
-    def test_mp_quad_failed_smoothing_names_the_predictor_variance(
-            self, tmp_path, capsys):
+    def test_mp_quad_from_a_vast_start_variance_converges(self, tmp_path,
+                                                          capsys):
         """mp-quad on the separable set, started from a q(beta) whose
-        intercept variance is 1e15, where xi's mode search fails: a numeric
-        failure naming the largest predictor variance z_i^T Sigma z_i, not
-        xi's internals, with no RuntimeWarning."""
+        intercept variance is 1e15, where xi's mode search once failed:
+        xi's fixed rule has no search, so the fit converges, finite and
+        within 10 eps of the fit from the default start, with no
+        RuntimeWarning."""
+        data = self._separable(tmp_path, 1.0)
         start = self._start(tmp_path, [0.0, 0.0], [[1e15, 0.0], [0.0, 1.0]])
+        fits = []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = run_cli(["fit", "--model", "probit", "--method", "mp-quad",
-                          "--intercept", "--data",
-                          self._separable(tmp_path, 1.0),
-                          "--init-from", start])
-        out, err = capsys.readouterr()
-        assert rc == 4 and out == ""
-        assert err.startswith("numeric failure: Gaussian smoothing of zeta "
-                              "failed; the largest predictor variance "
-                              "z_i^T Sigma z_i is ")
-        assert "xi(" not in err and "mode search" not in err
+            for init in (["--init-from", start], []):
+                rc = run_cli(["fit", "--model", "probit", "--method",
+                              "mp-quad", "--intercept", "--data", data]
+                             + init)
+                out = capsys.readouterr().out
+                assert rc == 0
+                fits.append(json.loads(out))
         assert not [w for w in caught if w.category is RuntimeWarning]
+        assert all(fit["converged"] for fit in fits)
+        (far, near) = (fit["q"]["beta"] for fit in fits)
+        for field in ("mean", "cov"):
+            assert np.isfinite(far[field]).all()
+            assert np.max(np.abs(np.subtract(far[field], near[field]))) \
+                <= 10 * 1e-6
 
     def test_ragged_csv(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -92,6 +92,33 @@ def test_fit_digest_measures_gibbs_moves_in_mc_se(monkeypatch):
     assert fit_digest.compare(a, a) == ["gibbs    identical"]
 
 
+def test_fit_digest_lists_every_moved_fit(monkeypatch):
+    """Each fit that moved gets one line with its largest move and the
+    field where it happens, after the per-method lines; a fit that did not
+    move gets none, and a Gibbs fit is listed in MC-SE only."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import fit_digest
+    a = {f"panel {j}|{method}|{field}": np.array(value)
+         for j in (3, 14, 35) for method in ("laplace", "mp-quad", "gibbs")
+         for field, value in (("mean", [0.5, -1.0]), ("cov", np.eye(2)),
+                              ("mc_se", [0.03, 0.04]))
+         if field != "mc_se" or method == "gibbs"}
+    for j in (3, 14, 35):
+        a[f"panel {j}|mp-quad|iterations"] = np.array(12)
+    b = dict(a)
+    b["panel 14|mp-quad|mean"] = a["panel 14|mp-quad|mean"] + [8e-7, 0.0]
+    b["panel 14|mp-quad|cov"] = a["panel 14|mp-quad|cov"] + 1e-9
+    b["panel 35|mp-quad|cov"] = a["panel 35|mp-quad|cov"] + 7e-10
+    b["panel 35|gibbs|mean"] = a["panel 35|gibbs|mean"] + 0.03
+    assert fit_digest.compare(a, b) == [
+        "laplace  identical",
+        "mp-quad  max move 8e-07 at panel 14 mean",
+        "gibbs    max move 0.03 at panel 35 mean",
+        "panel 14 mp-quad: max move 8e-07 at mean",
+        "panel 35 mp-quad: max move 7e-10 at cov",
+        "panel 35 gibbs mean: max move 0.707 combined MC-SE"]
+
+
 def test_fit_digest_eps_and_tight_reference(monkeypatch, tmp_path, capsys):
     """--eps sets the fits' eps; --against T lists each fit that lies more
     than 1e-10 farther from T in the second digest than in the first."""
