@@ -7,7 +7,10 @@
 The first form fits laplace, mfvb, mp-dm, mp-quad, dmvb and gibbs on the
 benchmark's sixty small probit designs, generate_probit(n_j, p_j, seed=j)
 with n_j in [50, 100] and p_j in {4, 5} drawn from default_rng(j), and on
-generate_probit(50_000, 20, seed=1), where dmvb is skipped. Every prior is
+two larger designs: generate_probit(4000, 20, seed=1), whose Gibbs draws
+hold S Z^T (below probit._GIBBS_SPLIT rows), and
+generate_probit(50_000, 20, seed=1), whose Gibbs draws split the rows in
+two halves and where dmvb is skipped. Every prior is
 a ridge of 0.01, every iterative fit gets max_iter 2000 and eps EPS (the
 fitters' default, 1e-6, unless given), and Gibbs takes 1,000 draws after
 100 of warm-up from seed 0. It saves each fit's mean and covariance,
@@ -58,7 +61,9 @@ from momprop import diagnostics, linear, mvn, probit
 from momprop.datagen import generate_linear, generate_mvn, generate_probit
 
 PANEL, LAM, MAX_ITER, EPS = 60, 0.01, 2000, 1e-6
-LARGE = (50_000, 20, 1)  # n, p, seed
+# n, p, seed of the designs beside the panel: one on each side of
+# probit._GIBBS_SPLIT
+MID, LARGE = (4000, 20, 1), (50_000, 20, 1)
 # the tight-reference test: how much farther B may lie from T than A does
 SLACK = 1e-10
 FITS = {
@@ -108,7 +113,8 @@ def _rotation(rng: np.random.Generator, p: int) -> np.ndarray:
 def designs(rotate: int | None = None, panel=range(PANEL),
             large: bool = True) -> list[tuple[str, np.ndarray, np.ndarray]]:
     """(label, y, X) for the small designs in panel, rotated as the
-    benchmark's seed rotate rotates them, and for the large one."""
+    benchmark's seed rotate rotates them, and for the two larger ones
+    (MID and LARGE) if large."""
     rng = None if rotate is None else np.random.default_rng(rotate)
     out = []
     for j in range(max(panel, default=-1) + 1):
@@ -121,8 +127,7 @@ def designs(rotate: int | None = None, panel=range(PANEL),
             y, X = y[perm], (X @ _rotation(rng, p))[perm]
         if j in panel:
             out.append((f"panel {j}", y, X))
-    if large:
-        n, p, seed = LARGE
+    for n, p, seed in (MID, LARGE) if large else ():
         out.append((f"{n}x{p} seed {seed}", *generate_probit(n, p, seed)))
     return out
 

@@ -173,10 +173,9 @@ def toy_gaussian_mp(spec: ToyGaussianSpec, eps: float = 1e-10,
 
     report = fixed_point(step, (schur1, schur2), lambda s: {"C": s},
                          eps, max_iter)
-    C1, C2 = report.params["C"]
     if not report.converged:
-        raise NumericError("toy MP iteration did not converge",
-                           last_iterate=(C1, C2))
+        raise NumericError("toy MP iteration did not converge")
+    C1, C2 = report.params["C"]
     d1 = spec.split
     mu1, mu2 = spec.mu[:d1], spec.mu[d1:]
     return (GaussianApprox(mu1, C1), GaussianApprox(mu2, C2),

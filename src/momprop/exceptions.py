@@ -12,11 +12,6 @@ class UndefinedMomentError(DomainError):
 
 
 class NumericError(RuntimeError):
-    """An iterative numeric routine failed to converge.
-
-    Carries the last iterate so callers can inspect how far the routine got.
-    """
-
-    def __init__(self, message: str, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """A numeric routine failed on valid input: an iteration did not
+    converge, a matrix lost positive definiteness, or a value overflowed.
+    The message says which."""

@@ -54,8 +54,8 @@ class MVNData:
         X = np.atleast_2d(require_finite(X, "observations"))
         n = X.shape[0]
         xbar = X.mean(axis=0)
-        S = X.T @ X - n * np.outer(xbar, xbar)
-        return cls(n=n, xbar=xbar, S=S)
+        R = X - xbar  # centred, so that S does not cancel when |xbar| is large
+        return cls(n=n, xbar=xbar, S=R.T @ R)
 
     @property
     def p(self) -> int:

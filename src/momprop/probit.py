@@ -44,19 +44,21 @@ a step moves its mean by less than eps in the max norm; the first step is
 never tested, so a fit started at its own optimum takes two.
 
 The Gibbs sampler has two regimes, chosen by n alone. Below _GIBBS_SPLIT
-rows it reads two streams spawned from SeedSequence(seed): one of uniforms
-for the a_i draws, by the inverse CDF, and one of standard normals for the
-beta draws. It takes them a block of draws at a time (about _GIBBS_CELLS
-uniforms) and writes each draw into a preallocated chain with in-place
-ufuncs, so no draw makes its own RNG call at small n. From _GIBBS_SPLIT
-rows on it splits Z's rows in two halves, the second on a worker thread
-where a second CPU is available; each half draws its a_i by accept-reject
-(_truncnorm_ar) from its own stream, beta reads a third, and no BLAS call
-runs inside a half. Either way the chain depends on the seed and on n's
-regime, not on the block size, the thread or the CPU count. Gibbs output
-for a given seed differs from versions that drew from one generator one
-draw at a time, and at large n from versions before the split; its
-distribution does not.
+rows it holds S Z^T, so a draw's beta is one product S Z^T a plus the
+normal part, and it reads two streams spawned from SeedSequence(seed): one
+of uniforms for the a_i draws, by the inverse CDF, taken a block of draws
+at a time (about _GIBBS_CELLS uniforms), and one of standard normals for
+the beta draws, taken at once into the chain that the draws then
+overwrite with in-place ufuncs, so no draw makes its own RNG call. From
+_GIBBS_SPLIT rows on it holds no n x p array beside Z: it splits Z's rows
+in two halves, the second on a worker thread where a second CPU is
+available; each half draws its a_i by accept-reject (_truncnorm_ar) from
+its own stream, beta reads a third, and no BLAS call runs inside a half.
+Either way the chain depends on the seed and on n's regime, not on the
+block size, the thread or the CPU count. Gibbs output for a given seed
+differs from versions that drew from one generator one draw at a time,
+and at large n from versions before the split; its distribution does
+not.
 """
 
 from __future__ import annotations
@@ -162,17 +164,17 @@ class AuxiliaryMoments:
     mean_a: np.ndarray
 
 
-def _cholesky_inverse(M: np.ndarray, message: str, last_iterate=None
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def _cholesky_inverse(M: np.ndarray,
+                      message: str) -> tuple[np.ndarray, np.ndarray]:
     """(L, symmetrize(L^-T L^-1)), L the lower Cholesky factor of
     symmetrize(M); NumericError(message) where it fails or is not finite
     (a non-finite entry that numpy lets through reaches L's diagonal)."""
     try:
         L = np.linalg.cholesky(symmetrize(M))
     except np.linalg.LinAlgError as exc:
-        raise NumericError(message, last_iterate=last_iterate) from exc
+        raise NumericError(message) from exc
     if not isfinite(L.trace()):
-        raise NumericError(message, last_iterate=last_iterate)
+        raise NumericError(message)
     Li = np.linalg.inv(L)
     return L, symmetrize(Li.T @ Li)
 
@@ -192,8 +194,7 @@ def _predictor(Z: np.ndarray, x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         t = Z @ x
     if not np.isfinite(t).all():
-        raise NumericError("linear predictor Z beta is not finite",
-                           last_iterate=x)
+        raise NumericError("linear predictor Z beta is not finite")
     return t
 
 
@@ -205,8 +206,7 @@ def _newton_point(Z: np.ndarray, D: np.ndarray, x: np.ndarray,
     M^-1 = L^-T L^-1 and log det M come from the lower Cholesky factor L."""
     z = _zeta_orders(3 if profiled else 2, _predictor(Z, x))
     L, Minv = _cholesky_inverse(_gram(Z, -z[2]) + D,
-                                "Newton matrix M lost positive definiteness",
-                                last_iterate=x)
+                                "Newton matrix M lost positive definiteness")
     f = np.sum(z[0]) - 0.5 * x @ D @ x
     if profiled:
         f -= np.sum(np.log(np.diag(L)))
@@ -224,7 +224,7 @@ def _newton_gradient(Z: np.ndarray, D: np.ndarray, point: tuple) -> np.ndarray:
             grad = grad + 0.5 * Z.T @ (h * z[3])
         if not np.isfinite(grad).all():
             raise NumericError("gradient of the dmvb objective in beta is "
-                               "not finite", last_iterate=x)
+                               "not finite")
     return grad
 
 
@@ -296,8 +296,7 @@ def probit_mfvb_fit(data: ProbitData, prior: ProbitPrior, eps: float = 1e-6,
 _STEIN_DOUBLINGS = 60
 
 
-def _stein(Q: np.ndarray, G: np.ndarray, last_iterate: np.ndarray
-           ) -> np.ndarray:
+def _stein(Q: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Sigma = sum_k (G^k)^T Q G^k, the solution of the Stein equation
     Sigma = Q + G^T Sigma G, by Smith's doubling (SIAM J. Appl. Math. 16,
     1968): Sigma <- Sigma + G^T Sigma G and G <- G^2 double the terms
@@ -311,7 +310,7 @@ def _stein(Q: np.ndarray, G: np.ndarray, last_iterate: np.ndarray
                 return symmetrize(Sig)
             Sig, G = new, G @ G
     raise NumericError("covariance equation has no solution: G^k does not "
-                       "vanish", last_iterate=last_iterate)
+                       "vanish")
 
 
 def _smoothed(variant: str, d: tuple[int, ...], z: list[np.ndarray],
@@ -353,10 +352,9 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
         # zeta_2 lies in (-1, 0); equality with 0 only through underflow at
         # huge positive predictors, which is harmless in the updates below.
         if not (np.all(z[2] > -1.0) and np.all(z[2] <= 0.0)):
-            raise NumericError("zeta_2 left (-1, 0); iteration is invalid",
-                               last_iterate=mu)
+            raise NumericError("zeta_2 left (-1, 0); iteration is invalid")
         A = _gram(Z, 1.0 + _smoothed(variant, (2,), z, m, v)[0])
-        Sig = _stein(symmetrize(S + S @ A @ S), _gram(Z, 1.0 + z[2]) @ S, mu)
+        Sig = _stein(symmetrize(S + S @ A @ S), _gram(Z, 1.0 + z[2]) @ S)
         v = _row_quadform(Z, Sig)
         x1, x2 = _smoothed(variant, (1, 2), z, m, v)
         try:  # Newton in mu at the new v; the plain map where it has no ascent
@@ -446,8 +444,8 @@ def _truncnorm_ar(rng: np.random.Generator, m: np.ndarray, out: np.ndarray,
 
 # batches of the Gibbs draws behind the batch-means Monte Carlo error
 _MC_BATCHES = 50
-# Gibbs draws are generated in blocks of max(1, _GIBBS_CELLS // n), so a
-# block's uniforms take about _GIBBS_CELLS doubles
+# below _GIBBS_SPLIT rows the Gibbs uniforms are drawn for blocks of
+# max(1, _GIBBS_CELLS // n) draws, about _GIBBS_CELLS doubles a block
 _GIBBS_CELLS = 1 << 15
 # from this many rows on a Gibbs draw splits Z's rows in two halves, one on
 # a worker thread (_gibbs_halves); at p = 20 that pays from between 1e4 and
@@ -519,41 +517,28 @@ def _gibbs_halves(Z: np.ndarray, S: np.ndarray, total: int, seed: int
 def _gibbs_chain(Z: np.ndarray, S: np.ndarray, total: int, seed: int
                  ) -> np.ndarray:
     """total Albert-Chib draws of beta, from beta = 0, as a (total, p)
-    array; its n-vector buffers are freed on return.
-
-    A draw's beta is S Z^T a + e. Where S Z^T is no larger than the block of
-    uniforms held beside it (n p <= _GIBBS_CELLS), it is held and S Z^T a is
-    one product; above that it is not made, and a draw takes S (Z^T a), one
-    product of p x p more, so that nothing n x p is held beside Z. From
-    _GIBBS_SPLIT rows on the draws are _gibbs_halves'.
-    """
+    array; its n-vector buffers are freed on return. A draw's beta is
+    S Z^T a + e, with S Z^T held below _GIBBS_SPLIT rows."""
     n, p = Z.shape
     if n >= _GIBBS_SPLIT:
         return _gibbs_halves(Z, S, total, seed)
-    held = n * p <= _GIBBS_CELLS
-    SZt = S @ Z.T if held else None
-    Zt, c = Z.T, np.empty(p)  # c = Z^T a where S Z^T is not held
-    Lt = np.linalg.cholesky(S).T
+    SZt, Lt = S @ Z.T, np.linalg.cholesky(S).T
     rng_u, rng_e = (np.random.default_rng(s)
                     for s in seed_sequence(seed).spawn(2))
-    chain = np.empty((total, p))
+    chain = rng_e.standard_normal((total, p))  # overwritten by the draws
     block = max(1, _GIBBS_CELLS // n)
-    V, N, E = np.empty((block, n)), np.empty((block, p)), np.empty((block, p))
+    V, E = np.empty((block, n)), np.empty((block, p))
     m, a = np.zeros(n), np.empty(n)  # m = Z beta, starting from beta = 0
     for s in range(0, total, block):
         b = min(block, total - s)
-        Vb, Nb, Eb = _tail_mass(rng_u, V[:b]), N[:b], E[:b]
-        rng_e.standard_normal(out=Nb)
+        Vb, Nb, Eb = _tail_mass(rng_u, V[:b]), chain[s:s + b], E[:b]
         # E = N L^T column by column, so a row's sums do not depend on b
         np.multiply(Nb[:, :1], Lt[0], out=Eb)
         for k in range(1, p):
             Eb += Nb[:, k:k + 1] * Lt[k]
-        for v, e, beta in zip(Vb, Eb, chain[s:s + b]):
+        for v, e, beta in zip(Vb, Eb, Nb):
             _truncnorm_into(m, v, a)
-            if held:
-                np.dot(SZt, a, out=beta)
-            else:
-                np.dot(S, np.dot(Zt, a, out=c), out=beta)
+            np.dot(SZt, a, out=beta)
             np.add(beta, e, out=beta)
             np.dot(Z, beta, out=m)
     return chain
@@ -566,16 +551,8 @@ def probit_gibbs_oracle(data: ProbitData, prior: ProbitPrior,
 
     a_i | beta ~ N(z_i^T beta, 1) truncated to (0, inf); beta | a ~
     N(S Z^T a, S). Returns the empirical posterior mean and covariance of
-    beta with batch-means Monte Carlo standard errors for the mean.
-
-    Below _GIBBS_SPLIT rows the a draws and the beta draws read two streams
-    spawned from SeedSequence(seed), in order and a block of draws at a
-    time. From _GIBBS_SPLIT rows on the rows are split in two halves, whose
-    a draws read a stream each, and the beta draws a third, all spawned
-    from SeedSequence(seed); the second half runs on a worker thread where
-    a second CPU is available. So the chain depends on the seed and on
-    which side of _GIBBS_SPLIT n lies, not on the block size, the thread
-    or the CPU count.
+    beta with batch-means Monte Carlo standard errors for the mean. The
+    draws depend on the seed and on n's regime (see the module docstring).
     """
     if n_samples < 1000:
         raise DomainError("need at least 1000 samples")

@@ -6,6 +6,8 @@ MFVB gives dof 8 / Psi (2.08, 0.635, 3.41), and MP recovers the exact
 parameters (dof 7, Psi = Psi_n).
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,22 @@ class TestConstantsAndExact:
         assert d.xbar == pytest.approx(X.mean(axis=0))
         assert d.S == pytest.approx(
             (X - X.mean(axis=0)).T @ (X - X.mean(axis=0)), abs=1e-9)
+
+    def test_from_raw_scatter_survives_a_large_mean(self):
+        """S is formed from the centred data, so a mean far from 0 does not
+        cancel it (at a shift of 1e8, X^T X - n xbar xbar^T is not even
+        positive semidefinite). What is left is the rounding of X + 1e8
+        itself; from_raw matches the exact scatter of the shifted data."""
+        X = np.random.default_rng(0).standard_normal((100, 2))
+        base, shifted = MVNData.from_raw(X).S, X + 1e8
+        S = MVNData.from_raw(shifted).S
+        assert np.linalg.norm(S - base) <= 1e-9 * np.linalg.norm(base)
+        rows = [[Fraction(v) for v in row] for row in shifted]
+        mean = [sum(col) / len(rows) for col in zip(*rows)]
+        exact = np.array([[float(sum((r[i] - mean[i]) * (r[j] - mean[j])
+                                     for r in rows)) for j in range(2)]
+                          for i in range(2)])
+        assert np.max(np.abs(S - exact)) <= 1e-14 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nonfinite_data(self, bad):

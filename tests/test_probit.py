@@ -336,7 +336,7 @@ class TestDirectSolve:
                                           (32, 4, 50), (200, 3, 7)])
     def test_stein_doubling_solves_its_equation(self, n, p, seed):
         Q, G = _stein_problem(n, p, seed)
-        Sig = probit._stein(Q, G, None)
+        Sig = probit._stein(Q, G)
         scale = np.max(np.abs(Sig))
         assert np.max(np.abs(Q + G.T @ Sig @ G - Sig)) <= 1e-12 * scale
         assert np.max(np.abs(Sig - _dense_stein(Q, G))) <= 1e-12 * scale
@@ -347,7 +347,7 @@ class TestDirectSolve:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(NumericError, match="covariance equation"):
-                    probit._stein(Q, G, None)
+                    probit._stein(Q, G)
 
     @pytest.mark.parametrize("method", ["mfvb", "mp-dm", "mp-quad"])
     @pytest.mark.parametrize("n,p,seed", [(57, 5, 14), (20, 5, 8),
@@ -729,18 +729,6 @@ class TestGibbs:
                                 seed=6)
         for x, y in [(a.mean, b.mean), (a.cov, b.cov), (a.mc_se, b.mc_se)]:
             assert np.array_equal(x, y)
-
-    def test_unheld_product_gives_the_chain(self, synthetic200,
-                                            monkeypatch):
-        """Above n p = _GIBBS_CELLS a draw takes S (Z^T a) instead of a held
-        S Z^T; the chain is the same up to rounding."""
-        held = probit_gibbs_oracle(*synthetic200, n_samples=2000,
-                                   n_warmup=100, seed=6)
-        monkeypatch.setattr(probit, "_GIBBS_CELLS", 200 * 3 - 1)
-        unheld = probit_gibbs_oracle(*synthetic200, n_samples=2000,
-                                     n_warmup=100, seed=6)
-        assert np.allclose(held.mean, unheld.mean, rtol=1e-12, atol=0)
-        assert np.allclose(held.cov, unheld.cov, rtol=1e-12, atol=0)
 
     def test_matches_per_draw_reference(self, synthetic200):
         # same streams, same formulas; only the summation order differs

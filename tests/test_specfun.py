@@ -104,6 +104,21 @@ class TestZeta:
             cf = float(_recip_mills_cf(np.array([-t]))[0][0])
             assert abs(direct - cf) <= 1e-12 * cf
 
+    def test_short_continued_fraction_is_bit_identical_to_64_terms(self):
+        """From x = 25 on, where _zeta1 takes the continued fraction, its
+        _CF_DEPTH terms give 1/R and d bit for bit as 64 terms do: on the
+        first 2,000 doubles above 25 and a dense grid out to 1e300."""
+        x = np.concatenate([
+            25.0 + np.arange(1, 2001) * np.spacing(25.0),
+            np.linspace(25.0, 100.0, 100_001)[1:],
+            np.geomspace(100.0, 1e300, 100_000)])
+        d = x.copy()
+        for j in range(64, 1, -1):
+            d = x + j / d
+        got = _recip_mills_cf(x)
+        assert np.array_equal(got[0], x + 1.0 / d)
+        assert np.array_equal(got[1], d)
+
     def test_vectorized_matches_scalar(self):
         t = np.array([-3.0, 0.0, 2.5])
         vec = zeta(4, t)
