@@ -22,15 +22,14 @@ from typing import Any, Callable
 import numpy as np
 
 from . import datagen, diagnostics
-from .diagnostics import (DensityGrid, ToyGaussianSpec, toy_gaussian_mfvb,
-                          toy_gaussian_mp)
+from .diagnostics import ToyGaussianSpec, toy_gaussian_mfvb, toy_gaussian_mp
 from .exceptions import DomainError, NumericError
 from .linear import (LinearData, LinearPrior, linear_exact_posterior,
                      linear_mfvb_fit, linear_mp1_fit, linear_mp2_fit)
 from .moments import (GaussianApprox, InverseGammaApprox,
                       InverseWishartApprox, StudentTApprox)
-from .mvn import (MVNData, MVNPrior, iw_diag_marginal, mvn_exact_posterior,
-                  mvn_mfvb_fit, mvn_mp_fit)
+from .mvn import (MVNData, MVNPrior, mvn_exact_posterior, mvn_mfvb_fit,
+                  mvn_mp_fit)
 from .probit import (ProbitData, ProbitPrior, probit_dmvb_fit,
                      probit_gibbs_oracle, probit_laplace_fit,
                      probit_mfvb_fit, probit_mp_fit)
@@ -490,50 +489,6 @@ def _fit(args: argparse.Namespace, model: Model, method: str, data, prior,
     return report, moment_summary(report.params), wall_time_s
 
 
-# ---------------------------------------------------------------------------
-# marginal densities for accuracy comparisons
-
-
-def _marginals(q: dict) -> list[tuple[str, str, tuple]]:
-    """(name, family, params) for each scalar marginal of a fitted q: entry
-    j of a vector block "beta" is "beta<j>", diagonal entry j of an
-    inverse-Wishart block "Sigma" is "Sigma<j><j>", and an inverse-gamma
-    block keeps its name. Other blocks have none."""
-    out = []
-    for key, approx in q.items():
-        if isinstance(approx, StudentTApprox):
-            out += [(f"{key}{j}", "t",
-                     (approx.loc[j], approx.scale[j, j], approx.dof))
-                    for j in range(approx.dim)]
-        elif isinstance(approx, (GaussianApprox, MomentSummary)):
-            out += [(f"{key}{j}", "normal", (approx.mean[j], approx.cov[j, j]))
-                    for j in range(approx.mean.shape[0])]
-        elif isinstance(approx, InverseGammaApprox):
-            out.append((key, "ig", (approx.shape, approx.scale)))
-        elif isinstance(approx, InverseWishartApprox):
-            for j in range(approx.dim):
-                ig = iw_diag_marginal(approx, j)
-                out.append((f"{key}{j}{j}", "ig", (ig.shape, ig.scale)))
-    return out
-
-
-# marginal family -> (density on given points, default grid range)
-_FAMILIES = {
-    "normal": (diagnostics.gaussian_density, diagnostics.gaussian_grid_range),
-    "t": (diagnostics.t_density, diagnostics.t_grid_range),
-    "ig": (diagnostics.ig_density, diagnostics.ig_grid_range),
-}
-
-
-def _density_grid(family: str, params: tuple,
-                  points: np.ndarray | None = None) -> DensityGrid:
-    """A marginal density on the given points, or on its own default grid."""
-    density, grid_range = _FAMILIES[family]
-    if points is None:
-        points = diagnostics.make_points(*grid_range(*params))
-    return density(points, *params)
-
-
 def run_compare(args: argparse.Namespace, methods: list[str],
                 reference: str) -> dict:
     methods = list(dict.fromkeys(methods))
@@ -547,20 +502,14 @@ def run_compare(args: argparse.Namespace, methods: list[str],
                 for m in all_methods}
 
     ref, ref_summary, _ = outcomes[reference]
-    grids = {name: _density_grid(family, params)
-             for name, family, params in _marginals(ref.params)}
+    grids = diagnostics.marginal_grids(ref.params)
 
     table = {}
     for method in methods:
         report, summary, wall_time_s = outcomes[method]
-        accs = {}
-        for name, family, params in _marginals(report.params):
-            if name in grids:
-                accs[name] = diagnostics.accuracy(grids[name], _density_grid(
-                    family, params, grids[name].points))
         mean_err, sd_err = diagnostics.moment_errors(summary, ref_summary)
         table[method] = {
-            "accuracy": accs,
+            "accuracy": diagnostics.accuracies(report.params, grids),
             "mean_err": mean_err,
             "sd_err": sd_err,
             "iterations": report.iterations,
@@ -596,15 +545,12 @@ def _pretty_fit(doc: dict) -> str:
 
 
 def _emit_density(q: dict, name: str, path: str) -> None:
-    marginals = _marginals(q)
-    for mname, family, params in marginals:
-        if mname == name:
-            grid = _density_grid(family, params)
-            _write_csv(path, ["point", "value"],
-                       np.column_stack((grid.points, grid.values)))
-            return
-    raise UsageError(f"no marginal named {name!r}; available: "
-                     f"{', '.join(m[0] for m in marginals)}")
+    grids = diagnostics.marginal_grids(q)
+    if name not in grids:
+        raise UsageError(f"no marginal named {name!r}; available: "
+                         f"{', '.join(grids)}")
+    _write_csv(path, ["point", "value"],
+               np.column_stack((grids[name].points, grids[name].values)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Accuracy metric, moment-error metrics, density grids, and the toy
-conditioned-Gaussian comparison of mean-field vs moment-propagation fits."""
+"""Accuracy metric, moment-error metrics, density grids and a fitted q's
+marginal grids, and the toy conditioned-Gaussian comparison of mean-field
+vs moment-propagation fits."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ import numpy as np
 from scipy.special import gammainccinv, gammaln, poch
 
 from .exceptions import DomainError, NumericError
-from .moments import (GaussianApprox, _t_cov, require_finite, require_spd,
-                      require_whole, symmetrize)
+from .moments import (GaussianApprox, InverseGammaApprox,
+                      InverseWishartApprox, StudentTApprox, _iw_diag_ig,
+                      _t_cov, require_finite, require_spd, require_whole,
+                      symmetrize)
 from .reports import MomentSummary, fixed_point
 
 GRID_POINTS = 4001
@@ -41,8 +44,7 @@ class DensityGrid:
 
 def accuracy(p_grid: DensityGrid, q_grid: DensityGrid) -> float:
     """L1 overlap score 1 - 0.5 * int |p - q|, in [0, 1] up to grid error."""
-    if p_grid.points.shape != q_grid.points.shape or not np.allclose(
-            p_grid.points, q_grid.points, rtol=0.0, atol=0.0):
+    if not np.array_equal(p_grid.points, q_grid.points):
         raise DomainError("accuracy needs both densities on the same grid")
     l1 = np.trapezoid(np.abs(p_grid.values - q_grid.values), p_grid.points)
     return float(1.0 - 0.5 * l1)
@@ -105,6 +107,50 @@ def make_points(lo: float, hi: float, n: int = GRID_POINTS) -> np.ndarray:
     if not hi > lo:
         raise DomainError("empty grid range")
     return np.linspace(lo, hi, n)
+
+
+def marginal_grids(q: dict, points: dict | None = None
+                   ) -> dict[str, DensityGrid]:
+    """The scalar marginal densities of a fitted q by name, in q's order:
+    entry j of a vector block "beta" is "beta<j>", diagonal entry j of an
+    inverse-Wishart block "Sigma" is "Sigma<j><j>", an inverse-gamma block
+    keeps its name, and other blocks have none. Each is on its own default
+    grid, or on points[name] if points is given, lacking names left out."""
+    return dict(_grids(q, points))
+
+
+def accuracies(q: dict, reference_grids: dict[str, DensityGrid]
+               ) -> dict[str, float]:
+    """The accuracy of each of q's marginals that reference_grids has, on
+    the reference's points, in q's order; one grid is held at a time."""
+    points = {name: grid.points for name, grid in reference_grids.items()}
+    # looked up at each call, so that a wrapper of accuracy sees every one
+    return {name: accuracy(reference_grids[name], grid)
+            for name, grid in _grids(q, points)}
+
+
+def _grids(q: dict, points: dict | None):
+    """marginal_grids(q, points)'s (name, grid) pairs, each made in turn."""
+    for key, a in q.items():
+        if isinstance(a, StudentTApprox):
+            marginals = [(f"{key}{j}", t_density, t_grid_range, a.loc[j],
+                          a.scale[j, j], a.dof) for j in range(a.dim)]
+        elif isinstance(a, (GaussianApprox, MomentSummary)):
+            marginals = [(f"{key}{j}", gaussian_density, gaussian_grid_range,
+                          a.mean[j], a.cov[j, j]) for j in range(len(a.mean))]
+        elif isinstance(a, InverseGammaApprox):
+            marginals = [(key, ig_density, ig_grid_range, a.shape, a.scale)]
+        elif isinstance(a, InverseWishartApprox):
+            marginals = [(f"{key}{j}{j}", ig_density, ig_grid_range,
+                          *_iw_diag_ig(a.dof, a.dim, a.scale_matrix[j, j]))
+                         for j in range(a.dim)]
+        else:
+            continue
+        for name, density, grid_range, *params in marginals:
+            if points is None:
+                yield name, density(make_points(*grid_range(*params)), *params)
+            elif name in points:
+                yield name, density(points[name], *params)
 
 
 @dataclass

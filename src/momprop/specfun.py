@@ -144,21 +144,26 @@ def _zeta_orders(kmax: int, t) -> list[np.ndarray]:
                  - sum_{j=0}^{k-2} C(k-2, j) zeta_{1+j} zeta_{k-1-j},
 
     which only ever combines orders >= 1 on the product side. Its zeta_2,
-    -zeta_1 (t + zeta_1), cancels in the far left tail; below
-    _CF_CROSSOVER it is -zeta_1 / d instead, d from the continued fraction
-    that gives t + zeta_1 = 1/d.
+    -zeta_1 (t + zeta_1), cancels in the far left tail and overflows below
+    t ~ -1.3e154; below _CF_CROSSOVER it is -zeta_1 / d instead, d from
+    the continued fraction that gives t + zeta_1 = 1/d.
     """
     arr = np.atleast_1d(require_finite(t, "t"))
     z: list[np.ndarray] = [log_ndtr(arr)]
     if kmax >= 1:
         z1, lo, d = _zeta1(arr, z[0])
         z.append(z1)
-    for k in range(2, kmax + 1):
+    if kmax >= 2:
+        # the recursion's zeta_2; its 0 zeta_0 adds nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            z2 = -(arr * z1) - z1 * z1
+        if d is not None:
+            z2[lo] = -z1[lo] / d
+        z.append(z2)
+    for k in range(3, kmax + 1):
         acc = -(arr * z[k - 1] + (k - 2) * z[k - 2])
         for j in range(0, k - 1):
             acc = acc - comb(k - 2, j) * z[1 + j] * z[k - 1 - j]
-        if k == 2 and d is not None:
-            acc[lo] = -z1[lo] / d
         z.append(acc)
     return z
 
@@ -283,7 +288,9 @@ def _xi_rule(d: tuple[int, ...], mu: np.ndarray, sigma2: np.ndarray
     w = np.concatenate([(hi - lo) * _TAIL_W,
                         t_end / s * _BEND_W * np.cosh(t),
                         (b - a) / s * _TAIL_W], axis=1)
-    w *= np.exp(-0.5 * u * u - _LOG_SQRT_2PI)
+    # u * u overflows from |u| ~ 1.3e154 on, where the weight is 0 anyway
+    with np.errstate(over="ignore"):
+        w *= np.exp(-0.5 * u * u - _LOG_SQRT_2PI)
     z = _zeta_orders(max(d), x)
     return np.stack([(z[k] * w).sum(axis=-1) for k in d])
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from momprop import cli, datagen
+from momprop import cli, datagen, diagnostics
 from momprop.cli import main
 from momprop.datagen import fixed_linear_dataset
 from momprop.linear import LinearData, LinearPrior, linear_exact_posterior
@@ -982,6 +982,26 @@ class TestErrors:
                        "beta is not finite\n")
         assert not [w for w in caught if w.category is RuntimeWarning]
 
+    @pytest.mark.parametrize("method", ["mp-dm", "mp-quad"])
+    def test_mp_from_a_vast_start_mean_is_one_line(self, tmp_path, capsys,
+                                                   method):
+        """The separable set started at an intercept of 1e200, where every
+        predictor mean is about -1e200: zeta_2 is -1 there, a numeric
+        failure, printed alone, without the overflow warnings of the
+        zeta_2 recursion that the continued fraction replaces."""
+        start = self._start(tmp_path, [1e200, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(["fit", "--model", "probit", "--method", method,
+                          "--intercept", "--data",
+                          self._separable(tmp_path, 1.0),
+                          "--init-from", start])
+        out, err = capsys.readouterr()
+        assert rc == 4 and out == ""
+        assert err == ("numeric failure: zeta_2 left (-1, 0); iteration is "
+                       "invalid\n")
+        assert not [w for w in caught if w.category is RuntimeWarning]
+
     @pytest.mark.parametrize("method,scale,lam", [
         ("dmvb", 1e150, "0.01"), ("mp-quad", 1.0, "1e-8"),
         pytest.param("mp-quad", 1e150, "0.01", id="mp-quad-1e150-scaled")])
@@ -1328,9 +1348,7 @@ class TestWriteCSV:
         q = dict(zip(("beta", "sigma2"), linear_exact_posterior(
             LinearData(*fixed_linear_dataset()),
             LinearPrior(g=1e4, A=0.01, B=0.01))))
-        (_, family, params), = [m for m in cli._marginals(q)
-                                if m[0] == "sigma2"]
-        grid = cli._density_grid(family, params)
+        grid = diagnostics.marginal_grids(q)["sigma2"]
         want = _csv_writer_text(["point", "value"], zip(
             grid.points.tolist(), grid.values.tolist()))
         assert dens.read_bytes().decode() == want

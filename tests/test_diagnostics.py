@@ -12,11 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from momprop.diagnostics import (DensityGrid, ToyGaussianSpec, accuracy,
-                                 gaussian_density, gaussian_grid_range,
-                                 ig_density, ig_grid_range, make_points,
-                                 moment_errors, t_density, toy_gaussian_mp)
+from momprop.diagnostics import (DensityGrid, ToyGaussianSpec, accuracies,
+                                 accuracy, gaussian_density,
+                                 gaussian_grid_range, ig_density,
+                                 ig_grid_range, make_points, marginal_grids,
+                                 moment_errors, t_density, t_grid_range,
+                                 toy_gaussian_mp)
 from momprop.exceptions import DomainError
+from momprop.moments import (GaussianApprox, InverseGammaApprox,
+                             InverseWishartApprox, StudentTApprox)
+from momprop.probit import AuxiliaryMoments
 from momprop.reports import MomentSummary
 
 
@@ -126,6 +131,70 @@ class TestDensityGrids:
             DensityGrid(points=[1.0, 0.0], values=[1.0, 1.0])
         with pytest.raises(DomainError):
             DensityGrid(points=[0.0, 1.0], values=[-1.0, 1.0])
+
+
+def _on_default_grid(density, grid_range, *params):
+    return density(make_points(*grid_range(*params)), *params)
+
+
+T_SCALE = np.array([[2.0, 0.3], [0.3, 0.5]])
+COV = np.array([[1.5, -0.2], [-0.2, 0.25]])
+PSI = np.array([[3.0, 0.4], [0.4, 1.2]])
+
+
+class TestMarginalGrids:
+    @pytest.mark.parametrize("block, want", [
+        (StudentTApprox([0.5, -1.0], T_SCALE, 7.0),
+         {"b0": (t_density, t_grid_range, (0.5, 2.0, 7.0)),
+          "b1": (t_density, t_grid_range, (-1.0, 0.5, 7.0))}),
+        (GaussianApprox([1.0, 2.0], COV),
+         {"b0": (gaussian_density, gaussian_grid_range, (1.0, 1.5)),
+          "b1": (gaussian_density, gaussian_grid_range, (2.0, 0.25))}),
+        (MomentSummary([1.0, 2.0], COV, mc_se=np.array([0.1, 0.1])),
+         {"b0": (gaussian_density, gaussian_grid_range, (1.0, 1.5)),
+          "b1": (gaussian_density, gaussian_grid_range, (2.0, 0.25))}),
+        (InverseGammaApprox(2.5, 3.0),
+         {"b": (ig_density, ig_grid_range, (2.5, 3.0))}),
+        (InverseWishartApprox(PSI, 7.0),
+         {"b00": (ig_density, ig_grid_range, (3.0, 1.5)),
+          "b11": (ig_density, ig_grid_range, (3.0, 0.6))}),
+        (AuxiliaryMoments(np.array([0.3, -0.3])), {}),
+    ], ids=["t", "gaussian", "gibbs-summary", "ig", "iw-diagonal", "aux"])
+    def test_names_and_values_per_block(self, block, want):
+        """Each block type gives its marginals under their names, each the
+        direct density call on its own default grid, bit for bit."""
+        grids = marginal_grids({"b": block})
+        assert list(grids) == list(want)
+        for name, (density, grid_range, params) in want.items():
+            ref = _on_default_grid(density, grid_range, *params)
+            assert np.array_equal(grids[name].points, ref.points)
+            assert np.array_equal(grids[name].values, ref.values)
+
+    def test_points_choose_and_filter_by_name(self):
+        q = {"beta": GaussianApprox([1.0, 2.0], COV),
+             "sigma2": InverseGammaApprox(2.5, 3.0)}
+        pts = np.linspace(0.5, 4.0, 11)
+        grids = marginal_grids(q, {"beta1": pts, "nope": pts})
+        assert list(grids) == ["beta1"]
+        assert np.array_equal(grids["beta1"].values,
+                              gaussian_density(pts, 2.0, 0.25).values)
+        assert marginal_grids(q, {}) == {}
+
+    def test_accuracies_on_the_references_points(self):
+        """Only the names both sides have are scored, in q's order, each
+        by accuracy on the reference's own grid."""
+        ref = marginal_grids({"beta": GaussianApprox([0.0, 1.0, 2.0],
+                                                     np.diag([1.0, 2.0, 3.0])),
+                              "sigma2": InverseGammaApprox(3.0, 2.0)})
+        del ref["beta0"]
+        q = {"sigma2": InverseGammaApprox(2.5, 3.0),
+             "beta": StudentTApprox([0.5, 1.5], T_SCALE, 7.0)}
+        got = accuracies(q, ref)
+        assert list(got) == ["sigma2", "beta1"]
+        assert got["sigma2"] == accuracy(ref["sigma2"], ig_density(
+            ref["sigma2"].points, 2.5, 3.0))
+        assert got["beta1"] == accuracy(ref["beta1"], t_density(
+            ref["beta1"].points, 1.5, 0.5, 7.0))
 
 
 class TestMomentErrors:

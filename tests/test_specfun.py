@@ -161,6 +161,25 @@ class TestZeta:
         assert specfun._DIRECT_MAX == 40.0
         assert np.array_equal(_zeta1(t)[0], want, equal_nan=True)
 
+    @pytest.mark.parametrize("k, want", [(2, -1.0), (3, 0.0), (4, 0.0)])
+    def test_far_left_orders_do_not_overflow(self, k, want):
+        """At t = -1e200 the recursion's zeta_2 terms t zeta_1 and
+        zeta_1^2 overflow, and 0 zeta_0 is nan; zeta_2 is -zeta_1 / d
+        there, so none of them reaches a result, and none warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert zeta(k, -1e200) == want
+
+    def test_zeta2_is_the_recursion_from_the_crossover_on(self):
+        """From _CF_CROSSOVER on, zeta_2 is the recursion's
+        -(t zeta_1 + 0 zeta_0) - zeta_1 zeta_1, bit for bit."""
+        t = np.concatenate([np.linspace(-25.0, 60.0, 85_001),
+                            [-0.0, 38.6, 1e3, 1e155, 1e300]])
+        z = _zeta_orders(2, np.concatenate([[-30.0, -1e200], t]))
+        z0, z1 = log_ndtr(t), _zeta1(t)[0]
+        want = -(t * z1 + 0 * z0) - 1 * z1 * z1
+        assert np.array_equal(z[2][2:].view(np.int64), want.view(np.int64))
+
     # recursion-vs-derivative consistency; the constants grow with the
     # magnitude of the (k+3)rd derivative (truncation) and with the
     # cancellation noise of the recursion near t = -30 (roundoff / h).
@@ -358,6 +377,16 @@ class TestXiQuad:
             assert gap[h] <= (1.05 * gap[1e-2] * (h / 1e-2) ** 2
                               + 8 * eps * (abs(x0) + 1) / h)
 
+    @pytest.mark.parametrize("mu, want", [
+        (1e200, [0.0, 0.0]), (-1e200, [9.999999999999905e+199, -1.0])])
+    def test_vast_mean_does_not_overflow(self, mu, want):
+        """u * u overflows in the Gaussian weight from |u| ~ 1.3e154 on,
+        where the weight is 0; the rule neither warns nor loses it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = xi_quad((1, 2), mu, 3.0)
+        assert got.tolist() == pytest.approx(want, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("d", [0, 1, 2])
     def test_batch_equals_elementwise(self, d):
         # sigma2 over four decades moves every piece of the rule, the bend's
@@ -461,6 +490,16 @@ class TestXiDispatch:
         finally:
             tracemalloc.stop()
         assert peak < 3 * out.nbytes
+
+    @pytest.mark.parametrize("s2", [0.5, 0.001])
+    def test_vast_negative_mean_does_not_overflow(self, s2):
+        """Far left, on the Gauss-Hermite band, xi_1 is -mu and xi_2 is -1,
+        with no overflow warning from the zeta recursion."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = xi((1, 2), -1e200, s2)
+        assert got.tolist() == pytest.approx([1e200, -1.0], rel=1e-15,
+                                             abs=0.0)
 
     @pytest.mark.parametrize("d", [(), (1, 3), [1, 2], 3])
     def test_rejects_bad_orders(self, d):
