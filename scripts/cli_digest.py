@@ -28,6 +28,8 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from momprop import cli
 
 NAN, INF = float("nan"), float("inf")
@@ -37,6 +39,8 @@ D9 = {"n": 4, "xbar": [-0.9724726, 1.3202681],
 TOY = {"mu": [0.5, -1.0, 2.0], "Sigma": [[1.0, 0.6, 0.2], [0.6, 1.5, 0.4],
                                          [0.2, 0.4, 2.0]], "split": 1}
 GIBBS = ["--n-samples", "1000", "--n-warmup", "100", "--seed", "3"]
+# the separable 40-row set, y = 1{x > 0}, x ~ N(0, 1) scaled by 1e150
+SEPARABLE = np.random.default_rng(0).standard_normal(40)
 
 # input file name -> content: text written as it is, anything else as JSON
 FILES = {
@@ -47,6 +51,8 @@ FILES = {
     # finite entries whose Z^T Z overflows
     "probit-overflow.csv": ("y,x1,x2\n1,1.0,1e200\n0,1.0,-3e199\n1,1.0,0.5\n"
                             "0,1.0,0.1\n"),
+    "separable-1e150.csv": "y,x1\n" + "".join(
+        f"{float(v > 0)!r},{float(1e150 * v)!r}\n" for v in SEPARABLE),
     "linear-nan.csv": "y,x1\nnan,1\n1.08,1\n-2.14,1\n",
     "bad-cell.csv": "y,x1\n1.0,2.0\n3.0,oops\n",
     "ragged.csv": "y,x1\n1.0,2.0,9.9\n",
@@ -89,6 +95,9 @@ FILES = {
     "init-mvn-dof-half.json": {"q": {"Sigma": {"family": "inverse_wishart",
                                                "scale_matrix": I2,
                                                "dof": 0.5}}},
+    "init-probit-tiny-slope.json": {"q": {"beta": {"family": "gaussian",
+                                                   "mean": [0.0, 1e-150],
+                                                   "cov": I2}}},
     # past the csv module's field limit (131,072), json's nesting depth and
     # int's 4,300-digit conversion limit
     "long-cell.csv": "y,x1\n1," + "a" * 200_000 + "\n",
@@ -320,6 +329,15 @@ def _commands() -> list[tuple[str, list[str]]]:
         *((f"numeric: probit overflow {method}", [
             "fit", "--model", "probit", "--method", method, "--data",
             "FILE/probit-overflow.csv"]) for method in methods["probit"]),
+        # the fit's last M^-1 is not positive definite
+        ("numeric: dmvb invalid fitted density", [
+            "fit", "--model", "probit", "--method", "dmvb", "--intercept",
+            "--lambda", "0.01", "--data", "FILE/separable-1e150.csv",
+            "--init-from", "FILE/init-probit-tiny-slope.json"]),
+        # numpy refuses the chain's array before touching any memory
+        ("numeric: gibbs chain too large", [
+            "fit", "--model", "probit", "--method", "gibbs", "--data",
+            "FILE/probit.csv", "--n-samples", "1000000000000000"]),
         *((f"toy rho 0.9999 {method}", [
             "fit", "--model", "toy", "--method", method, "--summary",
             "FILE/toy-rho9999.json"]) for method in ("mp", "mfvb")),

@@ -3,7 +3,7 @@
 Reports are JSON (schema field "schema": 1) with every numeric finite or
 null (a warning entry names any replaced value). Exit codes: 0 success
 (including non-converged fits, flagged in the body), 2 usage, 3 I/O,
-4 numeric failure.
+4 numeric failure (an allocation that cannot be made included).
 """
 
 from __future__ import annotations
@@ -735,7 +735,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: stdout was closed before the output was written",
               file=sys.stderr)
         return 3
-    except (NumericError, np.linalg.LinAlgError) as exc:
+    except (NumericError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

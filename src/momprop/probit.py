@@ -25,7 +25,7 @@ A at that v, or the plain map mu + S (Z^T xi_1 - D mu) where S^-1 - A is
 not positive definite, as the delta-method xi_2 allows. It makes four
 O(n p^2) passes over the rows of Z: the variances v and three Gram
 matrices. Each pass walks the rows in blocks of _ROW_BLOCK, so its
-scratch memory is O(block p), not O(n p); the Laplace Hessian and the
+working memory is O(block p), not O(n p); the Laplace Hessian and the
 delta-method ELBO use the same two row-block helpers. ProbitData holds Z
 and y, not X, so the data's one n x p array is Z; beside it a fit holds a
 few n-vectors, and the trace one (mu_a) per outer iteration. Z is
@@ -51,11 +51,10 @@ at a time (about _GIBBS_CELLS uniforms), and one of standard normals for
 the beta draws, taken at once into the chain that the draws then
 overwrite with in-place ufuncs, so no draw makes its own RNG call. From
 _GIBBS_SPLIT rows on it holds no n x p array beside Z: it splits Z's rows
-in two halves, the second on a worker thread where a second CPU is
-available; each half draws its a_i by accept-reject (_truncnorm_ar) from
-its own stream, beta reads a third, and no BLAS call runs inside a half.
-Either way the chain depends on the seed and on n's regime, not on the
-block size, the thread or the CPU count. Gibbs output for a given seed
+in two halves, the second on a worker thread; each half draws its a_i by
+accept-reject (_truncnorm_ar) from its own stream, beta reads a third, and
+no BLAS call runs inside a half. Either way the chain depends on the seed
+and on n's regime, not on the block size. Gibbs output for a given seed
 differs from versions that drew from one generator one draw at a time,
 and at large n from versions before the split; its distribution does
 not.
@@ -63,8 +62,6 @@ not.
 
 from __future__ import annotations
 
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from math import isfinite
 
@@ -415,30 +412,22 @@ def _truncnorm_into(m: np.ndarray, v: np.ndarray, out: np.ndarray
     return np.subtract(m, out, out=out)
 
 
-def _truncnorm_ar(rng: np.random.Generator, m: np.ndarray, out: np.ndarray,
-                  scratch: np.ndarray) -> np.ndarray:
+def _truncnorm_ar(rng: np.random.Generator, m: np.ndarray, out: np.ndarray
+                  ) -> np.ndarray:
     """out <- draws from N(m, 1) conditioned on being positive, by accept-
     reject with an exact fallback: the proposal m + e, e ~ N(0, 1), is kept
-    where it is positive, and only the other rows are redrawn, by
-    _truncnorm_into, so every row is an exact draw (Robert, Statistics and
-    Computing 5, 1995). m is overwritten.
-
-    The rejected rows are redrawn in chunks of up to len(scratch) // 2, in
-    row order: a chunk's m is gathered into the first half of scratch, its
-    uniforms are written over the leading rows of m (the i-th rejected row
-    is row i or later, so no later chunk reads them) and its draws go to
-    the second half. The uniforms go to the rejected rows in order, so the
-    chunk size does not change the draws."""
+    where it is positive, and only the k other rows are redrawn, by
+    _truncnorm_into from the next k uniforms in row order, so every row is
+    an exact draw (Robert, Statistics and Computing 5, 1995). m is
+    overwritten: those uniforms go to its first k rows once the rejected
+    rows' m is gathered."""
     rng.standard_normal(out=out)
     out += m
     rows = np.flatnonzero(out <= 0.0)
-    step = len(scratch) // 2
-    for s in range(0, len(rows), step):
-        rk = rows[s:s + step]
-        k = len(rk)
-        mk = np.take(m, rk, out=scratch[:k], mode="clip")
-        out[rk] = _truncnorm_into(mk, _tail_mass(rng, m[:k]),
-                                  scratch[step:step + k])
+    if len(rows):
+        mk = m[rows]
+        out[rows] = _truncnorm_into(mk, _tail_mass(rng, m[:len(rows)]),
+                                    np.empty_like(mk))
     return out
 
 
@@ -453,29 +442,19 @@ _GIBBS_CELLS = 1 << 15
 _GIBBS_SPLIT = 1 << 14
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _gibbs_halves(Z: np.ndarray, S: np.ndarray, total: int, seed: int
                   ) -> np.ndarray:
     """_gibbs_chain from _GIBBS_SPLIT rows on. The rows are split into two
     fixed halves, views of Z. Per draw each half computes m_k = Z_k beta,
     draws a_k by _truncnorm_ar and forms c_k = Z_k^T a_k; the second half
-    runs on one worker thread where a second CPU is available. Then
-    beta = S (c_0 + c_1) + L e. The halves' products are einsum's, not
-    BLAS', whose own threads spin on the second CPU and slow both halves.
+    runs on one worker thread. Then beta = S (c_0 + c_1) + L e. The halves'
+    products are einsum's, not BLAS', whose own threads spin on the second
+    CPU and slow both halves. Each numpy call in a half can wait for the
+    interpreter lock while the other half holds it, so a half makes few.
 
     Each half reads its own generator and beta's normals a third, all
     spawned from SeedSequence(seed), so the chain depends on the seed alone,
-    not on thread timing or the CPU count. m, a and _truncnorm_ar's scratch
-    are made once. The scratch is as long as m, so that one fallback chunk
-    takes up to half of a half's rows: each numpy call in a half can wait
-    for the interpreter lock while the other half holds it, so a half makes
-    few of them.
+    not on thread timing. m and a are made once.
     """
     # imported here, not at the top: loading the executor's module raised
     # the peak RSS of a run that never splits (probit-small-study) by 0.2 MB
@@ -488,26 +467,21 @@ def _gibbs_halves(Z: np.ndarray, S: np.ndarray, total: int, seed: int
     h = (n + 1) // 2
     halves = (slice(0, h), slice(h, n))
     m, a = np.empty(n), np.empty(n)
-    scratch = np.empty((2, h))
     c, e = np.empty((2, p)), np.empty(p)
 
     def half(k: int, beta: np.ndarray) -> None:
         rows = halves[k]
         Zk, mk = Z[rows], m[rows]
         np.einsum("ij,j->i", Zk, beta, out=mk)
-        ak = _truncnorm_ar(rngs[k], mk, a[rows], scratch[k])
+        ak = _truncnorm_ar(rngs[k], mk, a[rows])
         np.einsum("ij,i->j", Zk, ak, out=c[k])
 
     beta = np.zeros(p)
-    with (ThreadPoolExecutor(1) if _cpus() > 1 else nullcontext()) as pool:
+    with ThreadPoolExecutor(1) as pool:
         for draw in chain:
-            if pool is None:
-                half(0, beta)
-                half(1, beta)
-            else:
-                job = pool.submit(half, 1, beta)
-                half(0, beta)
-                job.result()
+            job = pool.submit(half, 1, beta)
+            half(0, beta)
+            job.result()
             np.dot(L, draw, out=e)
             np.dot(S, np.add(c[0], c[1], out=c[0]), out=draw)
             beta = np.add(draw, e, out=draw)

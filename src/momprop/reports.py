@@ -9,7 +9,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .exceptions import DomainError, UndefinedMomentError
+from .exceptions import DomainError, NumericError, UndefinedMomentError
 from .moments import (GaussianApprox, InverseGammaApprox, StudentTApprox,
                       ig_mean_var)
 
@@ -94,7 +94,8 @@ def fixed_point(step: Callable[[Any], tuple[Any, np.ndarray]], state: Any,
     evaluations. Every vector is a trace entry; the first is never tested,
     so a map started at its own fixed point stops at the second.
 
-    params(state) builds the q-densities of the report from the last state.
+    params(state) builds the q-densities of the report from the last state;
+    a DomainError there is a NumericError, as the fit made the invalid value.
     """
     if not eps > 0:
         raise DomainError("eps must be positive")
@@ -106,6 +107,10 @@ def fixed_point(step: Callable[[Any], tuple[Any, np.ndarray]], state: Any,
         state, vec = step(state)
         converged = bool(trace) and bool(np.abs(vec - trace[-1]).max() < eps)
         trace.append(vec)
-    return FitReport(params=params(state), iterations=len(trace),
+    try:
+        q = params(state)
+    except DomainError as exc:
+        raise NumericError(f"the fitted q-density is invalid: {exc}") from exc
+    return FitReport(params=q, iterations=len(trace),
                      converged=converged, trace=trace,
                      termination="converged" if converged else "max_iter")

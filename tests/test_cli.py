@@ -1027,6 +1027,25 @@ class TestErrors:
             assert np.isfinite(beta["cov"]).all()
         assert not [w for w in caught if w.category is RuntimeWarning]
 
+    def test_dmvb_invalid_fitted_density_is_numeric_failure(self, tmp_path,
+                                                            capsys):
+        """The 1e150-scaled separable set, dmvb started at mean (0, 1e-150):
+        the last M^-1 is not positive definite, which the fit made, so the
+        q-density's check is a numeric failure (exit 4) with no
+        RuntimeWarning, not a domain error about the user's input."""
+        start = self._start(tmp_path, [0.0, 1e-150], [[1.0, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(["fit", "--model", "probit", "--method", "dmvb",
+                          "--intercept", "--lambda", "0.01",
+                          "--data", self._separable(tmp_path, 1e150),
+                          "--init-from", start])
+        out, err = capsys.readouterr()
+        assert rc == 4 and out == ""
+        assert err == ("numeric failure: the fitted q-density is invalid: "
+                       "cov is not positive definite\n")
+        assert not [w for w in caught if w.category is RuntimeWarning]
+
     def test_mp_quad_from_a_vast_start_variance_converges(self, tmp_path,
                                                           capsys):
         """mp-quad on the separable set, started from a q(beta) whose
@@ -1053,6 +1072,27 @@ class TestErrors:
             assert np.isfinite(far[field]).all()
             assert np.max(np.abs(np.subtract(far[field], near[field]))) \
                 <= 10 * 1e-6
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--model", "probit", "--method", "gibbs", "--data", "PROBIT",
+         "--n-samples", "1000000000000000", "--out", "OUT"],
+        ["compare", "--model", "probit", "--methods", "laplace,mfvb",
+         "--data", "PROBIT", "--n-samples", "1000000000000000",
+         "--out", "OUT"],
+        *(["generate", "--model", model, "--n", "1000000000000000",
+           "--out", "OUT"] for model in ("linear", "mvn", "probit"))],
+        ids=["fit-gibbs", "compare-probit", "generate-linear",
+             "generate-mvn", "generate-probit"])
+    def test_allocation_that_cannot_be_made_is_numeric_failure(
+            self, probit_csv, tmp_path, capsys, argv):
+        """An array of 1e15 rows, which numpy refuses before touching any
+        memory: exit 4 with one line, no traceback, and no --out file."""
+        out = tmp_path / "out"
+        names = {"PROBIT": probit_csv, "OUT": str(out)}
+        assert run_cli([names.get(a, a) for a in argv]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: Unable to allocate ")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_ragged_csv(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -44,11 +44,10 @@ def _truncnorm_positive(rng, m):
     return probit._truncnorm_into(m, v, np.empty_like(m))
 
 
-def _truncnorm_ar_positive(rng, m, step):
-    """The same draws by the large-n sampler's accept-reject kernel, its
-    fallback walking chunks of step rows; m is left as it was."""
-    return probit._truncnorm_ar(rng, m.copy(), np.empty_like(m),
-                                np.empty(2 * step))
+def _truncnorm_ar_positive(rng, m):
+    """The same draws by the large-n sampler's accept-reject kernel; m is
+    left as it was."""
+    return probit._truncnorm_ar(rng, m.copy(), np.empty_like(m))
 
 
 @pytest.fixture(scope="module")
@@ -695,19 +694,33 @@ class TestGibbs:
         draws: a two-sample KS test, and the closed-form mean m + zeta_1(m)
         within 3 standard errors."""
         ms = np.full(50_000, m)
-        draws = _truncnorm_ar_positive(np.random.default_rng(31), ms, 7_000)
+        draws = _truncnorm_ar_positive(np.random.default_rng(31), ms)
         assert np.all(draws > 0)
         reference = _truncnorm_positive(np.random.default_rng(37), ms)
         assert ks_2samp(draws, reference).pvalue > 1e-3
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - (m + zeta(1, m))) < 3 * se
 
-    def test_accept_reject_chunks_do_not_change_draws(self):
+    def test_accept_reject_kernel_reads_its_stream_in_row_order(self):
+        """The kernel's draws, bit for bit, by hand from a second generator
+        with the same seed: one standard_normal over every row, then the
+        next k uniforms to the k rejected rows in row order. Where no row
+        is rejected (m = +40) it reads nothing past the normals."""
         m = np.random.default_rng(41).normal(0.3, 2.0, 10_000)
-        draws = [_truncnorm_ar_positive(np.random.default_rng(43), m, step)
-                 for step in (1, 999, 10_000)]
-        assert np.array_equal(draws[0], draws[1])
-        assert np.array_equal(draws[0], draws[2])
+        draws = _truncnorm_ar_positive(np.random.default_rng(43), m)
+        rng = np.random.default_rng(43)
+        want = m + rng.standard_normal(len(m))
+        rows = np.flatnonzero(want <= 0.0)
+        assert 0 < len(rows) < len(m)
+        v = (1.0 - rng.random(len(rows))) * probit._BELOW_ONE
+        want[rows] = m[rows] - ndtri(ndtr(m[rows]) * v)
+        assert np.array_equal(draws, want)
+
+        rng, ref = np.random.default_rng(47), np.random.default_rng(47)
+        draws = probit._truncnorm_ar(rng, np.full(1_000, 40.0),
+                                     np.empty(1_000))
+        assert np.array_equal(draws, 40.0 + ref.standard_normal(1_000))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_single_observation_posterior(self, single_obs):
         # y = 1, x = 1, D = 1: the posterior is proportional to
@@ -801,22 +814,11 @@ class TestGibbsHalves:
         return probit._gibbs_chain(data.Z, probit._workspace(data, prior)[1],
                                    1_000, seed)
 
-    def test_worker_thread_does_not_change_chain(self, synthetic200,
-                                                 monkeypatch):
-        monkeypatch.setattr(probit, "_cpus", lambda: 2)
-        threaded = self.chain(*synthetic200)
-        monkeypatch.setattr(probit, "_cpus", lambda: 1)
-        inline = self.chain(*synthetic200)
-        assert np.array_equal(threaded, inline)
-
-    def test_concurrent_chains_under_fast_switching(self, synthetic200,
-                                                    monkeypatch):
+    def test_concurrent_chains_under_fast_switching(self, synthetic200):
         """Two chains at once, each with its worker (four threads on two
-        CPUs), switching threads every microsecond: each equals its chain
-        run inline, so no half reads or writes another's buffers."""
-        monkeypatch.setattr(probit, "_cpus", lambda: 1)
+        CPUs), switching threads every microsecond: each equals the same
+        chain run alone, so no half reads or writes another's buffers."""
         want = [self.chain(*synthetic200, seed=s) for s in (5, 6)]
-        monkeypatch.setattr(probit, "_cpus", lambda: 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -828,8 +830,7 @@ class TestGibbsHalves:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
-    def test_seed_gives_the_chain(self, synthetic200, monkeypatch):
-        monkeypatch.setattr(probit, "_cpus", lambda: 2)
+    def test_seed_gives_the_chain(self, synthetic200):
         a, b = self.chain(*synthetic200), self.chain(*synthetic200)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, self.chain(*synthetic200, seed=6))
@@ -839,7 +840,6 @@ class TestGibbsHalves:
                                                monkeypatch, fails):
         """The worker is joined when the chain returns, and when a half
         raises, on either thread."""
-        monkeypatch.setattr(probit, "_cpus", lambda: 2)
         kernel = probit._truncnorm_ar
 
         def failing(*args):
