@@ -53,6 +53,8 @@ FILES = {
                             "0,1.0,0.1\n"),
     "separable-1e150.csv": "y,x1\n" + "".join(
         f"{float(v > 0)!r},{float(1e150 * v)!r}\n" for v in SEPARABLE),
+    "separable.csv": "y,x1\n" + "".join(
+        f"{float(v > 0)!r},{float(v)!r}\n" for v in SEPARABLE),
     "linear-nan.csv": "y,x1\nnan,1\n1.08,1\n-2.14,1\n",
     "bad-cell.csv": "y,x1\n1.0,2.0\n3.0,oops\n",
     "ragged.csv": "y,x1\n1.0,2.0,9.9\n",
@@ -98,6 +100,11 @@ FILES = {
     "init-probit-tiny-slope.json": {"q": {"beta": {"family": "gaussian",
                                                    "mean": [0.0, 1e-150],
                                                    "cov": I2}}},
+    # log p(y, beta) is -inf here, as beta' D beta overflows
+    "init-probit-huge-intercept.json": {"q": {"beta": {
+        "family": "gaussian", "mean": [1e200, 0.0], "cov": I2}}},
+    "init-probit-no-cov.json": {"q": {"beta": {"family": "gaussian",
+                                               "mean": [0.0, 1e-150]}}},
     # past the csv module's field limit (131,072), json's nesting depth and
     # int's 4,300-digit conversion limit
     "long-cell.csv": "y,x1\n1," + "a" * 200_000 + "\n",
@@ -334,6 +341,16 @@ def _commands() -> list[tuple[str, list[str]]]:
             "fit", "--model", "probit", "--method", "dmvb", "--intercept",
             "--lambda", "0.01", "--data", "FILE/separable-1e150.csv",
             "--init-from", "FILE/init-probit-tiny-slope.json"]),
+        # walk 1's Gram matrix A overflows
+        ("numeric: mp-dm Gram overflow", [
+            "fit", "--model", "probit", "--method", "mp-dm", "--intercept",
+            "--lambda", "0.01", "--data", "FILE/separable-1e150.csv",
+            "--init-from", "FILE/init-probit-tiny-slope.json"]),
+        *((f"numeric: {method} start not finite", [
+            "fit", "--model", "probit", "--method", method, "--intercept",
+            "--data", "FILE/separable.csv",
+            "--init-from", "FILE/init-probit-huge-intercept.json"])
+          for method in ("laplace", "mfvb", "dmvb")),
         # numpy refuses the chain's array before touching any memory
         ("numeric: gibbs chain too large", [
             "fit", "--model", "probit", "--method", "gibbs", "--data",
@@ -392,6 +409,9 @@ def _commands() -> list[tuple[str, list[str]]]:
             "init-probit-p2.json": ["fit", "--model", "probit", "--method",
                                     "laplace", "--data",
                                     "FILE/probit.csv"],
+            "init-probit-no-cov.json": ["fit", "--model", "probit",
+                                        "--method", "dmvb", "--data",
+                                        "FILE/probit.csv"],
             "init-mvn-dof-half.json": ["fit", "--model", "mvn", "--method",
                                        "mfvb", "--summary", "FILE/d9.json"],
             "deep.json": linear_fit}.items():

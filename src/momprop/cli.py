@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
+import inspect
 import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -38,6 +39,7 @@ from .reports import FitReport, MomentSummary, moment_summary
 SCHEMA_VERSION = 1
 _PRETTY_DIGITS = 4  # significant digits in --pretty output
 _DUMP_FLOATS = 4096  # floats of a report row formatted at a time
+_CSV_CHUNK = 4096  # CSV rows parsed at a time
 _encode_scalar = json.JSONEncoder().encode  # what json.dumps gives a scalar
 
 
@@ -68,44 +70,58 @@ def _reading(path: str, kind: str):
         raise InputError(f"{path}: invalid {kind}: {exc}") from exc
 
 
-def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """The stripped header and the data rows of a CSV of numbers.
-
-    np.loadtxt reads the rows when it surely reads them as the row parser
-    below would; otherwise that parser reads them and names the first bad
-    row or cell.
-    """
-    with _reading(path, "CSV") as fh:
-        header = next(csv.reader(fh), None)
-        data = None if header is None else _loadtxt_rows(fh, len(header))
-    if data is None:
-        return _parse_csv_rows(path)
-    return [h.strip() for h in header], data
+def _table(header: list[str], n: int):  # _read_csv's default layout
+    return (header, t := np.empty((n, len(header)))), [(t, slice(None))]
 
 
-def _loadtxt_rows(fh, width: int) -> np.ndarray | None:
-    """fh's remaining rows, streamed through np.loadtxt, or None where they
-    might differ from what the row parser reads: there is no data line,
-    loadtxt raises (also at a blank line, which it would skip and the row
-    parser names) or it found a width other than the header's."""
-    first = next(fh, None)
-    if first is None:
-        return None
-    try:
-        data = np.loadtxt(_unblank(itertools.chain((first,), fh)),
-                          delimiter=",", ndmin=2, comments=None,
-                          encoding="utf-8")
-    except ValueError:
-        return None
-    return data if data.shape[1] == width else None
+def _count_lines(raw) -> int:
+    """The lines of the binary file raw as the text layer splits them (at
+    \\n, \\r\\n or \\r, and after an unterminated last one); rewinds raw."""
+    n, tail = 0, b""  # tail: the last byte of an unterminated piece
+    while block := raw.read(1 << 16):
+        lines = (tail + block).splitlines(keepends=True)
+        tail = b"" if lines[-1].endswith(b"\n") else lines.pop()[-1:]
+        n += len(lines)
+    raw.seek(0)
+    return n + bool(tail)
 
 
-def _unblank(lines):
-    """lines, with a ValueError at the first blank or whitespace-only one."""
-    for line in lines:
-        if line.isspace():
-            raise ValueError("blank line")
-        yield line
+def _read_csv(path: str, layout=_table):
+    """The first item of layout(header, n), whose second lists (array,
+    columns) pairs: each array's rows get those columns of the n data rows
+    of a CSV of numbers; by default, the stripped header and a table.
+    Once the lines are counted, np.loadtxt parses _CSV_CHUNK rows at a time
+    into the arrays, unless it raises, warns, gives another width than the
+    header's or fewer rows than lines (as at a blank line, which it skips)
+    or the file is a pipe: then the row parser below names any bad cell."""
+    if os.path.isfile(path):  # not a pipe, which cannot be read twice
+        with _reading(path, "CSV") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # such as loadtxt's on no data
+            n = _count_lines(fh.buffer)
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is not None and (n := n - reader.line_num) > 0:
+                out, targets = layout([h.strip() for h in header], n)
+                lines = (line for line in fh)  # loadtxt reads a file ahead
+                try:
+                    for s in range(0, n, _CSV_CHUNK):
+                        chunk = np.loadtxt(lines, delimiter=",", ndmin=2,
+                                           comments=None, encoding="utf-8",
+                                           max_rows=_CSV_CHUNK)
+                        if chunk.shape != (min(_CSV_CHUNK, n - s),
+                                           len(header)):
+                            raise ValueError("not the row parser's rows")
+                        for array, columns in targets:
+                            array[s:s + _CSV_CHUNK] = chunk[:, columns]
+                        del chunk  # before the next is parsed
+                    return out
+                except (ValueError, UserWarning):
+                    pass
+    header, data = _parse_csv_rows(path)
+    out, targets = layout(header, len(data))
+    for array, columns in targets:
+        array[:] = data[:, columns]
+    return out
 
 
 def _parse_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
@@ -115,49 +131,43 @@ def _parse_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
     if not rows:
         raise InputError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
-    data = []
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise InputError(f"{path}: row {i} has {len(row)} fields, "
                              f"expected {len(header)}")
-        data.append(values := [])
-        for j, cell in enumerate(row, start=1):
+        for j, cell in enumerate(row):
             try:
-                values.append(float(cell))
+                row[j] = float(cell)
             except ValueError as exc:
-                raise InputError(f"{path}: row {i}, col {j}: "
+                raise InputError(f"{path}: row {i}, col {j + 1}: "
                                  f"not a number: {cell!r}") from exc
-    if not data:
+    if len(rows) == 1:
         raise InputError(f"{path}: no data rows")
-    return header, np.array(data)
+    return header, np.array(rows[1:])
 
 
 def _load_regression(args: argparse.Namespace, data_type, order: str = "C"):
-    """data_type(y, X) from the --data CSV: y is its "y" column and X the
-    others, after a column of ones with --intercept. X is a new array in
-    the given memory order, which data_type may take over."""
+    """data_type(y, X) from the --data CSV: its "y" column and, after a
+    column of ones with --intercept, the others, parsed into X in the given
+    memory order (probit's Fortran order is Z's, and linear's C order keeps
+    X'X's rounding); data_type may take X over and sign it in place."""
     if not args.data:
         raise UsageError(f"{args.model} needs --data CSV")
-    header, data = _read_csv(args.data)
-    if "y" not in header:
-        raise InputError(f"{args.data}: header must contain a 'y' column")
-    yi, lead = header.index("y"), int(args.intercept)
-    if lead + data.shape[1] == 1:
-        raise InputError(f"{args.data}: no predictor columns "
-                         "(pass --intercept for an intercept-only fit)")
-    # X is filled by basic slices on each side of y's column, which copy
-    # without the n x p temporary that a fancy index would make, and the
-    # table is dropped before data_type is built. Probit asks for Fortran
-    # order, the layout of its Z, and ProbitData._taking signs X's rows in
-    # place, so it holds the table and one n x p array at most; linear keeps
-    # C order, as X'X rounds differently on the other layout
-    X = np.empty((data.shape[0], lead + data.shape[1] - 1), order=order)
-    X[:, :lead] = 1.0
-    X[:, lead:lead + yi] = data[:, :yi]
-    X[:, lead + yi:] = data[:, yi + 1:]
-    y = data[:, yi].copy()
-    del data
-    return data_type(y, X)
+    lead = int(args.intercept)
+
+    def layout(header: list[str], n: int):
+        if "y" not in header:
+            raise InputError(f"{args.data}: header must contain a 'y' column")
+        if lead + len(header) == 1:
+            raise InputError(f"{args.data}: no predictor columns "
+                             "(pass --intercept for an intercept-only fit)")
+        yi = header.index("y")
+        y, X = np.empty(n), np.empty((n, lead + len(header) - 1), order=order)
+        X[:, :lead] = 1.0
+        # basic slices, which copy without a fancy index's temporary
+        return (y, X), [(y, yi), (X[:, lead:lead + yi], slice(yi)),
+                        (X[:, lead + yi:], slice(yi + 1, None))]
+    return data_type(*_read_csv(args.data, layout))
 
 
 def _from_json(path: str, build: Callable[[dict], Any]):
@@ -185,8 +195,7 @@ def _load_mvn(data_path: str | None, summary_path: str | None) -> MVNData:
         return _from_json(summary_path, lambda doc: MVNData(
             n=doc["n"], xbar=doc["xbar"], S=doc["S"]))
     if data_path:
-        _, data = _read_csv(data_path)
-        return MVNData.from_raw(data)
+        return MVNData.from_raw(_read_csv(data_path)[1])
     raise UsageError("mvn needs --data (raw CSV) or --summary (JSON)")
 
 
@@ -452,9 +461,8 @@ def _model(name: str, method: str) -> Model:
 def _load(args: argparse.Namespace, model: Model) -> tuple[Any, Any, Any]:
     """Data, prior and the --init-from starting q-density, each read once."""
     _options(args, model)
-    init = None
-    if args.init_from:
-        init = _from_json(args.init_from, lambda doc: _init_values(doc, model))
+    init = (_from_json(args.init_from, lambda doc: _init_values(doc, model))
+            if args.init_from else None)
     data = model.load(args)
     return data, model.prior(args, data), init
 
@@ -466,15 +474,16 @@ def _init_values(report: dict, model: Model):
     block = report.get("q", {}).get(key)
     if block is None:
         raise InputError(f"--init-from report lacks q.{key}")
-    fields = dict(block)
-    family = fields.pop("family")
-    if _FAMILY_TYPES.get(family) not in types:
+    values = dict(block)
+    family = values.pop("family")
+    if (q_type := _FAMILY_TYPES.get(family)) not in types:
         raise InputError(f"--init-from q.{key} has family {family!r}, not "
                          f"{' or '.join(_FAMILY_NAMES[t] for t in types)}")
     if not all(np.all(np.isfinite(np.asarray(v, float)))
-               for v in fields.values()):
+               for v in values.values()):
         raise DomainError(f"--init-from q.{key} must be finite")
-    return _FAMILY_TYPES[family](**fields)
+    inspect.signature(q_type).bind(**values)  # a TypeError names the field
+    return q_type(**values)
 
 
 def _fit(args: argparse.Namespace, model: Model, method: str, data, prior,
@@ -498,8 +507,10 @@ def run_compare(args: argparse.Namespace, methods: list[str],
     for m in all_methods:
         model = _model(args.model, m)
     data, prior, init = _load(args, model)
-    outcomes = {m: _fit(args, model, m, data, prior, init, trace=False)
-                for m in all_methods}
+    outcomes = {}
+    for m in all_methods:
+        outcomes[m] = _fit(args, model, m, data, prior, init, trace=False)
+        outcomes[m][0].params.pop("aux", None)  # an n-vector no score reads
 
     ref, ref_summary, _ = outcomes[reference]
     grids = diagnostics.marginal_grids(ref.params)
@@ -510,12 +521,9 @@ def run_compare(args: argparse.Namespace, methods: list[str],
         mean_err, sd_err = diagnostics.moment_errors(summary, ref_summary)
         table[method] = {
             "accuracy": diagnostics.accuracies(report.params, grids),
-            "mean_err": mean_err,
-            "sd_err": sd_err,
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "wall_time_s": wall_time_s,
-        }
+            "mean_err": mean_err, "sd_err": sd_err,
+            "iterations": report.iterations, "converged": report.converged,
+            "wall_time_s": wall_time_s}
     return {"schema": SCHEMA_VERSION, "model": args.model,
             "reference": reference, "methods": table}
 
@@ -693,17 +701,12 @@ def main(argv: list[str] | None = None) -> int:
             report, summary, wall_time_s = _fit(args, model, args.method,
                                                 *_load(args, model),
                                                 trace=args.trace)
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "model": args.model,
-                "method": args.method,
-                "converged": report.converged,
-                "iterations": report.iterations,
-                "termination": report.termination,
-                "q": _q_to_json(report.params),
-                "moments": _fields(summary),
-                "wall_time_s": wall_time_s,
-            }
+            doc = {"schema": SCHEMA_VERSION, "model": args.model,
+                   "method": args.method, "converged": report.converged,
+                   "iterations": report.iterations,
+                   "termination": report.termination,
+                   "q": _q_to_json(report.params),
+                   "moments": _fields(summary), "wall_time_s": wall_time_s}
             if report.wrong_basin is not None:
                 doc["wrong_basin"] = report.wrong_basin
             if report.trace is not None:
@@ -720,12 +723,9 @@ def main(argv: list[str] | None = None) -> int:
         _write_report(_encode(run_compare(args, methods, reference)),
                       args.out, pretty=False)
         return 0
-    except (UsageError, DomainError) as exc:
+    except (UsageError, DomainError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, InputError) else 2
     except BrokenPipeError:
         # The reader of stdout is gone. Point stdout at devnull, so that the
         # interpreter's flush of what is still buffered cannot fail at exit.

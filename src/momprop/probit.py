@@ -22,14 +22,17 @@ xi_0(z_i^T mu, v_i) - 1/2 mu^T D mu, whose Hessian is A - S^-1. So an
 outer iteration solves for Sigma at (m, v), takes the new Sigma's v, and
 then one Newton step mu + (S^-1 - A)^-1 (Z^T xi_1 - D mu) with xi_1 and
 A at that v, or the plain map mu + S (Z^T xi_1 - D mu) where S^-1 - A is
-not positive definite, as the delta-method xi_2 allows. It makes four
-O(n p^2) passes over the rows of Z: the variances v and three Gram
-matrices. Each pass walks the rows in blocks of _ROW_BLOCK, so its
-working memory is O(block p), not O(n p); the Laplace Hessian and the
-delta-method ELBO use the same two row-block helpers. ProbitData holds Z
-and y, not X, so the data's one n x p array is Z; beside it a fit holds a
-few n-vectors, and the trace one (mu_a) per outer iteration. Z is
-column-major (Fortran order), whichever constructor built it.
+not positive definite, as the delta-method xi_2 allows. It walks the
+rows of Z twice, _WALK_BLOCK rows at a time: walk 1 takes the zeta orders
+at m and xi_2 at the old v and sums A and G; after the Stein solve, walk
+2 takes the new v, xi_1 and xi_2 at it and sums the Newton step's A. Each
+Gram sum adds its _ROW_BLOCK-row products in order, as _gram does for the
+Laplace Hessian and the delta-method ELBO. So beside a block's scratch,
+O(block p), an iteration holds three n-vectors: m, v and xi_1, written
+into its trace entry, where it becomes mu_a = m + xi_1. dm recomputes
+the zeta orders in walk 2 rather than hold four n-vectors of them.
+ProbitData holds Z and y, not X, so the data's one n x p array is Z,
+column-major (Fortran order) whichever constructor built it.
 
 Mean-field VB's fixed point D mu = Z^T zeta_1(Z mu) is the stationarity
 condition of log p(y, beta): its mean is the mode, found by Laplace's
@@ -78,20 +81,27 @@ from .specfun import _xi_series, _zeta_orders, xi
 
 # rows per block in the O(n p^2) passes; a block's temporaries stay in cache
 _ROW_BLOCK = 1024
+# rows per block of an MP walk (probit_mp_fit), xi's own block: its zeta
+# orders and xi are evaluated on this many rows at a time, its products in
+# _ROW_BLOCK blocks
+_WALK_BLOCK = 4 * _ROW_BLOCK
 
 
-def _row_quadform(Z: np.ndarray, Sig: np.ndarray) -> np.ndarray:
-    """z_i^T Sig z_i for every row z_i of Z, one block of rows at a time."""
-    out = np.empty(Z.shape[0])
+def _row_quadform(Z: np.ndarray, Sig: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """z_i^T Sig z_i for every row z_i of Z, one block of rows at a time,
+    into out if given."""
+    out = np.empty(Z.shape[0]) if out is None else out
     for s in range(0, Z.shape[0], _ROW_BLOCK):
         Zb = Z[s:s + _ROW_BLOCK]
         out[s:s + _ROW_BLOCK] = np.einsum("ij,ij->i", Zb @ Sig, Zb)
     return out
 
 
-def _gram(Z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Z^T diag(w) Z, summed over blocks of rows."""
-    out = np.zeros((Z.shape[1], Z.shape[1]))
+def _gram(Z: np.ndarray, w: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Z^T diag(w) Z, summed over blocks of rows, added to out if given."""
+    out = np.zeros((Z.shape[1], Z.shape[1])) if out is None else out
     for s in range(0, Z.shape[0], _ROW_BLOCK):
         Zb = Z[s:s + _ROW_BLOCK]
         out += Zb.T @ (w[s:s + _ROW_BLOCK, None] * Zb)
@@ -204,7 +214,8 @@ def _newton_point(Z: np.ndarray, D: np.ndarray, x: np.ndarray,
     z = _zeta_orders(3 if profiled else 2, _predictor(Z, x))
     L, Minv = _cholesky_inverse(_gram(Z, -z[2]) + D,
                                 "Newton matrix M lost positive definiteness")
-    f = np.sum(z[0]) - 0.5 * x @ D @ x
+    with np.errstate(over="ignore"):  # -inf where x' D x overflows
+        f = np.sum(z[0]) - 0.5 * x @ D @ x
     if profiled:
         f -= np.sum(np.log(np.diag(L)))
     return x, float(f), z, Minv
@@ -228,6 +239,17 @@ def _newton_gradient(Z: np.ndarray, D: np.ndarray, point: tuple) -> np.ndarray:
 def _start_mean(init: GaussianApprox | MomentSummary, p: int) -> np.ndarray:
     """A copy of the mean of a starting q(beta), which must be p long."""
     return require_shape(init.mean, (p,), "init mean").copy()
+
+
+def _finite_start(start: tuple) -> tuple:
+    """A Newton fit's starting point, once its f is known to be finite (a
+    candidate whose f is not fails the Armijo test instead). A call, not a
+    local of _damped_newton, so that no frame holds the point's zeta
+    orders through the fit."""
+    if not isfinite(start[1]):
+        raise NumericError("log p(y, beta) is not finite at the starting "
+                           "mean")
+    return start
 
 
 def _damped_newton(data: ProbitData, prior: ProbitPrior, profiled: bool,
@@ -257,7 +279,7 @@ def _damped_newton(data: ProbitData, prior: ProbitPrior, profiled: bool,
         return {"beta": GaussianApprox(point[0], point[3])}
 
     x = np.zeros(data.p) if init is None else _start_mean(init, data.p)
-    return fixed_point(step, _newton_point(Z, D, x, profiled),
+    return fixed_point(step, _finite_start(_newton_point(Z, D, x, profiled)),
                        params or newton_params, eps, max_iter)
 
 
@@ -333,7 +355,11 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
     """
     if variant not in ("dm", "quad"):
         raise DomainError(f"unknown MP variant {variant!r}; use 'dm' or 'quad'")
-    Z, D, p = data.Z, prior.D, data.p
+    Z, D, (n, p) = data.Z, prior.D, data.Z.shape
+    kmax = 4 if variant == "dm" else 2
+    # dm's walk 2 reads the zeta orders at m again: a lone block's from
+    # walk 1, others' from the recursion on the zeta_1 walk 1 left behind
+    redo = variant == "dm" and n > _WALK_BLOCK
     precision, S = _workspace(data, prior)
     if init is None:
         mu, Sig = S @ Z.sum(axis=0), S.copy()
@@ -345,24 +371,53 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
     def step(state):
         mu, _, v, _ = state
         m = _predictor(Z, mu)
-        z = _zeta_orders(4 if variant == "dm" else 2, m)
-        # zeta_2 lies in (-1, 0); equality with 0 only through underflow at
-        # huge positive predictors, which is harmless in the updates below.
-        if not (np.all(z[2] > -1.0) and np.all(z[2] <= 0.0)):
-            raise NumericError("zeta_2 left (-1, 0); iteration is invalid")
-        A = _gram(Z, 1.0 + _smoothed(variant, (2,), z, m, v)[0])
-        Sig = _stein(symmetrize(S + S @ A @ S), _gram(Z, 1.0 + z[2]) @ S)
-        v = _row_quadform(Z, Sig)
-        x1, x2 = _smoothed(variant, (1, 2), z, m, v)
+        # Gram matrices Z^T diag(w) Z, each summed in _gram's blocks: A at
+        # the old v and G (walk 1), and A at the new v (walk 2). Where a sum
+        # overflows, as where v is vast, that is one NumericError, with no
+        # RuntimeWarning
+        grams = np.zeros((3, p, p))
+        A, G, A_new = grams
+        vec = np.empty(p + p * p + n)  # the trace entry: mu, Sigma, mu_a
+        x1 = vec[p + p * p:]  # zeta_1 where redo, then xi_1, then mu_a
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, n, _WALK_BLOCK):
+                rows = slice(s, s + _WALK_BLOCK)
+                Zb, mb = Z[rows], m[rows]
+                z = _zeta_orders(kmax, mb)
+                # zeta_2 lies in (-1, 0); equality with 0 only through
+                # underflow at huge positive predictors, which is harmless
+                if not ((z[2] > -1.0) & (z[2] <= 0.0)).all():
+                    raise NumericError("zeta_2 left (-1, 0); iteration is "
+                                       "invalid")
+                _gram(Zb, 1.0 + z[2], G)
+                if variant == "quad":
+                    z = None  # xi reads none, and xi's scratch is large
+                elif redo:
+                    x1[rows] = z[1]
+                _gram(Zb, 1.0 + _smoothed(variant, (2,), z, mb, v[rows])[0],
+                      A)
+            if not np.isfinite(grams[:2]).all():
+                raise NumericError("a Gram matrix of the covariance equation "
+                                   "is not finite")
+            Sig = _stein(symmetrize(S + S @ A @ S), G @ S)
+            # walk 2, at the new v, written over the old
+            for s in range(0, n, _WALK_BLOCK):
+                rows = slice(s, s + _WALK_BLOCK)
+                Zb, mb = Z[rows], m[rows]
+                vb = _row_quadform(Zb, Sig, v[rows])
+                if redo:
+                    z = _zeta_orders(kmax, mb, x1[rows])
+                x1[rows], x2 = _smoothed(variant, (1, 2), z, mb, vb)
+                _gram(Zb, 1.0 + x2, A_new)
         try:  # Newton in mu at the new v; the plain map where it has no ascent
             _, step_matrix = _cholesky_inverse(
-                precision - _gram(Z, 1.0 + x2),
-                "S^-1 - A is not positive definite")
+                precision - A_new, "S^-1 - A is not positive definite")
         except NumericError:
             step_matrix = S
         mu = mu + step_matrix @ (Z.T @ x1 - D @ mu)
-        mu_a = m + x1
-        return (mu, Sig, v, mu_a), np.concatenate([mu, Sig.ravel(), mu_a])
+        vec[:p], vec[p:p + p * p] = mu, Sig.ravel()
+        x1 += m  # E_q(a) = m + xi_1
+        return (mu, Sig, v, x1), vec
 
     return fixed_point(
         step, (mu, Sig, _row_quadform(Z, Sig), None),

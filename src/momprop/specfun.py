@@ -135,8 +135,11 @@ def _zeta1(t: np.ndarray, log_phi: np.ndarray | None = None
     return out, lo, d
 
 
-def _zeta_orders(kmax: int, t) -> list[np.ndarray]:
-    """Orders 0..kmax of zeta at t; order 0 is log Phi itself.
+def _zeta_orders(kmax: int, t, z1: np.ndarray | None = None
+                 ) -> list[np.ndarray]:
+    """Orders 0..kmax of zeta at t; order 0 is log Phi itself. Given z1,
+    zeta_1 at t as an earlier call made it, only the recursion runs, bit for
+    bit as in that call, and order 0 is None.
 
     Orders k >= 2 use the recursion
 
@@ -149,10 +152,15 @@ def _zeta_orders(kmax: int, t) -> list[np.ndarray]:
     the continued fraction that gives t + zeta_1 = 1/d.
     """
     arr = np.atleast_1d(require_finite(t, "t"))
-    z: list[np.ndarray] = [log_ndtr(arr)]
-    if kmax >= 1:
-        z1, lo, d = _zeta1(arr, z[0])
-        z.append(z1)
+    if z1 is None:
+        z: list = [log_ndtr(arr)]
+        if kmax >= 1:
+            z1, lo, d = _zeta1(arr, z[0])
+            z.append(z1)
+    else:  # _zeta1's mask and continued fraction, without its ratio
+        lo = arr < _CF_CROSSOVER
+        d = _recip_mills_cf(-arr[lo])[1] if lo.any() else None
+        z = [None, z1]
     if kmax >= 2:
         # the recursion's zeta_2; its 0 zeta_0 adds nothing
         with np.errstate(over="ignore", invalid="ignore"):
@@ -322,13 +330,17 @@ def xi(d: int | tuple[int, ...], mu, sigma2):
     evaluated _XI_BLOCK elements at a time."""
     if mu.size > _XI_BLOCK:
         return _in_blocks(xi, _XI_BLOCK, d, mu, sigma2)
-    out = np.empty((len(d),) + mu.shape)
-    series = (sigma2 < _SERIES_MAX) & (mu >= _SERIES_MIN_MU)
-    quad = sigma2 >= _GH_MAX
     # the branches are looked up by their module names at each call, so
     # that a wrapper installed as xi_taylor or xi_quad sees every evaluation
-    for branch, take in ((xi_taylor, series), (_xi_hermite, ~(series | quad)),
-                         (xi_quad, quad)):
-        if np.any(take):
+    series = (sigma2 < _SERIES_MAX) & (mu >= _SERIES_MIN_MU)
+    n_series = np.count_nonzero(series)
+    if n_series == mu.size:  # the common case, without the masks' copies
+        return xi_taylor(d, mu, sigma2)
+    out = np.empty((len(d),) + mu.shape)
+    if n_series:
+        out[:, series] = xi_taylor(d, mu[series], sigma2[series])
+    quad = sigma2 >= _GH_MAX
+    for branch, take in ((_xi_hermite, ~(series | quad)), (xi_quad, quad)):
+        if take.any():
             out[:, take] = branch(d, mu[take], sigma2[take])
     return out

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -291,6 +292,36 @@ class TestFitProbit:
         assert mean == rep.params["beta"].mean.tolist()
 
 
+# id -> (CSV text, True where np.loadtxt reads it, False where the row
+# parser does)
+CSV_CASES = {
+    "blank-line": ("y,x1\n1,2\n\n3,4\n", False),
+    "blank-first-row": ("y,x1\n\n1,2\n", False),
+    "trailing-blank-line": ("y,x1\n1,2\n3,4\n\n", False),
+    "hash-cell": ("y,x1\n1,#\n", False),
+    "quoted-number": ('y,x1\n1,"2.5"\n', False),
+    "crlf": ("y,x1\r\n1,2\r\n3,4\r\n", True),
+    "no-final-newline": ("y,x1\n1,2\n3,4", True),
+    "one-data-row": ("y,x1\n1,2.5\n", True),
+    "one-column": ("y\n1\n0\n1\n", True),
+    "padded-cells": ("y , x1\n 1 , 2.5\t\n0,\t-3e-2 \n", True),
+    "nan-inf-cells": ("y,x1,x2\nnan,inf,-inf\nNaN,Infinity,-INF\n", True),
+    "underscore": ("y,x1\n1_000,2\n", False),
+    "ragged-row": ("y,x1\n1,2\n3\n", False),
+    "every-row-too-wide": ("y,x1\n1,2,3\n4,5,6\n", False),
+    "header-only": ("y,x1\n", False),
+    "empty-file": ("", False),
+    "whitespace-line": ("y,x1\n1,2\n  \t\n3,4\n", False),
+    "cr-line-ends": ("y,x1\r1,2\r3,4\r", True),
+    "cr-one-data-row": ("y,x1\r1,2\r", True),
+    "cr-blank-line": ("y,x1\r1,2\r\r3,4\r", False),
+    "cr-whitespace-line": ("y,x1\r1,2\r \t\r3,4\r", False),
+    "cr-crlf-mixed": ("y,x1\r\n1,2\r3,4\n5,6\r\n", True),
+    "header-cell-spans-lines": ('y,"x\n1"\n1,2\n3,4\n', True),
+    "bom-crlf": ("\ufeffy,x1\r\n1,2\r\n3,4\r\n", True),
+}
+
+
 class TestLoadRegression:
     @pytest.mark.parametrize("intercept", [False, True])
     @pytest.mark.parametrize("yi", [0, 2, 4])
@@ -319,8 +350,9 @@ class TestLoadRegression:
     @pytest.mark.parametrize("intercept", [False, True])
     def test_probit_data_holds_one_design_array(self, tmp_path, intercept):
         """Loading a 20,000 x 6 probit CSV through the probit model's loader
-        peaks below the table plus one n x p array and two n-vectors: the
-        design is signed into Z in place. Afterwards only Z and y are held,
+        peaks below one n x p array, two n-vectors and one chunk of
+        cli._CSV_CHUNK parsed rows: the rows are parsed into the design,
+        which is signed into Z in place. Afterwards only Z and y are held,
         and Z is column-major."""
         path = tmp_path / "probit.csv"
         assert run_cli(["generate", "--model", "probit", "--n", "20000",
@@ -334,13 +366,85 @@ class TestLoadRegression:
         finally:
             tracemalloc.stop()
         n, p = data.Z.shape
-        table = n * (6 * 8)
+        chunk = cli._CSV_CHUNK * (6 * 8)
         assert (n, p) == (20_000, 5 + intercept)
-        assert peak < table + data.Z.nbytes + 2 * data.y.nbytes
+        assert peak < data.Z.nbytes + 2 * data.y.nbytes + chunk
         assert held < data.Z.nbytes + 2 * data.y.nbytes
         assert [k for k, v in vars(data).items()
                 if isinstance(v, np.ndarray) and v.ndim == 2] == ["Z"]
         assert data.Z.flags.f_contiguous
+
+    @staticmethod
+    def _whole_file(path, fast: bool) -> tuple[list[str], np.ndarray] | str:
+        """The header and one np.loadtxt call over all of path's data lines
+        where fast, else the row parser's table or error."""
+        if fast:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                header = next(csv.reader(fh))
+                return [h.strip() for h in header], np.loadtxt(
+                    (line for line in fh), delimiter=",", ndmin=2,
+                    comments=None, encoding="utf-8")
+        try:
+            return cli._parse_csv_rows(str(path))
+        except cli.InputError as exc:
+            return str(exc)
+
+    def _assert_loads_whole_file(self, path, fast: bool, order: str) -> None:
+        """y and X from the regression loader, --intercept, in the given
+        memory order: bit for bit the y column and the others after a
+        column of ones of _whole_file's table, or its error."""
+        args = argparse.Namespace(model="probit", data=str(path),
+                                  intercept=True)
+        want = self._whole_file(path, fast)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                y, X = cli._load_regression(args, lambda y, X: (y, X), order)
+        except cli.InputError as exc:
+            assert str(exc) == want
+            return
+        header, table = want
+        yi = header.index("y")
+        want_x = np.column_stack([np.ones(len(table)),
+                                  np.delete(table, yi, axis=1)])
+        assert X.shape == want_x.shape and y.shape == (len(table),)
+        assert X.tobytes("A") == np.asarray(want_x, order=order).tobytes("A")
+        assert y.tobytes() == table[:, yi].tobytes()
+
+    @pytest.mark.parametrize("chunk", [2, 4096])
+    @pytest.mark.parametrize("text,fast", CSV_CASES.values(),
+                             ids=CSV_CASES.keys())
+    def test_loader_reads_what_one_loadtxt_call_reads(
+            self, tmp_path, monkeypatch, text, fast, chunk):
+        """On every CSV_CASES text, parsed two rows at a time and in one
+        chunk, the loader's y and X are one whole-file np.loadtxt call's
+        columns, bit for bit, where that call reads the file, and the row
+        parser's table or error elsewhere."""
+        monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        self._assert_loads_whole_file(path, fast, "F")
+
+    @pytest.mark.parametrize("bom,final_newline", [(False, False),
+                                                   (True, True)],
+                             ids=["no-final-newline", "bom"])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_loader_reads_chunks_of_a_long_file(self, tmp_path, bom,
+                                                final_newline, order):
+        """A 9,000-row file, three chunks with y as its middle column, with
+        no final newline or after a byte-order mark: y and X are one
+        whole-file np.loadtxt call's columns, bit for bit."""
+        rng = np.random.default_rng(4)
+        table = rng.standard_normal((9_000, 4)) * 10.0 ** rng.integers(
+            -300, 300, (9_000, 4))
+        table[:, 2] = rng.integers(0, 2, 9_000)
+        text = "x1,x2,y,x3\r\n" + "\r\n".join(
+            ",".join(map(repr, row)) for row in table.tolist())
+        path = tmp_path / "long.csv"
+        path.write_bytes(("\ufeff" * bom + text
+                          + "\r\n" * final_newline).encode())
+        self._assert_loads_whole_file(path, True, order)
+        assert self._whole_file(path, True)[1].tobytes() == table.tobytes()
 
     def test_probit_loader_reads_the_library_bits(self, probit_csv):
         """The CLI's in-place signing gives the Z, y and X that ProbitData
@@ -806,36 +910,6 @@ BAD_INPUTS = {
 }
 
 
-# id -> (CSV text, True where np.loadtxt reads it, False where the row
-# parser does)
-CSV_CASES = {
-    "blank-line": ("y,x1\n1,2\n\n3,4\n", False),
-    "blank-first-row": ("y,x1\n\n1,2\n", False),
-    "trailing-blank-line": ("y,x1\n1,2\n3,4\n\n", False),
-    "hash-cell": ("y,x1\n1,#\n", False),
-    "quoted-number": ('y,x1\n1,"2.5"\n', False),
-    "crlf": ("y,x1\r\n1,2\r\n3,4\r\n", True),
-    "no-final-newline": ("y,x1\n1,2\n3,4", True),
-    "one-data-row": ("y,x1\n1,2.5\n", True),
-    "one-column": ("y\n1\n0\n1\n", True),
-    "padded-cells": ("y , x1\n 1 , 2.5\t\n0,\t-3e-2 \n", True),
-    "nan-inf-cells": ("y,x1,x2\nnan,inf,-inf\nNaN,Infinity,-INF\n", True),
-    "underscore": ("y,x1\n1_000,2\n", False),
-    "ragged-row": ("y,x1\n1,2\n3\n", False),
-    "every-row-too-wide": ("y,x1\n1,2,3\n4,5,6\n", False),
-    "header-only": ("y,x1\n", False),
-    "empty-file": ("", False),
-    "whitespace-line": ("y,x1\n1,2\n  \t\n3,4\n", False),
-    "cr-line-ends": ("y,x1\r1,2\r3,4\r", True),
-    "cr-one-data-row": ("y,x1\r1,2\r", True),
-    "cr-blank-line": ("y,x1\r1,2\r\r3,4\r", False),
-    "cr-whitespace-line": ("y,x1\r1,2\r \t\r3,4\r", False),
-    "cr-crlf-mixed": ("y,x1\r\n1,2\r3,4\n5,6\r\n", True),
-    "header-cell-spans-lines": ('y,"x\n1"\n1,2\n3,4\n', True),
-    "bom-crlf": ("\ufeffy,x1\r\n1,2\r\n3,4\r\n", True),
-}
-
-
 class TestErrors:
     @pytest.mark.parametrize("argv,content,rc,fragment", BAD_INPUTS.values(),
                              ids=BAD_INPUTS.keys())
@@ -1046,6 +1120,65 @@ class TestErrors:
                        "cov is not positive definite\n")
         assert not [w for w in caught if w.category is RuntimeWarning]
 
+    def test_mp_dm_gram_overflow_is_one_numeric_failure_line(self, tmp_path,
+                                                             capsys):
+        """The 1e150-scaled separable set, mp-dm started at mean (0, 1e-150)
+        and unit covariance: the variances v_i are about 1e300, so walk 1's
+        Gram matrix A overflows. That is a numeric failure printed alone,
+        with no RuntimeWarning from the sums, and not a Stein solve that
+        does not converge."""
+        start = self._start(tmp_path, [0.0, 1e-150], [[1.0, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(["fit", "--model", "probit", "--method", "mp-dm",
+                          "--intercept", "--lambda", "0.01",
+                          "--data", self._separable(tmp_path, 1e150),
+                          "--init-from", start])
+        out, err = capsys.readouterr()
+        assert rc == 4 and out == ""
+        assert err == ("numeric failure: a Gram matrix of the covariance "
+                       "equation is not finite\n")
+        assert not caught
+
+    @pytest.mark.parametrize("method", ["laplace", "mfvb", "dmvb"])
+    def test_start_where_log_density_overflows_is_numeric_failure(
+            self, tmp_path, capsys, method):
+        """The separable set started at an intercept of 1e200: beta^T D beta
+        overflows, so log p(y, beta) is -inf at the start. That is a numeric
+        failure printed alone, with no RuntimeWarning, not 500 failed
+        Armijo tests that end unconverged where they started."""
+        start = self._start(tmp_path, [1e200, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(["fit", "--model", "probit", "--method", method,
+                          "--intercept", "--data",
+                          self._separable(tmp_path, 1.0),
+                          "--init-from", start])
+        out, err = capsys.readouterr()
+        assert rc == 4 and out == ""
+        assert err == ("numeric failure: log p(y, beta) is not finite at "
+                       "the starting mean\n")
+        assert not caught
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"mean": [0.0, 1e-150]}, "missing a required argument: 'cov'"),
+        ({"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]],
+          "loc": [0.0, 0.0]}, "got an unexpected keyword argument 'loc'")],
+        ids=["missing-cov", "unknown-loc"])
+    def test_init_from_names_a_missing_or_unknown_field(
+            self, probit_csv, tmp_path, capsys, fields, message):
+        """A q.beta that lacks cov, or has a field its family does not, is
+        an input error (exit 3) naming that field, not the constructor's
+        signature."""
+        path = tmp_path / "start.json"
+        path.write_text(json.dumps({"q": {"beta": {"family": "gaussian",
+                                                   **fields}}}))
+        rc = run_cli(["fit", "--model", "probit", "--method", "dmvb",
+                      "--data", probit_csv, "--init-from", str(path)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed value: {message}\n")
+
     def test_mp_quad_from_a_vast_start_variance_converges(self, tmp_path,
                                                           capsys):
         """mp-quad on the separable set, started from a q(beta) whose
@@ -1146,6 +1279,23 @@ class TestErrors:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: cannot write "
                                                   "/dev/full: ")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs pipes")
+    def test_csv_from_a_named_pipe_is_opened_once(self, tmp_path, c7_csv):
+        """A pipe cannot be read twice, so its lines are not counted: the
+        row parser reads it, opening it once, to the file's header and
+        table."""
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(cli._read_csv(str(fifo))), daemon=True)
+        reader.start()
+        fifo.write_bytes(Path(c7_csv).read_bytes())  # once the reader opens
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        header, table = cli._read_csv(c7_csv)
+        assert got[0][0] == header and got[0][1].tobytes() == table.tobytes()
 
     def test_csv_reader_holds_no_copy_of_the_text(self, tmp_path):
         """The fast path streams the file into np.loadtxt: reading a
@@ -1461,9 +1611,9 @@ class TestCompare:
         calls = []
         read_csv = cli._read_csv
 
-        def counting(path):
+        def counting(path, *layout):
             calls.append(path)
-            return read_csv(path)
+            return read_csv(path, *layout)
 
         monkeypatch.setattr(cli, "_read_csv", counting)
         rc = run_cli(["compare", "--model", "probit",

@@ -421,6 +421,20 @@ class TestRowBlocks:
         assert a.converged and b.iterations == a.iterations
         assert _max_gap(a, b) <= 1e-12
 
+    @pytest.mark.parametrize("variant", ["dm", "quad"])
+    def test_walk_block_does_not_change_mp_fit(self, three_blocks_and_five,
+                                               monkeypatch, variant):
+        """An MP fit walked as one block and as 11 blocks of 280 rows, its
+        Gram sums in 7-row blocks both times, is the same bit for bit: dm's
+        walk 2 remakes the zeta orders from walk 1's zeta_1 exactly."""
+        data, prior = three_blocks_and_five
+        monkeypatch.setattr(probit, "_ROW_BLOCK", 7)
+        a = probit_mp_fit(data, prior, variant)
+        monkeypatch.setattr(probit, "_WALK_BLOCK", 40 * 7)
+        b = probit_mp_fit(data, prior, variant)
+        assert a.converged and b.iterations == a.iterations
+        assert all(np.array_equal(x, y) for x, y in zip(a.trace, b.trace))
+
     def test_dmvb_objective_and_gradient_ignore_block_size(
             self, three_blocks_and_five, monkeypatch):
         data, prior = three_blocks_and_five
@@ -461,6 +475,24 @@ class TestRowBlocks:
         for got, want in ((rep.params["beta"].mean, dense_mu),
                           (rep.params["beta"].cov, dense_sig)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("variant", ["dm", "quad"])
+    def test_mp_fit_holds_few_n_vectors(self, variant):
+        """Beside its data and its trace, a 20,000 x 10 MP fit peaks at six
+        n-vectors at most: an iteration holds m = Z mu, v and xi_1 (this in
+        its trace entry), and evaluates the rest block by block."""
+        n, p = 20_000, 10
+        data = ProbitData(*generate_probit(n, p, seed=2))
+        prior = ProbitPrior.ridge(0.01, p)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rep = probit_mp_fit(data, prior, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert peak - start - sum(t.nbytes for t in rep.trace) <= 6 * n * 8
 
     @pytest.mark.parametrize("method", ["mfvb", "mp-dm", "mp-quad"])
     def test_fit_holds_no_n_by_p_matrix_beyond_the_data(self, method,
@@ -575,6 +607,28 @@ class TestNewtonFits:
         # the start and each step's accepted point: no step is halved here
         assert calls["_newton_point"] == rep.iterations + 1
         assert calls["_gram"] == calls["_newton_point"]
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    @pytest.mark.parametrize("method", NEWTON_FITS)
+    def test_non_finite_candidate_fails_the_armijo_test(
+            self, synthetic200, monkeypatch, method, bad):
+        """A candidate whose objective is not finite fails the Armijo test:
+        the first step's full candidate, given objective -inf or nan here,
+        is halved, and the half step is taken, with no RuntimeWarning."""
+        point, xs = probit._newton_point, []
+
+        def spoiled(Z, D, x, profiled):
+            xs.append(x)
+            out = point(Z, D, x, profiled)
+            return (x, bad, *out[2:]) if len(xs) == 2 else out
+        monkeypatch.setattr(probit, "_newton_point", spoiled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = NEWTON_FITS[method](*synthetic200, max_iter=1)
+        assert len(xs) == 3
+        assert np.allclose(xs[2] - xs[0], 0.5 * (xs[1] - xs[0]),
+                           rtol=1e-12, atol=0.0)
+        assert np.array_equal(rep.params["beta"].mean, xs[2])
 
     @pytest.mark.parametrize("method", NEWTON_FITS)
     def test_trace_has_one_iterate_per_step(self, synthetic200, method):
