@@ -34,6 +34,12 @@ saves every field of every q-density (beta.loc, sigma2.shape, block1.cov,
 ...), and each iterative fit's iteration count, converged flag and, for
 MVN, its wrong-basin flag. --rotate leaves these designs as they are.
 
+It also saves the kernel those fits read: specfun._zeta_orders(10, t),
+orders 1 to 10, at every t of ZETA_T (dense on [-40, 40], the float
+neighbours of -25 and -12, and +-geomspace from 1e2 to 1e200), and
+xi((0, 1, 2), mu, sigma2) at every (mu, sigma2) of XI_MU x XI_S2, which
+reaches the series, the Gauss-Hermite band and the fixed rule.
+
 The second form prints, per method, the largest absolute move of a saved
 entry (a mean, a covariance or a q field) from A to B and the design where
 it happens ("identical" when every array is equal bit for bit), then one
@@ -41,7 +47,9 @@ line for every other fit that moved (design, method, its largest move and
 the field where it happens), then, for every Gibbs fit whose mean moved,
 the largest move of a mean entry in units of its combined MC-SE,
 sqrt(mc_se_A^2 + mc_se_B^2), then one line for every iteration count or
-flag that differs.
+flag that differs. Between the per-method lines and the rest it prints a
+zeta line and an xi line: "identical", or the kernel's largest relative
+move and the order and point where it happens.
 
 The third form takes T as the tight reference, a digest of the same
 designs at a small eps (say 1e-13), and prints every fit whose B point
@@ -57,7 +65,7 @@ import sys
 
 import numpy as np
 
-from momprop import diagnostics, linear, mvn, probit
+from momprop import diagnostics, linear, mvn, probit, specfun
 from momprop.datagen import generate_linear, generate_mvn, generate_probit
 
 PANEL, LAM, MAX_ITER, EPS = 60, 0.01, 2000, 1e-6
@@ -103,6 +111,20 @@ CONJUGATE = {
 }
 # saved fields compared for equality, not measured as moves
 FLAGS = ("iterations", "converged", "wrong_basin")
+# the kernel's points: zeta's t (the grid holds -25 and -12 themselves),
+# and xi's (mu, sigma2)
+_SEAMS = np.array([-25.0, -12.0])
+ZETA_T = np.concatenate([
+    np.linspace(-40.0, 40.0, 8001), np.nextafter(_SEAMS, -np.inf),
+    np.nextafter(_SEAMS, np.inf), -np.geomspace(1e2, 1e200, 199),
+    np.geomspace(1e2, 1e200, 199)])
+XI_MU, XI_S2 = (grid.ravel() for grid in np.meshgrid(
+    np.linspace(-50.0, 12.0, 249), [0.005, 0.05, 0.5, 1.9, 2.0, 10.0, 1e4]))
+KERNEL = {
+    "zeta": lambda k, i: f"order {k + 1}, t = {float(ZETA_T[i])!r}",
+    "xi": lambda k, i: (f"d = {k}, mu = {float(XI_MU[i])!r}, "
+                        f"sigma2 = {float(XI_S2[i])!r}"),
+}
 
 
 def _rotation(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -194,6 +216,36 @@ def fit_conjugate(sets, eps: float = EPS) -> dict[str, np.ndarray]:
     return out
 
 
+def kernel() -> dict[str, np.ndarray]:
+    """zeta's orders 1..10 at ZETA_T and xi's orders 0..2 at (XI_MU,
+    XI_S2), one row per order."""
+    return {"zeta": np.array(specfun._zeta_orders(10, ZETA_T)[1:]),
+            "xi": specfun.xi((0, 1, 2), XI_MU, XI_S2)}
+
+
+def kernel_moves(a: dict, b: dict) -> list[str]:
+    """A zeta line and an xi line, for each that both digests hold:
+    "identical", or the largest relative move from a to b and where."""
+    lines = []
+    for name, where in KERNEL.items():
+        if name not in a or name not in b:
+            continue
+        x, y = a[name], b[name]
+        if np.array_equal(x, y, equal_nan=True):
+            lines.append(f"{name:8s} identical")
+            continue
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+        # equal values, zeros and nans included, do not move; a nan on one
+        # side only moves by inf
+        rel = np.where((x == y) | np.isnan(x) & np.isnan(y), 0.0,
+                       np.nan_to_num(rel, nan=np.inf))
+        k, i = np.unravel_index(np.argmax(rel), rel.shape)
+        lines.append(f"{name:8s} max relative move {rel[k, i]:.3g} at "
+                     f"{where(k, i)}")
+    return lines
+
+
 def mc_se_moves(a: dict, b: dict) -> list[str]:
     """One line for every Gibbs fit whose mean moved from a to b: its
     largest mean move over the combined MC-SE of that entry."""
@@ -210,12 +262,13 @@ def mc_se_moves(a: dict, b: dict) -> list[str]:
 
 
 def compare(a: dict, b: dict) -> list[str]:
-    """Per method, the largest move from a to b and where; then one line
-    for every fit that moved, with its largest move and where (a Gibbs
-    fit's in MC-SE, by mc_se_moves), every key that is in one digest only,
-    and every count or flag that differs."""
+    """Per method, the largest move from a to b and where; then the
+    kernel's lines (kernel_moves); then one line for every fit that moved,
+    with its largest move and where (a Gibbs fit's in MC-SE, by
+    mc_se_moves), every key that is in one digest only, and every count or
+    flag that differs."""
     moves, fits, lines = {}, {}, []
-    for key in sorted(a.keys() & b.keys()):
+    for key in sorted(a.keys() & b.keys() - KERNEL.keys()):
         label, method, field = key.split("|")
         if field not in FLAGS:
             gap = float(np.max(np.abs(a[key] - b[key])))
@@ -241,7 +294,7 @@ def compare(a: dict, b: dict) -> list[str]:
                        f"{method:8s} max move {gap:.3g} at {where}")
     moved = [f"{fit}: max move {gap:.3g} at {field}"
              for fit, (gap, field) in fits.items()]
-    return summary + moved + mc_se_moves(a, b) + lines
+    return summary + kernel_moves(a, b) + moved + mc_se_moves(a, b) + lines
 
 
 def _distance(digest: dict, tight: dict, fit: str) -> float:
@@ -275,7 +328,7 @@ def main(argv=None) -> int:
     if len(args.paths) == 1 and args.against is None:
         eps = EPS if args.eps is None else args.eps
         np.savez(args.paths[0], **fit_all(designs(args.rotate), eps),
-                 **fit_conjugate(conjugate_designs(), eps))
+                 **fit_conjugate(conjugate_designs(), eps), **kernel())
         return 0
     if (len(args.paths) != 2 or args.rotate is not None
             or args.eps is not None):

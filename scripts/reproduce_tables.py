@@ -26,10 +26,8 @@ def linear_table() -> None:
     for name, fit in fits:
         rep = fit(data, prior)
         b = rep.params["beta"]
-        mean = b.loc if hasattr(b, "loc") else b.mean
-        cov = b.cov
         em, ev = mp.ig_mean_var(rep.params["sigma2"])
-        print(f"{name:8s} {mean[0]:8.3f} {cov[0, 0]:8.3f} {em:8.2f} "
+        print(f"{name:8s} {b.mean[0]:8.3f} {b.cov[0, 0]:8.3f} {em:8.2f} "
               f"{ev:8.1f} {rep.iterations:6d}")
     beta_t, s2 = mp.linear_exact_posterior(data, prior)
     em, ev = mp.ig_mean_var(s2)

@@ -2,8 +2,8 @@
 
 zeta_k(t) = d^k log Phi(t) / dt^k, where Phi is the standard normal CDF.
 zeta_1 is the inverse Mills ratio phi(t)/Phi(t), which needs care for large
-negative t: the direct ratio underflows, so a continued-fraction branch is
-used in the far left tail.
+negative t: the direct ratio underflows, so _zeta_orders, the one place that
+decides zeta_1's tail, takes a continued fraction below _CF_CROSSOVER.
 
 xi_d(mu, sigma2) = int zeta_d(x) phi(x; mu, sigma2) dx is the Gaussian
 smoothing of zeta_d. xi picks one of three strategies per element:
@@ -113,28 +113,6 @@ def _direct_ratio(t: np.ndarray, log_phi: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_phi)
 
 
-def _zeta1(t: np.ndarray, log_phi: np.ndarray | None = None
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Inverse Mills ratio phi(t)/Phi(t), stable over the whole real line,
-    with the mask of t below _CF_CROSSOVER and, for those t, the continued
-    fraction's d, with t + zeta_1 = 1/d (None where no t is below).
-
-    log_phi is log_ndtr(t), for a caller that has it already; only the
-    rows with t >= _CF_CROSSOVER read it.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if log_phi is None:
-        log_phi = log_ndtr(t)
-    lo = t < _CF_CROSSOVER
-    if not lo.any():
-        return _direct_ratio(t, log_phi), lo, None
-    out = np.empty_like(t)
-    out[lo], d = _recip_mills_cf(-t[lo])
-    hi = ~lo
-    out[hi] = _direct_ratio(t[hi], log_phi[hi])
-    return out, lo, d
-
-
 def _zeta_orders(kmax: int, t, z1: np.ndarray | None = None
                  ) -> list[np.ndarray]:
     """Orders 0..kmax of zeta at t; order 0 is log Phi itself. Given z1,
@@ -146,27 +124,33 @@ def _zeta_orders(kmax: int, t, z1: np.ndarray | None = None
         zeta_k = -(t zeta_{k-1} + (k-2) zeta_{k-2})
                  - sum_{j=0}^{k-2} C(k-2, j) zeta_{1+j} zeta_{k-1-j},
 
-    which only ever combines orders >= 1 on the product side. Its zeta_2,
-    -zeta_1 (t + zeta_1), cancels in the far left tail and overflows below
-    t ~ -1.3e154; below _CF_CROSSOVER it is -zeta_1 / d instead, d from
-    the continued fraction that gives t + zeta_1 = 1/d.
+    which only ever combines orders >= 1 on the product side. zeta_1's
+    tail is decided here alone, for both forms of the call: below
+    _CF_CROSSOVER, zeta_1 is the continued fraction's 1/R(-t) and zeta_2
+    is -zeta_1 / d (t + zeta_1 = 1/d), not the recursion's -zeta_1 (t +
+    zeta_1), which cancels there and overflows below t ~ -1.3e154.
     """
     arr = np.atleast_1d(require_finite(t, "t"))
-    if z1 is None:
-        z: list = [log_ndtr(arr)]
-        if kmax >= 1:
-            z1, lo, d = _zeta1(arr, z[0])
-            z.append(z1)
-    else:  # _zeta1's mask and continued fraction, without its ratio
-        lo = arr < _CF_CROSSOVER
-        d = _recip_mills_cf(-arr[lo])[1] if lo.any() else None
-        z = [None, z1]
+    z: list = [log_ndtr(arr) if z1 is None else None]
+    if kmax == 0:
+        return z
+    lo = arr < _CF_CROSSOVER
+    if not lo.any():
+        lo = None
+    elif z1 is None:
+        z1 = np.empty_like(arr)
+        z1[lo], d = _recip_mills_cf(-arr[lo])
+        hi = ~lo
+        z1[hi] = _direct_ratio(arr[hi], z[0][hi])
+    else:
+        d = _recip_mills_cf(-arr[lo])[1]
+    z.append(_direct_ratio(arr, z[0]) if z1 is None else z1)
     if kmax >= 2:
         # the recursion's zeta_2; its 0 zeta_0 adds nothing
         with np.errstate(over="ignore", invalid="ignore"):
-            z2 = -(arr * z1) - z1 * z1
-        if d is not None:
-            z2[lo] = -z1[lo] / d
+            z2 = -(arr * z[1]) - z[1] * z[1]
+        if lo is not None:
+            z2[lo] = -z[1][lo] / d
         z.append(z2)
     for k in range(3, kmax + 1):
         acc = -(arr * z[k - 1] + (k - 2) * z[k - 2])
@@ -185,36 +169,32 @@ def zeta(k: int, t):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _xi_checked(positive_sigma2: bool = False):
+def _xi_checked(kernel):
     """Wrap an xi evaluator kernel(orders, mu, sigma2) on broadcast arrays.
 
     d is one order or a tuple of orders, each in {0, 1, 2}; the kernel gets
     them as a tuple and returns one row per order. The wrapper checks the
-    orders, finite mu and sigma2, and sigma2 >= 0 (> 0 when
-    positive_sigma2). A tuple d returns the stacked rows, with a leading
-    axis per order; an int d returns its row, a float for 0-d input.
+    orders, finite mu and sigma2, and sigma2 >= 0. A tuple d returns the
+    stacked rows, with a leading axis per order; an int d returns its row,
+    a float for 0-d input.
     """
-    def wrap(kernel):
-        @wraps(kernel)
-        def checked(d, mu, sigma2):
-            orders = d if isinstance(d, tuple) else (d,)
-            if not orders or any(k not in (0, 1, 2) for k in orders):
-                raise DomainError("xi order d must be in {0, 1, 2}")
-            mu_a, s2_a = np.broadcast_arrays(require_finite(mu, "mu"),
-                                             require_finite(sigma2, "sigma2"))
-            if positive_sigma2 and (s2_a <= 0).any():
-                raise DomainError("xi_quad requires sigma2 > 0")
-            if (s2_a < 0).any():
-                raise DomainError("sigma2 must be >= 0")
-            out = kernel(tuple(int(k) for k in orders), mu_a, s2_a)
-            if isinstance(d, tuple):
-                return out
-            return float(out[0]) if mu_a.ndim == 0 else out[0]
-        return checked
-    return wrap
+    @wraps(kernel)
+    def checked(d, mu, sigma2):
+        orders = d if isinstance(d, tuple) else (d,)
+        if not orders or any(k not in (0, 1, 2) for k in orders):
+            raise DomainError("xi order d must be in {0, 1, 2}")
+        mu_a, s2_a = np.broadcast_arrays(require_finite(mu, "mu"),
+                                         require_finite(sigma2, "sigma2"))
+        if (s2_a < 0).any():
+            raise DomainError("sigma2 must be >= 0")
+        out = kernel(tuple(int(k) for k in orders), mu_a, s2_a)
+        if isinstance(d, tuple):
+            return out
+        return float(out[0]) if mu_a.ndim == 0 else out[0]
+    return checked
 
 
-@_xi_checked()
+@_xi_checked
 def xi_taylor(d: int | tuple[int, ...], mu, sigma2):
     """Series evaluation of xi_d: sum_k zeta_{d+2k}(mu) sigma2^k / (2^k k!).
 
@@ -303,12 +283,14 @@ def _xi_rule(d: tuple[int, ...], mu: np.ndarray, sigma2: np.ndarray
     return np.stack([(z[k] * w).sum(axis=-1) for k in d])
 
 
-@_xi_checked(positive_sigma2=True)
+@_xi_checked
 def xi_quad(d: int | tuple[int, ...], mu, sigma2):
     """xi_d for sigma2 > 0 by one fixed rule of 240 Gauss-Legendre nodes,
     placed in closed form from each element's (mu, sigma2) (_xi_rule), so
     there is no search to fail. It runs _QUAD_BLOCK elements at a time, and
     one zeta recursion on the nodes serves every requested order."""
+    if (sigma2 <= 0).any():
+        raise DomainError("xi_quad requires sigma2 > 0")
     return _in_blocks(_xi_rule, _QUAD_BLOCK, d, mu, sigma2)
 
 
@@ -322,7 +304,7 @@ def _xi_hermite(d: tuple[int, ...], mu: np.ndarray, sigma2: np.ndarray
     return np.stack([(z[k] * _GH_WEIGHTS).sum(axis=-1) for k in d])
 
 
-@_xi_checked()
+@_xi_checked
 def xi(d: int | tuple[int, ...], mu, sigma2):
     """xi_d(mu, sigma2): the series below sigma2 = _SERIES_MAX where mu >=
     _SERIES_MIN_MU, Gauss-Hermite elsewhere below _GH_MAX, xi_quad's fixed

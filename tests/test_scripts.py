@@ -119,6 +119,26 @@ def test_fit_digest_lists_every_moved_fit(monkeypatch):
         "panel 35 gibbs mean: max move 0.707 combined MC-SE"]
 
 
+def test_fit_digest_digests_the_kernel(monkeypatch, tmp_path, capsys):
+    """The digest holds zeta's orders 1..10 and xi's orders 0..2 on fixed
+    grids, and the two-file form prints a zeta line and an xi line:
+    "identical", or the largest relative move and where it happens."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import fit_digest
+    a = fit_digest.kernel()
+    assert a["zeta"].shape == (10, fit_digest.ZETA_T.size)
+    assert a["xi"].shape == (3, fit_digest.XI_MU.size)
+    b = {name: value.copy() for name, value in a.items()}
+    b["zeta"][1, fit_digest.ZETA_T == -25.0] *= 1.0 + 1e-9
+    for name, digest in (("a", a), ("b", b)):
+        np.savez(tmp_path / f"{name}.npz", **digest)
+    assert fit_digest.main([str(tmp_path / "a.npz"),
+                            str(tmp_path / "b.npz")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "zeta     max relative move 1e-09 at order 2, t = -25.0",
+        "xi       identical"]
+
+
 def test_fit_digest_eps_and_tight_reference(monkeypatch, tmp_path, capsys):
     """--eps sets the fits' eps; --against T lists each fit that lies more
     than 1e-10 farther from T in the second digest than in the first."""
@@ -130,6 +150,7 @@ def test_fit_digest_eps_and_tight_reference(monkeypatch, tmp_path, capsys):
     assert fit_digest.main([paths["a"]]) == 0
     assert fit_digest.main(["--eps", "1e-12", paths["t"]]) == 0
     a, tight = dict(np.load(paths["a"])), dict(np.load(paths["t"]))
+    assert fit_digest.KERNEL.keys() <= a.keys()
     loose = fit_digest.fit_all(sets)
     assert all(np.array_equal(a[key], loose[key]) for key in loose)
     assert not np.array_equal(a["panel 0|laplace|mean"],

@@ -6,7 +6,7 @@ far left tail), with scipy.integrate.quad applied directly to
 zeta_d(x) * normal_pdf(x; mu, sigma2) (xi), and with a 60-digit mpmath
 quadrature of the same integral (xi in the far left tail). The quad and
 Simpson oracles are reproduced in-test so the comparison stays independent
-of the series, Gauss-Hermite and trapezoid paths under test.
+of the series, Gauss-Hermite and fixed Gauss-Legendre paths under test.
 """
 
 import tracemalloc
@@ -21,11 +21,22 @@ from scipy.special import log_ndtr
 
 from momprop import specfun
 from momprop.exceptions import DomainError
-from momprop.specfun import (_recip_mills_cf, _xi_hermite, _zeta1,
+from momprop.specfun import (_direct_ratio, _recip_mills_cf, _xi_hermite,
                              _zeta_orders, log_Phi, xi, xi_quad, xi_taylor,
                              zeta)
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+
+
+def zeta1(t) -> np.ndarray:
+    """zeta_1 at 1-d t: _zeta_orders' where t is finite, the direct ratio
+    (_zeta_orders' above specfun._CF_CROSSOVER) where it is not, as
+    _zeta_orders rejects it."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = _direct_ratio(t, log_ndtr(t))
+    finite = np.isfinite(t)
+    out[finite] = _zeta_orders(1, t[finite])[1]
+    return out
 
 
 def xi_oracle(d: int, mu: float, sigma2: float) -> float:
@@ -105,7 +116,7 @@ class TestZeta:
             assert abs(direct - cf) <= 1e-12 * cf
 
     def test_short_continued_fraction_is_bit_identical_to_64_terms(self):
-        """From x = 25 on, where _zeta1 takes the continued fraction, its
+        """From x = 25 on, where _zeta_orders takes the continued fraction, its
         _CF_DEPTH terms give 1/R and d bit for bit as 64 terms do: on the
         first 2,000 doubles above 25 and a dense grid out to 1e300."""
         x = np.concatenate([
@@ -130,12 +141,24 @@ class TestZeta:
         np.linspace(-24.0, 10.0, 35),   # direct ratio only
         np.array([-30.0, -26.0]),       # continued fraction only
     ], ids=["both-branches", "direct", "continued-fraction"])
-    def test_precomputed_log_phi_is_bit_identical(self, t):
-        # _zeta_orders hands zeta_1 the log Phi it already computed; the
-        # cases sit on both sides of specfun._CF_CROSSOVER = -25
+    def test_given_zeta1_is_bit_identical(self, t):
+        """_zeta_orders(kmax, t, z1), z1 from an earlier call, as mp-dm's
+        second walk remakes the orders, gives what one call gives, order by
+        order and bit for bit, on both sides of specfun._CF_CROSSOVER = -25
+        and at its two neighbours, far out in both tails, without a
+        warning."""
         assert specfun._CF_CROSSOVER == -25.0
-        assert np.array_equal(_zeta1(t, log_ndtr(t))[0], _zeta1(t)[0])
-        assert np.array_equal(_zeta_orders(1, t)[1], _zeta1(t)[0])
+        t = np.concatenate([t, [-1e300, -1e200, 1e155, 1e300,
+                                np.nextafter(-25.0, -np.inf),
+                                np.nextafter(-25.0, np.inf)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z1 = _zeta_orders(1, t)[1]
+            for kmax in range(1, 7):
+                got, want = _zeta_orders(kmax, t, z1), _zeta_orders(kmax, t)
+                assert got[0] is None and len(got) == kmax + 1
+                for k in range(1, kmax + 1):
+                    assert np.array_equal(got[k], want[k])
 
     @pytest.mark.parametrize("t", [1e155, 1e200, np.inf])
     def test_direct_ratio_does_not_overflow(self, t):
@@ -143,9 +166,9 @@ class TestZeta:
         overflow from t ~ 1.3e154 on."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _zeta1(np.array([t, -30.0, t]))[0][[0, 2]].tolist() == [
+            assert zeta1(np.array([t, -30.0, t]))[[0, 2]].tolist() == [
                 0.0, 0.0]
-            assert _zeta1(t)[0][0] == 0.0
+            assert zeta1(t)[0] == 0.0
             if np.isfinite(t):
                 assert zeta(1, t) == 0.0
 
@@ -159,7 +182,7 @@ class TestZeta:
             want = np.exp(-0.5 * t * t - np.log(np.sqrt(2.0 * np.pi))
                           - log_ndtr(t))
         assert specfun._DIRECT_MAX == 40.0
-        assert np.array_equal(_zeta1(t)[0], want, equal_nan=True)
+        assert np.array_equal(zeta1(t), want, equal_nan=True)
 
     @pytest.mark.parametrize("k, want", [(2, -1.0), (3, 0.0), (4, 0.0)])
     def test_far_left_orders_do_not_overflow(self, k, want):
@@ -176,7 +199,7 @@ class TestZeta:
         t = np.concatenate([np.linspace(-25.0, 60.0, 85_001),
                             [-0.0, 38.6, 1e3, 1e155, 1e300]])
         z = _zeta_orders(2, np.concatenate([[-30.0, -1e200], t]))
-        z0, z1 = log_ndtr(t), _zeta1(t)[0]
+        z0, z1 = log_ndtr(t), _zeta_orders(1, t)[1]
         want = -(t * z1 + 0 * z0) - 1 * z1 * z1
         assert np.array_equal(z[2][2:].view(np.int64), want.view(np.int64))
 
@@ -256,8 +279,11 @@ class TestXiQuad:
         assert abs(xi_quad(0, 0.0, 1.0) - (-1.0)) <= 1e-4
 
     def test_rejects_zero_variance(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="xi_quad requires sigma2 > 0"):
             xi_quad(1, 0.0, 0.0)
+        # a negative variance fails the check the three kernels share first
+        with pytest.raises(DomainError, match="sigma2 must be >= 0"):
+            xi_quad(1, 0.0, np.array([2.0, -0.1]))
 
     def test_matches_oracle_grid(self):
         for d in (1, 2):
@@ -424,8 +450,8 @@ class TestXiDispatch:
                                                           rel=1e-7)
 
     def test_vectorized_mixed_branches(self):
-        # series below sigma2 = 0.01, Gauss-Hermite on [0.01, 2), trapezoid
-        # from 2 up
+        # series below sigma2 = 0.01, Gauss-Hermite on [0.01, 2), the fixed
+        # Gauss-Legendre rule from 2 up
         mu = np.array([0.0, 0.5, 1.0, -2.0])
         s2 = np.array([0.005, 0.1, 2.0, 0.0])
         out = xi(1, mu, s2)
@@ -456,7 +482,7 @@ class TestXiDispatch:
     @staticmethod
     def _three_branches(n: int) -> tuple[np.ndarray, np.ndarray]:
         """n elements taking the series, the Gauss-Hermite band and the
-        trapezoid in turn."""
+        fixed Gauss-Legendre rule in turn."""
         rng = np.random.default_rng(11)
         mu = rng.uniform(-6.0, 6.0, n)
         s2 = np.choose(np.arange(n) % 3, [rng.uniform(0.0, 0.009, n),
@@ -523,7 +549,7 @@ def xi_simpson(d: int, mu: float, sigma2: float) -> float:
 
 class TestXiBranches:
     """xi's three branches: the series below sigma2 = 0.01 (_SERIES_MAX),
-    Gauss-Hermite on [0.01, 2) and the trapezoid quadrature from 2 up
+    Gauss-Hermite on [0.01, 2) and the fixed Gauss-Legendre rule from 2 up
     (_GH_MAX)."""
 
     def test_cutoffs(self):
@@ -548,9 +574,11 @@ class TestXiBranches:
                         continue
                     worst[key] = max(worst[key], err)
         assert worst["series+band<0.5"] <= 1e-9
-        # 24 nodes leave up to 2.5e-7 near sigma2 = 2
+        # 24 nodes leave up to 3.1e-7 near sigma2 = 2 on this grid
         assert worst["band>=0.5"] <= 1e-6
-        # the trapezoid's own error, 8.6e-6 at sigma2 = 10
+        # from sigma2 = 2 up the fixed Gauss-Legendre rule is within 6.8e-14
+        # here, so the band's error near 2 is the worst; the bound is the
+        # 8.6e-6 that the trapezoid the rule replaced left at sigma2 = 10
         assert worst["all"] <= 1e-5
 
     def test_seam_at_series_cutoff(self):
