@@ -10,10 +10,9 @@ with n_j in [50, 100] and p_j in {4, 5} drawn from default_rng(j), and on
 two larger designs: generate_probit(4000, 20, seed=1), whose Gibbs draws
 hold S Z^T (below probit._GIBBS_SPLIT rows), and
 generate_probit(50_000, 20, seed=1), whose Gibbs draws split the rows in
-two halves and where dmvb is skipped. Every prior is
-a ridge of 0.01, every iterative fit gets max_iter 2000 and eps EPS (the
-fitters' default, 1e-6, unless given), and Gibbs takes 1,000 draws after
-100 of warm-up from seed 0. It saves each fit's mean and covariance,
+two halves. Every prior is a ridge of 0.01, every iterative fit gets
+max_iter 2000 and eps EPS (the fitters' default, 1e-6, unless given), and
+Gibbs takes 1,000 draws after 100 of warm-up from seed 0. It saves each fit's mean and covariance,
 each iterative fit's iteration count and converged flag, and each Gibbs
 fit's Monte Carlo standard errors of the mean (mc_se). --rotate SEED
 rotates and permutes the rows of each small design as the benchmark's
@@ -162,8 +161,6 @@ def fit_all(sets, eps: float = EPS) -> dict[str, np.ndarray]:
         data = probit.ProbitData(y, X)
         prior = probit.ProbitPrior.ridge(LAM, data.p)
         for method, fit in FITS.items():
-            if method == "dmvb" and data.n >= LARGE[0]:
-                continue
             key = f"{label}|{method}|"
             rep = fit(data, prior, eps)
             if method == "gibbs":

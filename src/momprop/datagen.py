@@ -53,7 +53,8 @@ def generate_linear(n: int, p: int, seed: int, beta: np.ndarray | None = None,
     beta = _coefficients(beta, p)
     rng = np.random.default_rng(seed_sequence(seed))
     X = rng.standard_normal((n, p))
-    y = X @ beta + sigma * rng.standard_normal(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = X @ beta + sigma * rng.standard_normal(n)
     return require_finite(y, "generated y"), X
 
 
@@ -69,7 +70,8 @@ def generate_probit(n: int, p: int, seed: int, beta: np.ndarray | None = None,
     X = rng.standard_normal((n, p))
     if intercept:
         X[:, 0] = 1.0
-    probs = ndtr(require_finite(X @ beta, "generated X beta"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = ndtr(require_finite(X @ beta, "generated X beta"))
     for _ in range(_LABEL_DRAWS):
         y = (rng.random(n) < probs).astype(float)
         if 0.0 < y.mean() < 1.0:

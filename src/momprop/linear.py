@@ -78,8 +78,15 @@ class LinearData:
 
     @cached_property
     def gram(self) -> GramStats:
-        """X'X, (X'X)^-1, X'y, the OLS estimate (X'X)^-1 X'y and y'y."""
-        XtX = symmetrize(self.X.T @ self.X)
+        """X'X, (X'X)^-1, X'y, the OLS estimate (X'X)^-1 X'y and y'y; one
+        of X'X, X'y and y'y that overflows is a NumericError naming it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            XtX, Xty = self.X.T @ self.X, self.X.T @ self.y
+            yty = self.y @ self.y
+        for name, value in (("X'X", XtX), ("X'y", Xty), ("y'y", yty)):
+            if not np.isfinite(value).all():
+                raise NumericError(f"{name} is not finite")
+        XtX = symmetrize(XtX)
         try:
             pivots = np.diag(np.linalg.cholesky(XtX)) ** 2
         except np.linalg.LinAlgError as exc:
@@ -91,8 +98,7 @@ class LinearData:
         if np.any(pivots <= 64 * self.p * np.finfo(float).eps * np.diag(XtX)):
             raise NumericError("X is rank deficient")
         XtX_inv = symmetrize(np.linalg.inv(XtX))
-        Xty = self.X.T @ self.y
-        stats = GramStats(XtX, XtX_inv, Xty, XtX_inv @ Xty, self.y @ self.y)
+        stats = GramStats(XtX, XtX_inv, Xty, XtX_inv @ Xty, yty)
         for a in stats[:4]:
             a.flags.writeable = False
         return stats

@@ -191,8 +191,10 @@ def ig_mean_var(a: InverseGammaApprox, undefined=None) -> tuple[float, float]:
         raise UndefinedMomentError("inverse-gamma mean needs shape > 1"
                                    if a.shape <= 1 else
                                    "inverse-gamma variance needs shape > 2")
-    return (_ig_mean(a.shape, a.scale) if a.shape > 1 else undefined,
-            _ig_var(a.shape, a.scale, 0.0) if a.shape > 2 else undefined)
+    with np.errstate(over="ignore"):  # a float64 scale**2 overflows to inf
+        return (_ig_mean(a.shape, a.scale) if a.shape > 1 else undefined,
+                _ig_var(a.shape, np.float64(a.scale), 0.0) if a.shape > 2
+                else undefined)
 
 
 def ig_moment_match(mean: float, variance: float) -> InverseGammaApprox:

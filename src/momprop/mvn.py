@@ -55,7 +55,9 @@ class MVNData:
         n = X.shape[0]
         xbar = X.mean(axis=0)
         R = X - xbar  # centred, so that S does not cancel when |xbar| is large
-        return cls(n=n, xbar=xbar, S=R.T @ R)
+        with np.errstate(over="ignore", invalid="ignore"):  # cls checks S
+            S = R.T @ R
+        return cls(n=n, xbar=xbar, S=S)
 
     @property
     def p(self) -> int:

@@ -190,7 +190,8 @@ def _workspace(data: ProbitData, prior: ProbitPrior
                ) -> tuple[np.ndarray, np.ndarray]:
     """(S^-1, S): the precision Z^T Z + D of beta given a and its inverse
     S, the covariance, from the shared Cholesky inverse."""
-    precision = data.Z.T @ data.Z + prior.D
+    with np.errstate(over="ignore", invalid="ignore"):
+        precision = data.Z.T @ data.Z + prior.D
     _, S = _cholesky_inverse(precision,
                              "Z^T Z + D is not finite and positive definite")
     return precision, S
@@ -212,8 +213,10 @@ def _newton_point(Z: np.ndarray, D: np.ndarray, x: np.ndarray,
     for the profiled delta-method ELBO, whose gradient also needs zeta_3.
     M^-1 = L^-T L^-1 and log det M come from the lower Cholesky factor L."""
     z = _zeta_orders(3 if profiled else 2, _predictor(Z, x))
-    L, Minv = _cholesky_inverse(_gram(Z, -z[2]) + D,
-                                "Newton matrix M lost positive definiteness")
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _gram(Z, -z[2]) + D
+    L, Minv = _cholesky_inverse(M, "Newton matrix M lost positive "
+                                "definiteness")
     with np.errstate(over="ignore"):  # -inf where x' D x overflows
         f = np.sum(z[0]) - 0.5 * x @ D @ x
     if profiled:

@@ -175,6 +175,27 @@ class TestFitLinear:
         assert run_cli(argv + ["--pretty"]) == 0
         assert "variance: None" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error")
+    def test_unrepresentable_sigma2_variance_is_null(self, tmp_path):
+        """y of 1e80 gives a finite q(sigma2) of scale about 1e160, whose
+        variance does not fit in a double: exact and mfvb fits report it as
+        null with a warning, and compare runs both, with no RuntimeWarning
+        or traceback."""
+        data = tmp_path / "vast.csv"
+        data.write_text("y,x1\n1e80,1\n-1e80,2\n1e80,3\n5,4\n")
+        out = tmp_path / "rep.json"
+        for method in ("exact", "mfvb"):
+            assert run_cli(["fit", "--model", "linear", "--method", method,
+                            "--data", str(data), "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            assert np.isfinite(doc["moments"]["scalar_mean"])
+            assert doc["moments"]["scalar_var"] is None
+            assert doc["warnings"] == [
+                "non-finite value at moments.scalar_var replaced by null"]
+        assert run_cli(["compare", "--model", "linear", "--methods",
+                        "exact,mfvb", "--data", str(data), "--out",
+                        str(out)]) == 0
+
     def test_utf8_bom_csv_reads_as_without(self, c7_csv, tmp_path):
         """A CSV saved with a UTF-8 byte-order mark, as spreadsheet programs
         save it, gives the report the file without the mark gives."""
@@ -885,6 +906,10 @@ BAD_INPUTS = {
         ["generate", "--model", model, "--beta", "1e308,1e308", "--out",
          "FILE"], "", 2, f"generated {column} must be finite")
        for model, column in (("linear", "y"), ("probit", "X beta"))},
+    # rows whose centred cross-products overflow
+    "mvn-data-overflow": (
+        ["fit", "--model", "mvn", "--method", "mp", "--data", "FILE"],
+        "x1,x2\n1e200,1\n-2e200,2\n1e200,3\n3,3\n", 2, "S must be finite"),
     # past the csv module's field limit (131,072), json's nesting depth and
     # int's 4,300-digit conversion limit
     **{f"csv-long-{where}": (
@@ -913,7 +938,7 @@ BAD_INPUTS = {
 class TestErrors:
     @pytest.mark.parametrize("argv,content,rc,fragment", BAD_INPUTS.values(),
                              ids=BAD_INPUTS.keys())
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_bad_input_is_typed_error(self, c7_csv, probit_csv, d9_json,
                                       tmp_path, capsys, argv, content, rc,
                                       fragment):
@@ -1002,9 +1027,29 @@ class TestErrors:
         assert (capsys.readouterr().err
                 == "numeric failure: X is rank deficient\n")
 
+    @pytest.mark.parametrize("method", ["exact", "mfvb", "mp1", "mp2"])
+    @pytest.mark.parametrize("name,rows", [
+        ("X'X", "1,1e160\n2,-1e160\n3,1e160\n4,4\n"),
+        ("y'y", "1e160,1\n-1e160,2\n1e160,3\n5,4\n")], ids=["XtX", "yty"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_linear_gram_is_numeric_failure(self, tmp_path,
+                                                        capsys, name, rows,
+                                                        method):
+        """Finite entries near 1e160: X'X overflows where x1 holds them and
+        y'y where y does. Every linear fit stops on one line naming that
+        product, with no RuntimeWarning, and X, which has full rank, is not
+        called rank deficient."""
+        path = tmp_path / "overflow.csv"
+        path.write_text("y,x1\n" + rows)
+        rc = run_cli(["fit", "--model", "linear", "--method", method,
+                      "--data", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 4 and out == ""
+        assert err == f"numeric failure: {name} is not finite\n"
+
     @pytest.mark.parametrize("method", ["laplace", "mfvb", "mp-dm",
                                         "mp-quad", "dmvb", "gibbs"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_probit_design_is_numeric_failure(self, tmp_path,
                                                           capsys, method):
         """Finite entries whose Z^T Z overflows: every probit fit stops on

@@ -30,9 +30,6 @@ def run_script(*argv: str) -> str:
       "method       E(b)     V(b)    E(s2)    V(s2)  iters",
       "bivariate normal, four-observation summary",
       "method     dof      V11      V12      V22   Psi11   Psi12   Psi22"]),
-    (["probit_study.py", "--seeds", "2"],
-     ["median over 2 seeds:", "     n  |mean diff|  rel cov diff",
-      "log-log slope of the mean distance:"]),
 ])
 def test_script_prints_its_tables(argv, headers):
     out = run_script(*argv)
