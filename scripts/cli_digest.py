@@ -136,6 +136,10 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("generate probit 5000x20", [
             "generate", "--model", "probit", "--n", "5000", "--p", "20",
             "--seed", "1", "--out", "FILE/probit-5000.csv"]),
+        # dmvb stops at max_iter on this set; laplace and mp-dm converge
+        ("generate probit seed 50", [
+            "generate", "--model", "probit", "--n", "32", "--p", "4",
+            "--seed", "50", "--out", "FILE/probit-50.csv"]),
     ]
     inputs = {
         "linear": [["--data", "FILE/c7.csv"], ["--data", "FILE/linear.csv"],
@@ -202,6 +206,9 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("compare capped", ["compare", "--model", "linear", "--methods",
                             "mfvb,mp1", "--max-iter", "2",
                             "--data", "FILE/c7.csv"]),
+        ("compare probit vs unconverged dmvb", [
+            "compare", "--model", "probit", "--methods", "laplace,mp-dm",
+            "--reference", "dmvb", "--data", "FILE/probit-50.csv"]),
     ]
     init = []
     for model, method, inp in [
@@ -351,6 +358,14 @@ def _commands() -> list[tuple[str, list[str]]]:
             "--data", "FILE/separable.csv",
             "--init-from", "FILE/init-probit-huge-intercept.json"])
           for method in ("laplace", "mfvb", "dmvb")),
+        # finite prior shapes whose squares overflow a double: exact and
+        # mfvb report, the MP fits stop on one line
+        *((f"vast prior: linear {method} A 1e300", [
+            "fit", "--model", "linear", "--method", method, "--data",
+            "FILE/c7.csv", "--A", "1e300"]) for method in methods["linear"]),
+        ("vast prior: mvn mp nu0 1e160", [
+            "fit", "--model", "mvn", "--method", "mp", "--summary",
+            "FILE/d9.json", "--nu0", "1e160"]),
         # numpy refuses the chain's array before touching any memory
         ("numeric: gibbs chain too large", [
             "fit", "--model", "probit", "--method", "gibbs", "--data",

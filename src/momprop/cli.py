@@ -505,7 +505,8 @@ def run_compare(args: argparse.Namespace, methods: list[str],
         raise UsageError("compare needs at least two methods")
     all_methods = list(dict.fromkeys(methods + [reference]))
     for m in all_methods:
-        model = _model(args.model, m)
+        _model(args.model, m)
+    model = MODELS[args.model]
     data, prior, init = _load(args, model)
     outcomes = {}
     for m in all_methods:
@@ -524,8 +525,13 @@ def run_compare(args: argparse.Namespace, methods: list[str],
             "mean_err": mean_err, "sd_err": sd_err,
             "iterations": report.iterations, "converged": report.converged,
             "wall_time_s": wall_time_s}
-    return {"schema": SCHEMA_VERSION, "model": args.model,
-            "reference": reference, "methods": table}
+    doc = {"schema": SCHEMA_VERSION, "model": args.model,
+           "reference": reference, "methods": table}
+    if not ref.converged:
+        doc["warnings"] = [f"reference {reference} did not converge: "
+                           f"{ref.iterations} iterations, termination "
+                           f"{ref.termination}"]
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +643,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _encode(doc: dict) -> dict:
-    warnings: list[str] = []
+    """doc as _jsonify gives it, its "warnings" list, if it has one, followed
+    by an entry for each non-finite value replaced by null."""
+    doc = dict(doc)
+    warnings = list(doc.pop("warnings", []))
     doc = _jsonify(doc, warnings)
     if warnings:
         doc["warnings"] = warnings

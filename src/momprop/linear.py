@@ -36,7 +36,8 @@ import numpy as np
 from .exceptions import DomainError, NumericError
 from .moments import (GaussianApprox, InverseGammaApprox, StudentTApprox,
                       _gauss_quadform, _ig_mean, _ig_var, _t_quadform,
-                      ig_moment_match, require_regression, symmetrize)
+                      ig_moment_match, require_matchable,
+                      require_regression, symmetrize)
 from .reports import FitReport, fixed_point
 
 
@@ -166,7 +167,9 @@ def _sweep_setup(data: LinearData, prior: LinearPrior,
     beta_hat). Returns the constants, the centre, B at the centre, c1 = A +
     (n + p)/2 and the starting (shape, scale) of q(sigma2), init's if
     given, whose shape must exceed min_shape, the bound the method's
-    first sweep needs. MP's _ig_var(c1, ...) needs c1 > 2.
+    first sweep needs. MP's _ig_var(c1, ...) needs c1 > 2, and its moment
+    matching a c1 and a starting shape that are not too large; the shapes
+    of later sweeps stay below c1.
     """
     c1 = prior.A + (data.n + data.p) / 2.0
     if method != "mfvb" and not c1 > 2.0:
@@ -182,6 +185,8 @@ def _sweep_setup(data: LinearData, prior: LinearPrior,
     if not shape > min_shape:
         raise DomainError(f"{method} needs a starting q(sigma2) shape > "
                           f"{min_shape:g}, got {shape}")
+    if method != "mfvb":
+        require_matchable(max(c1, shape), "q(sigma2) shape")
     return c, mu, b_mu, c1, (shape, scale)
 
 

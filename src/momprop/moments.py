@@ -19,7 +19,7 @@ from math import isfinite
 
 import numpy as np
 
-from .exceptions import DomainError, UndefinedMomentError
+from .exceptions import DomainError, NumericError, UndefinedMomentError
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -191,10 +191,22 @@ def ig_mean_var(a: InverseGammaApprox, undefined=None) -> tuple[float, float]:
         raise UndefinedMomentError("inverse-gamma mean needs shape > 1"
                                    if a.shape <= 1 else
                                    "inverse-gamma variance needs shape > 2")
-    with np.errstate(over="ignore"):  # a float64 scale**2 overflows to inf
+    # in float64, scale**2 overflows to inf and (shape - 1)**2 to a 0 variance
+    with np.errstate(over="ignore"):
         return (_ig_mean(a.shape, a.scale) if a.shape > 1 else undefined,
-                _ig_var(a.shape, np.float64(a.scale), 0.0) if a.shape > 2
-                else undefined)
+                _ig_var(np.float64(a.shape), np.float64(a.scale), 0.0)
+                if a.shape > 2 else undefined)
+
+
+def require_matchable(x: float, name: str) -> None:
+    """NumericError unless (x - 1)^2 (x - 2) is a finite double, as moment
+    matching needs of an IG shape x (_ig_var's denominator) and of a t dof
+    x (_t_quadform's (x - 2)^2 (x - 4), finite alike): below x ~ 5.6e102.
+    Beyond, the IG variance loses its leading term, and a t dof's square
+    overflows from x ~ 1.3e154 on."""
+    x = float(x)
+    if not isfinite((x - 1.0) * (x - 1.0) * (x - 2.0)):
+        raise NumericError(f"{name} {x:g} is too large for moment matching")
 
 
 def ig_moment_match(mean: float, variance: float) -> InverseGammaApprox:

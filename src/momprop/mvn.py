@@ -26,7 +26,8 @@ from .exceptions import DomainError
 from .moments import (GaussianApprox, InverseWishartApprox, StudentTApprox,
                       _ig_mean, _ig_var, _iw_diag_ig, _iw_match, _t_cov,
                       _t_quadform, iw_diag_marginal, require_finite,
-                      require_shape, require_spd, require_whole, symmetrize)
+                      require_matchable, require_shape, require_spd,
+                      require_whole, symmetrize)
 from .reports import FitReport, fixed_point
 
 
@@ -167,6 +168,10 @@ def mvn_mp_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
     p = data.p
     if not c.nu_n - p - 2.0 > 0:
         raise DomainError("Sigma variance matching needs nu_n > p + 2")
+    start = _start(c.nu_n, c, init)
+    # q(mu)'s dof is dof - p + 1 at start's dof, then at most nu_n - p + 2,
+    # twice the shape of the IGs whose variances a sweep sums
+    require_matchable(max(c.nu_n + 1.0, start[0]) - p + 1.0, "q(mu) dof")
     mu = c.mu_n
 
     def step(state):
@@ -191,7 +196,7 @@ def mvn_mp_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
             [mu, Sig.ravel(), [nut], Psit.ravel(), [dt]])
 
     rep = fixed_point(
-        step, (*_start(c.nu_n, c, init), None, None),
+        step, (*start, None, None),
         lambda s: {"mu": StudentTApprox(mu, s[2], s[3]),
                    "Sigma": InverseWishartApprox(s[1], s[0])},
         eps, max_iter)

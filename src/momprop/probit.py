@@ -361,7 +361,7 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
     Z, D, (n, p) = data.Z, prior.D, data.Z.shape
     kmax = 4 if variant == "dm" else 2
     # dm's walk 2 reads the zeta orders at m again: a lone block's from
-    # walk 1, others' from the recursion on the zeta_1 walk 1 left behind
+    # walk 1, others' from a new call on the block
     redo = variant == "dm" and n > _WALK_BLOCK
     precision, S = _workspace(data, prior)
     if init is None:
@@ -381,7 +381,7 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
         grams = np.zeros((3, p, p))
         A, G, A_new = grams
         vec = np.empty(p + p * p + n)  # the trace entry: mu, Sigma, mu_a
-        x1 = vec[p + p * p:]  # zeta_1 where redo, then xi_1, then mu_a
+        x1 = vec[p + p * p:]  # xi_1, then mu_a
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(0, n, _WALK_BLOCK):
                 rows = slice(s, s + _WALK_BLOCK)
@@ -395,8 +395,6 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
                 _gram(Zb, 1.0 + z[2], G)
                 if variant == "quad":
                     z = None  # xi reads none, and xi's scratch is large
-                elif redo:
-                    x1[rows] = z[1]
                 _gram(Zb, 1.0 + _smoothed(variant, (2,), z, mb, v[rows])[0],
                       A)
             if not np.isfinite(grams[:2]).all():
@@ -409,7 +407,7 @@ def probit_mp_fit(data: ProbitData, prior: ProbitPrior, variant: str = "dm",
                 Zb, mb = Z[rows], m[rows]
                 vb = _row_quadform(Zb, Sig, v[rows])
                 if redo:
-                    z = _zeta_orders(kmax, mb, x1[rows])
+                    z = _zeta_orders(kmax, mb)
                 x1[rows], x2 = _smoothed(variant, (1, 2), z, mb, vb)
                 _gram(Zb, 1.0 + x2, A_new)
         try:  # Newton in mu at the new v; the plain map where it has no ascent

@@ -113,11 +113,8 @@ def _direct_ratio(t: np.ndarray, log_phi: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_phi)
 
 
-def _zeta_orders(kmax: int, t, z1: np.ndarray | None = None
-                 ) -> list[np.ndarray]:
-    """Orders 0..kmax of zeta at t; order 0 is log Phi itself. Given z1,
-    zeta_1 at t as an earlier call made it, only the recursion runs, bit for
-    bit as in that call, and order 0 is None.
+def _zeta_orders(kmax: int, t) -> list[np.ndarray]:
+    """Orders 0..kmax of zeta at t; order 0 is log Phi itself.
 
     Orders k >= 2 use the recursion
 
@@ -125,26 +122,24 @@ def _zeta_orders(kmax: int, t, z1: np.ndarray | None = None
                  - sum_{j=0}^{k-2} C(k-2, j) zeta_{1+j} zeta_{k-1-j},
 
     which only ever combines orders >= 1 on the product side. zeta_1's
-    tail is decided here alone, for both forms of the call: below
-    _CF_CROSSOVER, zeta_1 is the continued fraction's 1/R(-t) and zeta_2
-    is -zeta_1 / d (t + zeta_1 = 1/d), not the recursion's -zeta_1 (t +
-    zeta_1), which cancels there and overflows below t ~ -1.3e154.
+    tail is decided here alone: below _CF_CROSSOVER, zeta_1 is the
+    continued fraction's 1/R(-t) and zeta_2 is -zeta_1 / d (t + zeta_1 =
+    1/d), not the recursion's -zeta_1 (t + zeta_1), which cancels there and
+    overflows below t ~ -1.3e154.
     """
     arr = np.atleast_1d(require_finite(t, "t"))
-    z: list = [log_ndtr(arr) if z1 is None else None]
+    z = [log_ndtr(arr)]
     if kmax == 0:
         return z
     lo = arr < _CF_CROSSOVER
-    if not lo.any():
-        lo = None
-    elif z1 is None:
+    if lo.any():
         z1 = np.empty_like(arr)
         z1[lo], d = _recip_mills_cf(-arr[lo])
         hi = ~lo
         z1[hi] = _direct_ratio(arr[hi], z[0][hi])
     else:
-        d = _recip_mills_cf(-arr[lo])[1]
-    z.append(_direct_ratio(arr, z[0]) if z1 is None else z1)
+        lo, z1 = None, _direct_ratio(arr, z[0])
+    z.append(z1)
     if kmax >= 2:
         # the recursion's zeta_2; its 0 zeta_0 adds nothing
         with np.errstate(over="ignore", invalid="ignore"):

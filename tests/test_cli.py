@@ -606,6 +606,15 @@ class TestEncode:
         assert type(out["i"]) is int and type(out["t"]) is bool
         assert all(type(v) is int for v in out["n"])
 
+    def test_warnings_of_the_doc_come_first(self):
+        """A doc's own warnings are kept, and the non-finite entries follow
+        them; the doc passed in is not changed."""
+        doc = {"x": float("inf"), "warnings": ["reference did not converge"]}
+        assert cli._encode(doc) == {"x": None, "warnings": [
+            "reference did not converge",
+            "non-finite value at x replaced by null"]}
+        assert doc["warnings"] == ["reference did not converge"]
+
     @given(st.dictionaries(st.text(), REPORT_VALUES, max_size=5))
     @settings(max_examples=100, deadline=None)
     def test_stream_is_json_dumps(self, tmp_path_factory, doc):
@@ -932,6 +941,55 @@ BAD_INPUTS = {
         {"q": {"Sigma": {"family": "inverse_wishart", "scale_matrix": I2,
                          "dof": 0.5}}}, 2,
         "inverse-Wishart dof must be finite and exceed p - 1"),
+    # a missing input file
+    "linear-without-data": (
+        ["fit", "--model", "linear", "--method", "mfvb"], "", 2,
+        "linear needs --data CSV"),
+    "mvn-without-input": (
+        ["fit", "--model", "mvn", "--method", "exact"], "", 2,
+        "mvn needs --data (raw CSV) or --summary (JSON)"),
+    "toy-without-summary": (
+        ["fit", "--model", "toy", "--method", "mp"], "", 2,
+        "toy needs --summary (JSON with mu, Sigma, split)"),
+    # generator sizes and a beta that gives one class only
+    **{f"generate-{model}-{flag[2:]}-{value}": (
+        ["generate", "--model", model, flag, value, "--out", "FILE"], "", 2,
+        fragment)
+       for model, flag, value, fragment in (
+           ("linear", "--n", "0", "n and p must be >= 1"),
+           ("mvn", "--p", "0", "n and p must be >= 1"),
+           ("probit", "--n", "1", "need n >= 2 and p >= 1"))},
+    "generate-probit-one-class": (
+        ["generate", "--model", "probit", "--p", "2", "--beta", "1e6,0",
+         "--out", "FILE"], "", 2,
+        "could not generate both classes; check beta scale"),
+    # prior values outside their domain
+    **{f"{model}-{flag[2:]}-{value}": (
+        ["fit", "--model", model, "--method", method, *data, flag, value],
+        "", 2, fragment)
+       for model, method, data, flag, value, fragment in (
+           ("linear", "mfvb", ("--data", "C7"), "--g", "0",
+            "prior hyperparameter g must be > 0"),
+           ("mvn", "exact", ("--summary", "D9"), "--lambda0", "0",
+            "lambda0 must be > 0"),
+           ("mvn", "exact", ("--summary", "D9"), "--nu0", "0.5",
+            "nu0 must exceed p - 1"),
+           ("probit", "laplace", ("--data", "PROBIT"), "--lambda", "0",
+            "lambda must be positive"))},
+    # MVN summaries outside the model's domain
+    **{f"mvn-summary-{name}": (
+        ["fit", "--model", "mvn", "--method", "exact", "--summary", "FILE"],
+        {"n": 4, "xbar": [0.0, 0.0], "S": I2, **doc}, 2, fragment)
+       for name, doc, fragment in (
+           ("n-negative", {"n": -1}, "negative sample count"),
+           ("S-3x3", {"S": I3}, "S must be p x p with p = len(xbar)"),
+           ("S-indefinite", {"S": [[1.0, 0.0], [0.0, -1.0]]},
+            "S must be positive semidefinite"))},
+    # nu_n = 4.5 > p + 2, but q(mu)'s first dof is 3.5
+    "mvn-mp-dof-below-four": (
+        ["fit", "--model", "mvn", "--method", "mp", "--summary", "FILE",
+         "--nu0", "1.5"], {"n": 3, "xbar": [0.0, 0.0], "S": I2}, 2,
+        "fourth-moment matching needs q(mu) dof >= 4; reached dof 3.5"),
 }
 
 
@@ -1046,6 +1104,66 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert rc == 4 and out == ""
         assert err == f"numeric failure: {name} is not finite\n"
+
+    @pytest.mark.parametrize("method", ["exact", "mfvb"])
+    @pytest.mark.filterwarnings("error")
+    def test_vast_prior_shape_reports_a_zero_sigma2_variance(
+            self, c7_csv, tmp_path, method):
+        """--A 1e300 gives a finite q(sigma2) whose variance underflows to
+        0: exact and mfvb report it, with no warning of any kind."""
+        doc = _fit_doc(["--model", "linear", "--method", method, "--A",
+                        "1e300", "--data"], c7_csv, tmp_path)
+        ig = doc["q"]["sigma2"]
+        assert ig["shape"] == 1e300
+        assert doc["moments"]["scalar_mean"] == ig["scale"] / ig["shape"] > 0
+        assert doc["moments"]["scalar_var"] == 0.0 and "warnings" not in doc
+
+    @pytest.mark.parametrize("argv,start,err", [
+        *((["--model", "linear", "--method", method, "--data", "C7", "--A",
+            "1e300"], None, "q(sigma2) shape 1e+300") for method in
+          ("mp1", "mp2")),
+        (["--model", "linear", "--method", "mp2", "--data", "C7"],
+         {"sigma2": {"family": "inverse_gamma", "shape": 1e300,
+                     "scale": 1.0}}, "q(sigma2) shape 1e+300"),
+        (["--model", "mvn", "--method", "mp", "--summary", "D9", "--nu0",
+          "1e160"], None, "q(mu) dof 1e+160"),
+        (["--model", "mvn", "--method", "mp", "--summary", "D9"],
+         {"Sigma": {"family": "inverse_wishart", "scale_matrix": I2,
+                    "dof": 1e160}}, "q(mu) dof 1e+160")],
+        ids=["linear-mp1", "linear-mp2", "linear-mp2-init", "mvn-mp",
+             "mvn-mp-init"])
+    @pytest.mark.filterwarnings("error")
+    def test_vast_prior_shape_stops_mp_on_one_line(
+            self, c7_csv, d9_json, tmp_path, capsys, argv, start, err):
+        """A finite prior or starting shape whose moment matching overflows
+        (its square did, in a traceback) stops an MP fit before its first
+        sweep, on one line and with no RuntimeWarning."""
+        names = {"C7": c7_csv, "D9": d9_json}
+        argv = ["fit"] + [names.get(a, a) for a in argv]
+        if start is not None:
+            path = tmp_path / "start.json"
+            path.write_text(json.dumps({"q": start}))
+            argv += ["--init-from", str(path)]
+        assert run_cli(argv) == 4
+        out, got = capsys.readouterr()
+        assert out == "" and got == (f"numeric failure: {err} is too large "
+                                     "for moment matching\n")
+
+    @pytest.mark.parametrize("method", ["laplace", "mfvb", "mp-dm",
+                                        "mp-quad", "dmvb"])
+    @pytest.mark.filterwarnings("error")
+    def test_start_whose_predictor_overflows_is_numeric_failure(
+            self, tmp_path, capsys, method):
+        """A start mean of (1e308, 1e308) on the separable set: Z beta
+        overflows, which every fit names before any other value."""
+        start = self._start(tmp_path, [1e308, 1e308], [[1.0, 0.0],
+                                                       [0.0, 1.0]])
+        rc = run_cli(["fit", "--model", "probit", "--method", method,
+                      "--intercept", "--data", self._separable(tmp_path, 1.0),
+                      "--init-from", start])
+        out, err = capsys.readouterr()
+        assert rc == 4 and out == ""
+        assert err == "numeric failure: linear predictor Z beta is not finite\n"
 
     @pytest.mark.parametrize("method", ["laplace", "mfvb", "mp-dm",
                                         "mp-quad", "dmvb", "gibbs"])
@@ -1651,6 +1769,24 @@ class TestCompare:
         assert set(doc["methods"]) == {"laplace", "mfvb", "mp-dm"}
         for m in doc["methods"].values():
             assert len(m["mean_err"]) == 3
+
+    def test_unconverged_reference_is_named(self, tmp_path):
+        """dmvb stops at max_iter on this set, where laplace and mp-dm
+        converge: the scores stand, exit 0, and warnings name the reference;
+        a reference that converged adds no warnings."""
+        data, out = tmp_path / "p50.csv", tmp_path / "cmp.json"
+        assert run_cli(["generate", "--model", "probit", "--n", "32", "--p",
+                        "4", "--seed", "50", "--out", str(data)]) == 0
+        argv = ["compare", "--model", "probit", "--methods", "laplace,mp-dm",
+                "--data", str(data), "--out", str(out), "--reference"]
+        assert run_cli(argv + ["dmvb"]) == 0
+        doc = json.loads(out.read_text())
+        assert [m["converged"] for m in doc["methods"].values()] == [True,
+                                                                     True]
+        assert doc["warnings"] == ["reference dmvb did not converge: 500 "
+                                   "iterations, termination max_iter"]
+        assert run_cli(argv + ["laplace"]) == 0
+        assert "warnings" not in json.loads(out.read_text())
 
     def test_reads_input_once(self, probit_csv, tmp_path, monkeypatch):
         calls = []

@@ -103,6 +103,11 @@ class TestDensityGrids:
                 assert np.array_equal(ig_density(pts, shape, scale).values,
                                       ig.pdf(pts))
 
+    @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0)])
+    def test_empty_grid_range_is_domain_error(self, lo, hi):
+        with pytest.raises(DomainError, match="^empty grid range$"):
+            make_points(lo, hi)
+
     def test_ig_density_is_zero_off_its_support(self):
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")

@@ -4,6 +4,8 @@ Monte Carlo oracles are run in-test with fixed seeds and 3-4 standard-error
 bands; closed-form expectations were hand-evaluated and frozen.
 """
 
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from momprop.exceptions import DomainError, UndefinedMomentError
+from momprop.exceptions import DomainError, NumericError, UndefinedMomentError
 from momprop.moments import (GaussianApprox, InverseGammaApprox,
                              InverseWishartApprox, StudentTApprox,
                              _gauss_quadform, _ig_mean, _ig_var,
                              _t_quadform, ig_mean_var,
-                             ig_moment_match, iw_elementwise_var_diag,
-                             iw_mean, iw_moment_match, require_spd)
+                             ig_moment_match, iw_diag_marginal,
+                             iw_elementwise_var_diag, iw_mean,
+                             iw_moment_match, require_matchable,
+                             require_regression, require_spd)
 
 
 class TestApproxTypes:
@@ -83,6 +87,36 @@ class TestApproxTypes:
 
     def test_iw_dof_just_above_p_minus_one_is_taken(self):
         assert InverseWishartApprox(np.eye(3), 2.0 + 1e-12).dof > 2.0
+
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda: require_regression([1.0, 2.0], [[1.0], [2.0], [3.0]]),
+         DomainError, "^y and X row counts differ$"),
+        (lambda: require_regression(np.empty(0), np.empty((0, 1))),
+         DomainError, "^need at least one observation$"),
+        (lambda: StudentTApprox(np.zeros(2), np.eye(2), 0.0),
+         DomainError, "^dof must be positive$"),
+        (lambda: StudentTApprox(np.zeros(2), np.eye(2), 1.0).mean,
+         UndefinedMomentError, "^t mean needs dof > 1$"),
+        *((lambda j=j: iw_diag_marginal(InverseWishartApprox(np.eye(2), 5.0),
+                                        j),
+           DomainError, "^diagonal index out of range$") for j in (-1, 2)),
+    ], ids=["rows-differ", "no-rows", "t-dof-zero", "t-mean-dof-one",
+            "iw-index-negative", "iw-index-past-p"])
+    def test_out_of_domain_call_is_named(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_matchable_up_to_where_the_cube_overflows(self):
+        """(x - 1)^2 (x - 2) is finite at 5e102 and overflows at 6e102, as a
+        Python float or a numpy one, without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (3.0, 5e102, np.float64(5e102)):
+                require_matchable(x, "shape")
+            for x in (6e102, np.float64(6e102), 1e300):
+                with pytest.raises(NumericError, match=re.escape(
+                        f"shape {x:g} is too large for moment matching")):
+                    require_matchable(x, "shape")
 
 
 class TestInverseGamma:

@@ -264,6 +264,10 @@ class TestMP:
         assert not rep.wrong_basin
         assert rep.params["Sigma"].dof == pytest.approx(c.nu_n, abs=1e-6)
 
+    def test_psi0_of_another_dimension_is_domain_error(self):
+        with pytest.raises(DomainError, match="^Psi0 has wrong shape$"):
+            MVNPrior(Psi0=np.eye(3)).resolved(2)
+
     def test_moment_guard(self):
         data = MVNData(n=2, xbar=np.zeros(2), S=np.eye(2))
         prior = MVNPrior(lambda0=1.0, nu0=2.0, Psi0=np.eye(2))

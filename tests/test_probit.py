@@ -426,7 +426,7 @@ class TestRowBlocks:
                                                monkeypatch, variant):
         """An MP fit walked as one block and as 11 blocks of 280 rows, its
         Gram sums in 7-row blocks both times, is the same bit for bit: dm's
-        walk 2 remakes the zeta orders from walk 1's zeta_1 exactly."""
+        walk 2 remakes each block's zeta orders exactly."""
         data, prior = three_blocks_and_five
         monkeypatch.setattr(probit, "_ROW_BLOCK", 7)
         a = probit_mp_fit(data, prior, variant)

@@ -141,24 +141,27 @@ class TestZeta:
         np.linspace(-24.0, 10.0, 35),   # direct ratio only
         np.array([-30.0, -26.0]),       # continued fraction only
     ], ids=["both-branches", "direct", "continued-fraction"])
-    def test_given_zeta1_is_bit_identical(self, t):
-        """_zeta_orders(kmax, t, z1), z1 from an earlier call, as mp-dm's
-        second walk remakes the orders, gives what one call gives, order by
-        order and bit for bit, on both sides of specfun._CF_CROSSOVER = -25
-        and at its two neighbours, far out in both tails, without a
-        warning."""
+    def test_orders_do_not_depend_on_kmax_or_batch(self, t):
+        """Each order of _zeta_orders(kmax, t), kmax 1 to 6, is that of one
+        call for order 6 and that of a call on each t alone, bit for bit, as
+        mp-dm's walks read the orders at every walk block's t: on both sides
+        of specfun._CF_CROSSOVER = -25 and at its two neighbours, far out in
+        both tails, without a warning. Order 0 is log Phi."""
         assert specfun._CF_CROSSOVER == -25.0
         t = np.concatenate([t, [-1e300, -1e200, 1e155, 1e300,
                                 np.nextafter(-25.0, -np.inf),
                                 np.nextafter(-25.0, np.inf)]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z1 = _zeta_orders(1, t)[1]
+            full = _zeta_orders(6, t)
+            alone = [_zeta_orders(6, ti) for ti in t]
             for kmax in range(1, 7):
-                got, want = _zeta_orders(kmax, t, z1), _zeta_orders(kmax, t)
-                assert got[0] is None and len(got) == kmax + 1
-                for k in range(1, kmax + 1):
-                    assert np.array_equal(got[k], want[k])
+                got = _zeta_orders(kmax, t)
+                assert len(got) == kmax + 1
+                assert np.array_equal(got[0], log_ndtr(t))
+                for k in range(kmax + 1):
+                    assert np.array_equal(got[k], full[k])
+                    assert np.array_equal(got[k], [z[k][0] for z in alone])
 
     @pytest.mark.parametrize("t", [1e155, 1e200, np.inf])
     def test_direct_ratio_does_not_overflow(self, t):
