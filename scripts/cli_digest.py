@@ -105,6 +105,10 @@ FILES = {
         "family": "gaussian", "mean": [1e200, 0.0], "cov": I2}}},
     "init-probit-no-cov.json": {"q": {"beta": {"family": "gaussian",
                                                "mean": [0.0, 1e-150]}}},
+    # rows whose q-density scales a double holds but not their squares
+    "vast-linear.csv": "y,x1\n1e80,1\n-1e80,2\n1e80,3\n5,4\n",
+    "vast-mvn.csv": "x1,x2\n1e150,1\n-2e150,2\n1e150,3\n3,3\n",
+    "linear4.csv": "y,x1\n-1.48,1\n1.08,1\n-2.14,1\n5.54,1\n",
     # past the csv module's field limit (131,072), json's nesting depth and
     # int's 4,300-digit conversion limit
     "long-cell.csv": "y,x1\n1," + "a" * 200_000 + "\n",
@@ -366,6 +370,22 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("vast prior: mvn mp nu0 1e160", [
             "fit", "--model", "mvn", "--method", "mp", "--summary",
             "FILE/d9.json", "--nu0", "1e160"]),
+        # data whose MP sweeps would square a scale past a double, marginals
+        # that a grid of doubles cannot hold, an IG variance of inf / inf
+        *((f"vast data: {m} {f}", ["fit", "--model", m, "--method", f,
+                                   "--data", f"FILE/vast-{m}.csv"])
+          for m, f in (("linear", "mp1"), ("linear", "mp2"), ("mvn", "mp"))),
+        *((f"vast shape: compare {f} A {a}", ["compare", "--model", "linear",
+            "--methods", f, "--data", "FILE/linear4.csv", "--A", a])
+          for f, a in (("mfvb,mp2", "1e16"), ("mfvb,mp2", "1e20"),
+                       ("mfvb,exact", "1e300"))),
+        *((f"vast shape: density {m} {name}", ["fit", "--model", m, "--method",
+            "exact", *inp.split(), "--emit-density", name, "--density-out",
+            "FILE/dens-vast.csv"]) for m, name, inp in (
+                ("linear", "sigma2", "--data FILE/linear4.csv --A 1e20"),
+                ("mvn", "Sigma00", "--summary FILE/d9.json --nu0 1e16"))),
+        ("vast prior: linear exact A B 1e300", linear_fit[:4] + [
+            "exact", "--data", "FILE/c7.csv", "--A", "1e300", "--B", "1e300"]),
         # numpy refuses the chain's array before touching any memory
         ("numeric: gibbs chain too large", [
             "fit", "--model", "probit", "--method", "gibbs", "--data",

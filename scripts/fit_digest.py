@@ -1,60 +1,46 @@
-"""Digest of the probit fits' fixed points, to compare two trees.
+"""Digest of the fits' fixed points, to compare two trees.
 
     python scripts/fit_digest.py [--rotate SEED] [--eps EPS] OUT.npz
     python scripts/fit_digest.py A.npz B.npz
     python scripts/fit_digest.py A.npz B.npz --against T.npz
 
-The first form fits laplace, mfvb, mp-dm, mp-quad, dmvb and gibbs on the
-benchmark's sixty small probit designs, generate_probit(n_j, p_j, seed=j)
-with n_j in [50, 100] and p_j in {4, 5} drawn from default_rng(j), and on
-two larger designs: generate_probit(4000, 20, seed=1), whose Gibbs draws
-hold S Z^T (below probit._GIBBS_SPLIT rows), and
-generate_probit(50_000, 20, seed=1), whose Gibbs draws split the rows in
-two halves. Every prior is a ridge of 0.01, every iterative fit gets
-max_iter 2000 and eps EPS (the fitters' default, 1e-6, unless given), and
-Gibbs takes 1,000 draws after 100 of warm-up from seed 0. It saves each fit's mean and covariance,
-each iterative fit's iteration count and converged flag, and each Gibbs
-fit's Monte Carlo standard errors of the mean (mc_se). --rotate SEED
-rotates and permutes the rows of each small design as the benchmark's
-probit-small-study does at seed SEED.
+The first form runs every method of cli.MODELS as the CLI does, so one
+added there is digested with no edit here: max_iter 2000, eps EPS (1e-6
+unless given; toy-mp keeps its own), Gibbs 1,000 draws after 100 of
+warm-up from seed 0. An iterative fit also saves its count, converged
+flag and, for MVN, wrong-basin flag.
 
-It also fits the conjugate models on sixty designs each, from the
-generators, shape ranges and priors of the benchmark's conjugate-batch
-pool (one seed per design here): linear exact, mfvb, mp1 and
-mp2 (methods lin-*) on generate_linear(n_j, p_j, seed=j) with n_j in
-[8, 40] and p_j in [1, 4] from default_rng(j), under the prior g = 1e4,
-A = B = 0.01; and MVN exact, mfvb and mp (mvn-*) on the summary of
-generate_mvn(n_j, p_j, seed=j), p_j in [2, 4], under lambda0 = 0.01; and
-the toy model's MP blocks (toy-mp, toy_gaussian_mp at its own eps) and
-mean-field blocks (toy-mfvb, toy_gaussian_mfvb), on a d-dimensional
-Gaussian that the same default_rng(j) goes on to draw as conjugate-batch
-draws its toy specs: d in [3, 6], Sigma = M M' + d I, split in [1, d). It
-saves every field of every q-density (beta.loc, sigma2.shape, block1.cov,
-...), and each iterative fit's iteration count, converged flag and, for
-MVN, its wrong-basin flag. --rotate leaves these designs as they are.
+The probit methods fit the benchmark's sixty small designs,
+generate_probit(n_j, p_j, seed=j), n_j in [50, 100] and p_j in {4, 5}
+from default_rng(j), and MID and LARGE, one on each side of
+probit._GIBBS_SPLIT, under a ridge prior of 0.01, keeping each fit's mean
+and covariance and a Gibbs fit's mc_se. --rotate SEED rotates and permutes
+the small designs' rows as the benchmark's probit-small-study does.
 
-It also saves the kernel those fits read: specfun._zeta_orders(10, t),
-orders 1 to 10, at every t of ZETA_T (dense on [-40, 40], the float
-neighbours of -25 and -12, and +-geomspace from 1e2 to 1e200), and
-xi((0, 1, 2), mu, sigma2) at every (mu, sigma2) of XI_MU x XI_S2, which
-reaches the series, the Gauss-Hermite band and the fixed rule.
+The conjugate methods (lin-*, mvn-*, toy-*) fit sixty designs each, drawn
+as conjugate-batch draws its pool, one seed per design: generate_linear(
+n_j, p_j, seed=j), n_j in [8, 40] and p_j in [1, 4] from default_rng(j),
+under g = 1e4, A = B = 0.01; the summary of generate_mvn(n_j, p_j, seed=j),
+p_j in [2, 4], under lambda0 = 0.01; and a toy Gaussian that default_rng(j)
+then draws (d in [3, 6], Sigma = M M' + d I, split in [1, d)). Every q
+field is kept (beta.loc, sigma2.shape, ...); --rotate leaves these alone.
+
+It also saves the kernel: specfun._zeta_orders(10, t), orders 1 to 10, at
+ZETA_T (dense on [-40, 40], the neighbours of -25 and -12, +-1e2..1e200),
+and xi((0, 1, 2), mu, sigma2) on XI_MU x XI_S2, which reaches the series,
+the Gauss-Hermite band and the fixed rule.
 
 The second form prints, per method, the largest absolute move of a saved
-entry (a mean, a covariance or a q field) from A to B and the design where
-it happens ("identical" when every array is equal bit for bit), then one
-line for every other fit that moved (design, method, its largest move and
-the field where it happens), then, for every Gibbs fit whose mean moved,
-the largest move of a mean entry in units of its combined MC-SE,
-sqrt(mc_se_A^2 + mc_se_B^2), then one line for every iteration count or
-flag that differs. Between the per-method lines and the rest it prints a
-zeta line and an xi line: "identical", or the kernel's largest relative
-move and the order and point where it happens.
+entry from A to B and where ("identical" if all arrays are equal bit for
+bit); a zeta and an xi line alike, by relative move; a line per other fit
+that moved (largest move, field); per Gibbs fit whose mean moved, its
+largest mean move over the combined MC-SE hypot(mc_se_A, mc_se_B); and a
+line per count or flag that differs.
 
-The third form takes T as the tight reference, a digest of the same
-designs at a small eps (say 1e-13), and prints every fit whose B point
-lies more than 1e-10 farther from T's than its A point does, the distance
-being the largest absolute difference of a mean or covariance entry; its
-last line counts them.
+The third form prints every fit whose B point lies more than 1e-10
+farther than its A point from T's, a digest at a small eps (say 1e-13),
+by the largest absolute difference of a mean or covariance entry, then
+their count.
 """
 
 from __future__ import annotations
@@ -64,7 +50,7 @@ import sys
 
 import numpy as np
 
-from momprop import diagnostics, linear, mvn, probit, specfun
+from momprop import cli, diagnostics, linear, mvn, probit, specfun
 from momprop.datagen import generate_linear, generate_mvn, generate_probit
 
 PANEL, LAM, MAX_ITER, EPS = 60, 0.01, 2000, 1e-6
@@ -73,41 +59,16 @@ PANEL, LAM, MAX_ITER, EPS = 60, 0.01, 2000, 1e-6
 MID, LARGE = (4000, 20, 1), (50_000, 20, 1)
 # the tight-reference test: how much farther B may lie from T than A does
 SLACK = 1e-10
-FITS = {
-    "laplace": lambda d, pr, eps: probit.probit_laplace_fit(
-        d, pr, eps, MAX_ITER),
-    "mfvb": lambda d, pr, eps: probit.probit_mfvb_fit(d, pr, eps, MAX_ITER),
-    "mp-dm": lambda d, pr, eps: probit.probit_mp_fit(d, pr, "dm", eps,
-                                                     MAX_ITER),
-    "mp-quad": lambda d, pr, eps: probit.probit_mp_fit(d, pr, "quad", eps,
-                                                       MAX_ITER),
-    "dmvb": lambda d, pr, eps: probit.probit_dmvb_fit(d, pr, eps, MAX_ITER),
-    "gibbs": lambda d, pr, eps: probit.probit_gibbs_oracle(
-        d, pr, n_samples=1000, n_warmup=100, seed=0),
-}
-# the conjugate-batch priors, and method -> (model, fit(data, prior, eps))
+# every fit's options but eps, as the command line would give them
+OPTIONS = dict(max_iter=MAX_ITER, n_samples=1000, n_warmup=100, seed=0)
+# the probit methods, and conjugate method -> (model, its method)
+FITS = list(cli.MODELS["probit"].fits)
+CONJUGATE = {f"{model[:3]}-{method}": (model, method)
+             for model in ("linear", "mvn", "toy")
+             for method in cli.MODELS[model].fits}
+# the conjugate-batch priors
 LINEAR_PRIOR = linear.LinearPrior(g=1e4, A=0.01, B=0.01)
 MVN_PRIOR = mvn.MVNPrior(lambda0=0.01)
-CONJUGATE = {
-    "lin-exact": ("linear", lambda d, pr, eps: dict(zip(
-        ("beta", "sigma2"), linear.linear_exact_posterior(d, pr)))),
-    "lin-mfvb": ("linear", lambda d, pr, eps: linear.linear_mfvb_fit(
-        d, pr, eps, MAX_ITER)),
-    "lin-mp1": ("linear", lambda d, pr, eps: linear.linear_mp1_fit(
-        d, pr, eps, MAX_ITER)),
-    "lin-mp2": ("linear", lambda d, pr, eps: linear.linear_mp2_fit(
-        d, pr, eps, MAX_ITER)),
-    "mvn-exact": ("mvn", lambda d, pr, eps: dict(zip(
-        ("mu", "Sigma"), mvn.mvn_exact_posterior(d, pr)))),
-    "mvn-mfvb": ("mvn", lambda d, pr, eps: mvn.mvn_mfvb_fit(
-        d, pr, eps, MAX_ITER)),
-    "mvn-mp": ("mvn", lambda d, pr, eps: mvn.mvn_mp_fit(d, pr, eps,
-                                                         MAX_ITER)),
-    "toy-mp": ("toy", lambda d, pr, eps: dict(zip(
-        ("block1", "block2"), diagnostics.toy_gaussian_mp(d)[:2]))),
-    "toy-mfvb": ("toy", lambda d, pr, eps: dict(zip(
-        ("block1", "block2"), diagnostics.toy_gaussian_mfvb(d)))),
-}
 # saved fields compared for equality, not measured as moves
 FLAGS = ("iterations", "converged", "wrong_basin")
 # the kernel's points: zeta's t (the grid holds -25 and -12 themselves),
@@ -153,6 +114,16 @@ def designs(rotate: int | None = None, panel=range(PANEL),
     return out
 
 
+def _fit(model: str, method: str, data, prior, eps: float, key: str):
+    """cli.MODELS[model].fits[method]'s report at eps, and its count and
+    flags keyed key + flag if it has a trace (an iterative fit)."""
+    rep = cli.MODELS[model].fits[method](
+        argparse.Namespace(eps=eps, **OPTIONS), data, prior, None)
+    return rep, {} if rep.trace is None else {
+        key + flag: np.array(getattr(rep, flag)) for flag in FLAGS
+        if getattr(rep, flag) is not None}
+
+
 def fit_all(sets, eps: float = EPS) -> dict[str, np.ndarray]:
     """Every method's fit on every (label, y, X) at eps, as arrays keyed
     "label|method|field"."""
@@ -160,17 +131,14 @@ def fit_all(sets, eps: float = EPS) -> dict[str, np.ndarray]:
     for label, y, X in sets:
         data = probit.ProbitData(y, X)
         prior = probit.ProbitPrior.ridge(LAM, data.p)
-        for method, fit in FITS.items():
+        for method in FITS:
             key = f"{label}|{method}|"
-            rep = fit(data, prior, eps)
-            if method == "gibbs":
-                out[key + "mean"], out[key + "cov"] = rep.mean, rep.cov
-                out[key + "mc_se"] = rep.mc_se
-                continue
-            out[key + "mean"] = rep.params["beta"].mean
-            out[key + "cov"] = rep.params["beta"].cov
-            out[key + "iterations"] = np.array(rep.iterations)
-            out[key + "converged"] = np.array(rep.converged)
+            rep, flags = _fit("probit", method, data, prior, eps, key)
+            beta = rep.params["beta"]
+            out[key + "mean"], out[key + "cov"] = beta.mean, beta.cov
+            if getattr(beta, "mc_se", None) is not None:
+                out[key + "mc_se"] = beta.mc_se
+            out.update(flags)
     return out
 
 
@@ -201,15 +169,11 @@ def fit_conjugate(sets, eps: float = EPS) -> dict[str, np.ndarray]:
     for method, (model, fit) in CONJUGATE.items():
         for label, data, prior in sets[model]:
             key = f"{label}|{method}|"
-            rep = fit(data, prior, eps)
-            q = rep if isinstance(rep, dict) else rep.params
-            for block, approx in q.items():
+            rep, flags = _fit(model, fit, data, prior, eps, key)
+            for block, approx in rep.params.items():
                 for name, value in vars(approx).items():
                     out[f"{key}{block}.{name}"] = np.asarray(value)
-            if not isinstance(rep, dict):
-                for flag in FLAGS:
-                    if getattr(rep, flag) is not None:
-                        out[key + flag] = np.array(getattr(rep, flag))
+            out.update(flags)
     return out
 
 
@@ -280,10 +244,9 @@ def compare(a: dict, b: dict) -> list[str]:
                     fit[:] = gap, field
         elif not np.array_equal(a[key], b[key]):
             lines.append(f"{label} {method} {field}: {a[key]} -> {b[key]}")
-    lines += [f"only in the first: {key}"
-              for key in sorted(a.keys() - b.keys())]
-    lines += [f"only in the second: {key}"
-              for key in sorted(b.keys() - a.keys())]
+    lines += [f"only in the {which}: {key}" for which, x, y in
+              (("first", a, b), ("second", b, a))
+              for key in sorted(x.keys() - y.keys())]
     summary = []
     for method in (m for m in (*FITS, *CONJUGATE) if m in moves):
         gap, where, equal = moves[method]

@@ -38,6 +38,9 @@ from .reports import FitReport, MomentSummary, moment_summary
 
 SCHEMA_VERSION = 1
 _PRETTY_DIGITS = 4  # significant digits in --pretty output
+# why a marginal that diagnostics.marginal_grids gives as None has no score
+_UNHELD = (f"a {diagnostics.GRID_POINTS}-point double-precision grid "
+           "cannot hold it")
 _DUMP_FLOATS = 4096  # floats of a report row formatted at a time
 _CSV_CHUNK = 4096  # CSV rows parsed at a time
 _encode_scalar = json.JSONEncoder().encode  # what json.dumps gives a scalar
@@ -515,22 +518,33 @@ def run_compare(args: argparse.Namespace, methods: list[str],
 
     ref, ref_summary, _ = outcomes[reference]
     grids = diagnostics.marginal_grids(ref.params)
+    scores = {m: diagnostics.accuracies(outcomes[m][0].params, grids)
+              for m in methods}
+    # a marginal that a grid cannot hold, in the reference or in a method,
+    # is scored for no method
+    unheld = [name for name, grid in grids.items() if grid is None
+              or any(score.get(name, 0.0) is None
+                     for score in scores.values())]
 
     table = {}
     for method in methods:
         report, summary, wall_time_s = outcomes[method]
         mean_err, sd_err = diagnostics.moment_errors(summary, ref_summary)
         table[method] = {
-            "accuracy": diagnostics.accuracies(report.params, grids),
+            "accuracy": {name: value for name, value in scores[method].items()
+                         if name not in unheld},
             "mean_err": mean_err, "sd_err": sd_err,
             "iterations": report.iterations, "converged": report.converged,
             "wall_time_s": wall_time_s}
     doc = {"schema": SCHEMA_VERSION, "model": args.model,
            "reference": reference, "methods": table}
-    if not ref.converged:
-        doc["warnings"] = [f"reference {reference} did not converge: "
-                           f"{ref.iterations} iterations, termination "
-                           f"{ref.termination}"]
+    notes = [] if ref.converged else [
+        f"reference {reference} did not converge: {ref.iterations} "
+        f"iterations, termination {ref.termination}"]
+    notes += [f"marginal {name} is left out of every accuracy: {_UNHELD}"
+              for name in unheld]
+    if notes:
+        doc["warnings"] = notes
     return doc
 
 
@@ -563,6 +577,9 @@ def _emit_density(q: dict, name: str, path: str) -> None:
     if name not in grids:
         raise UsageError(f"no marginal named {name!r}; available: "
                          f"{', '.join(grids)}")
+    if grids[name] is None:
+        raise NumericError(f"marginal {name} has no density grid: "
+                           f"{_UNHELD}")
     _write_csv(path, ["point", "value"],
                np.column_stack((grids[name].points, grids[name].values)))
 

@@ -19,6 +19,10 @@ from .reports import MomentSummary, fixed_point
 GRID_POINTS = 4001
 GRID_SD_SPAN = 10.0
 IG_TAIL_QUANTILE = 1e-6
+# the largest inverse-gamma shape a grid holds: ig_density's log terms
+# cancel as the shape grows, and at 1e8 a grid's mass is still within
+# 2.7e-6 of 1, as on ordinary designs (3.5e-3 at 1e12)
+IG_SHAPE_CUT = 1e8
 
 
 @dataclass
@@ -33,13 +37,17 @@ class DensityGrid:
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if self.points.shape != self.values.shape:
             raise DomainError("points and values length mismatch")
-        if np.any(np.diff(self.points) <= 0):
+        if not _ascending(self.points):
             raise DomainError("grid points must be strictly ascending")
         if np.any(self.values < 0):
             raise DomainError("density values must be nonnegative")
 
     def mass(self) -> float:
         return float(np.trapezoid(self.values, self.points))
+
+
+def _ascending(points: np.ndarray) -> bool:
+    return not np.any(np.diff(points) <= 0)
 
 
 def accuracy(p_grid: DensityGrid, q_grid: DensityGrid) -> float:
@@ -110,22 +118,28 @@ def make_points(lo: float, hi: float, n: int = GRID_POINTS) -> np.ndarray:
 
 
 def marginal_grids(q: dict, points: dict | None = None
-                   ) -> dict[str, DensityGrid]:
+                   ) -> dict[str, DensityGrid | None]:
     """The scalar marginal densities of a fitted q by name, in q's order:
     entry j of a vector block "beta" is "beta<j>", diagonal entry j of an
     inverse-Wishart block "Sigma" is "Sigma<j><j>", an inverse-gamma block
     keeps its name, and other blocks have none. Each is on its own default
-    grid, or on points[name] if points is given, lacking names left out."""
+    grid, or on points[name] if points is given, lacking names left out.
+    A marginal that a grid cannot hold is None: an inverse-gamma one whose
+    shape is above IG_SHAPE_CUT, or one whose default grid's points are not
+    strictly ascending in double precision."""
     return dict(_grids(q, points))
 
 
-def accuracies(q: dict, reference_grids: dict[str, DensityGrid]
-               ) -> dict[str, float]:
-    """The accuracy of each of q's marginals that reference_grids has, on
-    the reference's points, in q's order; one grid is held at a time."""
-    points = {name: grid.points for name, grid in reference_grids.items()}
+def accuracies(q: dict, reference_grids: dict[str, DensityGrid | None]
+               ) -> dict[str, float | None]:
+    """The accuracy of each of q's marginals that reference_grids holds, on
+    the reference's points, in q's order, None where q's marginal cannot be
+    held (see marginal_grids); one grid is held at a time."""
+    points = {name: grid.points for name, grid in reference_grids.items()
+              if grid is not None}
     # looked up at each call, so that a wrapper of accuracy sees every one
-    return {name: accuracy(reference_grids[name], grid)
+    return {name: None if grid is None else
+            accuracy(reference_grids[name], grid)
             for name, grid in _grids(q, points)}
 
 
@@ -147,10 +161,21 @@ def _grids(q: dict, points: dict | None):
         else:
             continue
         for name, density, grid_range, *params in marginals:
-            if points is None:
-                yield name, density(make_points(*grid_range(*params)), *params)
-            elif name in points:
-                yield name, density(points[name], *params)
+            if points is not None and name not in points:
+                continue
+            pts = (None if density is ig_density and params[0] > IG_SHAPE_CUT
+                   else _held_points(*grid_range(*params)) if points is None
+                   else points[name])
+            yield name, None if pts is None else density(pts, *params)
+
+
+def _held_points(lo: float, hi: float) -> np.ndarray | None:
+    """make_points(lo, hi), or None where its range is empty or its points
+    are not strictly ascending in double precision."""
+    if not hi > lo:
+        return None
+    points = make_points(lo, hi)
+    return points if _ascending(points) else None
 
 
 @dataclass

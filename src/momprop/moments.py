@@ -191,11 +191,16 @@ def ig_mean_var(a: InverseGammaApprox, undefined=None) -> tuple[float, float]:
         raise UndefinedMomentError("inverse-gamma mean needs shape > 1"
                                    if a.shape <= 1 else
                                    "inverse-gamma variance needs shape > 2")
-    # in float64, scale**2 overflows to inf and (shape - 1)**2 to a 0 variance
-    with np.errstate(over="ignore"):
-        return (_ig_mean(a.shape, a.scale) if a.shape > 1 else undefined,
-                _ig_var(np.float64(a.shape), np.float64(a.scale), 0.0)
-                if a.shape > 2 else undefined)
+    mean = _ig_mean(a.shape, a.scale) if a.shape > 1 else undefined
+    if not a.shape > 2:
+        return mean, undefined
+    shape, scale = np.float64(a.shape), np.float64(a.scale)
+    # in float64 scale**2 and (shape - 1)**2 (shape - 2) may overflow where
+    # the variance does not; mean**2 / (shape - 2) is its other form
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = _ig_var(shape, scale, 0.0)
+        return mean, (var if isfinite(var)
+                      else _ig_mean(shape, scale) ** 2 / (shape - 2.0))
 
 
 def require_matchable(x: float, name: str) -> None:
@@ -207,6 +212,16 @@ def require_matchable(x: float, name: str) -> None:
     x = float(x)
     if not isfinite((x - 1.0) * (x - 1.0) * (x - 2.0)):
         raise NumericError(f"{name} {x:g} is too large for moment matching")
+
+
+def require_squarable(x: float, value: float, name: str) -> None:
+    """NumericError naming value unless x * x is a finite double (x below
+    about 1.3e154): x bounds the products of a moment-matching sweep whose
+    q-density has the scale value."""
+    x = float(x)
+    if not isfinite(x * x):
+        raise NumericError(f"{name} {value:g} is too large for moment "
+                           "matching")
 
 
 def ig_moment_match(mean: float, variance: float) -> InverseGammaApprox:

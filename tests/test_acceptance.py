@@ -1,7 +1,9 @@
 """Acceptance suite: one test per release criterion, one PASS/FAIL line each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-lines. Every tolerance is fixed here; nothing is calibrated at runtime.
+lines; criteria 1 and 4 also print the two worked-example tables, and 6
+and 7 the probit study's figures. Every tolerance is fixed here; nothing
+is calibrated at runtime.
 
 Three reference iteration counts encoded in criteria 1 and 4, and the
 series-branch tolerance in criterion 8, are not reproducible from the
@@ -67,10 +69,16 @@ def test_criterion_01_linear_reference_table():
         "mp1": (mp.linear_mp1_fit, (0.908, 2.44, 12.2, 185.0), 12),
         "mp2": (mp.linear_mp2_fit, (0.908, 2.44, 12.2, 293.0), 17),
     }
+    print("\nlinear model, intercept-only five-point sample "
+          "(g=1e4, A=B=0.01, eps=1e-6)")
+    print(f"{'method':8s} {'E(b)':>8s} {'V(b)':>8s} {'E(s2)':>8s} "
+          f"{'V(s2)':>8s} {'iters':>6s}")
     for name, (fit, row, iters) in table.items():
         rep = fit(data, prior, eps=EPS, max_iter=500)
         mean, cov = beta_moments(rep.params["beta"])
         em, ev = mp.ig_mean_var(rep.params["sigma2"])
+        print(f"{name:8s} {mean[0]:8.3f} {cov[0, 0]:8.3f} {em:8.2f} "
+              f"{ev:8.1f} {rep.iterations:6d}")
         got = (sig3(mean[0]), sig3(cov[0, 0]), sig3(em), sig3(ev))
         if got != tuple(map(sig3, row)):
             failures.append(f"{name} moments {got} != {row}")
@@ -81,6 +89,8 @@ def test_criterion_01_linear_reference_table():
             failures.append(f"{name} iterations {rep.iterations} != {iters}")
     beta_t, s2 = mp.linear_exact_posterior(data, prior)
     em, ev = mp.ig_mean_var(s2)
+    print(f"{'exact':8s} {beta_t.loc[0]:8.3f} {beta_t.cov[0, 0]:8.3f} "
+          f"{em:8.2f} {ev:8.1f} {'-':>6s}")
     got = (sig3(beta_t.loc[0]), sig3(beta_t.cov[0, 0]), sig3(em), sig3(ev))
     if got != (0.908, 2.44, 12.2, 293.0):
         failures.append(f"exact moments {got}")
@@ -164,9 +174,20 @@ def test_criterion_04_mvn_reference_table():
     data, prior = mvn_reference()
     failures = []
 
+    print("\nbivariate normal, four-observation summary "
+          "(lambda0=0.01, nu0=3, Psi0=I, eps=1e-6)")
+    print(f"{'method':8s} {'dof':>5s} {'V11':>8s} {'V12':>8s} {'V22':>8s} "
+          f"{'Psi11':>7s} {'Psi12':>7s} {'Psi22':>7s} {'iters':>6s}")
+
+    def row(name, dof, cov, Psi, iters):
+        print(f"{name:8s} {dof:5.1f} {cov[0, 0]:8.4f} {cov[0, 1]:8.4f} "
+              f"{cov[1, 1]:8.4f} {Psi[0, 0]:7.3f} {Psi[0, 1]:7.3f} "
+              f"{Psi[1, 1]:7.3f} {iters:>6}")
+
     vb = mp.mvn_mfvb_fit(data, prior, eps=EPS, max_iter=500)
     Sig = vb.params["mu"].cov
     Psi = vb.params["Sigma"].scale_matrix
+    row("mfvb", vb.params["Sigma"].dof, Sig, Psi, vb.iterations)
     got = (sig3(vb.params["Sigma"].dof), sig3(Sig[0, 0]), sig3(Sig[0, 1]),
            sig3(Sig[1, 1]), sig3(Psi[0, 0]), sig3(Psi[0, 1]),
            sig3(Psi[1, 1]))
@@ -181,6 +202,7 @@ def test_criterion_04_mvn_reference_table():
     mpr = mp.mvn_mp_fit(data, prior, eps=EPS, max_iter=500)
     Psi = mpr.params["Sigma"].scale_matrix
     cov = mpr.params["mu"].cov
+    row("mp", mpr.params["Sigma"].dof, cov, Psi, mpr.iterations)
     got = (sig3(mpr.params["Sigma"].dof), sig3(Psi[0, 0]), sig3(Psi[0, 1]),
            sig3(Psi[1, 1]), sig3(cov[0, 0]), sig3(cov[0, 1]),
            sig3(cov[1, 1]))
@@ -194,8 +216,11 @@ def test_criterion_04_mvn_reference_table():
         # already below any eps at the second sweep).
         failures.append(f"MP iterations {mpr.iterations} != 22")
 
-    mu_t, _ = mp.mvn_exact_posterior(data, prior)
+    mu_t, Sig_iw = mp.mvn_exact_posterior(data, prior)
+    row("exact", Sig_iw.dof, mu_t.cov, Sig_iw.scale_matrix, "-")
     ratio = mu_t.cov / vb.params["mu"].cov
+    print(f"exact / mfvb variance ratio for the mean: {ratio[0, 0]:.3f} "
+          "(expected 1.75)")
     if not np.all(np.abs(ratio - 1.75) <= 0.01):
         failures.append(f"variance ratio {ratio.ravel()} != 1.75 +- 0.01")
     elapsed = time.perf_counter() - t0

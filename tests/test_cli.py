@@ -196,6 +196,39 @@ class TestFitLinear:
                         "exact,mfvb", "--data", str(data), "--out",
                         str(out)]) == 0
 
+    @pytest.mark.parametrize("argv,name", [
+        (["--model", "linear", "--method", "exact", "--A", "1e20"], "sigma2"),
+        (["--model", "mvn", "--method", "exact", "--nu0", "1e16"],
+         "Sigma00")], ids=["linear-A-1e20", "mvn-nu0-1e16"])
+    @pytest.mark.filterwarnings("error")
+    def test_density_a_grid_cannot_hold_is_numeric_failure(
+            self, c7_csv, d9_json, tmp_path, capsys, argv, name):
+        """An inverse-gamma marginal of shape 1e20 (490 inf densities) or
+        5e15 (grid mass 2.5e4) is one numeric-failure line, and no file."""
+        dens = tmp_path / "dens.csv"
+        source = ["--summary", d9_json] if "mvn" in argv else ["--data",
+                                                               c7_csv]
+        assert run_cli(["fit", *argv, *source, "--emit-density", name,
+                        "--density-out", str(dens)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and not dens.exists()
+        assert err == (f"numeric failure: marginal {name} has no density "
+                       "grid: a 4001-point double-precision grid cannot "
+                       "hold it\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_vast_shape_and_scale_give_their_sigma2_variance(self, c7_csv,
+                                                             tmp_path):
+        """--A 1e300 --B 1e300: q(sigma2) has mean 1 and variance
+        mean^2 / (shape - 2) = 1e-300, which is reported, with no warning,
+        where scale^2 / ((shape - 1)^2 (shape - 2)) is inf / inf."""
+        doc = _fit_doc(["--model", "linear", "--method", "exact", "--A",
+                        "1e300", "--B", "1e300", "--data"], c7_csv, tmp_path)
+        assert doc["moments"]["scalar_mean"] == 1.0
+        assert doc["moments"]["scalar_var"] == pytest.approx(1e-300,
+                                                             rel=1e-15)
+        assert "warnings" not in doc
+
     def test_utf8_bom_csv_reads_as_without(self, c7_csv, tmp_path):
         """A CSV saved with a UTF-8 byte-order mark, as spreadsheet programs
         save it, gives the report the file without the mark gives."""
@@ -708,6 +741,10 @@ def _jsonify_lists(obj, warnings: list[str], path: str = ""):
 NAN = float("nan")
 INF = float("inf")
 I2 = [[1.0, 0.0], [0.0, 1.0]]
+# rows whose large entries are 1e{} (linear y; MVN x1); exact and mfvb
+# report them at 1e80 and 1e150, where an MP sweep's squares overflow
+VAST_LINEAR = "y,x1\n1e{0},1\n-1e{0},2\n1e{0},3\n5,4\n"
+VAST_MVN = "x1,x2\n1e{0},1\n-2e{0},2\n1e{0},3\n3,3\n"
 I3 = np.eye(3).tolist()
 PROBIT_ROWS = "y,x1,x2\n1,1.0,0.3\n0,1.0,-0.8\n1,1.0,{}\n0,1.0,0.1\n"
 PROBIT_FITS = {
@@ -1148,6 +1185,50 @@ class TestErrors:
         out, got = capsys.readouterr()
         assert out == "" and got == (f"numeric failure: {err} is too large "
                                      "for moment matching\n")
+
+    @pytest.mark.parametrize("argv,start,err", [
+        *((["--model", "linear", "--method", method, "--data", "VAST"],
+           None, "q(sigma2) scale 1.5e+160") for method in ("mp1", "mp2")),
+        (["--model", "linear", "--method", "mp1", "--data", "C7"],
+         {"sigma2": {"family": "inverse_gamma", "shape": 3.0,
+                     "scale": 1e160}}, "q(sigma2) scale 1e+160"),
+        (["--model", "mvn", "--method", "mp", "--data", "VAST_MVN"], None,
+         "q(Sigma) scale 6e+300")],
+        ids=["linear-mp1", "linear-mp2", "linear-mp1-init", "mvn-mp"])
+    @pytest.mark.filterwarnings("error")
+    def test_vast_data_scale_stops_mp_on_one_line(
+            self, c7_csv, tmp_path, capsys, argv, start, err):
+        """Rows near 1e80 (linear y) or 1e150 (MVN x1), or a start of scale
+        1e160, give a finite q-density scale whose square overflows in a
+        sweep (an error about a later value, after RuntimeWarnings, or a
+        traceback): an MP fit stops before its first sweep, on one line."""
+        names = {"C7": c7_csv, "VAST": tmp_path / "vast.csv",
+                 "VAST_MVN": tmp_path / "vast-mvn.csv"}
+        names["VAST"].write_text(VAST_LINEAR.format(80))
+        names["VAST_MVN"].write_text(VAST_MVN.format(150))
+        argv = ["fit"] + [str(names.get(a, a)) for a in argv]
+        if start is not None:
+            path = tmp_path / "start.json"
+            path.write_text(json.dumps({"q": start}))
+            argv += ["--init-from", str(path)]
+        assert run_cli(argv) == 4
+        out, got = capsys.readouterr()
+        assert out == "" and got == (f"numeric failure: {err} is too large "
+                                     "for moment matching\n")
+
+    @pytest.mark.parametrize("model,method,rows", [
+        ("linear", "mp1", VAST_LINEAR), ("linear", "mp2", VAST_LINEAR),
+        ("mvn", "mp", VAST_MVN)], ids=["linear-mp1", "linear-mp2", "mvn-mp"])
+    @pytest.mark.filterwarnings("error")
+    def test_data_scale_below_the_cut_still_fits(self, tmp_path, model,
+                                                 method, rows):
+        """The same rows at 1e76 fit as before, with no warning and a
+        finite report."""
+        path = tmp_path / "big.csv"
+        path.write_text(rows.format(76))
+        doc = _fit_doc(["--model", model, "--method", method, "--data"],
+                       str(path), tmp_path)
+        assert doc["iterations"] > 1 and "warnings" not in doc
 
     @pytest.mark.parametrize("method", ["laplace", "mfvb", "mp-dm",
                                         "mp-quad", "dmvb"])
@@ -1787,6 +1868,31 @@ class TestCompare:
                                    "iterations, termination max_iter"]
         assert run_cli(argv + ["laplace"]) == 0
         assert "warnings" not in json.loads(out.read_text())
+
+    @pytest.mark.parametrize("methods,A,left_out", [
+        ("mfvb,mp2", "1e16", ["sigma2"]),
+        ("mfvb,exact", "1e300", ["beta0", "sigma2"])],
+        ids=["A-1e16", "A-1e300"])
+    @pytest.mark.filterwarnings("error")
+    def test_marginal_a_grid_cannot_hold_is_left_out(self, tmp_path, methods,
+                                                     A, left_out):
+        """q(sigma2) of shape 1e16 cancels on its grid (mp2 scored -2.9e12),
+        and at shape 1e300 the sigma2 and beta0 grids collapse (empty grid
+        range): each such marginal is left out of every method's accuracy
+        and named in one warning, and the rest are scored."""
+        data, out = tmp_path / "four.csv", tmp_path / "cmp.json"
+        data.write_text("y,x1\n-1.48,1\n1.08,1\n-2.14,1\n5.54,1\n")
+        assert run_cli(["compare", "--model", "linear", "--methods", methods,
+                        "--A", A, "--data", str(data), "--out",
+                        str(out)]) == 0
+        doc = json.loads(out.read_text())
+        for m in doc["methods"].values():
+            assert list(m["accuracy"]) == [n for n in ("beta0",)
+                                           if n not in left_out]
+            assert all(0.0 <= v <= 1.0 for v in m["accuracy"].values())
+        assert doc["warnings"] == [
+            f"marginal {name} is left out of every accuracy: a 4001-point "
+            "double-precision grid cannot hold it" for name in left_out]
 
     def test_reads_input_once(self, probit_csv, tmp_path, monkeypatch):
         calls = []

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from momprop.diagnostics import (DensityGrid, ToyGaussianSpec, accuracies,
+from momprop.diagnostics import (IG_SHAPE_CUT, DensityGrid, ToyGaussianSpec,
+                                 accuracies,
                                  accuracy, gaussian_density,
                                  gaussian_grid_range, ig_density,
                                  ig_grid_range, make_points, marginal_grids,
@@ -184,6 +185,29 @@ class TestMarginalGrids:
         assert np.array_equal(grids["beta1"].values,
                               gaussian_density(pts, 2.0, 0.25).values)
         assert marginal_grids(q, {}) == {}
+
+    @pytest.mark.filterwarnings("error")
+    def test_marginal_a_grid_cannot_hold_is_none(self):
+        """A grid cannot hold an inverse-gamma marginal above IG_SHAPE_CUT
+        (q(sigma2) or an inverse-Wishart diagonal), nor one whose default
+        grid's range is empty or whose points collide in double precision;
+        each such marginal is None, in marginal_grids and in accuracies."""
+        over = np.nextafter(IG_SHAPE_CUT, np.inf)
+        q = {"beta": GaussianApprox([1.0, 1.0, 1.0],
+                                    np.diag([1e-40, 1e-28, 1e-20])),
+             "sigma2": InverseGammaApprox(over, 1.0),
+             "Sigma": InverseWishartApprox(np.eye(2), 2 * over + 1.0)}
+        grids = marginal_grids(q)
+        assert list(grids) == ["beta0", "beta1", "beta2", "sigma2",
+                               "Sigma00", "Sigma11"]
+        assert [name for name, g in grids.items() if g is not None] == [
+            "beta2"]
+        assert marginal_grids({"s": InverseGammaApprox(IG_SHAPE_CUT, 1.0)}
+                              )["s"] is not None
+        ref = marginal_grids({"sigma2": InverseGammaApprox(3.0, 2.0)})
+        assert accuracies(q, ref) == {"sigma2": None}
+        assert accuracies({"sigma2": InverseGammaApprox(2.5, 3.0)},
+                          {"sigma2": None}) == {}
 
     def test_accuracies_on_the_references_points(self):
         """Only the names both sides have are scored, in q's order, each

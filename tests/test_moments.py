@@ -22,7 +22,8 @@ from momprop.moments import (GaussianApprox, InverseGammaApprox,
                              ig_moment_match, iw_diag_marginal,
                              iw_elementwise_var_diag, iw_mean,
                              iw_moment_match, require_matchable,
-                             require_regression, require_spd)
+                             require_regression, require_spd,
+                             require_squarable)
 
 
 class TestApproxTypes:
@@ -119,6 +120,18 @@ class TestApproxTypes:
                     require_matchable(x, "shape")
 
 
+    def test_squarable_up_to_where_the_square_overflows(self):
+        """x * x is finite at 1.3e154 and overflows at 1.4e154, as a Python
+        float or a numpy one, without a warning; the error names value."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (3.0, 1.3e154, np.float64(1.3e154)):
+                require_squarable(x, 2.0, "scale")
+            for x in (1.4e154, np.float64(1.4e154), 1e300):
+                with pytest.raises(NumericError, match=re.escape(
+                        "scale 2 is too large for moment matching")):
+                    require_squarable(x, 2.0, "scale")
+
 class TestInverseGamma:
     def test_mean_var_simple(self):
         assert ig_mean_var(InverseGammaApprox(3.0, 2.0)) == \
@@ -129,6 +142,17 @@ class TestInverseGamma:
     def test_reference_mean(self):
         mean, _ = ig_mean_var(InverseGammaApprox(2.51, 18.42))
         assert round(mean, 1) == 12.2
+
+    def test_variance_past_the_direct_forms_range(self):
+        """At shape and scale 1e300, scale^2 / ((shape - 1)^2 (shape - 2))
+        is inf / inf, but the variance, mean^2 / (shape - 2), is 1e-300; a
+        variance past a double's range is inf; neither warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ig_mean_var(InverseGammaApprox(1e300, 1e300)) == (
+                1.0, 1e-300)
+            mean, var = ig_mean_var(InverseGammaApprox(2.01, 1.5e160))
+        assert np.isfinite(mean) and var == np.inf
 
     def test_undefined_moments(self):
         with pytest.raises(UndefinedMomentError):
