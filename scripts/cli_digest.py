@@ -108,6 +108,9 @@ FILES = {
     # rows whose q-density scales a double holds but not their squares
     "vast-linear.csv": "y,x1\n1e80,1\n-1e80,2\n1e80,3\n5,4\n",
     "vast-mvn.csv": "x1,x2\n1e150,1\n-2e150,2\n1e150,3\n3,3\n",
+    # rows on which linear mp2's first t dof is 4.02 and its quadratic
+    # form's variance overflows
+    "t-dof-near-four.csv": "y,x1\n1.8e76,-1.5\n1.2e76,0.84\n3.5e75,0.13\n",
     "linear4.csv": "y,x1\n-1.48,1\n1.08,1\n-2.14,1\n5.54,1\n",
     # past the csv module's field limit (131,072), json's nesting depth and
     # int's 4,300-digit conversion limit
@@ -375,6 +378,9 @@ def _commands() -> list[tuple[str, list[str]]]:
         *((f"vast data: {m} {f}", ["fit", "--model", m, "--method", f,
                                    "--data", f"FILE/vast-{m}.csv"])
           for m, f in (("linear", "mp1"), ("linear", "mp2"), ("mvn", "mp"))),
+        ("vast data: linear mp2 t dof near 4", [
+            "fit", "--model", "linear", "--method", "mp2", "--data",
+            "FILE/t-dof-near-four.csv"]),
         *((f"vast shape: compare {f} A {a}", ["compare", "--model", "linear",
             "--methods", f, "--data", "FILE/linear4.csv", "--A", a])
           for f, a in (("mfvb,mp2", "1e16"), ("mfvb,mp2", "1e20"),

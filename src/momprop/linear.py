@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite, sqrt
+from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +37,7 @@ from .exceptions import DomainError, NumericError
 from .moments import (GaussianApprox, InverseGammaApprox, StudentTApprox,
                       _gauss_quadform, _ig_mean, _ig_var, _t_quadform,
                       ig_moment_match, require_matchable,
-                      require_regression, require_squarable,
-                      symmetrize)
+                      require_regression, symmetrize)
 from .reports import FitReport, fixed_point
 
 
@@ -181,27 +180,14 @@ def _sweep_setup(data: LinearData, prior: LinearPrior,
     resid = data.y - data.X @ mu
     b_mu = (prior.B + 0.5 * resid @ resid
             + mu @ c.XtX @ mu / (2.0 * prior.g))
-    shape, scale = ((c1, prior.B + 0.5 * data.gram.yty) if init is None
-                    else (init.shape, init.scale))
+    # numpy scalars, as a Python float's product overflows to inf unseen
+    shape, scale = map(np.float64, (c1, prior.B + 0.5 * data.gram.yty)
+                       if init is None else (init.shape, init.scale))
     if not shape > min_shape:
         raise DomainError(f"{method} needs a starting q(sigma2) shape > "
                           f"{min_shape:g}, got {shape}")
     if method != "mfvb":
         require_matchable(max(c1, shape), "q(sigma2) shape")
-        # A sweep maps q(sigma2)'s mean m to (b_mu + m p/2)/(c1 - 1), so m
-        # moves from the start's to the fixed point's, b_mu/(c1 - 1 - p/2).
-        # It squares e = b_mu + m p/2, forms the IG variance e^2/((c1 -
-        # 1)^2 (c1 - 2)) + V/((c1 - 1)(c1 - 2)), V = p m^2/2 in mp1 and more
-        # in mp2, and squares sqrt(2 p) m in mp1 or, in mp2, sqrt(8) p times
-        # q(sigma2)'s scale, the start's or about b_mu
-        b, s, p = float(b_mu), float(scale), data.p
-        top, m = max(s, b), max(s / (shape - 1.0), b / (c1 - 1.0 - p / 2.0))
-        e = b + m * p / 2.0
-        var = (e * e / ((c1 - 1.0) ** 2 * (c1 - 2.0))
-               + p * m * m / 2.0 / ((c1 - 1.0) * (c1 - 2.0)))
-        require_squarable(max(e, sqrt(var), sqrt(2.0 * p) * m
-                              if method == "mp1" else sqrt(8.0) * p * top),
-                          top, "q(sigma2) scale")
     return c, mu, b_mu, c1, (shape, scale)
 
 

@@ -214,16 +214,6 @@ def require_matchable(x: float, name: str) -> None:
         raise NumericError(f"{name} {x:g} is too large for moment matching")
 
 
-def require_squarable(x: float, value: float, name: str) -> None:
-    """NumericError naming value unless x * x is a finite double (x below
-    about 1.3e154): x bounds the products of a moment-matching sweep whose
-    q-density has the scale value."""
-    x = float(x)
-    if not isfinite(x * x):
-        raise NumericError(f"{name} {value:g} is too large for moment "
-                           "matching")
-
-
 def ig_moment_match(mean: float, variance: float) -> InverseGammaApprox:
     """Inverse-gamma with the given mean and variance (exact inverse of ig_mean_var)."""
     if not (mean > 0 and variance > 0):

@@ -18,7 +18,7 @@ Data may be supplied as raw observations or as sufficient statistics
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import isfinite
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .moments import (GaussianApprox, InverseWishartApprox, StudentTApprox,
                       _ig_mean, _ig_var, _iw_diag_ig, _iw_match, _t_cov,
                       _t_quadform, iw_diag_marginal, require_finite,
                       require_matchable, require_shape, require_spd,
-                      require_squarable, require_whole, symmetrize)
+                      require_whole, symmetrize)
 from .reports import FitReport, fixed_point
 
 
@@ -172,17 +172,6 @@ def mvn_mp_fit(data: MVNData, prior: MVNPrior, eps: float = 1e-6,
     # q(mu)'s dof is dof - p + 1 at start's dof, then at most nu_n - p + 2,
     # twice the shape of the IGs whose variances a sweep sums
     require_matchable(max(c.nu_n + 1.0, start[0]) - p + 1.0, "q(mu) dof")
-    # A sweep squares sqrt(2) times its scale matrix's diagonal, which moves
-    # from the start's to Psi_n's. It also sums p squares of the diagonal of
-    # A = Psi_n + scale / (dof - p - 1), over k^2 and, in the IG variances,
-    # over k^2 (k - 2) / 2, k = nu_n - p; dof - p - 1 is 2 or more (q(mu)'s
-    # dof is 4 or more), and k - 1 at the fixed point
-    d0 = max(start[1].diagonal().tolist())
-    dn = max(c.Psi_n.diagonal().tolist())
-    k = c.nu_n - p
-    a = dn + max(d0 / max(start[0] - p - 1.0, 2.0), dn / (k - 1.0))
-    require_squarable(max(sqrt(2.0) * max(d0, dn), a * sqrt(p) / k * max(
-        1.0, sqrt(2.0 / (k - 2.0)))), max(d0, dn), "q(Sigma) scale")
     mu = c.mu_n
 
     def step(state):

@@ -25,9 +25,9 @@ class FitReport:
     counts those evaluations, so an iterative fit with a trace has
     len(trace) == iterations. Convergence is declared at the first map
     output that differs from the previous one, the map's input, by less
-    than eps in the max norm (see fixed_point). wrong_basin stays None unless
-    the model's moment equations have a second, inexact solution; it then
-    tells whether the fit converged to that one.
+    than eps in the max norm; an overflow ends the fit in a NumericError
+    (see fixed_point). wrong_basin, None unless the moment equations have
+    a second, inexact solution, tells whether the fit converged to it.
     """
 
     params: dict[str, Any]
@@ -86,6 +86,7 @@ def moment_summary(q: dict[str, Any]) -> MomentSummary:
     return summary
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def fixed_point(step: Callable[[Any], tuple[Any, np.ndarray]], state: Any,
                 params: Callable[[Any], dict[str, Any]], eps: float,
                 max_iter: int) -> FitReport:
@@ -95,7 +96,9 @@ def fixed_point(step: Callable[[Any], tuple[Any, np.ndarray]], state: Any,
     so a map started at its own fixed point stops at the second.
 
     params(state) builds the q-densities of the report from the last state;
-    a DomainError there is a NumericError, as the fit made the invalid value.
+    a DomainError there, not one a map raises, is a NumericError, as the
+    fit made the invalid value. So is a numpy overflow, zero division or
+    invalid value or a Python float power's overflow; one in a map names it.
     """
     if not eps > 0:
         raise DomainError("eps must be positive")
@@ -103,13 +106,20 @@ def fixed_point(step: Callable[[Any], tuple[Any, np.ndarray]], state: Any,
         raise DomainError(f"max_iter must be at least 1; got {max_iter}")
     trace: list[np.ndarray] = []
     converged = False
-    while not converged and len(trace) < max_iter:
-        state, vec = step(state)
-        converged = bool(trace) and bool(np.abs(vec - trace[-1]).max() < eps)
-        trace.append(vec)
+    try:
+        while not converged and len(trace) < max_iter:
+            state, vec = step(state)
+            try:  # inf - inf is no small change
+                converged = bool(trace and abs(vec - trace[-1]).max() < eps)
+            except FloatingPointError:
+                pass
+            trace.append(vec)
+    except (FloatingPointError, OverflowError) as exc:
+        raise NumericError(
+            f"map {len(trace) + 1} is not representable: {exc}") from exc
     try:
         q = params(state)
-    except DomainError as exc:
+    except (DomainError, FloatingPointError, OverflowError) as exc:
         raise NumericError(f"the fitted q-density is invalid: {exc}") from exc
     return FitReport(params=q, iterations=len(trace),
                      converged=converged, trace=trace,

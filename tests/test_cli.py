@@ -745,6 +745,8 @@ I2 = [[1.0, 0.0], [0.0, 1.0]]
 # report them at 1e80 and 1e150, where an MP sweep's squares overflow
 VAST_LINEAR = "y,x1\n1e{0},1\n-1e{0},2\n1e{0},3\n5,4\n"
 VAST_MVN = "x1,x2\n1e{0},1\n-2e{0},2\n1e{0},3\n3,3\n"
+# three rows on which linear mp2's first t dof is just above 4
+T_DOF_NEAR_4 = "y,x1\n1.8e76,-1.5\n1.2e76,0.84\n3.5e75,0.13\n"
 I3 = np.eye(3).tolist()
 PROBIT_ROWS = "y,x1,x2\n1,1.0,0.3\n0,1.0,-0.8\n1,1.0,{}\n0,1.0,0.1\n"
 PROBIT_FITS = {
@@ -1188,24 +1190,31 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv,start,err", [
         *((["--model", "linear", "--method", method, "--data", "VAST"],
-           None, "q(sigma2) scale 1.5e+160") for method in ("mp1", "mp2")),
+           None, "scalar power") for method in ("mp1", "mp2")),
         (["--model", "linear", "--method", "mp1", "--data", "C7"],
          {"sigma2": {"family": "inverse_gamma", "shape": 3.0,
-                     "scale": 1e160}}, "q(sigma2) scale 1e+160"),
+                     "scale": 1e160}}, "scalar power"),
         (["--model", "mvn", "--method", "mp", "--data", "VAST_MVN"], None,
-         "q(Sigma) scale 6e+300")],
-        ids=["linear-mp1", "linear-mp2", "linear-mp1-init", "mvn-mp"])
+         "square"),
+        (["--model", "linear", "--method", "mp2", "--data", "T_DOF_NEAR_4"],
+         None, "scalar divide")],
+        ids=["linear-mp1", "linear-mp2", "linear-mp1-init", "mvn-mp",
+             "linear-mp2-t-dof-near-four"])
     @pytest.mark.filterwarnings("error")
     def test_vast_data_scale_stops_mp_on_one_line(
             self, c7_csv, tmp_path, capsys, argv, start, err):
         """Rows near 1e80 (linear y) or 1e150 (MVN x1), or a start of scale
-        1e160, give a finite q-density scale whose square overflows in a
-        sweep (an error about a later value, after RuntimeWarnings, or a
-        traceback): an MP fit stops before its first sweep, on one line."""
+        1e160, give a finite q-density scale whose square overflows in the
+        first sweep; three rows near 1e76 give mp2 a first t dof just above
+        4, where its quadratic form's variance overflows. Unchecked, each
+        ended in an error about a later value after RuntimeWarnings, or in
+        a traceback: an MP fit stops on one line naming the map."""
         names = {"C7": c7_csv, "VAST": tmp_path / "vast.csv",
-                 "VAST_MVN": tmp_path / "vast-mvn.csv"}
+                 "VAST_MVN": tmp_path / "vast-mvn.csv",
+                 "T_DOF_NEAR_4": tmp_path / "t-dof-near-four.csv"}
         names["VAST"].write_text(VAST_LINEAR.format(80))
         names["VAST_MVN"].write_text(VAST_MVN.format(150))
+        names["T_DOF_NEAR_4"].write_text(T_DOF_NEAR_4)
         argv = ["fit"] + [str(names.get(a, a)) for a in argv]
         if start is not None:
             path = tmp_path / "start.json"
@@ -1213,8 +1222,9 @@ class TestErrors:
             argv += ["--init-from", str(path)]
         assert run_cli(argv) == 4
         out, got = capsys.readouterr()
-        assert out == "" and got == (f"numeric failure: {err} is too large "
-                                     "for moment matching\n")
+        assert out == "" and got == ("numeric failure: map 1 is not "
+                                     f"representable: overflow encountered "
+                                     f"in {err}\n")
 
     @pytest.mark.parametrize("model,method,rows", [
         ("linear", "mp1", VAST_LINEAR), ("linear", "mp2", VAST_LINEAR),

@@ -22,8 +22,7 @@ from momprop.moments import (GaussianApprox, InverseGammaApprox,
                              ig_moment_match, iw_diag_marginal,
                              iw_elementwise_var_diag, iw_mean,
                              iw_moment_match, require_matchable,
-                             require_regression, require_spd,
-                             require_squarable)
+                             require_regression, require_spd)
 
 
 class TestApproxTypes:
@@ -119,18 +118,6 @@ class TestApproxTypes:
                         f"shape {x:g} is too large for moment matching")):
                     require_matchable(x, "shape")
 
-
-    def test_squarable_up_to_where_the_square_overflows(self):
-        """x * x is finite at 1.3e154 and overflows at 1.4e154, as a Python
-        float or a numpy one, without a warning; the error names value."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for x in (3.0, 1.3e154, np.float64(1.3e154)):
-                require_squarable(x, 2.0, "scale")
-            for x in (1.4e154, np.float64(1.4e154), 1e300):
-                with pytest.raises(NumericError, match=re.escape(
-                        "scale 2 is too large for moment matching")):
-                    require_squarable(x, 2.0, "scale")
 
 class TestInverseGamma:
     def test_mean_var_simple(self):

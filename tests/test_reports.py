@@ -95,11 +95,53 @@ class TestFixedPoint:
         def step(k):
             return k + 1, np.array([1.0, 2.0] if k == 0 else tail)
 
-        with np.errstate(invalid="ignore"):  # inf - inf
-            rep = fixed_point(step, 0, lambda k: {"k": k}, eps=1.0,
-                              max_iter=6)
+        rep = fixed_point(step, 0, lambda k: {"k": k}, eps=1.0, max_iter=6)
         assert not rep.converged and rep.termination == "max_iter"
         assert rep.iterations == 6 and rep.params == {"k": 6}
+
+    @pytest.mark.parametrize("square,message", [
+        (np.float64, "overflow encountered in scalar multiply"),
+        (float, "(34, 'Numerical result out of range')")],
+        ids=["numpy-scalar", "python-float"])
+    def test_overflowing_map_is_numeric_error_naming_it(self, square,
+                                                        message):
+        """x -> x^2 from 1e20 overflows a double at the fourth map, a numpy
+        scalar's product and a Python float's power alike: one
+        NumericError naming that map, with no warning."""
+        def step(x):
+            x = x * x if square is np.float64 else x ** 2
+            return x, np.array([x])
+
+        with pytest.raises(NumericError) as info:
+            fixed_point(step, square(1e20), lambda x: {"x": x}, eps=1e-9,
+                        max_iter=50)
+        assert str(info.value) == f"map 4 is not representable: {message}"
+
+    def test_error_state_is_the_callers_after_a_fit(self):
+        """The policy holds inside the driver only: numpy's error settings
+        read the same after a converged fit, a fit cut at max_iter and a
+        fit that overflows."""
+        def overflow(x):
+            x = x * np.float64(1e300)
+            return x, np.array([x])
+
+        with np.errstate(all="warn", under="ignore"):
+            before = np.geterr()
+            for max_iter in (50, 2):
+                fixed_point(self.halving, 1.0, lambda s: {}, 0.1, max_iter)
+                assert np.geterr() == before
+            with pytest.raises(NumericError):
+                fixed_point(overflow, np.float64(1.0), lambda s: {}, 0.1, 5)
+            assert np.geterr() == before
+
+    def test_domain_error_in_a_map_keeps_its_type(self):
+        """Only a DomainError raised building the report is the fit's own
+        failure; one a map raises is about the input, and stays one."""
+        def step(x):
+            raise DomainError("the map needs x > 2")
+
+        with pytest.raises(DomainError, match="^the map needs x > 2$"):
+            fixed_point(step, 1.0, lambda x: {}, eps=0.1, max_iter=5)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-6, float("nan")])
     def test_non_positive_eps(self, eps):
