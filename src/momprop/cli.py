@@ -360,7 +360,7 @@ MODELS = {
         load=lambda args: _load_mvn(args.data, args.summary),
         prior=lambda args, data: MVNPrior(
             lambda0=args.lambda0, nu0=args.nu0,
-            Psi0=args.psi0_scale * np.eye(data.p)),
+            Psi0=np.diag(np.full(data.p, args.psi0_scale))),
         fits={
             "exact": lambda args, data, prior, init: _closed_form(
                 dict(zip(("mu", "Sigma"), mvn_exact_posterior(data, prior)))),

@@ -64,7 +64,9 @@ def moment_errors(approx: MomentSummary, reference: MomentSummary
     if approx.mean.shape != reference.mean.shape:
         raise DomainError("moment summaries have different dimensions")
     mean_err = approx.mean - reference.mean
-    sd_err = np.sqrt(np.diag(approx.cov)) - np.sqrt(np.diag(reference.cov))
+    # inf - inf, where neither SD is defined, is a NaN that the report nulls
+    with np.errstate(invalid="ignore"):
+        sd_err = np.sqrt(np.diag(approx.cov)) - np.sqrt(np.diag(reference.cov))
     return mean_err, sd_err
 
 

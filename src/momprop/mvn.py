@@ -22,7 +22,7 @@ from math import isfinite
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, NumericError
 from .moments import (GaussianApprox, InverseWishartApprox, StudentTApprox,
                       _ig_mean, _ig_var, _iw_diag_ig, _iw_match, _t_cov,
                       _t_quadform, iw_diag_marginal, require_finite,
@@ -100,9 +100,14 @@ def mvn_constants(data: MVNData, prior: MVNPrior) -> MVNConstants:
     lam0, nu0, Psi0 = prior.resolved(data.p)
     lam_n = lam0 + data.n
     nu_n = nu0 + data.n
-    mu_n = data.n * data.xbar / lam_n
-    Psi_n = symmetrize(Psi0 + data.S
-                       + (data.n * lam0 / lam_n) * np.outer(data.xbar, data.xbar))
+    # a finite xbar's outer product can overflow; n xbar overflows only
+    # where it does, so one test of Psi_n covers mu_n too
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_n = data.n * data.xbar / lam_n
+        Psi_n = symmetrize(Psi0 + data.S + (data.n * lam0 / lam_n)
+                           * np.outer(data.xbar, data.xbar))
+    if not np.isfinite(Psi_n).all():
+        raise NumericError("Psi_n is not finite")
     return MVNConstants(lambda_n=lam_n, nu_n=nu_n, mu_n=mu_n, Psi_n=Psi_n)
 
 

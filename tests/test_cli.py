@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import cli_cases
 from momprop import cli, datagen, diagnostics
 from momprop.cli import main
 from momprop.datagen import fixed_linear_dataset
@@ -31,35 +32,69 @@ def run_cli(args) -> int:
     return main(args)
 
 
-@pytest.fixture()
-def c7_csv(tmp_path):
-    path = tmp_path / "c7.csv"
-    y, X = fixed_linear_dataset()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["y", "x1"])
-        for yi, xi in zip(y, X):
-            w.writerow([yi, xi[0]])
-    return str(path)
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory) -> Path:
+    """The case table's input files, and the inputs its SETUP rows
+    generate, in one directory."""
+    root = tmp_path_factory.mktemp("cases")
+    cli_cases.write_files(root)
+    for case in cli_cases.SETUP:
+        assert run_cli([cli_cases.resolve(a, str(root))
+                        for a in case.argv]) == 0
+    return root
 
 
 @pytest.fixture()
-def d9_json(tmp_path):
-    path = tmp_path / "d9.json"
-    doc = {"n": 4,
-           "xbar": [-0.9724726, 1.3202681],
-           "S": [[0.8144316, 0.5688416], [0.5688416, 1.9682059]]}
-    path.write_text(json.dumps(doc))
-    return str(path)
+def c7_csv(cli_dir):
+    return str(cli_dir / "c7.csv")
 
 
 @pytest.fixture()
-def probit_csv(tmp_path):
-    path = tmp_path / "probit.csv"
-    rc = run_cli(["generate", "--model", "probit", "--n", "120", "--p", "3",
-                  "--seed", "5", "--out", str(path)])
-    assert rc == 0
-    return str(path)
+def d9_json(cli_dir):
+    return str(cli_dir / "d9.json")
+
+
+@pytest.fixture()
+def probit_csv(cli_dir):
+    return str(cli_dir / "probit.csv")
+
+
+def _assert_row(case: cli_cases.Case, root: Path, capsys) -> None:
+    """The row's command exits with its code and prints nothing on stdout.
+    It prints nothing on stderr at exit 0, else one line that starts with
+    "error: " (exit 2 or 3) or "numeric failure: " (exit 4) and holds the
+    row's err, and leaves no file where --out or --density-out point."""
+    argv = [cli_cases.resolve(a, str(root)) for a in case.argv]
+    rc = run_cli(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out) == (case.rc, "")
+    if rc == 0:
+        assert err == ""
+        return
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith("numeric failure: " if rc == 4 else "error: ")
+    assert cli_cases.resolve(case.err, str(root)) in err
+    for flag in ("--out", "--density-out"):
+        if flag in argv:
+            assert not Path(argv[argv.index(flag) + 1]).exists()
+
+
+def _typed_errors(group: str):
+    """A test that runs each table row of group through _assert_row, under
+    filterwarnings("error"), with the row's id; a group of one row without
+    an id is one plain test."""
+    rows = {case.test.partition("[")[2][:-1]: case
+            for case in cli_cases.CASES
+            if case.test and case.test.partition("[")[0] == group}
+    assert rows, group
+    if list(rows) == [""]:
+        def test(self, cli_dir, capsys):
+            _assert_row(rows[""], cli_dir, capsys)
+    else:
+        @pytest.mark.parametrize("case", list(rows.values()), ids=list(rows))
+        def test(self, cli_dir, capsys, case):
+            _assert_row(case, cli_dir, capsys)
+    return pytest.mark.filterwarnings("error")(test)
 
 
 def _fit_doc(argv: list[str], path: str, tmp_path) -> dict:
@@ -176,14 +211,13 @@ class TestFitLinear:
         assert "variance: None" in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("error")
-    def test_unrepresentable_sigma2_variance_is_null(self, tmp_path):
+    def test_unrepresentable_sigma2_variance_is_null(self, cli_dir,
+                                                     tmp_path):
         """y of 1e80 gives a finite q(sigma2) of scale about 1e160, whose
         variance does not fit in a double: exact and mfvb fits report it as
         null with a warning, and compare runs both, with no RuntimeWarning
         or traceback."""
-        data = tmp_path / "vast.csv"
-        data.write_text("y,x1\n1e80,1\n-1e80,2\n1e80,3\n5,4\n")
-        out = tmp_path / "rep.json"
+        data, out = cli_dir / "vast-linear.csv", tmp_path / "rep.json"
         for method in ("exact", "mfvb"):
             assert run_cli(["fit", "--model", "linear", "--method", method,
                             "--data", str(data), "--out", str(out)]) == 0
@@ -196,25 +230,8 @@ class TestFitLinear:
                         "exact,mfvb", "--data", str(data), "--out",
                         str(out)]) == 0
 
-    @pytest.mark.parametrize("argv,name", [
-        (["--model", "linear", "--method", "exact", "--A", "1e20"], "sigma2"),
-        (["--model", "mvn", "--method", "exact", "--nu0", "1e16"],
-         "Sigma00")], ids=["linear-A-1e20", "mvn-nu0-1e16"])
-    @pytest.mark.filterwarnings("error")
-    def test_density_a_grid_cannot_hold_is_numeric_failure(
-            self, c7_csv, d9_json, tmp_path, capsys, argv, name):
-        """An inverse-gamma marginal of shape 1e20 (490 inf densities) or
-        5e15 (grid mass 2.5e4) is one numeric-failure line, and no file."""
-        dens = tmp_path / "dens.csv"
-        source = ["--summary", d9_json] if "mvn" in argv else ["--data",
-                                                               c7_csv]
-        assert run_cli(["fit", *argv, *source, "--emit-density", name,
-                        "--density-out", str(dens)]) == 4
-        out, err = capsys.readouterr()
-        assert out == "" and not dens.exists()
-        assert err == (f"numeric failure: marginal {name} has no density "
-                       "grid: a 4001-point double-precision grid cannot "
-                       "hold it\n")
+    test_density_a_grid_cannot_hold_is_numeric_failure = _typed_errors(
+        "density-grid")
 
     @pytest.mark.filterwarnings("error")
     def test_vast_shape_and_scale_give_their_sigma2_variance(self, c7_csv,
@@ -329,11 +346,8 @@ class TestFitProbit:
         assert doc["q"]["beta"]["cov"] == rep.params["beta"].cov.tolist()
         assert doc["iterations"] == rep.iterations
 
-    def test_intercept_prepends_a_column_of_ones(self, tmp_path):
-        data = tmp_path / "p.csv"
-        run_cli(["generate", "--model", "probit", "--n", "80", "--p", "2",
-                 "--seed", "2", "--no-intercept", "--out", str(data)])
-        out = tmp_path / "rep.json"
+    def test_intercept_prepends_a_column_of_ones(self, cli_dir, tmp_path):
+        data, out = cli_dir / "probit2.csv", tmp_path / "rep.json"
         rc = run_cli(["fit", "--model", "probit", "--method", "mfvb",
                       "--data", str(data), "--intercept", "--out", str(out)])
         assert rc == 0
@@ -581,15 +595,13 @@ class TestToyModel:
         assert doc["q"]["block1"]["cov"][0][0] == pytest.approx(0.19,
                                                                 rel=1e-9)
 
-    def test_mfvb_does_not_run_the_mp_iteration(self, tmp_path, capsys):
+    def test_mfvb_does_not_run_the_mp_iteration(self, cli_dir, tmp_path,
+                                                capsys):
         """At correlation 0.9999 MP needs more than its 10,000 sweeps; the
         mean-field blocks are the conditional variances 1 - 0.9999^2."""
-        spec = tmp_path / "toy.json"
-        spec.write_text(json.dumps({"mu": [0.0, 0.0],
-                                    "Sigma": [[1.0, 0.9999], [0.9999, 1.0]],
-                                    "split": 1}))
         out = tmp_path / "rep.json"
-        fit = ["fit", "--model", "toy", "--summary", str(spec)]
+        fit = ["fit", "--model", "toy", "--summary",
+               str(cli_dir / "toy-rho9999.json")]
         assert run_cli(fit + ["--method", "mfvb", "--out", str(out)]) == 0
         q = json.loads(out.read_text())["q"]
         assert q["block1"]["cov"] == q["block2"]["cov"] == [
@@ -738,322 +750,46 @@ def _jsonify_lists(obj, warnings: list[str], path: str = ""):
     return (np.where(bad, None, arr) if bad.any() else arr).tolist()
 
 
-NAN = float("nan")
-INF = float("inf")
-I2 = [[1.0, 0.0], [0.0, 1.0]]
-# rows whose large entries are 1e{} (linear y; MVN x1); exact and mfvb
-# report them at 1e80 and 1e150, where an MP sweep's squares overflow
-VAST_LINEAR = "y,x1\n1e{0},1\n-1e{0},2\n1e{0},3\n5,4\n"
-VAST_MVN = "x1,x2\n1e{0},1\n-2e{0},2\n1e{0},3\n3,3\n"
-# three rows on which linear mp2's first t dof is just above 4
-T_DOF_NEAR_4 = "y,x1\n1.8e76,-1.5\n1.2e76,0.84\n3.5e75,0.13\n"
-I3 = np.eye(3).tolist()
-PROBIT_ROWS = "y,x1,x2\n1,1.0,0.3\n0,1.0,-0.8\n1,1.0,{}\n0,1.0,0.1\n"
-PROBIT_FITS = {
-    "fit-mfvb": ["fit", "--model", "probit", "--method", "mfvb"],
-    "fit-mp-dm": ["fit", "--model", "probit", "--method", "mp-dm"],
-    "fit-mp-quad": ["fit", "--model", "probit", "--method", "mp-quad"],
-    "compare": ["compare", "--model", "probit", "--methods", "mfvb,mp-dm"],
-}
-
-FINITE = "must be finite"
-# id -> (argv with FILE for the input, C7 for the five-point CSV, PROBIT
-# for a probit CSV (p = 3), D9 for a bivariate MVN summary and MISSING for
-# a path in a missing directory, the input's content: text for a CSV,
-# anything else written as JSON, exit code, a fragment of the message,
-# FILE or MISSING for that path)
-BAD_INPUTS = {
-    **{f"probit-{cell}-{name}": (argv + ["--data", "FILE"],
-                                 PROBIT_ROWS.format(cell), 2, FINITE)
-       for cell in ("inf", "nan") for name, argv in PROBIT_FITS.items()},
-    "linear-nan-y": (
-        ["fit", "--model", "linear", "--method", "mfvb", "--data", "FILE"],
-        "y,x1\nnan,1\n1.08,1\n-2.14,1\n", 2, FINITE),
-    "mvn-raw-nan": (
-        ["fit", "--model", "mvn", "--method", "exact", "--data", "FILE"],
-        "x1,x2\n0.1,nan\n0.5,0.2\n-0.3,0.9\n", 2, FINITE),
-    "toy-nan-mu": (
-        ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE"],
-        {"mu": [NAN, 0.0], "Sigma": I2, "split": 1}, 2, FINITE),
-    "toy-nan-Sigma": (
-        ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE"],
-        {"mu": [0.0, 0.0], "Sigma": [[NAN, 0.0], [0.0, 1.0]], "split": 1}, 2,
-        FINITE),
-    "mvn-summary-n-fraction": (
-        ["fit", "--model", "mvn", "--method", "exact", "--summary", "FILE"],
-        {"n": 4.7, "xbar": [0.0, 0.0], "S": I2}, 2,
-        "n must be a whole number"),
-    "toy-split-fraction": (
-        ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE"],
-        {"mu": [0.0, 0.0], "Sigma": I2, "split": 1.6}, 2,
-        "split must be a whole number"),
-    "init-from-nan-linear": (
-        ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
-         "--init-from", "FILE"],
-        {"q": {"sigma2": {"family": "inverse_gamma", "shape": NAN,
-                          "scale": 1.0}}}, 2,
-        "--init-from q.sigma2 must be finite"),
-    "init-from-inf-probit": (
-        ["fit", "--model", "probit", "--method", "mp-dm", "--data", "PROBIT",
-         "--init-from", "FILE"],
-        {"q": {"beta": {"family": "gaussian", "mean": [INF, 0.0, 0.0]}}}, 2,
-        "--init-from q.beta must be finite"),
-    "gibbs-negative-warmup": (
-        ["fit", "--model", "probit", "--method", "gibbs", "--data", "PROBIT",
-         "--n-samples", "1000", "--n-warmup", "-5"], "", 2,
-        "n_warmup must be non-negative"),
-    "generate-negative-seed": (
-        ["generate", "--model", "probit", "--n", "20", "--p", "2", "--seed",
-         "-1", "--out", "FILE"], "", 2, "seed must be non-negative"),
-    "gibbs-negative-seed": (
-        ["fit", "--model", "probit", "--method", "gibbs", "--data", "PROBIT",
-         "--n-samples", "1000", "--seed", "-1"], "", 2,
-        "seed must be non-negative"),
-    "mvn-summary-n-string": (
-        ["fit", "--model", "mvn", "--method", "mp", "--summary", "FILE"],
-        {"n": "abc", "xbar": [0.0, 0.0], "S": I2}, 3, "FILE"),
-    "mvn-summary-xbar-string": (
-        ["fit", "--model", "mvn", "--method", "mp", "--summary", "FILE"],
-        {"n": 4, "xbar": "zz", "S": I2}, 3, "FILE"),
-    "mvn-summary-ragged-S": (
-        ["fit", "--model", "mvn", "--method", "mp", "--summary", "FILE"],
-        {"n": 4, "xbar": [0.0, 0.0], "S": [[1.0, 0.0], [0.0]]}, 3, "FILE"),
-    "toy-split-string": (
-        ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE"],
-        {"mu": [0.0, 0.0], "Sigma": I2, "split": "x"}, 3, "FILE"),
-    "init-from-missing-key": (
-        ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
-         "--init-from", "FILE"], {"q": {"sigma2": {"shape": 3}}}, 3, "FILE"),
-    "init-from-shape-one-linear-mp1": (
-        ["fit", "--model", "linear", "--method", "mp1", "--data", "C7",
-         "--init-from", "FILE"],
-        {"q": {"sigma2": {"family": "inverse_gamma", "shape": 1.0,
-                          "scale": 1.0}}}, 2, "shape > 1"),
-    **{f"init-from-shape-zero-linear-{method}": (
-        ["fit", "--model", "linear", "--method", method, "--data", "C7",
-         "--init-from", "FILE"],
-        {"q": {"sigma2": {"family": "inverse_gamma", "shape": 0.0,
-                          "scale": 1.0}}}, 2,
-        "inverse-gamma shape and scale must be positive")
-       for method in ("mfvb", "mp2")},
-    "init-from-toy": (
-        ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE",
-         "--init-from", "FILE"],
-        {"mu": [0.0, 0.0], "Sigma": I2, "split": 1}, 2,
-        "fit --model toy does not read --init-from"),
-    "density-out-missing-dir": (
-        ["fit", "--model", "mvn", "--method", "exact", "--summary", "FILE",
-         "--emit-density", "mu0", "--density-out", "MISSING"],
-        {"n": 4, "xbar": [0.0, 0.0], "S": I2}, 3, "MISSING"),
-    "init-from-list": (
-        ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
-         "--init-from", "FILE"], [1, 2], 3, "FILE"),
-    **{f"csv-not-utf8-{where}": (
-        ["fit", "--model", "linear", "--method", "mfvb", "--data", "FILE"],
-        raw, 3, "FILE")
-       for where, raw in (("header", b"y,\xffx1\n1,2\n"),
-                          ("row", b"y,x1\n1,\xff\n"))},
-    "json-not-utf8": (
-        ["fit", "--model", "mvn", "--method", "exact", "--summary", "FILE"],
-        b'{"n": "\xff"}', 3, "FILE"),
-    "generate-out-missing-dir": (
-        ["generate", "--model", "mvn", "--out", "MISSING"], "", 3, "MISSING"),
-    "fit-out-missing-dir": (
-        ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
-         "--out", "MISSING"], "", 3, "MISSING"),
-    "density-unknown-name": (
-        ["fit", "--model", "linear", "--method", "exact", "--data", "C7",
-         "--emit-density", "nope", "--density-out", "MISSING"], "", 2,
-        "available: beta0, sigma2"),
-    # the grid and the report would share stdout
-    "emit-density-without-density-out": (
-        ["fit", "--model", "linear", "--method", "exact", "--data", "C7",
-         "--emit-density", "beta0"], "", 2,
-        "--emit-density needs --density-out"),
-    "density-toy": (
-        ["fit", "--model", "toy", "--method", "mp", "--summary", "FILE",
-         "--emit-density", "block10"],
-        {"mu": [0.0, 0.0], "Sigma": I2, "split": 1}, 2,
-        "fit --model toy does not read --emit-density"),
-    # a p = 3 CSV beside a p = 2 summary: neither is dropped in silence
-    "mvn-data-and-summary": (
-        ["fit", "--model", "mvn", "--method", "exact", "--data", "FILE",
-         "--summary", "D9"], "x1,x2,x3\n0.1,0.2,0.3\n0.5,-0.2,0.9\n", 2,
-        "mvn reads --data or --summary, not both"),
-    "density-out-without-emit-density": (
-        ["fit", "--model", "linear", "--method", "exact", "--data", "C7",
-         "--density-out", "MISSING"], "", 2,
-        "fit --model linear does not read --density-out"),
-    "csv-no-y": (
-        ["fit", "--model", "linear", "--method", "mfvb", "--data", "FILE"],
-        "a,b\n1.0,2.0\n3.0,4.0\n", 3, "header must contain a 'y' column"),
-    "csv-y-only": (
-        ["fit", "--model", "linear", "--method", "mfvb", "--data", "FILE"],
-        "y\n1.0\n2.0\n", 3, "no predictor columns"),
-    "mvn-summary-invalid-json": (
-        ["fit", "--model", "mvn", "--method", "exact", "--summary", "FILE"],
-        "{", 3, "invalid JSON"),
-    "init-from-no-q-block": (
-        ["fit", "--model", "linear", "--method", "mp2", "--data", "C7",
-         "--init-from", "FILE"], {"q": {}}, 3, "lacks q.sigma2"),
-    "init-from-family-mismatch": (
-        ["fit", "--model", "probit", "--method", "mp-dm", "--data", "PROBIT",
-         "--init-from", "FILE"],
-        {"q": {"beta": {"family": "student_t", "loc": [0.0, 0.0, 0.0],
-                        "scale": I3, "dof": 5.0}}}, 3,
-        "--init-from q.beta has family 'student_t', not gaussian or "
-        "empirical"),
-    **{f"init-from-wrong-dimension-probit-{method}": (
-        ["fit", "--model", "probit", "--method", method, "--data", "PROBIT",
-         "--init-from", "FILE"],
-        {"q": {"beta": {"family": "gaussian", "mean": [0.0, 0.0],
-                        "cov": I2}}}, 2,
-        "init mean has shape (2,); the data needs (3,)")
-       for method in ("laplace", "mfvb", "mp-dm", "mp-quad", "dmvb")},
-    **{f"init-from-wrong-dimension-mvn-{method}": (
-        ["fit", "--model", "mvn", "--method", method, "--summary", "D9",
-         "--init-from", "FILE"],
-        {"q": {"Sigma": {"family": "inverse_wishart", "scale_matrix": I3,
-                         "dof": 7.0}}}, 2,
-        "init scale matrix has shape (3, 3); the data needs (2, 2)")
-       for method in ("mfvb", "mp")},
-    **{f"mvn-psi0-scale-nan-{method}": (
-        ["fit", "--model", "mvn", "--method", method, "--summary", "FILE",
-         "--psi0-scale", "nan"],
-        {"n": 4, "xbar": [0.0, 0.0], "S": I2}, 2, "Psi0 must be finite")
-       for method in ("exact", "mp")},
-    **{f"generate-{model}-short-beta": (
-        ["generate", "--model", model, "--p", "3", "--beta", "1,2",
-         "--out", "FILE"], "", 2, "beta has shape (2,); p = 3 needs (3,)")
-       for model in ("linear", "probit")},
-    "generate-probit-nan-beta": (
-        ["generate", "--model", "probit", "--beta", "nan,1", "--out",
-         "FILE"], "", 2, "beta must be finite"),
-    "generate-linear-nan-sigma": (
-        ["generate", "--model", "linear", "--sigma", "nan", "--out", "FILE"],
-        "", 2, "generated y must be finite"),
-    "generate-linear-negative-sigma": (
-        ["generate", "--model", "linear", "--sigma", "-1", "--out", "FILE"],
-        "", 2, "sigma must be non-negative"),
-    # a flag the model does not read
-    **{f"generate-{model}-unread-{flag[2:]}": (
-        ["generate", "--model", model, flag, *value, "--out", "FILE"], "", 2,
-        f"generate --model {model} does not read {flag}")
-       for model, flag, value in (("probit", "--fixed", []),
-                                  ("mvn", "--beta", ["1,2"]),
-                                  ("probit", "--sigma", ["3"]),
-                                  ("linear", "--no-intercept", []))},
-    # the fixed five-point set reads none of the flags that shape a draw
-    **{f"generate-linear-fixed-unread-{flag[2:]}": (
-        ["generate", "--model", "linear", "--fixed", flag, value, "--out",
-         "FILE"], "", 2,
-        f"generate --model linear --fixed does not read {flag}")
-       for flag, value in (("--n", "50"), ("--p", "4"), ("--seed", "3"),
-                           ("--beta", "1,2,3,4"), ("--sigma", "9"))},
-    **{f"generate-{model}-overflow": (
-        ["generate", "--model", model, "--beta", "1e308,1e308", "--out",
-         "FILE"], "", 2, f"generated {column} must be finite")
-       for model, column in (("linear", "y"), ("probit", "X beta"))},
-    # rows whose centred cross-products overflow
-    "mvn-data-overflow": (
-        ["fit", "--model", "mvn", "--method", "mp", "--data", "FILE"],
-        "x1,x2\n1e200,1\n-2e200,2\n1e200,3\n3,3\n", 2, "S must be finite"),
-    # past the csv module's field limit (131,072), json's nesting depth and
-    # int's 4,300-digit conversion limit
-    **{f"csv-long-{where}": (
-        ["fit", "--model", "linear", "--method", "mfvb", "--data", "FILE"],
-        text, 3, "FILE")
-       for where, text in (("cell", "y,x1\n1," + "a" * 200_000 + "\n"),
-                           ("header", "y," + "x" * 200_000 + "\n1,2\n"))},
-    **{f"json-deep-{flag}": (argv + [f"--{flag}", "FILE"],
-                             "[" * 100_000 + "]" * 100_000, 3, "FILE")
-       for flag, argv in (
-           ("summary", ["fit", "--model", "mvn", "--method", "exact"]),
-           ("init-from", ["fit", "--model", "linear", "--method", "mp2",
-                          "--data", "C7"]))},
-    "json-long-integer-summary": (
-        ["fit", "--model", "mvn", "--method", "exact", "--summary", "FILE"],
-        '{"n": ' + "1" * 5_000 + "}", 3, "FILE"),
-    "init-from-iw-dof-half-mvn-mfvb": (
-        ["fit", "--model", "mvn", "--method", "mfvb", "--summary", "D9",
-         "--init-from", "FILE"],
-        {"q": {"Sigma": {"family": "inverse_wishart", "scale_matrix": I2,
-                         "dof": 0.5}}}, 2,
-        "inverse-Wishart dof must be finite and exceed p - 1"),
-    # a missing input file
-    "linear-without-data": (
-        ["fit", "--model", "linear", "--method", "mfvb"], "", 2,
-        "linear needs --data CSV"),
-    "mvn-without-input": (
-        ["fit", "--model", "mvn", "--method", "exact"], "", 2,
-        "mvn needs --data (raw CSV) or --summary (JSON)"),
-    "toy-without-summary": (
-        ["fit", "--model", "toy", "--method", "mp"], "", 2,
-        "toy needs --summary (JSON with mu, Sigma, split)"),
-    # generator sizes and a beta that gives one class only
-    **{f"generate-{model}-{flag[2:]}-{value}": (
-        ["generate", "--model", model, flag, value, "--out", "FILE"], "", 2,
-        fragment)
-       for model, flag, value, fragment in (
-           ("linear", "--n", "0", "n and p must be >= 1"),
-           ("mvn", "--p", "0", "n and p must be >= 1"),
-           ("probit", "--n", "1", "need n >= 2 and p >= 1"))},
-    "generate-probit-one-class": (
-        ["generate", "--model", "probit", "--p", "2", "--beta", "1e6,0",
-         "--out", "FILE"], "", 2,
-        "could not generate both classes; check beta scale"),
-    # prior values outside their domain
-    **{f"{model}-{flag[2:]}-{value}": (
-        ["fit", "--model", model, "--method", method, *data, flag, value],
-        "", 2, fragment)
-       for model, method, data, flag, value, fragment in (
-           ("linear", "mfvb", ("--data", "C7"), "--g", "0",
-            "prior hyperparameter g must be > 0"),
-           ("mvn", "exact", ("--summary", "D9"), "--lambda0", "0",
-            "lambda0 must be > 0"),
-           ("mvn", "exact", ("--summary", "D9"), "--nu0", "0.5",
-            "nu0 must exceed p - 1"),
-           ("probit", "laplace", ("--data", "PROBIT"), "--lambda", "0",
-            "lambda must be positive"))},
-    # MVN summaries outside the model's domain
-    **{f"mvn-summary-{name}": (
-        ["fit", "--model", "mvn", "--method", "exact", "--summary", "FILE"],
-        {"n": 4, "xbar": [0.0, 0.0], "S": I2, **doc}, 2, fragment)
-       for name, doc, fragment in (
-           ("n-negative", {"n": -1}, "negative sample count"),
-           ("S-3x3", {"S": I3}, "S must be p x p with p = len(xbar)"),
-           ("S-indefinite", {"S": [[1.0, 0.0], [0.0, -1.0]]},
-            "S must be positive semidefinite"))},
-    # nu_n = 4.5 > p + 2, but q(mu)'s first dof is 3.5
-    "mvn-mp-dof-below-four": (
-        ["fit", "--model", "mvn", "--method", "mp", "--summary", "FILE",
-         "--nu0", "1.5"], {"n": 3, "xbar": [0.0, 0.0], "S": I2}, 2,
-        "fourth-moment matching needs q(mu) dof >= 4; reached dof 3.5"),
-}
-
-
 class TestErrors:
-    @pytest.mark.parametrize("argv,content,rc,fragment", BAD_INPUTS.values(),
-                             ids=BAD_INPUTS.keys())
-    @pytest.mark.filterwarnings("error")
-    def test_bad_input_is_typed_error(self, c7_csv, probit_csv, d9_json,
-                                      tmp_path, capsys, argv, content, rc,
-                                      fragment):
-        """Out-of-domain input is a domain error (exit 2) and malformed JSON
-        an input error naming the file (exit 3), never a traceback."""
-        path = tmp_path / "input"
-        if isinstance(content, bytes):
-            path.write_bytes(content)
-        else:
-            path.write_text(content if isinstance(content, str)
-                            else json.dumps(content))
-        names = {"FILE": str(path), "C7": c7_csv, "PROBIT": probit_csv,
-                 "D9": d9_json,
-                 "MISSING": str(tmp_path / "missing" / "density.csv")}
-        assert run_cli([names.get(a, a) for a in argv]) == rc
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert names.get(fragment, fragment) in err
+    """The table's typed-error rows, by the test that runs them, and the
+    errors that need more than one command or a pipe."""
+
+    test_bad_input_is_typed_error = _typed_errors("bad-input")
+    test_nonfinite_prior_hyperparameter_is_named = _typed_errors(
+        "nonfinite-prior")
+    test_invalid_method_model_pair = _typed_errors("method-model-pair")
+    test_missing_file = _typed_errors("missing-file")
+    test_bad_csv_reports_row_col = _typed_errors("bad-csv-row-col")
+    test_ragged_csv = _typed_errors("ragged-csv")
+    test_rank_deficient_design_is_numeric_failure = _typed_errors(
+        "rank-deficient")
+    test_overflowing_linear_gram_is_numeric_failure = _typed_errors(
+        "linear-gram")
+    test_overflowing_mvn_summary_is_numeric_failure = _typed_errors(
+        "mvn-outer-overflow")
+    test_vast_prior_shape_stops_mp_on_one_line = _typed_errors(
+        "vast-prior-mp")
+    test_vast_data_scale_stops_mp_on_one_line = _typed_errors("vast-data-mp")
+    test_start_whose_predictor_overflows_is_numeric_failure = _typed_errors(
+        "predictor-overflow")
+    test_overflowing_probit_design_is_numeric_failure = _typed_errors(
+        "probit-design")
+    test_dmvb_overflowing_gradient_is_numeric_failure = _typed_errors(
+        "dmvb-gradient")
+    test_mp_from_a_vast_start_mean_is_one_line = _typed_errors(
+        "vast-start-mean")
+    test_dmvb_invalid_fitted_density_is_numeric_failure = _typed_errors(
+        "dmvb-invalid-density")
+    test_mp_dm_gram_overflow_is_one_numeric_failure_line = _typed_errors(
+        "mp-dm-gram")
+    test_start_where_log_density_overflows_is_numeric_failure = (
+        _typed_errors("log-density-start"))
+    test_init_from_names_a_missing_or_unknown_field = _typed_errors(
+        "init-field")
+    test_allocation_that_cannot_be_made_is_numeric_failure = _typed_errors(
+        "allocation")
+    test_zero_max_iter_is_usage_error = _typed_errors("zero-max-iter")
+    test_toy_zero_max_iter_is_usage_error = _typed_errors("toy-zero-max-iter")
 
     @pytest.mark.parametrize("density", [False, True],
                              ids=["report", "density"])
@@ -1078,72 +814,6 @@ class TestErrors:
             ["fit", "--model", "probit", "--method", "mp-dm", "--trace",
              "--data", str(data)], 1)
 
-    @pytest.mark.parametrize("value", ["inf", "nan"])
-    @pytest.mark.parametrize("model,method,flag,name", [
-        ("linear", "mp1", "--g", "g"), ("linear", "mfvb", "--A", "A"),
-        ("linear", "mfvb", "--B", "B"), ("mvn", "mp", "--lambda0", "lambda0"),
-        ("mvn", "exact", "--nu0", "nu0"),
-        ("probit", "laplace", "--lambda", "lambda"),
-    ])
-    def test_nonfinite_prior_hyperparameter_is_named(
-            self, c7_csv, d9_json, probit_csv, capsys, model, method, flag,
-            name, value):
-        data = {"linear": ["--data", c7_csv], "mvn": ["--summary", d9_json],
-                "probit": ["--data", probit_csv]}[model]
-        rc = run_cli(["fit", "--model", model, "--method", method, *data,
-                      flag, value])
-        assert rc == 2
-        assert f"{name} must be finite" in capsys.readouterr().err
-
-    def test_invalid_method_model_pair(self, c7_csv):
-        rc = run_cli(["fit", "--model", "linear", "--method", "mp-dm",
-                      "--data", c7_csv])
-        assert rc == 2
-
-    def test_missing_file(self):
-        rc = run_cli(["fit", "--model", "linear", "--method", "mfvb",
-                      "--data", "/nonexistent/file.csv"])
-        assert rc == 3
-
-    def test_bad_csv_reports_row_col(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
-        path.write_text("y,x1\n1.0,2.0\n3.0,oops\n")
-        rc = run_cli(["fit", "--model", "linear", "--method", "mfvb",
-                      "--data", str(path)])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "row 3" in err and "col 2" in err
-
-    def test_rank_deficient_design_is_numeric_failure(self, tmp_path,
-                                                      capsys):
-        path = tmp_path / "dup.csv"
-        path.write_text("y,x1,x2\n0.5,1,1\n1.5,2,2\n2.0,3,3\n4.5,4,4\n")
-        rc = run_cli(["fit", "--model", "linear", "--method", "mp2",
-                      "--data", str(path)])
-        assert rc == 4
-        assert (capsys.readouterr().err
-                == "numeric failure: X is rank deficient\n")
-
-    @pytest.mark.parametrize("method", ["exact", "mfvb", "mp1", "mp2"])
-    @pytest.mark.parametrize("name,rows", [
-        ("X'X", "1,1e160\n2,-1e160\n3,1e160\n4,4\n"),
-        ("y'y", "1e160,1\n-1e160,2\n1e160,3\n5,4\n")], ids=["XtX", "yty"])
-    @pytest.mark.filterwarnings("error")
-    def test_overflowing_linear_gram_is_numeric_failure(self, tmp_path,
-                                                        capsys, name, rows,
-                                                        method):
-        """Finite entries near 1e160: X'X overflows where x1 holds them and
-        y'y where y does. Every linear fit stops on one line naming that
-        product, with no RuntimeWarning, and X, which has full rank, is not
-        called rank deficient."""
-        path = tmp_path / "overflow.csv"
-        path.write_text("y,x1\n" + rows)
-        rc = run_cli(["fit", "--model", "linear", "--method", method,
-                      "--data", str(path)])
-        out, err = capsys.readouterr()
-        assert rc == 4 and out == ""
-        assert err == f"numeric failure: {name} is not finite\n"
-
     @pytest.mark.parametrize("method", ["exact", "mfvb"])
     @pytest.mark.filterwarnings("error")
     def test_vast_prior_shape_reports_a_zero_sigma2_variance(
@@ -1157,78 +827,11 @@ class TestErrors:
         assert doc["moments"]["scalar_mean"] == ig["scale"] / ig["shape"] > 0
         assert doc["moments"]["scalar_var"] == 0.0 and "warnings" not in doc
 
-    @pytest.mark.parametrize("argv,start,err", [
-        *((["--model", "linear", "--method", method, "--data", "C7", "--A",
-            "1e300"], None, "q(sigma2) shape 1e+300") for method in
-          ("mp1", "mp2")),
-        (["--model", "linear", "--method", "mp2", "--data", "C7"],
-         {"sigma2": {"family": "inverse_gamma", "shape": 1e300,
-                     "scale": 1.0}}, "q(sigma2) shape 1e+300"),
-        (["--model", "mvn", "--method", "mp", "--summary", "D9", "--nu0",
-          "1e160"], None, "q(mu) dof 1e+160"),
-        (["--model", "mvn", "--method", "mp", "--summary", "D9"],
-         {"Sigma": {"family": "inverse_wishart", "scale_matrix": I2,
-                    "dof": 1e160}}, "q(mu) dof 1e+160")],
-        ids=["linear-mp1", "linear-mp2", "linear-mp2-init", "mvn-mp",
-             "mvn-mp-init"])
-    @pytest.mark.filterwarnings("error")
-    def test_vast_prior_shape_stops_mp_on_one_line(
-            self, c7_csv, d9_json, tmp_path, capsys, argv, start, err):
-        """A finite prior or starting shape whose moment matching overflows
-        (its square did, in a traceback) stops an MP fit before its first
-        sweep, on one line and with no RuntimeWarning."""
-        names = {"C7": c7_csv, "D9": d9_json}
-        argv = ["fit"] + [names.get(a, a) for a in argv]
-        if start is not None:
-            path = tmp_path / "start.json"
-            path.write_text(json.dumps({"q": start}))
-            argv += ["--init-from", str(path)]
-        assert run_cli(argv) == 4
-        out, got = capsys.readouterr()
-        assert out == "" and got == (f"numeric failure: {err} is too large "
-                                     "for moment matching\n")
-
-    @pytest.mark.parametrize("argv,start,err", [
-        *((["--model", "linear", "--method", method, "--data", "VAST"],
-           None, "scalar power") for method in ("mp1", "mp2")),
-        (["--model", "linear", "--method", "mp1", "--data", "C7"],
-         {"sigma2": {"family": "inverse_gamma", "shape": 3.0,
-                     "scale": 1e160}}, "scalar power"),
-        (["--model", "mvn", "--method", "mp", "--data", "VAST_MVN"], None,
-         "square"),
-        (["--model", "linear", "--method", "mp2", "--data", "T_DOF_NEAR_4"],
-         None, "scalar divide")],
-        ids=["linear-mp1", "linear-mp2", "linear-mp1-init", "mvn-mp",
-             "linear-mp2-t-dof-near-four"])
-    @pytest.mark.filterwarnings("error")
-    def test_vast_data_scale_stops_mp_on_one_line(
-            self, c7_csv, tmp_path, capsys, argv, start, err):
-        """Rows near 1e80 (linear y) or 1e150 (MVN x1), or a start of scale
-        1e160, give a finite q-density scale whose square overflows in the
-        first sweep; three rows near 1e76 give mp2 a first t dof just above
-        4, where its quadratic form's variance overflows. Unchecked, each
-        ended in an error about a later value after RuntimeWarnings, or in
-        a traceback: an MP fit stops on one line naming the map."""
-        names = {"C7": c7_csv, "VAST": tmp_path / "vast.csv",
-                 "VAST_MVN": tmp_path / "vast-mvn.csv",
-                 "T_DOF_NEAR_4": tmp_path / "t-dof-near-four.csv"}
-        names["VAST"].write_text(VAST_LINEAR.format(80))
-        names["VAST_MVN"].write_text(VAST_MVN.format(150))
-        names["T_DOF_NEAR_4"].write_text(T_DOF_NEAR_4)
-        argv = ["fit"] + [str(names.get(a, a)) for a in argv]
-        if start is not None:
-            path = tmp_path / "start.json"
-            path.write_text(json.dumps({"q": start}))
-            argv += ["--init-from", str(path)]
-        assert run_cli(argv) == 4
-        out, got = capsys.readouterr()
-        assert out == "" and got == ("numeric failure: map 1 is not "
-                                     f"representable: overflow encountered "
-                                     f"in {err}\n")
-
     @pytest.mark.parametrize("model,method,rows", [
-        ("linear", "mp1", VAST_LINEAR), ("linear", "mp2", VAST_LINEAR),
-        ("mvn", "mp", VAST_MVN)], ids=["linear-mp1", "linear-mp2", "mvn-mp"])
+        ("linear", "mp1", cli_cases.VAST_LINEAR),
+        ("linear", "mp2", cli_cases.VAST_LINEAR),
+        ("mvn", "mp", cli_cases.VAST_MVN)],
+        ids=["linear-mp1", "linear-mp2", "mvn-mp"])
     @pytest.mark.filterwarnings("error")
     def test_data_scale_below_the_cut_still_fits(self, tmp_path, model,
                                                  method, rows):
@@ -1240,100 +843,11 @@ class TestErrors:
                        str(path), tmp_path)
         assert doc["iterations"] > 1 and "warnings" not in doc
 
-    @pytest.mark.parametrize("method", ["laplace", "mfvb", "mp-dm",
-                                        "mp-quad", "dmvb"])
-    @pytest.mark.filterwarnings("error")
-    def test_start_whose_predictor_overflows_is_numeric_failure(
-            self, tmp_path, capsys, method):
-        """A start mean of (1e308, 1e308) on the separable set: Z beta
-        overflows, which every fit names before any other value."""
-        start = self._start(tmp_path, [1e308, 1e308], [[1.0, 0.0],
-                                                       [0.0, 1.0]])
-        rc = run_cli(["fit", "--model", "probit", "--method", method,
-                      "--intercept", "--data", self._separable(tmp_path, 1.0),
-                      "--init-from", start])
-        out, err = capsys.readouterr()
-        assert rc == 4 and out == ""
-        assert err == "numeric failure: linear predictor Z beta is not finite\n"
-
-    @pytest.mark.parametrize("method", ["laplace", "mfvb", "mp-dm",
-                                        "mp-quad", "dmvb", "gibbs"])
-    @pytest.mark.filterwarnings("error")
-    def test_overflowing_probit_design_is_numeric_failure(self, tmp_path,
-                                                          capsys, method):
-        """Finite entries whose Z^T Z overflows: every probit fit stops on
-        its first Cholesky inverse, never on a traceback, a domain error
-        about a later value, or a report of nulls."""
-        path = tmp_path / "overflow.csv"
-        path.write_text("y,x1,x2\n1,1.0,1e200\n0,1.0,-3e199\n1,1.0,0.5\n"
-                        "0,1.0,0.1\n")
-        rc = run_cli(["fit", "--model", "probit", "--method", method,
-                      "--data", str(path)])
-        out, err = capsys.readouterr()
-        assert rc == 4 and out == ""
-        assert err.startswith("numeric failure: ") and "Traceback" not in err
-
-    @staticmethod
-    def _separable(tmp_path, scale: float) -> str:
-        """The separable 40-row set, y = 1{x > 0}, with x scaled."""
-        x = np.random.default_rng(0).standard_normal(40)
-        path = tmp_path / "separable.csv"
-        path.write_text("y,x1\n" + "".join(
-            f"{float(v > 0)!r},{float(scale * v)!r}\n" for v in x))
-        return str(path)
-
-    @staticmethod
-    def _start(tmp_path, mean, cov) -> str:
-        """A report holding only q(beta) = N(mean, cov), for --init-from."""
-        path = tmp_path / "start.json"
-        path.write_text(json.dumps({"q": {"beta": {
-            "family": "gaussian", "mean": mean, "cov": cov}}}))
-        return str(path)
-
-    def test_dmvb_overflowing_gradient_is_numeric_failure(self, tmp_path,
-                                                          capsys):
-        """The separable set scaled by 1e160, started where every predictor
-        is above 1e5: zeta_1 to zeta_3 vanish there, so M = D and every
-        h_i = z_i^T M^-1 z_i overflows on the first step, which is a
-        numeric failure naming the gradient, with no RuntimeWarning, not a
-        domain error about the zeta argument."""
-        data = self._separable(tmp_path, 1e160)
-        start = self._start(tmp_path, [0.0, 1e-150], [[1.0, 0.0], [0.0, 1.0]])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = run_cli(["fit", "--model", "probit", "--method", "dmvb",
-                          "--intercept", "--lambda", "0.01",
-                          "--data", data, "--init-from", start])
-        out, err = capsys.readouterr()
-        assert rc == 4 and out == ""
-        assert err == ("numeric failure: gradient of the dmvb objective in "
-                       "beta is not finite\n")
-        assert not [w for w in caught if w.category is RuntimeWarning]
-
-    @pytest.mark.parametrize("method", ["mp-dm", "mp-quad"])
-    def test_mp_from_a_vast_start_mean_is_one_line(self, tmp_path, capsys,
-                                                   method):
-        """The separable set started at an intercept of 1e200, where every
-        predictor mean is about -1e200: zeta_2 is -1 there, a numeric
-        failure, printed alone, without the overflow warnings of the
-        zeta_2 recursion that the continued fraction replaces."""
-        start = self._start(tmp_path, [1e200, 0.0], [[1.0, 0.0], [0.0, 1.0]])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = run_cli(["fit", "--model", "probit", "--method", method,
-                          "--intercept", "--data",
-                          self._separable(tmp_path, 1.0),
-                          "--init-from", start])
-        out, err = capsys.readouterr()
-        assert rc == 4 and out == ""
-        assert err == ("numeric failure: zeta_2 left (-1, 0); iteration is "
-                       "invalid\n")
-        assert not [w for w in caught if w.category is RuntimeWarning]
-
     @pytest.mark.parametrize("method,scale,lam", [
         ("dmvb", 1e150, "0.01"), ("mp-quad", 1.0, "1e-8"),
         pytest.param("mp-quad", 1e150, "0.01", id="mp-quad-1e150-scaled")])
-    def test_separable_extremes_end_cleanly(self, tmp_path, capsys, method,
+    @pytest.mark.filterwarnings("error")
+    def test_separable_extremes_end_cleanly(self, cli_dir, capsys, method,
                                             scale, lam):
         """The inputs these errors were once pinned on, reached there only
         through rounding: the 1e150-scaled set for dmvb, the unscaled one at
@@ -1341,11 +855,10 @@ class TestErrors:
         failure, with no traceback, NaN or RuntimeWarning. mp-quad ends in
         a report on both of its sets, the 1e150-scaled one too, where xi's
         mode search once failed."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = run_cli(["fit", "--model", "probit", "--method", method,
-                          "--intercept", "--lambda", lam,
-                          "--data", self._separable(tmp_path, scale)])
+        data = {1.0: "separable.csv", 1e150: "separable-1e150.csv"}[scale]
+        rc = run_cli(["fit", "--model", "probit", "--method", method,
+                      "--intercept", "--lambda", lam,
+                      "--data", str(cli_dir / data)])
         out, err = capsys.readouterr()
         assert rc == 0 if method == "mp-quad" else rc in (0, 4)
         assert "Traceback" not in err and "NaN" not in out
@@ -1353,140 +866,30 @@ class TestErrors:
             beta = json.loads(out)["q"]["beta"]
             assert np.isfinite(beta["mean"]).all()
             assert np.isfinite(beta["cov"]).all()
-        assert not [w for w in caught if w.category is RuntimeWarning]
 
-    def test_dmvb_invalid_fitted_density_is_numeric_failure(self, tmp_path,
-                                                            capsys):
-        """The 1e150-scaled separable set, dmvb started at mean (0, 1e-150):
-        the last M^-1 is not positive definite, which the fit made, so the
-        q-density's check is a numeric failure (exit 4) with no
-        RuntimeWarning, not a domain error about the user's input."""
-        start = self._start(tmp_path, [0.0, 1e-150], [[1.0, 0.0], [0.0, 1.0]])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = run_cli(["fit", "--model", "probit", "--method", "dmvb",
-                          "--intercept", "--lambda", "0.01",
-                          "--data", self._separable(tmp_path, 1e150),
-                          "--init-from", start])
-        out, err = capsys.readouterr()
-        assert rc == 4 and out == ""
-        assert err == ("numeric failure: the fitted q-density is invalid: "
-                       "cov is not positive definite\n")
-        assert not [w for w in caught if w.category is RuntimeWarning]
-
-    def test_mp_dm_gram_overflow_is_one_numeric_failure_line(self, tmp_path,
-                                                             capsys):
-        """The 1e150-scaled separable set, mp-dm started at mean (0, 1e-150)
-        and unit covariance: the variances v_i are about 1e300, so walk 1's
-        Gram matrix A overflows. That is a numeric failure printed alone,
-        with no RuntimeWarning from the sums, and not a Stein solve that
-        does not converge."""
-        start = self._start(tmp_path, [0.0, 1e-150], [[1.0, 0.0], [0.0, 1.0]])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = run_cli(["fit", "--model", "probit", "--method", "mp-dm",
-                          "--intercept", "--lambda", "0.01",
-                          "--data", self._separable(tmp_path, 1e150),
-                          "--init-from", start])
-        out, err = capsys.readouterr()
-        assert rc == 4 and out == ""
-        assert err == ("numeric failure: a Gram matrix of the covariance "
-                       "equation is not finite\n")
-        assert not caught
-
-    @pytest.mark.parametrize("method", ["laplace", "mfvb", "dmvb"])
-    def test_start_where_log_density_overflows_is_numeric_failure(
-            self, tmp_path, capsys, method):
-        """The separable set started at an intercept of 1e200: beta^T D beta
-        overflows, so log p(y, beta) is -inf at the start. That is a numeric
-        failure printed alone, with no RuntimeWarning, not 500 failed
-        Armijo tests that end unconverged where they started."""
-        start = self._start(tmp_path, [1e200, 0.0], [[1.0, 0.0], [0.0, 1.0]])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = run_cli(["fit", "--model", "probit", "--method", method,
-                          "--intercept", "--data",
-                          self._separable(tmp_path, 1.0),
-                          "--init-from", start])
-        out, err = capsys.readouterr()
-        assert rc == 4 and out == ""
-        assert err == ("numeric failure: log p(y, beta) is not finite at "
-                       "the starting mean\n")
-        assert not caught
-
-    @pytest.mark.parametrize("fields,message", [
-        ({"mean": [0.0, 1e-150]}, "missing a required argument: 'cov'"),
-        ({"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]],
-          "loc": [0.0, 0.0]}, "got an unexpected keyword argument 'loc'")],
-        ids=["missing-cov", "unknown-loc"])
-    def test_init_from_names_a_missing_or_unknown_field(
-            self, probit_csv, tmp_path, capsys, fields, message):
-        """A q.beta that lacks cov, or has a field its family does not, is
-        an input error (exit 3) naming that field, not the constructor's
-        signature."""
-        path = tmp_path / "start.json"
-        path.write_text(json.dumps({"q": {"beta": {"family": "gaussian",
-                                                   **fields}}}))
-        rc = run_cli(["fit", "--model", "probit", "--method", "dmvb",
-                      "--data", probit_csv, "--init-from", str(path)])
-        assert rc == 3
-        assert capsys.readouterr().err == (
-            f"error: {path}: malformed value: {message}\n")
-
-    def test_mp_quad_from_a_vast_start_variance_converges(self, tmp_path,
+    @pytest.mark.filterwarnings("error")
+    def test_mp_quad_from_a_vast_start_variance_converges(self, cli_dir,
                                                           capsys):
         """mp-quad on the separable set, started from a q(beta) whose
         intercept variance is 1e15, where xi's mode search once failed:
         xi's fixed rule has no search, so the fit converges, finite and
         within 10 eps of the fit from the default start, with no
         RuntimeWarning."""
-        data = self._separable(tmp_path, 1.0)
-        start = self._start(tmp_path, [0.0, 0.0], [[1e15, 0.0], [0.0, 1.0]])
+        start = cli_dir / "init-probit-vast-variance.json"
         fits = []
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for init in (["--init-from", start], []):
-                rc = run_cli(["fit", "--model", "probit", "--method",
-                              "mp-quad", "--intercept", "--data", data]
-                             + init)
-                out = capsys.readouterr().out
-                assert rc == 0
-                fits.append(json.loads(out))
-        assert not [w for w in caught if w.category is RuntimeWarning]
+        for init in (["--init-from", str(start)], []):
+            rc = run_cli(["fit", "--model", "probit", "--method", "mp-quad",
+                          "--intercept", "--data",
+                          str(cli_dir / "separable.csv")] + init)
+            out = capsys.readouterr().out
+            assert rc == 0
+            fits.append(json.loads(out))
         assert all(fit["converged"] for fit in fits)
         (far, near) = (fit["q"]["beta"] for fit in fits)
         for field in ("mean", "cov"):
             assert np.isfinite(far[field]).all()
             assert np.max(np.abs(np.subtract(far[field], near[field]))) \
                 <= 10 * 1e-6
-
-    @pytest.mark.parametrize("argv", [
-        ["fit", "--model", "probit", "--method", "gibbs", "--data", "PROBIT",
-         "--n-samples", "1000000000000000", "--out", "OUT"],
-        ["compare", "--model", "probit", "--methods", "laplace,mfvb",
-         "--data", "PROBIT", "--n-samples", "1000000000000000",
-         "--out", "OUT"],
-        *(["generate", "--model", model, "--n", "1000000000000000",
-           "--out", "OUT"] for model in ("linear", "mvn", "probit"))],
-        ids=["fit-gibbs", "compare-probit", "generate-linear",
-             "generate-mvn", "generate-probit"])
-    def test_allocation_that_cannot_be_made_is_numeric_failure(
-            self, probit_csv, tmp_path, capsys, argv):
-        """An array of 1e15 rows, which numpy refuses before touching any
-        memory: exit 4 with one line, no traceback, and no --out file."""
-        out = tmp_path / "out"
-        names = {"PROBIT": probit_csv, "OUT": str(out)}
-        assert run_cli([names.get(a, a) for a in argv]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("numeric failure: Unable to allocate ")
-        assert err.count("\n") == 1 and not out.exists()
-
-    def test_ragged_csv(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("y,x1\n1.0,2.0,9.9\n")
-        rc = run_cli(["fit", "--model", "linear", "--method", "mfvb",
-                      "--data", str(path)])
-        assert rc == 3
 
     @pytest.mark.parametrize("raw", [b"y,\xffx1\n1,2\n", b"y,x1\n1,\xff\n"],
                              ids=["header", "row"])
@@ -1599,28 +1002,6 @@ class TestErrors:
             assert np.array_equal(got[1], want[1], equal_nan=True)
             assert got[1].shape == want[1].shape
 
-    @pytest.mark.parametrize("argv", [
-        ["fit", "--model", "linear", "--method", "mfvb"],
-        ["fit", "--model", "linear", "--method", "mp2"],
-        ["compare", "--model", "linear", "--methods", "mfvb,mp1",
-         "--reference", "exact"],
-    ])
-    def test_zero_max_iter_is_usage_error(self, c7_csv, argv, capsys):
-        rc = run_cli(argv + ["--data", c7_csv, "--max-iter", "0"])
-        assert rc == 2
-        assert "max_iter must be at least 1" in capsys.readouterr().err
-
-    def test_toy_zero_max_iter_is_usage_error(self, tmp_path, capsys):
-        spec = tmp_path / "toy.json"
-        spec.write_text(json.dumps({"mu": [0.0, 0.0],
-                                    "Sigma": [[1.0, 0.9], [0.9, 1.0]],
-                                    "split": 1}))
-        rc = run_cli(["fit", "--model", "toy", "--method", "mp",
-                      "--summary", str(spec), "--max-iter", "0"])
-        assert rc == 2
-        assert ("fit --model toy does not read --max-iter"
-                in capsys.readouterr().err)
-
     def test_nonconvergence_still_exit_zero(self, c7_csv, tmp_path):
         out = tmp_path / "rep.json"
         rc = run_cli(["fit", "--model", "linear", "--method", "mfvb",
@@ -1632,42 +1013,8 @@ class TestErrors:
         assert doc["termination"] == "max_iter"
 
 
-def _table_options(command: str) -> list[argparse.Action]:
-    """The options of command that are in cli._DEFAULTS."""
-    parser = cli.build_parser()
-    sub, = [a for a in parser._actions
-            if isinstance(a, argparse._SubParsersAction)]
-    return [a for a in sub.choices[command]._actions
-            if a.dest in cli._DEFAULTS]
-
-
-# (command, model, flag, the flag's argv) for each option of the table that
-# fit or compare offers and the model does not read; compare runs on the
-# models with a reference
-UNREAD_OPTIONS = [
-    (command, model, action.option_strings[0],
-     action.option_strings[:1] + ["1"] * (action.nargs != 0))
-    for command in ("fit", "compare")
-    for model, spec in cli.MODELS.items() if command == "fit" or spec.reference
-    for action in _table_options(command) if action.dest not in spec.reads]
-
-
 class TestOptions:
-    @pytest.mark.parametrize(
-        "command,model,flag,argv", UNREAD_OPTIONS,
-        ids=[f"{c}-{m}-{f[2:]}" for c, m, f, _ in UNREAD_OPTIONS])
-    def test_unread_option_is_usage_error(self, capsys, command, model, flag,
-                                          argv):
-        """An option the model does not read is a usage error that names
-        it, raised before the (here missing) input is looked for."""
-        methods = list(cli.MODELS[model].fits)
-        head = (["fit", "--model", model, "--method", methods[0]]
-                if command == "fit" else
-                ["compare", "--model", model, "--methods",
-                 ",".join(methods[:2])])
-        assert run_cli(head + argv) == 2
-        assert (f"{command} --model {model} does not read {flag}"
-                in capsys.readouterr().err)
+    test_unread_option_is_usage_error = _typed_errors("unread")
 
     @pytest.mark.parametrize("argv,want", [
         (["fit", "--model", "probit", "--method", "gibbs"],
@@ -1716,11 +1063,7 @@ class TestGenerate:
         assert rows[0] == ["y", "x1", "x2", "x3"]
         assert np.array(rows[1:], dtype=float).shape == (40, 4)
 
-    def test_bad_coefficient_vector_is_usage_error(self, tmp_path, capsys):
-        rc = run_cli(["generate", "--model", "linear", "--beta", "1,x",
-                      "--out", str(tmp_path / "g.csv")])
-        assert rc == 2
-        assert "bad vector '1,x'" in capsys.readouterr().err
+    test_bad_coefficient_vector_is_usage_error = _typed_errors("bad-vector")
 
     def test_probit_has_both_classes(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -1861,13 +1204,11 @@ class TestCompare:
         for m in doc["methods"].values():
             assert len(m["mean_err"]) == 3
 
-    def test_unconverged_reference_is_named(self, tmp_path):
+    def test_unconverged_reference_is_named(self, cli_dir, tmp_path):
         """dmvb stops at max_iter on this set, where laplace and mp-dm
         converge: the scores stand, exit 0, and warnings name the reference;
         a reference that converged adds no warnings."""
-        data, out = tmp_path / "p50.csv", tmp_path / "cmp.json"
-        assert run_cli(["generate", "--model", "probit", "--n", "32", "--p",
-                        "4", "--seed", "50", "--out", str(data)]) == 0
+        data, out = cli_dir / "probit-50.csv", tmp_path / "cmp.json"
         argv = ["compare", "--model", "probit", "--methods", "laplace,mp-dm",
                 "--data", str(data), "--out", str(out), "--reference"]
         assert run_cli(argv + ["dmvb"]) == 0
@@ -1884,14 +1225,13 @@ class TestCompare:
         ("mfvb,exact", "1e300", ["beta0", "sigma2"])],
         ids=["A-1e16", "A-1e300"])
     @pytest.mark.filterwarnings("error")
-    def test_marginal_a_grid_cannot_hold_is_left_out(self, tmp_path, methods,
-                                                     A, left_out):
+    def test_marginal_a_grid_cannot_hold_is_left_out(self, cli_dir, tmp_path,
+                                                     methods, A, left_out):
         """q(sigma2) of shape 1e16 cancels on its grid (mp2 scored -2.9e12),
         and at shape 1e300 the sigma2 and beta0 grids collapse (empty grid
         range): each such marginal is left out of every method's accuracy
         and named in one warning, and the rest are scored."""
-        data, out = tmp_path / "four.csv", tmp_path / "cmp.json"
-        data.write_text("y,x1\n-1.48,1\n1.08,1\n-2.14,1\n5.54,1\n")
+        data, out = cli_dir / "linear4.csv", tmp_path / "cmp.json"
         assert run_cli(["compare", "--model", "linear", "--methods", methods,
                         "--A", A, "--data", str(data), "--out",
                         str(out)]) == 0
@@ -1921,16 +1261,9 @@ class TestCompare:
         assert rc == 0
         assert calls == [probit_csv]
 
-    def test_requires_two_methods(self, c7_csv):
-        rc = run_cli(["compare", "--model", "linear", "--methods", "mp2",
-                      "--reference", "exact", "--data", c7_csv])
-        assert rc == 2
-
-    def test_repeated_method_counts_once(self, c7_csv, capsys):
-        rc = run_cli(["compare", "--model", "linear", "--methods",
-                      "mfvb,mfvb", "--data", c7_csv])
-        assert rc == 2
-        assert "at least two methods" in capsys.readouterr().err
+    test_requires_two_methods = _typed_errors("two-methods")
+    test_repeated_method_counts_once = _typed_errors("repeated-method")
+    test_undefined_sd_gives_no_warning = _typed_errors("undefined-sd")
 
     def test_keeps_no_trace_of_a_returned_fit(self, tmp_path, monkeypatch):
         """compare writes no trace, so a fit's trace, one n-vector per MP
